@@ -9,6 +9,7 @@ Agresti–Coull interval [5] for binomial proportions (COUNT of a subset).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy import stats as _scipy_stats
@@ -16,8 +17,14 @@ from scipy import stats as _scipy_stats
 from repro.errors import RuntimePhaseError
 
 
+@functools.lru_cache(maxsize=64)
 def z_value(level: float) -> float:
-    """Two-sided standard-normal critical value for a confidence level."""
+    """Two-sided standard-normal critical value for a confidence level.
+
+    Memoised: answers carry one interval per group per aggregate at a
+    handful of levels, and ``norm.ppf`` costs ~50 µs a call.  Invalid
+    levels raise every time (exceptions are not cached).
+    """
     if not 0.0 < level < 1.0:
         raise RuntimePhaseError(
             f"confidence level must be in (0, 1), got {level}"

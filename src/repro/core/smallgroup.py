@@ -901,6 +901,31 @@ class SmallGroupSampling(DynamicSampleSelection):
             and not self._overall_parts[0].zero_variance
         )
 
+    def check_insert_batch(self, new_rows: Table) -> tuple[str, ...]:
+        """Validate an :meth:`insert_rows` batch without changing anything.
+
+        Returns the joined-view columns the batch must (and does) carry;
+        raises :class:`SamplingError` otherwise.  Callers that also store
+        the batch elsewhere (``AQPSession.append_rows``) run this first,
+        so a rejected batch leaves base data and samples in step.
+        """
+        self.require_preprocessed()
+        if not self.supports_incremental_maintenance():
+            raise SamplingError(
+                f"{self.name}: incremental maintenance requires the basic "
+                "single-part overall sample; rebuild with preprocess()"
+            )
+        required = self._view_columns or tuple(
+            (self._tables[0] if self._tables else self._overall_parts[0].table)
+            .column_names
+        )
+        missing = [c for c in required if not new_rows.has_column(c)]
+        if missing:
+            raise SamplingError(
+                f"insert batch is missing view columns {missing}"
+            )
+        return required
+
     def insert_rows(self, new_rows: Table) -> None:
         """Maintain the samples under appended rows.
 
@@ -919,21 +944,7 @@ class SmallGroupSampling(DynamicSampleSelection):
         :meth:`maintenance_report` quantifies the drift so callers can
         decide when to re-run :meth:`preprocess`.
         """
-        self.require_preprocessed()
-        if not self.supports_incremental_maintenance():
-            raise SamplingError(
-                f"{self.name}: incremental maintenance requires the basic "
-                "single-part overall sample; rebuild with preprocess()"
-            )
-        required = self._view_columns or tuple(
-            (self._tables[0] if self._tables else self._overall_parts[0].table)
-            .column_names
-        )
-        missing = [c for c in required if not new_rows.has_column(c)]
-        if missing:
-            raise SamplingError(
-                f"insert batch is missing view columns {missing}"
-            )
+        required = self.check_insert_batch(new_rows)
         batch = new_rows.select(list(required))
         stored_columns = (
             list(self._fact_columns)

@@ -215,7 +215,7 @@ def notify_append(event: AppendEvent) -> None:
 
 @dataclass
 class CacheMetrics:
-    """Hit/miss counters per cache kind (``group_ids``, ``join_positions``,
+    """Hit/miss counters per cache kind (``join_positions``,
     ``predicate_mask``, ``column_codes``, ``joined_column``, ``zone_map``,
     ``zone_map_bitmask``, ``sql_parse``, ``plan``,
     ``provenance_sketch`` ...).  The last is recorded by the sketch store

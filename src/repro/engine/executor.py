@@ -6,18 +6,24 @@ whichever dimension columns the query touches — or against a single flat
 (sample) table with optional per-row weights and a result scale factor,
 which is how the AQP techniques evaluate their rewritten queries.
 
-Grouping operates directly on dictionary codes (string columns carry them
-from construction) or on ``numpy.unique``-densified numeric values, and
-aggregates via ``numpy.bincount``; the cost of a query is therefore
-proportional to the number of rows scanned, matching the cost model that
-the paper's speedup experiments rely on.  Group-id assignment, WHERE
-masks, and star-join positions are memoised in the cross-query
-:class:`~repro.engine.cache.ExecutionCache`, keyed on column identity, so
-a repeated workload pays the row-proportional aggregation cost only.
+Grouping is filter-first and sort-free: the WHERE mask becomes a
+selection index, each grouping column's cached dense codes (dictionary
+codes for strings, a once-per-column ``numpy.unique`` for numerics) are
+taken on the selected rows only, folded into a mixed-radix key and
+densified by counting (``numpy.bincount`` plus a look-up table);
+aggregates are ``numpy.bincount`` sums over the same rows.  The cost of a
+query is therefore proportional to the rows it *selects* — the cost model
+the paper's speed-up experiments rely on — not to the size of the table
+it selects them from.  Per-column codes, WHERE masks and star-join
+positions are memoised in the cross-query
+:class:`~repro.engine.cache.ExecutionCache`, keyed on column identity;
+nothing is cached per GROUP BY list, so cache size does not grow with the
+number of distinct queries' column combinations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -167,16 +173,24 @@ def dense_ids(code_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
 _DICT_FAST_PATH_SLACK = 4
 _DICT_FAST_PATH_FLOOR = 1024
 
+# Selected rows are densified by counting (bincount + look-up table, no
+# sort) while the mixed-radix key space is at most this multiple of the
+# selection size; sparser key spaces sort the selected keys instead, so
+# the work stays proportional to the rows selected either way.
+_DENSE_KEY_SLACK = 4
+_DENSE_KEY_FLOOR = 1024
+
 
 def _column_group_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
     """Per-row dense codes plus decoded key values for one grouping column.
 
     String columns reuse the dictionary codes computed at construction —
     already dense in ``[0, len(dictionary))`` — so grouping skips the
-    per-query ``np.unique`` sort entirely.  Numeric columns are densified
-    once and memoised against the column's identity.  The key list may
-    contain values absent from the data (dictionary entries with zero
-    rows); aggregation drops empty groups downstream.
+    ``np.unique`` sort entirely and caches no copy of the column (the
+    kernel upcasts after taking the selected rows).  Other columns are
+    densified once and memoised against the column's identity.  The key
+    list may contain values absent from the data (dictionary entries with
+    zero rows); the kernel only decodes cells that hold rows.
     """
     cache = get_cache()
     cached = cache.get("column_codes", (col,))
@@ -185,60 +199,96 @@ def _column_group_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
     if col.kind is ColumnKind.STRING and col.dictionary is not None and len(
         col.dictionary
     ) <= max(_DICT_FAST_PATH_FLOOR, _DICT_FAST_PATH_SLACK * len(col)):
-        codes = col.data.astype(np.int64)
+        codes = col.data
         keys: list[Any] = list(col.dictionary)
     else:
         _, first_rows, inverse = np.unique(
             col.data, return_index=True, return_inverse=True
         )
-        codes = inverse.reshape(-1).astype(np.int64)
+        codes = inverse.reshape(-1)
         keys = [col[int(r)] for r in first_rows]
     cache.put("column_codes", (col,), (codes, keys))
     return codes, keys
 
 
-def _group_ids(table: Table, group_by: tuple[str, ...]) -> tuple[np.ndarray, list[GroupKey]]:
-    """Assign each row a dense group id and list the decoded group keys.
+def _group_selected(
+    table: Table, group_by: tuple[str, ...], selection: np.ndarray | None
+) -> tuple[np.ndarray, list[GroupKey], np.ndarray]:
+    """Dense group ids of the selected rows, their groups' keys and sizes.
 
-    Memoised against the identities of the grouping :class:`Column`
-    objects — not the table — because :func:`resolve_columns` builds a
-    fresh flat ``Table`` per query around the same stored columns.
-    Callers must treat the returned arrays as immutable.
+    Filter-first and sort-free: each grouping column's cached codes are
+    taken on ``selection`` only (``None`` selects every row), folded into
+    one mixed-radix key, and densified by counting.  Returns ``(ids,
+    keys, counts)`` with ``ids[i]`` in ``[0, len(keys))`` for the
+    ``i``-th selected row and ``counts[g]`` the selected rows of group
+    ``g``; ``keys`` lists only groups that hold a selected row, in
+    ascending mixed-radix order — the order ``np.unique`` would give.
     """
-    n = table.n_rows
+    n_selected = table.n_rows if selection is None else int(selection.size)
     if not group_by:
-        return np.zeros(n, dtype=np.int64), [()]
-    columns = [table.column(name) for name in group_by]
-    cache = get_cache()
-    cached = cache.get("group_ids", columns)
-    if cached is not MISS:
-        return cached
-    per_column = [_column_group_codes(col) for col in columns]
-    if len(per_column) == 1:
-        codes, key_values = per_column[0]
-        result = (codes, [(k,) for k in key_values])
-        cache.put("group_ids", columns, result)
-        return result
-    code_arrays = [codes for codes, _ in per_column]
-    cardinalities = [max(1, len(keys)) for _, keys in per_column]
-    radix_product = 1
-    for c in cardinalities:
-        radix_product *= c
-    if radix_product < _RADIX_LIMIT:
-        key = code_arrays[0].copy()
-        for codes, card in zip(code_arrays[1:], cardinalities[1:]):
+        keys: list[GroupKey] = [()] if n_selected else []
+        ids = np.zeros(n_selected, dtype=np.intp)
+        return ids, keys, np.full(len(keys), n_selected)
+    per_column = [
+        _column_group_codes(table.column(name)) for name in group_by
+    ]
+    key_lists = [keys for _, keys in per_column]
+    cards = [max(1, len(keys)) for keys in key_lists]
+    taken = [
+        codes if selection is None else codes[selection]
+        for codes, _ in per_column
+    ]
+    product = math.prod(cards)
+    if product >= _RADIX_LIMIT:
+        digits, ids, counts = np.unique(
+            np.stack(taken, axis=1),
+            axis=0,
+            return_inverse=True,
+            return_counts=True,
+        )
+        keys = _decode_keys(key_lists, list(digits.T))
+        return ids.reshape(-1), keys, counts
+    key = taken[0]
+    if len(taken) > 1:
+        key = key.astype(np.int64)
+        for codes, card in zip(taken[1:], cards[1:]):
             key *= card
             key += codes
-        _, first_rows, ids = np.unique(key, return_index=True, return_inverse=True)
+    if product <= max(_DENSE_KEY_FLOOR, _DENSE_KEY_SLACK * n_selected):
+        counts = np.bincount(key, minlength=product)
+        cells = np.flatnonzero(counts)
+        if cells.size == product:
+            ids = key
+        else:
+            counts = counts[cells]
+            lookup = np.empty(product, dtype=np.intp)
+            lookup[cells] = np.arange(cells.size)
+            ids = lookup[key]
     else:
-        matrix = np.stack(code_arrays, axis=1)
-        _, first_rows, ids = np.unique(
-            matrix, axis=0, return_index=True, return_inverse=True
+        cells, ids, counts = np.unique(
+            key, return_inverse=True, return_counts=True
         )
-    keys = [tuple(col[int(r)] for col in columns) for r in first_rows]
-    result = (ids.reshape(-1).astype(np.int64), keys)
-    cache.put("group_ids", columns, result)
-    return result
+        ids = ids.reshape(-1)
+    digits = []
+    for card in reversed(cards[1:]):
+        cells, digit = np.divmod(cells, card)
+        digits.append(digit)
+    digits.append(cells)
+    return ids, _decode_keys(key_lists, digits[::-1]), counts
+
+
+def _decode_keys(
+    key_lists: list[list[Any]], digits: list[np.ndarray]
+) -> list[GroupKey]:
+    """Group key tuples from per-column code digits of the non-empty cells."""
+    return list(
+        zip(
+            *(
+                [keys[d] for d in digit.tolist()]
+                for keys, digit in zip(key_lists, digits)
+            )
+        )
+    )
 
 
 def _predicate_mask(
@@ -481,9 +531,9 @@ def aggregate_table(
             f"variance_weights length {len(variance_weights)} != table rows "
             f"{table.n_rows}"
         )
-    # WHERE is applied as a selection-index subset of the cached full-table
-    # group ids and of each aggregated value array — never by materialising
-    # a filtered copy of every column (the seed's ``table.take``).
+    # WHERE is applied as a selection index: grouping codes and aggregated
+    # values are taken on the selected rows only — never by materialising a
+    # filtered copy of every column (the seed's ``table.take``).
     selection: np.ndarray | None = None
     plan = selection_plan
     if (
@@ -518,12 +568,9 @@ def aggregate_table(
             weights = weights[selection]
         if variance_weights is not None:
             variance_weights = variance_weights[selection]
-    ids, keys = _group_ids(table, query.group_by)
-    if selection is not None:
-        ids = ids[selection]
-    n_selected = int(selection.size) if selection is not None else table.n_rows
+    ids, keys, raw_counts = _group_selected(table, query.group_by, selection)
+    n_selected = int(ids.size)
     n_groups = len(keys)
-    raw_counts = np.bincount(ids, minlength=n_groups)
     if weights is None:
         weighted_counts = raw_counts.astype(np.float64)
     else:
@@ -536,6 +583,10 @@ def aggregate_table(
         else:
             variance_weights = (weights * scale) ** 2
 
+    def per_group(row_values: np.ndarray) -> dict[GroupKey, float]:
+        sums = np.bincount(ids, weights=row_values, minlength=n_groups)
+        return dict(zip(keys, sums.tolist()))
+
     agg_values: list[np.ndarray] = []
     sum_squares: dict[str, dict[GroupKey, float]] = {}
     sum_cross: dict[str, dict[GroupKey, float]] = {}
@@ -545,12 +596,7 @@ def aggregate_table(
             if collect_variance_stats:
                 # For COUNT the "values" are all 1, so the per-group sum of
                 # squares is the sum of the variance weights.
-                squares = np.bincount(
-                    ids, weights=variance_weights, minlength=n_groups
-                )
-                sum_squares[agg.name] = {
-                    keys[g]: float(squares[g]) for g in range(n_groups)
-                }
+                sum_squares[agg.name] = per_group(variance_weights)
             continue
         values = table.column(agg.column).numeric_values()
         if selection is not None:
@@ -567,17 +613,10 @@ def aggregate_table(
                         np.where(weighted_counts > 0, sums / weighted_counts, np.nan)
                     )
             if collect_variance_stats:
-                sq = values * values * variance_weights
-                squares = np.bincount(ids, weights=sq, minlength=n_groups)
-                sum_squares[agg.name] = {
-                    keys[g]: float(squares[g]) for g in range(n_groups)
-                }
-                crosses = np.bincount(
-                    ids, weights=values * variance_weights, minlength=n_groups
+                sum_squares[agg.name] = per_group(
+                    values * values * variance_weights
                 )
-                sum_cross[agg.name] = {
-                    keys[g]: float(crosses[g]) for g in range(n_groups)
-                }
+                sum_cross[agg.name] = per_group(values * variance_weights)
         elif agg.func is AggFunc.MIN or agg.func is AggFunc.MAX:
             fill = np.inf if agg.func is AggFunc.MIN else -np.inf
             out = np.full(n_groups, fill, dtype=np.float64)
@@ -589,30 +628,15 @@ def aggregate_table(
         else:  # pragma: no cover - exhaustive over AggFunc
             raise QueryError(f"unsupported aggregate {agg.func}")
 
-    rows: dict[GroupKey, tuple[float, ...]] = {}
-    for g, key in enumerate(keys):
-        if raw_counts[g] == 0:
-            continue
-        rows[key] = tuple(float(col[g]) for col in agg_values)
+    # Every listed group holds a selected row, so nothing is filtered here.
     result = GroupedResult(
         group_columns=query.group_by,
         aggregate_names=tuple(a.name for a in query.aggregates),
-        rows=rows,
-        raw_counts={
-            keys[g]: int(raw_counts[g])
-            for g in range(n_groups)
-            if raw_counts[g] > 0
-        },
+        rows=dict(zip(keys, zip(*(col.tolist() for col in agg_values)))),
+        raw_counts=dict(zip(keys, raw_counts.tolist())),
+        sum_squares=sum_squares,
+        sum_cross=sum_cross,
     )
-    if collect_variance_stats:
-        for name, per_group in sum_squares.items():
-            result.sum_squares[name] = {
-                g: v for g, v in per_group.items() if g in result.rows
-            }
-        for name, per_group in sum_cross.items():
-            result.sum_cross[name] = {
-                g: v for g, v in per_group.items() if g in result.rows
-            }
     if query.having:
         kept_groups = {
             g for g, row in result.rows.items() if query.evaluate_having(row)

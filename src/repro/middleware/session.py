@@ -291,6 +291,8 @@ class AQPSession:
         view, so the batch may (must, for incremental maintenance) carry
         the dimension attributes too; only the stored table's own
         columns are persisted, the full batch goes to ``insert_rows``.
+        The technique validates the batch (``check_insert_batch``)
+        before anything is stored, so a refused append changes nothing.
         """
         self._require_open()
         stored_names = self.db.table(name).column_names
@@ -299,8 +301,8 @@ class AQPSession:
             batch.column_names
         ) > len(stored_names):
             to_store = batch.select(stored_names)
-        merged = self.db.append_rows(name, to_store, options=self.options)
         technique = self.technique
+        maintained = False
         if technique is not None:
             try:
                 is_fact = name == self.db.fact_table.name
@@ -309,8 +311,14 @@ class AQPSession:
             supports = getattr(
                 technique, "supports_incremental_maintenance", None
             )
-            if is_fact and callable(supports) and supports():
-                technique.insert_rows(batch)
+            maintained = is_fact and callable(supports) and supports()
+        if maintained:
+            # Reject a batch the technique cannot absorb *before* storing
+            # it: a failed append must leave base data and samples in step.
+            technique.check_insert_batch(batch)
+        merged = self.db.append_rows(name, to_store, options=self.options)
+        if maintained:
+            technique.insert_rows(batch)
         return merged
 
     # ------------------------------------------------------------------

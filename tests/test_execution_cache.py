@@ -137,7 +137,7 @@ class TestAppendInvalidation:
         # "join_positions" again.
         hits_before = {
             kind: cache.metrics.hits.get(kind, 0)
-            for kind in ("group_ids", "joined_column", "predicate_mask")
+            for kind in ("column_codes", "joined_column", "predicate_mask")
         }
         warm = execute(db, self.QUERY)
         assert warm.rows == cold.rows
@@ -170,6 +170,67 @@ class TestAppendInvalidation:
         cold = execute(db, self.QUERY)
         assert warm.rows == cold.rows
         assert warm.raw_counts == cold.raw_counts
+
+
+def held_bytes(cache: ExecutionCache) -> int:
+    """Bytes of every distinct ndarray reachable from the cached values."""
+    arrays: dict[int, int] = {}
+
+    def walk(value) -> None:
+        if isinstance(value, np.ndarray):
+            arrays[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            walk(list(value.values()))
+        elif hasattr(value, "__dict__"):
+            walk(vars(value))
+
+    for _, _, value in list(cache._entries.values()):
+        walk(value)
+    return sum(arrays.values())
+
+
+class TestCacheGrowth:
+    def test_distinct_group_by_queries_hold_under_1mb_each(self):
+        """Grouping state is per column, not per column *combination*.
+
+        Caching dense group ids for every GROUP BY list held 8 bytes per
+        row per distinct query (1.6 MB each here); the filter-first kernel
+        caches only per-column codes, shared by every combination.
+        """
+        names = [f"g{j}" for j in range(7)]
+        table = generate_flat_table(
+            "flat",
+            200_000,
+            seed=11,
+            categoricals=[
+                CategoricalSpec(name, 6 + 3 * j, 1.2)
+                for j, name in enumerate(names)
+            ],
+            measures=[MeasureSpec("amount", distribution="lognormal")],
+        )
+        db = Database([table])
+        pairs = [
+            (a, b) for i, a in enumerate(names) for b in names[i + 1 :]
+        ][:20]
+        queries = [
+            Query(
+                "flat",
+                (COUNT,),
+                (a, b),
+                where=InSet(b, [table.column(b)[k], table.column(b)[k + 1]]),
+            )
+            for k, (a, b) in enumerate(pairs)
+        ]
+        assert len({(q.group_by, q.where) for q in queries}) == 20
+        cache = get_cache()
+        cache.clear()
+        for query in queries:
+            assert execute(db, query).n_groups > 0
+        assert held_bytes(cache) / len(queries) < 1_000_000
+        cache.clear()
 
 
 class TestInvalidationSweep:

@@ -163,3 +163,29 @@ class TestLifecycle:
         for t in threads:
             t.join()
         assert session.closed
+
+
+class TestRejectedAppend:
+    def test_fact_shaped_batch_changes_nothing(self):
+        # The technique maintains its samples from view-shaped batches
+        # (fact + dimension attributes); a fact-shaped one is refused, and
+        # must be refused before the database stores it.
+        from repro.datagen.tpch import generate_tpch
+        from repro.errors import SamplingError
+
+        db = generate_tpch(scale=1.0, z=1.5, rows_per_scale=400, seed=5)
+        technique = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.1, use_reservoir=False, seed=3)
+        )
+        with AQPSession(db) as session:
+            session.install(technique)
+            fact = db.fact_table
+            rows_before = fact.n_rows
+            version_before = technique.plan_version
+            exact_before = session.sql(SQL_COUNT, mode="exact").exact.rows
+            with pytest.raises(SamplingError, match="missing view columns"):
+                session.append_rows(fact.name, fact.head(8))
+            assert session.db.fact_table is fact
+            assert session.db.fact_table.n_rows == rows_before
+            assert technique.plan_version == version_before
+            assert session.sql(SQL_COUNT, mode="exact").exact.rows == exact_before

@@ -9,12 +9,15 @@ import time
 import pytest
 
 from repro.client import ReproClient
+from repro.core import confidence
+from repro.core.answer import ApproxAnswer, GroupEstimate
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.table import Table
 from repro.errors import (
     DeadlineExceeded,
     InternalError,
     QueryError,
+    RuntimePhaseError,
     SchemaError,
     ServerError,
     SQLSyntaxError,
@@ -27,6 +30,7 @@ from repro.server.protocol import (
     ERROR_CODES,
     answer_fingerprint,
     classify_error,
+    encode_approx,
     encode_result,
     validate_append_request,
     validate_query_request,
@@ -133,6 +137,50 @@ class TestProtocol:
         changed = {"approx": {"groups": [{"key": ["a"], "estimates": [2.0]}]}}
         assert answer_fingerprint(answer) == answer_fingerprint(answer)
         assert answer_fingerprint(answer) != answer_fingerprint(changed)
+
+    def test_memoised_z_value_leaves_encodings_byte_equal(
+        self, session, monkeypatch
+    ):
+        # 100 groups x 2 aggregates = 200 intervals per encode, one
+        # norm.ppf each before the memo.  The memo may not move a digit.
+        answer = ApproxAnswer(
+            group_columns=("g",),
+            aggregate_names=("cnt", "s"),
+            groups={
+                (f"g{i:03d}",): (
+                    GroupEstimate(100.0 + i, variance=1.0 + i / 7.0),
+                    GroupEstimate(3.5 * i, variance=(i % 9) / 3.0),
+                )
+                for i in range(100)
+            },
+            technique="small_group",
+        )
+        result = session.sql(SQL_COUNT, mode="approx")
+        result.approx = answer
+
+        def encodings() -> list[str]:
+            payload = encode_result(result)
+            del payload["timings"]
+            return [json.dumps(payload, sort_keys=True)] + [
+                json.dumps(encode_approx(answer, level), sort_keys=True)
+                for level in (0.9, 0.95, 0.99)
+            ]
+
+        confidence.z_value.cache_clear()
+        memoised = encodings()
+        assert memoised == encodings()  # warm memo
+        info = confidence.z_value.cache_info()
+        assert info.misses == 3 and info.hits > 300
+        monkeypatch.setattr(
+            confidence, "z_value", confidence.z_value.__wrapped__
+        )
+        assert encodings() == memoised
+
+    def test_z_value_rejects_bad_levels_every_time(self):
+        for _ in range(2):
+            for level in (0.0, 1.0, -0.5, 1.5):
+                with pytest.raises(RuntimePhaseError):
+                    confidence.z_value(level)
 
 
 class TestReadWriteLock:
@@ -481,5 +529,21 @@ class TestStarSchemaAppend:
                 for group in body["answer"]["exact"]["groups"]
             )
             assert total == n0 + 8
+            # A fact-shaped batch is refused whole: the next accepted
+            # append continues from the un-advanced row count.
+            status, body = app.handle(
+                {
+                    "op": "append",
+                    "table": fact.name,
+                    "rows": {name: rows[name] for name in fact_names},
+                }
+            )
+            assert status == 400, body
+            assert session.db.table(fact.name).n_rows == n0 + 8
+            status, body = app.handle(
+                {"op": "append", "table": fact.name, "rows": rows}
+            )
+            assert status == 200, body
+            assert body["total_rows"] == n0 + 16
         finally:
             session.close()
