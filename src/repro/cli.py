@@ -671,10 +671,16 @@ def _run_serve(args) -> int:
     try:
         if not args.exact_only:
             print(
-                f"pre-processing samples (base rate {args.base_rate:g}) ..."
+                f"pre-processing samples (base rate {args.base_rate:g}) ...",
+                end=" ",
+                flush=True,
             )
-            session.install(
+            report = session.install(
                 SmallGroupSampling(SmallGroupConfig(base_rate=args.base_rate))
+            )
+            print(
+                f"{report.wall_time_seconds:.2f} s, "
+                f"{report.sample_rows} sample rows"
             )
         server = make_server(
             session,

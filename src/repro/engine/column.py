@@ -296,26 +296,27 @@ class Column:
         zeros = int(np.count_nonzero(data == 0))
         return (mn, mx, zeros)
 
+    def raw_value_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct raw values present (ascending) and their row counts."""
+        return count_raw_values(self.data, self.kind is ColumnKind.STRING)
+
     def distinct_count(self) -> int:
         """Number of distinct values present in the column."""
-        if len(self) == 0:
-            return 0
-        return int(np.unique(self.data).size)
+        return int(self.raw_value_counts()[0].size)
+
+    def decode_counts(
+        self, raw_values: Iterable[Any], counts: Iterable[int]
+    ) -> dict[Any, int]:
+        """Decoded value → count, keys in the order of ``raw_values``."""
+        if self.kind is ColumnKind.STRING:
+            dictionary = self.require_dictionary()
+            return dict(zip((dictionary[v] for v in raw_values), counts))
+        return dict(zip(raw_values, counts))
 
     def value_counts(self) -> dict[Any, int]:
         """Frequency of every distinct value, keyed by the decoded value."""
-        if len(self) == 0:
-            return {}
-        values, counts = np.unique(self.data, return_counts=True)
-        if self.kind is ColumnKind.STRING:
-            dictionary = self.require_dictionary()
-            return {
-                dictionary[int(v)]: int(c)
-                for v, c in zip(values, counts)
-            }
-        if self.kind is ColumnKind.INT:
-            return {int(v): int(c) for v, c in zip(values, counts)}
-        return {float(v): int(c) for v, c in zip(values, counts)}
+        values, counts = self.raw_value_counts()
+        return self.decode_counts(values.tolist(), counts.tolist())
 
     def encode_value(self, value: Any) -> float | int:
         """Map a user-facing value onto the internal representation.
@@ -332,6 +333,23 @@ class Column:
         if isinstance(value, str):
             raise ColumnTypeError("numeric column compared against str")
         return value
+
+
+def count_raw_values(
+    data: np.ndarray, is_codes: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct raw values in ``data`` (ascending) and their row counts.
+
+    The first pre-processing scan's one kernel.  Dictionary codes are
+    small non-negative integers, so they are counted into a histogram in
+    one pass with no sort; numeric values go through ``numpy.unique``.
+    Both orders are ascending raw value.
+    """
+    if not is_codes:
+        return np.unique(data, return_counts=True)
+    histogram = np.bincount(data)
+    present = np.flatnonzero(histogram)
+    return present, histogram[present]
 
 
 def column_from_parts(

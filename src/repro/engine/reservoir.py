@@ -7,6 +7,16 @@ of row indices (the streaming discipline matters: the small group sampling
 build consumes rows once, in a single pass, populating the reservoir and
 the small group tables simultaneously).
 
+The sampler is a batch kernel: :meth:`ReservoirSampler.offer_many` draws
+the replacement slot of every item of a chunk in one ``Generator.integers``
+call with a per-item upper bound, so the Python call count of a scan
+depends on the chunk count, not the row count.  The broadcast draw
+consumes the bit generator exactly as successive scalar
+``integers(0, seen)`` calls do (numpy bounds each element with the same
+routine on the same buffered 32-bit stream), so a seed selects the same
+rows — and leaves the generator in the same state — as the per-item loop,
+which survives as the reference in ``tests/test_reservoir.py``.
+
 For non-streaming callers, :func:`uniform_sample_indices` draws a fixed-size
 uniform sample of row indices directly, and :func:`bernoulli_sample_indices`
 draws a Bernoulli (per-row coin flip) sample — the variant assumed by the
@@ -21,6 +31,10 @@ import numpy as np
 
 from repro.errors import SamplingError
 
+#: Items whose replacement slots are drawn per ``Generator.integers`` call;
+#: bounds the draw's temporaries (a few int64 arrays of this length).
+_DRAW_CHUNK = 65_536
+
 
 def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Coerce a seed or generator into a :class:`numpy.random.Generator`."""
@@ -29,11 +43,26 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _as_item_array(items: Iterable[int]) -> np.ndarray:
+    """Materialise a batch of stream items as an ``int64`` array."""
+    if isinstance(items, range):
+        return np.arange(items.start, items.stop, items.step, dtype=np.int64)
+    if isinstance(items, np.ndarray):
+        return items.astype(np.int64, copy=False)
+    return np.fromiter(items, dtype=np.int64)
+
+
 class ReservoirSampler:
     """Streaming fixed-size uniform sample of item indices (Algorithm R).
 
     After observing a stream of ``n`` items, every item has inclusion
     probability ``min(1, k/n)``.
+
+    The first ``k`` items fill the reservoir; item number ``t > k`` draws
+    a slot uniformly from ``[0, t)`` and replaces that slot if it is
+    below ``k``.  Batches apply the accepted slots of a chunk at once with
+    the *last* write to a slot winning, which is what the item-at-a-time
+    order produces.
 
     Parameters
     ----------
@@ -48,7 +77,7 @@ class ReservoirSampler:
             raise SamplingError(f"reservoir capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._rng = as_generator(rng)
-        self._reservoir: list[int] = []
+        self._reservoir = np.empty(capacity, dtype=np.int64)
         self._seen = 0
 
     @property
@@ -58,24 +87,38 @@ class ReservoirSampler:
 
     def offer(self, item: int) -> None:
         """Observe one stream item."""
-        self._seen += 1
-        if self.capacity == 0:
-            return
-        if len(self._reservoir) < self.capacity:
-            self._reservoir.append(item)
-            return
-        j = int(self._rng.integers(0, self._seen))
-        if j < self.capacity:
-            self._reservoir[j] = item
+        self.offer_many((item,))
 
     def offer_many(self, items: Iterable[int]) -> None:
-        """Observe a batch of stream items in order."""
-        for item in items:
-            self.offer(item)
+        """Observe a batch of stream items in order.
+
+        The batch is materialised once as ``int64`` (8 bytes per item);
+        everything after that works a ``_DRAW_CHUNK`` at a time.
+        """
+        batch = _as_item_array(items)
+        capacity = self.capacity
+        if capacity == 0:
+            self._seen += batch.size
+            return
+        filled = min(self._seen, capacity)
+        fill = min(batch.size, capacity - filled)
+        self._reservoir[filled : filled + fill] = batch[:fill]
+        self._seen += fill
+        for start in range(fill, batch.size, _DRAW_CHUNK):
+            chunk = batch[start : start + _DRAW_CHUNK]
+            first = self._seen + 1
+            slots = self._rng.integers(0, np.arange(first, first + chunk.size))
+            self._seen += chunk.size
+            accepted = np.flatnonzero(slots < capacity)[::-1]
+            # Reversed, so np.unique's first index per slot is its last
+            # write; a fancy assignment with repeated slots has no
+            # guaranteed order.
+            winners, last = np.unique(slots[accepted], return_index=True)
+            self._reservoir[winners] = chunk[accepted[last]]
 
     def sample(self) -> np.ndarray:
         """Return the sampled item values, sorted ascending."""
-        return np.sort(np.asarray(self._reservoir, dtype=np.int64))
+        return np.sort(self._reservoir[: min(self._seen, self.capacity)])
 
 
 def reservoir_replacements(

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.column import Column, ColumnKind
+from repro.engine.column import ColumnKind, count_raw_values
 from repro.engine.parallel import ExecutionOptions, map_row_chunks, resolve_options
 from repro.engine.table import Table
 
@@ -90,21 +90,6 @@ def column_stats(table: Table, name: str) -> ColumnStats:
     return ColumnStats(name=name, kind=col.kind, frequencies=col.value_counts())
 
 
-def _decode_counts(col: Column, raw_counts: dict[Any, int]) -> dict[Any, int]:
-    """Map raw-representation counts to decoded-value counts.
-
-    Keys come back sorted by raw value, matching the ``numpy.unique``
-    order :meth:`Column.value_counts` produces.
-    """
-    items = sorted(raw_counts.items())
-    if col.kind is ColumnKind.STRING:
-        dictionary = col.require_dictionary()
-        return {dictionary[int(v)]: c for v, c in items}
-    if col.kind is ColumnKind.INT:
-        return {int(v): c for v, c in items}
-    return {float(v): c for v, c in items}
-
-
 def collect_column_stats(
     table: Table,
     columns: list[str] | None = None,
@@ -136,28 +121,37 @@ def collect_column_stats(
         col = table.column(name)
         if len(col) == 0:
             continue
-        if col.distinct_count() > distinct_threshold:
+        values, counts = col.raw_value_counts()
+        if values.size > distinct_threshold:
             continue
-        retained[name] = column_stats(table, name)
+        retained[name] = ColumnStats(
+            name=name,
+            kind=col.kind,
+            frequencies=col.decode_counts(values.tolist(), counts.tolist()),
+        )
     return retained
 
 
-def _histogram_chunk(handles: tuple, start: int, stop: int) -> list[dict[Any, int]]:
+def _histogram(data: np.ndarray, is_codes: bool) -> dict[Any, int]:
+    """Raw value → count for one row chunk of one column."""
+    values, counts = count_raw_values(data, is_codes)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+def _histogram_chunk(payload: tuple, start: int, stop: int) -> list[dict[Any, int]]:
     """Process-pool task: per-column value histograms for one row chunk.
 
-    ``handles`` are :class:`~repro.engine.procpool.ArrayHandle`
-    descriptors of the candidate columns' raw arrays; the raw-value keys
-    come back via ``.tolist()`` exactly as in the in-process closure, so
-    the merged counts are identical under either backend.
+    ``payload`` pairs the :class:`~repro.engine.procpool.ArrayHandle` of
+    each candidate column's raw array with its is-dictionary-codes flag;
+    the histograms are the in-process closure's, so the merged counts are
+    identical under either backend.
     """
     from repro.engine import procpool
 
-    out: list[dict[Any, int]] = []
-    for handle in handles:
-        data = procpool.resolve_array(handle)
-        values, counts = np.unique(data[start:stop], return_counts=True)
-        out.append(dict(zip(values.tolist(), counts.tolist())))
-    return out
+    return [
+        _histogram(procpool.resolve_array(handle)[start:stop], is_codes)
+        for handle, is_codes in payload
+    ]
 
 
 def _collect_column_stats_chunked(
@@ -180,20 +174,20 @@ def _collect_column_stats_chunked(
 
     if use_processes:
         arena = procpool.get_arena()
-        handles = tuple(arena.publish_array(col.data) for _, col in cols)
+        payload = tuple(
+            (arena.publish_array(col.data), col.kind is ColumnKind.STRING)
+            for _, col in cols
+        )
         chunks = procpool.process_map_row_chunks(
-            _histogram_chunk, handles, table.n_rows, options
+            _histogram_chunk, payload, table.n_rows, options
         )
     else:
 
         def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
-            out: list[dict[Any, int]] = []
-            for _, col in cols:
-                values, counts = np.unique(
-                    col.data[start:stop], return_counts=True
-                )
-                out.append(dict(zip(values.tolist(), counts.tolist())))
-            return out
+            return [
+                _histogram(col.data[start:stop], col.kind is ColumnKind.STRING)
+                for _, col in cols
+            ]
 
         chunks = map_row_chunks(_histograms, table.n_rows, options)
 
@@ -206,8 +200,13 @@ def _collect_column_stats_chunked(
     for (name, col), raw_counts in zip(cols, merged):
         if len(raw_counts) > distinct_threshold:
             continue
+        raw_values = sorted(raw_counts)
         retained[name] = ColumnStats(
-            name=name, kind=col.kind, frequencies=_decode_counts(col, raw_counts)
+            name=name,
+            kind=col.kind,
+            frequencies=col.decode_counts(
+                raw_values, [raw_counts[v] for v in raw_values]
+            ),
         )
     return retained
 

@@ -18,6 +18,14 @@ class TestZValue:
         assert z_value(0.95) == pytest.approx(1.959964, abs=1e-5)
         assert z_value(0.99) == pytest.approx(2.575829, abs=1e-5)
 
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_equals_scipy_stats_norm_ppf(self, level):
+        # The product imports only scipy.special.ndtri; norm.ppf is the
+        # same function, so the swap may not move a single interval bound.
+        from scipy.stats import norm
+
+        assert z_value(level) == norm.ppf(0.5 + level / 2.0)
+
     def test_bounds(self):
         with pytest.raises(RuntimePhaseError):
             z_value(0.0)

@@ -1,6 +1,10 @@
 """Sanity checks on the public API surface."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +55,20 @@ def test_no_accidental_pandas_or_duckdb_dependency():
         text = path.read_text()
         assert "import pandas" not in text, path
         assert "import duckdb" not in text, path
+
+
+def test_serving_path_does_not_import_scipy_stats():
+    """``scipy.stats`` costs ~0.5 s and ~25 MiB of every server start."""
+    src = pathlib.Path(repro.__file__).parents[1]
+    code = (
+        "import repro.cli, repro.server, repro.core.smallgroup, sys; "
+        "assert 'scipy.stats' not in sys.modules"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.reservoir as reservoir_module
 from repro.engine.reservoir import (
     ReservoirSampler,
     as_generator,
@@ -64,6 +65,116 @@ class TestReservoir:
             return s.sample().tolist()
 
         assert run() == run()
+
+
+class ReferenceReservoir:
+    """Item-at-a-time Algorithm R: the loop the batch kernel replaced.
+
+    One scalar ``integers(0, seen)`` draw per item past capacity; the
+    kernel must select the same slots and leave the generator in the
+    same state.
+    """
+
+    def __init__(self, capacity, rng):
+        self.capacity = capacity
+        self.rng = np.random.default_rng(rng)
+        self.reservoir = []
+        self.seen = 0
+
+    def offer(self, item):
+        self.seen += 1
+        if self.capacity == 0:
+            return
+        if len(self.reservoir) < self.capacity:
+            self.reservoir.append(item)
+            return
+        j = int(self.rng.integers(0, self.seen))
+        if j < self.capacity:
+            self.reservoir[j] = item
+
+
+def assert_same_stream(sampler, reference):
+    """Equal slot order, ``seen``, ``sample()`` and generator state."""
+    held = min(sampler.seen, sampler.capacity)
+    assert sampler.seen == reference.seen
+    assert sampler._reservoir[:held].tolist() == reference.reservoir
+    assert sampler.sample().tolist() == sorted(reference.reservoir)
+    assert sampler._rng.random() == reference.rng.random()
+
+
+def assert_batch_matches_loop(capacity, seed, items):
+    """One ``offer_many(items)`` against the reference fed item by item."""
+    sampler = ReservoirSampler(capacity, rng=seed)
+    sampler.offer_many(items)
+    reference = ReferenceReservoir(capacity, seed)
+    for item in list(items):
+        reference.offer(int(item))
+    assert_same_stream(sampler, reference)
+
+
+_AS_BATCH = {
+    "range": lambda lo, hi: range(lo, hi),
+    "list": lambda lo, hi: list(range(lo, hi)),
+    "ndarray": lambda lo, hi: np.arange(lo, hi),
+    "generator": lambda lo, hi: (i for i in range(lo, hi)),
+}
+
+
+class TestBatchKernelMatchesReference:
+    @given(
+        capacity=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["offer", *_AS_BATCH]),
+                st.integers(min_value=0, max_value=120),
+            ),
+            max_size=8,
+        ),
+        chunk=st.sampled_from([1, 7, 64, 65_536]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_of_the_stream(self, capacity, seed, calls, chunk):
+        sampler = ReservoirSampler(capacity, rng=seed)
+        reference = ReferenceReservoir(capacity, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reservoir_module, "_DRAW_CHUNK", chunk)
+            position = 0
+            for kind, length in calls:
+                if kind == "offer":
+                    sampler.offer(position)
+                    stop = position + 1
+                else:
+                    stop = position + length
+                    sampler.offer_many(_AS_BATCH[kind](position, stop))
+                for item in range(position, stop):
+                    reference.offer(item)
+                position = stop
+        assert_same_stream(sampler, reference)
+
+    @pytest.mark.parametrize("capacity", [0, 1, 5, 300, 400])
+    def test_stream_crossing_chunk_boundaries(self, capacity, monkeypatch):
+        monkeypatch.setattr(reservoir_module, "_DRAW_CHUNK", 64)
+        # capacity 300 / 400: the stream never leaves the fill phase
+        assert_batch_matches_loop(capacity, 9, range(300))
+
+    def test_default_chunk_boundary(self):
+        assert_batch_matches_loop(50, 2, range(reservoir_module._DRAW_CHUNK + 50))
+
+    def test_repeated_slot_in_one_chunk_last_write_wins(self):
+        # Capacity 1: every accepted item of the chunk lands on slot 0.
+        reference = ReferenceReservoir(1, 4)
+        writes = 0
+        for item in range(200):
+            before = list(reference.reservoir)
+            reference.offer(item)
+            writes += reference.reservoir != before
+        assert writes >= 3  # the single chunk does repeat the slot
+        assert_batch_matches_loop(1, 4, range(200))
+
+    def test_non_index_items_keep_their_values(self):
+        items = np.array([70, -3, 12, 12, 900, 5, 41, 8], dtype=np.int64)
+        assert_batch_matches_loop(3, 1, items)
 
 
 class TestUniformSample:

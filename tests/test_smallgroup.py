@@ -1,9 +1,14 @@
 """Tests for small group sampling: pre-processing and runtime phases."""
 
+import cProfile
+import hashlib
+import pstats
+
 import numpy as np
 import pytest
 
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
+from repro.datagen.tpch import generate_tpch
 from repro.engine.executor import aggregate_table, execute
 from repro.engine.expressions import (
     AggFunc,
@@ -167,6 +172,59 @@ class TestPreprocessing:
         )
         technique.preprocess(flat_db)
         assert {m.columns[0] for m in technique.metadata()} <= {"city"}
+
+
+def _overall_digest(db, seed):
+    """SHA-256 over the ``sg_overall`` rows and bitmask words."""
+    technique = SmallGroupSampling(
+        SmallGroupConfig(base_rate=0.05, use_reservoir=True, seed=seed)
+    )
+    technique.preprocess(db)
+    overall = technique.sample_catalog().table("sg_overall")
+    digest = hashlib.sha256()
+    for name in overall.column_names:
+        col = overall.column(name)
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(col.data).tobytes())
+        if col.dictionary is not None:
+            digest.update("\x00".join(col.dictionary).encode())
+    digest.update(np.ascontiguousarray(overall.bitmask.words).tobytes())
+    return overall.n_rows, digest.hexdigest()
+
+
+class TestReservoirBuildIsPinned:
+    """The default (``use_reservoir=True``) build, as ``repro serve`` runs it."""
+
+    # Recorded at commit 07e33f5, where the reservoir was an item-at-a-time
+    # Python loop: the batch kernel must store exactly the same rows.
+    PARENT_DIGESTS = {
+        3: "ad7ea7231f1fa6c726a93b461b62be34d4186e045136b21ecfb6e0e4e2fa773f",
+        11: "b824d6fb7cc754bd34c453193791381f36e7283eb570e0631ff93ce64637077f",
+    }
+
+    @pytest.fixture(scope="class")
+    def tpch_20k(self):
+        return generate_tpch(scale=1.0, z=1.5, rows_per_scale=20000, seed=3)
+
+    @pytest.mark.parametrize("seed", sorted(PARENT_DIGESTS))
+    def test_overall_sample_matches_parent_commit(self, tpch_20k, seed):
+        assert _overall_digest(tpch_20k, seed) == (
+            1000,
+            self.PARENT_DIGESTS[seed],
+        )
+
+    def test_python_call_count_independent_of_row_count(self, tpch_20k):
+        def calls(db):
+            technique = SmallGroupSampling(SmallGroupConfig(base_rate=0.01))
+            profile = cProfile.Profile()
+            profile.runcall(technique.preprocess, db)
+            return pstats.Stats(profile).total_calls
+
+        big = generate_tpch(scale=1.0, z=1.5, rows_per_scale=80000, seed=3)
+        small_calls, big_calls = calls(tpch_20k), calls(big)
+        # More chunks and more distinct values add a few thousand calls;
+        # one call per row would add at least 60,000.
+        assert abs(big_calls - small_calls) < 10_000
 
 
 class TestRuntime:

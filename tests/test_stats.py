@@ -1,9 +1,11 @@
 """Tests for the first pre-processing scan (column statistics, L(C))."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.column import Column
+from repro.engine.parallel import ExecutionOptions, shutdown_default_pools
 from repro.engine.stats import (
     collect_column_stats,
     column_stats,
@@ -92,6 +94,80 @@ class TestCollect:
         stats = collect_column_stats(small_table)
         assert "b" in stats
         assert stats["b"].frequencies == {1: 5, 2: 3}
+
+
+def unique_frequencies(col):
+    """The frequency map as the sorting scan built it: ``numpy.unique``."""
+    values, counts = np.unique(col.data, return_counts=True)
+    if col.dictionary is not None:
+        return {col.dictionary[v]: c for v, c in zip(values.tolist(), counts.tolist())}
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+class TestCountingHistogram:
+    """Dictionary columns are counted, not sorted; the map must not change."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(5)
+        n = 3000
+        sparse_dictionary = tuple(f"v{i:03d}" for i in range(50))
+        return Table(
+            "t",
+            {
+                # Codes 0, 7 and 49 only: most dictionary entries unused.
+                "sparse": Column.from_codes(
+                    rng.choice([49, 0, 7], size=n), sparse_dictionary
+                ),
+                # Dictionary (5000 entries) larger than the column.
+                "oversized": Column.from_codes(
+                    rng.integers(0, 5000, size=n),
+                    tuple(f"w{i}" for i in range(5000)),
+                ),
+                "exactly_six": Column.from_codes(
+                    np.arange(n) % 6, tuple("abcdefgh")
+                ),
+                "seven": Column.from_codes(np.arange(n) % 7, tuple("abcdefgh")),
+                "ints": Column.ints(rng.integers(-3, 3, size=n)),
+                "floats": Column.floats(rng.integers(0, 4, size=n) / 4.0),
+            },
+        )
+
+    def test_equal_maps_and_key_order(self, table):
+        stats = collect_column_stats(table, distinct_threshold=5000)
+        assert set(stats) == set(table.column_names)
+        for name, column_stat in stats.items():
+            expected = unique_frequencies(table.column(name))
+            assert column_stat.frequencies == expected
+            assert list(column_stat.frequencies) == list(expected)
+            assert table.column(name).value_counts() == expected
+            assert table.column(name).distinct_count() == len(expected)
+
+    def test_threshold_boundary_counts_present_values_only(self, table):
+        # A column is kept at exactly the threshold and dropped one above
+        # it; unused dictionary entries (8 > 6) do not count.
+        stats = collect_column_stats(table, distinct_threshold=6)
+        assert set(stats) == {"sparse", "exactly_six", "ints", "floats"}
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_chunked_paths_identical_to_serial(self, table, executor):
+        serial = collect_column_stats(table, distinct_threshold=6)
+        try:
+            chunked = collect_column_stats(
+                table,
+                distinct_threshold=6,
+                options=ExecutionOptions(
+                    max_workers=2, chunk_rows=512, executor=executor
+                ),
+            )
+        finally:
+            shutdown_default_pools()
+        assert list(chunked) == list(serial)
+        for name, column_stat in serial.items():
+            assert chunked[name] == column_stat
+            assert list(chunked[name].frequencies) == list(
+                column_stat.frequencies
+            )
 
 
 class TestPerGroupSelectivity:
