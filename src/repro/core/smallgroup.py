@@ -35,7 +35,7 @@ Variations from Section 4.2.3 are implemented as options:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -973,9 +973,19 @@ class SmallGroupSampling(DynamicSampleSelection):
             else np.zeros((n_new, 0), dtype=bool)
         )
 
-        # 1. Extend the small group tables.
-        from dataclasses import replace as _replace
+        # Encode once: the stored columns, coded against the sample tables'
+        # dictionaries (every sample table took its dictionaries from the
+        # same view), so each extension below concatenates codes as-is.
+        reference = self._overall_parts[0].table
+        encoded = {}
+        for c in stored_columns:
+            column = batch.column(c)
+            if column.kind is ColumnKind.STRING:
+                column = column.encoded_like(reference.column(c))
+            encoded[c] = column
+        stored_batch = Table(batch.name, encoded)
 
+        # 1. Extend the small group tables.
         for i, meta in enumerate(self._metas):
             member = member_matrix[:, i]
             class_indices = np.flatnonzero(member)
@@ -989,8 +999,7 @@ class SmallGroupSampling(DynamicSampleSelection):
             appended = 0
             if stored.size:
                 extension = (
-                    batch.take(stored)
-                    .select(stored_columns)
+                    stored_batch.take(stored)
                     .rename(meta.name)
                     .with_bitmask(self._pack_bits(member_matrix, stored))
                 )
@@ -998,7 +1007,7 @@ class SmallGroupSampling(DynamicSampleSelection):
                 self._tables[i] = replaced.concat(extension)
                 get_cache().invalidate_table(replaced)
                 appended = int(stored.size)
-            self._metas[i] = _replace(
+            self._metas[i] = replace(
                 meta,
                 class_rows=meta.class_rows + int(class_indices.size),
                 stored_rows=meta.stored_rows + appended,
@@ -1017,8 +1026,7 @@ class SmallGroupSampling(DynamicSampleSelection):
             kept = overall.filter(keep_mask)
             incoming = np.asarray(sorted(set(replacements.values())))
             addition = (
-                batch.take(incoming)
-                .select(stored_columns)
+                stored_batch.take(incoming)
                 .rename(overall.name)
                 .with_bitmask(self._pack_bits(member_matrix, incoming))
             )

@@ -1,7 +1,7 @@
 """Columnar storage primitives.
 
-A :class:`Column` is an immutable-by-convention, numpy-backed vector with one
-of three logical kinds:
+A :class:`Column` is an immutable, numpy-backed vector with one of three
+logical kinds:
 
 * ``INT`` — 64-bit integers,
 * ``FLOAT`` — 64-bit floats,
@@ -13,11 +13,20 @@ of three logical kinds:
 Columns deliberately expose a small surface: element access, ``take`` (row
 selection), value frequencies, and conversion back to Python objects.  The
 query executor works on the underlying arrays directly.
+
+Appends are *tail writes* (:meth:`Column.concat`): the result is a new
+:class:`Column` whose ``data`` views ``n + m`` cells of a private,
+over-allocated buffer that the appended-to column already viewed the
+first ``n`` cells of.  Only the ``m`` new cells are written, and cells a
+column can see are never written again, so every column stays an
+immutable snapshot of its own rows while an append costs O(batch).
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
+import threading
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -48,9 +57,27 @@ class Column:
         For ``STRING`` columns, the list of distinct string values such that
         ``dictionary[code]`` is the string for each code.  Must be ``None``
         for numeric columns.
+
+    Notes
+    -----
+    **Prefix immutability.**  A column is a fixed-length, read-only
+    snapshot: the ``len(self)`` cells ``data`` exposes never change once
+    the column exists, which is what lets caches anchor derived state on
+    a column's identity.  ``data`` may be a view over a longer private
+    buffer shared with the columns this one was extended from or into
+    (:meth:`concat`); cells past ``len(self)`` belong to later snapshots
+    and are invisible here.  Nothing outside :meth:`concat` may write
+    into ``data``.
     """
 
-    __slots__ = ("kind", "data", "dictionary", "_dictionary_index", "__weakref__")
+    __slots__ = (
+        "kind",
+        "data",
+        "dictionary",
+        "_dictionary_index",
+        "_tail",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -63,11 +90,7 @@ class Column:
                 raise ColumnTypeError("STRING columns require a dictionary")
             if data.dtype != np.int32:
                 data = data.astype(np.int32)
-            if data.size and (data.min() < 0 or data.max() >= len(dictionary)):
-                raise ColumnTypeError(
-                    "string codes out of range for dictionary of size "
-                    f"{len(dictionary)}"
-                )
+            _require_codes_in_range(data, len(dictionary))
         else:
             if dictionary is not None:
                 raise ColumnTypeError("numeric columns must not have a dictionary")
@@ -80,6 +103,7 @@ class Column:
             tuple(dictionary) if dictionary is not None else None
         )
         self._dictionary_index: dict[str, int] | None = None
+        self._tail: _TailBuffer | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -91,16 +115,30 @@ class Column:
         Strings become a dictionary-encoded ``STRING`` column; bools and ints
         become ``INT``; anything float-like becomes ``FLOAT``.
         """
-        values = list(values)
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
         if not values:
             return Column.ints([])
         first = values[0]
         if isinstance(first, str):
             return Column.strings(values)
-        if isinstance(first, bool) or isinstance(first, (int, np.integer)):
-            if all(isinstance(v, (bool, int, np.integer)) for v in values):
-                return Column.ints(values)
-            return Column.floats(values)
+        # numpy's own dtype inference is the one pass over the values: an
+        # integer (or bool) result means every value was int-like, a float
+        # result after a float that the rest were numbers.  Anything else
+        # (huge ints, strings or None among numbers) takes the per-value
+        # checks below and fails, or converts, exactly as they decide.
+        int_like = (bool, int, np.integer)
+        inferred = np.asarray(values)
+        if inferred.ndim == 1:
+            if isinstance(first, int_like):
+                if inferred.dtype.kind in "bi":
+                    return Column(ColumnKind.INT, inferred)
+            elif inferred.dtype.kind == "f":
+                return Column(ColumnKind.FLOAT, inferred)
+        if isinstance(first, int_like) and all(
+            isinstance(v, int_like) for v in values
+        ):
+            return Column.ints(values)
         return Column.floats(values)
 
     @staticmethod
@@ -115,19 +153,29 @@ class Column:
 
     @staticmethod
     def strings(values: Iterable[str]) -> "Column":
-        """Build a dictionary-encoded ``STRING`` column from raw strings."""
-        values = list(values)
-        for v in values:
+        """Build a dictionary-encoded ``STRING`` column from raw strings.
+
+        Hash encoding: one ``dict`` pass finds the distinct values, only
+        those are sorted, and one look-up pass writes the codes — the
+        same sorted dictionary and codes ``numpy.unique`` over the whole
+        list would give, without sorting every row.
+        """
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        try:
+            distinct: Iterable[Any] = dict.fromkeys(values)
+        except TypeError:  # unhashable, so not a str: report the first non-str
+            distinct = [next(v for v in values if not isinstance(v, str))]
+        for v in distinct:
             if not isinstance(v, str):
                 raise ColumnTypeError(f"expected str, got {type(v).__name__}")
-        if not values:
-            return Column(ColumnKind.STRING, np.empty(0, dtype=np.int32), ())
-        arr = np.asarray(values, dtype=object)
-        dictionary, codes = np.unique(arr, return_inverse=True)
+        dictionary = sorted(distinct)
+        index = dict(zip(dictionary, range(len(dictionary))))
+        codes = np.fromiter(
+            map(index.__getitem__, values), dtype=np.int32, count=len(values)
+        )
         return Column(
-            ColumnKind.STRING,
-            codes.astype(np.int32),
-            tuple(str(v) for v in dictionary),
+            ColumnKind.STRING, codes, tuple(str(v) for v in dictionary)
         )
 
     @staticmethod
@@ -163,6 +211,11 @@ class Column:
 
     def __repr__(self) -> str:
         return f"Column(kind={self.kind.value}, n={len(self)})"
+
+    def __reduce__(self) -> tuple:
+        # A copy (pickle, ``copy.deepcopy``) carries its own rows only: it
+        # must not join the original's buffer lineage (nor pickle its lock).
+        return column_from_parts, (self.kind, self.data, self.dictionary)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -210,12 +263,16 @@ class Column:
         """Return the dictionary code for ``value``, or ``-1`` if absent."""
         if self.kind is not ColumnKind.STRING:
             raise ColumnTypeError("code_for only applies to string columns")
-        dictionary = self.require_dictionary()
-        if self._dictionary_index is None:
-            self._dictionary_index = {
-                v: i for i, v in enumerate(dictionary)
-            }
-        return self._dictionary_index.get(value, -1)
+        return self._index().get(value, -1)
+
+    def _index(self) -> dict[str, int]:
+        """Value → code for the dictionary, built once per dictionary."""
+        index = self._dictionary_index
+        if index is None:
+            dictionary = self.require_dictionary()
+            index = dict(zip(dictionary, range(len(dictionary))))
+            self._dictionary_index = index
+        return index
 
     def decode(self, code: int) -> str:
         """Return the string value for a dictionary ``code``."""
@@ -238,36 +295,96 @@ class Column:
         """Concatenate two columns of the same kind.
 
         For string columns the dictionaries are merged (the result uses this
-        column's dictionary extended with any new values from ``other``).
+        column's dictionary extended with any new values from ``other``;
+        the very same tuple when ``other`` brings none).
+
+        Costs O(``len(other)``) when this column is the newest of its
+        lineage and its buffer has room: ``other``'s cells are written
+        into the spare capacity past ``len(self)`` and the result views
+        ``len(self) + len(other)`` cells of the same buffer.  Otherwise —
+        a second ``concat`` off one base, a column that was not built by
+        ``concat``, no room left — the rows are copied once into a new,
+        geometrically larger buffer.  Either way ``self`` is untouched.
         """
         if self.kind is not other.kind:
             raise ColumnTypeError(
                 f"cannot concat {self.kind.value} with {other.kind.value}"
             )
         if self.kind is not ColumnKind.STRING:
-            return Column(self.kind, np.concatenate([self.data, other.data]))
-        dictionary = self.require_dictionary()
-        other_dictionary = other.require_dictionary()
-        if dictionary == other_dictionary:
-            return Column(
-                ColumnKind.STRING,
-                np.concatenate([self.data, other.data]),
-                dictionary,
-            )
-        merged = list(dictionary)
-        index = {v: i for i, v in enumerate(merged)}
-        remap = np.empty(len(other_dictionary), dtype=np.int32)
-        for code, value in enumerate(other_dictionary):
-            if value not in index:
-                index[value] = len(merged)
-                merged.append(value)
-            remap[code] = index[value]
-        other_codes = remap[other.data] if len(other) else other.data
-        return Column(
-            ColumnKind.STRING,
-            np.concatenate([self.data, other_codes]),
-            tuple(merged),
+            return self._extended(other.data, None, None)
+        coded = other.encoded_like(self)
+        index = (
+            self._dictionary_index
+            if coded.dictionary is self.dictionary
+            else coded._dictionary_index
         )
+        return self._extended(coded.data, coded.dictionary, index)
+
+    def encoded_like(self, reference: "Column") -> "Column":
+        """This string column's values, coded against ``reference``'s dictionary.
+
+        The result's dictionary is ``reference``'s — the very same tuple
+        when every value here already occurs in it, else extended
+        (append-only) by the values it lacks — so a ``concat`` onto
+        ``reference``, or onto any column sharing its dictionary, maps no
+        codes.  Encoding one batch once and concatenating slices of it
+        onto many tables costs one dictionary pass instead of one per
+        table.  Returns ``self`` when nothing needs re-coding.
+        """
+        if self.kind is not ColumnKind.STRING or reference.kind is not self.kind:
+            raise ColumnTypeError("encoded_like only applies to string columns")
+        own = self.require_dictionary()
+        codes = self.data
+        _require_codes_in_range(codes, len(own))
+        dictionary = reference.require_dictionary()
+        if own is dictionary:
+            return self
+        if own[: len(dictionary)] == dictionary:
+            # ``own`` already is the reference's dictionary, extended:
+            # the codes agree as they stand.
+            if len(own) > len(dictionary):
+                return self
+            return column_from_parts(
+                self.kind, codes, dictionary, reference._dictionary_index
+            )
+        index = reference._index()
+        remap = np.fromiter(
+            (index.get(v, -1) for v in own), dtype=np.int32, count=len(own)
+        )
+        unseen = np.flatnonzero(remap < 0)
+        if unseen.size:
+            new_values = [own[i] for i in unseen.tolist()]
+            new_codes = range(len(dictionary), len(dictionary) + len(new_values))
+            remap[unseen] = new_codes
+            dictionary = dictionary + tuple(new_values)
+            index = dict(index)
+            index.update(zip(new_values, new_codes))
+        if codes.size:
+            codes = remap[codes]
+        return column_from_parts(self.kind, codes, dictionary, index)
+
+    def _extended(
+        self,
+        tail: np.ndarray,
+        dictionary: tuple[str, ...] | None,
+        index: dict[str, int] | None,
+    ) -> "Column":
+        """A new column holding this column's cells followed by ``tail``."""
+        n, m = len(self), int(tail.shape[0])
+        buffer = self._tail
+        if buffer is None or not buffer.reserve(n, m):
+            cells = _allocate_cells(
+                n + m + max((n + m) >> _GROWTH_SHIFT, _MIN_SPARE_CELLS),
+                self.data.dtype,
+            )
+            cells[:n] = self.data
+            buffer = _TailBuffer(cells, n + m)
+        # Cells [n, n + m) are reserved for this call alone and no column
+        # views them yet.
+        buffer.cells[n : n + m] = tail
+        data = buffer.cells[: n + m]
+        data.flags.writeable = False
+        return column_from_parts(self.kind, data, dictionary, index, buffer)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -335,6 +452,14 @@ class Column:
         return value
 
 
+def _require_codes_in_range(codes: np.ndarray, size: int) -> None:
+    """Raise unless every dictionary code in ``codes`` is in ``[0, size)``."""
+    if codes.size and (codes.min() < 0 or codes.max() >= size):
+        raise ColumnTypeError(
+            f"string codes out of range for dictionary of size {size}"
+        )
+
+
 def count_raw_values(
     data: np.ndarray, is_codes: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -352,23 +477,77 @@ def count_raw_values(
     return present, histogram[present]
 
 
+#: Spare capacity a re-allocating :meth:`Column.concat` leaves behind the
+#: rows it copies: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least
+#: ``_MIN_SPARE_CELLS``.  Spare cells are reserved address space, not
+#: resident memory, until an append writes them.
+_GROWTH_SHIFT = 2
+_MIN_SPARE_CELLS = 64
+
+
+#: numpy asks the kernel for transparent huge pages on allocations this
+#: large.  Where the kernel compacts memory on demand to provide them, the
+#: first write into such an allocation stalls at random (measured: 2.5 ms
+#: or 25-130 ms to fill one 8 MB column) while an append holds the write
+#: lock, so buffers this large are mapped directly: plain pages, the same
+#: first-touch cost every time, returned to the system when dropped.
+_NUMPY_HUGEPAGE_BYTES = 1 << 22
+
+
+def _allocate_cells(count: int, dtype: np.dtype) -> np.ndarray:
+    """``count`` writable cells whose pages cost nothing until written."""
+    if count * dtype.itemsize < _NUMPY_HUGEPAGE_BYTES:
+        return np.empty(count, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype=dtype)
+
+
+class _TailBuffer:
+    """The over-allocated cell array shared by one lineage of columns.
+
+    ``used`` is the length of the lineage's newest column.  A column of
+    ``start`` cells may extend in place only while it *is* the newest
+    (``used == start``) and its tail fits; :meth:`reserve` checks and
+    claims the cells atomically, so of two appends racing off one base
+    exactly one extends in place and the other copies.
+    """
+
+    __slots__ = ("cells", "used", "_lock")
+
+    def __init__(self, cells: np.ndarray, used: int) -> None:
+        self.cells = cells
+        self.used = used
+        self._lock = threading.Lock()
+
+    def reserve(self, start: int, count: int) -> bool:
+        """Claim cells ``[start, start + count)``; False if not available."""
+        with self._lock:
+            if self.used != start or start + count > self.cells.shape[0]:
+                return False
+            self.used = start + count
+            return True
+
+
 def column_from_parts(
     kind: ColumnKind,
     data: np.ndarray,
     dictionary: tuple[str, ...] | None,
+    dictionary_index: dict[str, int] | None = None,
+    tail: _TailBuffer | None = None,
 ) -> Column:
     """Reassemble a column from already-validated parts, without copying.
 
     Trusted fast path for the shared-memory arena
-    (:mod:`repro.engine.procpool`): the parts came out of a real
-    :class:`Column` in the parent process, so the constructor's dtype
-    coercion and string-code range scan (an O(n) min/max over the whole
-    array) would re-validate what is known-good — and ``astype`` would
-    copy the zero-copy shared view it exists to avoid.
+    (:mod:`repro.engine.procpool`) and for :meth:`Column.concat`: the
+    parts came out of real :class:`Column` objects, so the constructor's
+    dtype coercion and string-code range scan (an O(n) min/max over the
+    whole array) would re-validate what is known-good — and ``astype``
+    would copy the zero-copy view it exists to avoid.  Without ``tail``
+    (every caller but ``concat``) the column never extends in place.
     """
     column = Column.__new__(Column)
     column.kind = kind
     column.data = data
     column.dictionary = dictionary
-    column._dictionary_index = None
+    column._dictionary_index = dictionary_index
+    column._tail = tail
     return column

@@ -45,9 +45,10 @@ def cached_key_positions(
 ) -> np.ndarray:
     """Memoised :func:`_key_positions` for a (dimension key, FK) column pair.
 
-    Anchored on the two :class:`Column` objects' identities: the append
-    paths replace columns wholesale, so identity equality guarantees the
-    cached positions still describe the stored data.
+    Anchored on the two :class:`Column` objects' identities: a column
+    never changes and the append paths publish new ones, so identity
+    equality guarantees the cached positions still describe the stored
+    data.
     """
     cache = get_cache()
     anchors = (fact_key_column, dim_key_column)
@@ -161,8 +162,10 @@ class Database:
     ) -> Table:
         """Append ``batch``'s rows to table ``name`` (incremental-load path).
 
-        The stored table is replaced wholesale by the concatenation.
-        With ``options.incremental_appends`` (the default), a structured
+        The stored table is superseded by a new :class:`Table` whose
+        columns hold the old rows followed by the batch — a tail write
+        costing O(batch), see :meth:`Column.concat`; the old table stays
+        a valid snapshot of the rows it had.  With ``options.incremental_appends`` (the default), a structured
         :class:`~repro.engine.cache.AppendEvent` is emitted *first*:
         listeners migrate derived structures — per-chunk zone maps,
         bitmask word summaries, provenance sketches — from the old
