@@ -25,7 +25,6 @@ immutable snapshot of its own rows while an append costs O(batch).
 from __future__ import annotations
 
 import enum
-import mmap
 import threading
 from collections.abc import Iterable, Sequence
 from typing import Any
@@ -122,19 +121,24 @@ class Column:
         first = values[0]
         if isinstance(first, str):
             return Column.strings(values)
-        # numpy's own dtype inference is the one pass over the values: an
-        # integer (or bool) result means every value was int-like, a float
-        # result after a float that the rest were numbers.  Anything else
-        # (huge ints, strings or None among numbers) takes the per-value
-        # checks below and fails, or converts, exactly as they decide.
+        # For a list led by a plain Python number (what JSON and the loaders
+        # deliver) numpy's own dtype inference is the one pass: an integer
+        # or bool result means every value was int-like, a float result
+        # after a float that the rest were numbers.  Everything else — a
+        # numpy scalar or None first, huge ints, strings or None among the
+        # numbers — takes only the per-value checks below and fails, or
+        # converts, exactly as they decide.  (The two paths agree on
+        # scalars; a 0-d array *inside* the list counts as its value here
+        # and as a non-int there.)
         int_like = (bool, int, np.integer)
-        inferred = np.asarray(values)
-        if inferred.ndim == 1:
-            if isinstance(first, int_like):
-                if inferred.dtype.kind in "bi":
-                    return Column(ColumnKind.INT, inferred)
-            elif inferred.dtype.kind == "f":
-                return Column(ColumnKind.FLOAT, inferred)
+        if type(first) in (int, bool, float):
+            inferred = np.asarray(values)
+            if inferred.ndim == 1:
+                if type(first) is not float:
+                    if inferred.dtype.kind in "bi":
+                        return Column(ColumnKind.INT, inferred)
+                elif inferred.dtype.kind == "f":
+                    return Column(ColumnKind.FLOAT, inferred)
         if isinstance(first, int_like) and all(
             isinstance(v, int_like) for v in values
         ):
@@ -373,10 +377,8 @@ class Column:
         n, m = len(self), int(tail.shape[0])
         buffer = self._tail
         if buffer is None or not buffer.reserve(n, m):
-            cells = _allocate_cells(
-                n + m + max((n + m) >> _GROWTH_SHIFT, _MIN_SPARE_CELLS),
-                self.data.dtype,
-            )
+            capacity = n + m + max((n + m) >> _GROWTH_SHIFT, _MIN_SPARE_CELLS)
+            cells = np.empty(capacity, dtype=self.data.dtype)
             cells[:n] = self.data
             buffer = _TailBuffer(cells, n + m)
         # Cells [n, n + m) are reserved for this call alone and no column
@@ -479,26 +481,11 @@ def count_raw_values(
 
 #: Spare capacity a re-allocating :meth:`Column.concat` leaves behind the
 #: rows it copies: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least
-#: ``_MIN_SPARE_CELLS``.  Spare cells are reserved address space, not
-#: resident memory, until an append writes them.
+#: ``_MIN_SPARE_CELLS``.  That keeps re-allocations rare (about one per
+#: 120 appends of 2,048 rows onto 1M rows) for a few MiB of peak RSS
+#: (docs/internals.md §11).
 _GROWTH_SHIFT = 2
 _MIN_SPARE_CELLS = 64
-
-
-#: numpy asks the kernel for transparent huge pages on allocations this
-#: large.  Where the kernel compacts memory on demand to provide them, the
-#: first write into such an allocation stalls at random (measured: 2.5 ms
-#: or 25-130 ms to fill one 8 MB column) while an append holds the write
-#: lock, so buffers this large are mapped directly: plain pages, the same
-#: first-touch cost every time, returned to the system when dropped.
-_NUMPY_HUGEPAGE_BYTES = 1 << 22
-
-
-def _allocate_cells(count: int, dtype: np.dtype) -> np.ndarray:
-    """``count`` writable cells whose pages cost nothing until written."""
-    if count * dtype.itemsize < _NUMPY_HUGEPAGE_BYTES:
-        return np.empty(count, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype=dtype)
 
 
 class _TailBuffer:

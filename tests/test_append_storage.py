@@ -132,7 +132,7 @@ class TestColumnPrograms:
         assert first.to_list()[-3:] == [1000, 7, 8]
 
     def test_large_buffers_behave_like_small_ones(self):
-        # >= 4 MiB buffers are mapped directly rather than np.empty'd.
+        # A buffer of several MiB, where numpy's allocator maps pages directly.
         values = np.arange(600_000, dtype=np.int64)
         base = Column.ints(values)
         first = base.concat(Column.ints([1, 2, 3]))
@@ -411,23 +411,29 @@ def _flat(rows: int, seed: int) -> Table:
 class TestAppendCost:
     BATCH = 2048
 
-    def _append_bytes(self, rows: int) -> int:
+    def _append_bytes(self, rows: int) -> tuple[int, int]:
+        """Peak traced bytes of the first (re-allocating) and the next append."""
         db = Database([_flat(rows, seed=1)])
-        warm, batch = _flat(self.BATCH, seed=2), _flat(self.BATCH, seed=3)
-        db.append_rows("flat", warm)  # pays the one re-allocation
+        peaks = []
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            db.append_rows("flat", batch)
-            return tracemalloc.get_traced_memory()[1] - before
+            for seed in (2, 3):
+                batch = _flat(self.BATCH, seed=seed)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                db.append_rows("flat", batch)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
+        return peaks[0], peaks[1]
 
     def test_bytes_allocated_by_an_append_do_not_follow_table_size(self):
-        small, large = self._append_bytes(100_000), self._append_bytes(800_000)
-        # Copying the stored rows would make this 8x.
+        _, small = self._append_bytes(100_000)
+        copying, large = self._append_bytes(800_000)
+        # Copying the stored rows would make this 8x ...
         assert large < 2 * small
+        # ... and the one append that does copy them shows that it would be seen.
+        assert copying > 800_000 * (8 + 4 + 4) > 8 * large
 
     def test_reallocations_are_geometric(self):
         db = Database([_flat(200_000, seed=1)])
