@@ -1,16 +1,15 @@
 """Scaling benchmark for the parallel execution subsystem.
 
 Measures cold-workload wall time for (a) piece execution — the §4.2.2
-UNION ALL scatter — and (b) the chunked pre-processing scans, for both
-scatter backends (``executor in {thread, process}``) at 1/2/4/8 workers
-against a serial baseline, and emits ``BENCH_parallel.json`` (v2) at
-the repo root.
+UNION ALL scatter — and (b) the chunked pre-processing scans, on the
+thread pool at 1/2/4/8 workers against a serial baseline, and emits
+``BENCH_parallel.json`` (v3) at the repo root.
 
 Two different assertions:
 
 * **Correctness is unconditional**: the answers must be byte-identical
-  at every worker count and under every backend (the determinism
-  contract of ``docs/internals.md`` §8).
+  at every worker count (the determinism contract of
+  ``docs/internals.md`` §8).
 * **Throughput is hardware-gated**: speedup bars only apply when the
   machine actually has the cores — workers cannot beat the clock on a
   single CPU.  Every gate's outcome (pass value or an explicit
@@ -18,11 +17,9 @@ Two different assertions:
   object, so a skip is visible in the trajectory file instead of
   silently absent, and the pytest skip carries the same reason.
 
-The v2 payload also records per-backend scatter overheads — thread
-submit/wait seconds, process submit/wait seconds, shared-memory publish
-(serialize) and worker attach seconds — pulled from the metrics
-registry around the timed runs, so backend comparisons show *where* the
-time goes, not just totals.
+The payload also records the thread pool's scatter overheads — submit
+and wait seconds — pulled from the metrics registry around the timed
+runs, so a comparison shows *where* the time goes, not just totals.
 
 Sizes honour ``REPRO_BENCH_ROWS`` (fact rows; default 60000) so the CI
 smoke step can run the same code path in seconds.
@@ -40,13 +37,13 @@ import pytest
 from repro.core.combiner import execute_pieces
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.tpch import generate_tpch
-from repro.engine.parallel import ExecutionOptions, shutdown_default_pools
+from repro.engine.parallel import ExecutionOptions, shutdown_pool
 from repro.engine.stats import collect_column_stats
 from repro.obs.registry import get_registry
 from repro.sql import parse_query
 
 WORKER_COUNTS = (1, 2, 4, 8)
-BACKENDS = ("thread", "process")
+BACKENDS = ("thread",)
 ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "60000"))
 REPEATS = 3
 
@@ -55,12 +52,6 @@ _OVERHEAD_METRICS = {
     "thread": {
         "submit_seconds": "pool.submit_seconds",
         "wait_seconds": "pool.wait_seconds",
-    },
-    "process": {
-        "submit_seconds": "procpool.submit_seconds",
-        "wait_seconds": "procpool.wait_seconds",
-        "publish_seconds": "arena.publish_seconds",
-        "attach_seconds": "procpool.attach_seconds",
     },
 }
 
@@ -134,7 +125,7 @@ def test_parallel_scaling(db, sg):
         return collect_column_stats(view, options=options)
 
     # Serial baseline (the denominator for every speedup).
-    serial_options = ExecutionOptions(executor="serial", chunk_rows=8192)
+    serial_options = ExecutionOptions(max_workers=1, chunk_rows=8192)
     serial_signatures = [
         _answer_signature(a) for a in run_execution(serial_options)
     ]
@@ -150,13 +141,11 @@ def test_parallel_scaling(db, sg):
         execution_seconds[backend] = {}
         preprocess_seconds[backend] = {}
         for workers in WORKER_COUNTS:
-            options = ExecutionOptions(
-                max_workers=workers, chunk_rows=8192, executor=backend
-            )
+            options = ExecutionOptions(max_workers=workers, chunk_rows=8192)
 
             # Correctness gate (unconditional): byte-identical answers
-            # and identical pre-processing statistics under every
-            # backend x worker-count combination.  These untimed runs
+            # and identical pre-processing statistics at every worker
+            # count.  These untimed runs
             # also warm the pools so the timed runs measure steady state.
             signatures = [
                 _answer_signature(a) for a in run_execution(options)
@@ -181,7 +170,7 @@ def test_parallel_scaling(db, sg):
             )
             if workers == 4:
                 overheads[backend] = _overhead_snapshot(backend)
-    shutdown_default_pools()
+    shutdown_pool()
 
     cpu_count = os.cpu_count() or 1
     speedups = {
@@ -209,22 +198,10 @@ def test_parallel_scaling(db, sg):
         gates["thread_execution_speedup_at_4_ge_1.6"] = (
             f"skipped (cpu_count={cpu_count})"
         )
-    if cpu_count < 2:
-        gates["process_preprocess_speedup_at_4_ge_1.4"] = (
-            f"skipped (cpu_count={cpu_count})"
-        )
-    elif ROWS < 60000:
-        gates["process_preprocess_speedup_at_4_ge_1.4"] = (
-            f"skipped (fact_rows={ROWS} < 60000; overhead-dominated)"
-        )
-    else:
-        gates["process_preprocess_speedup_at_4_ge_1.4"] = speedups[
-            "process"
-        ]["preprocess_at_4"]
 
     payload = {
         "benchmark": "parallel_scaling",
-        "version": 2,
+        "version": 3,
         "fact_rows": db.fact_table.n_rows,
         "queries": len(SQLS),
         "repeats": REPEATS,
@@ -258,10 +235,6 @@ def test_parallel_scaling(db, sg):
     }
     if "thread_execution_speedup_at_4_ge_1.6" in applied:
         assert applied["thread_execution_speedup_at_4_ge_1.6"] >= 1.6, payload
-    if "process_preprocess_speedup_at_4_ge_1.4" in applied:
-        assert (
-            applied["process_preprocess_speedup_at_4_ge_1.4"] >= 1.4
-        ), payload
     if not applied:
         pytest.skip(
             "all throughput gates skipped: "

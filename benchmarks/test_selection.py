@@ -59,7 +59,7 @@ from repro.engine.expressions import (
 from repro.engine.parallel import (
     ExecutionOptions,
     set_default_options,
-    shutdown_default_pools,
+    shutdown_pool,
 )
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats
@@ -285,7 +285,7 @@ def _budgeted_workload(payload: dict) -> None:
             }
         )
     set_default_options(previous)
-    shutdown_default_pools()
+    shutdown_pool()
 
     gated = ROWS >= COVERAGE_GATE_MIN_ROWS
     payload["budgeted"] = {

@@ -83,7 +83,7 @@ def session():
     # Serial engine options: serving concurrency should come from the
     # handler threads, not from nested piece-execution pools.
     session = AQPSession(
-        db, options=ExecutionOptions(executor="serial", chunk_rows=4096)
+        db, options=ExecutionOptions(max_workers=1, chunk_rows=4096)
     )
     session.install(
         SmallGroupSampling(

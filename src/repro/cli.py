@@ -163,25 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-skipping",
-        action="store_true",
-        help=(
-            "disable zone-map data skipping (WHERE masks scan every row); "
-            "answers are identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help=(
-            "backend for scattering independent work: worker threads "
-            "(default), worker processes with shared-memory zero-copy "
-            "columns (true multi-core for GIL-bound workloads), or a "
-            "forced serial loop; answers are identical for any choice"
-        ),
-    )
-    parser.add_argument(
         "--chunk-selection",
         action="store_true",
         help=(
@@ -207,17 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed for the --chunk-selection weighted draw",
-    )
-    parser.add_argument(
-        "--no-incremental-appends",
-        action="store_true",
-        help=(
-            "disable incremental append maintenance: append_rows falls "
-            "back to fully invalidating derived structures (zone maps, "
-            "word summaries, provenance sketches, reservoir state) "
-            "instead of extending them; answers are byte-identical "
-            "either way"
-        ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("list", help="list reproducible figures/tables")
@@ -461,12 +431,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         ExecutionOptions(
             max_workers=args.max_workers,
             chunk_rows=args.chunk_rows,
-            data_skipping=not args.no_skipping,
-            executor=args.executor,
             chunk_selection=args.chunk_selection,
             selection_budget=args.selection_budget,
             selection_seed=args.selection_seed,
-            incremental_appends=not args.no_incremental_appends,
         )
     )
     if args.command == "sql":

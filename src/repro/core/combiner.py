@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
 from repro.core.rewriter import SamplePiece, pieces_to_sql
@@ -49,12 +48,6 @@ from repro.engine.zonemap import (
 from repro.errors import RuntimePhaseError
 from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from repro.engine.procpool import ArrayHandle, TableHandle
-
 
 def _order_and_limit(
     groups: dict[GroupKey, tuple[GroupEstimate, ...]],
@@ -173,8 +166,8 @@ def _execute_one_piece(
     scatter, so the drawn chunk subset never depends on pool timing.
 
     The deadline (if any) is checked once at the head of the task: an
-    expired request stops starting new pieces (serial backend: the
-    remaining pieces never run; thread backend: queued tasks fail fast),
+    expired request stops starting new pieces (serial loop: the
+    remaining pieces never run; thread pool: queued tasks fail fast),
     and the raise propagates through the gather.  Reading the deadline
     is a pure, answer-neutral operation — a piece either runs
     identically to an unbounded run or raises.
@@ -195,169 +188,6 @@ def _execute_one_piece(
             span=piece_span,
             selection_plan=plan,
         )
-
-
-@dataclass(frozen=True)
-class _PiecePayload:
-    """Picklable descriptor of one piece execution for the process pool.
-
-    Carries shared-memory *handles* (not arrays) plus the few scalars
-    the worker needs; the worker resolves the handles against the arena
-    into zero-copy views (see :mod:`repro.engine.procpool`).
-    """
-
-    table: "TableHandle"
-    query: Query
-    scale: float
-    weights: "ArrayHandle | None"
-    variance_weights: "ArrayHandle | None"
-    collect_variance: bool
-    chunk_rows: int
-    data_skipping: bool
-    description: str
-    #: Parent-computed budgeted chunk-selection plan (picklable: plain
-    #: arrays and ints).  Shipped rather than recomputed because the
-    #: worker's sketch store is empty — its scores would differ.
-    selection_plan: "ChunkSelectionPlan | None"
-
-
-def _execute_piece_remote(payload: _PiecePayload):
-    """Process-pool sibling of :func:`_execute_one_piece`.
-
-    Runs in a worker process: resolves the payload's handles into
-    zero-copy views and aggregates serially (``executor="serial"`` — a
-    worker never fans out again).  Returns the picklable triple
-    ``(GroupedResult, PieceSkipStats, seconds)``; the parent copies the
-    stats fields into its serially-registered skip report and stamps the
-    per-piece span, so profiles keep one entry per piece under every
-    backend.
-    """
-    from repro.engine import procpool
-
-    table = procpool.resolve_table(payload.table)
-    weights = (
-        procpool.resolve_array(payload.weights)
-        if payload.weights is not None
-        else None
-    )
-    variance_weights = (
-        procpool.resolve_array(payload.variance_weights)
-        if payload.variance_weights is not None
-        else None
-    )
-    stats = PieceSkipStats(
-        description=payload.description, rows_total=table.n_rows
-    )
-    options = ExecutionOptions(
-        chunk_rows=payload.chunk_rows,
-        data_skipping=payload.data_skipping,
-        executor="serial",
-    )
-    started = time.perf_counter()
-    result = aggregate_table(
-        table,
-        payload.query,
-        weights=weights,
-        scale=payload.scale,
-        collect_variance_stats=payload.collect_variance,
-        variance_weights=variance_weights,
-        options=options,
-        skip_stats=stats,
-        selection_plan=payload.selection_plan,
-    )
-    return result, stats, time.perf_counter() - started
-
-
-def _piece_payload_columns(piece: SamplePiece, exec_query: Query) -> list[str]:
-    """The stored columns a piece task actually reads — group-by,
-    aggregate inputs, and WHERE columns — in the table's column order so
-    the handle (and the worker-side table it caches under) is identical
-    across calls.  Falls back to the first column for ``COUNT(*)``-only
-    queries (a table needs at least one column to know its row count)."""
-    needed = set(exec_query.group_by)
-    needed.update(a.column for a in exec_query.aggregates if a.column)
-    if exec_query.where is not None:
-        needed.update(exec_query.where.columns())
-    columns = [c for c in piece.table.column_names if c in needed]
-    return columns or [piece.table.column_names[0]]
-
-
-def _scatter_pieces_to_processes(
-    submitted: list,
-    options: ExecutionOptions,
-    span: Span,
-) -> list[GroupedResult]:
-    """Publish each piece's columns to the arena and scatter descriptors
-    across the process pool; results come back in submission order."""
-    from repro.engine import procpool
-
-    arena = procpool.get_arena()
-    payloads = []
-    for _idx, (
-        piece,
-        exec_query,
-        stats,
-        _options,
-        _span,
-        plan,
-        _deadline,
-    ) in submitted:
-        payloads.append(
-            _PiecePayload(
-                table=arena.publish_table(
-                    piece.table, _piece_payload_columns(piece, exec_query)
-                ),
-                query=exec_query,
-                scale=piece.scale,
-                weights=(
-                    arena.publish_array(piece.weights)
-                    if piece.weights is not None
-                    else None
-                ),
-                variance_weights=(
-                    arena.publish_array(piece.variance_weights)
-                    if piece.variance_weights is not None
-                    else None
-                ),
-                collect_variance=not piece.zero_variance,
-                chunk_rows=options.chunk_rows,
-                data_skipping=options.data_skipping,
-                description=stats.description,
-                selection_plan=plan,
-            )
-        )
-    gathered = procpool.process_map(
-        _execute_piece_remote, payloads, options, span=span
-    )
-    results = []
-    for (
-        _idx,
-        (_piece, _query, stats, _options, piece_span, _plan, _deadline),
-    ), (
-        result,
-        remote_stats,
-        seconds,
-    ) in zip(submitted, gathered):
-        for name in (
-            "n_chunks",
-            "chunks_skipped",
-            "chunks_accepted",
-            "chunks_scanned",
-            "rows_touched",
-            "mask_cached",
-            "sketch_hit",
-            "appended_unknown",
-            "selection_applied",
-            "chunks_eligible",
-            "chunks_selected",
-            "ht_weight_min",
-            "ht_weight_max",
-        ):
-            setattr(stats, name, getattr(remote_stats, name))
-        piece_span.seconds = seconds
-        piece_span.annotate(backend="process")
-        results.append(result)
-    return results
 
 
 def execute_pieces(
@@ -386,8 +216,7 @@ def execute_pieces(
     byte-identical with profiling on or off.
 
     ``deadline`` (if any) is enforced at piece granularity: checked in
-    the serial pre-scatter loop, at the head of every piece task on the
-    serial/thread backends, in the parent before a process scatter, and
+    the serial pre-scatter loop, at the head of every piece task, and
     before the combine.  An expired deadline raises
     :class:`~repro.errors.DeadlineExceeded`; there are no partial
     answers, so determinism guarantees are unaffected.
@@ -437,7 +266,7 @@ def execute_pieces(
     skip_report = SkipReport(enabled=options.data_skipping)
     span.annotate(pieces=len(exec_pieces))
     # Budgeted chunk-selection plans are drawn here, serially and in
-    # piece-index order, for every backend: a plan drawn inside a pool
+    # piece-index order, at every worker count: a plan drawn inside a pool
     # task would see whatever sketch history concurrent siblings had
     # already recorded, making the chunk draw depend on scheduling.  The
     # pieces then run with ``chunk_selection`` off so no task re-plans.
@@ -488,25 +317,12 @@ def execute_pieces(
                 ),
             )
         )
-    use_processes = options.uses_processes and len(submitted) > 1
-    if use_processes:
-        from repro.engine import procpool
-
-        use_processes = not procpool.in_worker()
-    if use_processes:
-        # Process workers never see the deadline (their clocks race the
-        # parent's by scheduling delays); the parent checks around the
-        # scatter instead.
-        if deadline is not None:
-            deadline.check("process scatter")
-        gathered = _scatter_pieces_to_processes(submitted, options, span)
-    else:
-        gathered = parallel_map(
-            _execute_one_piece,
-            [item for _, item in submitted],
-            options.workers,
-            span=span,
-        )
+    gathered = parallel_map(
+        _execute_one_piece,
+        [item for _, item in submitted],
+        options.workers,
+        span=span,
+    )
     for (idx, _), result in zip(submitted, gathered):
         piece_results[idx] = result
     registry = get_registry()

@@ -201,45 +201,21 @@ class _Stratification:
     classifiers: list = field(default_factory=list)
 
 
-def _isin_chunk(payload: tuple, start: int, stop: int) -> np.ndarray:
-    """Process-pool task: ``np.isin`` membership for one row chunk.
-
-    ``payload`` is ``(ArrayHandle, codes)`` — the shared-memory handle of
-    the column's raw array plus the (small, pickled) uncommon-code set.
-    """
-    from repro.engine import procpool
-
-    handle, codes = payload
-    data = procpool.resolve_array(handle)
-    return np.isin(data[start:stop], codes)
-
-
 def _chunked_isin(
     data: np.ndarray, codes: np.ndarray, options: ExecutionOptions
 ) -> np.ndarray:
     """``np.isin(data, codes)`` evaluated over deterministic row chunks.
 
-    Chunks scatter across the worker pool (thread or process backend);
-    parts come back in chunk order and concatenate to exactly the serial
-    membership array (the chunk layout depends only on the row count,
-    never on the worker count or backend).
+    Chunks scatter across the worker pool; parts come back in chunk
+    order and concatenate to exactly the serial membership array (the
+    chunk layout depends only on the row count, never on the worker
+    count).
     """
-    use_processes = options.uses_processes and len(data) > options.chunk_rows
-    if use_processes:
-        from repro.engine import procpool
 
-        use_processes = not procpool.in_worker()
-    if use_processes:
-        handle = procpool.get_arena().publish_array(data)
-        parts = procpool.process_map_row_chunks(
-            _isin_chunk, (handle, codes), len(data), options
-        )
-    else:
+    def _membership(start: int, stop: int) -> np.ndarray:
+        return np.isin(data[start:stop], codes)
 
-        def _membership(start: int, stop: int) -> np.ndarray:
-            return np.isin(data[start:stop], codes)
-
-        parts = map_row_chunks(_membership, len(data), options)
+    parts = map_row_chunks(_membership, len(data), options)
     if not parts:
         return np.zeros(0, dtype=bool)
     if len(parts) == 1:
@@ -551,10 +527,6 @@ class SmallGroupSampling(DynamicSampleSelection):
             return self._store_rows(view, stored, meta.name, member_matrix)
 
         # Parallel tail: per-table row collection, gathered in table order.
-        # This site stays on the thread pool under every backend: each
-        # task returns a whole materialised sample table, so the process
-        # backend would pickle megabytes of output per task — the
-        # transfer would cost more than the fancy-indexing it offloads.
         built = parallel_map(
             _collect_rows,
             list(zip(strata.metas, stored_per_table)),

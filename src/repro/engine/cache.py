@@ -130,10 +130,10 @@ class SingleFlight:
             return len(self._inflight)
 
 #: Callbacks fired (outside the cache lock) whenever an object is
-#: explicitly invalidated.  The shared-memory column arena
-#: (:mod:`repro.engine.procpool`) subscribes so that the buffers of a
+#: explicitly invalidated.  The provenance-sketch store
+#: (:mod:`repro.engine.selection`) subscribes so that sketches of a
 #: replaced table (``append_rows`` / ``insert_rows`` / ``drop_table``)
-#: are unlinked the moment the execution cache drops its entries, rather
+#: are dropped the moment the execution cache drops its entries, rather
 #: than at garbage collection.
 _INVALIDATION_LISTENERS: list[Callable[[Any], None]] = []
 
@@ -156,7 +156,7 @@ class AppendEvent:
 
     Emitted *before* the old table is invalidated, so consumers can
     migrate derived state from the old objects onto the new ones (zone
-    maps, bitmask word summaries, provenance sketches, arena segments)
+    maps, bitmask word summaries, provenance sketches)
     instead of rebuilding from scratch on the next query.  The old
     objects are still live while listeners run; the subsequent
     ``invalidate_table(old)`` then only drops whatever stayed anchored
@@ -189,7 +189,7 @@ _APPEND_LISTENERS: list[Callable[[AppendEvent], None]] = []
 def add_append_listener(listener: Callable[[AppendEvent], None]) -> None:
     """Subscribe to append events (see :class:`AppendEvent`).
 
-    Consumers (zone maps, the sketch store, the column arena) use the
+    Consumers (zone maps, the sketch store) use the
     event to *extend* derived structures for the appended tail rather
     than dropping them; the invalidation that follows the event then
     finds nothing left anchored on the old objects.
@@ -497,8 +497,8 @@ class ExecutionCache:
         """Drop every entry anchored on ``obj``; returns entries dropped.
 
         Invalidation listeners fire regardless of how many entries were
-        anchored here: the arena may hold segments for objects the cache
-        never cached (e.g. a column published but never grouped on).
+        anchored here: a listener may hold state for objects the cache
+        never cached.
         """
         with self._lock:
             keys = self._anchor_keys.get(id(obj))

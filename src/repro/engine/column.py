@@ -523,13 +523,13 @@ def column_from_parts(
 ) -> Column:
     """Reassemble a column from already-validated parts, without copying.
 
-    Trusted fast path for the shared-memory arena
-    (:mod:`repro.engine.procpool`) and for :meth:`Column.concat`: the
-    parts came out of real :class:`Column` objects, so the constructor's
-    dtype coercion and string-code range scan (an O(n) min/max over the
-    whole array) would re-validate what is known-good — and ``astype``
-    would copy the zero-copy view it exists to avoid.  Without ``tail``
-    (every caller but ``concat``) the column never extends in place.
+    Trusted fast path for :meth:`Column.concat` and
+    :meth:`Column.encoded_like`: the parts came out of real
+    :class:`Column` objects, so the constructor's dtype coercion and
+    string-code range scan (an O(n) min/max over the whole array) would
+    re-validate what is known-good — and ``astype`` would copy a view it
+    exists to avoid.  Without ``tail`` (every caller but ``concat``) the
+    column never extends in place.
     """
     column = Column.__new__(Column)
     column.kind = kind

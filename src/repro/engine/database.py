@@ -173,9 +173,8 @@ class Database:
         instead of rebuilding from scratch.  The explicit
         ``invalidate_table(old)`` that follows then drops only what
         stayed anchored on the old objects (predicate masks, group ids,
-        join positions — artifacts whose values genuinely changed) and
-        fans out to the process backend's shared-memory arena so old
-        segments are unlinked immediately.  Returns the new table.
+        join positions — artifacts whose values genuinely changed).
+        Returns the new table.
 
         With the flag off — or for degenerate appends (empty table or
         empty batch, where there is nothing worth extending) — the whole

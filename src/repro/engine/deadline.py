@@ -14,9 +14,7 @@ or raises :class:`~repro.errors.DeadlineExceeded` — there is no partial
 answer, so the byte-identical determinism guarantees are untouched.
 Checks happen at piece/stage granularity: work already running on a pool
 worker is never interrupted mid-kernel (numpy calls are not preemptible
-anyway), and the process backend checks only in the parent around the
-scatter (a forked worker's clock races its parent's by an unbounded
-scheduling delay, so an in-worker check would be noise).
+anyway).
 
 ``time.perf_counter`` is the clock: monotonic, and explicitly exempt
 from lint rule RL003 because elapsed time here is *control flow about

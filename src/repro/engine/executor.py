@@ -728,96 +728,6 @@ def _gather_one_dimension(item: tuple[str, Column, Column, Column]) -> tuple[str
     return name, gather_dimension_column(fact_key_col, dim_key_col, dim_col)
 
 
-@dataclass(frozen=True)
-class _GatherPayload:
-    """Picklable descriptor of one star-join gather for the process pool.
-
-    Fields are :class:`~repro.engine.procpool.ColumnHandle` descriptors;
-    the worker resolves them into zero-copy views of the stored columns.
-    """
-
-    name: str
-    fact_key: Any
-    dim_key: Any
-    dim_column: Any
-
-
-def _gather_dimension_remote(payload: _GatherPayload) -> Column:
-    """Process-pool sibling of :func:`_gather_one_dimension`.
-
-    Runs in a worker: resolves the payload's column handles against the
-    shared-memory arena and gathers.  The gathered column is a *new*
-    array, so it returns by pickle — the zero-copy transport applies to
-    the stored inputs, which dominate the bytes moved.
-    """
-    from repro.engine import procpool
-
-    return gather_dimension_column(
-        procpool.resolve_column(payload.fact_key),
-        procpool.resolve_column(payload.dim_key),
-        procpool.resolve_column(payload.dim_column),
-    )
-
-
-def _gather_dimensions_in_processes(
-    tasks: list[tuple[str, Column, Column, Column]],
-    options: ExecutionOptions,
-    span: Span,
-) -> list[tuple[str, Column]]:
-    """Scatter star-join gathers across the process pool.
-
-    The parent consults the execution cache first — a worker's cache
-    entries cannot be seen from here, so without this check a repeated
-    workload would re-gather (and re-transfer) every dimension each
-    query.  Misses are scattered; the gathered columns are installed
-    into the parent cache under the same ``joined_column`` anchors the
-    thread path uses, so subsequent queries hit regardless of backend.
-    A single miss is gathered in-parent: one task cannot use two cores,
-    and staying local skips the publish/pickle round trip.
-    """
-    from repro.engine import procpool
-
-    cache = get_cache()
-    results: list[tuple[str, Column] | None] = [None] * len(tasks)
-    pending: list[int] = []
-    for i, (name, fact_key_col, dim_key_col, dim_col) in enumerate(tasks):
-        cached = cache.get(
-            "joined_column", (fact_key_col, dim_key_col, dim_col)
-        )
-        if cached is not MISS:
-            results[i] = (name, cached)
-        else:
-            pending.append(i)
-    if len(pending) == 1:
-        i = pending[0]
-        name, fact_key_col, dim_key_col, dim_col = tasks[i]
-        results[i] = (
-            name,
-            gather_dimension_column(fact_key_col, dim_key_col, dim_col),
-        )
-    elif pending:
-        arena = procpool.get_arena()
-        payloads = [
-            _GatherPayload(
-                name=tasks[i][0],
-                fact_key=arena.publish_column(tasks[i][1]),
-                dim_key=arena.publish_column(tasks[i][2]),
-                dim_column=arena.publish_column(tasks[i][3]),
-            )
-            for i in pending
-        ]
-        gathered = procpool.process_map(
-            _gather_dimension_remote, payloads, options, span=span
-        )
-        for i, column in zip(pending, gathered):
-            name, fact_key_col, dim_key_col, dim_col = tasks[i]
-            cache.put(
-                "joined_column", (fact_key_col, dim_key_col, dim_col), column
-            )
-            results[i] = (name, column)
-    return results  # type: ignore[return-value]
-
-
 def resolve_columns(
     db: Database,
     query: Query,
@@ -862,19 +772,9 @@ def resolve_columns(
             raise QueryError(f"columns {sorted(missing)} not found in any table")
         options = resolve_options(options)
         span.add("dimension_gathers", len(tasks))
-        use_processes = options.uses_processes and len(tasks) > 1
-        if use_processes:
-            from repro.engine import procpool
-
-            use_processes = not procpool.in_worker()
-        if use_processes:
-            gathered_pairs = _gather_dimensions_in_processes(
-                tasks, options, span
-            )
-        else:
-            gathered_pairs = parallel_map(
-                _gather_one_dimension, tasks, options.workers, span=span
-            )
+        gathered_pairs = parallel_map(
+            _gather_one_dimension, tasks, options.workers, span=span
+        )
         for name, gathered in gathered_pairs:
             columns[name] = gathered
     if not columns:

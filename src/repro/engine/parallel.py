@@ -57,13 +57,6 @@ _THREAD_NAME_PREFIX = "repro-worker"
 #: not spawn thousands of OS threads).
 MAX_POOL_WORKERS = 64
 
-#: Valid values of :attr:`ExecutionOptions.executor`.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
-
-#: PID of the process that imported this module; forked pool workers
-#: must not tear down the parent's pools from their own ``atexit``.
-_OWNER_PID = os.getpid()
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -85,14 +78,6 @@ class ExecutionOptions:
         summaries (see :mod:`repro.engine.zonemap`) to skip chunks a
         predicate provably cannot match.  Answers are byte-identical
         either way; the flag exists for benchmarking and debugging.
-    executor:
-        Which backend scatters independent work: ``"thread"`` (the
-        default — the PR-3 shared thread pool), ``"process"`` (the
-        :mod:`repro.engine.procpool` process pool + shared-memory column
-        arena, for GIL-bound workloads), or ``"serial"`` (force the
-        in-thread loop regardless of ``max_workers``).  Answers are
-        byte-identical across backends — the backend is a pure
-        throughput knob, exactly like ``max_workers``.
     chunk_selection:
         Opt-in PS3-style budgeted chunk selection (see
         :mod:`repro.engine.selection`): approximate sample pieces draw a
@@ -109,7 +94,7 @@ class ExecutionOptions:
         and answers are identical to ``chunk_selection=False``.
     selection_seed:
         Seed for the selection draw.  Fixed seed + fixed budget →
-        byte-identical answers at any ``max_workers``/``executor``.
+        byte-identical answers at any ``max_workers``.
     incremental_appends:
         Whether ``Database.append_rows`` emits a structured append event
         (:class:`repro.engine.cache.AppendEvent`) so derived structures
@@ -117,16 +102,15 @@ class ExecutionOptions:
         *extended* for the appended tail instead of dropped and rebuilt
         from scratch on the next query.  Answers are byte-identical
         either way (the extend paths reuse a per-chunk summary only when
-        the chunk's row range is provably unchanged); the flag is the
-        ``--no-incremental-appends`` escape hatch for benchmarking the
-        full-invalidation path.  ``insert_rows``/``drop_table`` always
-        take the full-invalidation path.
+        the chunk's row range is provably unchanged); the flag exists so
+        tests and benchmarks can exercise the full-invalidation path.
+        ``insert_rows``/``drop_table`` always take the full-invalidation
+        path.
     """
 
     max_workers: int = 1
     chunk_rows: int = 65536
     data_skipping: bool = True
-    executor: str = "thread"
     chunk_selection: bool = False
     selection_budget: int = 65536
     selection_seed: int = 0
@@ -141,11 +125,6 @@ class ExecutionOptions:
             raise QueryError(
                 f"chunk_rows must be >= 1, got {self.chunk_rows}"
             )
-        if self.executor not in EXECUTOR_BACKENDS:
-            raise QueryError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, "
-                f"got {self.executor!r}"
-            )
         if self.selection_budget < 1:
             raise QueryError(
                 f"selection_budget must be >= 1, got {self.selection_budget}"
@@ -157,20 +136,9 @@ class ExecutionOptions:
 
     @property
     def workers(self) -> int:
-        """The resolved worker count (``0`` → one per CPU), capped.
-
-        Always ``1`` under the ``serial`` backend, so every scatter site
-        degrades to its in-thread loop without consulting ``executor``.
-        """
-        if self.executor == "serial":
-            return 1
+        """The resolved worker count (``0`` → one per CPU), capped."""
         n = self.max_workers if self.max_workers > 0 else (os.cpu_count() or 1)
         return min(n, MAX_POOL_WORKERS)
-
-    @property
-    def uses_processes(self) -> bool:
-        """Whether scatter sites should route to the process backend."""
-        return self.executor == "process" and self.workers > 1
 
 
 # ----------------------------------------------------------------------
@@ -213,26 +181,8 @@ def shutdown_pool() -> None:
         pool.shutdown(wait=True)
 
 
-def shutdown_default_pools() -> None:
-    """Stop every shared pool: the thread pool and — when the process
-    backend was ever started — the process pool.  The procpool import is
-    lazy so the serial/thread paths never pay for it."""
-    shutdown_pool()
-    import sys
-
-    procpool = sys.modules.get("repro.engine.procpool")
-    if procpool is not None:
-        procpool.shutdown_process_pool()
-
-
-def _shutdown_at_exit() -> None:  # pragma: no cover - exercised at exit
-    # Non-daemon pool threads would otherwise block interpreter teardown;
-    # forked workers inherit this hook but must not touch parent pools.
-    if os.getpid() == _OWNER_PID:
-        shutdown_default_pools()
-
-
-atexit.register(_shutdown_at_exit)
+# Non-daemon pool threads would otherwise block interpreter teardown.
+atexit.register(shutdown_pool)
 
 
 def _in_pool_thread() -> bool:
@@ -366,7 +316,6 @@ def resolve_options(options: ExecutionOptions | None) -> ExecutionOptions:
 
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "ExecutionOptions",
     "MAX_POOL_WORKERS",
     "chunk_ranges",
@@ -376,6 +325,5 @@ __all__ = [
     "parallel_map",
     "resolve_options",
     "set_default_options",
-    "shutdown_default_pools",
     "shutdown_pool",
 ]

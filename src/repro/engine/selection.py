@@ -26,8 +26,8 @@ probability-proportional-to-size sampling.  The executor then
 Horvitz–Thompson-reweights every selected row by ``1 / π(chunk)`` so
 SUM/COUNT/AVG estimates stay unbiased and the per-group CI machinery
 stays honest.  The draw is a pure function of the summaries, the
-history, and ``selection_seed`` — never of worker count or backend —
-so answers are byte-identical at any ``max_workers``/``executor``.
+history, and ``selection_seed`` — never of worker count — so answers
+are byte-identical at any ``max_workers``.
 
 Invalidation discipline
 -----------------------
@@ -522,7 +522,7 @@ class SketchStore:
             return len(self._slots)
 
 
-#: Process-wide sketch store; worker processes build their own at import.
+#: Process-wide sketch store.
 _GLOBAL_STORE = SketchStore()
 
 
@@ -532,13 +532,7 @@ def get_sketch_store() -> SketchStore:
 
 
 def reset_sketch_store() -> None:
-    """Replace the store wholesale (forked pool workers; tests).
-
-    A forked child inherits the parent's store — possibly mid-mutation
-    with the lock held — so, like the execution cache in
-    :mod:`repro.engine.procpool`, workers swap in a fresh object rather
-    than trusting inherited state.
-    """
+    """Replace the store wholesale (tests and benchmarks start cold)."""
     global _GLOBAL_STORE
     _GLOBAL_STORE = SketchStore()
 
@@ -601,9 +595,8 @@ class ChunkSelectionPlan:
     ``chunk_indices[i]`` was drawn with first-order inclusion probability
     ``probabilities[i]``; ``verdicts[i]`` is its zone-map verdict (so the
     executor can skip mask evaluation for proven-ALL_TRUE chunks).  The
-    plan is a plain picklable value: for the process backend it is
-    computed once in the parent and shipped with the piece payload, so
-    every backend executes the *same* draw.
+    plan is drawn once, serially, before the pieces scatter, so every
+    worker count executes the *same* draw.
     """
 
     chunk_indices: tuple[int, ...]
@@ -807,7 +800,7 @@ def plan_chunk_selection(
 
     The plan is a pure function of the zone-map summaries, the sketch
     history, and ``selection_seed`` — the determinism sweep relies on
-    this to pin byte-identical answers across backends and worker counts.
+    this to pin byte-identical answers at every worker count.
     """
     if not options.chunk_selection:
         return None

@@ -138,22 +138,6 @@ def _histogram(data: np.ndarray, is_codes: bool) -> dict[Any, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _histogram_chunk(payload: tuple, start: int, stop: int) -> list[dict[Any, int]]:
-    """Process-pool task: per-column value histograms for one row chunk.
-
-    ``payload`` pairs the :class:`~repro.engine.procpool.ArrayHandle` of
-    each candidate column's raw array with its is-dictionary-codes flag;
-    the histograms are the in-process closure's, so the merged counts are
-    identical under either backend.
-    """
-    from repro.engine import procpool
-
-    return [
-        _histogram(procpool.resolve_array(handle)[start:stop], is_codes)
-        for handle, is_codes in payload
-    ]
-
-
 def _collect_column_stats_chunked(
     table: Table,
     columns: list[str],
@@ -166,30 +150,13 @@ def _collect_column_stats_chunked(
     if not cols:
         return {}
 
-    use_processes = options.uses_processes
-    if use_processes:
-        from repro.engine import procpool
-
-        use_processes = not procpool.in_worker()
-
-    if use_processes:
-        arena = procpool.get_arena()
-        payload = tuple(
-            (arena.publish_array(col.data), col.kind is ColumnKind.STRING)
+    def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
+        return [
+            _histogram(col.data[start:stop], col.kind is ColumnKind.STRING)
             for _, col in cols
-        )
-        chunks = procpool.process_map_row_chunks(
-            _histogram_chunk, payload, table.n_rows, options
-        )
-    else:
+        ]
 
-        def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
-            return [
-                _histogram(col.data[start:stop], col.kind is ColumnKind.STRING)
-                for _, col in cols
-            ]
-
-        chunks = map_row_chunks(_histograms, table.n_rows, options)
+    chunks = map_row_chunks(_histograms, table.n_rows, options)
 
     merged: list[dict[Any, int]] = [{} for _ in cols]
     for chunk in chunks:

@@ -40,13 +40,6 @@ wholesale — ``append_rows``, small-group table replacement,
 changed identity.  Lint rule RL008 statically enforces that nothing
 mutates the summarised arrays in place behind the cache's back.
 
-Identity anchoring also carries across the process backend for free:
-workers reconstruct columns from shared-memory handles through a
-handle-keyed cache (:func:`~repro.engine.procpool.resolve_column`), so
-the *same* ``Column`` object serves every task in a worker and the
-zone maps built in that worker hit on repeat scans exactly as in the
-parent.
-
 Why answers are unchanged
 -------------------------
 Verdicts are conservative three-valued proofs.  A chunk is skipped only

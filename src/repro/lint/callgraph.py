@@ -16,15 +16,14 @@ qualname plus synthetic ``<module>`` nodes, and two edge kinds:
     for names that collide with builtin container/str methods
     (``get``, ``update``, ``append``, ...), where it would drown the
     graph in false edges; the type-inference paths above keep the
-    interesting receivers (cache, arena, registry) resolved anyway.
+    interesting receivers (cache, registry) resolved anyway.
 
 ``submit``
     ``f`` hands ``g`` to a pool: ``parallel_map(g, ...)``,
-    ``map_row_chunks(g, ...)``, ``process_map(g, ...)``,
-    ``process_map_row_chunks(g, ...)`` or ``executor.submit(g, ...)``.
-    Each submit edge carries a backend tag (``thread`` / ``process`` /
-    ``unknown``) so dataflow can distinguish "runs in another thread of
-    this process" from "runs in a forked worker".
+    ``map_row_chunks(g, ...)`` or ``executor.submit(g, ...)``.  Each
+    submit edge carries a backend tag (``thread`` / ``server-thread`` /
+    ``unknown``) so reports can say which concurrency source reaches a
+    function.
 
 Submission sites where the task argument is not a statically resolvable
 function (e.g. a variable) are recorded in
@@ -47,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SUBMIT_BACKENDS: dict[str, str] = {
     "parallel_map": "thread",
     "map_row_chunks": "thread",
-    "process_map": "process",
-    "process_map_row_chunks": "process",
 }
 
 #: The serving package: its request entry points run on HTTP handler
@@ -95,7 +92,7 @@ class Edge:
     src: str  # caller qualname (or "<module>@path")
     dst: str  # callee qualname
     kind: str  # "call" | "submit"
-    backend: str | None  # submit edges: "thread" | "process" | "unknown"
+    backend: str | None  # submit edges: "thread" | "server-thread" | "unknown"
     path: str
     line: int
     #: True when the edge came from the low-confidence by-name fallback
@@ -274,9 +271,11 @@ def _submit_backend(
     dotted = _dotted(call.func)
     if dotted is not None:
         resolved = project.resolve_local(module, dotted)
-        if resolved is not None and ".parallel." not in resolved and (
-            ".procpool." not in resolved
-        ) and resolved not in project.functions:
+        if (
+            resolved is not None
+            and ".parallel." not in resolved
+            and resolved not in project.functions
+        ):
             return None
     return SUBMIT_BACKENDS[bare]
 
@@ -294,14 +293,9 @@ def _executor_backend(call: ast.Call, types: dict[str, str]) -> str | None:
         bare = _bare_name(receiver.func)
         if bare is not None:
             inferred = FACTORY_RETURNS.get(bare)
-    if inferred is not None:
-        if "ProcessPool" in inferred:
-            return "process"
-        if "ThreadPool" in inferred:
-            return "thread"
+    if inferred is not None and "ThreadPool" in inferred:
+        return "thread"
     name_hint = receiver.id.lower() if isinstance(receiver, ast.Name) else ""
-    if "proc" in name_hint:
-        return "process"
     if "pool" in name_hint or "executor" in name_hint:
         return "thread"
     return "unknown"
@@ -420,8 +414,6 @@ def _local_types(project: ProjectIndex, info: FunctionInfo) -> dict[str, str]:
         resolved = project.resolve_local(info.module, ann)
         if resolved is not None and resolved in project.classes:
             types[arg.arg] = resolved
-        elif "ProcessPoolExecutor" in ann:
-            types[arg.arg] = "concurrent.futures.ProcessPoolExecutor"
         elif "ThreadPoolExecutor" in ann or ann.endswith("Executor"):
             types[arg.arg] = "concurrent.futures.ThreadPoolExecutor"
 

@@ -27,8 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based checker for the engine's domain invariants "
-            "(RL001-RL014, including the whole-program concurrency/"
-            "invalidation rules RL011-RL014); see docs/linting.md"
+            "(RL001-RL013, including the whole-program concurrency/"
+            "invalidation rules RL011-RL013); see docs/linting.md"
         ),
     )
     parser.add_argument(

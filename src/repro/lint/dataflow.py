@@ -2,15 +2,14 @@
 
 Layer three of the whole-program analyzer.  Everything here is a
 whole-program *property map* computed once per lint run and shared by
-the graph-aware rules (RL011–RL014):
+the graph-aware rules (RL011–RL013):
 
 worker-context reachability
     A function "runs in worker context" if any pool-submission edge
     reaches it — directly (``parallel_map(f, ...)``) or transitively
-    (the submitted task calls it).  Computed per backend, so rules can
-    distinguish thread workers (shared address space: mutations race)
-    from process workers (forked copies: mutations are silently lost
-    and payloads must pickle).
+    (the submitted task calls it).  Computed per backend tag, so
+    findings can name the concurrency source (pool threads or HTTP
+    handler threads) that reaches a function.
 
 lock-held regions and the lock-order graph
     Each ``with <lock>:`` statement opens a held region.  Locks get
@@ -51,8 +50,6 @@ INVALIDATING_CALLS: frozenset[str] = frozenset(
         "_report",
         "invalidate_object",
         "invalidate_all",
-        "release_for",
-        "release_all",
         "notify_append",
     }
 )
@@ -84,7 +81,7 @@ class ProjectAnalysis:
 
     project: ProjectIndex
     graph: CallGraph
-    #: qualname -> backends ("thread"/"process"/"unknown") it may run under
+    #: qualname -> backend tags (see ``Edge.backend``) it may run under
     worker_context: dict[str, set[str]] = field(default_factory=dict)
     #: lock name -> LockId (with kind)
     locks: dict[str, LockId] = field(default_factory=dict)

@@ -268,9 +268,9 @@ class ProjectIndex:
     def resolve_local(self, module: str, dotted: str) -> str | None:
         """Canonicalise a dotted local name against a module's imports.
 
-        ``procpool.process_map`` in the combiner (which does ``from
-        repro.engine import procpool``) resolves to
-        ``repro.engine.procpool.process_map``.  Names defined in the
+        ``zonemap.evaluate_predicate`` in the executor (which does ``from
+        repro.engine import zonemap``) resolves to
+        ``repro.engine.zonemap.evaluate_predicate``.  Names defined in the
         module itself resolve to ``{module}.{name}``.
         """
         head, _, rest = dotted.partition(".")
@@ -363,10 +363,8 @@ class ProjectIndex:
 #: calls and lock acquisitions resolve to the owning class.
 FACTORY_RETURNS: dict[str, str] = {
     "get_cache": "repro.engine.cache.ExecutionCache",
-    "get_arena": "repro.engine.procpool.ColumnArena",
     "get_registry": "repro.obs.registry.MetricsRegistry",
     "get_pool": "concurrent.futures.ThreadPoolExecutor",
-    "get_process_pool": "concurrent.futures.ProcessPoolExecutor",
 }
 
 

@@ -18,9 +18,7 @@ from repro.lint.rules import (  # noqa: F401
     rl007_shared_state,
     rl008_zonemap,
     rl009_obs,
-    rl010_picklable_tasks,
     rl011_transitive_shared_state,
     rl012_lock_order,
     rl013_invalidation_coverage,
-    rl014_payload_picklability,
 )

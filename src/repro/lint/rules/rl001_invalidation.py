@@ -96,9 +96,9 @@ ALLOWLIST: dict[str, str] = {
         "re-records a tail-UNKNOWN rewrite on the new anchors; coherence "
         "is the function's own postcondition"
     ),
-    # Worker-side reassembly of a column from shared-memory arena parts:
-    # the object is created by Column.__new__ on the line above, so the
-    # identity-keyed caches cannot hold entries for it yet.
+    # Column.concat's trusted constructor: the object is created by
+    # Column.__new__ on the line above, so the identity-keyed caches
+    # cannot hold entries for it yet.
     "repro/engine/column.py::column_from_parts": (
         "populates a brand-new Column object (Column.__new__ above); "
         "identity-keyed caches have no entries for it"

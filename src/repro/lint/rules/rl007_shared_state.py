@@ -38,10 +38,7 @@ from repro.lint.callgraph import is_server_handler
 from repro.lint.core import FileContext, Finding, Rule, register
 
 #: The pool modules: every function here is in scope.
-POOL_MODULES = (
-    "repro/engine/parallel.py",
-    "repro/engine/procpool.py",
-)
+POOL_MODULES = ("repro/engine/parallel.py",)
 
 #: Files whose pool-submitted functions carry the purity contract.  The
 #: serving package is in scope because its request entry points run on
@@ -59,8 +56,6 @@ SUBMIT_CALLS = frozenset(
     {
         "parallel_map",
         "map_row_chunks",
-        "process_map",
-        "process_map_row_chunks",
         "submit",
     }
 )
@@ -97,8 +92,6 @@ SHARED_GLOBALS = frozenset(
         "_POOL",
         "_POOL_WORKERS",
         "_DEFAULT_OPTIONS",
-        "_PROC_POOL",
-        "_PROC_POOL_WORKERS",
     }
 )
 

@@ -68,8 +68,9 @@ ALLOWLIST: dict[str, str] = {
         "fills a freshly built BitmaskVector before it is published on "
         "any sample table"
     ),
-    # Arena reconstruction: sets attributes on a Column it allocated via
-    # __new__ one line earlier; nothing can reference (or summarise) it.
+    # Column.concat's trusted constructor: sets attributes on a Column it
+    # allocated via __new__ one line earlier; nothing can reference (or
+    # summarise) it.
     "repro/engine/column.py::column_from_parts": (
         "assembles a Column it just created with __new__; no zone map "
         "can be anchored on an object that has never been visible"

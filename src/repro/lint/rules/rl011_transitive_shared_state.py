@@ -17,10 +17,7 @@ the function worker-reachable, because "why is this a pool task?" is
 the first question the report has to answer.
 
 Mutations lexically inside a ``with <lock>:`` region are exempt, same
-as RL007 — but note the thread/process asymmetry the message encodes:
-under the *process* backend a lock does not even help, the mutation is
-simply lost in the forked child (the parent never sees it), which is
-its own silent-wrong-answer bug.
+as RL007.
 """
 
 from __future__ import annotations
@@ -133,9 +130,8 @@ class TransitiveSharedStateMutation(Rule):
                 info.ctx,
                 node,
                 f"mutates shared state {target!r} in a function reachable "
-                f"from a pool submission ({chain}); on the thread backend "
-                "this races, on the process backend the write is silently "
-                "lost in the fork — hoist the mutation to the serial "
+                f"from a pool submission ({chain}); concurrent tasks "
+                "race on it — hoist the mutation to the serial "
                 "head/tail around the scatter",
             )
 

@@ -203,8 +203,7 @@ class AQPSession:
         """Reject use after :meth:`close` with a clean error.
 
         Without this guard a post-close ``sql()`` would die deep in the
-        engine with a raw ``AttributeError`` (or, worse, double-release
-        shared-memory arena segments on a second ``__exit__``).
+        engine with a raw ``AttributeError``.
         """
         if self._closed:
             raise InternalError("session closed")
@@ -212,22 +211,18 @@ class AQPSession:
     def close(self) -> None:
         """Release session-scoped derived state (idempotent).
 
-        Clears the parse/plan memos, drops every recorded provenance
-        sketch, and releases every shared-memory segment of the process
-        backend's column arena.  The sketch store and arena are
-        process-wide (like the execution cache), so closing one session
-        drops state other live sessions may be about to use — that is
-        safe, not wrong: a released segment is simply republished on the
-        next process scatter, and a dropped sketch is re-recorded on the
-        next evaluation.  The worker pools stay up (they are
-        process-wide and shut down atexit, or explicitly via
-        :func:`repro.engine.parallel.shutdown_default_pools`).
+        Clears the parse/plan memos and drops every recorded provenance
+        sketch.  The sketch store is process-wide (like the execution
+        cache), so closing one session drops state other live sessions
+        may be about to use — that is safe, not wrong: a dropped sketch
+        is re-recorded on the next evaluation.  The worker pool stays up
+        (it is process-wide and shut down atexit, or explicitly via
+        :func:`repro.engine.parallel.shutdown_pool`).
 
         Safe to call more than once — including the implicit second call
         of ``with session: ... finally session.close()`` patterns: only
         the first caller releases anything, later calls (and concurrent
-        racers) return immediately, so arena segments can never be
-        double-released through this path.
+        racers) return immediately.
         """
         with self._lock:
             if self._closed:
@@ -238,11 +233,6 @@ class AQPSession:
         from repro.engine.selection import get_sketch_store
 
         get_sketch_store().clear()
-        import sys
-
-        procpool = sys.modules.get("repro.engine.procpool")
-        if procpool is not None:
-            procpool.get_arena().release_all()
 
     def __enter__(self) -> "AQPSession":
         self._require_open()

@@ -12,6 +12,7 @@ from repro.datagen.synthetic import (
 )
 from repro.datagen.tpch import generate_tpch
 from repro.engine.database import Database
+from repro.engine.parallel import shutdown_pool
 from repro.engine.table import Table
 
 
@@ -48,26 +49,10 @@ def flat_db() -> Database:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def shared_memory_leak_check():
-    """Suite-wide guard: no shared-memory segment outlives the tests.
-
-    Segments live in a global OS namespace (``/dev/shm``), so a leak
-    persists after the interpreter exits.  After the whole suite ran,
-    release everything still published and assert that every segment the
-    arena ever unlinked is really gone, then stop the worker pools so
-    pytest does not exit with stray processes.
-    """
+def stop_worker_pool():
+    """Stop the shared thread pool once the whole suite has run."""
     yield
-    import sys
-
-    procpool = sys.modules.get("repro.engine.procpool")
-    if procpool is not None:
-        arena = procpool.get_arena()
-        arena.release_all()
-        assert arena.leaked_segment_names() == ()
-    from repro.engine.parallel import shutdown_default_pools
-
-    shutdown_default_pools()
+    shutdown_pool()
 
 
 @pytest.fixture()

@@ -30,7 +30,6 @@ from repro.datagen.synthetic import (
 from repro.engine.bitmask import BitmaskVector
 from repro.engine.column import Column, ColumnKind, column_from_parts
 from repro.engine.database import Database
-from repro.engine.procpool import ColumnArena, resolve_column
 from repro.engine.table import Table
 from repro.errors import ColumnTypeError
 from repro.storage import load_database, save_database
@@ -459,7 +458,7 @@ class TestAppendCost:
 
 
 # ----------------------------------------------------------------------
-# Round trips and the process backend
+# Round trips
 # ----------------------------------------------------------------------
 class TestRoundTrips:
     def test_saved_database_stores_exactly_n_rows_cells(self, tmp_path):
@@ -486,22 +485,6 @@ class TestRoundTrips:
             assert not np.shares_memory(longer.data, grown.data)
         # The original is still the tip of its own lineage.
         assert np.shares_memory(grown.concat(Column.strings(["b"])).data, grown.data)
-
-    def test_arena_exports_visible_cells_and_views_never_extend_in_place(self):
-        grown = Column.ints(range(100)).concat(Column.ints([100, 101]))
-        arena = ColumnArena()
-        try:
-            handle = arena.publish_column(grown)
-            assert handle.data.shape == (102,)  # len(col), not capacity
-            resolved = resolve_column(handle)
-            assert resolved.to_list() == grown.to_list()
-            longer = resolved.concat(Column.ints([7]))
-            assert not np.shares_memory(longer.data, resolved.data)
-            assert longer.to_list() == grown.to_list() + [7]
-            assert resolved.to_list() == grown.to_list()
-            assert not resolved.data.flags.writeable
-        finally:
-            arena.release_all()
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.engine.executor import execute
 from repro.engine.parallel import (
     ExecutionOptions,
     chunk_ranges,
-    shutdown_default_pools,
+    shutdown_pool,
 )
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
@@ -377,28 +377,24 @@ class TestInterleavedDeterminism:
     def test_interleaving_equals_fresh_replay_across_backends(
         self, chunk_rows
     ):
-        baseline = _replayed(
-            ExecutionOptions(executor="serial", chunk_rows=chunk_rows)
-        )
+        baseline = _replayed(ExecutionOptions(chunk_rows=chunk_rows))
         try:
-            for executor in ("serial", "thread", "process"):
+            for workers in (1, 2):
                 options = ExecutionOptions(
-                    executor=executor, chunk_rows=chunk_rows, max_workers=2
+                    chunk_rows=chunk_rows, max_workers=workers
                 )
                 assert _interleaved(options) == baseline, (
-                    f"answer drifted at executor={executor}, "
+                    f"answer drifted at max_workers={workers}, "
                     f"chunk_rows={chunk_rows}"
                 )
-            # The escape hatch is answer-neutral: full invalidation
-            # yields byte-identical estimates.
+            # Full invalidation is answer-neutral: it yields
+            # byte-identical estimates.
             off = ExecutionOptions(
-                executor="serial",
-                chunk_rows=chunk_rows,
-                incremental_appends=False,
+                chunk_rows=chunk_rows, incremental_appends=False
             )
             assert _interleaved(off) == baseline
         finally:
-            shutdown_default_pools()
+            shutdown_pool()
 
     def test_session_append_routes_to_the_technique(self):
         session = _new_session(ExecutionOptions(chunk_rows=512))
@@ -411,26 +407,3 @@ class TestInterleavedDeterminism:
         finally:
             session.close()
 
-
-# ----------------------------------------------------------------------
-# Shared-memory hygiene under an append storm
-# ----------------------------------------------------------------------
-class TestAppendStormHygiene:
-    def test_no_segment_leaks_after_append_storm(self):
-        from repro.engine import procpool
-
-        options = ExecutionOptions(
-            executor="process", max_workers=2, chunk_rows=512
-        )
-        session = _new_session(options)
-        try:
-            for seed in (101, 102, 103, 104, 105):
-                session.sql(SWEEP_SQL)
-                session.append_rows("flat", make_batch(300, seed))
-            session.sql(SWEEP_SQL)
-        finally:
-            session.close()
-            shutdown_default_pools()
-        arena = procpool.get_arena()
-        arena.release_all()
-        assert arena.leaked_segment_names() == ()

@@ -752,108 +752,6 @@ class TestRL009ObservabilityReads:
             assert run_rule("RL009", self.BAD_ATTR_READ, path) == []
 
 
-class TestRL010NonPicklableProcessTask:
-    BAD_LAMBDA = """
-        def scatter(payloads, options):
-            return process_map(lambda p: p + 1, payloads, options)
-    """
-
-    BAD_BOUND_METHOD = """
-        def scatter(technique, payloads, options):
-            return process_map(technique.execute, payloads, options)
-    """
-
-    BAD_NESTED_FUNCTION = """
-        def scatter(payloads, options):
-            def task(payload):
-                return payload + 1
-            return process_map(task, payloads, options)
-    """
-
-    BAD_ROW_CHUNKS = """
-        def scan(handle, n_rows, options):
-            return process_map_row_chunks(
-                lambda h, lo, hi: hi - lo, handle, n_rows, options
-            )
-    """
-
-    GOOD_MODULE_LEVEL = """
-        def _task(payload):
-            return payload + 1
-
-        def scatter(payloads, options):
-            return process_map(_task, payloads, options)
-    """
-
-    GOOD_IMPORTED = """
-        from repro.engine.stats import _histogram_chunk
-
-        def scan(handle, n_rows, options):
-            return process_map_row_chunks(
-                _histogram_chunk, handle, n_rows, options
-            )
-    """
-
-    GOOD_THREAD_LAMBDA = """
-        def scatter(items, workers):
-            return parallel_map(lambda item: item + 1, items, workers)
-    """
-
-    def test_fires_on_lambda(self):
-        findings = run_rule("RL010", self.BAD_LAMBDA, "repro/core/foo.py")
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_fires_on_bound_method(self):
-        findings = run_rule(
-            "RL010", self.BAD_BOUND_METHOD, "repro/core/foo.py"
-        )
-        assert len(findings) == 1
-        assert "'execute'" in findings[0].message
-
-    def test_fires_on_nested_function(self):
-        findings = run_rule(
-            "RL010", self.BAD_NESTED_FUNCTION, "repro/core/foo.py"
-        )
-        assert len(findings) == 1
-        assert "'task'" in findings[0].message
-        assert "module-level" in findings[0].message
-
-    def test_fires_on_row_chunk_variant(self):
-        findings = run_rule("RL010", self.BAD_ROW_CHUNKS, "repro/engine/foo.py")
-        assert len(findings) == 1
-
-    def test_module_level_function_passes(self):
-        assert (
-            run_rule("RL010", self.GOOD_MODULE_LEVEL, "repro/core/foo.py")
-            == []
-        )
-
-    def test_imported_name_passes(self):
-        assert (
-            run_rule("RL010", self.GOOD_IMPORTED, "repro/engine/foo.py") == []
-        )
-
-    def test_thread_pool_lambda_not_flagged(self):
-        # parallel_map runs on threads; closures are fine there.
-        assert (
-            run_rule("RL010", self.GOOD_THREAD_LAMBDA, "repro/core/foo.py")
-            == []
-        )
-
-    def test_pool_submit_checked_inside_procpool_module(self):
-        source = """
-            def process_map(fn, payloads, options):
-                return [pool.submit(lambda: fn(p)) for p in payloads]
-        """
-        findings = run_rule(
-            "RL010", source, "repro/engine/procpool.py"
-        )
-        assert len(findings) == 1
-        # The same submit call elsewhere is a thread-pool submit.
-        assert run_rule("RL010", source, "repro/engine/parallel.py") == []
-
-
 class TestInfrastructure:
     def test_unparsable_file_is_reported_not_raised(self):
         findings = lint_source("def broken(:", "repro/engine/foo.py")
@@ -866,14 +764,15 @@ class TestInfrastructure:
 
     def test_every_rule_has_id_and_title(self):
         rules = all_rules()
+        # RL010 and RL014 are retired and stay reserved.
         assert [r.rule_id for r in rules] == [
             f"RL00{i}" for i in range(1, 10)
-        ] + [f"RL01{i}" for i in range(0, 5)]
+        ] + [f"RL01{i}" for i in range(1, 4)]
         assert all(r.title for r in rules)
 
     def test_project_wide_rules_are_marked(self):
         by_id = {r.rule_id: r for r in all_rules()}
-        graph_rules = {"RL011", "RL012", "RL013", "RL014"}
+        graph_rules = {"RL011", "RL012", "RL013"}
         for rule_id, rule in by_id.items():
             assert rule.project_wide == (rule_id in graph_rules), rule_id
 
@@ -1030,7 +929,7 @@ class TestSelfHosting:
 
 
 # ---------------------------------------------------------------------------
-# Whole-program analyzer (project index, call graph, dataflow) + RL011-RL014
+# Whole-program analyzer (project index, call graph, dataflow) + RL011-RL013
 # ---------------------------------------------------------------------------
 
 
@@ -1129,14 +1028,11 @@ class TestCallGraph:
             {
                 "repro/engine/work.py": """
                     from repro.engine.parallel import parallel_map
-                    from repro.engine.procpool import process_map
 
                     def task(x):
                         return x
                     def thread_scatter(items):
                         return parallel_map(task, items)
-                    def proc_scatter(items):
-                        return process_map(task, items)
                 """
             }
         )
@@ -1144,8 +1040,7 @@ class TestCallGraph:
             (e.src.rsplit(".", 1)[-1], e.backend)
             for e in graph.submit_edges()
         }
-        assert ("thread_scatter", "thread") in backends
-        assert ("proc_scatter", "process") in backends
+        assert backends == {("thread_scatter", "thread")}
 
     def test_unresolved_submit_is_recorded_not_dropped(self):
         project, graph = self.graph(
@@ -1564,74 +1459,6 @@ class TestRL013InvalidationCoverage:
         assert findings == []
 
 
-class TestRL014PayloadPicklability:
-    LAMBDA_IN_PAYLOAD = """
-        from repro.engine.procpool import process_map
-
-        def task(item):
-            return item
-        def scatter(items):
-            payload = [(lambda x: x, item) for item in items]
-            return process_map(task, payload)
-    """
-
-    CALLABLE_PARAM_IN_PAYLOAD = """
-        from typing import Callable
-
-        from repro.engine.procpool import process_map
-
-        def task(item):
-            return item
-        def scatter(fn: Callable, items):
-            return process_map(task, [(fn, item) for item in items])
-    """
-
-    DESCRIPTORS_ONLY = """
-        from repro.engine.procpool import process_map
-
-        def task(item):
-            return item
-        def scatter(handles):
-            return process_map(task, [(h, 0, 10) for h in handles])
-    """
-
-    THREAD_POOL_EXEMPT = """
-        from repro.engine.parallel import parallel_map
-
-        def task(item):
-            return item
-        def scatter(items):
-            return parallel_map(task, [(lambda x: x, i) for i in items])
-    """
-
-    def test_fires_on_lambda_in_payload(self):
-        findings = run_rule(
-            "RL014", self.LAMBDA_IN_PAYLOAD, "repro/engine/work.py"
-        )
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_fires_on_callable_param_in_payload(self):
-        findings = run_rule(
-            "RL014", self.CALLABLE_PARAM_IN_PAYLOAD, "repro/engine/work.py"
-        )
-        assert len(findings) == 1
-        assert "callable parameter 'fn'" in findings[0].message
-
-    def test_descriptor_payload_passes(self):
-        findings = run_rule(
-            "RL014", self.DESCRIPTORS_ONLY, "repro/engine/work.py"
-        )
-        assert findings == []
-
-    def test_thread_pool_payloads_out_of_scope(self):
-        # Thread tasks share the address space: nothing pickles.
-        findings = run_rule(
-            "RL014", self.THREAD_POOL_EXEMPT, "repro/engine/work.py"
-        )
-        assert findings == []
-
-
 class TestGraphReportCLI:
     def test_graph_report_writes_json_and_dot(self, tmp_path, capsys):
         target = tmp_path / "graph.json"
@@ -1652,9 +1479,9 @@ class TestGraphReportCLI:
         assert payload["summary"]["submit_edges"] >= 10
         assert payload["summary"]["lock_cycles"] == 0
         assert payload["summary"]["worker_reachable_functions"] > 50
-        # Both pool backends appear among the engine's submission sites.
+        # Pool scatters and HTTP handler threads both reach the engine.
         backends = {e["backend"] for e in payload["submit_edges"]}
-        assert {"thread", "process"} <= backends
+        assert {"thread", "server-thread"} <= backends
         callgraph = target.with_suffix(".json.callgraph.dot").read_text()
         lockorder = target.with_suffix(".json.lockorder.dot").read_text()
         assert callgraph.startswith("digraph callgraph")
@@ -1750,7 +1577,7 @@ class TestGraphRulesSelfHost:
             [
                 str(REPO_ROOT / "src"),
                 "--rules",
-                "RL011,RL012,RL013,RL014",
+                "RL011,RL012,RL013",
                 "--baseline",
                 str(REPO_ROOT / "lint_baseline.json"),
                 "--format",
@@ -1760,14 +1587,7 @@ class TestGraphRulesSelfHost:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0, payload["findings"]
         assert payload["findings"] == []
-        # The only reviewed exceptions are the two by-design RL014
-        # entries in procpool (fn forwarded to workers by contract).
-        assert sorted(
-            (f["rule"], f["symbol"]) for f in payload["baselined"]
-        ) == [
-            ("RL014", "process_map"),
-            ("RL014", "process_map_row_chunks"),
-        ]
+        assert payload["baselined"] == []
 
     def test_rl013_discharges_rl001_baseline_entries(self, capsys):
         # The two RL001 baseline entries (small-group builders bumped by

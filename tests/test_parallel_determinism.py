@@ -22,7 +22,6 @@ from repro.engine.executor import execute
 from repro.engine.parallel import (
     ExecutionOptions,
     set_default_options,
-    shutdown_default_pools,
     shutdown_pool,
 )
 from repro.engine.stats import collect_column_stats
@@ -210,16 +209,13 @@ class TestSkippingDeterminism:
 
 
 class TestExecutorBackendDeterminism:
-    """The ``executor`` knob (serial / thread / process) is a pure
-    throughput knob, exactly like ``max_workers`` and ``chunk_rows``:
-    the process backend scatters the same deterministic work lists and
-    gathers in the same submission order, so every estimate, variance,
-    CI, and ``rows_scanned`` is byte-identical across backends at any
-    worker count and chunk layout."""
+    """The serial loop (``max_workers=1``) and the thread pool scatter
+    the same deterministic work lists and gather in the same submission
+    order, so every estimate, variance, CI, and ``rows_scanned`` is
+    byte-identical between them at any worker count and chunk layout."""
 
     CONFIGS = tuple(
-        ExecutionOptions(max_workers=w, chunk_rows=c, executor=e)
-        for e in ("serial", "thread", "process")
+        ExecutionOptions(max_workers=w, chunk_rows=c)
         for w in (1, 2, 4, 8)
         for c in (512, 2048)
     )
@@ -233,7 +229,7 @@ class TestExecutorBackendDeterminism:
                 previous = before
             answers[index] = answer_fn()
         set_default_options(previous)
-        shutdown_default_pools()
+        shutdown_pool()
         return answers
 
     def test_small_group_answers_identical(self, tiny_tpch):
@@ -260,7 +256,7 @@ class TestExecutorBackendDeterminism:
             execute(tiny_tpch, query, options=options)
             for options in self.CONFIGS
         ]
-        shutdown_default_pools()
+        shutdown_pool()
         for result in results[1:]:
             assert result.rows == results[0].rows
             assert result.raw_counts == results[0].raw_counts
@@ -271,7 +267,7 @@ class TestExecutorBackendDeterminism:
             collect_column_stats(table, options=options)
             for options in self.CONFIGS
         ]
-        shutdown_default_pools()
+        shutdown_pool()
         serial = results[0]
         for stats in results[1:]:
             assert set(stats) == set(serial)
@@ -280,20 +276,18 @@ class TestExecutorBackendDeterminism:
                 assert stats[name].frequencies == column_stats.frequencies
 
     def test_preprocessing_build_identical_across_backends(self, tiny_tpch):
-        # Build the sample layout under each backend; the stored samples
-        # (and therefore any answer) must match the serial build exactly.
+        # Build the sample layout serially and on the thread pool; the
+        # stored samples (and therefore any answer) must match exactly.
         query = parse_query(SG_SQL)
         answers = {}
-        for index, executor in enumerate(("serial", "thread", "process")):
+        for index, workers in enumerate((1, 4)):
             technique = SmallGroupSampling(
                 SmallGroupConfig(base_rate=0.05, seed=7, use_reservoir=False),
-                options=ExecutionOptions(
-                    max_workers=4, chunk_rows=512, executor=executor
-                ),
+                options=ExecutionOptions(max_workers=workers, chunk_rows=512),
             )
             technique.preprocess(tiny_tpch)
             answers[index + 1] = technique.answer(query)
-        shutdown_default_pools()
+        shutdown_pool()
         assert_identical_answers(answers)
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.engine.cache import MISS, ExecutionCache
 from repro.engine.parallel import (
-    EXECUTOR_BACKENDS,
     MAX_POOL_WORKERS,
     ExecutionOptions,
     chunk_ranges,
@@ -18,7 +17,6 @@ from repro.engine.parallel import (
     parallel_map,
     resolve_options,
     set_default_options,
-    shutdown_default_pools,
     shutdown_pool,
 )
 from repro.errors import QueryError
@@ -60,32 +58,9 @@ class TestExecutionOptions:
         finally:
             assert set_default_options(previous).max_workers == 2
 
-    def test_executor_defaults_to_thread(self):
-        assert ExecutionOptions().executor == "thread"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(QueryError):
-            ExecutionOptions(executor="fibers")
-
-    def test_every_backend_name_is_accepted(self):
-        assert EXECUTOR_BACKENDS == ("serial", "thread", "process")
-        for backend in EXECUTOR_BACKENDS:
-            assert ExecutionOptions(executor=backend).executor == backend
-
-    def test_serial_executor_forces_one_worker(self):
-        options = ExecutionOptions(max_workers=8, executor="serial")
-        assert options.workers == 1
-        assert not options.uses_processes
-
-    def test_uses_processes_requires_backend_and_parallelism(self):
-        assert ExecutionOptions(max_workers=4, executor="process").uses_processes
-        assert not ExecutionOptions(max_workers=1, executor="process").uses_processes
-        assert not ExecutionOptions(max_workers=4, executor="thread").uses_processes
-
-    def test_shutdown_default_pools_is_idempotent(self):
-        # Covers both pools whether or not they (or procpool) ever started.
-        shutdown_default_pools()
-        shutdown_default_pools()
+    def test_shutdown_pool_is_idempotent(self):
+        shutdown_pool()
+        shutdown_pool()
         assert parallel_map(lambda x: x + 1, [1, 2, 3], 2) == [2, 3, 4]
 
 

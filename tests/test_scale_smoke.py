@@ -36,17 +36,14 @@ def test_preprocess_scale(big_tpch):
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"preprocess took {elapsed:.1f}s"
     assert report.sample_rows > 0
-    # Query latency stays milliseconds at this scale.
+    # The paper's cost claim: an approximate answer reads the sample
+    # tables only, far fewer rows than the exact scan of the fact table.
     query = parse_query(
         "SELECT l_shipmode, p_brand, COUNT(*) AS cnt FROM lineitem "
         "GROUP BY l_shipmode, p_brand"
     )
-    start = time.perf_counter()
     answer = technique.answer(query)
-    approx_elapsed = time.perf_counter() - start
-    start = time.perf_counter()
     exact = execute(big_tpch, query)
-    exact_elapsed = time.perf_counter() - start
     assert answer.n_groups > 0
     assert exact.n_groups >= answer.n_groups
-    assert approx_elapsed < exact_elapsed
+    assert answer.rows_scanned < big_tpch.fact_table.n_rows

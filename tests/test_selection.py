@@ -44,7 +44,7 @@ from repro.engine.expressions import (
 from repro.engine.parallel import (
     ExecutionOptions,
     set_default_options,
-    shutdown_default_pools,
+    shutdown_pool,
 )
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats
@@ -295,9 +295,9 @@ class TestSketchFastPath:
         _, stats = self._run(db, NARROW_SQL, ExecutionOptions(chunk_rows=25))
         assert not stats.sketch_hit
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_sketch_answers_identical_across_backends(self, executor, workers):
+    def test_sketch_answers_identical_across_backends(self, backend, workers):
         db = clustered_db()
         base_options = ExecutionOptions(chunk_rows=50)
         baseline, _ = self._run(db, NARROW_SQL, base_options)
@@ -305,12 +305,12 @@ class TestSketchFastPath:
         sel.reset_sketch_store()
 
         options = ExecutionOptions(
-            chunk_rows=50, executor=executor, max_workers=workers
+            chunk_rows=50, max_workers=workers if backend == "thread" else 1
         )
         self._run(db, WIDE_SQL, options)
         get_cache().clear()  # force re-evaluation through the sketch
         result, stats = self._run(db, NARROW_SQL, options)
-        shutdown_default_pools()
+        shutdown_pool()
         assert stats.sketch_hit
         assert result.rows == baseline.rows
         assert result.raw_counts == baseline.raw_counts
@@ -568,35 +568,25 @@ class TestBudgetedSelection:
             get_cache().clear()
             answers[index] = technique.answer(query)
         set_default_options(previous)
-        shutdown_default_pools()
+        shutdown_pool()
         assert_identical_answers(answers)
 
     CONFIGS = (
         ExecutionOptions(
             max_workers=1,
             chunk_rows=64,
-            executor="serial",
             chunk_selection=True,
             selection_budget=256,
         ),
         ExecutionOptions(
             max_workers=4,
             chunk_rows=64,
-            executor="thread",
             chunk_selection=True,
             selection_budget=256,
         ),
         ExecutionOptions(
             max_workers=8,
             chunk_rows=64,
-            executor="thread",
-            chunk_selection=True,
-            selection_budget=256,
-        ),
-        ExecutionOptions(
-            max_workers=4,
-            chunk_rows=64,
-            executor="process",
             chunk_selection=True,
             selection_budget=256,
         ),
@@ -625,7 +615,7 @@ class TestBudgetedSelection:
             answers[index] = technique.answer(query)
             assert registry.counter("selection.plans") > plans_before, index
         set_default_options(previous)
-        shutdown_default_pools()
+        shutdown_pool()
         assert_identical_answers(answers)
         # The budget bound at least one piece: the answer is genuinely
         # a budgeted estimate, not a degenerate full scan.

@@ -13,9 +13,9 @@ contracts:
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
-* Swept across the ``serial`` and ``thread`` piece-execution backends:
-  the serving layer's locking must compose with the engine's own
-  parallelism.
+* Swept across serial (``max_workers=1``) and thread-pool piece
+  execution: the serving layer's locking must compose with the engine's
+  own parallelism.
 """
 
 from __future__ import annotations
@@ -97,10 +97,14 @@ def _serial_replay(options: ExecutionOptions) -> tuple[str, str]:
         session.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_append_vs_read_storm(executor):
+#: Piece-execution worker count per swept backend.
+BACKEND_WORKERS = {"serial": 1, "thread": 2}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_WORKERS))
+def test_append_vs_read_storm(backend):
     options = ExecutionOptions(
-        executor=executor, chunk_rows=CHUNK_ROWS, max_workers=2
+        chunk_rows=CHUNK_ROWS, max_workers=BACKEND_WORKERS[backend]
     )
     baseline = _serial_replay(options)
 
@@ -175,7 +179,7 @@ def test_append_vs_read_storm(executor):
         # serial replay of the same appends.
         assert _final_answers(session) == baseline, (
             f"post-storm answers drifted from serial replay "
-            f"(executor={executor})"
+            f"(backend={backend})"
         )
     finally:
         done.set()
