@@ -1,34 +1,18 @@
-"""Chunk-selection benchmark: provenance sketches + budgeted selection.
+"""Provenance-sketch benchmark: repeated-template sketch reuse.
 
-Two workloads, emitting ``BENCH_selection.json`` at the repo root:
-
-* **Repeated-template (sketch) workload** — a table laid out so zone
-  maps are useless: every chunk carries low/high sentinel rows, so each
-  chunk's ``[min, max]`` spans the whole domain and every BETWEEN
-  verdict is UNKNOWN, while the bulk values stay clustered.  Zone-map
-  skipping alone therefore touches every row; after one evaluation
-  records the realized chunk set, re-executions of the same template
-  (equal or dominated parameters) scan only the sketched chunks.  The
-  gate is deterministic: >= 5x rows-touched reduction over zone-map
-  skipping alone, with byte-identical answers.
-
-* **Budgeted-selection workload** — SmallGroup sampling answers a
-  grouped SUM/COUNT under ``chunk_selection`` at three row budgets.
-  For each budget the benchmark records the rows actually touched and
-  the per-group error against the exact answer, and gates that >= 90%
-  of groups cover the truth with their 95% confidence intervals,
-  averaged over several selection seeds (one draw is a handful of
-  correlated Bernoulli trials; the seed average is what measures CI
-  calibration) — the Horvitz–Thompson reweighting must keep the CI
-  machinery honest while the budget shrinks the scan.
+Emits ``BENCH_selection.json`` at the repo root.  The table is laid out
+so zone maps are useless: every chunk carries low/high sentinel rows, so
+each chunk's ``[min, max]`` spans the whole domain and every BETWEEN
+verdict is UNKNOWN, while the bulk values stay clustered.  Zone-map
+skipping alone therefore touches every row; after one evaluation
+records the realized chunk set, re-executions of the same template
+(equal or dominated parameters) scan only the sketched chunks.  The
+gate is deterministic: >= 5x rows-touched reduction over zone-map
+skipping alone, with byte-identical answers.
 
 Sizes honour ``REPRO_BENCH_ROWS`` (default 60000) so the CI smoke step
 runs the same code path in seconds.  Wall times are reported for
-context but not gated (timing noise on loaded runners), and the
-coverage gate — like the timing gates in ``test_skipping.py`` — only
-runs at full size: at smoke sizes the budget draws only one or two
-chunks per piece, where the row-level variance model cannot see the
-cluster structure and the nominal level is unreachable by design.
+context but not gated (timing noise on loaded runners).
 """
 
 from __future__ import annotations
@@ -40,12 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
-from repro.datagen.synthetic import (
-    CategoricalSpec,
-    MeasureSpec,
-    generate_flat_table,
-)
 from repro.engine import selection as sel
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
@@ -56,14 +34,9 @@ from repro.engine.expressions import (
     Between,
     Query,
 )
-from repro.engine.parallel import (
-    ExecutionOptions,
-    set_default_options,
-    shutdown_pool,
-)
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats
-from repro.sql.parser import parse_query
 
 ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "60000"))
 CHUNK_ROWS = max(256, ROWS // 60)
@@ -75,9 +48,6 @@ AGGREGATES = (
 )
 
 
-# ----------------------------------------------------------------------
-# Workload 1: repeated-template sketch reuse
-# ----------------------------------------------------------------------
 def _sentinel_db() -> Database:
     """Clustered bulk values with per-chunk sentinels defeating zone maps.
 
@@ -185,123 +155,9 @@ def _sketch_workload(payload: dict) -> None:
     assert reduction >= 5.0, payload["sketch"]
 
 
-# ----------------------------------------------------------------------
-# Workload 2: budgeted selection error-vs-rows-touched curve
-# ----------------------------------------------------------------------
-SPEC = dict(
-    categoricals=[
-        CategoricalSpec("color", 40, 1.2),
-        CategoricalSpec("status", 4, 0.8),
-    ],
-    measures=[MeasureSpec("amount", distribution="lognormal")],
-)
-BASE_RATE = 0.1
-SELECTION_SEEDS = 6
-#: The coverage gate needs enough rows that each budget draws several
-#: chunks per piece; below this the gate is recorded but not asserted.
-COVERAGE_GATE_MIN_ROWS = 20000
-SELECTION_SQL = (
-    "SELECT color, COUNT(*) AS cnt, SUM(amount) AS total "
-    "FROM flat WHERE amount >= 0.0 GROUP BY color"
-)
-
-
-def _budgets(sample_rows: int) -> tuple[int, int, int]:
-    return (
-        max(1, sample_rows // 8),
-        max(1, sample_rows // 4),
-        max(1, sample_rows // 2),
-    )
-
-
-def _budgeted_workload(payload: dict) -> None:
-    db = Database([generate_flat_table("flat", ROWS, seed=13, **SPEC)])
-    sample_chunk = max(64, ROWS // 250)
-    technique = SmallGroupSampling(
-        SmallGroupConfig(base_rate=BASE_RATE, use_reservoir=False, seed=13)
-    )
-    technique.preprocess(db)
-    query = parse_query(SELECTION_SQL)
-
-    truth_result = execute(db, query, options=ExecutionOptions())
-    agg_names = truth_result.aggregate_names
-    truth = {
-        group: dict(zip(agg_names, row))
-        for group, row in truth_result.rows.items()
-    }
-
-    curve = []
-    previous = None
-    for budget in _budgets(int(ROWS * BASE_RATE)):
-        coverages = []
-        rows_touched = []
-        errors = []
-        for seed in range(SELECTION_SEEDS):
-            before = set_default_options(
-                ExecutionOptions(
-                    chunk_rows=sample_chunk,
-                    chunk_selection=True,
-                    selection_budget=budget,
-                    selection_seed=seed,
-                )
-            )
-            if previous is None:
-                previous = before
-            sel.reset_sketch_store()
-            get_cache().clear()
-            answer = technique.answer(query)
-            report = answer.skip_report
-            assert report is not None and report.pieces_selected > 0, budget
-            rows_touched.append(report.rows_touched)
-
-            covered = 0
-            checked = 0
-            for group, agg_truth in truth.items():
-                for name in agg_names:
-                    checked += 1
-                    if group not in answer.groups:
-                        continue  # a missing group cannot cover the truth
-                    lo, hi = answer.confidence_interval(group, name)
-                    true_value = agg_truth[name]
-                    if lo <= true_value <= hi:
-                        covered += 1
-                    if true_value:
-                        estimate = answer.estimate(group, name).value
-                        errors.append(
-                            abs(estimate - true_value) / abs(true_value)
-                        )
-            coverages.append(covered / max(1, checked))
-        curve.append(
-            {
-                "budget": budget,
-                "rows_touched": int(np.mean(rows_touched)),
-                "ci95_coverage": round(float(np.mean(coverages)), 4),
-                "ci95_coverage_min_seed": round(min(coverages), 4),
-                "mean_relative_error": round(
-                    float(np.mean(errors)) if errors else 0.0, 6
-                ),
-                "groups": len(truth),
-                "selection_seeds": SELECTION_SEEDS,
-            }
-        )
-    set_default_options(previous)
-    shutdown_pool()
-
-    gated = ROWS >= COVERAGE_GATE_MIN_ROWS
-    payload["budgeted"] = {
-        "sample_chunk_rows": sample_chunk,
-        "base_rate": BASE_RATE,
-        "coverage_gate_ran": gated,
-        "curve": curve,
-    }
-    if gated:
-        for point in curve:
-            assert point["ci95_coverage"] >= 0.9, point
-
-
 def test_selection():
     payload: dict = {
-        "benchmark": "chunk_selection",
+        "benchmark": "provenance_sketch",
         "rows": ROWS,
         "chunk_rows": CHUNK_ROWS,
         "query_batch": QUERY_BATCH,
@@ -309,7 +165,6 @@ def test_selection():
     }
     try:
         _sketch_workload(payload)
-        _budgeted_workload(payload)
     finally:
         out = Path(__file__).resolve().parents[1] / "BENCH_selection.json"
         out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -8,7 +8,7 @@ Emits ``BENCH_serving.json`` (QPS and p50/p99 latency per client count)
 at the repo root.
 
 Two different assertions, in the same spirit as
-``benchmarks/test_parallel_scaling.py``:
+``benchmarks/test_skipping.py``:
 
 * **Determinism is unconditional**: every answer served during the
   concurrent legs must be byte-identical (same ``fingerprint``) to a

@@ -7,7 +7,7 @@ for) and *shuffled* (a fixed permutation of the same rows, the
 adversarial layout where chunk min/max spans everything) — and emits
 ``BENCH_skipping.json`` at the repo root.
 
-Two different assertions, mirroring ``test_parallel_scaling.py``:
+Two different assertions, mirroring ``test_serving.py``:
 
 * **Correctness and rows-touched are unconditional**: answers must be
   identical with skipping on and off, and on clustered data the
@@ -15,9 +15,9 @@ Two different assertions, mirroring ``test_parallel_scaling.py``:
   (that is the whole point of the subsystem, and it is a deterministic
   property of the zone maps, not of the hardware).
 * **Wall time is hardware-gated**: the timing assertion only runs on
-  machines with >= 4 CPUs, like the parallel-scaling gate — loaded CI
-  runners and single-core boxes produce timing noise larger than the
-  microsecond-scale scan savings at smoke sizes.
+  machines with >= 4 CPUs — loaded CI runners and single-core boxes
+  produce timing noise larger than the microsecond-scale scan savings
+  at smoke sizes.
 
 Each timed call executes a *batch* of epsilon-varied predicates so the
 measured region is comfortably above timer resolution and none of the

@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker threads for piece execution and chunked preprocessing "
-            "(1 = serial, 0 = one per CPU); answers are identical for any "
-            "value"
+            "worker threads for chunked preprocessing and star-join "
+            "gathers (1 = serial, 0 = one per CPU); answers are identical "
+            "for any value"
         ),
     )
     parser.add_argument(
@@ -161,33 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rows per execution chunk (zone-map granularity); answers are "
             "identical for any value"
         ),
-    )
-    parser.add_argument(
-        "--chunk-selection",
-        action="store_true",
-        help=(
-            "PS3-style weighted chunk selection on approximate scans: "
-            "draw a budgeted chunk subset scored from the zone maps and "
-            "reweight with Horvitz-Thompson inverse-inclusion weights; "
-            "changes approximate answers (trades rows touched for "
-            "variance), never exact ones; deterministic for a fixed "
-            "seed+budget at any worker count"
-        ),
-    )
-    parser.add_argument(
-        "--selection-budget",
-        type=int,
-        default=65536,
-        help=(
-            "rows-touched budget per piece for --chunk-selection; the "
-            "draw only engages when the eligible rows exceed it"
-        ),
-    )
-    parser.add_argument(
-        "--selection-seed",
-        type=int,
-        default=0,
-        help="seed for the --chunk-selection weighted draw",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("list", help="list reproducible figures/tables")
@@ -431,9 +404,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ExecutionOptions(
             max_workers=args.max_workers,
             chunk_rows=args.chunk_rows,
-            chunk_selection=args.chunk_selection,
-            selection_budget=args.selection_budget,
-            selection_seed=args.selection_seed,
         )
     )
     if args.command == "sql":
@@ -593,16 +563,13 @@ def _run_stats(args) -> int:
             for kind, c in sorted(kinds.items())
         ]
         print(format_table(["cache kind", "hits", "misses", "rate"], rows))
-    # Chunk-selection summary: always printed (zeros included) so a run
-    # can confirm the sketch/selection machinery did or did not engage.
+    # Provenance-sketch summary: always printed (zeros included) so a run
+    # can confirm the sketch machinery did or did not engage.
     counter = get_registry().counter
     print(
         "selection: "
         f"sketch_hits={counter('selection.sketch_hits'):g} "
-        f"sketch_misses={counter('selection.sketch_misses'):g} "
-        f"plans={counter('selection.plans'):g} "
-        f"chunks_selected={counter('selection.chunks_selected'):g}"
-        f"/{counter('selection.chunks_eligible'):g} eligible"
+        f"sketch_misses={counter('selection.sketch_misses'):g}"
     )
     # Incremental-ingestion summary, same always-printed discipline.
     print(

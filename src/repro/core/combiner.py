@@ -23,7 +23,7 @@ statistics).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
 from repro.core.rewriter import SamplePiece, pieces_to_sql
@@ -34,12 +34,7 @@ from repro.engine.executor import (
 )
 from repro.engine.deadline import Deadline
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
-from repro.engine.parallel import (
-    ExecutionOptions,
-    parallel_map,
-    resolve_options,
-)
-from repro.engine.selection import ChunkSelectionPlan, plan_chunk_selection
+from repro.engine.parallel import ExecutionOptions, resolve_options
 from repro.engine.zonemap import (
     PieceSkipStats,
     SkipReport,
@@ -143,53 +138,6 @@ def _plan_components(
     return components, outputs
 
 
-def _execute_one_piece(
-    item: tuple[
-        SamplePiece,
-        Query,
-        PieceSkipStats,
-        ExecutionOptions,
-        Span,
-        "ChunkSelectionPlan | None",
-        "Deadline | None",
-    ],
-):
-    """Aggregate one rewritten piece (the unit of work scattered to the
-    worker pool).
-
-    Pure function of its piece: it reads sample tables and the execution
-    cache (both thread-safe) and mutates no shared engine state — the
-    property lint rule RL007 enforces for everything submitted to the
-    pool.  The skip-stats and span objects it fills in are freshly
-    allocated per piece and owned by this task alone.  The selection
-    plan (if any) was computed serially in the parent before the
-    scatter, so the drawn chunk subset never depends on pool timing.
-
-    The deadline (if any) is checked once at the head of the task: an
-    expired request stops starting new pieces (serial loop: the
-    remaining pieces never run; thread pool: queued tasks fail fast),
-    and the raise propagates through the gather.  Reading the deadline
-    is a pure, answer-neutral operation — a piece either runs
-    identically to an unbounded run or raises.
-    """
-    piece, exec_query, stats, options, piece_span, plan, deadline = item
-    if deadline is not None:
-        deadline.check(f"piece {stats.description}")
-    with piece_span:
-        return aggregate_table(
-            piece.table,
-            exec_query,
-            weights=piece.weights,
-            scale=piece.scale,
-            collect_variance_stats=not piece.zero_variance,
-            variance_weights=piece.variance_weights,
-            options=options,
-            skip_stats=stats,
-            span=piece_span,
-            selection_plan=plan,
-        )
-
-
 def execute_pieces(
     pieces: list[SamplePiece],
     technique: str,
@@ -201,24 +149,19 @@ def execute_pieces(
     """Execute rewritten pieces and combine them into an answer.
 
     The pieces are independent strata (the paper's UNION ALL branches),
-    so they scatter across the shared worker pool when
-    ``options.max_workers > 1``.  The gather is by piece index: partial
-    per-group results are folded in the original piece order regardless
-    of completion order, so the floating-point accumulation associates
-    exactly as in the serial loop and the answer is byte-identical for
-    any worker count.
+    each a scan of a small sample table, so they run in one serial loop
+    on the calling thread; partial per-group results are folded in piece
+    order, so the floating-point accumulation — and the answer — is the
+    same at any ``options.max_workers``.
 
-    ``span`` (when profiling) gains one ``piece:*`` child per piece —
-    created serially before the scatter and written only by the task
-    that owns it (the RL007 purity discipline) — plus a ``combine``
-    child; the span tree rides on the answer as ``ApproxAnswer.trace``.
-    Spans are write-only in this layer (RL009), so answers are
-    byte-identical with profiling on or off.
+    ``span`` (when profiling) gains one ``piece:*`` child per piece plus
+    a ``combine`` child; the span tree rides on the answer as
+    ``ApproxAnswer.trace``.  Spans are write-only in this layer (RL009),
+    so answers are byte-identical with profiling on or off.
 
-    ``deadline`` (if any) is enforced at piece granularity: checked in
-    the serial pre-scatter loop, at the head of every piece task, and
-    before the combine.  An expired deadline raises
-    :class:`~repro.errors.DeadlineExceeded`; there are no partial
+    ``deadline`` (if any) is enforced at piece granularity: checked
+    before every piece and before the combine.  An expired deadline
+    raises :class:`~repro.errors.DeadlineExceeded`; there are no partial
     answers, so determinism guarantees are unaffected.
     """
     if not pieces:
@@ -258,76 +201,56 @@ def execute_pieces(
 
     # Piece pruning: a piece whose every chunk refutes the WHERE would
     # aggregate an all-false mask into zero groups — substitute that
-    # empty partial outright and never submit the piece to the pool.
+    # empty partial outright and never scan the piece.
     # ``rows_scanned`` still counts the piece's rows (the §4.2.2 cost
     # model charges for what is *stored* in the plan, and the answer
     # must be byte-identical with skipping off); the saved work shows up
     # as ``rows_touched`` in the skip report instead.
     skip_report = SkipReport(enabled=options.data_skipping)
     span.annotate(pieces=len(exec_pieces))
-    # Budgeted chunk-selection plans are drawn here, serially and in
-    # piece-index order, at every worker count: a plan drawn inside a pool
-    # task would see whatever sketch history concurrent siblings had
-    # already recorded, making the chunk draw depend on scheduling.  The
-    # pieces then run with ``chunk_selection`` off so no task re-plans.
-    piece_options = options
-    if options.chunk_selection:
-        piece_options = replace(options, chunk_selection=False)
-    piece_results: list[GroupedResult | None] = [None] * len(exec_pieces)
-    submitted: list[tuple[int, tuple[SamplePiece, Query, PieceSkipStats, ExecutionOptions, Span, ChunkSelectionPlan | None, Deadline | None]]] = []
-    for idx, (piece, exec_query) in enumerate(exec_pieces):
-        if deadline is not None:
-            deadline.check("piece planning")
+    piece_results: list[GroupedResult] = []
+    executed = 0
+    for piece, exec_query in exec_pieces:
         description = piece.description or piece.table.name
+        if deadline is not None:
+            deadline.check(f"piece {description}")
         stats = PieceSkipStats(
             description=description,
             rows_total=piece.table.n_rows,
         )
         skip_report.pieces.append(stats)
-        # Per-piece spans are created serially here, before the scatter,
-        # so each pool task mutates only the one span it owns (RL007).
-        piece_span = span.child(f"piece:{description}")
-        if (
-            options.data_skipping
-            and exec_query.where is not None
-            and predicate_always_false(piece.table, exec_query.where, options)
-        ):
-            stats.pruned = True
-            piece_span.annotate(pruned=True, rows=piece.table.n_rows)
-            piece_results[idx] = GroupedResult(
-                group_columns=exec_query.group_by,
-                aggregate_names=component_names,
-                rows={},
-            )
-            continue
-        plan = None
-        if options.chunk_selection and not piece.zero_variance:
-            plan = plan_chunk_selection(piece.table, exec_query.where, options)
-        submitted.append(
-            (
-                idx,
-                (
-                    piece,
+        with span.child(f"piece:{description}") as piece_span:
+            if (
+                options.data_skipping
+                and exec_query.where is not None
+                and predicate_always_false(
+                    piece.table, exec_query.where, options
+                )
+            ):
+                stats.pruned = True
+                piece_span.annotate(pruned=True, rows=piece.table.n_rows)
+                result = GroupedResult(
+                    group_columns=exec_query.group_by,
+                    aggregate_names=component_names,
+                    rows={},
+                )
+            else:
+                result = aggregate_table(
+                    piece.table,
                     exec_query,
-                    stats,
-                    piece_options,
-                    piece_span,
-                    plan,
-                    deadline,
-                ),
-            )
-        )
-    gathered = parallel_map(
-        _execute_one_piece,
-        [item for _, item in submitted],
-        options.workers,
-        span=span,
-    )
-    for (idx, _), result in zip(submitted, gathered):
-        piece_results[idx] = result
+                    weights=piece.weights,
+                    scale=piece.scale,
+                    collect_variance_stats=not piece.zero_variance,
+                    variance_weights=piece.variance_weights,
+                    options=options,
+                    skip_stats=stats,
+                    span=piece_span,
+                )
+                executed += 1
+        piece_results.append(result)
     registry = get_registry()
-    registry.incr("combiner.pieces_executed", len(submitted))
-    registry.incr("combiner.pieces_pruned", len(exec_pieces) - len(submitted))
+    registry.incr("combiner.pieces_executed", executed)
+    registry.incr("combiner.pieces_pruned", len(exec_pieces) - executed)
     if deadline is not None:
         deadline.check("combine")
     combine_started = time.perf_counter()

@@ -4,17 +4,17 @@ The serving layer (``repro.server``) admits each request with an
 optional deadline — the BlinkDB-style ``WITHIN t SECONDS`` contract at
 the transport level.  A :class:`Deadline` is a small immutable expiry
 anchored on the monotonic clock; the session and the piece combiner call
-:meth:`Deadline.check` at well-defined *serial* points (after parse,
-before planning, at the head of each piece task, before the combine), so
-an expired request stops submitting new work instead of running to
-completion and discarding the answer.
+:meth:`Deadline.check` at well-defined points (after parse, before
+planning, before each piece, before the combine), so an expired request
+stops starting new work instead of running to completion and discarding
+the answer.
 
 Deadlines are answer-neutral by construction: a checkpoint either passes
 or raises :class:`~repro.errors.DeadlineExceeded` — there is no partial
 answer, so the byte-identical determinism guarantees are untouched.
-Checks happen at piece/stage granularity: work already running on a pool
-worker is never interrupted mid-kernel (numpy calls are not preemptible
-anyway).
+Checks happen at piece/stage granularity: a piece already being
+aggregated is never interrupted mid-kernel (numpy calls are not
+preemptible anyway).
 
 ``time.perf_counter`` is the clock: monotonic, and explicitly exempt
 from lint rule RL003 because elapsed time here is *control flow about

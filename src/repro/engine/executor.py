@@ -43,7 +43,6 @@ from repro.engine.table import Table
 from repro.engine import zonemap
 from repro.engine import selection as selection_lib
 from repro.errors import QueryError
-from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
 
 GroupKey = tuple[Any, ...]
@@ -418,54 +417,6 @@ def _sketch_mask(
     return mask
 
 
-def _selection_keep_mask(
-    table: Table,
-    predicate,
-    plan: "selection_lib.ChunkSelectionPlan",
-    options: ExecutionOptions,
-    stats: "zonemap.PieceSkipStats | None",
-) -> np.ndarray:
-    """Row-keep mask restricted to a budgeted selection plan's chunks.
-
-    The mask is a *partial* view of the predicate — rows in unselected
-    chunks stay False even where they match — so it is never cached and
-    never recorded as a provenance sketch; the Horvitz–Thompson weights
-    from the plan are what keep downstream estimates unbiased.
-    """
-    ranges = chunk_ranges(table.n_rows, options.chunk_rows)
-    mask = np.zeros(table.n_rows, dtype=bool)
-    accepted = scanned = touched = 0
-    for chunk, verdict in zip(plan.chunk_indices, plan.verdicts):
-        start, stop = ranges[int(chunk)]
-        if predicate is None or verdict == zonemap.VERDICT_ALL_TRUE:
-            mask[start:stop] = True
-            accepted += 1
-        else:
-            mask[start:stop] = predicate.evaluate_range(table, start, stop)
-            scanned += 1
-            touched += stop - start
-    lo, hi = plan.ht_weight_range
-    if stats is not None:
-        stats.rows_total = table.n_rows
-        stats.selection_applied = True
-        stats.chunks_eligible = plan.n_eligible
-        stats.chunks_selected = len(plan.chunk_indices)
-        stats.ht_weight_min = lo
-        stats.ht_weight_max = hi
-        stats.observe_chunks(
-            n_chunks=plan.n_chunks,
-            skipped=plan.n_chunks - len(plan.chunk_indices),
-            accepted=accepted,
-            scanned=scanned,
-            rows_touched=touched,
-        )
-    registry = get_registry()
-    registry.incr("selection.rows_touched", touched)
-    if lo > 0:
-        registry.observe("selection.ht_weight_spread", hi / lo)
-    return mask
-
-
 def aggregate_table(
     table: Table,
     query: Query,
@@ -476,7 +427,6 @@ def aggregate_table(
     options: ExecutionOptions | None = None,
     skip_stats: "zonemap.PieceSkipStats | None" = None,
     span: Span = NULL_SPAN,
-    selection_plan: "selection_lib.ChunkSelectionPlan | None" = None,
 ) -> GroupedResult:
     """Aggregate a flat table that already matches the query's FROM clause.
 
@@ -511,15 +461,6 @@ def aggregate_table(
     span:
         Write-only profiling span (:data:`~repro.obs.trace.NULL_SPAN`
         when profiling is off); gains row/group counts for this scan.
-    selection_plan:
-        Optional pre-computed budgeted chunk-selection plan
-        (:class:`~repro.engine.selection.ChunkSelectionPlan`).  When
-        ``options.chunk_selection`` is on and variance stats are being
-        collected (i.e. this is an approximate scan), a plan restricts
-        the scan to a weighted chunk subset and folds the
-        Horvitz–Thompson inverse-inclusion weights into ``weights`` and
-        ``variance_weights`` so the estimates stay unbiased.  ``None``
-        computes the plan here; exact scans never use one.
     """
     options = resolve_options(options)
     if weights is not None and len(weights) != table.n_rows:
@@ -535,33 +476,12 @@ def aggregate_table(
     # values are taken on the selected rows only — never by materialising a
     # filtered copy of every column (the seed's ``table.take``).
     selection: np.ndarray | None = None
-    plan = selection_plan
-    if (
-        plan is None
-        and options.chunk_selection
-        and collect_variance_stats
-    ):
-        plan = selection_lib.plan_chunk_selection(table, query.where, options)
     if skip_stats is not None:
         skip_stats.rows_total = table.n_rows
-        if query.where is None and plan is None:
+        if query.where is None:
             # No WHERE: every row is aggregated, nothing to skip.
             skip_stats.observe_full_scan()
-    if plan is not None:
-        keep = _selection_keep_mask(
-            table, query.where, plan, options, skip_stats
-        )
-        ht = selection_lib.ht_row_weights(
-            plan, table.n_rows, options.chunk_rows
-        )
-        weights = ht if weights is None else weights * ht
-        if variance_weights is not None:
-            variance_weights = variance_weights * ht * ht
-        selection = np.flatnonzero(keep)
-        weights = weights[selection]
-        if variance_weights is not None:
-            variance_weights = variance_weights[selection]
-    elif query.where is not None:
+    if query.where is not None:
         keep = _predicate_mask(table, query.where, options, stats=skip_stats)
         selection = np.flatnonzero(keep)
         if weights is not None:

@@ -1,10 +1,11 @@
 """Parallel execution subsystem: shared worker pool + deterministic scatter/gather.
 
-The paper's §4.2.2 rewrite turns one query into a UNION ALL of
-*independent* pieces — one per selected small-group table plus the
-scaled overall-sample part — and the two pre-processing scans are
-embarrassingly parallel over row ranges.  This module provides the
-shared machinery both sides use:
+Pre-processing scans, zone-map builds and column statistics are
+embarrassingly parallel over row ranges, and an exact star join gathers
+its dimension columns independently.  (The §4.2.2 query pieces are not
+scattered: each scans a small sample table, so the combiner runs them
+in a serial loop.)  This module provides the shared machinery these
+sites use:
 
 * :class:`ExecutionOptions` — the knob object (``max_workers``,
   preprocessing ``chunk_rows``) threaded through the executor, the
@@ -65,8 +66,8 @@ class ExecutionOptions:
     Attributes
     ----------
     max_workers:
-        Worker threads used to scatter independent work (query pieces,
-        pre-processing chunks).  ``1`` (the default) executes serially on
+        Worker threads used to scatter independent work (pre-processing
+        chunks, star-join column gathers).  ``1`` (the default) executes serially on
         the calling thread — the pool is never started.  ``0`` means
         "one per CPU" (``os.cpu_count()``).
     chunk_rows:
@@ -78,23 +79,6 @@ class ExecutionOptions:
         summaries (see :mod:`repro.engine.zonemap`) to skip chunks a
         predicate provably cannot match.  Answers are byte-identical
         either way; the flag exists for benchmarking and debugging.
-    chunk_selection:
-        Opt-in PS3-style budgeted chunk selection (see
-        :mod:`repro.engine.selection`): approximate sample pieces draw a
-        weighted without-replacement subset of their surviving chunks
-        under ``selection_budget`` and Horvitz–Thompson-reweight the
-        aggregates so estimates stay unbiased.  Unlike ``data_skipping``
-        this changes (approximate) answers — it trades rows touched for
-        variance — so it is off by default.  Exact execution paths
-        ignore it.
-    selection_budget:
-        Approximate row budget per table scan when ``chunk_selection``
-        is on.  Selection only engages when the budget is actually
-        binding (eligible rows exceed it); otherwise the full scan runs
-        and answers are identical to ``chunk_selection=False``.
-    selection_seed:
-        Seed for the selection draw.  Fixed seed + fixed budget →
-        byte-identical answers at any ``max_workers``.
     incremental_appends:
         Whether ``Database.append_rows`` emits a structured append event
         (:class:`repro.engine.cache.AppendEvent`) so derived structures
@@ -111,9 +95,6 @@ class ExecutionOptions:
     max_workers: int = 1
     chunk_rows: int = 65536
     data_skipping: bool = True
-    chunk_selection: bool = False
-    selection_budget: int = 65536
-    selection_seed: int = 0
     incremental_appends: bool = True
 
     def __post_init__(self) -> None:
@@ -124,14 +105,6 @@ class ExecutionOptions:
         if self.chunk_rows < 1:
             raise QueryError(
                 f"chunk_rows must be >= 1, got {self.chunk_rows}"
-            )
-        if self.selection_budget < 1:
-            raise QueryError(
-                f"selection_budget must be >= 1, got {self.selection_budget}"
-            )
-        if self.selection_seed < 0:
-            raise QueryError(
-                f"selection_seed must be >= 0, got {self.selection_seed}"
             )
 
     @property

@@ -1,11 +1,9 @@
-"""Chunk selection: provenance-sketch caching + PS3-style weighted selection.
+"""Provenance sketches: exact-equivalent chunk selection for WHERE.
 
-Two cooperating layers sit between the zone maps and the executor's
-chunk-wise WHERE evaluation (see :mod:`repro.engine.zonemap`):
-
-**Provenance sketches** (Liu, "Cost-based Selection of Provenance
-Sketches for Data Skipping") — an *exact-equivalent* fast path.  After a
-query evaluates, the executor records which chunks actually produced
+Sketches sit between the zone maps and the executor's chunk-wise WHERE
+evaluation (see :mod:`repro.engine.zonemap`), after Liu, "Cost-based
+Selection of Provenance Sketches for Data Skipping".  After a query
+evaluates, the executor records which chunks actually produced
 matching rows (the *realized* chunk-relevance set), keyed by a
 normalized query template: the predicate tree with constants extracted,
 so ``x BETWEEN 10 AND 20`` and ``x BETWEEN 30 AND 40`` share one
@@ -15,19 +13,6 @@ superset — e.g. a wider BETWEEN interval) proves that chunks outside
 the sketch contain no matching rows, so the executor scans only the
 sketched chunks and skips verdict evaluation entirely.  Answers are
 byte-identical to the non-sketch path.
-
-**PS3-style weighted selection** (Rong et al., "Approximate Partition
-Selection using Summary Statistics") — an *approximate* fast path,
-opt-in via :attr:`ExecutionOptions.chunk_selection`.  Chunks are scored
-from the zone-map summaries (predicate-overlap fraction, distinct-code
-density, historical sketch hit counts) and a without-replacement
-weighted subset is drawn under a rows budget with systematic
-probability-proportional-to-size sampling.  The executor then
-Horvitz–Thompson-reweights every selected row by ``1 / π(chunk)`` so
-SUM/COUNT/AVG estimates stay unbiased and the per-group CI machinery
-stays honest.  The draw is a pure function of the summaries, the
-history, and ``selection_seed`` — never of worker count — so answers
-are byte-identical at any ``max_workers``.
 
 Invalidation discipline
 -----------------------
@@ -51,7 +36,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine import zonemap
 from repro.engine.cache import (
     AppendEvent,
     add_append_listener,
@@ -69,18 +53,13 @@ from repro.engine.expressions import (
     Or,
     Predicate,
 )
-from repro.engine.parallel import ExecutionOptions, chunk_ranges
+from repro.engine.parallel import chunk_ranges
 from repro.engine.table import Table
 from repro.obs.registry import get_registry
 
 #: Parameter variants remembered per (template, anchors, chunk_rows) slot;
 #: beyond this the least-hit entry is evicted (deterministically).
 SKETCH_SLOT_CAPACITY = 8
-
-#: Additive floor on chunk scores so every eligible chunk keeps a strictly
-#: positive inclusion probability — a requirement for Horvitz–Thompson
-#: unbiasedness (a zero-probability chunk's rows could never be observed).
-SCORE_FLOOR = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +221,9 @@ class SketchStore:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        # slot key -> (anchor weakrefs, anchor ids, entries, chunk hit counts)
+        # slot key -> (anchor weakrefs, anchor ids, entries)
         self._slots: dict[
-            tuple, tuple[tuple, tuple[int, ...], list[_SketchEntry], dict[int, int]]
+            tuple, tuple[tuple, tuple[int, ...], list[_SketchEntry]]
         ] = {}
         # id(anchor) -> slot keys anchored on it, for invalidation
         self._anchor_slots: dict[int, set[tuple]] = {}
@@ -283,16 +262,13 @@ class SketchStore:
         anchors: list,
         params: tuple,
         chunk_rows: int,
-        count_stats: bool = True,
     ) -> SketchHit | None:
         """A :class:`SketchHit` provably covering the new query, or ``None``.
 
         Scans the slot's parameter variants for one that dominates
         ``params`` and returns the smallest such realized set (with its
-        appended-UNKNOWN subset).  With ``count_stats`` (the executor's
-        fast path, not planning probes) the hit/miss lands in the shared
-        cache metrics under kind ``"provenance_sketch"`` and the obs
-        registry.
+        appended-UNKNOWN subset).  The hit/miss lands in the shared cache
+        metrics under kind ``"provenance_sketch"`` and the obs registry.
         """
         key = self._slot_key(template, anchors, chunk_rows)
         best: _SketchEntry | None = None
@@ -301,10 +277,6 @@ class SketchStore:
             if slot is not None:
                 for entry in slot[2]:
                     if dominates(template, entry.params, params):
-                        # Tie-break on the chunk tuple itself, not entry
-                        # order: concurrent recordings may append entries
-                        # in any order, and planning probes must stay
-                        # deterministic for the fixed-seed guarantee.
                         if best is None or (
                             len(entry.chunks),
                             entry.chunks,
@@ -312,19 +284,13 @@ class SketchStore:
                             best = entry
                 if best is not None:
                     best.hits += 1
-                    hit_counts = slot[3]
-                    for chunk in best.chunks:
-                        hit_counts[chunk] = hit_counts.get(chunk, 0) + 1
-        if count_stats:
-            metrics = get_cache().metrics
-            if best is not None:
-                metrics.record_hit("provenance_sketch")
-                get_registry().incr("selection.sketch_hits")
-            else:
-                metrics.record_miss("provenance_sketch")
-                get_registry().incr("selection.sketch_misses")
+        metrics = get_cache().metrics
         if best is None:
+            metrics.record_miss("provenance_sketch")
+            get_registry().incr("selection.sketch_misses")
             return None
+        metrics.record_hit("provenance_sketch")
+        get_registry().incr("selection.sketch_hits")
         return SketchHit(
             chunks=np.asarray(best.chunks, dtype=np.int64),
             appended=best.appended,
@@ -340,9 +306,9 @@ class SketchStore:
     ) -> None:
         """Store the realized chunk set of one full evaluation.
 
-        Only complete evaluations may be recorded — a budgeted partial
-        scan's realized set would poison later dominance reuse (the
-        executor enforces this; the store cannot tell).
+        Only complete evaluations may be recorded — a partial scan's
+        realized set would poison later dominance reuse (the executor
+        enforces this; the store cannot tell).
         """
         chunk_tuple = tuple(int(c) for c in chunks)
         key = self._slot_key(template, anchors, chunk_rows)
@@ -360,7 +326,7 @@ class SketchStore:
                 except TypeError:
                     return  # unanchorable → uncacheable, like ExecutionCache
                 anchor_ids = tuple(id(a) for a in anchors)
-                slot = (refs, anchor_ids, [], {})
+                slot = (refs, anchor_ids, [])
                 self._slots[key] = slot
                 for anchor_id in anchor_ids:
                     self._anchor_slots.setdefault(anchor_id, set()).add(key)
@@ -380,27 +346,6 @@ class SketchStore:
                         key=lambda i: (entries[i].hits, i),
                     )
                     del entries[victim]
-            hit_counts = slot[3]
-            for chunk in chunk_tuple:
-                hit_counts[chunk] = hit_counts.get(chunk, 0) + 1
-
-    def chunk_hits(
-        self,
-        template: tuple,
-        anchors: list,
-        chunk_rows: int,
-        n_chunks: int,
-    ) -> np.ndarray:
-        """Dense per-chunk historical relevance counts for selection scoring."""
-        key = self._slot_key(template, anchors, chunk_rows)
-        out = np.zeros(n_chunks, dtype=np.float64)
-        with self._lock:
-            slot = self._live_slot(key, anchors)
-            if slot is not None:
-                for chunk, count in slot[3].items():
-                    if 0 <= chunk < n_chunks:
-                        out[chunk] = count
-        return out
 
     def extend_on_append(
         self,
@@ -491,10 +436,9 @@ class SketchStore:
                     )
                     for entry in slot[2]
                 ]
-                hit_counts = dict(slot[3])
                 self._drop_slot(key)
                 new_ids = tuple(id(a) for a in new_anchors)
-                self._slots[new_key] = (refs, new_ids, entries, hit_counts)
+                self._slots[new_key] = (refs, new_ids, entries)
                 for anchor_id in new_ids:
                     self._anchor_slots.setdefault(anchor_id, set()).add(
                         new_key
@@ -585,328 +529,12 @@ def realized_chunks(
     return np.flatnonzero(hits).astype(np.int64)
 
 
-# ----------------------------------------------------------------------
-# PS3-style budgeted selection
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChunkSelectionPlan:
-    """A deterministic weighted chunk subset with inclusion probabilities.
-
-    ``chunk_indices[i]`` was drawn with first-order inclusion probability
-    ``probabilities[i]``; ``verdicts[i]`` is its zone-map verdict (so the
-    executor can skip mask evaluation for proven-ALL_TRUE chunks).  The
-    plan is drawn once, serially, before the pieces scatter, so every
-    worker count executes the *same* draw.
-    """
-
-    chunk_indices: tuple[int, ...]
-    probabilities: tuple[float, ...]
-    verdicts: tuple[int, ...]
-    n_chunks: int
-    n_eligible: int
-
-    @property
-    def ht_weight_range(self) -> tuple[float, float]:
-        """(min, max) Horvitz–Thompson row weight across selected chunks."""
-        inverse = [1.0 / p for p in self.probabilities]
-        return (min(inverse), max(inverse))
-
-
-def _numeric_bounds(
-    table: Table, column: str, options: ExecutionOptions
-) -> tuple[np.ndarray, np.ndarray] | None:
-    zone_map = zonemap.column_zone_map(table.column(column), options)
-    if zone_map.is_string:
-        return None
-    mins = np.array([s[0] for s in zone_map.summaries], dtype=np.float64)
-    maxs = np.array([s[1] for s in zone_map.summaries], dtype=np.float64)
-    return mins, maxs
-
-
-def _interval_fractions(
-    table: Table,
-    column: str,
-    low: float,
-    high: float,
-    options: ExecutionOptions,
-    n_chunks: int,
-) -> np.ndarray:
-    """Per-chunk fraction of the value range inside ``[low, high]``."""
-    bounds = _numeric_bounds(table, column, options)
-    if bounds is None:
-        return np.full(n_chunks, 0.5)
-    mins, maxs = bounds
-    width = maxs - mins
-    overlap = np.minimum(maxs, high) - np.maximum(mins, low)
-    with np.errstate(invalid="ignore"):
-        frac = np.where(
-            width > 0,
-            np.clip(overlap / np.where(width > 0, width, 1.0), 0.0, 1.0),
-            ((mins >= low) & (mins <= high)).astype(np.float64),
-        )
-    return np.where(np.isnan(frac), 0.5, frac)
-
-
-def _code_set_fractions(
-    table: Table, column: str, values, options: ExecutionOptions, n_chunks: int
-) -> np.ndarray:
-    """Per-chunk distinct-code density of string membership predicates."""
-    col = table.column(column)
-    zone_map = zonemap.column_zone_map(col, options)
-    if not zone_map.is_string:
-        return np.full(n_chunks, 0.5)
-    targets = {
-        code for code in (col.encode_value(v) for v in values) if code >= 0
-    }
-    out = np.empty(n_chunks, dtype=np.float64)
-    for i, (code_set, _nulls) in enumerate(zone_map.summaries):
-        if code_set is None:  # distinct cutoff hit: density unknown
-            out[i] = 0.5
-        elif not code_set:
-            out[i] = 0.0
-        else:
-            out[i] = len(code_set & targets) / len(code_set)
-    return out
-
-
-def overlap_fractions(
-    table: Table,
-    predicate: Predicate | None,
-    options: ExecutionOptions,
-    n_chunks: int,
-) -> np.ndarray:
-    """Crude per-chunk predicate-overlap estimates in ``[0, 1]``.
-
-    These only shape the *sampling design* (which chunks are likelier to
-    be drawn); Horvitz–Thompson reweighting keeps the estimates unbiased
-    whatever the scores are, so rough is fine — better scores just mean
-    lower variance.  Unscorable shapes default to 0.5.
-    """
-    if predicate is None:
-        return np.ones(n_chunks)
-    if isinstance(predicate, And):
-        out = np.ones(n_chunks)
-        for operand in predicate.operands:
-            out *= overlap_fractions(table, operand, options, n_chunks)
-        return out
-    if isinstance(predicate, Or):
-        out = np.zeros(n_chunks)
-        for operand in predicate.operands:
-            out += overlap_fractions(table, operand, options, n_chunks)
-        return np.minimum(out, 1.0)
-    if isinstance(predicate, Not):
-        return 1.0 - overlap_fractions(
-            table, predicate.operand, options, n_chunks
-        )
-    if isinstance(predicate, Between):
-        if not all(
-            isinstance(v, (bool, int, float, np.integer, np.floating))
-            for v in (predicate.low, predicate.high)
-        ):
-            return np.full(n_chunks, 0.5)
-        return _interval_fractions(
-            table,
-            predicate.column,
-            float(predicate.low),
-            float(predicate.high),
-            options,
-            n_chunks,
-        )
-    if isinstance(predicate, Compare) and isinstance(
-        predicate.value, (bool, int, float, np.integer, np.floating)
-    ):
-        value = float(predicate.value)
-        if predicate.op in (CompareOp.GE, CompareOp.GT):
-            return _interval_fractions(
-                table, predicate.column, value, np.inf, options, n_chunks
-            )
-        if predicate.op in (CompareOp.LE, CompareOp.LT):
-            return _interval_fractions(
-                table, predicate.column, -np.inf, value, options, n_chunks
-            )
-    if isinstance(predicate, Equals):
-        return _code_set_fractions(
-            table, predicate.column, [predicate.value], options, n_chunks
-        )
-    if isinstance(predicate, InSet):
-        return _code_set_fractions(
-            table, predicate.column, predicate.values, options, n_chunks
-        )
-    return np.full(n_chunks, 0.5)
-
-
-def _waterfill_probabilities(scores: np.ndarray, n_draw: int) -> np.ndarray:
-    """Inclusion probabilities ``π ∝ score`` capped at 1, summing to ``n_draw``.
-
-    Classic waterfilling: chunks whose proportional share exceeds 1 are
-    pinned there and the residual draw count is re-spread over the rest;
-    iterate until no new chunk hits the cap.
-    """
-    scores = np.where(scores > 0, scores, 1e-12).astype(np.float64)
-    n = scores.shape[0]
-    pi = np.zeros(n, dtype=np.float64)
-    capped = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        free = ~capped
-        remaining = n_draw - int(capped.sum())
-        if remaining <= 0 or not free.any():
-            break
-        share = remaining * scores[free] / scores[free].sum()
-        pi[free] = share
-        newly = free & (pi >= 1.0)
-        if not newly.any():
-            break
-        capped |= newly
-    pi[capped] = 1.0
-    return np.clip(pi, 0.0, 1.0)
-
-
-def _systematic_draw(pi: np.ndarray, seed: int) -> np.ndarray:
-    """Without-replacement systematic PPS draw realizing ``π`` exactly.
-
-    One uniform start ``u`` plus unit-spaced points over the cumulative
-    probabilities — the textbook design whose first-order inclusion
-    probabilities equal ``π`` (up to float rounding of the total), with
-    a single random number so the draw is trivially reproducible.
-    """
-    total = float(pi.sum())
-    n_points = max(1, int(round(total)))
-    cumulative = np.cumsum(pi)
-    u = float(np.random.default_rng(seed).random())
-    points = (u + np.arange(n_points)) * (total / n_points)
-    positions = np.searchsorted(cumulative, points, side="right")
-    positions = np.unique(np.clip(positions, 0, pi.shape[0] - 1))
-    return positions
-
-
-def _derive_seed(options: ExecutionOptions, n_chunks: int, n_eligible: int) -> int:
-    """Deterministic per-scan seed: same inputs → same draw everywhere."""
-    return (
-        options.selection_seed * 1000003 + n_chunks * 8191 + n_eligible
-    ) % (2**31 - 1)
-
-
-def plan_chunk_selection(
-    table: Table,
-    predicate: Predicate | None,
-    options: ExecutionOptions,
-) -> ChunkSelectionPlan | None:
-    """A budgeted chunk subset for one table scan, or ``None`` for full scan.
-
-    ``None`` when selection is off, the table has at most one chunk, or
-    the budget is not binding (the eligible rows already fit) — in that
-    last case the full scan runs and answers are identical to
-    ``chunk_selection=False``, preserving the opt-in equivalence.
-
-    The plan is a pure function of the zone-map summaries, the sketch
-    history, and ``selection_seed`` — the determinism sweep relies on
-    this to pin byte-identical answers at every worker count.
-    """
-    if not options.chunk_selection:
-        return None
-    ranges = chunk_ranges(table.n_rows, options.chunk_rows)
-    n_chunks = len(ranges)
-    if n_chunks <= 1:
-        return None
-    if predicate is None:
-        verdicts = np.full(n_chunks, zonemap.VERDICT_ALL_TRUE, dtype=np.int8)
-    else:
-        verdicts = zonemap.chunk_verdicts(table, predicate, options)
-    eligible_mask = verdicts != zonemap.VERDICT_ALL_FALSE
-
-    # A dominating sketch narrows eligibility further: chunks outside it
-    # provably hold no matching rows.  This probe is planning, not the
-    # executor's fast path, so it does not count toward sketch hit/miss.
-    template = None
-    if predicate is not None and predicate.cache_safe():
-        template = predicate_template(predicate)
-    anchors = None
-    store = get_sketch_store()
-    if template is not None:
-        anchors = sketch_anchors(table, predicate)
-        sketched = store.lookup(
-            template[0],
-            anchors,
-            template[1],
-            options.chunk_rows,
-            count_stats=False,
-        )
-        if sketched is not None:
-            in_sketch = np.zeros(n_chunks, dtype=bool)
-            in_sketch[sketched.chunks] = True
-            eligible_mask &= in_sketch
-
-    eligible = np.flatnonzero(eligible_mask)
-    n_eligible = int(eligible.shape[0])
-    if n_eligible == 0:
-        return None
-    sizes = np.array([stop - start for start, stop in ranges], dtype=np.int64)
-    eligible_rows = int(sizes[eligible].sum())
-    if eligible_rows <= options.selection_budget:
-        return None  # budget not binding: scan everything, stay exact
-
-    scores = np.full(n_chunks, SCORE_FLOOR)
-    scores += overlap_fractions(table, predicate, options, n_chunks)
-    if template is not None and anchors is not None:
-        hits = store.chunk_hits(
-            template[0], anchors, options.chunk_rows, n_chunks
-        )
-        peak = hits.max()
-        if peak > 0:
-            scores += 0.5 * hits / peak
-    scores = scores[eligible]
-
-    mean_rows = eligible_rows / n_eligible
-    n_draw = int(round(options.selection_budget / mean_rows))
-    n_draw = max(1, min(n_draw, n_eligible))
-    if n_draw >= n_eligible:
-        return None  # the draw would take everything: full scan is exact
-
-    pi = _waterfill_probabilities(scores, n_draw)
-    seed = _derive_seed(options, n_chunks, n_eligible)
-    positions = _systematic_draw(pi, seed)
-    selected = eligible[positions]
-    registry = get_registry()
-    registry.incr("selection.plans")
-    registry.incr("selection.chunks_eligible", n_eligible)
-    registry.incr("selection.chunks_selected", int(selected.shape[0]))
-    return ChunkSelectionPlan(
-        chunk_indices=tuple(int(c) for c in selected),
-        probabilities=tuple(float(p) for p in pi[positions]),
-        verdicts=tuple(int(v) for v in verdicts[selected]),
-        n_chunks=n_chunks,
-        n_eligible=n_eligible,
-    )
-
-
-def ht_row_weights(
-    plan: ChunkSelectionPlan, n_rows: int, chunk_rows: int
-) -> np.ndarray:
-    """Full-length Horvitz–Thompson row weights for a plan.
-
-    Rows in selected chunks weigh ``1 / π(chunk)``; everything else is 0
-    (those rows are excluded by the plan's keep mask anyway, but a zero
-    weight keeps any stray inclusion from biasing a sum).
-    """
-    ranges = chunk_ranges(n_rows, chunk_rows)
-    weights = np.zeros(n_rows, dtype=np.float64)
-    for chunk, probability in zip(plan.chunk_indices, plan.probabilities):
-        start, stop = ranges[chunk]
-        weights[start:stop] = 1.0 / probability
-    return weights
-
-
 __all__ = [
-    "ChunkSelectionPlan",
-    "SCORE_FLOOR",
     "SKETCH_SLOT_CAPACITY",
     "SketchHit",
     "SketchStore",
     "dominates",
     "get_sketch_store",
-    "ht_row_weights",
-    "overlap_fractions",
-    "plan_chunk_selection",
     "predicate_template",
     "realized_chunks",
     "reset_sketch_store",

@@ -607,14 +607,6 @@ class PieceSkipStats:
     #: first full evaluation.  Counted distinctly so sketch-hit scan
     #: ratios stay comparable across append-heavy workloads.
     appended_unknown: int = 0
-    #: PS3-style budgeted chunk selection ran on this piece.
-    selection_applied: bool = False
-    chunks_eligible: int = 0
-    chunks_selected: int = 0
-    #: Horvitz–Thompson row-weight spread of the selected chunks (both 0
-    #: when selection did not apply).
-    ht_weight_min: float = 0.0
-    ht_weight_max: float = 0.0
 
     def observe_chunks(
         self,
@@ -675,11 +667,6 @@ class SkipReport:
         """Appended-UNKNOWN chunks scanned under sketch hits (all pieces)."""
         return sum(p.appended_unknown for p in self.pieces)
 
-    @property
-    def pieces_selected(self) -> int:
-        """Pieces that ran under budgeted chunk selection."""
-        return sum(1 for p in self.pieces if p.selection_applied)
-
     def to_text(self) -> str:
         """Human-readable per-piece rendering (the CLI ``--explain`` body)."""
         state = "on" if self.enabled else "off"
@@ -691,22 +678,13 @@ class SkipReport:
             if piece.pruned:
                 lines.append(
                     f"  - {piece.description}: pruned "
-                    f"({piece.rows_total} rows never submitted)"
+                    f"({piece.rows_total} rows never scanned)"
                 )
                 continue
             if piece.mask_cached:
                 lines.append(
                     f"  - {piece.description}: WHERE mask cached "
                     f"(0 rows touched)"
-                )
-                continue
-            if piece.selection_applied:
-                lines.append(
-                    f"  - {piece.description}: chunk selection drew "
-                    f"{piece.chunks_selected} of {piece.chunks_eligible} "
-                    f"eligible chunks (HT weights "
-                    f"{piece.ht_weight_min:.3g}–{piece.ht_weight_max:.3g}), "
-                    f"{piece.rows_touched} rows touched"
                 )
                 continue
             if piece.sketch_hit:

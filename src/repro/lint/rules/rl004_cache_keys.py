@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from repro.lint.core import FileContext, Finding, Rule, dotted_name, register
 
 LOOKUP_METHODS = frozenset({"get", "put", "get_or_compute"})
-STORE_LOOKUP_METHODS = frozenset({"lookup", "record", "chunk_hits"})
+STORE_LOOKUP_METHODS = frozenset({"lookup", "record"})
 ANCHORS_POSITIONAL_INDEX = 1  # (kind, anchors, ...) / (template, anchors, ...)
 
 

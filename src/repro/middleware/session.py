@@ -339,8 +339,8 @@ class AQPSession:
         end to end).
 
         ``deadline`` (a :class:`~repro.engine.deadline.Deadline`) bounds
-        the request: checkpoints after parse, before planning, at the
-        head of each piece task, and between modes raise
+        the request: checkpoints after parse, before planning, before
+        each piece, and between modes raise
         :class:`~repro.errors.DeadlineExceeded` once it expires.
         Deadlines never change answers — a request either completes
         byte-identically to an unbounded run or raises.

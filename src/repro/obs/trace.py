@@ -26,10 +26,9 @@ Ownership discipline (instead of locks)
 ---------------------------------------
 Spans are deliberately lock-free.  Creating a child mutates the parent,
 so children must be created by the thread that owns the parent: the
-serial scatter loop creates one span per pool task *before* submission
-and each task writes only to its own span (exactly the
-:class:`~repro.engine.zonemap.PieceSkipStats` pattern, and pure under
-lint rule RL007 — span attributes are task-owned, not shared state).
+combiner's piece loop runs on the calling thread, pool tasks never
+touch a span, and :func:`~repro.engine.parallel.parallel_map` records
+its ``pool.scatter`` child on the calling thread after the gather.
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
 """Tests for piece execution and result combination."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core import combiner
 from repro.core.combiner import execute_pieces
 from repro.core.rewriter import SamplePiece, pieces_to_sql
+from repro.engine.deadline import Deadline
+from repro.engine.executor import aggregate_table
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
 from repro.engine.table import Table
-from repro.errors import RuntimePhaseError
+from repro.errors import DeadlineExceeded, RuntimePhaseError
 
 COUNT = AggregateSpec(AggFunc.COUNT, alias="cnt")
 
@@ -163,3 +168,46 @@ class TestAnswerAccessors:
     def test_n_groups(self):
         answer = execute_pieces([make_piece(["a", "b", "b"])], "t")
         assert answer.n_groups == 2
+
+
+class TestPieceDeadlines:
+    """The deadline is checked before every piece, in piece order."""
+
+    @staticmethod
+    def _count_aggregations(monkeypatch, after=None):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            result = aggregate_table(*args, **kwargs)
+            if after is not None:
+                after()
+            return result
+
+        monkeypatch.setattr(combiner, "aggregate_table", counting)
+        return calls
+
+    def test_expired_deadline_stops_before_any_piece(self, monkeypatch):
+        calls = self._count_aggregations(monkeypatch)
+        deadline = Deadline(1e-6)
+        while not deadline.expired():
+            pass
+        with pytest.raises(DeadlineExceeded, match="piece"):
+            execute_pieces(
+                [make_piece(["a"]), make_piece(["b"])], "t", deadline=deadline
+            )
+        assert calls == []
+
+    def test_deadline_expiring_in_first_piece_stops_the_loop(self, monkeypatch):
+        deadline = Deadline(0.05)
+
+        def run_out_the_clock():
+            while not deadline.expired():
+                time.sleep(0.001)
+
+        calls = self._count_aggregations(monkeypatch, after=run_out_the_clock)
+        with pytest.raises(DeadlineExceeded, match="piece"):
+            execute_pieces(
+                [make_piece(["a"]), make_piece(["b"])], "t", deadline=deadline
+            )
+        assert len(calls) == 1

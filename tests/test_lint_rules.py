@@ -407,7 +407,6 @@ class TestRL004CacheKeyHygiene:
         source = """
             def remember(store, template, anchors, params, chunk_rows, chunks):
                 store.record(template, anchors, params, chunk_rows, chunks)
-                return store.chunk_hits(template, anchors, chunk_rows, 4)
         """
         assert run_rule("RL004", source, "repro/engine/foo.py") == []
 

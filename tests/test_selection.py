@@ -1,4 +1,4 @@
-"""Provenance-sketch caching + PS3-style budgeted chunk selection.
+"""Provenance-sketch caching.
 
 The contracts under test (see :mod:`repro.engine.selection`):
 
@@ -7,10 +7,7 @@ The contracts under test (see :mod:`repro.engine.selection`):
 * the executor's sketch fast path is *exact-equivalent*: answers are
   byte-identical to the non-sketch path at any backend/worker count;
 * invalidation — ``append_rows`` / ``insert_rows`` / ``drop_table``
-  must never leave a stale sketch serving wrong chunk sets;
-* budgeted selection is deterministic (fixed seed + budget → identical
-  answers everywhere) and Horvitz–Thompson reweighting keeps estimates
-  unbiased (exactly so for counts under uniform probabilities).
+  must never leave a stale sketch serving wrong chunk sets.
 """
 
 import gc
@@ -29,7 +26,7 @@ from repro.engine.bitmask import Bitmask
 from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
-from repro.engine.executor import aggregate_table, execute
+from repro.engine.executor import execute
 from repro.engine.expressions import (
     And,
     Between,
@@ -41,15 +38,9 @@ from repro.engine.expressions import (
     Not,
     Or,
 )
-from repro.engine.parallel import (
-    ExecutionOptions,
-    set_default_options,
-    shutdown_pool,
-)
+from repro.engine.parallel import ExecutionOptions, shutdown_pool
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats
-from repro.errors import QueryError
-from repro.obs.registry import get_registry
 from repro.sql.parser import parse_query
 
 
@@ -185,12 +176,12 @@ class TestSketchStore:
         col = Column.ints(np.arange(10))
         store.record(self.KEY, [col], (0, 100), 4, [0, 1, 2, 3])
         store.record(self.KEY, [col], (10, 50), 4, [1, 2])
-        got = store.lookup(self.KEY, [col], (20, 40), 4, count_stats=False)
+        got = store.lookup(self.KEY, [col], (20, 40), 4)
         assert got.chunks.tolist() == [1, 2]
         assert got.appended == frozenset()
         # Non-dominated parameters miss.
         assert (
-            store.lookup(self.KEY, [col], (0, 200), 4, count_stats=False)
+            store.lookup(self.KEY, [col], (0, 200), 4)
             is None
         )
 
@@ -199,7 +190,7 @@ class TestSketchStore:
         col = Column.ints(np.arange(10))
         store.record(self.KEY, [col], (0, 100), 4, [0, 1])
         assert (
-            store.lookup(self.KEY, [col], (0, 100), 8, count_stats=False)
+            store.lookup(self.KEY, [col], (0, 100), 8)
             is None
         )
 
@@ -212,11 +203,11 @@ class TestSketchStore:
         assert len(store) == 1  # one slot, many entries
         # The first (never-hit) entry was evicted; the second survives.
         assert (
-            store.lookup(self.KEY, [col], (2, 8), 4, count_stats=False)
+            store.lookup(self.KEY, [col], (2, 8), 4)
             is None
         )
         assert (
-            store.lookup(self.KEY, [col], (102, 108), 4, count_stats=False)
+            store.lookup(self.KEY, [col], (102, 108), 4)
             is not None
         )
 
@@ -238,23 +229,15 @@ class TestSketchStore:
         store.invalidate_object(col_a)
         assert len(store) == 1
         assert (
-            store.lookup(self.KEY, [col_a], (0, 100), 4, count_stats=False)
+            store.lookup(self.KEY, [col_a], (0, 100), 4)
             is None
         )
         assert (
             store.lookup(
-                ("between", "y"), [col_b], (0, 100), 4, count_stats=False
+                ("between", "y"), [col_b], (0, 100), 4
             )
             is not None
         )
-
-    def test_chunk_hits_accumulate_per_chunk(self):
-        store = sel.SketchStore()
-        col = Column.ints(np.arange(10))
-        store.record(self.KEY, [col], (0, 100), 4, [1, 2])
-        store.lookup(self.KEY, [col], (10, 20), 4, count_stats=False)
-        hits = store.chunk_hits(self.KEY, [col], 4, 4)
-        assert hits.tolist() == [0.0, 2.0, 2.0, 0.0]  # record + lookup
 
 
 # ----------------------------------------------------------------------
@@ -417,207 +400,3 @@ class TestSketchInvalidation:
             for mine, other in zip(estimates, after.groups[group]):
                 assert other.value == mine.value, group
                 assert other.variance == mine.variance, group
-
-
-# ----------------------------------------------------------------------
-# Budgeted selection: determinism + unbiasedness mechanics
-# ----------------------------------------------------------------------
-def flat_sample_db() -> Database:
-    return Database([generate_flat_table("flat", 4000, seed=5, **SPEC)])
-
-
-SELECTION_SQL = (
-    "SELECT status, COUNT(*) AS cnt, SUM(amount) AS total "
-    "FROM flat WHERE amount >= 0.0 GROUP BY status"
-)
-
-
-def assert_identical_answers(answers: dict) -> None:
-    keys = sorted(answers)
-    base = answers[keys[0]]
-    for key in keys[1:]:
-        answer = answers[key]
-        assert set(answer.groups) == set(base.groups), key
-        for group, estimates in base.groups.items():
-            for mine, other in zip(estimates, answer.groups[group]):
-                assert other.value == mine.value, (key, group)
-                assert other.variance == mine.variance, (key, group)
-                assert other.confidence_interval() == (
-                    mine.confidence_interval()
-                ), (key, group)
-        assert answer.rows_scanned == base.rows_scanned, key
-
-
-class TestBudgetedSelection:
-    def test_options_validation(self):
-        with pytest.raises(QueryError):
-            ExecutionOptions(selection_budget=0)
-        with pytest.raises(QueryError):
-            ExecutionOptions(selection_seed=-1)
-
-    def test_plan_none_when_budget_not_binding(self):
-        table = clustered_db().table("t")
-        options = ExecutionOptions(
-            chunk_rows=50, chunk_selection=True, selection_budget=10**9
-        )
-        assert sel.plan_chunk_selection(table, None, options) is None
-
-    def test_plan_none_when_selection_off(self):
-        table = clustered_db().table("t")
-        assert (
-            sel.plan_chunk_selection(
-                table, None, ExecutionOptions(chunk_rows=50)
-            )
-            is None
-        )
-
-    def test_plan_is_deterministic_and_seed_sensitive(self):
-        table = clustered_db().table("t")
-        options = ExecutionOptions(
-            chunk_rows=50, chunk_selection=True, selection_budget=100
-        )
-        plan1 = sel.plan_chunk_selection(table, None, options)
-        plan2 = sel.plan_chunk_selection(table, None, options)
-        assert plan1 == plan2
-        assert 0 < len(plan1.chunk_indices) < plan1.n_eligible
-        draws = {
-            sel.plan_chunk_selection(
-                table,
-                None,
-                ExecutionOptions(
-                    chunk_rows=50,
-                    chunk_selection=True,
-                    selection_budget=100,
-                    selection_seed=seed,
-                ),
-            ).chunk_indices
-            for seed in range(8)
-        }
-        assert len(draws) > 1  # the seed actually moves the draw
-
-    def test_sketch_narrows_eligibility_before_the_draw(self):
-        db = clustered_db()
-        table = db.table("t")
-        options = ExecutionOptions(chunk_rows=50)
-        execute(db, parse_query(WIDE_SQL), options=options)
-        predicate = parse_query(NARROW_SQL).where
-        plan = sel.plan_chunk_selection(
-            table,
-            predicate,
-            ExecutionOptions(
-                chunk_rows=50, chunk_selection=True, selection_budget=100
-            ),
-        )
-        # x BETWEEN 100 AND 299 realizes chunks 2..5 of eight; the
-        # dominating sketch caps eligibility there.
-        assert plan is not None
-        assert plan.n_eligible == 4
-        assert set(plan.chunk_indices) <= {2, 3, 4, 5}
-
-    def test_ht_count_exact_under_uniform_probabilities(self):
-        # Equal chunk sizes + no predicate → equal scores → uniform π →
-        # the HT estimator reproduces COUNT exactly for any draw.
-        table = Table("t", {"x": Column.ints(np.arange(4000))})
-        query = parse_query("SELECT COUNT(*) AS cnt FROM t")
-        options = ExecutionOptions(
-            chunk_rows=100, chunk_selection=True, selection_budget=1000
-        )
-        result = aggregate_table(
-            table, query, collect_variance_stats=True, options=options
-        )
-        assert result.rows[()][0] == pytest.approx(4000.0)
-
-    def test_ht_weights_cover_selected_chunks_only(self):
-        table = Table("t", {"x": Column.ints(np.arange(400))})
-        options = ExecutionOptions(
-            chunk_rows=50, chunk_selection=True, selection_budget=100
-        )
-        plan = sel.plan_chunk_selection(table, None, options)
-        weights = sel.ht_row_weights(plan, 400, 50)
-        selected = np.zeros(400, dtype=bool)
-        for chunk in plan.chunk_indices:
-            selected[chunk * 50 : (chunk + 1) * 50] = True
-        assert (weights[selected] > 0).all()
-        assert (weights[~selected] == 0).all()
-        lo, hi = plan.ht_weight_range
-        assert lo == weights[selected].min() and hi == weights[selected].max()
-
-    def test_budget_not_binding_equals_selection_off(self):
-        db = flat_sample_db()
-        technique = SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=7)
-        )
-        technique.preprocess(db)
-        query = parse_query(SELECTION_SQL)
-        answers = {}
-        previous = None
-        for index, options in enumerate(
-            (
-                ExecutionOptions(chunk_rows=64),
-                ExecutionOptions(
-                    chunk_rows=64,
-                    chunk_selection=True,
-                    selection_budget=10**9,
-                ),
-            )
-        ):
-            before = set_default_options(options)
-            if previous is None:
-                previous = before
-            sel.reset_sketch_store()
-            get_cache().clear()
-            answers[index] = technique.answer(query)
-        set_default_options(previous)
-        shutdown_pool()
-        assert_identical_answers(answers)
-
-    CONFIGS = (
-        ExecutionOptions(
-            max_workers=1,
-            chunk_rows=64,
-            chunk_selection=True,
-            selection_budget=256,
-        ),
-        ExecutionOptions(
-            max_workers=4,
-            chunk_rows=64,
-            chunk_selection=True,
-            selection_budget=256,
-        ),
-        ExecutionOptions(
-            max_workers=8,
-            chunk_rows=64,
-            chunk_selection=True,
-            selection_budget=256,
-        ),
-    )
-
-    def test_answers_identical_across_backends_and_worker_counts(self):
-        db = flat_sample_db()
-        technique = SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.2, use_reservoir=False, seed=7)
-        )
-        technique.preprocess(db)
-        query = parse_query(SELECTION_SQL)
-        registry = get_registry()
-        answers = {}
-        previous = None
-        for index, options in enumerate(self.CONFIGS, start=1):
-            before = set_default_options(options)
-            if previous is None:
-                previous = before
-            # Pin the planning inputs: an empty sketch history for every
-            # configuration, so the draw is a pure function of the
-            # summaries, the budget, and the seed.
-            sel.reset_sketch_store()
-            get_cache().clear()
-            plans_before = registry.counter("selection.plans")
-            answers[index] = technique.answer(query)
-            assert registry.counter("selection.plans") > plans_before, index
-        set_default_options(previous)
-        shutdown_pool()
-        assert_identical_answers(answers)
-        # The budget bound at least one piece: the answer is genuinely
-        # a budgeted estimate, not a degenerate full scan.
-        report = answers[1].skip_report
-        assert report is not None and report.pieces_selected > 0
