@@ -38,7 +38,7 @@ from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import execute
-from repro.engine.parallel import ExecutionOptions, shutdown_pool
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.table import Table
 from repro.obs.registry import get_registry
 from repro.sql.parser import parse_query
@@ -154,4 +154,3 @@ def test_ingest():
         out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         get_cache().clear()
         sel.reset_sketch_store()
-        shutdown_pool()

@@ -1,7 +1,7 @@
 """Lint-runner performance: shared node index vs per-rule tree walks.
 
 PR 7 moved every rule onto :meth:`FileContext.nodes` — one pre-order
-walk per file building a node-type index that all fourteen rules (and
+walk per file building a node-type index that every rule (and
 the whole-program passes) filter, instead of each rule re-walking the
 tree itself.  This benchmark keeps that refactor honest:
 

@@ -80,11 +80,9 @@ SQLS = (
 @pytest.fixture(scope="module")
 def session():
     db = Database([generate_flat_table("flat", ROWS, seed=83, **SPEC)])
-    # Serial engine options: serving concurrency should come from the
-    # handler threads, not from nested piece-execution pools.
-    session = AQPSession(
-        db, options=ExecutionOptions(max_workers=1, chunk_rows=4096)
-    )
+    # Serving concurrency comes from the handler threads; the engine
+    # itself is serial.
+    session = AQPSession(db, options=ExecutionOptions(chunk_rows=4096))
     session.install(
         SmallGroupSampling(
             SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=9)

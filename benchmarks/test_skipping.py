@@ -49,7 +49,7 @@ from repro.engine.expressions import (
     Equals,
     Query,
 )
-from repro.engine.parallel import ExecutionOptions, shutdown_pool
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats, column_zone_map
 
@@ -177,7 +177,6 @@ def test_skipping():
                 "seconds_off": round(seconds_off, 6),
                 "speedup": round(seconds_off / seconds_on, 3),
             }
-    shutdown_pool()
 
     cpu_count = os.cpu_count() or 1
     payload = {

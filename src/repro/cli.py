@@ -134,6 +134,17 @@ def _save(run: FigureRun, out_dir: Path) -> Path:
     return path
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -144,18 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=1,
-        help=(
-            "worker threads for chunked preprocessing and star-join "
-            "gathers (1 = serial, 0 = one per CPU); answers are identical "
-            "for any value"
-        ),
-    )
-    parser.add_argument(
         "--chunk-rows",
-        type=int,
+        type=_positive_int,
         default=65536,
         help=(
             "rows per execution chunk (zone-map granularity); answers are "
@@ -400,12 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    set_default_options(
-        ExecutionOptions(
-            max_workers=args.max_workers,
-            chunk_rows=args.chunk_rows,
-        )
-    )
+    set_default_options(ExecutionOptions(chunk_rows=args.chunk_rows))
     if args.command == "sql":
         return _run_sql(args)
     if args.command == "stats":

@@ -4,7 +4,6 @@ from repro.core.answer import ApproxAnswer, GroupEstimate
 from repro.core.architecture import DynamicSampleSelection
 from repro.core.combiner import execute_pieces
 from repro.core.confidence import (
-    agresti_coull_interval,
     bernoulli_count_variance,
     normal_interval,
     z_value,
@@ -42,7 +41,6 @@ __all__ = [
     "SampleTableMeta",
     "SmallGroupConfig",
     "SmallGroupSampling",
-    "agresti_coull_interval",
     "bernoulli_count_variance",
     "execute_pieces",
     "grouping_column_counts",

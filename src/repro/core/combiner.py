@@ -151,8 +151,8 @@ def execute_pieces(
     The pieces are independent strata (the paper's UNION ALL branches),
     each a scan of a small sample table, so they run in one serial loop
     on the calling thread; partial per-group results are folded in piece
-    order, so the floating-point accumulation — and the answer — is the
-    same at any ``options.max_workers``.
+    order, so the floating-point accumulation — and the answer — is
+    deterministic.
 
     ``span`` (when profiling) gains one ``piece:*`` child per piece plus
     a ``combine`` child; the span tree rides on the answer as

@@ -3,8 +3,7 @@
 The paper reports confidence intervals alongside approximate answers
 (Section 4.2.2), noting that small group sampling makes them simple: the
 only source of error is the single uniformly-sampled stratum, so standard
-methods apply — a normal approximation for the general case and the
-Agresti–Coull interval [5] for binomial proportions (COUNT of a subset).
+methods apply; this module provides the normal approximation.
 """
 
 from __future__ import annotations
@@ -57,23 +56,3 @@ def bernoulli_count_variance(
         raise RuntimePhaseError(f"sampling rate must be in (0, 1], got {rate}")
     return sample_rows_in_group * (1.0 - rate) / (rate * rate)
 
-
-def agresti_coull_interval(
-    successes: int, trials: int, level: float = 0.95
-) -> tuple[float, float]:
-    """Agresti–Coull interval for a binomial proportion [5].
-
-    Used to bound the fraction of rows satisfying a predicate when a COUNT
-    estimate is expressed as ``N × proportion``.
-    """
-    if trials <= 0:
-        raise RuntimePhaseError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise RuntimePhaseError(
-            f"successes must be in [0, {trials}], got {successes}"
-        )
-    z = z_value(level)
-    n_adj = trials + z * z
-    p_adj = (successes + z * z / 2.0) / n_adj
-    half = z * math.sqrt(p_adj * (1.0 - p_adj) / n_adj)
-    return (max(0.0, p_adj - half), min(1.0, p_adj + half))

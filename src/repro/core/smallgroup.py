@@ -47,12 +47,7 @@ from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.cache import get_cache
 from repro.engine.column import ColumnKind
 from repro.engine.database import Database
-from repro.engine.parallel import (
-    ExecutionOptions,
-    map_row_chunks,
-    parallel_map,
-    resolve_options,
-)
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.expressions import BitmaskDisjoint, Query
 from repro.engine.reservoir import (
     ReservoirSampler,
@@ -201,28 +196,6 @@ class _Stratification:
     classifiers: list = field(default_factory=list)
 
 
-def _chunked_isin(
-    data: np.ndarray, codes: np.ndarray, options: ExecutionOptions
-) -> np.ndarray:
-    """``np.isin(data, codes)`` evaluated over deterministic row chunks.
-
-    Chunks scatter across the worker pool; parts come back in chunk
-    order and concatenate to exactly the serial membership array (the
-    chunk layout depends only on the row count, never on the worker
-    count).
-    """
-
-    def _membership(start: int, stop: int) -> np.ndarray:
-        return np.isin(data[start:stop], codes)
-
-    parts = map_row_chunks(_membership, len(data), options)
-    if not parts:
-        return np.zeros(0, dtype=bool)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
-
-
 def _single_column_classifier(
     column: str, common: set, previous_common: set | None
 ):
@@ -301,8 +274,8 @@ class SmallGroupSampling(DynamicSampleSelection):
     ) -> None:
         super().__init__()
         self.config = config or SmallGroupConfig()
-        #: Parallelism knobs for the two pre-processing scans; ``None``
-        #: falls back to the process-wide defaults at preprocess time.
+        #: Execution knobs forwarded to the piece executor; ``None``
+        #: falls back to the process-wide defaults at query time.
         self.options = options
         self._metas: list[SampleTableMeta] = []
         self._tables: list[Table] = []
@@ -350,9 +323,8 @@ class SmallGroupSampling(DynamicSampleSelection):
         de-duplication relies on.
         """
         candidates = self.candidate_columns(view)
-        options = resolve_options(self.options)
         stats = collect_column_stats(
-            view, candidates, self.config.distinct_threshold, options=options
+            view, candidates, self.config.distinct_threshold
         )
         levels = self.config.effective_levels()
         n = view.n_rows
@@ -373,10 +345,9 @@ class SmallGroupSampling(DynamicSampleSelection):
                     for v in col_stats.frequencies
                     if v not in common
                 ]
-                in_class = _chunked_isin(
+                in_class = np.isin(
                     col.data,
                     np.asarray(sorted(uncommon_codes), dtype=col.data.dtype),
-                    options,
                 ) if uncommon_codes else np.zeros(n, dtype=bool)
                 level_class = in_class & ~previous
                 previous |= in_class
@@ -474,16 +445,13 @@ class SmallGroupSampling(DynamicSampleSelection):
     ) -> list[SampleTableInfo]:
         """Second scan: materialise sample tables, reservoir, bitmasks.
 
-        The scan splits into a serial head and a parallel tail.  All RNG
-        draws — which rows each sub-100% table stores, and the overall
-        reservoir — run serially in metadata order so the consumed
-        random sequence is identical at every worker count.  The row
-        *collection* (gathering each table's stored rows out of the view
-        and packing its bitmask) is a pure function of those indices and
-        scatters across the worker pool, gathered back in table order.
+        All RNG draws — which rows each sub-100% table stores, and the
+        overall reservoir — run in metadata order, so the consumed random
+        sequence is fixed by the seed.  The row *collection* (gathering
+        each table's stored rows out of the view and packing its bitmask)
+        is a pure function of those indices.
         """
         rng = as_generator(self.config.seed)
-        options = resolve_options(self.options)
         n = strata.n_rows
         self._n_bits = max(1, len(strata.metas))
         self._view_rows = n
@@ -509,8 +477,6 @@ class SmallGroupSampling(DynamicSampleSelection):
         tables: list[Table] = []
         weights: list[np.ndarray | None] = []
         infos: list[SampleTableInfo] = []
-        # Serial head: every RNG draw happens here, in metadata order.
-        stored_per_table: list[np.ndarray] = []
         for meta, member in zip(strata.metas, strata.class_members):
             class_indices = np.flatnonzero(member)
             if meta.rate >= 1.0:
@@ -520,19 +486,7 @@ class SmallGroupSampling(DynamicSampleSelection):
                 stored = class_indices[
                     uniform_sample_indices(class_indices.size, k, rng)
                 ]
-            stored_per_table.append(stored)
-
-        def _collect_rows(item: tuple[SampleTableMeta, np.ndarray]) -> Table:
-            meta, stored = item
-            return self._store_rows(view, stored, meta.name, member_matrix)
-
-        # Parallel tail: per-table row collection, gathered in table order.
-        built = parallel_map(
-            _collect_rows,
-            list(zip(strata.metas, stored_per_table)),
-            options.workers,
-        )
-        for meta, stored, table in zip(strata.metas, stored_per_table, built):
+            table = self._store_rows(view, stored, meta.name, member_matrix)
             stored_meta = SampleTableMeta(
                 name=meta.name,
                 columns=meta.columns,

@@ -30,7 +30,6 @@ from repro.engine.parallel import (
     ExecutionOptions,
     get_default_options,
     set_default_options,
-    shutdown_pool,
 )
 from repro.engine.reservoir import (
     ReservoirSampler,
@@ -84,7 +83,6 @@ __all__ = [
     "get_default_options",
     "per_group_selectivity",
     "set_default_options",
-    "shutdown_pool",
     "uniform_sample_indices",
     "weighted_sample_indices",
 ]

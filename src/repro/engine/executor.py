@@ -33,12 +33,7 @@ from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database, gather_dimension_column
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
-from repro.engine.parallel import (
-    ExecutionOptions,
-    chunk_ranges,
-    parallel_map,
-    resolve_options,
-)
+from repro.engine.parallel import ExecutionOptions, chunk_ranges, resolve_options
 from repro.engine.table import Table
 from repro.engine import zonemap
 from repro.engine import selection as selection_lib
@@ -638,20 +633,9 @@ def _apply_order_limit(result: GroupedResult, query: Query) -> None:
         }
 
 
-def _gather_one_dimension(item: tuple[str, Column, Column, Column]) -> tuple[str, Column]:
-    """Gather one dimension column through the star join (pool task).
-
-    Reads stored columns and the execution cache only (both
-    thread-safe); mutates no shared engine state (RL007).
-    """
-    name, fact_key_col, dim_key_col, dim_col = item
-    return name, gather_dimension_column(fact_key_col, dim_key_col, dim_col)
-
-
 def resolve_columns(
     db: Database,
     query: Query,
-    options: ExecutionOptions | None = None,
     span: Span = NULL_SPAN,
 ) -> Table:
     """Build a flat table containing every column the query references.
@@ -659,9 +643,7 @@ def resolve_columns(
     Fact columns are used as stored; dimension columns are brought in by
     resolving the star schema's foreign-key joins (hash-free positional
     join via sorted search), touching only the dimensions actually
-    needed.  Distinct dimension columns are independent gathers, so they
-    scatter across the worker pool when ``options.max_workers > 1``; the
-    results are inserted back in a deterministic task order.
+    needed.  Dimension columns are gathered in foreign-key order.
     """
     fact = db.fact_table
     needed = query.referenced_columns()
@@ -677,7 +659,7 @@ def resolve_columns(
             raise QueryError(
                 f"columns {sorted(missing)} not found in table {fact.name!r}"
             )
-        tasks: list[tuple[str, Column, Column, Column]] = []
+        gathers = 0
         for fk in db.star_schema.foreign_keys:
             dim = db.table(fk.dimension_table)
             dim_needed = [c for c in missing if dim.has_column(c)]
@@ -686,17 +668,14 @@ def resolve_columns(
             fact_key_col = fact.column(fk.fact_column)
             dim_key_col = dim.column(fk.dimension_key)
             for c in dim_needed:
-                tasks.append((c, fact_key_col, dim_key_col, dim.column(c)))
+                columns[c] = gather_dimension_column(
+                    fact_key_col, dim_key_col, dim.column(c)
+                )
                 missing.discard(c)
+                gathers += 1
         if missing:
             raise QueryError(f"columns {sorted(missing)} not found in any table")
-        options = resolve_options(options)
-        span.add("dimension_gathers", len(tasks))
-        gathered_pairs = parallel_map(
-            _gather_one_dimension, tasks, options.workers, span=span
-        )
-        for name, gathered in gathered_pairs:
-            columns[name] = gathered
+        span.add("dimension_gathers", gathers)
     if not columns:
         # COUNT(*) with no predicates or grouping still needs row extent.
         first = fact.column_names[0]
@@ -721,7 +700,7 @@ def execute(
         )
     resolve_span = span.child("resolve_columns")
     with resolve_span:
-        flat = resolve_columns(db, query, options, span=resolve_span)
+        flat = resolve_columns(db, query, span=resolve_span)
     aggregate_span = span.child("aggregate")
     with aggregate_span:
         return aggregate_table(

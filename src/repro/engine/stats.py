@@ -18,8 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.column import ColumnKind, count_raw_values
-from repro.engine.parallel import ExecutionOptions, map_row_chunks, resolve_options
+from repro.engine.column import ColumnKind
 from repro.engine.table import Table
 
 #: Distinct-value cutoff used in the paper's experiments.
@@ -94,7 +93,6 @@ def collect_column_stats(
     table: Table,
     columns: list[str] | None = None,
     distinct_threshold: int = DEFAULT_DISTINCT_THRESHOLD,
-    options: ExecutionOptions | None = None,
 ) -> dict[str, ColumnStats]:
     """First pre-processing scan: frequency maps for retained columns.
 
@@ -102,20 +100,9 @@ def collect_column_stats(
     dropped (they are poor grouping candidates and their hashtables would
     be large — Section 4.2.1).  The scan is vectorised per column; the
     effect is identical to the paper's streaming hashtable build.
-
-    With ``options.max_workers > 1`` the scan is chunked over row
-    ranges: every chunk builds one value histogram per candidate column
-    and the per-chunk histograms are map-reduced by summation.  Counts
-    are integers, so the reduction is exact and the result is identical
-    to the serial scan for any worker count.
     """
     if columns is None:
         columns = table.column_names
-    options = resolve_options(options)
-    if options.workers > 1 and table.n_rows > options.chunk_rows:
-        return _collect_column_stats_chunked(
-            table, columns, distinct_threshold, options
-        )
     retained: dict[str, ColumnStats] = {}
     for name in columns:
         col = table.column(name)
@@ -128,52 +115,6 @@ def collect_column_stats(
             name=name,
             kind=col.kind,
             frequencies=col.decode_counts(values.tolist(), counts.tolist()),
-        )
-    return retained
-
-
-def _histogram(data: np.ndarray, is_codes: bool) -> dict[Any, int]:
-    """Raw value → count for one row chunk of one column."""
-    values, counts = count_raw_values(data, is_codes)
-    return dict(zip(values.tolist(), counts.tolist()))
-
-
-def _collect_column_stats_chunked(
-    table: Table,
-    columns: list[str],
-    distinct_threshold: int,
-    options: ExecutionOptions,
-) -> dict[str, ColumnStats]:
-    """Chunked map-reduce variant of :func:`collect_column_stats`."""
-    cols = [(name, table.column(name)) for name in columns]
-    cols = [(name, col) for name, col in cols if len(col) > 0]
-    if not cols:
-        return {}
-
-    def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
-        return [
-            _histogram(col.data[start:stop], col.kind is ColumnKind.STRING)
-            for _, col in cols
-        ]
-
-    chunks = map_row_chunks(_histograms, table.n_rows, options)
-
-    merged: list[dict[Any, int]] = [{} for _ in cols]
-    for chunk in chunks:
-        for acc, part in zip(merged, chunk):
-            for value, count in part.items():
-                acc[value] = acc.get(value, 0) + count
-    retained: dict[str, ColumnStats] = {}
-    for (name, col), raw_counts in zip(cols, merged):
-        if len(raw_counts) > distinct_threshold:
-            continue
-        raw_values = sorted(raw_counts)
-        retained[name] = ColumnStats(
-            name=name,
-            kind=col.kind,
-            frequencies=col.decode_counts(
-                raw_values, [raw_counts[v] for v in raw_values]
-            ),
         )
     return retained
 

@@ -29,8 +29,8 @@ Per chunk ``[start, stop)`` of a column:
   holds for the whole chunk whenever the OR is disjoint from ``m``.
 
 Summaries are built lazily on first use with
-:func:`~repro.engine.parallel.map_row_chunks` (so the build itself
-parallelises) and cached in the cross-query
+:func:`~repro.engine.parallel.map_row_chunks` over the fixed chunk
+layout and cached in the cross-query
 :class:`~repro.engine.cache.ExecutionCache` keyed on the column /
 bitmask-vector *identity* plus the ``chunk_rows`` layout.  Identity
 anchoring is what makes invalidation free: every mutation path in the
@@ -47,9 +47,8 @@ when *no* row can match and accepted only when *every* row must match;
 anything unprovable (including chunks whose min/max are NaN) is scanned
 with ``evaluate_range``, whose contract is strict value equality with
 ``evaluate(table)[start:stop]``.  The assembled mask is therefore equal
-element-for-element to the full evaluation at any ``chunk_rows`` and any
-``max_workers`` — data skipping is a pure cost knob, like the worker
-count.
+element-for-element to the full evaluation at any ``chunk_rows`` — data
+skipping is a pure cost knob.
 """
 
 from __future__ import annotations

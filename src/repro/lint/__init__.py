@@ -1,8 +1,8 @@
 """repro.lint — AST-based checker for the engine's domain invariants.
 
-Twelve rules encode the correctness contracts the generic linters
-cannot see (see ``docs/linting.md`` for the full rationale; RL010 and
-RL014 are retired and stay reserved):
+Eleven rules encode the correctness contracts the generic linters
+cannot see (see ``docs/linting.md`` for the full rationale; RL007,
+RL010 and RL014 are retired and stay reserved):
 
 * **RL001** mutation without cache/plan invalidation;
 * **RL002** rewrite-piece scale discipline (the §4.2.2 invariant);
@@ -10,17 +10,16 @@ RL014 are retired and stay reserved):
 * **RL004** computed expressions as identity-cache anchors;
 * **RL005** bare ``assert`` guards (stripped under ``python -O``);
 * **RL006** ``print`` outside the presentation layer;
-* **RL007** shared-state mutation in pool-submitted code;
 * **RL008** in-place mutation of zone-map-summarised storage;
 * **RL009** observability reads in compute layers;
-* **RL011** transitive shared-state mutation reachable from pool tasks
-  (whole-program, call-graph based);
+* **RL011** unlocked shared-state mutation reachable from a server
+  request handler (whole-program, call-graph based);
 * **RL012** lock-order cycles / potential deadlocks (whole-program);
 * **RL013** interprocedural invalidation coverage (RL001 upgraded).
 
 RL011–RL013 run over a shared single-parse project index
 (:mod:`repro.lint.project`), a conservative call graph with
-pool-submission edges (:mod:`repro.lint.callgraph`), and
+server-thread submit edges (:mod:`repro.lint.callgraph`), and
 interprocedural dataflow passes (:mod:`repro.lint.dataflow`).
 
 Run ``python -m repro.lint src [--format json|text] [--baseline

@@ -1,4 +1,4 @@
-"""Conservative call graph with pool-submission edges.
+"""Conservative call graph with server-thread submission edges.
 
 Layer two of the whole-program analyzer (see :mod:`repro.lint.project`).
 The graph has one node per :class:`~repro.lint.project.FunctionInfo`
@@ -19,43 +19,27 @@ qualname plus synthetic ``<module>`` nodes, and two edge kinds:
     interesting receivers (cache, registry) resolved anyway.
 
 ``submit``
-    ``f`` hands ``g`` to a pool: ``parallel_map(g, ...)``,
-    ``map_row_chunks(g, ...)`` or ``executor.submit(g, ...)``.  Each
-    submit edge carries a backend tag (``thread`` / ``server-thread`` /
-    ``unknown``) so reports can say which concurrency source reaches a
-    function.
-
-Submission sites where the task argument is not a statically resolvable
-function (e.g. a variable) are recorded in
-:attr:`CallGraph.unresolved_submits` so rules can stay honest about
-coverage instead of silently ignoring them.
+    ``g`` is a serving-layer request entry point (see
+    :func:`is_server_handler`): ``ThreadingHTTPServer`` runs it on a
+    handler thread, one per connection.  The engine itself is serial, so
+    these synthesized edges from the module node are the only concurrency
+    roots.  Each carries the backend tag ``server-thread`` so reports can
+    name the concurrency source that reaches a function.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.lint.project import FACTORY_RETURNS, FunctionInfo, ProjectIndex
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-#: Pool-submission entry points, by bare callable name -> backend.
-SUBMIT_BACKENDS: dict[str, str] = {
-    "parallel_map": "thread",
-    "map_row_chunks": "thread",
-}
+from repro.lint.project import FunctionInfo, ProjectIndex
 
 #: The serving package: its request entry points run on HTTP handler
 #: threads (``ThreadingHTTPServer`` spawns one per connection), so they
-#: are worker context even though no pool scatter is statically visible.
+#: are worker context.
 SERVER_PATH_PREFIX = "repro/server/"
 
-#: Backend tag for synthesized handler-thread submit edges.  A distinct
-#: tag (not ``"thread"``) keeps reports honest about *which* concurrency
-#: source reaches a function.
+#: Backend tag of the synthesized handler-thread submit edges.
 SERVER_BACKEND = "server-thread"
 
 
@@ -92,7 +76,7 @@ class Edge:
     src: str  # caller qualname (or "<module>@path")
     dst: str  # callee qualname
     kind: str  # "call" | "submit"
-    backend: str | None  # submit edges: "thread" | "server-thread" | "unknown"
+    backend: str | None  # submit edges: "server-thread"; call edges: None
     path: str
     line: int
     #: True when the edge came from the low-confidence by-name fallback
@@ -104,24 +88,12 @@ class Edge:
 
 
 @dataclass
-class UnresolvedSubmit:
-    """A pool submission whose task argument didn't resolve statically."""
-
-    src: str
-    path: str
-    line: int
-    backend: str
-    reason: str
-
-
-@dataclass
 class CallGraph:
     """Adjacency view over the resolved edges."""
 
     edges: list[Edge] = field(default_factory=list)
     out: dict[str, list[Edge]] = field(default_factory=dict)
     into: dict[str, list[Edge]] = field(default_factory=dict)
-    unresolved_submits: list[UnresolvedSubmit] = field(default_factory=list)
 
     def add(self, edge: Edge) -> None:
         self.edges.append(edge)
@@ -201,104 +173,11 @@ def _link_call(
     types: dict[str, str],
     owner_class: str | None = None,
 ) -> None:
-    bare = _bare_name(call.func)
     line = getattr(call, "lineno", 0)
-
-    # --- submit edges -------------------------------------------------
-    backend = _submit_backend(project, module, call, bare)
-    if backend is not None:
-        _add_submit_edges(project, graph, module, src, path, call, backend, types, owner_class)
-        # parallel_map(fn, items) also *calls* the wrapper itself.
-    if bare == "submit":
-        exec_backend = _executor_backend(call, types)
-        if exec_backend is not None:
-            _add_submit_edges(
-                project, graph, module, src, path, call, exec_backend, types, owner_class
-            )
-            return
-
-    # --- plain call edges ---------------------------------------------
     for target, is_fallback in _resolve_callable(
         project, module, call.func, types, owner_class
     ):
         graph.add(Edge(src, target, "call", None, path, line, is_fallback))
-
-
-def _add_submit_edges(
-    project: ProjectIndex,
-    graph: CallGraph,
-    module: str,
-    src: str,
-    path: str,
-    call: ast.Call,
-    backend: str,
-    types: dict[str, str],
-    owner_class: str | None,
-) -> None:
-    line = getattr(call, "lineno", 0)
-    if not call.args:
-        graph.unresolved_submits.append(
-            UnresolvedSubmit(src, path, line, backend, "no positional task argument")
-        )
-        return
-    task = call.args[0]
-    targets = _resolve_callable(project, module, task, types, owner_class)
-    if targets:
-        for target, is_fallback in targets:
-            graph.add(
-                Edge(src, target, "submit", backend, path, line, is_fallback)
-            )
-    else:
-        graph.unresolved_submits.append(
-            UnresolvedSubmit(
-                src,
-                path,
-                line,
-                backend,
-                f"task argument {ast.dump(task)[:60]} not statically resolvable",
-            )
-        )
-
-
-def _submit_backend(
-    project: ProjectIndex, module: str, call: ast.Call, bare: str | None
-) -> str | None:
-    """Backend tag when ``call`` is a pool scatter helper, else None."""
-    if bare is None or bare not in SUBMIT_BACKENDS:
-        return None
-    # Require the name to resolve into the engine (or be a fixture-local
-    # definition of the same name — single-file fixtures keep working).
-    dotted = _dotted(call.func)
-    if dotted is not None:
-        resolved = project.resolve_local(module, dotted)
-        if (
-            resolved is not None
-            and ".parallel." not in resolved
-            and resolved not in project.functions
-        ):
-            return None
-    return SUBMIT_BACKENDS[bare]
-
-
-def _executor_backend(call: ast.Call, types: dict[str, str]) -> str | None:
-    """Backend for a raw ``<receiver>.submit(fn, ...)`` call."""
-    func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "submit"):
-        return None
-    receiver = func.value
-    inferred = None
-    if isinstance(receiver, ast.Name):
-        inferred = types.get(receiver.id)
-    elif isinstance(receiver, ast.Call):
-        bare = _bare_name(receiver.func)
-        if bare is not None:
-            inferred = FACTORY_RETURNS.get(bare)
-    if inferred is not None and "ThreadPool" in inferred:
-        return "thread"
-    name_hint = receiver.id.lower() if isinstance(receiver, ast.Name) else ""
-    if "pool" in name_hint or "executor" in name_hint:
-        return "thread"
-    return "unknown"
 
 
 def _resolve_callable(
@@ -414,8 +293,6 @@ def _local_types(project: ProjectIndex, info: FunctionInfo) -> dict[str, str]:
         resolved = project.resolve_local(info.module, ann)
         if resolved is not None and resolved in project.classes:
             types[arg.arg] = resolved
-        elif "ThreadPoolExecutor" in ann or ann.endswith("Executor"):
-            types[arg.arg] = "concurrent.futures.ThreadPoolExecutor"
 
     for sub in ast.walk(node):
         if not (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)):
@@ -458,10 +335,8 @@ __all__ = [
     "NAME_FALLBACK_BLACKLIST",
     "SERVER_BACKEND",
     "SERVER_PATH_PREFIX",
-    "SUBMIT_BACKENDS",
     "CallGraph",
     "Edge",
-    "UnresolvedSubmit",
     "build_call_graph",
     "is_server_handler",
 ]

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "write the whole-program analysis report (call graph, "
-            "pool-submission edges, lock-order graph, cycles) as JSON to "
+            "server-thread submit edges, lock-order graph, cycles) as JSON to "
             "FILE, plus Graphviz exports next to it "
             "(FILE.callgraph.dot, FILE.lockorder.dot)"
         ),

@@ -5,11 +5,10 @@ whole-program *property map* computed once per lint run and shared by
 the graph-aware rules (RL011–RL013):
 
 worker-context reachability
-    A function "runs in worker context" if any pool-submission edge
-    reaches it — directly (``parallel_map(f, ...)``) or transitively
-    (the submitted task calls it).  Computed per backend tag, so
-    findings can name the concurrency source (pool threads or HTTP
-    handler threads) that reaches a function.
+    A function "runs in worker context" if a submit edge reaches it —
+    directly (it is a serving-layer request entry point) or transitively
+    (a handler calls it).  Computed per backend tag, so findings can name
+    the concurrency source that reaches a function.
 
 lock-held regions and the lock-order graph
     Each ``with <lock>:`` statement opens a held region.  Locks get
@@ -59,7 +58,7 @@ INVALIDATING_CALLS: frozenset[str] = frozenset(
 class LockId:
     """Stable identity for a lock object."""
 
-    name: str  # "ExecutionCache._lock", "repro.engine.parallel._POOL_LOCK"
+    name: str  # "ExecutionCache._lock", "repro.engine.parallel._OPTIONS_LOCK"
     kind: str  # "Lock" | "RLock" | "unknown"
 
 
@@ -203,7 +202,7 @@ class ProjectAnalysis:
             if name in self.locks or "lock" in expr.attr.lower():
                 return name
             return None
-        # Bare module-level name: _POOL_LOCK → module._POOL_LOCK
+        # Bare module-level name: _OPTIONS_LOCK → module._OPTIONS_LOCK
         if isinstance(expr, ast.Name):
             candidate = f"{info.module}.{expr.id}"
             if candidate in self.locks:

@@ -1,10 +1,11 @@
 """Single-parse whole-program index shared by every lint rule.
 
-PRs 3 and 6 made the engine concurrent, which moved the correctness
-story from per-file facts ("this function invalidates") to *global*
-properties — "no shared-state mutation is reachable from a pool task",
-"every mutation path reaches an invalidation", "locks acquire in a
-consistent order".  Per-file, name-heuristic rules cannot prove those;
+The serving layer runs queries and appends on concurrent HTTP handler
+threads, which moves the correctness story from per-file facts ("this
+function invalidates") to *global* properties — "no unlocked
+shared-state mutation is reachable from a request handler", "every
+mutation path reaches an invalidation", "locks acquire in a consistent
+order".  Per-file, name-heuristic rules cannot prove those;
 they need a symbol table and a call graph.
 
 This module provides the first layer: :class:`ProjectIndex`, built from
@@ -14,7 +15,7 @@ passes share it).  The index knows:
 
 * every **module** (package-relative path ↔ dotted module name);
 * every **function/method** (:class:`FunctionInfo`, keyed by its
-  module-qualified name, e.g. ``repro.engine.parallel.parallel_map`` or
+  module-qualified name, e.g. ``repro.engine.parallel.chunk_ranges`` or
   ``repro.engine.cache.ExecutionCache.get``), including nested
   functions and lambdas (synthetic ``<lambda@LINE>`` names);
 * every **class** (:class:`ClassInfo` with its method table and base
@@ -364,7 +365,6 @@ class ProjectIndex:
 FACTORY_RETURNS: dict[str, str] = {
     "get_cache": "repro.engine.cache.ExecutionCache",
     "get_registry": "repro.obs.registry.MetricsRegistry",
-    "get_pool": "concurrent.futures.ThreadPoolExecutor",
 }
 
 

@@ -1,13 +1,13 @@
 """``--graph-report``: JSON + Graphviz export of the analysis graphs.
 
 The whole-program analyzer's value is only auditable if its view of the
-system is inspectable: which functions it thinks run on workers, which
-lock nests inside which, which submissions it could not resolve.  This
+system is inspectable: which functions it thinks run on handler
+threads, and which lock nests inside which.  This
 module renders the shared :class:`~repro.lint.project.ProjectIndex` /
 :class:`~repro.lint.dataflow.ProjectAnalysis` into
 
 * one **JSON document** (counts, edge lists, worker-context map,
-  lock-order edges and cycles, unresolved submissions) — uploaded as a
+  lock-order edges and cycles) — uploaded as a
   CI artifact so every PR's graph is diffable against the last; and
 * two **dot graphs** — the call graph (submit edges dashed, labelled
   with their backend) and the lock-order graph (nodes carry the lock
@@ -51,7 +51,6 @@ def graph_report(project: ProjectIndex) -> dict:
             "classes": len(project.classes),
             "call_edges": len(call_edges),
             "submit_edges": len(submit_edges),
-            "unresolved_submits": len(graph.unresolved_submits),
             "worker_reachable_functions": len(analysis.worker_context),
             "locks": len(analysis.locks),
             "lock_order_edges": len(lock_edges),
@@ -67,19 +66,6 @@ def graph_report(project: ProjectIndex) -> dict:
                 "line": e.line,
             }
             for e in submit_edges
-        ],
-        "unresolved_submits": [
-            {
-                "src": u.src,
-                "path": u.path,
-                "line": u.line,
-                "backend": u.backend,
-                "reason": u.reason,
-            }
-            for u in sorted(
-                graph.unresolved_submits,
-                key=lambda u: (u.path, u.line, u.src),
-            )
         ],
         "worker_context": {
             qualname: sorted(backends)

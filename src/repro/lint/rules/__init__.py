@@ -15,7 +15,6 @@ from repro.lint.rules import (  # noqa: F401
     rl004_cache_keys,
     rl005_asserts,
     rl006_io_purity,
-    rl007_shared_state,
     rl008_zonemap,
     rl009_obs,
     rl011_transitive_shared_state,

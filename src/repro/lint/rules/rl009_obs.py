@@ -2,7 +2,7 @@
 
 Profiling must be answer-neutral: ``session.sql(..., profile=True)``
 and ``profile=False`` must produce byte-identical estimates at any
-worker count and chunk size.  That holds only if the compute layers
+chunk size.  That holds only if the compute layers
 treat spans (:mod:`repro.obs.trace`) and the metrics registry
 (:mod:`repro.obs.registry`) as **write-only** channels — create
 children, time blocks, record attributes, bump counters — and never

@@ -1,23 +1,29 @@
-"""RL011 — transitive shared-state mutation reachable from pool tasks.
+"""RL011 — unlocked shared-state mutation reachable from a request handler.
 
-RL007 checks the functions a module *directly* submits to the pool.
-But the purity contract is about everything a pool task can *reach*: a
-submitted chunk worker that calls a helper which calls another helper
-that appends to a shared catalog list breaks determinism exactly the
-same way, three frames deeper than RL007 can see.
+The engine is serial; its only concurrency is the HTTP server's handler
+threads (one per connection, see ``docs/internals.md`` §8).  Every
+request entry point in ``repro/server/`` (``do_GET``/``do_POST``,
+``handle``, ``_handle_*``) therefore shares the address space with every
+other in-flight request, and so does everything it can *reach*: a
+handler that calls a helper which calls another helper that appends to
+a shared catalog list races exactly like a handler that appends to it
+directly.
 
-This rule closes that gap with the call graph: the dataflow pass marks
-every function reachable (via ``call`` edges) from any pool-submission
-edge as "runs in worker context", and this rule scans *those* bodies
-for the same shared-state mutations RL007 monitors.  Functions RL007
-already covers — the directly submitted ones and everything in the
-pool modules themselves — are skipped, so each mutation is reported by
-exactly one rule.  Each finding names the submission chain that makes
-the function worker-reachable, because "why is this a pool task?" is
-the first question the report has to answer.
+The call graph synthesizes one ``server-thread`` submit edge per request
+entry point; the dataflow pass marks every function reachable from
+those edges (via ``call`` edges) as "runs in worker context", and this
+rule scans *those* bodies — the entry points included — for assignments
+(plain, augmented, annotated, including subscript stores and tuple
+unpacking) to the monitored shared-state attributes, and for mutating
+method calls (``append``/``pop``/``update``/…) on them.  Each finding
+names the chain that makes the function handler-reachable, because
+"why does this run concurrently?" is the first question the report has
+to answer.
 
-Mutations lexically inside a ``with <lock>:`` region are exempt, same
-as RL007.
+Mutations lexically inside a ``with`` block whose context expression
+names a lock (dotted name containing ``"lock"``, case-insensitive) are
+exempt, as are ``__init__`` bodies (construction precedes publication)
+and the reviewed :data:`ALLOWLIST`.
 """
 
 from __future__ import annotations
@@ -25,15 +31,49 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.lint.callgraph import is_server_handler
 from repro.lint.core import Finding, Rule, register
-from repro.lint.rules.rl007_shared_state import (
-    POOL_MODULES,
-    _is_lock_context,
-    _mutating_call_target,
-    _shared_target,
-    _store_targets,
-    _submitted_functions,
+
+#: Attributes holding shared engine state (cache structures, catalogs,
+#: sample layouts, session memos, metrics counters, column storage).
+SHARED_STATE_ATTRS = frozenset(
+    {
+        "_entries",
+        "_anchor_keys",
+        "_tables",
+        "tables",
+        "_columns",
+        "columns",
+        "_metas",
+        "_overall_parts",
+        "_reduced_dims",
+        "data",
+        "dictionary",
+        "hits",
+        "misses",
+        "invalidations",
+        "enabled",
+        "metrics",
+        "_parse_memo",
+        "_plan_memo",
+        "_log",
+    }
+)
+
+#: Method names that mutate their receiver in place.
+MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "add",
+        "discard",
+        "remove",
+        "pop",
+        "popitem",
+        "clear",
+        "update",
+        "setdefault",
+    }
 )
 
 #: ``path::symbol`` entries reviewed as safe; reasons are mandatory.
@@ -48,8 +88,7 @@ ALLOWLIST: dict[str, str] = {
     # these) holds AQPServer's writer-preferring RW lock exclusively:
     # _handle_append wraps session.append_rows in write_locked(), so no
     # handler-thread query (they take the read side) and no concurrent
-    # append can interleave with these catalog/sample mutations.  Real
-    # pool scatters never reach them — appends are serial-head work.
+    # append can interleave with these catalog/sample mutations.
     "repro/engine/database.py::Database.append_rows": (
         "server-thread reachability only; serialized behind the "
         "serving layer's exclusive write lock (AQPServer._rw)"
@@ -65,10 +104,72 @@ ALLOWLIST: dict[str, str] = {
 }
 
 
+def _is_lock_context(item: ast.withitem) -> bool:
+    """Whether a ``with`` item's context expression names a lock."""
+    node = item.context_expr
+    if isinstance(node, ast.Call):  # e.g. ``with lock_for(key):``
+        node = node.func
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return any("lock" in part.lower() for part in parts)
+
+
+def _shared_attr(node: ast.AST) -> str | None:
+    """The first monitored attribute in ``node``'s attribute chain."""
+    while isinstance(node, ast.Attribute):
+        if node.attr in SHARED_STATE_ATTRS:
+            return node.attr
+        node = node.value
+    return None
+
+
+def _shared_target(node: ast.AST) -> str | None:
+    """The shared attribute a store targets, or ``None``.
+
+    Unwraps subscripts (``self._entries[key] = ...``) and reports the
+    first monitored name found in the attribute chain.
+    """
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _shared_attr(node)
+
+
+def _store_targets(node: ast.AST) -> list[ast.AST]:
+    """Flatten an assignment's targets, unpacking tuples/lists."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    flat: list[ast.AST] = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        else:
+            flat.append(target)
+    return flat
+
+
+def _mutating_call_target(node: ast.Call) -> str | None:
+    """The shared state a mutating method call touches, or ``None``."""
+    func = node.func
+    if not (
+        isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS
+    ):
+        return None
+    return _shared_attr(func.value)
+
+
 @register
 class TransitiveSharedStateMutation(Rule):
     rule_id = "RL011"
-    title = "transitive shared-state mutation reachable from pool task"
+    title = "unlocked shared-state mutation reachable from a request handler"
     project_wide = True
 
     def check_project(self, project) -> Iterable[Finding]:
@@ -77,17 +178,10 @@ class TransitiveSharedStateMutation(Rule):
             info = project.functions.get(qualname)
             if info is None or isinstance(info.node, ast.Lambda):
                 continue
-            if info.path in POOL_MODULES:
-                continue  # RL007 scans every function there already
             if info.name == "__init__":
                 # Construction precedes publication: stores to the object
-                # being built cannot race (the argument RL007/RL008 make).
+                # being built cannot race (the argument RL008 makes).
                 continue
-            direct_names, _ = _submitted_functions(info.ctx.nodes(ast.Call))
-            if info.name in direct_names:
-                continue  # RL007 covers directly submitted functions
-            if is_server_handler(info.path, info.name):
-                continue  # RL007 scans serving entry points as roots
             if f"{info.path}::{info.symbol}" in ALLOWLIST:
                 continue
             backends = analysis.worker_context[qualname]
@@ -129,10 +223,10 @@ class TransitiveSharedStateMutation(Rule):
             yield self.finding(
                 info.ctx,
                 node,
-                f"mutates shared state {target!r} in a function reachable "
-                f"from a pool submission ({chain}); concurrent tasks "
-                "race on it — hoist the mutation to the serial "
-                "head/tail around the scatter",
+                f"mutates shared state {target!r} without holding a lock "
+                f"in a function reachable from a request handler "
+                f"({chain}); concurrent handler threads race on it — "
+                "guard it with a lock or move it out of the request path",
             )
 
     @staticmethod

@@ -1,8 +1,8 @@
 """RL012 — inconsistent lock acquisition order (potential deadlock).
 
 The engine now holds real locks in real nesting patterns: the execution
-cache's ``RLock`` wraps calls into the cache-metrics lock, and the pool
-module guards its singletons with module-level locks.  None of that
+cache's ``RLock`` wraps calls into the cache-metrics lock, and the
+serving layer nests its read/write lock around session and cache work.  None of that
 deadlocks *today* because the acquisition order happens to be
 consistent — but nothing enforced it, and a future "just take the cache
 lock while holding the registry lock" change would compile, pass every

@@ -154,7 +154,7 @@ class AQPSession:
 
     Safe for concurrent :meth:`sql` / :meth:`execute` callers: the query
     log and the parse/plan memos take the session lock, and the engine
-    layers underneath (execution cache, worker pool) are thread-safe.
+    layers underneath (execution cache, metrics registry) are thread-safe.
     The lock is never held across parsing, rewriting, or execution —
     concurrent misses on the same memo key are **single-flighted** (one
     caller parses/plans, the concurrent duplicates wait and share the
@@ -177,7 +177,7 @@ class AQPSession:
         self.db = db
         self.technique = technique
         self.report: PreprocessReport | None = None
-        #: Parallelism knobs forwarded to piece execution and the exact
+        #: Execution knobs forwarded to piece execution and the exact
         #: executor; ``None`` uses the process-wide defaults.
         self.options = options
         self._lock = threading.Lock()
@@ -215,9 +215,7 @@ class AQPSession:
         sketch.  The sketch store is process-wide (like the execution
         cache), so closing one session drops state other live sessions
         may be about to use — that is safe, not wrong: a dropped sketch
-        is re-recorded on the next evaluation.  The worker pool stays up
-        (it is process-wide and shut down atexit, or explicitly via
-        :func:`repro.engine.parallel.shutdown_pool`).
+        is re-recorded on the next evaluation.
 
         Safe to call more than once — including the implicit second call
         of ``with session: ... finally session.close()`` patterns: only

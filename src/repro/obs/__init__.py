@@ -11,7 +11,7 @@ report and the execution-cache delta — into one
 Observability is answer-neutral by construction: the compute layers
 only ever *write* to spans and the registry (lint rule RL009 bans
 reads), and the profile-determinism sweep pins byte-identical answers
-with profiling on or off at any worker count and chunk size.  See
+with profiling on or off at any chunk size.  See
 ``docs/internals.md`` §10.
 """
 

@@ -5,7 +5,7 @@ the answer is computed (``session.sql(..., profile=True)``), from three
 write-only channels the engine filled in along the way:
 
 * the span tree (:mod:`repro.obs.trace`) — parse → plan → §4.2.2
-  rewrite → per-piece execution → combine, with pool submit/wait times;
+  rewrite → per-piece execution → combine;
 * the data-skipping report (:class:`~repro.engine.zonemap.SkipReport`)
   — per piece, zone-map chunk verdicts and rows actually touched;
 * the execution-cache counter delta

@@ -2,15 +2,14 @@
 
 Where a :class:`~repro.obs.trace.Span` tree describes *one* query, the
 :class:`MetricsRegistry` aggregates *across* queries — total pieces
-executed and pruned, zone-map chunk verdicts, pool scatter latencies,
-per-mode query counts — the way
+executed and pruned, zone-map chunk verdicts, per-mode query counts — the way
 :class:`~repro.engine.cache.CacheMetrics` already aggregates cache
 lookups.  BlinkDB-style systems feed exactly this kind of per-query
 error/latency profile back into sample selection; the registry is the
 substrate such workload-adaptive tuning will read.
 
 All three instrument kinds are thread-safe (one registry lock; the
-engine's pool tasks increment counters concurrently) and snapshot-able
+server's handler threads increment counters concurrently) and snapshot-able
 into a strict-JSON plain dict (non-finite observations are recorded
 under a ``non_finite`` count rather than poisoning sums with NaN).
 Like spans, the registry is a write-only channel for the compute
@@ -116,7 +115,7 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe named counters, gauges, and histograms.
 
-    Names are dotted strings (``"pool.wait_seconds"``,
+    Names are dotted strings (``"session.exact_seconds"``,
     ``"zonemap.chunks_skipped"``); instruments are created lazily on
     first write.  :meth:`snapshot` returns a plain strict-JSON dict (the
     ``repro stats`` payload); :meth:`reset` zeroes everything (tests,

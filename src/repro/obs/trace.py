@@ -5,8 +5,8 @@ plan, the §4.2.2 rewrite, one piece's execution, the combine — carrying
 a monotonic duration (``time.perf_counter`` only, so the tracing layer
 is RL003-clean everywhere), a flat dict of numeric/str attributes, and
 child spans.  The session creates one root span per profiled query and
-threads it down through the combiner, the executor, and the worker-pool
-scatter; each layer attaches children and attributes as it works.
+threads it down through the combiner and the executor; each layer
+attaches children and attributes as it works.
 
 Answer-neutrality contract
 --------------------------
@@ -25,10 +25,9 @@ branches on "is profiling enabled" — the no-op calls are the branch.
 Ownership discipline (instead of locks)
 ---------------------------------------
 Spans are deliberately lock-free.  Creating a child mutates the parent,
-so children must be created by the thread that owns the parent: the
-combiner's piece loop runs on the calling thread, pool tasks never
-touch a span, and :func:`~repro.engine.parallel.parallel_map` records
-its ``pool.scatter`` child on the calling thread after the gather.
+so children must be created by the thread that owns the parent.  The
+engine is serial, so every span of a query is created on the thread
+that runs the query.
 """
 
 from __future__ import annotations

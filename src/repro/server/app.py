@@ -13,7 +13,7 @@ Concurrency discipline, in the order a request meets it:
 2. **Admission gate** — a bounded in-flight counter; when
    ``max_inflight`` requests are already executing, new queries are
    rejected immediately with ``overloaded`` (HTTP 429) instead of
-   queueing unboundedly behind a slow pool.
+   queueing unboundedly behind slow queries.
 3. **Single-flight dedup** — identical in-flight queries (same SQL,
    mode, explain) coalesce onto one execution via the same
    :class:`~repro.engine.cache.SingleFlight` primitive the execution

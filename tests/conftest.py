@@ -12,7 +12,6 @@ from repro.datagen.synthetic import (
 )
 from repro.datagen.tpch import generate_tpch
 from repro.engine.database import Database
-from repro.engine.parallel import shutdown_pool
 from repro.engine.table import Table
 
 
@@ -46,13 +45,6 @@ def flat_db() -> Database:
         ],
         seed=13,
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def stop_worker_pool():
-    """Stop the shared thread pool once the whole suite has run."""
-    yield
-    shutdown_pool()
 
 
 @pytest.fixture()

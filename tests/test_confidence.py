@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.answer import GroupEstimate
 from repro.core.confidence import (
-    agresti_coull_interval,
     bernoulli_count_variance,
     normal_interval,
     z_value,
@@ -58,35 +57,6 @@ class TestBernoulliVariance:
     def test_rate_bounds(self):
         with pytest.raises(RuntimePhaseError):
             bernoulli_count_variance(1, 0.0)
-
-
-class TestAgrestiCoull:
-    def test_within_unit_interval(self):
-        lo, hi = agresti_coull_interval(0, 10)
-        assert 0.0 <= lo <= hi <= 1.0
-        lo, hi = agresti_coull_interval(10, 10)
-        assert 0.0 <= lo <= hi <= 1.0
-
-    def test_contains_sample_proportion_mid_range(self):
-        lo, hi = agresti_coull_interval(30, 100)
-        assert lo < 0.3 < hi
-
-    def test_validation(self):
-        with pytest.raises(RuntimePhaseError):
-            agresti_coull_interval(5, 0)
-        with pytest.raises(RuntimePhaseError):
-            agresti_coull_interval(11, 10)
-
-    def test_coverage(self):
-        # Nominal 95% interval should cover the true p on ~95% of trials.
-        rng = np.random.default_rng(0)
-        p, n, trials = 0.2, 120, 800
-        covered = 0
-        for _ in range(trials):
-            successes = rng.binomial(n, p)
-            lo, hi = agresti_coull_interval(int(successes), n)
-            covered += lo <= p <= hi
-        assert covered / trials > 0.90
 
 
 class TestGroupEstimate:

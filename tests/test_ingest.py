@@ -13,11 +13,8 @@ Contracts under test:
 * provenance sketches are retained across appends with the tail marked
   appended-UNKNOWN, and EXPLAIN counts those chunks distinctly;
 * any interleaving of appends and queries yields answers byte-identical
-  to a fresh session replaying the same appends — across the serial,
-  thread, and process backends, two chunk layouts, and with the
-  incremental path switched off;
-* an append storm under the process backend leaks no shared-memory
-  segments.
+  to a fresh session replaying the same appends — at two chunk layouts,
+  and with the incremental path switched off.
 """
 
 import numpy as np
@@ -36,11 +33,7 @@ from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import execute
-from repro.engine.parallel import (
-    ExecutionOptions,
-    chunk_ranges,
-    shutdown_pool,
-)
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
 from repro.engine.zonemap import (
@@ -374,27 +367,18 @@ def _replayed(options):
 
 class TestInterleavedDeterminism:
     @pytest.mark.parametrize("chunk_rows", [256, 1024])
-    def test_interleaving_equals_fresh_replay_across_backends(
-        self, chunk_rows
-    ):
+    def test_interleaving_equals_fresh_replay(self, chunk_rows):
         baseline = _replayed(ExecutionOptions(chunk_rows=chunk_rows))
-        try:
-            for workers in (1, 2):
-                options = ExecutionOptions(
-                    chunk_rows=chunk_rows, max_workers=workers
-                )
-                assert _interleaved(options) == baseline, (
-                    f"answer drifted at max_workers={workers}, "
-                    f"chunk_rows={chunk_rows}"
-                )
-            # Full invalidation is answer-neutral: it yields
-            # byte-identical estimates.
-            off = ExecutionOptions(
-                chunk_rows=chunk_rows, incremental_appends=False
-            )
-            assert _interleaved(off) == baseline
-        finally:
-            shutdown_pool()
+        options = ExecutionOptions(chunk_rows=chunk_rows)
+        assert _interleaved(options) == baseline, (
+            f"answer drifted at chunk_rows={chunk_rows}"
+        )
+        # Full invalidation is answer-neutral: it yields
+        # byte-identical estimates.
+        off = ExecutionOptions(
+            chunk_rows=chunk_rows, incremental_appends=False
+        )
+        assert _interleaved(off) == baseline
 
     def test_session_append_routes_to_the_technique(self):
         session = _new_session(ExecutionOptions(chunk_rows=512))

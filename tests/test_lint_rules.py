@@ -23,6 +23,7 @@ from repro.lint import (
     main,
 )
 from repro.lint.baseline import BaselineEntry
+from repro.lint.core import _run_rules, parse_context
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -470,101 +471,6 @@ class TestRL006IOPurity:
             assert run_rule("RL006", source, path) == []
 
 
-class TestRL007SharedStateInPoolTask:
-    BAD = """
-        def _task(item):
-            cache = get_cache()
-            cache._entries[item] = compute(item)
-            return item
-
-        def run(items, options):
-            return parallel_map(_task, items, options.workers)
-    """
-
-    GOOD_LOCKED = """
-        class Cache:
-            def _task(self, item):
-                with self._lock:
-                    self._entries[item] = compute(item)
-                return item
-
-            def run(self, items, options):
-                return parallel_map(self._task, items, options.workers)
-    """
-
-    def test_fires_on_unlocked_mutation_in_submitted_function(self):
-        findings = run_rule("RL007", self.BAD, "repro/engine/foo.py")
-        assert len(findings) == 1
-        assert findings[0].symbol == "_task"
-        assert "_entries" in findings[0].message
-
-    def test_lock_guarded_mutation_passes(self):
-        assert (
-            run_rule("RL007", self.GOOD_LOCKED, "repro/engine/foo.py") == []
-        )
-
-    def test_function_not_submitted_is_out_of_scope(self):
-        source = """
-            def serial_only(cache, item):
-                cache._entries[item] = compute(item)
-        """
-        assert run_rule("RL007", source, "repro/engine/foo.py") == []
-
-    def test_out_of_scope_file_ignored(self):
-        assert run_rule("RL007", self.BAD, "repro/workload/foo.py") == []
-
-    def test_pool_module_functions_always_in_scope(self):
-        source = """
-            def helper():
-                global _POOL
-                _POOL = make_pool()
-        """
-        findings = run_rule("RL007", source, "repro/engine/parallel.py")
-        assert len(findings) == 1
-        assert "_POOL" in findings[0].message
-
-    def test_pool_module_locked_global_passes(self):
-        source = """
-            def helper():
-                global _POOL
-                with _POOL_LOCK:
-                    _POOL = make_pool()
-        """
-        assert run_rule("RL007", source, "repro/engine/parallel.py") == []
-
-    def test_fires_on_mutating_method_call(self):
-        source = """
-            def _collect(item):
-                results._log.append(item)
-                return item
-
-            def run(items, n):
-                return parallel_map(_collect, items, n)
-        """
-        findings = run_rule("RL007", source, "repro/middleware/foo.py")
-        assert len(findings) == 1
-        assert "_log" in findings[0].message
-
-    def test_fires_on_submitted_lambda(self):
-        source = """
-            def run(pool, table, rows):
-                return pool.submit(lambda r: table._columns.update(r), rows)
-        """
-        findings = run_rule("RL007", source, "repro/engine/foo.py")
-        assert len(findings) == 1
-        assert "_columns" in findings[0].message
-
-    def test_pure_submitted_closure_passes(self):
-        source = """
-            def run(table, options):
-                def _membership(start, stop):
-                    return np.isin(table.data[start:stop], codes)
-
-                return map_row_chunks(_membership, table.n_rows, options)
-        """
-        assert run_rule("RL007", source, "repro/core/smallgroup.py") == []
-
-
 class TestRL008ZoneMapMutation:
     BAD_SUBSCRIPT = """
         class Editor:
@@ -763,9 +669,9 @@ class TestInfrastructure:
 
     def test_every_rule_has_id_and_title(self):
         rules = all_rules()
-        # RL010 and RL014 are retired and stay reserved.
+        # RL007, RL010 and RL014 are retired and stay reserved.
         assert [r.rule_id for r in rules] == [
-            f"RL00{i}" for i in range(1, 10)
+            f"RL00{i}" for i in (1, 2, 3, 4, 5, 6, 8, 9)
         ] + [f"RL01{i}" for i in range(1, 4)]
         assert all(r.title for r in rules)
 
@@ -1025,36 +931,19 @@ class TestCallGraph:
     def test_submit_edges_carry_backend(self):
         project, graph = self.graph(
             {
-                "repro/engine/work.py": """
-                    from repro.engine.parallel import parallel_map
-
+                "repro/server/work.py": """
                     def task(x):
                         return x
-                    def thread_scatter(items):
-                        return parallel_map(task, items)
+                    def _handle_query(request):
+                        return task(request)
                 """
             }
         )
         backends = {
-            (e.src.rsplit(".", 1)[-1], e.backend)
+            (e.dst.rsplit(".", 1)[-1], e.backend)
             for e in graph.submit_edges()
         }
-        assert backends == {("thread_scatter", "thread")}
-
-    def test_unresolved_submit_is_recorded_not_dropped(self):
-        project, graph = self.graph(
-            {
-                "repro/engine/work.py": """
-                    from repro.engine.parallel import parallel_map
-
-                    def scatter(fn, items):
-                        return parallel_map(fn, items)
-                """
-            }
-        )
-        assert graph.submit_edges() == []
-        assert len(graph.unresolved_submits) == 1
-        assert graph.unresolved_submits[0].backend == "thread"
+        assert backends == {("_handle_query", "server-thread")}
 
     def test_name_fallback_skips_builtin_collisions(self):
         project, graph = self.graph(
@@ -1081,21 +970,23 @@ class TestDataflow:
     def test_worker_context_is_transitive(self):
         project, analysis = self.analysis(
             {
-                "repro/engine/work.py": """
-                    from repro.engine.parallel import parallel_map
-
-                    def task(x):
-                        return helper(x)
+                "repro/server/work.py": """
+                    def handle(request):
+                        return helper(request)
                     def helper(x):
                         return x + 1
-                    def scatter(items):
-                        return parallel_map(task, items)
+                    def offline(items):
+                        return items
                 """
             }
         )
-        assert analysis.runs_in_worker("repro.engine.work.task") == {"thread"}
-        assert analysis.runs_in_worker("repro.engine.work.helper") == {"thread"}
-        assert analysis.runs_in_worker("repro.engine.work.scatter") == set()
+        assert analysis.runs_in_worker("repro.server.work.handle") == {
+            "server-thread"
+        }
+        assert analysis.runs_in_worker("repro.server.work.helper") == {
+            "server-thread"
+        }
+        assert analysis.runs_in_worker("repro.server.work.offline") == set()
 
     def test_lock_kinds_recovered_from_construction(self):
         project, analysis = self.analysis(
@@ -1161,11 +1052,9 @@ class TestDataflow:
 
 class TestRL011TransitiveSharedState:
     BAD = """
-        from repro.engine.parallel import parallel_map
-
         class Catalog:
-            def scatter(self, items):
-                return parallel_map(self.task, items)
+            def _handle_add(self, item):
+                return self.task(item)
             def task(self, item):
                 return self.helper(item)
             def helper(self, item):
@@ -1174,11 +1063,9 @@ class TestRL011TransitiveSharedState:
     """
 
     GOOD_LOCKED = """
-        from repro.engine.parallel import parallel_map
-
         class Catalog:
-            def scatter(self, items):
-                return parallel_map(self.task, items)
+            def _handle_add(self, item):
+                return self.task(item)
             def task(self, item):
                 return self.helper(item)
             def helper(self, item):
@@ -1194,32 +1081,37 @@ class TestRL011TransitiveSharedState:
                 return item
     """
 
-    ALLOWLISTED = """
-        from repro.engine.parallel import parallel_map
-
-        def scatter(items):
-            return parallel_map(work, items)
-        def work(item):
-            return column_from_parts(item)
-        def column_from_parts(item):
-            col = item
-            col.data = item
-            return col
-    """
-
     def test_fires_on_transitive_helper_mutation(self):
-        findings = run_rule("RL011", self.BAD, "repro/engine/catalog.py")
+        findings = run_rule("RL011", self.BAD, "repro/server/catalog.py")
         assert [f.symbol for f in findings] == ["Catalog.helper"]
-        assert "pool submission" in findings[0].message
+        assert "request handler" in findings[0].message
+        # The message names the chain that makes the helper concurrent.
+        assert "via _handle_add -> task -> helper" in findings[0].message
 
-    def test_rl007_misses_what_rl011_catches(self):
-        # The gap RL011 exists for: the helper is not directly submitted.
-        findings = run_rule("RL007", self.BAD, "repro/engine/catalog.py")
-        assert findings == []
+    def test_fires_on_unlocked_mutation_in_handler(self):
+        source = """
+            def handle(request):
+                cache = get_cache()
+                cache._entries[request] = compute(request)
+                return request
+        """
+        findings = run_rule("RL011", source, "repro/server/app.py")
+        assert len(findings) == 1
+        assert findings[0].symbol == "handle"
+        assert "_entries" in findings[0].message
+
+    def test_fires_on_mutating_method_call(self):
+        source = """
+            def do_POST(handler):
+                results._log.append(handler)
+        """
+        findings = run_rule("RL011", source, "repro/server/http.py")
+        assert len(findings) == 1
+        assert "_log" in findings[0].message
 
     def test_lock_guarded_mutation_passes(self):
         findings = run_rule(
-            "RL011", self.GOOD_LOCKED, "repro/engine/catalog.py"
+            "RL011", self.GOOD_LOCKED, "repro/server/catalog.py"
         )
         assert findings == []
 
@@ -1230,9 +1122,25 @@ class TestRL011TransitiveSharedState:
         assert findings == []
 
     def test_allowlisted_symbol_passes(self):
-        findings = run_rule(
-            "RL011", self.ALLOWLISTED, "repro/engine/column.py"
-        )
+        files = {
+            "repro/server/app.py": """
+                from repro.engine.column import column_from_parts
+
+                def _handle_load(item):
+                    return column_from_parts(item)
+            """,
+            "repro/engine/column.py": """
+                def column_from_parts(item):
+                    col = item
+                    col.data = item
+                    return col
+            """,
+        }
+        contexts = [
+            parse_context(textwrap.dedent(source), path)
+            for path, source in files.items()
+        ]
+        findings = _run_rules(contexts, all_rules(["RL011"]))
         assert findings == []
 
 
@@ -1475,12 +1383,13 @@ class TestGraphReportCLI:
         capsys.readouterr()
         assert code == 0
         payload = json.loads(target.read_text())
-        assert payload["summary"]["submit_edges"] >= 10
+        # One per request entry point: do_GET/do_POST, handle, _handle_*.
+        assert payload["summary"]["submit_edges"] >= 5
         assert payload["summary"]["lock_cycles"] == 0
         assert payload["summary"]["worker_reachable_functions"] > 50
-        # Pool scatters and HTTP handler threads both reach the engine.
+        # HTTP handler threads are the only concurrency source.
         backends = {e["backend"] for e in payload["submit_edges"]}
-        assert {"thread", "server-thread"} <= backends
+        assert backends == {"server-thread"}
         callgraph = target.with_suffix(".json.callgraph.dot").read_text()
         lockorder = target.with_suffix(".json.lockorder.dot").read_text()
         assert callgraph.startswith("digraph callgraph")

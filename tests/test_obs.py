@@ -359,7 +359,7 @@ class TestQueryProfile:
 # ----------------------------------------------------------------------
 class TestProfileDeterminism:
     def test_profiling_never_changes_answers(self, tiny_tpch):
-        """Byte-identical estimates for profile x workers x chunk_rows.
+        """Byte-identical estimates for profile x chunk_rows.
 
         One technique is preprocessed once and shared; each config gets
         a fresh session (fresh memos) so only the knobs under test vary.
@@ -371,28 +371,25 @@ class TestProfileDeterminism:
         technique.preprocess(tiny_tpch)
         baseline = None
         for profile in (False, True):
-            for max_workers in (1, 2):
-                for chunk_rows in (512, 65536):
-                    session = AQPSession(
-                        tiny_tpch,
-                        technique=technique,
-                        options=ExecutionOptions(
-                            max_workers=max_workers, chunk_rows=chunk_rows
-                        ),
+            for chunk_rows in (512, 65536):
+                session = AQPSession(
+                    tiny_tpch,
+                    technique=technique,
+                    options=ExecutionOptions(chunk_rows=chunk_rows),
+                )
+                result = session.sql(SQL, mode="both", profile=profile)
+                fingerprint = (
+                    repr(sorted(result.approx.groups.items())),
+                    result.approx.rows_scanned,
+                    repr(sorted(result.exact.rows.items())),
+                )
+                if baseline is None:
+                    baseline = fingerprint
+                else:
+                    assert fingerprint == baseline, (
+                        f"answer drifted at profile={profile}, "
+                        f"chunk={chunk_rows}"
                     )
-                    result = session.sql(SQL, mode="both", profile=profile)
-                    fingerprint = (
-                        repr(sorted(result.approx.groups.items())),
-                        result.approx.rows_scanned,
-                        repr(sorted(result.exact.rows.items())),
-                    )
-                    if baseline is None:
-                        baseline = fingerprint
-                    else:
-                        assert fingerprint == baseline, (
-                            f"answer drifted at profile={profile}, "
-                            f"workers={max_workers}, chunk={chunk_rows}"
-                        )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel execution subsystem (engine/parallel.py)
+"""Unit tests for execution options and row chunking (engine/parallel.py)
 and the thread-safety contract of the execution cache."""
 
 from __future__ import annotations
@@ -9,59 +9,32 @@ import pytest
 
 from repro.engine.cache import MISS, ExecutionCache
 from repro.engine.parallel import (
-    MAX_POOL_WORKERS,
     ExecutionOptions,
     chunk_ranges,
     get_default_options,
     map_row_chunks,
-    parallel_map,
     resolve_options,
     set_default_options,
-    shutdown_pool,
 )
 from repro.errors import QueryError
 
 
 class TestExecutionOptions:
-    def test_defaults_are_serial(self):
-        options = ExecutionOptions()
-        assert options.max_workers == 1
-        assert options.workers == 1
-
-    def test_zero_means_one_per_cpu(self):
-        import os
-
-        assert ExecutionOptions(max_workers=0).workers == min(
-            os.cpu_count() or 1, MAX_POOL_WORKERS
-        )
-
-    def test_workers_capped(self):
-        assert ExecutionOptions(max_workers=10_000).workers == MAX_POOL_WORKERS
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(QueryError):
-            ExecutionOptions(max_workers=-1)
-
     def test_bad_chunk_rows_rejected(self):
         with pytest.raises(QueryError):
             ExecutionOptions(chunk_rows=0)
 
     def test_resolve_options(self):
-        explicit = ExecutionOptions(max_workers=3)
+        explicit = ExecutionOptions(chunk_rows=3)
         assert resolve_options(explicit) is explicit
         assert resolve_options(None) is get_default_options()
 
     def test_set_default_options_returns_previous(self):
-        previous = set_default_options(ExecutionOptions(max_workers=2))
+        previous = set_default_options(ExecutionOptions(chunk_rows=2))
         try:
-            assert get_default_options().max_workers == 2
+            assert get_default_options().chunk_rows == 2
         finally:
-            assert set_default_options(previous).max_workers == 2
-
-    def test_shutdown_pool_is_idempotent(self):
-        shutdown_pool()
-        shutdown_pool()
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], 2) == [2, 3, 4]
+            assert set_default_options(previous).chunk_rows == 2
 
 
 class TestChunkRanges:
@@ -89,51 +62,8 @@ class TestChunkRanges:
         with pytest.raises(QueryError):
             chunk_ranges(10, 0)
 
-
-class TestParallelMap:
-    def teardown_method(self):
-        shutdown_pool()
-
-    def test_serial_and_parallel_agree(self):
-        items = list(range(50))
-        expected = [i * i for i in items]
-        assert parallel_map(lambda i: i * i, items, 1) == expected
-        assert parallel_map(lambda i: i * i, items, 4) == expected
-
-    def test_results_in_submission_order(self):
-        import time
-
-        def slow_for_small(i):
-            time.sleep(0.01 if i < 3 else 0.0)
-            return i
-
-        assert parallel_map(slow_for_small, list(range(8)), 4) == list(
-            range(8)
-        )
-
-    def test_exception_propagates(self):
-        def boom(i):
-            if i == 3:
-                raise ValueError("task failed")
-            return i
-
-        with pytest.raises(ValueError, match="task failed"):
-            parallel_map(boom, list(range(8)), 4)
-
-    def test_nested_fan_out_falls_back_to_serial(self):
-        # A task running on the pool must not scatter into the same pool
-        # (saturation deadlock); it degrades to a serial loop instead.
-        def inner(i):
-            return i + 1
-
-        def outer(i):
-            return sum(parallel_map(inner, list(range(i + 2)), 4))
-
-        expected = [sum(range(1, i + 3)) for i in range(6)]
-        assert parallel_map(outer, list(range(6)), 2) == expected
-
     def test_map_row_chunks_concatenates_in_chunk_order(self):
-        options = ExecutionOptions(max_workers=4, chunk_rows=7)
+        options = ExecutionOptions(chunk_rows=7)
         parts = map_row_chunks(lambda s, e: list(range(s, e)), 50, options)
         flat = [x for part in parts for x in part]
         assert flat == list(range(50))

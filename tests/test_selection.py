@@ -5,7 +5,7 @@ The contracts under test (see :mod:`repro.engine.selection`):
 * templates/dominance — a sketch may only serve a query whose matching
   rows are provably covered by the recorded one;
 * the executor's sketch fast path is *exact-equivalent*: answers are
-  byte-identical to the non-sketch path at any backend/worker count;
+  byte-identical to the non-sketch path;
 * invalidation — ``append_rows`` / ``insert_rows`` / ``drop_table``
   must never leave a stale sketch serving wrong chunk sets.
 """
@@ -38,7 +38,7 @@ from repro.engine.expressions import (
     Not,
     Or,
 )
-from repro.engine.parallel import ExecutionOptions, shutdown_pool
+from repro.engine.parallel import ExecutionOptions
 from repro.engine.table import Table
 from repro.engine.zonemap import PieceSkipStats
 from repro.sql.parser import parse_query
@@ -278,22 +278,16 @@ class TestSketchFastPath:
         _, stats = self._run(db, NARROW_SQL, ExecutionOptions(chunk_rows=25))
         assert not stats.sketch_hit
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_sketch_answers_identical_across_backends(self, backend, workers):
+    def test_sketch_answers_identical_to_non_sketch_path(self):
         db = clustered_db()
-        base_options = ExecutionOptions(chunk_rows=50)
-        baseline, _ = self._run(db, NARROW_SQL, base_options)
+        options = ExecutionOptions(chunk_rows=50)
+        baseline, _ = self._run(db, NARROW_SQL, options)
         get_cache().clear()
         sel.reset_sketch_store()
 
-        options = ExecutionOptions(
-            chunk_rows=50, max_workers=workers if backend == "thread" else 1
-        )
         self._run(db, WIDE_SQL, options)
         get_cache().clear()  # force re-evaluation through the sketch
         result, stats = self._run(db, NARROW_SQL, options)
-        shutdown_pool()
         assert stats.sketch_hit
         assert result.rows == baseline.rows
         assert result.raw_counts == baseline.raw_counts

@@ -13,16 +13,14 @@ contracts:
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
-* Swept across serial (``max_workers=1``) and thread-pool piece
-  execution: the serving layer's locking must compose with the engine's
-  own parallelism.
+
+The engine is serial, so the HTTP handler threads driven here are the
+only concurrency in the system.
 """
 
 from __future__ import annotations
 
 import threading
-
-import pytest
 
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
@@ -97,15 +95,8 @@ def _serial_replay(options: ExecutionOptions) -> tuple[str, str]:
         session.close()
 
 
-#: Piece-execution worker count per swept backend.
-BACKEND_WORKERS = {"serial": 1, "thread": 2}
-
-
-@pytest.mark.parametrize("backend", sorted(BACKEND_WORKERS))
-def test_append_vs_read_storm(backend):
-    options = ExecutionOptions(
-        chunk_rows=CHUNK_ROWS, max_workers=BACKEND_WORKERS[backend]
-    )
+def test_append_vs_read_storm():
+    options = ExecutionOptions(chunk_rows=CHUNK_ROWS)
     baseline = _serial_replay(options)
 
     session = _new_session(options)
@@ -178,8 +169,7 @@ def test_append_vs_read_storm(backend):
         # The concurrent end state answers byte-identically to the
         # serial replay of the same appends.
         assert _final_answers(session) == baseline, (
-            f"post-storm answers drifted from serial replay "
-            f"(backend={backend})"
+            "post-storm answers drifted from serial replay"
         )
     finally:
         done.set()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.column import Column
-from repro.engine.parallel import ExecutionOptions, shutdown_pool
 from repro.engine.stats import (
     collect_column_stats,
     column_stats,
@@ -148,23 +147,6 @@ class TestCountingHistogram:
         # it; unused dictionary entries (8 > 6) do not count.
         stats = collect_column_stats(table, distinct_threshold=6)
         assert set(stats) == {"sparse", "exactly_six", "ints", "floats"}
-
-    def test_chunked_paths_identical_to_serial(self, table):
-        serial = collect_column_stats(table, distinct_threshold=6)
-        try:
-            chunked = collect_column_stats(
-                table,
-                distinct_threshold=6,
-                options=ExecutionOptions(max_workers=2, chunk_rows=512),
-            )
-        finally:
-            shutdown_pool()
-        assert list(chunked) == list(serial)
-        for name, column_stat in serial.items():
-            assert chunked[name] == column_stat
-            assert list(chunked[name].frequencies) == list(
-                column_stat.frequencies
-            )
 
 
 class TestPerGroupSelectivity:
