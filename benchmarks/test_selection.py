@@ -5,8 +5,8 @@ so zone maps are useless: every chunk carries low/high sentinel rows, so
 each chunk's ``[min, max]`` spans the whole domain and every BETWEEN
 verdict is UNKNOWN, while the bulk values stay clustered.  Zone-map
 skipping alone therefore touches every row; after one evaluation
-records the realized chunk set, re-executions of the same template
-(equal or dominated parameters) scan only the sketched chunks.  The
+records the realized chunk set, re-executions of the same template with
+dominated parameters scan only the sketched chunks.  The
 gate is deterministic: >= 5x rows-touched reduction over zone-map
 skipping alone, with byte-identical answers.
 
@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import selection as sel
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.engine.executor import execute
@@ -96,7 +95,6 @@ def _sketch_workload(payload: dict) -> None:
     options = ExecutionOptions(chunk_rows=CHUNK_ROWS)
     cache = get_cache()
     cache.clear()
-    sel.reset_sketch_store()
 
     # Cold: zone maps alone.  The sentinels force a full scan.
     cold, cold_stats = _run(db, _narrow_query(0), options)
@@ -104,22 +102,16 @@ def _sketch_workload(payload: dict) -> None:
     touched_zonemap = cold_stats.rows_touched
     assert touched_zonemap == ROWS, cold_stats
 
-    # Re-execution of the same template: equal parameters hit the
-    # recorded sketch (the mask cache is cleared so the WHERE really
-    # re-evaluates), and dominated (narrower) parameters hit it too.
-    cache.clear()
-    warm, warm_stats = _run(db, _narrow_query(0), options)
-    assert warm_stats.sketch_hit, warm_stats
-    assert warm.rows == cold.rows and warm.raw_counts == cold.raw_counts
-
+    # Re-execution of the template with dominated (narrower) parameters:
+    # a distinct predicate, so the mask cache misses and the recorded
+    # sketch serves the WHERE.
     dom, dom_stats = _run(db, _narrow_query(7), options)
     assert dom_stats.sketch_hit, dom_stats
     touched_sketch = dom_stats.rows_touched
 
-    # Byte-identical to evaluating the dominated query with no sketches.
+    # Byte-identical to evaluating the dominated query with no sketches
+    # (clearing the cache drops them with every other artifact).
     cache.clear()
-    sketchless_store = sel.get_sketch_store()
-    sketchless_store.clear()
     base, base_stats = _run(db, _narrow_query(7), options)
     assert not base_stats.sketch_hit
     assert dom.rows == base.rows and dom.raw_counts == base.raw_counts
@@ -127,14 +119,12 @@ def _sketch_workload(payload: dict) -> None:
     # Timed batches (report-only): distinct parameters per query so the
     # mask cache never serves a timed query.
     cache.clear()
-    sel.reset_sketch_store()
     start = time.perf_counter()
     for step in range(1, QUERY_BATCH + 1):
         execute(db, _widening_query(step * 3), options=options)
     seconds_zonemap = time.perf_counter() - start
 
     cache.clear()
-    sel.reset_sketch_store()
     execute(db, _narrow_query(0), options=options)  # record the template
     start = time.perf_counter()
     for eps in range(1, QUERY_BATCH + 1):
@@ -169,4 +159,3 @@ def test_selection():
         out = Path(__file__).resolve().parents[1] / "BENCH_selection.json"
         out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         get_cache().clear()
-        sel.reset_sketch_store()

@@ -570,10 +570,6 @@ def _run_stats(args) -> int:
     # Incremental-ingestion summary, same always-printed discipline.
     print(
         "ingest: "
-        f"events={counter('ingest.events'):g} "
-        f"chunks_extended={counter('ingest.chunks_extended'):g} "
-        f"chunks_recomputed={counter('ingest.chunks_recomputed'):g} "
-        f"sketches_retained={counter('ingest.sketches_retained'):g} "
         f"reservoir_updates={counter('ingest.reservoir_updates'):g}"
     )
     if args.json is not None:

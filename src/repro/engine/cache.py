@@ -22,12 +22,16 @@ Entries are keyed by a *kind* string, the identities of one or more
 * entries die automatically with their anchors (the weakref callback
   prunes them), so the cache cannot serve a recycled ``id()``.
 
-On top of the automatic lifetime management, the incremental-append paths
+This is the one mechanism that keeps derived state fresh: join
+positions, predicate masks, zone maps and provenance sketches are all
+entries here.  On top of the automatic lifetime management, every path
+that replaces or removes a table
 (:meth:`repro.engine.database.Database.append_rows`,
-:meth:`repro.core.smallgroup.SmallGroupSampling.insert_rows`) call
-:meth:`ExecutionCache.invalidate_table` explicitly so replaced tables
-release their derived arrays immediately rather than at garbage
-collection.
+:meth:`repro.engine.database.Database.drop_table`,
+:meth:`repro.core.smallgroup.SmallGroupSampling.insert_rows`) calls
+:meth:`ExecutionCache.invalidate_table` explicitly so the replaced
+table's artifacts are released immediately rather than at garbage
+collection; the new table's are built on first read.
 
 Hit/miss counters are collected per kind in :class:`CacheMetrics` and
 re-exported through :mod:`repro.metrics`.
@@ -129,98 +133,13 @@ class SingleFlight:
         with self._lock:
             return len(self._inflight)
 
-#: Callbacks fired (outside the cache lock) whenever an object is
-#: explicitly invalidated.  The provenance-sketch store
-#: (:mod:`repro.engine.selection`) subscribes so that sketches of a
-#: replaced table (``append_rows`` / ``insert_rows`` / ``drop_table``)
-#: are dropped the moment the execution cache drops its entries, rather
-#: than at garbage collection.
-_INVALIDATION_LISTENERS: list[Callable[[Any], None]] = []
-
-
-def add_invalidation_listener(listener: Callable[[Any], None]) -> None:
-    """Subscribe to explicit invalidations on every :class:`ExecutionCache`.
-
-    Listeners receive each object passed to
-    :meth:`ExecutionCache.invalidate_object` (including the per-column
-    and bitmask calls that :meth:`ExecutionCache.invalidate_table` fans
-    out to).  They run on the invalidating thread, outside the cache
-    lock, and must not raise.
-    """
-    _INVALIDATION_LISTENERS.append(listener)
-
-
-@dataclass(frozen=True)
-class AppendEvent:
-    """A structured description of one ``append_rows`` table replacement.
-
-    Emitted *before* the old table is invalidated, so consumers can
-    migrate derived state from the old objects onto the new ones (zone
-    maps, bitmask word summaries, provenance sketches)
-    instead of rebuilding from scratch on the next query.  The old
-    objects are still live while listeners run; the subsequent
-    ``invalidate_table(old)`` then only drops whatever stayed anchored
-    on them.
-
-    ``columns`` pairs every column name with its old and new
-    :class:`~repro.engine.column.Column` object.  ``Table.concat``
-    guarantees the new objects carry the old data as an unchanged
-    prefix (dictionary codes included), which is what makes per-chunk
-    summary reuse sound.
-    """
-
-    table_name: str
-    old_table: Any
-    new_table: Any
-    old_rows: int
-    new_rows: int
-    #: ``(name, old_column, new_column)`` per column, in table order.
-    columns: tuple[tuple[str, Any, Any], ...]
-    old_bitmask: Any = None
-    new_bitmask: Any = None
-
-
-#: Callbacks fired for every :class:`AppendEvent` — the delta-maintenance
-#: sibling of the invalidation channel.  Same contract: listeners run on
-#: the appending thread, outside any cache lock, and must not raise.
-_APPEND_LISTENERS: list[Callable[[AppendEvent], None]] = []
-
-
-def add_append_listener(listener: Callable[[AppendEvent], None]) -> None:
-    """Subscribe to append events (see :class:`AppendEvent`).
-
-    Consumers (zone maps, the sketch store) use the
-    event to *extend* derived structures for the appended tail rather
-    than dropping them; the invalidation that follows the event then
-    finds nothing left anchored on the old objects.
-    """
-    _APPEND_LISTENERS.append(listener)
-
-
-def notify_append(event: AppendEvent) -> None:
-    """Fan one append event out to every registered listener.
-
-    Counts toward the ``ingest.events`` registry counter.  Like
-    invalidation, this call *is* the discharge of the
-    mutation-invalidation contract (lint rules RL001/RL013): a catalog
-    that swaps a table after notifying has routed every derived
-    structure through either the extend path or the drop path.
-    """
-    from repro.obs.registry import get_registry
-
-    get_registry().incr("ingest.events")
-    for listener in _APPEND_LISTENERS:
-        listener(event)
-
 
 @dataclass
 class CacheMetrics:
     """Hit/miss counters per cache kind (``join_positions``,
     ``predicate_mask``, ``column_codes``, ``joined_column``, ``zone_map``,
     ``zone_map_bitmask``, ``sql_parse``, ``plan``,
-    ``provenance_sketch`` ...).  The last is recorded by the sketch store
-    (:mod:`repro.engine.selection`), which shares this metrics surface
-    even though its entries live outside :class:`ExecutionCache`.
+    ``provenance_sketch`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
     atomic under free-running threads, and the thread-safety contract of
@@ -334,8 +253,8 @@ class ExecutionCache:
     -------------
     One re-entrant lock serialises every structural operation — lookup,
     insert, invalidation, clear — and the metrics counters take their
-    own lock, so concurrent sessions (and the parallel piece executor)
-    can share the process-wide cache without lost updates or torn
+    own lock, so concurrent sessions (the server's handler threads) can
+    share the process-wide cache without lost updates or torn
     entries.  The lock is *never* held while a value is computed:
     :meth:`get_or_compute` releases it between the miss and the put, and
     concurrent misses on the same key are **single-flighted** through a
@@ -349,8 +268,7 @@ class ExecutionCache:
     the owning thread already holds the lock.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.metrics = CacheMetrics()
         self._lock = threading.RLock()
         self._flight = SingleFlight()
@@ -385,8 +303,6 @@ class ExecutionCache:
         Raises ``TypeError`` if ``extra`` is unhashable — callers caching
         user-supplied predicate values should catch it and skip caching.
         """
-        if not self.enabled:
-            return MISS
         key = self._key(kind, anchors, extra)
         with self._lock:
             entry = self._entries.get(key)
@@ -415,8 +331,6 @@ class ExecutionCache:
         unstorable; the put is silently skipped (the cache is an
         optimisation, never a requirement).
         """
-        if not self.enabled:
-            return
         key = self._key(kind, anchors, extra)
 
         def _on_death(_ref, key=key, cache_ref=weakref.ref(self)):
@@ -468,38 +382,11 @@ class ExecutionCache:
             self.metrics.record_coalesced(kind)
         return value
 
-    def entries_for_anchor(
-        self, kind: str, anchor: Any
-    ) -> list[tuple[Hashable, Any]]:
-        """``(extra, value)`` pairs of kind ``kind`` anchored on ``anchor``.
-
-        Used by the incremental-append listeners to enumerate which
-        layouts (``extra`` is ``chunk_rows`` for the zone-map kinds) have
-        materialised summaries worth extending.  Only entries whose
-        weakref still resolves to this exact object are returned (id
-        reuse guard, as in :meth:`invalidate_object`).
-        """
-        out: list[tuple[Hashable, Any]] = []
-        with self._lock:
-            keys = self._anchor_keys.get(id(anchor))
-            for key in list(keys or ()):
-                if key[0] != kind:
-                    continue
-                entry = self._entries.get(key)
-                if entry is not None and any(r() is anchor for r in entry[0]):
-                    out.append((key[2], entry[2]))
-        return out
-
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate_object(self, obj: Any) -> int:
-        """Drop every entry anchored on ``obj``; returns entries dropped.
-
-        Invalidation listeners fire regardless of how many entries were
-        anchored here: a listener may hold state for objects the cache
-        never cached.
-        """
+        """Drop every entry anchored on ``obj``; returns entries dropped."""
         with self._lock:
             keys = self._anchor_keys.get(id(obj))
             dropped = 0
@@ -512,8 +399,6 @@ class ExecutionCache:
                     dropped += 1
         if dropped:
             self.metrics.record_invalidations(dropped)
-        for listener in _INVALIDATION_LISTENERS:
-            listener(obj)
         return dropped
 
     def invalidate_table(self, table: Any) -> int:
@@ -559,13 +444,9 @@ def execution_cache_metrics() -> CacheMetrics:
 
 __all__ = [
     "MISS",
-    "AppendEvent",
     "CacheMetrics",
     "ExecutionCache",
     "SingleFlight",
-    "add_append_listener",
-    "add_invalidation_listener",
     "execution_cache_metrics",
     "get_cache",
-    "notify_append",
 ]

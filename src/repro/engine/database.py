@@ -12,9 +12,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.engine.cache import MISS, AppendEvent, get_cache, notify_append
+from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column
-from repro.engine.parallel import ExecutionOptions, resolve_options
 from repro.engine.schema import StarSchema
 from repro.engine.table import Table
 from repro.errors import SchemaError
@@ -154,54 +153,21 @@ class Database:
             raise SchemaError(f"no table {name!r} to drop")
         self.cache.invalidate_table(self._tables.pop(name))
 
-    def append_rows(
-        self,
-        name: str,
-        batch: Table,
-        options: ExecutionOptions | None = None,
-    ) -> Table:
+    def append_rows(self, name: str, batch: Table) -> Table:
         """Append ``batch``'s rows to table ``name`` (incremental-load path).
 
         The stored table is superseded by a new :class:`Table` whose
         columns hold the old rows followed by the batch — a tail write
         costing O(batch), see :meth:`Column.concat`; the old table stays
-        a valid snapshot of the rows it had.  With ``options.incremental_appends`` (the default), a structured
-        :class:`~repro.engine.cache.AppendEvent` is emitted *first*:
-        listeners migrate derived structures — per-chunk zone maps,
-        bitmask word summaries, provenance sketches — from the old
-        objects to the new ones, extending them for the appended tail
-        instead of rebuilding from scratch.  The explicit
-        ``invalidate_table(old)`` that follows then drops only what
-        stayed anchored on the old objects (predicate masks, group ids,
-        join positions — artifacts whose values genuinely changed).
+        a valid snapshot of the rows it had.  Every artifact derived from
+        the old table (predicate masks, join positions, zone maps,
+        provenance sketches) is dropped with ``invalidate_table(old)``
+        before the swap; the new table's are built on first read, as
+        after :meth:`drop_table` or a small-group ``insert_rows``.
         Returns the new table.
-
-        With the flag off — or for degenerate appends (empty table or
-        empty batch, where there is nothing worth extending) — the whole
-        path is the historical full invalidation.
         """
         old = self.table(name)
         merged = old.concat(batch)
-        if (
-            resolve_options(options).incremental_appends
-            and old.n_rows > 0
-            and batch.n_rows > 0
-        ):
-            notify_append(
-                AppendEvent(
-                    table_name=name,
-                    old_table=old,
-                    new_table=merged,
-                    old_rows=old.n_rows,
-                    new_rows=merged.n_rows,
-                    columns=tuple(
-                        (c, old.column(c), merged.column(c))
-                        for c in merged.column_names
-                    ),
-                    old_bitmask=old.bitmask,
-                    new_bitmask=merged.bitmask,
-                )
-            )
         self.cache.invalidate_table(old)
         self._tables[name] = merged
         return merged

@@ -304,12 +304,13 @@ def _predicate_mask(
     literals simply skip the cache.  ``stats`` (when given) records the
     per-chunk skipping outcome; a cache hit reads zero rows.
 
-    On a cache miss with data skipping enabled, the provenance-sketch
-    store (:mod:`repro.engine.selection`) is consulted first: a sketch
-    recorded for a dominating parameterisation of the same query template
-    proves every unsketched chunk empty, so only the sketched chunks are
-    scanned — skipping even the verdict evaluation.  Freshly evaluated
-    masks record their realised chunk set back into the store.
+    On a cache miss with data skipping enabled, the template's
+    provenance-sketch slot (:mod:`repro.engine.selection`) is consulted
+    first: a sketch recorded for a dominating parameterisation of the
+    same query template proves every unsketched chunk empty, so only the
+    sketched chunks are scanned — skipping even the verdict evaluation.
+    Freshly evaluated masks record their realised chunk set back into
+    the slot.
     """
     options = resolve_options(options)
 
@@ -341,17 +342,18 @@ def _predicate_mask(
         if mask is MISS:
             mask = None
             if template is not None:
+                slot = selection_lib.sketch_slot(
+                    template[0], anchors, options.chunk_rows
+                )
                 mask = _sketch_mask(
-                    table, predicate, template, anchors, options, stats
+                    table, predicate, slot, template, options, stats
                 )
             if mask is None:
                 mask = _evaluate()
             if template is not None:
-                selection_lib.get_sketch_store().record(
-                    template[0],
-                    anchors,
+                selection_lib.record_sketch(
+                    slot,
                     template[1],
-                    options.chunk_rows,
                     selection_lib.realized_chunks(
                         mask, table.n_rows, options.chunk_rows
                     ),
@@ -368,8 +370,8 @@ def _predicate_mask(
 def _sketch_mask(
     table: Table,
     predicate,
+    slot,
     template,
-    anchors,
     options: ExecutionOptions,
     stats: "zonemap.PieceSkipStats | None",
 ) -> np.ndarray | None:
@@ -380,12 +382,9 @@ def _sketch_mask(
     chunk outside the sketch holds no matching row, and the sketched
     chunks are re-evaluated against the *current* predicate.
     """
-    hit = selection_lib.get_sketch_store().lookup(
-        template[0], anchors, template[1], options.chunk_rows
-    )
-    if hit is None:
+    sketched = selection_lib.lookup_sketch(slot, template[0], template[1])
+    if sketched is None:
         return None
-    sketched = hit.chunks
     ranges = chunk_ranges(table.n_rows, options.chunk_rows)
     mask = np.zeros(table.n_rows, dtype=bool)
     touched = 0
@@ -396,12 +395,6 @@ def _sketch_mask(
     if stats is not None:
         stats.rows_total = table.n_rows
         stats.sketch_hit = True
-        # Post-append UNKNOWN chunks are scanned on faith, not recorded
-        # relevance; count them apart so sketch scan ratios stay
-        # comparable under append-heavy workloads.
-        stats.appended_unknown = sum(
-            1 for chunk in sketched if int(chunk) in hit.appended
-        )
         stats.observe_chunks(
             n_chunks=len(ranges),
             skipped=len(ranges) - len(sketched),

@@ -6,7 +6,7 @@ HTTP server's handler threads and the locks that guard them; see
 ``docs/internals.md`` §8.)  This module provides:
 
 * :class:`ExecutionOptions` — the knob object (``chunk_rows``,
-  ``data_skipping``, ``incremental_appends``) threaded through the
+  ``data_skipping``) threaded through the
   executor, the combiner, pre-processing, and the middleware session;
 * :func:`chunk_ranges` / :func:`map_row_chunks` — the fixed row-range
   chunk layout zone maps and chunked membership scans are built over.
@@ -39,22 +39,10 @@ class ExecutionOptions:
         summaries (see :mod:`repro.engine.zonemap`) to skip chunks a
         predicate provably cannot match.  Answers are byte-identical
         either way; the flag exists for benchmarking and debugging.
-    incremental_appends:
-        Whether ``Database.append_rows`` emits a structured append event
-        (:class:`repro.engine.cache.AppendEvent`) so derived structures
-        — zone maps, bitmask word summaries, provenance sketches — are
-        *extended* for the appended tail instead of dropped and rebuilt
-        from scratch on the next query.  Answers are byte-identical
-        either way (the extend paths reuse a per-chunk summary only when
-        the chunk's row range is provably unchanged); the flag exists so
-        tests and benchmarks can exercise the full-invalidation path.
-        ``insert_rows``/``drop_table`` always take the full-invalidation
-        path.
     """
 
     chunk_rows: int = 65536
     data_skipping: bool = True
-    incremental_appends: bool = True
 
     def __post_init__(self) -> None:
         if self.chunk_rows < 1:

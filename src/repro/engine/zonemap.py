@@ -58,12 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.cache import (
-    MISS,
-    AppendEvent,
-    add_append_listener,
-    get_cache,
-)
+from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column, ColumnKind
 from repro.engine.expressions import (
     And,
@@ -129,8 +124,8 @@ def _build_column_zone_map(
             options,
         )
     )
-    # Rows whose values were (re)read to build summaries — the unit the
-    # ingest benchmark compares between the extend and rebuild paths.
+    # Rows whose values were read to build summaries: the cost a first
+    # read pays after an append replaced the column.
     get_registry().incr("ingest.rows_recomputed", len(col))
     return ColumnZoneMap(
         ranges=ranges,
@@ -178,106 +173,6 @@ def bitmask_chunk_ors(vector, options: ExecutionOptions) -> np.ndarray:
     get_registry().incr("ingest.rows_recomputed", len(vector))
     cache.put("zone_map_bitmask", (vector,), ors, extra=options.chunk_rows)
     return ors
-
-
-# ----------------------------------------------------------------------
-# Incremental append maintenance
-# ----------------------------------------------------------------------
-def _stable_prefix_chunks(
-    old_ranges: tuple[tuple[int, int], ...],
-    new_ranges: tuple[tuple[int, int], ...],
-) -> int:
-    """Number of leading chunks whose ``[start, stop)`` range is unchanged.
-
-    ``chunk_ranges`` balances chunk sizes, so an arbitrary append can
-    shift *every* boundary; only positionally identical ranges cover
-    provably identical rows (``Table.concat`` keeps the old rows as an
-    unchanged prefix, dictionary codes included).  Chunk-aligned appends
-    keep the whole old layout stable; misaligned ones fall back toward a
-    fuller recompute — correct either way.
-    """
-    reused = 0
-    limit = min(len(old_ranges), len(new_ranges))
-    while reused < limit and old_ranges[reused] == new_ranges[reused]:
-        reused += 1
-    return reused
-
-
-def _extend_zone_maps(event: AppendEvent) -> None:
-    """Append listener: extend cached zone maps for the appended tail.
-
-    For every materialised ``zone_map``/``zone_map_bitmask`` entry
-    anchored on a replaced column (or bitmask vector), re-anchor an
-    extended summary on the *new* object: reuse the per-chunk summaries
-    of the stable prefix and recompute only the changed tail.  Runs
-    before ``invalidate_table(old)``, so the old entries are still
-    enumerable; the new entries survive the invalidation because they
-    are anchored on the new objects.
-    """
-    cache = get_cache()
-    registry = get_registry()
-    for _name, old_col, new_col in event.columns:
-        for chunk_rows, old_zm in cache.entries_for_anchor(
-            "zone_map", old_col
-        ):
-            if not isinstance(chunk_rows, int) or not isinstance(
-                old_zm, ColumnZoneMap
-            ):
-                continue
-            new_ranges = tuple(chunk_ranges(len(new_col), chunk_rows))
-            reused = _stable_prefix_chunks(old_zm.ranges, new_ranges)
-            summaries = list(old_zm.summaries[:reused])
-            recomputed_rows = 0
-            for start, stop in new_ranges[reused:]:
-                summaries.append(
-                    new_col.range_summary(
-                        start, stop, ZONE_MAP_DISTINCT_CUTOFF
-                    )
-                )
-                recomputed_rows += stop - start
-            cache.put(
-                "zone_map",
-                (new_col,),
-                ColumnZoneMap(
-                    ranges=new_ranges,
-                    summaries=tuple(summaries),
-                    is_string=old_zm.is_string,
-                ),
-                extra=chunk_rows,
-            )
-            registry.incr("ingest.chunks_extended", reused)
-            registry.incr(
-                "ingest.chunks_recomputed", len(new_ranges) - reused
-            )
-            registry.incr("ingest.rows_recomputed", recomputed_rows)
-    if event.old_bitmask is None or event.new_bitmask is None:
-        return
-    for chunk_rows, old_ors in cache.entries_for_anchor(
-        "zone_map_bitmask", event.old_bitmask
-    ):
-        if not isinstance(chunk_rows, int) or not isinstance(
-            old_ors, np.ndarray
-        ):
-            continue
-        vector = event.new_bitmask
-        old_ranges = tuple(chunk_ranges(event.old_rows, chunk_rows))
-        new_ranges = tuple(chunk_ranges(len(vector), chunk_rows))
-        if old_ors.shape[0] != len(old_ranges):
-            continue  # layout mismatch: leave the rebuild to first use
-        reused = _stable_prefix_chunks(old_ranges, new_ranges)
-        tail = [
-            vector.range_or(start, stop) for start, stop in new_ranges[reused:]
-        ]
-        parts = [old_ors[:reused]] + ([np.stack(tail)] if tail else [])
-        ors = np.concatenate(parts, axis=0)
-        recomputed_rows = sum(stop - start for start, stop in new_ranges[reused:])
-        cache.put("zone_map_bitmask", (vector,), ors, extra=chunk_rows)
-        registry.incr("ingest.chunks_extended", reused)
-        registry.incr("ingest.chunks_recomputed", len(new_ranges) - reused)
-        registry.incr("ingest.rows_recomputed", recomputed_rows)
-
-
-add_append_listener(_extend_zone_maps)
 
 
 # ----------------------------------------------------------------------
@@ -600,12 +495,6 @@ class PieceSkipStats:
     #: WHERE mask assembled from a dominating provenance sketch — only
     #: the sketched chunks were evaluated (see repro.engine.selection).
     sketch_hit: bool = False
-    #: Of the sketched chunks scanned, how many were appended-UNKNOWN:
-    #: chunks a retained sketch marked unverified after ``append_rows``
-    #: (new or boundary-shifted tail chunks), scanned pending their
-    #: first full evaluation.  Counted distinctly so sketch-hit scan
-    #: ratios stay comparable across append-heavy workloads.
-    appended_unknown: int = 0
 
     def observe_chunks(
         self,
@@ -661,11 +550,6 @@ class SkipReport:
         """Pieces whose WHERE mask came from a provenance sketch."""
         return sum(1 for p in self.pieces if p.sketch_hit)
 
-    @property
-    def appended_unknown(self) -> int:
-        """Appended-UNKNOWN chunks scanned under sketch hits (all pieces)."""
-        return sum(p.appended_unknown for p in self.pieces)
-
     def to_text(self) -> str:
         """Human-readable per-piece rendering (the CLI ``--explain`` body)."""
         state = "on" if self.enabled else "off"
@@ -687,15 +571,10 @@ class SkipReport:
                 )
                 continue
             if piece.sketch_hit:
-                appended = (
-                    f" ({piece.appended_unknown} appended-unknown)"
-                    if piece.appended_unknown
-                    else ""
-                )
                 lines.append(
                     f"  - {piece.description}: provenance sketch hit — "
                     f"{piece.chunks_scanned} of {piece.n_chunks} chunks "
-                    f"scanned{appended}, {piece.rows_touched} rows touched"
+                    f"scanned, {piece.rows_touched} rows touched"
                 )
                 continue
             if piece.n_chunks == 0:

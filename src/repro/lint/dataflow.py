@@ -40,16 +40,13 @@ from dataclasses import dataclass, field
 from repro.lint.callgraph import CallGraph, Edge
 from repro.lint.project import FunctionInfo, ProjectIndex
 
-#: Calls that (directly) invalidate derived state.  ``notify_append`` is
-#: the incremental counterpart: its AppendEvent listeners extend the
-#: derived structures for the appended tail, keeping caches coherent.
+#: Calls that (directly) invalidate derived state.
 INVALIDATING_CALLS: frozenset[str] = frozenset(
     {
         "bump_plan_version",
         "_report",
         "invalidate_object",
         "invalidate_all",
-        "notify_append",
     }
 )
 

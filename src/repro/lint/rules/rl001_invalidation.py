@@ -26,11 +26,7 @@ from repro.lint.core import FileContext, Finding, Rule, register
 SCOPE_PREFIXES = ("repro/engine/", "repro/middleware/")
 SCOPE_FILES = ("repro/core/smallgroup.py",)
 
-#: Attributes holding state the execution cache derives artifacts from,
-#: plus the provenance-sketch store's identity-anchored entry tables
-#: (``repro.engine.selection.SketchStore``): a sketch slot written
-#: without an invalidation path would serve stale chunk sets after
-#: ``append_rows``/``insert_rows``/``drop_table``.
+#: Attributes holding state the execution cache derives artifacts from.
 MUTATED_ATTRS = frozenset(
     {
         "tables",
@@ -40,29 +36,18 @@ MUTATED_ATTRS = frozenset(
         "_overall_parts",
         "_reduced_dims",
         "_metas",
-        "_slots",
-        "_anchor_slots",
         # Raw column/bitmask payloads: growing ``Column.data`` or
         # ``BitmaskVector.words`` in place changes every derived chunk
         # summary without changing the anchor identity, so the write must
-        # be announced — either by invalidating, or by emitting the
-        # structured append event (``notify_append``) whose listeners
-        # extend the derived structures for the new tail.
+        # come with an invalidation.
         "data",
         "words",
     }
 )
 
-#: Method names whose call counts as discharging the contract.
-#: ``_drop_slot`` is the sketch store's internal invalidation primitive —
-#: every ``invalidate_object``/anchor-death path funnels through it.
-#: ``notify_append`` is the *incremental* discharge: it broadcasts an
-#: :class:`~repro.engine.cache.AppendEvent` whose listeners migrate or
-#: extend every derived structure for the appended tail, which keeps the
-#: cache coherent exactly like an invalidation does (just cheaper).
-INVALIDATING_CALLS = frozenset(
-    {"bump_plan_version", "_report", "_drop_slot", "notify_append"}
-)
+#: Method names (besides ``invalidate*``) whose call counts as
+#: discharging the contract.
+INVALIDATING_CALLS = frozenset({"bump_plan_version", "_report"})
 
 #: ``path::symbol`` entries reviewed as safe without an invalidation.
 #: Every entry must say *why* the mutation cannot leave stale cache
@@ -73,28 +58,6 @@ ALLOWLIST: dict[str, str] = {
     # cache entries: keys are object identities, not names.
     "repro/engine/database.py::Database.add_table": (
         "registers a new object; identity-keyed cache has no entries for it"
-    ),
-    # Recording a sketch *creates* a cache entry; staleness is covered by
-    # three invalidation paths wired elsewhere: weakref death callbacks
-    # on every anchor drop the slot, _live_slot re-validates identities
-    # on every read, and the module-level add_invalidation_listener
-    # fan-out mirrors every explicit ExecutionCache invalidation.
-    "repro/engine/selection.py::SketchStore.record": (
-        "writes identity-anchored entries; anchor weakrefs + lookup-time "
-        "validation + the cache invalidation listener drop them on any "
-        "mutation"
-    ),
-    # The append-event migration itself: rewrites each surviving slot
-    # from the old anchors to the new table's objects, conservatively
-    # marking every chunk past the first changed boundary
-    # appended-UNKNOWN (must-scan).  It *is* the coherence step the rule
-    # looks for — there is no staler state to invalidate afterwards, and
-    # the subsequent invalidate_table(old) only ever sees the already
-    # dropped old keys.
-    "repro/engine/selection.py::SketchStore.extend_on_append": (
-        "the AppendEvent migration: drops the old-anchored slot and "
-        "re-records a tail-UNKNOWN rewrite on the new anchors; coherence "
-        "is the function's own postcondition"
     ),
     # Column.concat's trusted constructor: the object is created by
     # Column.__new__ on the line above, so the identity-keyed caches

@@ -10,18 +10,10 @@ like a working cache), and with ``np.ndarray`` temporaries each miss
 stores a new dead entry.  Anchors must be pre-bound names or attribute
 references to objects that outlive the call.
 
-The provenance-sketch store (:mod:`repro.engine.selection`) follows the
-same identity-anchored design — ``store.lookup(template, anchors, ...)``
-and ``store.record(template, anchors, ...)`` weakref-validate their
-anchors exactly like the execution cache — so its lookups get the same
-hygiene check.
-
 Heuristics (documented limits): a receiver "looks like a cache" when
 its name ends in ``cache`` (``cache``, ``self.cache``, ``_cache``) or
-it is the result of ``get_cache()``; it "looks like a sketch store"
-when its name ends in ``store`` or it is the result of
-``get_sketch_store()``.  The rule cannot see through a name bound to a
-computed tuple one line earlier.
+it is the result of ``get_cache()``.  The rule cannot see through a
+name bound to a computed tuple one line earlier.
 """
 
 from __future__ import annotations
@@ -32,8 +24,7 @@ from collections.abc import Iterable
 from repro.lint.core import FileContext, Finding, Rule, dotted_name, register
 
 LOOKUP_METHODS = frozenset({"get", "put", "get_or_compute"})
-STORE_LOOKUP_METHODS = frozenset({"lookup", "record"})
-ANCHORS_POSITIONAL_INDEX = 1  # (kind, anchors, ...) / (template, anchors, ...)
+ANCHORS_POSITIONAL_INDEX = 1  # (kind, anchors, ...)
 
 
 def _is_cache_receiver(node: ast.AST) -> bool:
@@ -42,14 +33,6 @@ def _is_cache_receiver(node: ast.AST) -> bool:
         return name is not None and name.split(".")[-1] == "get_cache"
     name = dotted_name(node)
     return name is not None and name.split(".")[-1].lower().endswith("cache")
-
-
-def _is_store_receiver(node: ast.AST) -> bool:
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        return name is not None and name.split(".")[-1] == "get_sketch_store"
-    name = dotted_name(node)
-    return name is not None and name.split(".")[-1].lower().endswith("store")
 
 
 def _anchor_ok(node: ast.AST) -> bool:
@@ -71,17 +54,11 @@ class CacheKeyHygiene(Rule):
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ctx.nodes(ast.Call):
             func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            is_cache = (
-                func.attr in LOOKUP_METHODS
+            if not (
+                isinstance(func, ast.Attribute)
+                and func.attr in LOOKUP_METHODS
                 and _is_cache_receiver(func.value)
-            )
-            is_store = (
-                func.attr in STORE_LOOKUP_METHODS
-                and _is_store_receiver(func.value)
-            )
-            if not (is_cache or is_store):
+            ):
                 continue
             anchors: ast.AST | None = None
             for keyword in node.keywords:
@@ -99,11 +76,10 @@ class CacheKeyHygiene(Rule):
             for element in elements:
                 if _anchor_ok(element):
                     continue
-                receiver = "store" if is_store else "cache"
                 yield self.finding(
                     ctx,
                     element,
-                    f"{receiver}.{func.attr}() anchor is a computed "
+                    f"cache.{func.attr}() anchor is a computed "
                     "expression; identity-validated anchors must be "
                     "pre-bound names or attributes of objects that outlive "
                     "the call — a temporary can never validate a later hit",

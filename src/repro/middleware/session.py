@@ -211,11 +211,10 @@ class AQPSession:
     def close(self) -> None:
         """Release session-scoped derived state (idempotent).
 
-        Clears the parse/plan memos and drops every recorded provenance
-        sketch.  The sketch store is process-wide (like the execution
-        cache), so closing one session drops state other live sessions
-        may be about to use — that is safe, not wrong: a dropped sketch
-        is re-recorded on the next evaluation.
+        Clears the parse/plan memos.  Engine artifacts (predicate masks,
+        zone maps, provenance sketches) live in the process-wide
+        execution cache, anchored on the tables they describe, and are
+        released with those tables.
 
         Safe to call more than once — including the implicit second call
         of ``with session: ... finally session.close()`` patterns: only
@@ -228,9 +227,6 @@ class AQPSession:
             self._closed = True
             self._parse_memo.clear()
             self._plan_memo.clear()
-        from repro.engine.selection import get_sketch_store
-
-        get_sketch_store().clear()
 
     def __enter__(self) -> "AQPSession":
         self._require_open()
@@ -263,11 +259,10 @@ class AQPSession:
     def append_rows(self, name: str, batch: Table) -> Table:
         """Append ``batch`` to table ``name``, maintaining derived state.
 
-        Routes through :meth:`Database.append_rows` with this session's
-        options, so under ``ExecutionOptions.incremental_appends`` (the
-        default) zone maps, word summaries, provenance sketches, and
-        shared-memory segments are extended/retired incrementally rather
-        than rebuilt.  When the appended table is the fact table and the
+        Routes through :meth:`Database.append_rows`, which tail-writes the
+        batch and invalidates the old table's derived state (zone maps,
+        predicate masks, provenance sketches); the next read rebuilds
+        what it needs.  When the appended table is the fact table and the
         installed technique advertises incremental maintenance
         (``supports_incremental_maintenance()``), the batch is also fed
         to the technique's ``insert_rows`` so its samples keep tracking
@@ -304,7 +299,7 @@ class AQPSession:
             # Reject a batch the technique cannot absorb *before* storing
             # it: a failed append must leave base data and samples in step.
             technique.check_insert_batch(batch)
-        merged = self.db.append_rows(name, to_store, options=self.options)
+        merged = self.db.append_rows(name, to_store)
         if maintained:
             technique.insert_rows(batch)
         return merged

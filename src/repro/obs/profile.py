@@ -56,7 +56,6 @@ def skip_report_dict(report: Any) -> dict | None:
                 "chunks_scanned": piece.chunks_scanned,
                 "pruned": piece.pruned,
                 "mask_cached": piece.mask_cached,
-                "appended_unknown": getattr(piece, "appended_unknown", 0),
             }
             for piece in report.pieces
         ],

@@ -22,10 +22,9 @@ Concurrency discipline, in the order a request meets it:
    while waiting stops waiting and fails with ``deadline_exceeded``.
 4. **Snapshot semantics** — queries take the read side and appends the
    write side of a writer-preferring read/write lock, so a query never
-   observes a half-applied ``append_rows`` (the
-   :class:`~repro.engine.database.AppendEvent` fan-out, technique
-   ``insert_rows``, and the table swap all complete atomically with
-   respect to reads).  Readers pin the table objects they resolved for
+   observes a half-applied ``append_rows`` (the catalog's tail write,
+   invalidation and table swap, and the technique's ``insert_rows``, all
+   complete atomically with respect to reads).  Readers pin the table objects they resolved for
    the duration of the scan; the engine's identity-anchored cache makes
    a superseded table's derived state simply unreachable, never torn.
 """

@@ -31,8 +31,8 @@ from repro.obs.jsonsafe import dumps
 from repro.server.app import AQPServer, ServerConfig
 from repro.server.protocol import error_response
 
-#: Largest request body accepted, bytes (a chunk-aligned append of a few
-#: hundred thousand rows fits comfortably; anything larger is abuse).
+#: Largest request body accepted, bytes (an append of a few hundred
+#: thousand rows fits comfortably; anything larger is abuse).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 

@@ -2,7 +2,7 @@
 
 The cache contract under test: a cached artifact is served only while its
 anchor objects are the *same live objects* it was computed from, the
-incremental-append paths invalidate explicitly, and answers with a warm
+append paths invalidate explicitly, and answers with a warm
 cache are identical to answers with a cold cache.
 """
 
@@ -110,13 +110,6 @@ class TestExecutionCache:
         assert cache.invalidate_table(table) == 2
         assert cache.get("group_ids", (col,)) is MISS
         assert cache.get("other", (table,)) is MISS
-
-    def test_disabled_cache_never_stores(self):
-        cache = ExecutionCache(enabled=False)
-        col = Column.ints([1])
-        cache.put("k", (col,), 1)
-        assert cache.get("k", (col,)) is MISS
-        assert len(cache) == 0
 
 
 class TestAppendInvalidation:

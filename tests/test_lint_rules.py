@@ -90,47 +90,13 @@ class TestRL001MutationWithoutInvalidation:
     def test_out_of_scope_path_ignored(self):
         assert run_rule("RL001", self.BAD, "repro/datagen/catalog.py") == []
 
-    def test_fires_on_sketch_slot_without_invalidation_path(self):
-        # A sketch cached without any invalidation wiring: the slot
-        # would keep serving its chunk set after append_rows replaces
-        # the anchored column.
-        source = """
-            class NaiveSketchCache:
-                def remember(self, key, chunks):
-                    self._slots[key] = chunks
-        """
-        findings = run_rule("RL001", source, "repro/engine/naive.py")
-        assert [f.symbol for f in findings] == ["NaiveSketchCache.remember"]
-
-    def test_drop_slot_call_discharges_sketch_mutation(self):
-        source = """
-            class Store:
-                def invalidate_object(self, obj, key):
-                    self._drop_slot(key)
-                    self._anchor_slots = {}
-        """
-        assert run_rule("RL001", source, "repro/engine/store.py") == []
-
-    def test_sketch_store_record_is_allowlisted(self):
-        # The real store's record() writes identity-anchored entries;
-        # weakref death callbacks + the cache invalidation listener are
-        # the (reviewed) invalidation path, recorded in the allowlist.
-        source = """
-            class SketchStore:
-                def record(self, template, anchors, params, chunks):
-                    self._slots[template] = chunks
-        """
-        assert run_rule("RL001", source, "repro/engine/selection.py") == []
-
 
 class TestRL001AppendVocabulary:
-    """The incremental-append vocabulary (PR 9).
+    """Raw payload growth must come with an invalidation.
 
-    Raw payload growth — rebinding ``column.data`` / ``vector.words`` to
-    a grown array — leaves every identity-anchored chunk summary
-    describing the old payload, so it must be announced: either by an
-    ``invalidate*`` call or by emitting the structured append event
-    (``notify_append``), whose listeners extend the summaries instead.
+    Rebinding ``column.data`` / ``vector.words`` to a grown array leaves
+    every identity-anchored chunk summary describing the old payload, so
+    the same function must call ``invalidate*``.
     """
 
     RAW_DATA_GROW = """
@@ -158,15 +124,6 @@ class TestRL001AppendVocabulary:
         )
         assert [f.symbol for f in findings] == ["Loader.grow"]
 
-    def test_notify_append_discharges_data_grow(self):
-        source = """
-            class Loader:
-                def grow(self, column, tail, event):
-                    column.data = np.concatenate([column.data, tail])
-                    notify_append(event)
-        """
-        assert run_rule("RL001", source, "repro/engine/loader.py") == []
-
     def test_invalidate_also_discharges_data_grow(self):
         source = """
             class Loader:
@@ -175,17 +132,6 @@ class TestRL001AppendVocabulary:
                     self.cache.invalidate_object(column)
         """
         assert run_rule("RL001", source, "repro/engine/loader.py") == []
-
-    def test_table_swap_with_notify_append_alone_passes(self):
-        # notify_append is a full-fledged discharge: its listeners keep
-        # derived structures coherent without a blanket invalidation.
-        source = """
-            class Database:
-                def append_rows(self, name, merged, event):
-                    notify_append(event)
-                    self._tables[name] = merged
-        """
-        assert run_rule("RL001", source, "repro/engine/database.py") == []
 
     def test_element_write_into_payload_is_rl008_territory(self):
         # Writing *into* the array (not rebinding it) is the published-
@@ -207,19 +153,6 @@ class TestRL001AppendVocabulary:
                 return column
         """
         assert run_rule("RL001", source, "repro/engine/column.py") == []
-
-    def test_rl013_notify_append_covers_caller_chain(self):
-        # Interprocedurally, a caller that emits the append event covers
-        # its helper's raw growth, same as a caller-side invalidation.
-        source = """
-            class Loader:
-                def _grow(self, column, tail):
-                    column.data = np.concatenate([column.data, tail])
-                def append(self, column, tail, event):
-                    self._grow(column, tail)
-                    notify_append(event)
-        """
-        assert run_rule("RL013", source, "repro/engine/loader.py") == []
 
 
 class TestRL002ScaleDiscipline:
@@ -385,36 +318,6 @@ class TestRL004CacheKeyHygiene:
         source = """
             def lookup(mapping, key):
                 return mapping.get("kind", (key.compute(),))
-        """
-        assert run_rule("RL004", source, "repro/engine/foo.py") == []
-
-    def test_fires_on_computed_sketch_store_anchor(self):
-        # The sketch store validates anchors by identity exactly like
-        # the execution cache — a freshly computed anchor list can never
-        # validate a later hit.
-        source = """
-            from repro.engine.selection import get_sketch_store
-
-            def probe(template, table, names, params, chunk_rows):
-                return get_sketch_store().lookup(
-                    template, [table.column(n) for n in names], params, chunk_rows
-                )
-        """
-        findings = run_rule("RL004", source, "repro/engine/foo.py")
-        assert len(findings) == 1
-        assert "store.lookup()" in findings[0].message
-
-    def test_prebound_sketch_store_anchors_pass(self):
-        source = """
-            def remember(store, template, anchors, params, chunk_rows, chunks):
-                store.record(template, anchors, params, chunk_rows, chunks)
-        """
-        assert run_rule("RL004", source, "repro/engine/foo.py") == []
-
-    def test_non_store_receivers_ignored_for_lookup(self):
-        source = """
-            def probe(mapping, key):
-                return mapping.lookup("kind", (key.compute(),))
         """
         assert run_rule("RL004", source, "repro/engine/foo.py") == []
 
@@ -1334,35 +1237,6 @@ class TestRL013InvalidationCoverage:
 
     def test_out_of_scope_file_ignored(self):
         findings = run_rule("RL013", self.BAD, "repro/datagen/catalog.py")
-        assert findings == []
-
-    def test_sketch_slot_mutation_without_coverage_fires(self):
-        # Sketch-cache kind: an entry table written by a function no
-        # invalidation path can reach — stale sketches survive mutation.
-        source = """
-            class NaiveSketchCache:
-                def remember(self, key, chunks):
-                    self._slots[key] = chunks
-                def serve(self, key):
-                    return self._slots.get(key)
-        """
-        findings = run_rule("RL013", source, "repro/engine/naive.py")
-        assert [f.symbol for f in findings] == ["NaiveSketchCache.remember"]
-
-    def test_sketch_slot_mutation_covered_by_caller_passes(self):
-        source = """
-            class Store:
-                def _replace_slot(self, key, chunks):
-                    self._slots[key] = chunks
-                def refresh(self, key, chunks, obj):
-                    self._replace_slot(key, chunks)
-                    self.invalidate_object(obj)
-                def invalidate_object(self, obj):
-                    self._drop_slot(obj)
-                def _drop_slot(self, key):
-                    self._slots.pop(key, None)
-        """
-        findings = run_rule("RL013", source, "repro/engine/store.py")
         assert findings == []
 
 

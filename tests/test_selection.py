@@ -6,8 +6,10 @@ The contracts under test (see :mod:`repro.engine.selection`):
   rows are provably covered by the recorded one;
 * the executor's sketch fast path is *exact-equivalent*: answers are
   byte-identical to the non-sketch path;
-* invalidation — ``append_rows`` / ``insert_rows`` / ``drop_table``
-  must never leave a stale sketch serving wrong chunk sets.
+* invalidation — sketches are execution-cache entries, so
+  ``append_rows`` / ``insert_rows`` / ``drop_table`` drop them through
+  ``invalidate_table`` and never leave a stale one serving wrong chunk
+  sets.
 """
 
 import gc
@@ -23,7 +25,7 @@ from repro.datagen.synthetic import (
 )
 from repro.engine import selection as sel
 from repro.engine.bitmask import Bitmask
-from repro.engine.cache import get_cache
+from repro.engine.cache import ExecutionCache, get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import execute
@@ -47,10 +49,8 @@ from repro.sql.parser import parse_query
 @pytest.fixture(autouse=True)
 def _fresh_state():
     get_cache().clear()
-    sel.reset_sketch_store()
     yield
     get_cache().clear()
-    sel.reset_sketch_store()
 
 
 def clustered_db(n: int = 400, chunk: int = 50) -> Database:
@@ -166,78 +166,60 @@ class TestDominance:
 
 
 # ----------------------------------------------------------------------
-# The store
+# Sketch slots (execution-cache entries)
 # ----------------------------------------------------------------------
 class TestSketchStore:
     KEY = ("between", "x")
 
     def test_lookup_prefers_smallest_dominating_set(self):
-        store = sel.SketchStore()
         col = Column.ints(np.arange(10))
-        store.record(self.KEY, [col], (0, 100), 4, [0, 1, 2, 3])
-        store.record(self.KEY, [col], (10, 50), 4, [1, 2])
-        got = store.lookup(self.KEY, [col], (20, 40), 4)
-        assert got.chunks.tolist() == [1, 2]
-        assert got.appended == frozenset()
+        slot = sel.sketch_slot(self.KEY, [col], 4)
+        sel.record_sketch(slot, (0, 100), [0, 1, 2, 3])
+        sel.record_sketch(slot, (10, 50), [1, 2])
+        slot = sel.sketch_slot(self.KEY, [col], 4)
+        got = sel.lookup_sketch(slot, self.KEY, (20, 40))
+        assert got.tolist() == [1, 2]
         # Non-dominated parameters miss.
-        assert (
-            store.lookup(self.KEY, [col], (0, 200), 4)
-            is None
-        )
+        assert sel.lookup_sketch(slot, self.KEY, (0, 200)) is None
 
     def test_chunk_rows_is_part_of_the_key(self):
-        store = sel.SketchStore()
         col = Column.ints(np.arange(10))
-        store.record(self.KEY, [col], (0, 100), 4, [0, 1])
-        assert (
-            store.lookup(self.KEY, [col], (0, 100), 8)
-            is None
-        )
+        sel.record_sketch(sel.sketch_slot(self.KEY, [col], 4), (0, 100), [0, 1])
+        other_layout = sel.sketch_slot(self.KEY, [col], 8)
+        assert sel.lookup_sketch(other_layout, self.KEY, (0, 100)) is None
 
     def test_capacity_evicts_least_hit_entry(self):
-        store = sel.SketchStore()
         col = Column.ints(np.arange(10))
+        slot = sel.sketch_slot(self.KEY, [col], 4)
         for i in range(sel.SKETCH_SLOT_CAPACITY + 1):
             low = i * 100
-            store.record(self.KEY, [col], (low, low + 10), 4, [i % 4])
-        assert len(store) == 1  # one slot, many entries
+            sel.record_sketch(slot, (low, low + 10), [i % 4])
+        assert len(get_cache()) == 1  # one slot, many entries
+        assert len(slot) == sel.SKETCH_SLOT_CAPACITY
         # The first (never-hit) entry was evicted; the second survives.
-        assert (
-            store.lookup(self.KEY, [col], (2, 8), 4)
-            is None
-        )
-        assert (
-            store.lookup(self.KEY, [col], (102, 108), 4)
-            is not None
-        )
-
-    def test_anchor_death_drops_the_slot(self):
-        store = sel.SketchStore()
-        col = Column.ints(np.arange(10))
-        store.record(self.KEY, [col], (0, 100), 4, [0, 1])
-        assert len(store) == 1
-        del col
-        gc.collect()
-        assert len(store) == 0
+        assert sel.lookup_sketch(slot, self.KEY, (2, 8)) is None
+        assert sel.lookup_sketch(slot, self.KEY, (102, 108)) is not None
 
     def test_invalidate_object_drops_anchored_slots_only(self):
-        store = sel.SketchStore()
         col_a = Column.ints(np.arange(10))
         col_b = Column.ints(np.arange(10))
-        store.record(self.KEY, [col_a], (0, 100), 4, [0])
-        store.record(("between", "y"), [col_b], (0, 100), 4, [1])
-        store.invalidate_object(col_a)
-        assert len(store) == 1
-        assert (
-            store.lookup(self.KEY, [col_a], (0, 100), 4)
-            is None
-        )
-        assert (
-            store.lookup(
-                ("between", "y"), [col_b], (0, 100), 4
-            )
-            is not None
-        )
+        other = ("between", "y")
+        sel.record_sketch(sel.sketch_slot(self.KEY, [col_a], 4), (0, 100), [0])
+        sel.record_sketch(sel.sketch_slot(other, [col_b], 4), (0, 100), [1])
+        assert get_cache().invalidate_object(col_a) == 1
+        assert len(get_cache()) == 1
+        slot_a = sel.sketch_slot(self.KEY, [col_a], 4)
+        assert sel.lookup_sketch(slot_a, self.KEY, (0, 100)) is None
+        slot_b = sel.sketch_slot(other, [col_b], 4)
+        assert sel.lookup_sketch(slot_b, other, (0, 100)) is not None
+
+    def test_anchor_death_drops_the_slot(self):
+        col = Column.ints(np.arange(10))
+        sel.record_sketch(sel.sketch_slot(self.KEY, [col], 4), (0, 100), [0, 1])
+        assert len(get_cache()) == 1
+        del col
+        gc.collect()
+        assert len(get_cache()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +240,6 @@ class TestSketchFastPath:
         assert stats.chunks_scanned < stats.n_chunks
         # Byte-identical to a cold evaluation of the same query.
         get_cache().clear()
-        sel.reset_sketch_store()
         cold, cold_stats = self._run(db, NARROW_SQL, options)
         assert not cold_stats.sketch_hit
         assert narrow.rows == cold.rows
@@ -283,10 +264,9 @@ class TestSketchFastPath:
         options = ExecutionOptions(chunk_rows=50)
         baseline, _ = self._run(db, NARROW_SQL, options)
         get_cache().clear()
-        sel.reset_sketch_store()
 
         self._run(db, WIDE_SQL, options)
-        get_cache().clear()  # force re-evaluation through the sketch
+        # NARROW's mask is not cached, so it re-evaluates through the sketch.
         result, stats = self._run(db, NARROW_SQL, options)
         assert stats.sketch_hit
         assert result.rows == baseline.rows
@@ -305,6 +285,16 @@ SPEC = dict(
 )
 
 
+def sketch_anchor_ids() -> set[int]:
+    """Identities of every column a live sketch slot is anchored on."""
+    return {
+        anchor_id
+        for kind, anchor_ids, _extra in list(get_cache()._entries)
+        if kind == sel.SKETCH_KIND
+        for anchor_id in anchor_ids
+    }
+
+
 class TestSketchInvalidation:
     def test_append_rows_never_serves_stale_sketch(self):
         db = clustered_db()
@@ -316,12 +306,9 @@ class TestSketchInvalidation:
         )
         assert stats.sketch_hit  # the sketch was live before the append
 
-        # The appended rows match the predicate but land in brand-new
-        # chunks the recorded sketch has never seen.  The incremental
-        # append path *retains* the sketch, migrated onto the new table's
-        # columns, with every chunk past the first changed boundary
-        # marked appended-UNKNOWN (must-scan) — so the hit still serves
-        # an exact answer.
+        # The appended rows match the predicate.  The append invalidates
+        # the old columns, sketches included, so the next evaluation
+        # scans the new table from its zone maps instead.
         batch = Table(
             "t",
             {
@@ -334,8 +321,7 @@ class TestSketchInvalidation:
         after = execute(
             db, parse_query(NARROW_SQL), options=options, skip_stats=after_stats
         )
-        assert after_stats.sketch_hit
-        assert after_stats.appended_unknown > 0
+        assert not after_stats.sketch_hit
         assert after.rows[()][0] == float(161 + 100)  # 120..280 plus appended
 
         # Identical to a database built directly from the final data.
@@ -355,7 +341,6 @@ class TestSketchInvalidation:
                 )
             ]
         )
-        sel.reset_sketch_store()
         get_cache().clear()
         baseline = execute(fresh, parse_query(NARROW_SQL), options=options)
         assert after.rows == baseline.rows
@@ -365,10 +350,57 @@ class TestSketchInvalidation:
         db = clustered_db()
         options = ExecutionOptions(chunk_rows=50)
         execute(db, parse_query(WIDE_SQL), options=options)
-        store = sel.get_sketch_store()
-        assert len(store) == 1
+        assert sketch_anchor_ids()
         db.drop_table("t")
-        assert len(store) == 0
+        assert not sketch_anchor_ids()
+
+    @pytest.mark.parametrize("path", ["drop_table", "append_rows", "insert_rows"])
+    def test_mutation_drops_sketches_through_invalidate_table(
+        self, path, monkeypatch
+    ):
+        invalidated: list[Table] = []
+        invalidate_table = ExecutionCache.invalidate_table
+
+        def spy(cache, table):
+            invalidated.append(table)
+            return invalidate_table(cache, table)
+
+        monkeypatch.setattr(ExecutionCache, "invalidate_table", spy)
+        options = ExecutionOptions(chunk_rows=50)
+        if path == "insert_rows":
+            db = Database([generate_flat_table("flat", 4000, seed=31, **SPEC)])
+            technique = SmallGroupSampling(
+                SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=31)
+            )
+            technique.preprocess(db)
+            technique.answer(
+                parse_query(
+                    "SELECT status, COUNT(*) AS cnt FROM flat "
+                    "WHERE amount BETWEEN 0.5 AND 50.0 GROUP BY status"
+                )
+            )
+        else:
+            db = clustered_db()
+            execute(db, parse_query(WIDE_SQL), options=options)
+        before = sketch_anchor_ids()
+        invalidated.clear()
+
+        if path == "drop_table":
+            db.drop_table("t")
+        elif path == "append_rows":
+            db.append_rows("t", db.table("t").head(10))
+        else:
+            technique.insert_rows(
+                generate_flat_table("flat", 1000, seed=77, **SPEC)
+            )
+
+        replaced = {
+            id(table.column(name))
+            for table in invalidated
+            for name in table.column_names
+        }
+        assert before & replaced, "no sketch was anchored on a replaced table"
+        assert not sketch_anchor_ids() & replaced
 
     def test_insert_rows_sample_maintenance_not_stale(self):
         db = Database([generate_flat_table("flat", 4000, seed=31, **SPEC)])
@@ -386,7 +418,6 @@ class TestSketchInvalidation:
         # Staleness oracle: the answer with whatever sketches survived
         # the mutation must equal the answer with no sketches at all.
         after = technique.answer(query)
-        sel.get_sketch_store().clear()
         get_cache().clear()
         clean = technique.answer(query)
         assert set(after.groups) == set(clean.groups)

@@ -1,15 +1,14 @@
 """Concurrent append-vs-read torture test for the serving layer.
 
-Satellite of the serving PR: M reader threads hammer an
-:class:`~repro.server.app.AQPServer` with queries while a writer streams
-chunk-aligned ``append_rows`` batches through the same server.  The
-contracts:
+M reader threads hammer an :class:`~repro.server.app.AQPServer` with
+queries while a writer streams ``append_rows`` batches through the same
+server.  The contracts:
 
 * **No torn table** — every COUNT(*) a reader observes corresponds to a
   complete append snapshot (initial rows plus a whole number of
   batches), never a half-applied one.  This is the RW-lock snapshot
-  guarantee: appends (AppendEvent fan-out, technique ``insert_rows``,
-  catalog swap) are atomic with respect to queries.
+  guarantee: appends (tail write and invalidation, technique
+  ``insert_rows``, catalog swap) are atomic with respect to queries.
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
@@ -28,7 +27,6 @@ from repro.datagen.synthetic import (
     MeasureSpec,
     generate_flat_table,
 )
-from repro.engine import selection as sel
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.engine.parallel import ExecutionOptions
@@ -59,7 +57,6 @@ BATCH_SEEDS = tuple(range(91, 91 + N_BATCHES))
 
 def _new_session(options: ExecutionOptions) -> AQPSession:
     get_cache().clear()
-    sel.reset_sketch_store()
     session = AQPSession(
         Database([generate_flat_table("flat", INITIAL_ROWS, seed=71, **SPEC)]),
         options=options,
@@ -73,8 +70,6 @@ def _new_session(options: ExecutionOptions) -> AQPSession:
 
 
 def _batch(seed: int):
-    # Chunk-aligned: each batch is exactly one execution chunk, so the
-    # incremental zone-map extension path always engages cleanly.
     return generate_flat_table("flat", CHUNK_ROWS, seed=seed, **SPEC)
 
 
