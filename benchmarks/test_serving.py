@@ -7,8 +7,7 @@ ReproClient` threads rotating through a fixed approximate-query mix.
 Emits ``BENCH_serving.json`` (QPS and p50/p99 latency per client count)
 at the repo root.
 
-Two different assertions, in the same spirit as
-``benchmarks/test_skipping.py``:
+Two different assertions:
 
 * **Determinism is unconditional**: every answer served during the
   concurrent legs must be byte-identical (same ``fingerprint``) to a
@@ -49,7 +48,6 @@ from repro.datagen.synthetic import (
     generate_flat_table,
 )
 from repro.engine.database import Database
-from repro.engine.parallel import ExecutionOptions
 from repro.middleware.session import AQPSession
 from repro.server import ServerConfig, make_server
 from repro.server.protocol import encode_result
@@ -82,7 +80,7 @@ def session():
     db = Database([generate_flat_table("flat", ROWS, seed=83, **SPEC)])
     # Serving concurrency comes from the handler threads; the engine
     # itself is serial.
-    session = AQPSession(db, options=ExecutionOptions(chunk_rows=4096))
+    session = AQPSession(db)
     session.install(
         SmallGroupSampling(
             SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=9)

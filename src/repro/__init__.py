@@ -63,7 +63,6 @@ from repro.engine import (
     AggregateSpec,
     Column,
     Database,
-    ExecutionOptions,
     ForeignKey,
     GroupedResult,
     InSet,
@@ -98,7 +97,6 @@ __all__ = [
     "CongressConfig",
     "Database",
     "DynamicSampleSelection",
-    "ExecutionOptions",
     "ForeignKey",
     "GroupEstimate",
     "GroupedResult",

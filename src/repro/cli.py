@@ -30,7 +30,6 @@ from repro.experiments.figures import (
     run_table_outlier,
     run_table_preprocessing,
 )
-from repro.engine.parallel import ExecutionOptions, set_default_options
 from repro.experiments.reporting import format_table, write_csv
 
 #: Figure id → (description, full runner, quick runner).
@@ -134,17 +133,6 @@ def _save(run: FigureRun, out_dir: Path) -> Path:
     return path
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -152,15 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reproduce 'Dynamic Sample Selection for Approximate Query "
             "Processing' (SIGMOD 2003)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-rows",
-        type=_positive_int,
-        default=65536,
-        help=(
-            "rows per execution chunk (zone-map granularity); answers are "
-            "identical for any value"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -250,16 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help=(
-            "also print the data-skipping report: per piece, chunks "
-            "scanned vs skipped and rows touched"
+            "also print the approximate answer's rewritten SQL (the "
+            "UNION ALL of sample-table pieces that was executed)"
         ),
     )
     sql.add_argument(
         "--profile",
         action="store_true",
         help=(
-            "also print the query profile: lifecycle spans, cache "
-            "hit/miss delta, and skipping outcome (answer-neutral)"
+            "also print the query profile: lifecycle spans and cache "
+            "hit/miss delta (answer-neutral)"
         ),
     )
     sql.add_argument(
@@ -401,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    set_default_options(ExecutionOptions(chunk_rows=args.chunk_rows))
     if args.command == "sql":
         return _run_sql(args)
     if args.command == "stats":
@@ -559,15 +537,9 @@ def _run_stats(args) -> int:
             for kind, c in sorted(kinds.items())
         ]
         print(format_table(["cache kind", "hits", "misses", "rate"], rows))
-    # Provenance-sketch summary: always printed (zeros included) so a run
-    # can confirm the sketch machinery did or did not engage.
+    # Incremental-ingestion summary: always printed (zeros included) so a
+    # run can confirm whether reservoir maintenance engaged.
     counter = get_registry().counter
-    print(
-        "selection: "
-        f"sketch_hits={counter('selection.sketch_hits'):g} "
-        f"sketch_misses={counter('selection.sketch_misses'):g}"
-    )
-    # Incremental-ingestion summary, same always-printed discipline.
     print(
         "ingest: "
         f"reservoir_updates={counter('ingest.reservoir_updates'):g}"

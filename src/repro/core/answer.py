@@ -68,17 +68,10 @@ class ApproxAnswer:
         confidence interval of the last kept group is disjoint from that
         of the best dropped group — i.e. whether the approximate top-k
         cut is statistically separated.  ``None`` when not applicable.
-    skip_report:
-        Per-piece data-skipping outcome
-        (:class:`~repro.engine.zonemap.SkipReport`): chunks skipped vs
-        scanned and rows actually touched while building WHERE masks.
-        ``None`` for techniques that never went through the combiner.
-        Deliberately excluded from answer equality concerns —
-        ``rows_scanned`` is the cost-model figure; this is diagnostics.
     trace:
         Root :class:`~repro.obs.trace.Span` of the execution, when the
         caller requested profiling (``session.sql(..., profile=True)``);
-        ``None`` otherwise.  Pure diagnostics like ``skip_report`` —
+        ``None`` otherwise.  Pure diagnostics —
         the estimates are byte-identical with tracing on or off
         (enforced by lint rule RL009 and the determinism sweep test).
     """
@@ -91,7 +84,6 @@ class ApproxAnswer:
     pieces: tuple[str, ...] = field(default_factory=tuple)
     rewritten_sql: str | None = None
     top_k_confident: bool | None = None
-    skip_report: Any | None = None
     trace: Any | None = None
 
     @property

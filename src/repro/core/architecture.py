@@ -76,19 +76,9 @@ class DynamicSampleSelection(AQPTechnique):
         return self._report(db, elapsed, details=self.preprocess_details())
 
     def answer(self, query: Query) -> ApproxAnswer:
-        """Choose samples, execute the rewritten pieces, combine.
-
-        Techniques carrying :class:`ExecutionOptions` (e.g. small-group
-        sampling's ``options``) forward them to the piece executor;
-        otherwise the process-wide defaults apply.
-        """
+        """Choose samples, execute the rewritten pieces, combine."""
         self.require_preprocessed()
-        pieces = self.choose_samples(query)
-        return execute_pieces(
-            pieces,
-            technique=self.name,
-            options=getattr(self, "options", None),
-        )
+        return execute_pieces(self.choose_samples(query), technique=self.name)
 
     def sample_tables(self) -> list[SampleTableInfo]:
         """All sample tables built during pre-processing."""

@@ -34,12 +34,6 @@ from repro.engine.executor import (
 )
 from repro.engine.deadline import Deadline
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
-from repro.engine.parallel import ExecutionOptions, resolve_options
-from repro.engine.zonemap import (
-    PieceSkipStats,
-    SkipReport,
-    predicate_always_false,
-)
 from repro.errors import RuntimePhaseError
 from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
@@ -142,7 +136,6 @@ def execute_pieces(
     pieces: list[SamplePiece],
     technique: str,
     emit_sql: bool = True,
-    options: ExecutionOptions | None = None,
     span: Span = NULL_SPAN,
     deadline: Deadline | None = None,
 ) -> ApproxAnswer:
@@ -197,60 +190,25 @@ def execute_pieces(
         o.sum_component for o in outputs if isinstance(o, _RatioOutput)
     ]
 
-    options = resolve_options(options)
-
-    # Piece pruning: a piece whose every chunk refutes the WHERE would
-    # aggregate an all-false mask into zero groups — substitute that
-    # empty partial outright and never scan the piece.
-    # ``rows_scanned`` still counts the piece's rows (the §4.2.2 cost
-    # model charges for what is *stored* in the plan, and the answer
-    # must be byte-identical with skipping off); the saved work shows up
-    # as ``rows_touched`` in the skip report instead.
-    skip_report = SkipReport(enabled=options.data_skipping)
     span.annotate(pieces=len(exec_pieces))
     piece_results: list[GroupedResult] = []
-    executed = 0
     for piece, exec_query in exec_pieces:
         description = piece.description or piece.table.name
         if deadline is not None:
             deadline.check(f"piece {description}")
-        stats = PieceSkipStats(
-            description=description,
-            rows_total=piece.table.n_rows,
-        )
-        skip_report.pieces.append(stats)
         with span.child(f"piece:{description}") as piece_span:
-            if (
-                options.data_skipping
-                and exec_query.where is not None
-                and predicate_always_false(
-                    piece.table, exec_query.where, options
-                )
-            ):
-                stats.pruned = True
-                piece_span.annotate(pruned=True, rows=piece.table.n_rows)
-                result = GroupedResult(
-                    group_columns=exec_query.group_by,
-                    aggregate_names=component_names,
-                    rows={},
-                )
-            else:
-                result = aggregate_table(
+            piece_results.append(
+                aggregate_table(
                     piece.table,
                     exec_query,
                     weights=piece.weights,
                     scale=piece.scale,
                     collect_variance_stats=not piece.zero_variance,
                     variance_weights=piece.variance_weights,
-                    options=options,
-                    skip_stats=stats,
                     span=piece_span,
                 )
-                executed += 1
-        piece_results.append(result)
-    registry = get_registry()
-    registry.incr("combiner.pieces_executed", executed)
-    registry.incr("combiner.pieces_pruned", len(exec_pieces) - executed)
+            )
+    get_registry().incr("combiner.pieces_executed", len(exec_pieces))
     if deadline is not None:
         deadline.check("combine")
     combine_started = time.perf_counter()
@@ -340,7 +298,6 @@ def execute_pieces(
         technique=technique,
         top_k_confident=top_k_confident,
         rows_scanned=rows_scanned,
-        skip_report=skip_report,
         trace=None if span is NULL_SPAN else span,
         pieces=tuple(p.description or p.table.name for p in pieces),
         rewritten_sql=(

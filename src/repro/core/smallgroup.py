@@ -47,7 +47,6 @@ from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.cache import get_cache
 from repro.engine.column import ColumnKind
 from repro.engine.database import Database
-from repro.engine.parallel import ExecutionOptions
 from repro.engine.expressions import BitmaskDisjoint, Query
 from repro.engine.reservoir import (
     ReservoirSampler,
@@ -267,16 +266,9 @@ class SmallGroupSampling(DynamicSampleSelection):
 
     name = "small_group"
 
-    def __init__(
-        self,
-        config: SmallGroupConfig | None = None,
-        options: ExecutionOptions | None = None,
-    ) -> None:
+    def __init__(self, config: SmallGroupConfig | None = None) -> None:
         super().__init__()
         self.config = config or SmallGroupConfig()
-        #: Execution knobs forwarded to the piece executor; ``None``
-        #: falls back to the process-wide defaults at query time.
-        self.options = options
         self._metas: list[SampleTableMeta] = []
         self._tables: list[Table] = []
         self._table_weights: list[np.ndarray | None] = []

@@ -26,11 +26,6 @@ from repro.engine.expressions import (
     Query,
     conjoin,
 )
-from repro.engine.parallel import (
-    ExecutionOptions,
-    get_default_options,
-    set_default_options,
-)
 from repro.engine.reservoir import (
     ReservoirSampler,
     bernoulli_sample_indices,
@@ -63,7 +58,6 @@ __all__ = [
     "Database",
     "DEFAULT_DISTINCT_THRESHOLD",
     "Equals",
-    "ExecutionOptions",
     "ForeignKey",
     "GroupedResult",
     "InSet",
@@ -80,9 +74,7 @@ __all__ = [
     "column_stats",
     "conjoin",
     "execute",
-    "get_default_options",
     "per_group_selectivity",
-    "set_default_options",
     "uniform_sample_indices",
     "weighted_sample_indices",
 ]

@@ -97,11 +97,10 @@ class BitmaskVector:
     """Per-row bitmasks for a sample table.
 
     The vector is append-free: it is built once, with a fixed row count, and
-    rows are selected with :meth:`take`.  The ``__weakref__`` slot lets the
-    execution cache anchor per-chunk OR summaries on the vector's identity.
+    rows are selected with :meth:`take`.
     """
 
-    __slots__ = ("n_bits", "words", "__weakref__")
+    __slots__ = ("n_bits", "words")
 
     def __init__(self, n_rows: int, n_bits: int, words: np.ndarray | None = None):
         self.n_bits = n_bits
@@ -138,32 +137,6 @@ class BitmaskVector:
         words = min(self.words.shape[1], len(mask.words))
         overlap = self.words[:, :words] & mask.words[np.newaxis, :words]
         return ~overlap.any(axis=1)
-
-    def isdisjoint_range(self, mask: Bitmask, start: int, stop: int) -> np.ndarray:
-        """:meth:`isdisjoint` restricted to the rows in ``[start, stop)``.
-
-        Equals ``isdisjoint(mask)[start:stop]`` element-for-element while
-        touching only the chunk's word rows — the unit the zone-map
-        executor evaluates when the per-chunk bitmask OR cannot prove a
-        whole chunk disjoint.
-        """
-        words = min(self.words.shape[1], len(mask.words))
-        overlap = (
-            self.words[start:stop, :words] & mask.words[np.newaxis, :words]
-        )
-        return ~overlap.any(axis=1)
-
-    def range_or(self, start: int, stop: int) -> np.ndarray:
-        """OR of the row masks in ``[start, stop)``, as one word row.
-
-        A row can only overlap a query mask ``m`` if the chunk OR does,
-        so ``range_or(a, b) & m == 0`` proves ``bitmask & m = 0`` holds
-        for *every* row of the chunk — the zone-map summary that lets
-        the §4.2.2 de-duplication filter pass whole chunks unscanned.
-        """
-        if stop <= start:
-            return np.zeros(self.words.shape[1], dtype=np.uint64)
-        return np.bitwise_or.reduce(self.words[start:stop], axis=0)
 
     def row_mask(self, row: int) -> Bitmask:
         """Return row ``row``'s mask as a :class:`Bitmask`."""

@@ -23,8 +23,8 @@ Entries are keyed by a *kind* string, the identities of one or more
   prunes them), so the cache cannot serve a recycled ``id()``.
 
 This is the one mechanism that keeps derived state fresh: join
-positions, predicate masks, zone maps and provenance sketches are all
-entries here.  On top of the automatic lifetime management, every path
+positions, joined dimension columns, grouping codes and predicate masks
+are all entries here.  On top of the automatic lifetime management, every path
 that replaces or removes a table
 (:meth:`repro.engine.database.Database.append_rows`,
 :meth:`repro.engine.database.Database.drop_table`,
@@ -137,9 +137,8 @@ class SingleFlight:
 @dataclass
 class CacheMetrics:
     """Hit/miss counters per cache kind (``join_positions``,
-    ``predicate_mask``, ``column_codes``, ``joined_column``, ``zone_map``,
-    ``zone_map_bitmask``, ``sql_parse``, ``plan``,
-    ``provenance_sketch`` ...).
+    ``predicate_mask``, ``column_codes``, ``joined_column``,
+    ``sql_parse``, ``plan`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
     atomic under free-running threads, and the thread-safety contract of
@@ -409,9 +408,6 @@ class ExecutionCache:
         if callable(column) and names is not None:
             for name in names:
                 dropped += self.invalidate_object(column(name))
-        bitmask = getattr(table, "bitmask", None)
-        if bitmask is not None:
-            dropped += self.invalidate_object(bitmask)
         return dropped
 
     def clear(self) -> None:

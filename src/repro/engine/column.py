@@ -391,30 +391,6 @@ class Column:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def range_summary(
-        self, start: int, stop: int, distinct_cutoff: int
-    ) -> tuple:
-        """Zone-map summary of the rows in ``[start, stop)``.
-
-        Numeric columns return ``(min, max, zero_count)`` as floats over
-        the raw stored values (NaNs propagate into min/max, which the
-        verdict logic treats as "cannot decide").  String columns return
-        ``(code_set, null_count)`` where ``code_set`` is a frozenset of
-        the distinct dictionary codes present, or ``None`` when the
-        chunk holds more than ``distinct_cutoff`` distinct codes (a
-        summary that large stops paying for itself).
-        """
-        data = self.data[start:stop]
-        if self.kind is ColumnKind.STRING:
-            codes = np.unique(data)
-            if codes.size > distinct_cutoff:
-                return (None, 0)
-            return (frozenset(int(c) for c in codes), 0)
-        mn = float(np.min(data)) if data.size else float("nan")
-        mx = float(np.max(data)) if data.size else float("nan")
-        zeros = int(np.count_nonzero(data == 0))
-        return (mn, mx, zeros)
-
     def raw_value_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct raw values present (ascending) and their row counts."""
         return count_raw_values(self.data, self.kind is ColumnKind.STRING)

@@ -160,9 +160,8 @@ class Database:
         columns hold the old rows followed by the batch — a tail write
         costing O(batch), see :meth:`Column.concat`; the old table stays
         a valid snapshot of the rows it had.  Every artifact derived from
-        the old table (predicate masks, join positions, zone maps,
-        provenance sketches) is dropped with ``invalidate_table(old)``
-        before the swap; the new table's are built on first read, as
+        the old table (predicate masks, grouping codes, join positions)
+        is dropped with ``invalidate_table(old)`` before the swap; the new table's are built on first read, as
         after :meth:`drop_table` or a small-group ``insert_rows``.
         Returns the new table.
         """

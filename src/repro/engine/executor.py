@@ -33,10 +33,7 @@ from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database, gather_dimension_column
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
-from repro.engine.parallel import ExecutionOptions, chunk_ranges, resolve_options
 from repro.engine.table import Table
-from repro.engine import zonemap
-from repro.engine import selection as selection_lib
 from repro.errors import QueryError
 from repro.obs.trace import NULL_SPAN, Span
 
@@ -285,123 +282,29 @@ def _decode_keys(
     )
 
 
-def _predicate_mask(
-    table: Table,
-    predicate,
-    options: ExecutionOptions | None = None,
-    stats: "zonemap.PieceSkipStats | None" = None,
-) -> np.ndarray:
+def _predicate_mask(table: Table, predicate) -> np.ndarray:
     """Evaluate a WHERE predicate, memoising the boolean mask.
 
-    With ``options.data_skipping`` (the default) the mask is assembled
-    chunk-wise through the zone maps (:func:`zonemap.evaluate_predicate`)
-    — value-identical to a plain evaluation, so the memoised mask is the
-    same object either way and the cache key needs no skipping/layout
-    component.  Only pure predicates (value-dependent only, per
+    Only pure predicates (value-dependent only, per
     :meth:`~repro.engine.expressions.Predicate.cache_safe`) are cached,
     anchored on the referenced :class:`Column` objects so a stale mask can
     never be served for replaced data.  Predicates with unhashable
-    literals simply skip the cache.  ``stats`` (when given) records the
-    per-chunk skipping outcome; a cache hit reads zero rows.
-
-    On a cache miss with data skipping enabled, the template's
-    provenance-sketch slot (:mod:`repro.engine.selection`) is consulted
-    first: a sketch recorded for a dominating parameterisation of the
-    same query template proves every unsketched chunk empty, so only the
-    sketched chunks are scanned — skipping even the verdict evaluation.
-    Freshly evaluated masks record their realised chunk set back into
-    the slot.
+    literals simply skip the cache.
     """
-    options = resolve_options(options)
-
-    def _evaluate() -> np.ndarray:
-        if options.data_skipping:
-            return zonemap.evaluate_predicate(
-                table, predicate, options, stats=stats
-            )
-        mask = predicate.evaluate(table)
-        if stats is not None:
-            stats.rows_total = table.n_rows
-            stats.observe_full_scan()
-        return mask
-
     if not predicate.cache_safe():
-        return _evaluate()
+        return predicate.evaluate(table)
     names = sorted(predicate.columns())
     if not names:
-        return _evaluate()
+        return predicate.evaluate(table)
     anchors = [table.column(name) for name in names]
     cache = get_cache()
-    template = (
-        selection_lib.predicate_template(predicate)
-        if options.data_skipping
-        else None
-    )
     try:
         mask = cache.get("predicate_mask", anchors, extra=predicate)
-        if mask is MISS:
-            mask = None
-            if template is not None:
-                slot = selection_lib.sketch_slot(
-                    template[0], anchors, options.chunk_rows
-                )
-                mask = _sketch_mask(
-                    table, predicate, slot, template, options, stats
-                )
-            if mask is None:
-                mask = _evaluate()
-            if template is not None:
-                selection_lib.record_sketch(
-                    slot,
-                    template[1],
-                    selection_lib.realized_chunks(
-                        mask, table.n_rows, options.chunk_rows
-                    ),
-                )
-            cache.put("predicate_mask", anchors, mask, extra=predicate)
-        elif stats is not None:
-            stats.rows_total = table.n_rows
-            stats.mask_cached = True
-    except TypeError:
-        mask = _evaluate()
-    return mask
-
-
-def _sketch_mask(
-    table: Table,
-    predicate,
-    slot,
-    template,
-    options: ExecutionOptions,
-    stats: "zonemap.PieceSkipStats | None",
-) -> np.ndarray | None:
-    """Assemble a predicate mask from a dominating provenance sketch.
-
-    Returns ``None`` when no recorded sketch dominates this predicate's
-    parameters.  On a hit the result is exact: dominance proves every
-    chunk outside the sketch holds no matching row, and the sketched
-    chunks are re-evaluated against the *current* predicate.
-    """
-    sketched = selection_lib.lookup_sketch(slot, template[0], template[1])
-    if sketched is None:
-        return None
-    ranges = chunk_ranges(table.n_rows, options.chunk_rows)
-    mask = np.zeros(table.n_rows, dtype=bool)
-    touched = 0
-    for chunk in sketched:
-        start, stop = ranges[int(chunk)]
-        mask[start:stop] = predicate.evaluate_range(table, start, stop)
-        touched += stop - start
-    if stats is not None:
-        stats.rows_total = table.n_rows
-        stats.sketch_hit = True
-        stats.observe_chunks(
-            n_chunks=len(ranges),
-            skipped=len(ranges) - len(sketched),
-            accepted=0,
-            scanned=len(sketched),
-            rows_touched=touched,
-        )
+    except TypeError:  # unhashable literal
+        return predicate.evaluate(table)
+    if mask is MISS:
+        mask = predicate.evaluate(table)
+        cache.put("predicate_mask", anchors, mask, extra=predicate)
     return mask
 
 
@@ -412,8 +315,6 @@ def aggregate_table(
     scale: float = 1.0,
     collect_variance_stats: bool = False,
     variance_weights: np.ndarray | None = None,
-    options: ExecutionOptions | None = None,
-    skip_stats: "zonemap.PieceSkipStats | None" = None,
     span: Span = NULL_SPAN,
 ) -> GroupedResult:
     """Aggregate a flat table that already matches the query's FROM clause.
@@ -440,17 +341,10 @@ def aggregate_table(
         ``x_i = 1`` for COUNT).  For a Bernoulli sample at rate ``p``
         estimated by scaling with ``1/p``, pass ``(1 - p)/p²`` for every
         row.  Defaults to ``(weight_i · scale)²``.
-    options:
-        Execution options controlling data skipping and the chunk layout;
-        defaults to the process-wide options.
-    skip_stats:
-        Optional :class:`zonemap.PieceSkipStats` filled in with the
-        WHERE-evaluation skipping outcome for this scan.
     span:
         Write-only profiling span (:data:`~repro.obs.trace.NULL_SPAN`
         when profiling is off); gains row/group counts for this scan.
     """
-    options = resolve_options(options)
     if weights is not None and len(weights) != table.n_rows:
         raise QueryError(
             f"weights length {len(weights)} != table rows {table.n_rows}"
@@ -464,13 +358,8 @@ def aggregate_table(
     # values are taken on the selected rows only — never by materialising a
     # filtered copy of every column (the seed's ``table.take``).
     selection: np.ndarray | None = None
-    if skip_stats is not None:
-        skip_stats.rows_total = table.n_rows
-        if query.where is None:
-            # No WHERE: every row is aggregated, nothing to skip.
-            skip_stats.observe_full_scan()
     if query.where is not None:
-        keep = _predicate_mask(table, query.where, options, stats=skip_stats)
+        keep = _predicate_mask(table, query.where)
         selection = np.flatnonzero(keep)
         if weights is not None:
             weights = weights[selection]
@@ -679,8 +568,6 @@ def resolve_columns(
 def execute(
     db: Database,
     query: Query,
-    options: ExecutionOptions | None = None,
-    skip_stats: "zonemap.PieceSkipStats | None" = None,
     span: Span = NULL_SPAN,
 ) -> GroupedResult:
     """Execute ``query`` exactly against the database."""
@@ -696,10 +583,4 @@ def execute(
         flat = resolve_columns(db, query, span=resolve_span)
     aggregate_span = span.child("aggregate")
     with aggregate_span:
-        return aggregate_table(
-            flat,
-            query,
-            options=options,
-            skip_stats=skip_stats,
-            span=aggregate_span,
-        )
+        return aggregate_table(flat, query, span=aggregate_span)

@@ -31,19 +31,6 @@ class Predicate:
         """Return a boolean mask of matching rows."""
         raise NotImplementedError
 
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        """Mask for the rows in ``[start, stop)`` only.
-
-        The zone-map executor assembles WHERE masks chunk by chunk,
-        evaluating only chunks the summaries cannot decide (see
-        :mod:`repro.engine.zonemap`); the contract is strict value
-        equality: ``evaluate_range(t, a, b) == evaluate(t)[a:b]``
-        element-for-element.  The default implementation honours the
-        contract by slicing a full evaluation; subclasses override it to
-        touch only the chunk's rows.
-        """
-        return self.evaluate(table)[start:stop]
-
     def evaluation_cost(self) -> int:
         """Relative cost rank used to order conjuncts cheapest-first.
 
@@ -82,11 +69,6 @@ class Equals(Predicate):
         encoded = col.encode_value(self.value)
         return col.data == encoded
 
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        col = table.column(self.column)
-        encoded = col.encode_value(self.value)
-        return col.data[start:stop] == encoded
-
     def evaluation_cost(self) -> int:
         return 0
 
@@ -105,8 +87,8 @@ class InSet(Predicate):
         object.__setattr__(self, "column", column)
         object.__setattr__(self, "values", tuple(values))
 
-    def _evaluate_codes(self, col, data: np.ndarray) -> np.ndarray:
-        """Mask for one stretch of the column's stored representation."""
+    def evaluate(self, table: Table) -> np.ndarray:
+        col = table.column(self.column)
         if col.kind is ColumnKind.STRING:
             # Translate the literal list to code space once, then answer
             # with a boolean lookup over the (small) dictionary — no
@@ -119,21 +101,13 @@ class InSet(Predicate):
                     lut[code] = True
                     any_present = True
             if not any_present:
-                return np.zeros(len(data), dtype=bool)
-            return lut[data]
+                return np.zeros(len(col.data), dtype=bool)
+            return lut[col.data]
         encoded = [col.encode_value(v) for v in self.values]
         if not encoded:
-            return np.zeros(len(data), dtype=bool)
+            return np.zeros(len(col.data), dtype=bool)
         targets = np.asarray(sorted(encoded), dtype=col.data.dtype)
-        return np.isin(data, targets)
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        col = table.column(self.column)
-        return self._evaluate_codes(col, col.data)
-
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        col = table.column(self.column)
-        return self._evaluate_codes(col, col.data[start:stop])
+        return np.isin(col.data, targets)
 
     def evaluation_cost(self) -> int:
         return 0
@@ -186,10 +160,6 @@ class Compare(Predicate):
         col = table.column(self.column)
         return _COMPARE_FUNCS[self.op](col.data, self._encode(col))
 
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        col = table.column(self.column)
-        return _COMPARE_FUNCS[self.op](col.data[start:stop], self._encode(col))
-
     def evaluation_cost(self) -> int:
         return 0
 
@@ -215,12 +185,6 @@ class Between(Predicate):
         col = table.column(self.column)
         self._require_numeric(col)
         return (col.data >= self.low) & (col.data <= self.high)
-
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        col = table.column(self.column)
-        self._require_numeric(col)
-        data = col.data[start:stop]
-        return (data >= self.low) & (data <= self.high)
 
     def evaluation_cost(self) -> int:
         return 0
@@ -264,15 +228,6 @@ class And(Predicate):
             mask = mask & operand.evaluate(table)
         return mask
 
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        ordered = self.ordered_operands()
-        mask = ordered[0].evaluate_range(table, start, stop)
-        for operand in ordered[1:]:
-            if not mask.any():
-                break
-            mask = mask & operand.evaluate_range(table, start, stop)
-        return mask
-
     def evaluation_cost(self) -> int:
         return max(op.evaluation_cost() for op in self.operands)
 
@@ -292,13 +247,7 @@ class Or(Predicate):
 
     The symmetric twin of :class:`And`: where AND short-circuits once the
     running mask is all-false, OR short-circuits once it is all-*true* —
-    no further arm can clear a bit.  Arms are therefore ordered
-    most-saturating-first when a table is available: the zone-map chunk
-    verdicts (see :func:`repro.engine.zonemap.chunk_verdicts`) estimate
-    how much of the mask each arm fills (proven ALL_TRUE chunks count
-    double an undecided chunk), and OR of booleans is commutative, so
-    the mask is identical in any order while broad arms give later,
-    narrower arms the chance to never evaluate at all.
+    no further arm can clear a bit.
     """
 
     operands: tuple[Predicate, ...]
@@ -308,50 +257,25 @@ class Or(Predicate):
             raise QueryError("OR requires at least one operand")
         object.__setattr__(self, "operands", tuple(operands))
 
-    def ordered_operands(
-        self, table: Table | None = None, options=None
-    ) -> tuple[Predicate, ...]:
-        """Arms ordered to minimise mask evaluations (stable on ties).
+    def ordered_operands(self) -> tuple[Predicate, ...]:
+        """Arms sorted cheapest-first (stable within equal cost).
 
-        With a table, rank by the zone-map saturation estimate
-        ``2·(ALL_TRUE chunks) + (UNKNOWN chunks)`` descending — the arm
-        proven to fill the most chunks runs first, so the all-true
-        short-circuit can drop the rest; ties break cheapest-first.
-        Without a table (no summaries to consult) only the cost rank
-        applies, mirroring :meth:`And.ordered_operands`.
+        Mirrors :meth:`And.ordered_operands`; OR of booleans is
+        commutative, so the mask is identical in any order.
         """
-        if table is None:
-            return tuple(
-                sorted(self.operands, key=lambda p: p.evaluation_cost())
-            )
-        from repro.engine import zonemap
-
-        def rank(operand: Predicate) -> tuple[int, int]:
-            verdicts = zonemap.chunk_verdicts(table, operand, options)
-            n_true = int((verdicts == zonemap.VERDICT_ALL_TRUE).sum())
-            n_unknown = int((verdicts == zonemap.VERDICT_UNKNOWN).sum())
-            return (-(2 * n_true + n_unknown), operand.evaluation_cost())
-
-        return tuple(sorted(self.operands, key=rank))
+        return tuple(
+            sorted(self.operands, key=lambda p: p.evaluation_cost())
+        )
 
     def evaluate(self, table: Table) -> np.ndarray:
         # Short-circuit: once the running mask is all-true no further arm
         # can clear a bit, so later arms are not evaluated at all.
-        ordered = self.ordered_operands(table)
+        ordered = self.ordered_operands()
         mask = ordered[0].evaluate(table)
         for operand in ordered[1:]:
             if mask.all():
                 break
             mask = mask | operand.evaluate(table)
-        return mask
-
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        ordered = self.ordered_operands(table)
-        mask = ordered[0].evaluate_range(table, start, stop)
-        for operand in ordered[1:]:
-            if mask.all():
-                break
-            mask = mask | operand.evaluate_range(table, start, stop)
         return mask
 
     def evaluation_cost(self) -> int:
@@ -375,9 +299,6 @@ class Not(Predicate):
 
     def evaluate(self, table: Table) -> np.ndarray:
         return ~self.operand.evaluate(table)
-
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        return ~self.operand.evaluate_range(table, start, stop)
 
     def evaluation_cost(self) -> int:
         return self.operand.evaluation_cost()
@@ -409,16 +330,6 @@ class BitmaskDisjoint(Predicate):
                 "filters on one"
             )
         return table.bitmask.isdisjoint(self.mask)
-
-    def evaluate_range(self, table: Table, start: int, stop: int) -> np.ndarray:
-        if table.bitmask is None:
-            if self.mask.is_zero():
-                return np.ones(stop - start, dtype=bool)
-            raise QueryError(
-                f"table {table.name!r} has no bitmask column but the query "
-                "filters on one"
-            )
-        return table.bitmask.isdisjoint_range(self.mask, start, stop)
 
     def evaluation_cost(self) -> int:
         # Touches every word of the multi-word per-row bitmask — costlier

@@ -10,7 +10,7 @@ RL010 and RL014 are retired and stay reserved):
 * **RL004** computed expressions as identity-cache anchors;
 * **RL005** bare ``assert`` guards (stripped under ``python -O``);
 * **RL006** ``print`` outside the presentation layer;
-* **RL008** in-place mutation of zone-map-summarised storage;
+* **RL008** in-place writes into published column/bitmask arrays;
 * **RL009** observability reads in compute layers;
 * **RL011** unlocked shared-state mutation reachable from a server
   request handler (whole-program, call-graph based);

@@ -15,7 +15,7 @@ passes share it).  The index knows:
 
 * every **module** (package-relative path ↔ dotted module name);
 * every **function/method** (:class:`FunctionInfo`, keyed by its
-  module-qualified name, e.g. ``repro.engine.parallel.chunk_ranges`` or
+  module-qualified name, e.g. ``repro.engine.executor.execute`` or
   ``repro.engine.cache.ExecutionCache.get``), including nested
   functions and lambdas (synthetic ``<lambda@LINE>`` names);
 * every **class** (:class:`ClassInfo` with its method table and base
@@ -43,7 +43,7 @@ LAMBDA_PREFIX = "<lambda@"
 def module_name_for(path: str) -> str:
     """Dotted module name for a package-relative posix path.
 
-    ``repro/engine/parallel.py`` → ``repro.engine.parallel``;
+    ``repro/engine/executor.py`` → ``repro.engine.executor``;
     ``repro/lint/__init__.py`` → ``repro.lint``.  Paths outside a
     ``repro`` package (test fixtures) drop the ``.py`` suffix and join
     the remaining components, which keeps cross-file resolution working
@@ -269,9 +269,8 @@ class ProjectIndex:
     def resolve_local(self, module: str, dotted: str) -> str | None:
         """Canonicalise a dotted local name against a module's imports.
 
-        ``zonemap.evaluate_predicate`` in the executor (which does ``from
-        repro.engine import zonemap``) resolves to
-        ``repro.engine.zonemap.evaluate_predicate``.  Names defined in the
+        ``cache.get_cache`` in a module that does ``from repro.engine
+        import cache`` resolves to ``repro.engine.cache.get_cache``.  Names defined in the
         module itself resolve to ``{module}.{name}``.
         """
         head, _, rest = dotted.partition(".")

@@ -15,7 +15,7 @@ from repro.lint.rules import (  # noqa: F401
     rl004_cache_keys,
     rl005_asserts,
     rl006_io_purity,
-    rl008_zonemap,
+    rl008_published_arrays,
     rl009_obs,
     rl011_transitive_shared_state,
     rl012_lock_order,

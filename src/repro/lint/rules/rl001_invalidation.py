@@ -37,9 +37,10 @@ MUTATED_ATTRS = frozenset(
         "_reduced_dims",
         "_metas",
         # Raw column/bitmask payloads: growing ``Column.data`` or
-        # ``BitmaskVector.words`` in place changes every derived chunk
-        # summary without changing the anchor identity, so the write must
-        # come with an invalidation.
+        # ``BitmaskVector.words`` in place changes every artifact derived
+        # from the column (predicate masks, grouping codes, joined
+        # columns) without changing the anchor identity, so the write
+        # must come with an invalidation.
         "data",
         "words",
     }
@@ -71,10 +72,10 @@ ALLOWLIST: dict[str, str] = {
 
 #: Payload attributes where only a plain *rebind* is monitored.  Element
 #: writes into the arrays (``col.data[i] = v``, ``vector.words[...] |= m``)
-#: are RL008's concern (writes into published arrays bypass zone maps);
-#: RL001 watches for the array being *replaced* — the grow-by-reassignment
-#: idiom that leaves every identity-anchored summary describing the old
-#: payload.
+#: are RL008's concern (writes into published arrays bypass the cache's
+#: identity check); RL001 watches for the array being *replaced* — the
+#: grow-by-reassignment idiom that leaves every identity-anchored entry
+#: describing the old payload.
 REBIND_ONLY_ATTRS = frozenset({"data", "words"})
 
 

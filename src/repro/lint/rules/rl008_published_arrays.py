@@ -1,16 +1,18 @@
-"""RL008 — in-place mutation of zone-map-summarised storage.
+"""RL008 — in-place writes into published column/bitmask arrays.
 
-Zone maps (:mod:`repro.engine.zonemap`) cache per-chunk summaries of
-column ``data`` arrays and bitmask-vector ``words`` matrices, anchored
-on the *identity* of the summarised object.  That anchoring is only
-sound because the engine treats those arrays as immutable once the
-owning object is published: every state change replaces the object
-wholesale, so the cache's identity check drops the stale summary
-automatically.  A write *into* a published array — ``col.data[i] = v``,
-``vector.words[...] |= m``, ``vector.set_bit(...)`` — changes values
-behind an unchanged identity, and skipping then silently drops rows the
-predicate actually matches (or keeps rows it doesn't): wrong answers,
-no crash.
+The execution cache (:mod:`repro.engine.cache`) memoises artifacts
+derived from column ``data`` arrays — ``predicate_mask``,
+``column_codes`` and ``joined_column`` entries — anchored on the
+*identity* of the column.  That anchoring is only sound because the
+engine treats a published array as immutable: every state change
+replaces the owning object wholesale, so the cache's identity check
+drops the stale entry automatically.  The same discipline holds for a
+bitmask vector's ``words``: a query that resolved a sample table before
+an append keeps reading it as a snapshot.  A write *into* a published
+array — ``col.data[i] = v``, ``vector.words[...] |= m``,
+``vector.set_bit(...)`` — changes values behind an unchanged identity,
+and a cached mask or grouping code then silently describes the old
+values: wrong answers, no crash.
 
 This rule makes the immutability structural: any function in the scope
 below that writes into a ``.data``/``.words`` array, rebinds one of
@@ -18,7 +20,7 @@ those attributes, or calls a mask-mutating method (``set_bit``/``set``)
 must also call an ``invalidate*`` helper in the same function, be an
 ``__init__`` (construction precedes publication), or appear in
 :data:`ALLOWLIST` with a written justification of why the mutated array
-cannot be summarised yet.
+cannot have been published yet.
 """
 
 from __future__ import annotations
@@ -28,25 +30,24 @@ from collections.abc import Iterable
 
 from repro.lint.core import FileContext, Finding, Rule, register
 
-#: Files/directories where summarised storage lives or is manipulated.
+#: Files/directories where published storage lives or is manipulated.
 SCOPE_PREFIXES = ("repro/engine/", "repro/middleware/")
 SCOPE_FILES = ("repro/core/smallgroup.py", "repro/core/combiner.py")
 
-#: Attributes whose arrays the zone maps summarise.
-SUMMARISED_ATTRS = frozenset({"data", "words"})
+#: Attributes holding published arrays.
+PUBLISHED_ATTRS = frozenset({"data", "words"})
 
 #: Method calls that mutate mask storage in place.
 MUTATING_MASK_METHODS = frozenset({"set_bit", "set"})
 
 #: ``path::symbol`` entries reviewed as safe without an invalidation.
-#: Every entry must say *why* the written array cannot have zone-map
-#: entries at that point.
+#: Every entry must say *why* the written array cannot have been
+#: published (read by a query or anchoring a cache entry) at that point.
 ALLOWLIST: dict[str, str] = {
-    # Bitmask is a single query mask, never a summarised vector: the
-    # cache only anchors on BitmaskVector and Column objects.
+    # Bitmask is a single query mask, never per-row table storage.
     "repro/engine/bitmask.py::Bitmask.set": (
-        "query-mask primitive; single Bitmask objects are never "
-        "zone-map-summarised"
+        "query-mask primitive; a single Bitmask is never per-row table "
+        "storage"
     ),
     "repro/engine/bitmask.py::Bitmask.from_int": (
         "fills a Bitmask it just constructed; nothing can reference it yet"
@@ -63,41 +64,40 @@ ALLOWLIST: dict[str, str] = {
     ),
     # Sample-table construction: the vector is freshly allocated in the
     # same function and only attached to a table afterwards, so no query
-    # (and no summary) can have seen it.
+    # can have seen it.
     "repro/core/smallgroup.py::SmallGroupSampling._pack_bits": (
         "fills a freshly built BitmaskVector before it is published on "
         "any sample table"
     ),
     # Column.concat's trusted constructor: sets attributes on a Column it
-    # allocated via __new__ one line earlier; nothing can reference (or
-    # summarise) it.
+    # allocated via __new__ one line earlier; nothing can reference it.
     "repro/engine/column.py::column_from_parts": (
-        "assembles a Column it just created with __new__; no zone map "
+        "assembles a Column it just created with __new__; no cache entry "
         "can be anchored on an object that has never been visible"
     ),
     # ``flight.event.set()`` is a threading.Event wake-up, not a mask
     # write; SingleFlight holds no array storage at all.
     "repro/engine/cache.py::SingleFlight.do": (
         "calls threading.Event.set() to release coalesced waiters; no "
-        "summarised storage is involved"
+        "array storage is involved"
     ),
 }
 
 
 def _subscript_store_attr(node: ast.AST) -> str | None:
-    """The summarised attribute a subscript store writes into, if any."""
+    """The published attribute a subscript store writes into, if any."""
     if not isinstance(node, ast.Subscript):
         return None
     while isinstance(node, ast.Subscript):
         node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in SUMMARISED_ATTRS:
+    if isinstance(node, ast.Attribute) and node.attr in PUBLISHED_ATTRS:
         return node.attr
     return None
 
 
 def _rebound_attr(node: ast.AST) -> str | None:
-    """The summarised attribute a plain attribute store rebinds, if any."""
-    if isinstance(node, ast.Attribute) and node.attr in SUMMARISED_ATTRS:
+    """The published attribute a plain attribute store rebinds, if any."""
+    if isinstance(node, ast.Attribute) and node.attr in PUBLISHED_ATTRS:
         return node.attr
     return None
 
@@ -121,9 +121,9 @@ def _mutating_method(node: ast.Call) -> str | None:
 
 
 @register
-class ZoneMapMutation(Rule):
+class PublishedArrayMutation(Rule):
     rule_id = "RL008"
-    title = "in-place mutation of zone-map-summarised storage"
+    title = "in-place write into a published column/bitmask array"
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.path.startswith(SCOPE_PREFIXES) or ctx.path in SCOPE_FILES
@@ -177,7 +177,7 @@ class ZoneMapMutation(Rule):
                 ctx,
                 node,
                 f"{action} without calling an invalidate* helper in the "
-                "same function; cached zone-map summaries of the mutated "
-                "array would keep skipping chunks from its old values "
-                "(invalidate, or allowlist with a reason)",
+                "same function; cached masks and grouping codes derived "
+                "from the mutated array would keep describing its old "
+                "values (invalidate, or allowlist with a reason)",
             )

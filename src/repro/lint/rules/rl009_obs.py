@@ -1,8 +1,8 @@
 """RL009 — observability reads in the compute layers.
 
 Profiling must be answer-neutral: ``session.sql(..., profile=True)``
-and ``profile=False`` must produce byte-identical estimates at any
-chunk size.  That holds only if the compute layers
+and ``profile=False`` must produce byte-identical estimates.  That
+holds only if the compute layers
 treat spans (:mod:`repro.obs.trace`) and the metrics registry
 (:mod:`repro.obs.registry`) as **write-only** channels — create
 children, time blocks, record attributes, bump counters — and never

@@ -23,9 +23,7 @@ from repro.engine.database import Database
 from repro.engine.deadline import Deadline
 from repro.engine.executor import GroupedResult, execute
 from repro.engine.expressions import Query
-from repro.engine.parallel import ExecutionOptions, resolve_options
 from repro.engine.table import Table
-from repro.engine.zonemap import PieceSkipStats, SkipReport
 from repro.errors import InternalError, RuntimePhaseError, SchemaError
 from repro.experiments.reporting import format_table
 from repro.obs.profile import QueryProfile
@@ -49,10 +47,11 @@ class SessionResult:
     exact: GroupedResult | None = None
     approx_seconds: float = 0.0
     exact_seconds: float = 0.0
-    #: Data-skipping outcome (:class:`~repro.engine.zonemap.SkipReport`)
-    #: — the approximate answer's report when available, else the exact
-    #: scan's.  Rendered by :meth:`to_text` when ``explained`` is set.
-    skip_report: SkipReport | None = None
+    #: Always ``None`` (a class attribute, not a field): the engine skips
+    #: no data.  Kept because ``benchmarks/e2e/tracing.py`` reads it.
+    skip_report = None
+    #: Whether :meth:`to_text` also renders the approximate answer's
+    #: rewritten SQL (``sql(..., explain=True)``).
     explained: bool = False
     #: Per-query observability record (:class:`~repro.obs.QueryProfile`)
     #: when the query ran with ``profile=True``; ``None`` otherwise.
@@ -134,8 +133,13 @@ class SessionResult:
                 "speedup: "
                 + (f"{speedup:.1f}x" if speedup is not None else "n/a")
             )
-        if self.explained and self.skip_report is not None:
-            lines.append(self.skip_report.to_text())
+        if (
+            self.explained
+            and self.approx is not None
+            and self.approx.rewritten_sql is not None
+        ):
+            lines.append("rewritten SQL:")
+            lines.append(self.approx.rewritten_sql)
         if self.profile is not None:
             lines.append(self.profile.to_text())
         return "\n".join(lines)
@@ -169,17 +173,11 @@ class AQPSession:
     """
 
     def __init__(
-        self,
-        db: Database,
-        technique: AQPTechnique | None = None,
-        options: ExecutionOptions | None = None,
+        self, db: Database, technique: AQPTechnique | None = None
     ) -> None:
         self.db = db
         self.technique = technique
         self.report: PreprocessReport | None = None
-        #: Execution knobs forwarded to piece execution and the exact
-        #: executor; ``None`` uses the process-wide defaults.
-        self.options = options
         self._lock = threading.Lock()
         self._closed = False
         self._log: list[_LogEntry] = []
@@ -212,7 +210,7 @@ class AQPSession:
         """Release session-scoped derived state (idempotent).
 
         Clears the parse/plan memos.  Engine artifacts (predicate masks,
-        zone maps, provenance sketches) live in the process-wide
+        grouping codes, join positions) live in the process-wide
         execution cache, anchored on the tables they describe, and are
         released with those tables.
 
@@ -260,8 +258,8 @@ class AQPSession:
         """Append ``batch`` to table ``name``, maintaining derived state.
 
         Routes through :meth:`Database.append_rows`, which tail-writes the
-        batch and invalidates the old table's derived state (zone maps,
-        predicate masks, provenance sketches); the next read rebuilds
+        batch and invalidates the old table's derived state (predicate
+        masks, grouping codes, join positions); the next read rebuilds
         what it needs.  When the appended table is the fact table and the
         installed technique advertises incremental maintenance
         (``supports_incremental_maintenance()``), the batch is also fed
@@ -318,14 +316,14 @@ class AQPSession:
         """Run a SQL aggregation query.
 
         ``mode`` is ``"approx"`` (default), ``"exact"``, or ``"both"``.
-        With ``explain=True`` the result also carries (and renders) the
-        data-skipping report: per piece, chunks scanned vs skipped and
-        rows actually touched while building the WHERE mask.
+        With ``explain=True`` :meth:`SessionResult.to_text` also renders
+        the approximate answer's rewritten SQL (the §4.2.2 UNION ALL
+        that was executed).
 
         With ``profile=True`` the result additionally carries a
         :class:`~repro.obs.QueryProfile` — the span tree of the query's
-        lifecycle (parse → plan → per-piece execution → combine), the
-        execution-cache hit/miss delta, and the data-skipping outcome.
+        lifecycle (parse → plan → per-piece execution → combine) and the
+        execution-cache hit/miss delta.
         Profiling is answer-neutral: the estimates are byte-identical
         with it on or off (the engine treats spans as write-only — lint
         rule RL009 — and the determinism sweep test verifies it
@@ -367,33 +365,17 @@ class AQPSession:
                 registry.observe(
                     "session.approx_seconds", result.approx_seconds
                 )
-                if result.approx.skip_report is not None:
-                    result.skip_report = result.approx.skip_report
             if mode in ("exact", "both"):
                 if deadline is not None:
                     deadline.check("exact execution")
-                exact_options = resolve_options(self.options)
-                exact_report = SkipReport(enabled=exact_options.data_skipping)
-                exact_stats = PieceSkipStats(
-                    description=f"exact:{query.table}"
-                )
-                exact_report.pieces.append(exact_stats)
                 exact_span = root.child("execute.exact")
                 start = time.perf_counter()
                 with exact_span:
-                    result.exact = execute(
-                        self.db,
-                        query,
-                        options=self.options,
-                        skip_stats=exact_stats,
-                        span=exact_span,
-                    )
+                    result.exact = execute(self.db, query, span=exact_span)
                 result.exact_seconds = time.perf_counter() - start
                 registry.observe(
                     "session.exact_seconds", result.exact_seconds
                 )
-                if result.skip_report is None:
-                    result.skip_report = exact_report
         if profile:
             result.profile = QueryProfile(
                 sql=text,
@@ -422,7 +404,6 @@ class AQPSession:
                 ),
                 cache_before=cache_before,
                 cache_after=get_cache().metrics.counts(),
-                skip_report=result.skip_report,
             )
         with self._lock:
             self._log.append(
@@ -536,7 +517,6 @@ class AQPSession:
             return execute_pieces(
                 pieces,
                 technique=technique.name,
-                options=self.options,
                 span=pieces_span,
                 deadline=deadline,
             )

@@ -1,13 +1,11 @@
 """Per-query profiles: one structured record of how a query was served.
 
 A :class:`QueryProfile` is assembled by the middleware session *after*
-the answer is computed (``session.sql(..., profile=True)``), from three
+the answer is computed (``session.sql(..., profile=True)``), from two
 write-only channels the engine filled in along the way:
 
 * the span tree (:mod:`repro.obs.trace`) — parse → plan → §4.2.2
   rewrite → per-piece execution → combine;
-* the data-skipping report (:class:`~repro.engine.zonemap.SkipReport`)
-  — per piece, zone-map chunk verdicts and rows actually touched;
 * the execution-cache counter delta
   (:class:`~repro.engine.cache.CacheMetrics`) — hits/misses by kind
   attributable to this query (process-wide counters, so concurrent
@@ -21,7 +19,6 @@ CI uploads next to the ``BENCH_*.json`` artifacts.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.obs.jsonsafe import json_safe
 from repro.obs.trace import Span
@@ -32,34 +29,6 @@ def _finite_or_none(value: float | None) -> float | None:
     if value is None or not math.isfinite(value):
         return None
     return value
-
-
-def skip_report_dict(report: Any) -> dict | None:
-    """Plain-dict view of a zone-map :class:`SkipReport` (duck-typed)."""
-    if report is None:
-        return None
-    return {
-        "enabled": report.enabled,
-        "rows_total": report.rows_total,
-        "rows_touched": report.rows_touched,
-        "chunks_skipped": report.chunks_skipped,
-        "chunks_scanned": report.chunks_scanned,
-        "pieces_pruned": report.pieces_pruned,
-        "pieces": [
-            {
-                "description": piece.description,
-                "rows_total": piece.rows_total,
-                "rows_touched": piece.rows_touched,
-                "n_chunks": piece.n_chunks,
-                "chunks_skipped": piece.chunks_skipped,
-                "chunks_accepted": piece.chunks_accepted,
-                "chunks_scanned": piece.chunks_scanned,
-                "pruned": piece.pruned,
-                "mask_cached": piece.mask_cached,
-            }
-            for piece in report.pieces
-        ],
-    }
 
 
 def cache_delta(before: dict, after: dict) -> dict:
@@ -101,10 +70,6 @@ class QueryProfile:
         Computed lazily from the raw ``CacheMetrics.counts()`` views
         captured around the query, so profiled queries that never
         render their profile pay ~nothing (the <5% overhead budget).
-    skip:
-        Data-skipping outcome as a plain dict (see
-        :func:`skip_report_dict`), or ``None``.  Also lazy — the raw
-        :class:`SkipReport` is held and converted on first access.
     """
 
     def __init__(
@@ -119,7 +84,6 @@ class QueryProfile:
         rows_scanned: int | None = None,
         cache_before: dict | None = None,
         cache_after: dict | None = None,
-        skip_report: Any | None = None,
     ) -> None:
         self.sql = sql
         self.mode = mode
@@ -132,8 +96,6 @@ class QueryProfile:
         self._cache_before = cache_before
         self._cache_after = cache_after
         self._cache: dict | None = None
-        self._skip_report = skip_report
-        self._skip: dict | None = None
 
     @property
     def cache(self) -> dict:
@@ -146,13 +108,6 @@ class QueryProfile:
                     self._cache_before, self._cache_after
                 )
         return self._cache
-
-    @property
-    def skip(self) -> dict | None:
-        """Data-skipping outcome dict (converted on first access)."""
-        if self._skip is None:
-            self._skip = skip_report_dict(self._skip_report)
-        return self._skip
 
     def phase_seconds(self) -> dict[str, float]:
         """Top-level lifecycle phases (direct children of the root)."""
@@ -173,7 +128,6 @@ class QueryProfile:
                 "rows_scanned": self.rows_scanned,
                 "phases": self.phase_seconds(),
                 "cache": self.cache,
-                "skip": self.skip,
                 "trace": None if self.trace is None else self.trace.to_dict(),
             }
         )
@@ -195,14 +149,6 @@ class QueryProfile:
             )
         if self.rows_scanned is not None:
             lines.append(f"  rows scanned: {self.rows_scanned}")
-        if self.skip is not None:
-            lines.append(
-                f"  data skipping: touched {self.skip['rows_touched']} of "
-                f"{self.skip['rows_total']} rows "
-                f"({self.skip['chunks_skipped']} chunks skipped, "
-                f"{self.skip['chunks_scanned']} scanned, "
-                f"{self.skip['pieces_pruned']} pieces pruned)"
-            )
         if self.cache:
             parts = [
                 f"{kind} {c['hits']}/{c['hits'] + c['misses']}"
@@ -221,4 +167,4 @@ class QueryProfile:
         return "\n".join(lines)
 
 
-__all__ = ["QueryProfile", "cache_delta", "skip_report_dict"]
+__all__ = ["QueryProfile", "cache_delta"]

@@ -2,7 +2,7 @@
 
 Where a :class:`~repro.obs.trace.Span` tree describes *one* query, the
 :class:`MetricsRegistry` aggregates *across* queries — total pieces
-executed and pruned, zone-map chunk verdicts, per-mode query counts — the way
+executed, per-mode query counts, reservoir updates — the way
 :class:`~repro.engine.cache.CacheMetrics` already aggregates cache
 lookups.  BlinkDB-style systems feed exactly this kind of per-query
 error/latency profile back into sample selection; the registry is the
@@ -116,7 +116,7 @@ class MetricsRegistry:
     """Thread-safe named counters, gauges, and histograms.
 
     Names are dotted strings (``"session.exact_seconds"``,
-    ``"zonemap.chunks_skipped"``); instruments are created lazily on
+    ``"combiner.pieces_executed"``); instruments are created lazily on
     first write.  :meth:`snapshot` returns a plain strict-JSON dict (the
     ``repro stats`` payload); :meth:`reset` zeroes everything (tests,
     benchmark passes).

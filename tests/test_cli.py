@@ -15,19 +15,6 @@ class TestParser:
         assert args.ids == ["4"]
         assert args.quick
 
-    def test_chunk_rows_parsed_as_int(self):
-        args = build_parser().parse_args(["--chunk-rows", "4096", "list"])
-        assert args.chunk_rows == 4096
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-    def test_bad_chunk_rows_is_a_usage_error(self, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--chunk-rows", value, "list"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "--chunk-rows" in err
-
 
 class TestList:
     def test_lists_every_figure(self, capsys):

@@ -272,6 +272,26 @@ class TestInvalidationSweep:
                 # entries must be gone, not served stale.
                 assert cache.get("group_ids", (col,)) is MISS
 
+    def test_insert_rows_refreshes_filtered_answers(self):
+        db = Database([generate_flat_table("flat", 3000, seed=7, **SPEC)])
+        sg = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=7)
+        )
+        session = AQPSession(db)
+        session.install(sg)
+        sql = (
+            "SELECT color, COUNT(*) AS cnt FROM flat "
+            "WHERE status = 'status_0' GROUP BY color"
+        )
+        session.sql(sql)  # warm the sample tables' predicate masks
+        sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
+
+        warm = session.sql(sql).approx
+        get_cache().clear()
+        cold = session.sql(sql).approx
+        assert answer_values(warm) == answer_values(cold)
+        assert warm.rows_scanned == cold.rows_scanned
+
 
 class TestSessionMemos:
     def build(self):
@@ -423,7 +443,7 @@ class TestSingleFlight:
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    cache.get_or_compute("zonemap", (anchor,), compute)
+                    cache.get_or_compute("slow", (anchor,), compute)
                 )
             )
             for _ in range(4)
@@ -440,11 +460,11 @@ class TestSingleFlight:
         # Every lookup that found nothing counts as a miss; the three
         # that then shared the leader's computation also count as
         # coalesced, so computations == misses - coalesced == 1.
-        assert cache.metrics.misses.get("zonemap", 0) == 4
-        assert cache.metrics.coalesced.get("zonemap", 0) == 3
+        assert cache.metrics.misses.get("slow", 0) == 4
+        assert cache.metrics.coalesced.get("slow", 0) == 3
         snapshot = cache.metrics.snapshot()
-        assert snapshot["coalesced"]["zonemap"] == 3
-        assert snapshot["by_kind"]["zonemap"]["coalesced"] == 3
+        assert snapshot["coalesced"]["slow"] == 3
+        assert snapshot["by_kind"]["slow"]["coalesced"] == 3
 
     def test_session_parse_and_plan_coalesce(self):
         import threading

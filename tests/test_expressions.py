@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.bitmask import Bitmask, BitmaskVector
+from repro.engine.column import Column
 from repro.engine.expressions import (
     AggFunc,
     AggregateSpec,
@@ -16,10 +17,12 @@ from repro.engine.expressions import (
     InSet,
     Not,
     Or,
+    Predicate,
     Query,
     conjoin,
 )
-from repro.errors import QueryError
+from repro.engine.table import Table
+from repro.errors import ColumnTypeError, QueryError
 
 
 class TestPredicates:
@@ -88,11 +91,6 @@ class TestPredicates:
         assert pred.columns() == {"a", "v"}
         assert pred.cache_safe()
         assert not Or([Equals("a", "x"), BitmaskDisjoint(Bitmask(4))]).cache_safe()
-
-    def test_or_evaluate_range_matches_full_slice(self, small_table):
-        pred = Or([Equals("a", "y"), Compare("v", CompareOp.GT, 60.0)])
-        full = pred.evaluate(small_table)
-        assert pred.evaluate_range(small_table, 2, 6).tolist() == full[2:6].tolist()
 
     def test_columns(self):
         pred = And([Equals("a", "x"), Between("v", 0, 1), Not(InSet("b", [1]))])
@@ -177,9 +175,7 @@ class TestQuery:
 class SpyEquals(Equals):
     """Equals that counts how often its mask is actually computed.
 
-    Stays an ``Equals`` instance so the zone-map verdict dispatch treats it
-    like the real leaf; the counter is class-level because the dataclass is
-    frozen.
+    The counter is class-level because the dataclass is frozen.
     """
 
     calls = 0
@@ -188,38 +184,18 @@ class SpyEquals(Equals):
         type(self).calls += 1
         return super().evaluate(table)
 
-    def evaluate_range(self, table, start, stop):
-        type(self).calls += 1
-        return super().evaluate_range(table, start, stop)
-
 
 class TestOrArmOrdering:
-    """OR arms run most-saturating-first, mirroring AND's cheapest-first.
-
-    With a zone-map-provably all-true arm present, the short-circuit makes
-    every other arm's mask evaluation unnecessary — the micro-benchmarkable
-    claim is simply "fewer mask evaluations", pinned by the spy counter.
-    """
+    """OR arms run cheapest-first, mirroring AND, and stop once all-true."""
 
     def _reset(self):
         SpyEquals.calls = 0
 
-    def test_saturated_arm_first_skips_other_arms(self, small_table):
-        # v spans [10, 80], so v >= 0 is ALL_TRUE by the zone map alone.
+    def test_all_true_arm_short_circuits_later_arms(self, small_table):
+        # v spans [10, 80], so v >= 0 holds on every row.
         broad = Compare("v", CompareOp.GE, 0.0)
-        spy = SpyEquals("a", "x")
-        for arms in ([spy, broad], [broad, spy]):
-            self._reset()
-            mask = Or(arms).evaluate(small_table)
-            assert mask.all()
-            assert SpyEquals.calls == 0  # naive document order evaluates spy
-
-    def test_saturated_arm_first_in_range_evaluation(self, small_table):
-        broad = Compare("v", CompareOp.GE, 0.0)
-        spy = SpyEquals("a", "x")
         self._reset()
-        mask = Or([spy, broad]).evaluate_range(small_table, 0, 8)
-        assert mask.all()
+        assert Or([broad, SpyEquals("a", "x")]).evaluate(small_table).all()
         assert SpyEquals.calls == 0
 
     def test_unsaturated_arms_all_evaluate(self, small_table):
@@ -240,3 +216,78 @@ class TestOrArmOrdering:
             | Compare("v", CompareOp.GT, 55.0).evaluate(small_table)
         )
         assert pred.evaluate(small_table).tolist() == by_hand.tolist()
+
+
+def blocks_table(n: int = 40, block: int = 10) -> Table:
+    """``x`` = 0..n-1 and ``grp`` = a, b, c, d in blocks of ``block`` rows."""
+    return Table(
+        "t",
+        {
+            "x": Column.ints(np.arange(n)),
+            "grp": Column.strings(["abcd"[i // block] for i in range(n)]),
+        },
+    )
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "pred, error",
+        [
+            (Between("grp", "a", "b"), QueryError),
+            (Compare("grp", CompareOp.LT, "b"), QueryError),
+            (Equals("x", "oops"), ColumnTypeError),
+        ],
+    )
+    def test_typed_errors_raise(self, pred, error):
+        with pytest.raises(error):
+            pred.evaluate(blocks_table())
+
+
+class Recording(Predicate):
+    """Wrapper counting how often it is evaluated (not cache-safe)."""
+
+    def __init__(self, inner: Predicate, cost: int = 0) -> None:
+        self.inner = inner
+        self.cost = cost
+        self.calls = 0
+
+    def evaluate(self, table):
+        self.calls += 1
+        return self.inner.evaluate(table)
+
+    def evaluation_cost(self):
+        return self.cost
+
+    def columns(self):
+        return self.inner.columns()
+
+    def cache_safe(self):
+        return False
+
+
+class TestAndShortCircuit:
+    """AND orders conjuncts cheapest-first and stops once the running
+    mask is all-false."""
+
+    def test_all_false_mask_skips_remaining_conjuncts(self):
+        expensive = Recording(Equals("x", 5), cost=1)
+        pred = And([Equals("grp", "zzz"), expensive])
+        assert not pred.evaluate(blocks_table()).any()
+        assert expensive.calls == 0
+
+    def test_bitmask_filter_runs_after_column_leaves(self):
+        # On a bitmask-less table a non-zero mask filter raises — unless
+        # a cheaper conjunct already emptied the mask.
+        table = blocks_table()
+        pred = And([BitmaskDisjoint(Bitmask(4, [1])), Equals("grp", "zzz")])
+        assert not pred.evaluate(table).any()
+        live = And([BitmaskDisjoint(Bitmask(4, [1])), Equals("grp", "a")])
+        with pytest.raises(QueryError):
+            live.evaluate(table)
+
+    def test_nonempty_mask_evaluates_every_conjunct(self):
+        second = Recording(Equals("x", 5), cost=1)
+        pred = And([Equals("grp", "a"), second])
+        expected = (np.arange(40) < 10) & (np.arange(40) == 5)
+        assert np.array_equal(pred.evaluate(blocks_table()), expected)
+        assert second.calls == 1

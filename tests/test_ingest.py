@@ -3,11 +3,11 @@
 Contracts under test:
 
 * ``Database.append_rows`` is concat, ``invalidate_table(old)``, swap:
-  it rebuilds no derived state itself (``ingest.rows_recomputed`` does
-  not move across the call), and the next read answers exactly like a
-  database built from the final rows;
+  it builds no derived state itself, a cached predicate mask of the old
+  table is never served for the new one, and the next read answers
+  exactly like a database built from the final rows;
 * any interleaving of appends and queries yields answers byte-identical
-  to a fresh session replaying the same appends, at two chunk layouts.
+  to a fresh session replaying the same appends.
 """
 
 import numpy as np
@@ -19,16 +19,13 @@ from repro.datagen.synthetic import (
     MeasureSpec,
     generate_flat_table,
 )
-from repro.engine.cache import get_cache
+from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import execute
-from repro.engine.parallel import ExecutionOptions
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
-from repro.engine.zonemap import PieceSkipStats
 from repro.middleware.session import AQPSession
-from repro.obs.registry import get_registry
 from repro.sql.parser import parse_query
 
 
@@ -39,12 +36,8 @@ def _fresh_state():
     get_cache().clear()
 
 
-def counter(name: str) -> float:
-    return get_registry().counter(name)
-
-
 # ----------------------------------------------------------------------
-# append_rows: tail write + invalidation, summaries rebuilt on first read
+# append_rows: tail write + invalidation, derived state rebuilt on read
 # ----------------------------------------------------------------------
 def clustered_table(x: np.ndarray, grp: list[str]) -> Table:
     return Table("t", {"x": Column.ints(x), "grp": Column.strings(grp)})
@@ -52,8 +45,6 @@ def clustered_table(x: np.ndarray, grp: list[str]) -> Table:
 
 OLD_X = np.arange(400)
 OLD_GRP = ["abcdefgh"[(i // 50) % 8] for i in range(400)]
-#: 37 rows: not a multiple of the 50-row chunk, so every chunk boundary
-#: of the grown table moves.
 BATCH_X = np.full(37, 200)
 BATCH_GRP = ["z"] * 37
 
@@ -61,34 +52,24 @@ NARROW_SQL = "SELECT COUNT(*) AS cnt FROM t WHERE x BETWEEN 120 AND 280"
 
 
 class TestAppendRows:
-    def test_unaligned_append_rebuilds_nothing_and_answers_fresh(self):
+    def test_append_rebuilds_nothing_and_answers_fresh(self):
         db = Database([clustered_table(OLD_X, OLD_GRP)])
-        options = ExecutionOptions(chunk_rows=50)
         query = parse_query(NARROW_SQL)
-        # The first evaluation builds the zone map of ``x`` and records
-        # a sketch; a dominated query (which the mask cache cannot
-        # answer) is then served by that sketch.
-        execute(db, query, options=options)
-        warm = PieceSkipStats("t")
-        execute(
-            db,
-            parse_query(
-                "SELECT COUNT(*) AS cnt FROM t WHERE x BETWEEN 130 AND 270"
-            ),
-            options=options,
-            skip_stats=warm,
-        )
-        assert warm.sketch_hit
+        cache = get_cache()
+        execute(db, query)
+        old_mask = ("predicate_mask", [db.table("t").column("x")])
+        assert cache.get(*old_mask, extra=query.where) is not MISS
 
-        before = counter("ingest.rows_recomputed")
+        entries = len(cache)
         db.append_rows("t", clustered_table(BATCH_X, BATCH_GRP))
-        assert counter("ingest.rows_recomputed") == before
+        # The append only drops the old table's entries; it builds none.
+        assert len(cache) < entries
+        assert cache.get(*old_mask, extra=query.where) is MISS
 
-        after = PieceSkipStats("t")
-        answer = execute(db, query, options=options, skip_stats=after)
-        assert not after.sketch_hit
-        # The first read after the append builds the new column's zone map.
-        assert counter("ingest.rows_recomputed") > before
+        hits = cache.metrics.hits.get("predicate_mask", 0)
+        answer = execute(db, query)
+        # The grown column's mask is evaluated, not served from the cache.
+        assert cache.metrics.hits.get("predicate_mask", 0) == hits
 
         fresh = Database(
             [
@@ -97,7 +78,7 @@ class TestAppendRows:
                 )
             ]
         )
-        baseline = execute(fresh, query, options=options)
+        baseline = execute(fresh, query)
         assert answer.rows == baseline.rows
         assert answer.raw_counts == baseline.raw_counts
         assert answer.rows[()][0] == float(161 + 37)
@@ -156,9 +137,9 @@ def make_batch(n_rows, seed):
     return generate_flat_table("flat", n_rows, seed=seed, **SPEC)
 
 
-def _new_session(options):
+def _new_session():
     get_cache().clear()
-    session = AQPSession(make_db(3000), options=options)
+    session = AQPSession(make_db(3000))
     session.install(
         SmallGroupSampling(
             SmallGroupConfig(base_rate=0.1, use_reservoir=False, seed=7)
@@ -177,9 +158,9 @@ def _fingerprint(result):
 BATCH_SEEDS = (81, 82, 83)
 
 
-def _interleaved(options):
+def _interleaved():
     """Query, append, query, ... — the racing workload."""
-    session = _new_session(options)
+    session = _new_session()
     try:
         for seed in BATCH_SEEDS:
             session.sql(SWEEP_SQL)
@@ -189,9 +170,9 @@ def _interleaved(options):
         session.close()
 
 
-def _replayed(options):
+def _replayed():
     """All appends first, then the one query — the fresh-build control."""
-    session = _new_session(options)
+    session = _new_session()
     try:
         for seed in BATCH_SEEDS:
             session.append_rows("flat", make_batch(400, seed))
@@ -201,16 +182,11 @@ def _replayed(options):
 
 
 class TestInterleavedDeterminism:
-    @pytest.mark.parametrize("chunk_rows", [256, 1024])
-    def test_interleaving_equals_fresh_replay(self, chunk_rows):
-        baseline = _replayed(ExecutionOptions(chunk_rows=chunk_rows))
-        options = ExecutionOptions(chunk_rows=chunk_rows)
-        assert _interleaved(options) == baseline, (
-            f"answer drifted at chunk_rows={chunk_rows}"
-        )
+    def test_interleaving_equals_fresh_replay(self):
+        assert _interleaved() == _replayed()
 
     def test_session_append_routes_to_the_technique(self):
-        session = _new_session(ExecutionOptions(chunk_rows=512))
+        session = _new_session()
         try:
             technique = session.technique
             before = technique.maintenance_report()["view_rows"]

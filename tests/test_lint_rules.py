@@ -95,7 +95,7 @@ class TestRL001AppendVocabulary:
     """Raw payload growth must come with an invalidation.
 
     Rebinding ``column.data`` / ``vector.words`` to a grown array leaves
-    every identity-anchored chunk summary describing the old payload, so
+    every identity-anchored cache entry describing the old payload, so
     the same function must call ``invalidate*``.
     """
 

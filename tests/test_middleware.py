@@ -81,6 +81,14 @@ class TestRendering:
         assert "rewritten SQL" in text
         assert "UNION ALL" in text or "SELECT" in text
 
+    def test_sql_explain_renders_rewritten_sql(self, session):
+        result = session.sql(SQL_FILTERED, explain=True)
+        text = result.to_text()
+        assert "rewritten SQL:" in text
+        assert result.approx.rewritten_sql in text
+        assert "rewritten SQL:" not in session.sql(SQL_FILTERED).to_text()
+        assert result.skip_report is None
+
 
 class TestWorkloadFeedback:
     def test_log_grows(self, session):

@@ -1,72 +1,10 @@
-"""Unit tests for execution options and row chunking (engine/parallel.py)
-and the thread-safety contract of the execution cache."""
+"""The thread-safety contract of the execution cache."""
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.engine.cache import MISS, ExecutionCache
-from repro.engine.parallel import (
-    ExecutionOptions,
-    chunk_ranges,
-    get_default_options,
-    map_row_chunks,
-    resolve_options,
-    set_default_options,
-)
-from repro.errors import QueryError
-
-
-class TestExecutionOptions:
-    def test_bad_chunk_rows_rejected(self):
-        with pytest.raises(QueryError):
-            ExecutionOptions(chunk_rows=0)
-
-    def test_resolve_options(self):
-        explicit = ExecutionOptions(chunk_rows=3)
-        assert resolve_options(explicit) is explicit
-        assert resolve_options(None) is get_default_options()
-
-    def test_set_default_options_returns_previous(self):
-        previous = set_default_options(ExecutionOptions(chunk_rows=2))
-        try:
-            assert get_default_options().chunk_rows == 2
-        finally:
-            assert set_default_options(previous).chunk_rows == 2
-
-
-class TestChunkRanges:
-    def test_empty_table(self):
-        assert chunk_ranges(0, 100) == []
-        assert chunk_ranges(-5, 100) == []
-
-    def test_single_chunk_when_small(self):
-        assert chunk_ranges(50, 100) == [(0, 50)]
-
-    def test_ranges_tile_the_rows(self):
-        for n_rows in (1, 7, 100, 65537, 200_001):
-            ranges = chunk_ranges(n_rows, 4096)
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == n_rows
-            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                assert stop == start
-
-    def test_layout_independent_of_worker_count(self):
-        # The layout is a pure function of (n_rows, chunk_rows): there is
-        # no worker-count parameter to leak into the association order.
-        assert chunk_ranges(10_000, 1024) == chunk_ranges(10_000, 1024)
-
-    def test_bad_chunk_rows_rejected(self):
-        with pytest.raises(QueryError):
-            chunk_ranges(10, 0)
-
-    def test_map_row_chunks_concatenates_in_chunk_order(self):
-        options = ExecutionOptions(chunk_rows=7)
-        parts = map_row_chunks(lambda s, e: list(range(s, e)), 50, options)
-        flat = [x for part in parts for x in part]
-        assert flat == list(range(50))
 
 
 class _Anchor:

@@ -29,7 +29,6 @@ from repro.datagen.synthetic import (
 )
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
-from repro.engine.parallel import ExecutionOptions
 from repro.middleware.session import AQPSession
 from repro.server import AQPServer, ServerConfig
 from repro.server.protocol import encode_result
@@ -48,18 +47,17 @@ SWEEP_SQL = (
     "WHERE amount BETWEEN 0.5 AND 80.0 GROUP BY status"
 )
 
-CHUNK_ROWS = 512
-INITIAL_ROWS = 4 * CHUNK_ROWS
+BATCH_ROWS = 512
+INITIAL_ROWS = 4 * BATCH_ROWS
 N_BATCHES = 4
 N_READERS = 4
 BATCH_SEEDS = tuple(range(91, 91 + N_BATCHES))
 
 
-def _new_session(options: ExecutionOptions) -> AQPSession:
+def _new_session() -> AQPSession:
     get_cache().clear()
     session = AQPSession(
-        Database([generate_flat_table("flat", INITIAL_ROWS, seed=71, **SPEC)]),
-        options=options,
+        Database([generate_flat_table("flat", INITIAL_ROWS, seed=71, **SPEC)])
     )
     session.install(
         SmallGroupSampling(
@@ -70,7 +68,7 @@ def _new_session(options: ExecutionOptions) -> AQPSession:
 
 
 def _batch(seed: int):
-    return generate_flat_table("flat", CHUNK_ROWS, seed=seed, **SPEC)
+    return generate_flat_table("flat", BATCH_ROWS, seed=seed, **SPEC)
 
 
 def _final_answers(session: AQPSession) -> tuple[str, str]:
@@ -79,9 +77,9 @@ def _final_answers(session: AQPSession) -> tuple[str, str]:
     return approx["fingerprint"], exact["fingerprint"]
 
 
-def _serial_replay(options: ExecutionOptions) -> tuple[str, str]:
+def _serial_replay() -> tuple[str, str]:
     """The no-concurrency control: same appends, same order, one thread."""
-    session = _new_session(options)
+    session = _new_session()
     try:
         for seed in BATCH_SEEDS:
             session.append_rows("flat", _batch(seed))
@@ -91,13 +89,12 @@ def _serial_replay(options: ExecutionOptions) -> tuple[str, str]:
 
 
 def test_append_vs_read_storm():
-    options = ExecutionOptions(chunk_rows=CHUNK_ROWS)
-    baseline = _serial_replay(options)
+    baseline = _serial_replay()
 
-    session = _new_session(options)
+    session = _new_session()
     app = AQPServer(session, ServerConfig(max_inflight=N_READERS + 2))
     valid_counts = {
-        INITIAL_ROWS + i * CHUNK_ROWS for i in range(N_BATCHES + 1)
+        INITIAL_ROWS + i * BATCH_ROWS for i in range(N_BATCHES + 1)
     }
     torn: list[float] = []
     errors: list[tuple[int, dict]] = []
