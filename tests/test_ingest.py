@@ -158,32 +158,35 @@ def _fingerprint(result):
 BATCH_SEEDS = (81, 82, 83)
 
 
-def _interleaved():
+def _interleaved(batch_rows):
     """Query, append, query, ... — the racing workload."""
     session = _new_session()
     try:
         for seed in BATCH_SEEDS:
             session.sql(SWEEP_SQL)
-            session.append_rows("flat", make_batch(400, seed))
+            session.append_rows("flat", make_batch(batch_rows, seed))
         return _fingerprint(session.sql(SWEEP_SQL))
     finally:
         session.close()
 
 
-def _replayed():
+def _replayed(batch_rows):
     """All appends first, then the one query — the fresh-build control."""
     session = _new_session()
     try:
         for seed in BATCH_SEEDS:
-            session.append_rows("flat", make_batch(400, seed))
+            session.append_rows("flat", make_batch(batch_rows, seed))
         return _fingerprint(session.sql(SWEEP_SQL))
     finally:
         session.close()
 
 
 class TestInterleavedDeterminism:
-    def test_interleaving_equals_fresh_replay(self):
-        assert _interleaved() == _replayed()
+    @pytest.mark.parametrize("batch_rows", [256, 1024])
+    def test_interleaving_equals_fresh_replay(self, batch_rows):
+        assert _interleaved(batch_rows) == _replayed(batch_rows), (
+            f"answer drifted with {batch_rows}-row appends"
+        )
 
     def test_session_append_routes_to_the_technique(self):
         session = _new_session()
