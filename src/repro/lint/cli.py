@@ -2,9 +2,7 @@
 
 Exit codes: 0 when every finding is baselined (or there are none),
 1 when fresh findings exist, 2 on usage errors.  ``--format json``
-emits one machine-readable document for the CI gate; ``--graph-report``
-additionally writes the whole-program analysis (call graph, lock-order
-graph) as a JSON artifact plus two Graphviz dot files.
+emits one machine-readable document for the CI gate.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from repro.lint.baseline import (
     baseline_payload,
     load_baseline,
 )
-from repro.lint.core import _run_rules, all_rules, parse_paths
+from repro.lint.core import all_rules, lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based checker for the engine's domain invariants "
-            "(RL001-RL013, including the whole-program concurrency/"
-            "invalidation rules RL011-RL013); see docs/linting.md"
+            "(RL001-RL006, RL008, RL009); see docs/linting.md"
         ),
     )
     parser.add_argument(
@@ -60,33 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pruned with a warning) and exit 0"
         ),
     )
-    parser.add_argument(
-        "--graph-report",
-        metavar="FILE",
-        help=(
-            "write the whole-program analysis report (call graph, "
-            "server-thread submit edges, lock-order graph, cycles) as JSON to "
-            "FILE, plus Graphviz exports next to it "
-            "(FILE.callgraph.dot, FILE.lockorder.dot)"
-        ),
-    )
     return parser
-
-
-def _write_graph_report(target: str, project) -> None:
-    from repro.lint.report import callgraph_dot, graph_report, lockorder_dot
-
-    path = Path(target)
-    path.write_text(
-        json.dumps(graph_report(project), indent=2, sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
-    path.with_suffix(path.suffix + ".callgraph.dot").write_text(
-        callgraph_dot(project), encoding="utf-8"
-    )
-    path.with_suffix(path.suffix + ".lockorder.dot").write_text(
-        lockorder_dot(project.analysis()), encoding="utf-8"
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,25 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    contexts, findings, n_files = parse_paths(args.paths)
-
-    # One ProjectIndex serves the project-wide rules and the report.
-    project = None
-    if args.graph_report or any(r.project_wide for r in rules):
-        from repro.lint.project import ProjectIndex
-
-        project = ProjectIndex(contexts)
-
-    findings = findings + _run_rules(contexts, rules, project=project)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if args.graph_report and project is not None:
-        _write_graph_report(args.graph_report, project)
-        print(
-            f"wrote graph report to {args.graph_report} "
-            "(+ .callgraph.dot, .lockorder.dot)",
-            file=sys.stderr,
-        )
+    findings, n_files = lint_paths(args.paths, rules)
 
     entries = []
     if args.baseline:

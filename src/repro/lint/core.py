@@ -94,18 +94,13 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def import_aliases(tree: ast.Module) -> dict[str, str]:
+def aliases_from_imports(nodes: Iterable[ast.AST]) -> dict[str, str]:
     """Map local names to canonical dotted origins.
 
     ``import numpy as np`` → ``{"np": "numpy"}``;
     ``from time import time`` → ``{"time": "time.time"}``.  Used to
     resolve call targets to canonical names regardless of import style.
     """
-    return aliases_from_imports(ast.walk(tree))
-
-
-def aliases_from_imports(nodes: Iterable[ast.AST]) -> dict[str, str]:
-    """:func:`import_aliases` over a pre-collected node sequence."""
     aliases: dict[str, str] = {}
     for node in nodes:
         if isinstance(node, ast.Import):
@@ -141,10 +136,9 @@ class FileContext:
     """A parsed module plus the lookups rules share.
 
     The context is built **once** per file per lint run and shared by
-    every rule (and by the whole-program passes in
-    :mod:`repro.lint.project` / :mod:`repro.lint.callgraph`): one AST
-    walk populates the symbol map and a node-type index, and rules
-    iterate :meth:`nodes` instead of re-walking the tree themselves.
+    every rule: one AST walk populates the symbol map and a node-type
+    index, and rules iterate :meth:`nodes` instead of re-walking the
+    tree themselves.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
@@ -217,20 +211,12 @@ class Rule:
     Subclasses set :attr:`rule_id`/:attr:`title`, restrict their scope by
     overriding :meth:`applies_to`, and yield findings from :meth:`check`.
     Register with the :func:`register` decorator so :func:`all_rules`
-    (and therefore the CLI) picks them up.
-
-    Per-file rules implement :meth:`check` and run once per module.
-    Whole-program rules set :attr:`project_wide` and implement
-    :meth:`check_project` instead: they receive the shared
-    :class:`~repro.lint.project.ProjectIndex` (one parse of the whole
-    tree, plus the call graph and dataflow passes built on it) and run
-    once per lint invocation.
+    (and therefore the CLI) picks them up.  Every rule runs once per
+    module.
     """
 
     rule_id: str = ""
     title: str = ""
-    #: Whole-program rules run once over the project index, not per file.
-    project_wide: bool = False
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on ``ctx.path`` (default: every file)."""
@@ -238,10 +224,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Yield the rule's findings for one parsed module."""
-        raise NotImplementedError
-
-    def check_project(self, project) -> Iterable[Finding]:
-        """Yield whole-program findings (``project_wide`` rules only)."""
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
@@ -303,49 +285,33 @@ def parse_context(source: str, path: str) -> FileContext | Finding:
     return FileContext(normalized, source, tree)
 
 
-def _run_rules(
-    contexts: Sequence[FileContext],
-    rules: Sequence[Rule],
-    project=None,
+def _location(finding: Finding) -> tuple[str, int, int, str]:
+    """Sort key: report findings in source order."""
+    return (finding.path, finding.line, finding.col, finding.rule)
+
+
+def _lint_module(
+    source: str, path: str, rules: Sequence[Rule]
 ) -> list[Finding]:
-    """Run per-file and project-wide rules over pre-parsed contexts.
-
-    ``project`` lets a caller that already built the
-    :class:`~repro.lint.project.ProjectIndex` (the ``--graph-report``
-    path) share it instead of indexing the tree twice.
-    """
-    findings: list[Finding] = []
-    file_rules = [r for r in rules if not r.project_wide]
-    project_rules = [r for r in rules if r.project_wide]
-    for ctx in contexts:
-        for rule in file_rules:
-            if rule.applies_to(ctx):
-                findings.extend(rule.check(ctx))
-    if project_rules:
-        if project is None:
-            from repro.lint.project import ProjectIndex
-
-            project = ProjectIndex(contexts)
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    """Every applicable rule's findings for one module, or its parse error."""
+    parsed = parse_context(source, path)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    return [
+        finding
+        for rule in rules
+        if rule.applies_to(parsed)
+        for finding in rule.check(parsed)
+    ]
 
 
 def lint_source(
     source: str, path: str, rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
-    """Run rules over one source string (the unit tests' entry point).
-
-    Project-wide rules see a one-file project, which is exactly what
-    fixture snippets want.
-    """
+    """Run rules over one source string (the unit tests' entry point)."""
     if rules is None:
         rules = all_rules()
-    parsed = parse_context(source, path)
-    if isinstance(parsed, Finding):
-        return [parsed]
-    return _run_rules([parsed], rules)
+    return sorted(_lint_module(source, path, rules), key=_location)
 
 
 def iter_python_files(paths: Sequence[Path | str]) -> list[Path]:
@@ -364,40 +330,23 @@ def iter_python_files(paths: Sequence[Path | str]) -> list[Path]:
     return sorted(files)
 
 
-def parse_paths(
-    paths: Sequence[Path | str],
-) -> tuple[list[FileContext], list[Finding], int]:
-    """Parse every ``.py`` file under ``paths`` exactly once.
-
-    Returns the parsed contexts, any :data:`PARSE_ERROR` findings, and
-    the number of files seen.  This is the single-parse front end shared
-    by :func:`lint_paths` and the ``--graph-report`` machinery.
-    """
-    contexts: list[FileContext] = []
-    errors: list[Finding] = []
-    files = iter_python_files(paths)
-    for file in files:
-        parsed = parse_context(file.read_text(encoding="utf-8"), str(file))
-        if isinstance(parsed, Finding):
-            errors.append(parsed)
-        else:
-            contexts.append(parsed)
-    return contexts, errors, len(files)
-
-
 def lint_paths(
     paths: Sequence[Path | str], rules: Sequence[Rule] | None = None
 ) -> tuple[list[Finding], int]:
     """Lint every ``.py`` file under ``paths``.
 
-    Every file is parsed once and every rule runs over the shared
-    per-file indexes (plus, for project-wide rules, the shared
-    :class:`~repro.lint.project.ProjectIndex`).  Returns the sorted
-    findings and the number of files checked.
+    Every file is parsed once and every rule runs over that file's
+    shared index.  Returns the sorted findings and the number of files
+    checked.
     """
     if rules is None:
         rules = all_rules()
-    contexts, findings, n_files = parse_paths(paths)
-    findings = findings + _run_rules(contexts, rules)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, n_files
+    files = iter_python_files(paths)
+    findings = [
+        finding
+        for file in files
+        for finding in _lint_module(
+            file.read_text(encoding="utf-8"), str(file), rules
+        )
+    ]
+    return sorted(findings, key=_location), len(files)

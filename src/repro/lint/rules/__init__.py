@@ -17,7 +17,4 @@ from repro.lint.rules import (  # noqa: F401
     rl006_io_purity,
     rl008_published_arrays,
     rl009_obs,
-    rl011_transitive_shared_state,
-    rl012_lock_order,
-    rl013_invalidation_coverage,
 )

@@ -23,7 +23,6 @@ from repro.lint import (
     main,
 )
 from repro.lint.baseline import BaselineEntry
-from repro.lint.core import _run_rules, parse_context
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -572,17 +571,11 @@ class TestInfrastructure:
 
     def test_every_rule_has_id_and_title(self):
         rules = all_rules()
-        # RL007, RL010 and RL014 are retired and stay reserved.
+        # RL007 and RL010-RL014 are retired and stay reserved.
         assert [r.rule_id for r in rules] == [
             f"RL00{i}" for i in (1, 2, 3, 4, 5, 6, 8, 9)
-        ] + [f"RL01{i}" for i in range(1, 4)]
+        ]
         assert all(r.title for r in rules)
-
-    def test_project_wide_rules_are_marked(self):
-        by_id = {r.rule_id: r for r in all_rules()}
-        graph_rules = {"RL011", "RL012", "RL013"}
-        for rule_id, rule in by_id.items():
-            assert rule.project_wide == (rule_id in graph_rules), rule_id
 
 
 class TestBaseline:
@@ -736,558 +729,6 @@ class TestSelfHosting:
         assert "0 findings" in proc.stdout
 
 
-# ---------------------------------------------------------------------------
-# Whole-program analyzer (project index, call graph, dataflow) + RL011-RL013
-# ---------------------------------------------------------------------------
-
-
-class TestProjectIndex:
-    def build(self, files):
-        from repro.lint.core import parse_context
-        from repro.lint.project import ProjectIndex
-
-        contexts = [
-            parse_context(textwrap.dedent(source), path)
-            for path, source in files.items()
-        ]
-        return ProjectIndex(contexts)
-
-    def test_module_name_derivation(self):
-        from repro.lint.project import module_name_for
-
-        assert module_name_for("repro/engine/parallel.py") == (
-            "repro.engine.parallel"
-        )
-        assert module_name_for("repro/lint/__init__.py") == "repro.lint"
-        assert module_name_for("fixtures/mod.py") == "fixtures.mod"
-
-    def test_functions_classes_and_methods_indexed(self):
-        project = self.build(
-            {
-                "repro/engine/a.py": """
-                    class Cache:
-                        def get(self):
-                            return 1
-                    def helper():
-                        def inner():
-                            return 2
-                        return inner
-                """
-            }
-        )
-        assert "repro.engine.a.Cache.get" in project.functions
-        assert "repro.engine.a.helper.inner" in project.functions
-        cls = project.classes["repro.engine.a.Cache"]
-        assert cls.methods["get"] == "repro.engine.a.Cache.get"
-        info = project.functions["repro.engine.a.Cache.get"]
-        assert info.class_qualname == "repro.engine.a.Cache"
-
-    def test_import_resolution_absolute_and_relative(self):
-        project = self.build(
-            {
-                "repro/engine/a.py": "def target():\n    return 1\n",
-                "repro/engine/b.py": """
-                    from repro.engine import a
-                    from .a import target as t
-                """,
-            }
-        )
-        assert project.resolve_local("repro.engine.b", "a.target") == (
-            "repro.engine.a.target"
-        )
-        assert project.resolve_local("repro.engine.b", "t") == (
-            "repro.engine.a.target"
-        )
-
-    def test_subclass_map_supports_virtual_dispatch(self):
-        project = self.build(
-            {
-                "repro/engine/base.py": """
-                    class Base:
-                        def run(self):
-                            return self.step()
-                        def step(self):
-                            raise NotImplementedError
-                """,
-                "repro/engine/impl.py": """
-                    from repro.engine.base import Base
-                    class Impl(Base):
-                        def step(self):
-                            return 1
-                """,
-            }
-        )
-        assert project.all_subclasses("repro.engine.base.Base") == [
-            "repro.engine.impl.Impl"
-        ]
-        graph = project.call_graph()
-        dsts = {e.dst for e in graph.callees("repro.engine.base.Base.run")}
-        assert "repro.engine.impl.Impl.step" in dsts
-
-
-class TestCallGraph:
-    def graph(self, files):
-        helper = TestProjectIndex()
-        project = helper.build(files)
-        return project, project.call_graph()
-
-    def test_submit_edges_carry_backend(self):
-        project, graph = self.graph(
-            {
-                "repro/server/work.py": """
-                    def task(x):
-                        return x
-                    def _handle_query(request):
-                        return task(request)
-                """
-            }
-        )
-        backends = {
-            (e.dst.rsplit(".", 1)[-1], e.backend)
-            for e in graph.submit_edges()
-        }
-        assert backends == {("_handle_query", "server-thread")}
-
-    def test_name_fallback_skips_builtin_collisions(self):
-        project, graph = self.graph(
-            {
-                "repro/engine/work.py": """
-                    class Store:
-                        def get(self):
-                            return 1
-                    def use(thing):
-                        return thing.get()
-                """
-            }
-        )
-        dsts = {e.dst for e in graph.callees("repro.engine.work.use")}
-        assert "repro.engine.work.Store.get" not in dsts
-
-
-class TestDataflow:
-    def analysis(self, files):
-        helper = TestProjectIndex()
-        project = helper.build(files)
-        return project, project.analysis()
-
-    def test_worker_context_is_transitive(self):
-        project, analysis = self.analysis(
-            {
-                "repro/server/work.py": """
-                    def handle(request):
-                        return helper(request)
-                    def helper(x):
-                        return x + 1
-                    def offline(items):
-                        return items
-                """
-            }
-        )
-        assert analysis.runs_in_worker("repro.server.work.handle") == {
-            "server-thread"
-        }
-        assert analysis.runs_in_worker("repro.server.work.helper") == {
-            "server-thread"
-        }
-        assert analysis.runs_in_worker("repro.server.work.offline") == set()
-
-    def test_lock_kinds_recovered_from_construction(self):
-        project, analysis = self.analysis(
-            {
-                "repro/engine/locks.py": """
-                    import threading
-
-                    _MODULE_LOCK = threading.Lock()
-
-                    class Engine:
-                        def __init__(self):
-                            self._lock = threading.RLock()
-                """
-            }
-        )
-        assert analysis.lock_kind("Engine._lock") == "RLock"
-        assert analysis.lock_kind(
-            "repro.engine.locks._MODULE_LOCK"
-        ) == "Lock"
-
-    def test_lock_order_edge_through_callee(self):
-        project, analysis = self.analysis(
-            {
-                "repro/engine/locks.py": """
-                    import threading
-
-                    class Engine:
-                        def __init__(self):
-                            self._outer_lock = threading.Lock()
-                            self._inner_lock = threading.Lock()
-                        def outer(self):
-                            with self._outer_lock:
-                                self.nested()
-                        def nested(self):
-                            with self._inner_lock:
-                                pass
-                """
-            }
-        )
-        pairs = {(e.outer, e.inner) for e in analysis.lock_order}
-        assert ("Engine._outer_lock", "Engine._inner_lock") in pairs
-
-    def test_invalidators_and_caller_coverage(self):
-        project, analysis = self.analysis(
-            {
-                "repro/engine/state.py": """
-                    class Builder:
-                        def build(self):
-                            self._overall_parts = []
-                        def preprocess(self):
-                            self.build()
-                            self.bump_plan_version()
-                        def bump_plan_version(self):
-                            self.plan_version += 1
-                """
-            }
-        )
-        inv = analysis.invalidators
-        assert "repro.engine.state.Builder.preprocess" in inv
-        assert "repro.engine.state.Builder.build" not in inv
-        assert "repro.engine.state.Builder.build" in analysis.covered
-
-
-class TestRL011TransitiveSharedState:
-    BAD = """
-        class Catalog:
-            def _handle_add(self, item):
-                return self.task(item)
-            def task(self, item):
-                return self.helper(item)
-            def helper(self, item):
-                self._tables[item] = item
-                return item
-    """
-
-    GOOD_LOCKED = """
-        class Catalog:
-            def _handle_add(self, item):
-                return self.task(item)
-            def task(self, item):
-                return self.helper(item)
-            def helper(self, item):
-                with self._lock:
-                    self._tables[item] = item
-                return item
-    """
-
-    GOOD_UNREACHABLE = """
-        class Catalog:
-            def helper(self, item):
-                self._tables[item] = item
-                return item
-    """
-
-    def test_fires_on_transitive_helper_mutation(self):
-        findings = run_rule("RL011", self.BAD, "repro/server/catalog.py")
-        assert [f.symbol for f in findings] == ["Catalog.helper"]
-        assert "request handler" in findings[0].message
-        # The message names the chain that makes the helper concurrent.
-        assert "via _handle_add -> task -> helper" in findings[0].message
-
-    def test_fires_on_unlocked_mutation_in_handler(self):
-        source = """
-            def handle(request):
-                cache = get_cache()
-                cache._entries[request] = compute(request)
-                return request
-        """
-        findings = run_rule("RL011", source, "repro/server/app.py")
-        assert len(findings) == 1
-        assert findings[0].symbol == "handle"
-        assert "_entries" in findings[0].message
-
-    def test_fires_on_mutating_method_call(self):
-        source = """
-            def do_POST(handler):
-                results._log.append(handler)
-        """
-        findings = run_rule("RL011", source, "repro/server/http.py")
-        assert len(findings) == 1
-        assert "_log" in findings[0].message
-
-    def test_lock_guarded_mutation_passes(self):
-        findings = run_rule(
-            "RL011", self.GOOD_LOCKED, "repro/server/catalog.py"
-        )
-        assert findings == []
-
-    def test_unreachable_function_passes(self):
-        findings = run_rule(
-            "RL011", self.GOOD_UNREACHABLE, "repro/engine/catalog.py"
-        )
-        assert findings == []
-
-    def test_allowlisted_symbol_passes(self):
-        files = {
-            "repro/server/app.py": """
-                from repro.engine.column import column_from_parts
-
-                def _handle_load(item):
-                    return column_from_parts(item)
-            """,
-            "repro/engine/column.py": """
-                def column_from_parts(item):
-                    col = item
-                    col.data = item
-                    return col
-            """,
-        }
-        contexts = [
-            parse_context(textwrap.dedent(source), path)
-            for path, source in files.items()
-        ]
-        findings = _run_rules(contexts, all_rules(["RL011"]))
-        assert findings == []
-
-
-class TestRL012LockOrderCycle:
-    SEEDED_CYCLE = """
-        import threading
-
-        class Engine:
-            def __init__(self):
-                self._cache_lock = threading.Lock()
-                self._stats_lock = threading.Lock()
-            def put(self):
-                with self._cache_lock:
-                    with self._stats_lock:
-                        pass
-            def record(self):
-                with self._stats_lock:
-                    with self._cache_lock:
-                        pass
-    """
-
-    INTERPROCEDURAL_CYCLE = """
-        import threading
-
-        class Engine:
-            def __init__(self):
-                self._cache_lock = threading.Lock()
-                self._stats_lock = threading.Lock()
-            def put(self):
-                with self._cache_lock:
-                    self.bump()
-            def bump(self):
-                with self._stats_lock:
-                    pass
-            def record(self):
-                with self._stats_lock:
-                    self.store()
-            def store(self):
-                with self._cache_lock:
-                    pass
-    """
-
-    SELF_DEADLOCK = """
-        import threading
-
-        class Engine:
-            def __init__(self):
-                self._lock = threading.Lock()
-            def put(self):
-                with self._lock:
-                    self.flush()
-            def flush(self):
-                with self._lock:
-                    pass
-    """
-
-    REENTRANT_OK = """
-        import threading
-
-        class Engine:
-            def __init__(self):
-                self._lock = threading.RLock()
-            def put(self):
-                with self._lock:
-                    self.flush()
-            def flush(self):
-                with self._lock:
-                    pass
-    """
-
-    CONSISTENT_ORDER = """
-        import threading
-
-        class Engine:
-            def __init__(self):
-                self._cache_lock = threading.Lock()
-                self._stats_lock = threading.Lock()
-            def put(self):
-                with self._cache_lock:
-                    with self._stats_lock:
-                        pass
-            def record(self):
-                with self._cache_lock:
-                    with self._stats_lock:
-                        pass
-    """
-
-    def test_fires_on_seeded_abba_cycle(self):
-        findings = run_rule(
-            "RL012", self.SEEDED_CYCLE, "repro/engine/locks.py"
-        )
-        assert len(findings) == 1
-        assert "lock-order cycle" in findings[0].message
-
-    def test_fires_on_cycle_through_calls(self):
-        findings = run_rule(
-            "RL012", self.INTERPROCEDURAL_CYCLE, "repro/engine/locks.py"
-        )
-        assert len(findings) == 1
-
-    def test_fires_on_plain_lock_self_deadlock(self):
-        findings = run_rule(
-            "RL012", self.SELF_DEADLOCK, "repro/engine/locks.py"
-        )
-        assert len(findings) == 1
-        assert "self-deadlock" in findings[0].message
-
-    def test_reentrant_rlock_self_loop_exempt(self):
-        findings = run_rule(
-            "RL012", self.REENTRANT_OK, "repro/engine/locks.py"
-        )
-        assert findings == []
-
-    def test_consistent_order_passes(self):
-        findings = run_rule(
-            "RL012", self.CONSISTENT_ORDER, "repro/engine/locks.py"
-        )
-        assert findings == []
-
-
-class TestRL013InvalidationCoverage:
-    BAD = """
-        class Catalog:
-            def replace(self, name, table):
-                self._tables[name] = table
-    """
-
-    GOOD_CALLEE_SIDE = """
-        class Catalog:
-            def replace(self, name, table):
-                self._tables[name] = table
-                self._after(table)
-            def _after(self, table):
-                self.cache.invalidate_table(table)
-    """
-
-    GOOD_CALLER_SIDE = """
-        class Builder:
-            def build(self):
-                self._overall_parts = []
-            def preprocess(self):
-                self.build()
-                self.bump_plan_version()
-            def bump_plan_version(self):
-                self.plan_version += 1
-    """
-
-    BAD_UNCOVERED_CALLER = """
-        class Builder:
-            def build(self):
-                self._overall_parts = []
-            def rebuild(self):
-                self.build()
-    """
-
-    def test_fires_without_any_coverage(self):
-        findings = run_rule("RL013", self.BAD, "repro/engine/catalog.py")
-        assert [f.symbol for f in findings] == ["Catalog.replace"]
-        assert "no invalidation covers" in findings[0].message
-
-    def test_callee_side_invalidation_passes(self):
-        # RL001 would flag this (no invalidation in the same body);
-        # the interprocedural rule sees through the helper call.
-        findings = run_rule(
-            "RL013", self.GOOD_CALLEE_SIDE, "repro/engine/catalog.py"
-        )
-        assert findings == []
-        # ... while the intraprocedural RL001 still flags it (the
-        # invalidation lives in the helper, not the mutating body):
-        rl001 = run_rule(
-            "RL001", self.GOOD_CALLEE_SIDE, "repro/engine/catalog.py"
-        )
-        assert [f.symbol for f in rl001] == ["Catalog.replace"]
-
-    def test_caller_side_coverage_passes(self):
-        findings = run_rule(
-            "RL013", self.GOOD_CALLER_SIDE, "repro/engine/builder.py"
-        )
-        assert findings == []
-        # ... which is exactly what RL001 cannot prove:
-        rl001 = run_rule(
-            "RL001", self.GOOD_CALLER_SIDE, "repro/engine/builder.py"
-        )
-        assert [f.symbol for f in rl001] == ["Builder.build"]
-
-    def test_uncovered_caller_chain_fires(self):
-        findings = run_rule(
-            "RL013", self.BAD_UNCOVERED_CALLER, "repro/engine/builder.py"
-        )
-        assert [f.symbol for f in findings] == ["Builder.build"]
-
-    def test_out_of_scope_file_ignored(self):
-        findings = run_rule("RL013", self.BAD, "repro/datagen/catalog.py")
-        assert findings == []
-
-
-class TestGraphReportCLI:
-    def test_graph_report_writes_json_and_dot(self, tmp_path, capsys):
-        target = tmp_path / "graph.json"
-        code = main(
-            [
-                str(REPO_ROOT / "src"),
-                "--baseline",
-                str(REPO_ROOT / "lint_baseline.json"),
-                "--graph-report",
-                str(target),
-                "--format",
-                "json",
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(target.read_text())
-        # One per request entry point: do_GET/do_POST, handle, _handle_*.
-        assert payload["summary"]["submit_edges"] >= 5
-        assert payload["summary"]["lock_cycles"] == 0
-        assert payload["summary"]["worker_reachable_functions"] > 50
-        # HTTP handler threads are the only concurrency source.
-        backends = {e["backend"] for e in payload["submit_edges"]}
-        assert backends == {"server-thread"}
-        callgraph = target.with_suffix(".json.callgraph.dot").read_text()
-        lockorder = target.with_suffix(".json.lockorder.dot").read_text()
-        assert callgraph.startswith("digraph callgraph")
-        assert lockorder.startswith("digraph lockorder")
-        assert "ExecutionCache._lock" in lockorder
-
-    def test_graph_report_is_deterministic(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for target in (a, b):
-            main(
-                [
-                    str(REPO_ROOT / "src"),
-                    "--baseline",
-                    str(REPO_ROOT / "lint_baseline.json"),
-                    "--graph-report",
-                    str(target),
-                    "--format",
-                    "json",
-                ]
-            )
-            capsys.readouterr()
-        assert a.read_text() == b.read_text()
-
-
 class TestWriteBaselineDeterminism:
     def fixture_tree(self, tmp_path):
         pkg = tmp_path / "repro" / "engine"
@@ -1351,39 +792,3 @@ class TestWriteBaselineDeterminism:
         ] == "reviewed: fixture guard is fine"
         assert ("RL001", "repro/engine/gone.py", "vanished") not in by_key
         assert "TODO" in by_key[("RL006", "repro/engine/aa.py", "check")]
-
-
-class TestGraphRulesSelfHost:
-    def test_graph_rules_clean_on_src_modulo_baseline(self, capsys):
-        code = main(
-            [
-                str(REPO_ROOT / "src"),
-                "--rules",
-                "RL011,RL012,RL013",
-                "--baseline",
-                str(REPO_ROOT / "lint_baseline.json"),
-                "--format",
-                "json",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0, payload["findings"]
-        assert payload["findings"] == []
-        assert payload["baselined"] == []
-
-    def test_rl013_discharges_rl001_baseline_entries(self, capsys):
-        # The two RL001 baseline entries (small-group builders bumped by
-        # their caller) are exactly what the interprocedural upgrade
-        # proves safe: RL013 reports nothing on the same tree.
-        code = main(
-            [
-                str(REPO_ROOT / "src"),
-                "--rules",
-                "RL013",
-                "--format",
-                "json",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0, payload["findings"]
-        assert payload["findings"] == []

@@ -13,6 +13,13 @@ server.  The contracts:
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
 
+* **Acyclic lock order** — every lock a request can take is wrapped by a
+  recorder that notes, per thread, which locks were already held when
+  another was acquired.  Under a mixed storm of approximate and exact
+  queries, ``stats`` and appends, the observed (held → acquired) graph
+  must have no cycle: two code paths taking the same pair of locks in
+  opposite orders could deadlock two handler threads.
+
 The engine is serial, so the HTTP handler threads driven here are the
 only concurrency in the system.
 """
@@ -20,6 +27,7 @@ only concurrency in the system.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
@@ -30,6 +38,7 @@ from repro.datagen.synthetic import (
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.middleware.session import AQPSession
+from repro.obs.registry import get_registry
 from repro.server import AQPServer, ServerConfig
 from repro.server.protocol import encode_result
 
@@ -162,6 +171,218 @@ def test_append_vs_read_storm():
         # serial replay of the same appends.
         assert _final_answers(session) == baseline, (
             "post-storm answers drifted from serial replay"
+        )
+    finally:
+        done.set()
+        session.close()
+
+
+class LockOrderRecorder:
+    """Observed lock-acquisition order across threads.
+
+    Each thread keeps a stack of the recorded locks it holds; acquiring
+    a lock records an edge from every lock already on that stack to the
+    new one.  A cycle in the edge graph is a pair of code paths that can
+    deadlock.  The one tolerated cycle is a self-edge on a re-entrant
+    lock, which its owner may take again while holding it.
+    """
+
+    def __init__(self) -> None:
+        self._held = threading.local()
+        self._edges_lock = threading.Lock()
+        self.edges: set[tuple[str, str]] = set()
+
+    def _stack(self) -> list[str]:
+        if not hasattr(self._held, "stack"):
+            self._held.stack = []
+        return self._held.stack
+
+    def acquired(self, name: str) -> None:
+        stack = self._stack()
+        if stack:
+            with self._edges_lock:
+                self.edges.update((held, name) for held in stack)
+        stack.append(name)
+
+    def released(self, name: str) -> None:
+        stack = self._stack()
+        # Remove the innermost hold: releases need not mirror acquires.
+        del stack[len(stack) - 1 - stack[::-1].index(name)]
+
+    @contextmanager
+    def holding(self, name: str):
+        self.acquired(name)
+        try:
+            yield
+        finally:
+            self.released(name)
+
+    def find_cycle(self, reentrant: frozenset[str] = frozenset()):
+        """One cycle of the observed graph as a lock-name path, or None."""
+        graph: dict[str, set[str]] = {}
+        for held, taken in self.edges:
+            if held == taken and held in reentrant:
+                continue
+            graph.setdefault(held, set()).add(taken)
+        finished: set[str] = set()
+
+        def visit(path: list[str]):
+            for nxt in sorted(graph.get(path[-1], ())):
+                if nxt in path:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in finished:
+                    cycle = visit(path + [nxt])
+                    if cycle:
+                        return cycle
+            finished.add(path[-1])
+            return None
+
+        for start in sorted(graph):
+            if start not in finished:
+                cycle = visit([start])
+                if cycle:
+                    return cycle
+        return None
+
+
+class _RecordedLock:
+    """A lock taken with ``with`` that reports to a recorder."""
+
+    def __init__(self, lock, name: str, recorder: LockOrderRecorder) -> None:
+        self._lock = lock
+        self._name = name
+        self._recorder = recorder
+
+    def __enter__(self):
+        self._lock.__enter__()
+        self._recorder.acquired(self._name)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._recorder.released(self._name)
+        return self._lock.__exit__(*exc_info)
+
+
+class _RecordedReadWriteLock:
+    """Both sides of the server's read/write lock as one logical lock."""
+
+    def __init__(self, rw, recorder: LockOrderRecorder) -> None:
+        self._rw = rw
+        self._recorder = recorder
+
+    @contextmanager
+    def read_locked(self):
+        with self._rw.read_locked(), self._recorder.holding("rw"):
+            yield
+
+    @contextmanager
+    def write_locked(self):
+        with self._rw.write_locked(), self._recorder.holding("rw"):
+            yield
+
+
+def test_lock_order_recorder_reports_seeded_abba():
+    recorder = LockOrderRecorder()
+    a = _RecordedLock(threading.Lock(), "a", recorder)
+    b = _RecordedLock(threading.Lock(), "b", recorder)
+
+    def a_then_b():
+        with a, b:
+            pass
+
+    def b_then_a():
+        with b, a:
+            pass
+
+    # One thread after the other: the inversion is recorded without the
+    # two threads ever actually deadlocking.
+    for target, cycle in ((a_then_b, None), (b_then_a, ["a", "b", "a"])):
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join()
+        assert recorder.find_cycle() == cycle
+
+
+def test_lock_order_is_acyclic_under_storm(monkeypatch):
+    session = _new_session()
+    app = AQPServer(session, ServerConfig(max_inflight=N_READERS + 4))
+    recorder = LockOrderRecorder()
+    cache = get_cache()
+    for owner, attr, name in (
+        (cache, "_lock", "cache"),
+        (cache.metrics, "_lock", "cache.metrics"),
+        (cache._flight, "_lock", "cache.flight"),
+        (get_registry(), "_lock", "registry"),
+        (session, "_lock", "session"),
+        (session._flight, "_lock", "session.flight"),
+        (app, "_admission_lock", "server.admission"),
+        (app._flight, "_lock", "server.flight"),
+    ):
+        monkeypatch.setattr(
+            owner, attr, _RecordedLock(getattr(owner, attr), name, recorder)
+        )
+    monkeypatch.setattr(app, "_rw", _RecordedReadWriteLock(app._rw, recorder))
+
+    errors: list[tuple[int, dict]] = []
+    done = threading.Event()
+    # Distinct SQL text per client (trailing spaces) so the request
+    # single-flight never collapses concurrent queries into one.
+    requests = [
+        {"op": "query", "sql": SWEEP_SQL + " " * i, "mode": "approx"}
+        for i in range(N_READERS // 2)
+    ] + [
+        {"op": "query", "sql": COUNT_SQL + " " * i, "mode": "exact"}
+        for i in range(N_READERS // 2)
+    ] + [{"op": "stats"}]
+
+    def client(request: dict) -> None:
+        while not done.is_set():
+            status, body = app.handle(request)
+            if status != 200:
+                errors.append((status, body))
+                return
+
+    def writer() -> None:
+        try:
+            for seed in BATCH_SEEDS:
+                batch = _batch(seed)
+                status, body = app.handle(
+                    {
+                        "op": "append",
+                        "table": "flat",
+                        "rows": {
+                            name: batch.column(name).to_list()
+                            for name in batch.column_names
+                        },
+                    }
+                )
+                if status != 200:
+                    errors.append((status, body))
+                    return
+        finally:
+            done.set()
+
+    threads = [
+        threading.Thread(target=client, args=(request,))
+        for request in requests
+    ] + [threading.Thread(target=writer)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, f"requests failed during the storm: {errors[:3]}"
+        # The wrappers saw real nesting, so an empty graph cannot pass.
+        assert {
+            ("rw", "session"),
+            ("rw", "cache"),
+            ("cache", "cache.metrics"),
+        } <= recorder.edges
+        cycle = recorder.find_cycle(reentrant=frozenset({"cache"}))
+        assert cycle is None, (
+            f"lock-order cycle {' -> '.join(cycle)}; observed edges "
+            f"{sorted(recorder.edges)}"
         )
     finally:
         done.set()
