@@ -10,12 +10,20 @@ callers can branch on them (back off on ``overloaded``, surface
 One client is one connection: share a client across threads and requests
 serialise on its lock — give each worker thread its own client for
 parallel load (the CLI and the serving benchmark both do).
+
+A kept-alive connection the server has closed is noticed before the next
+request is sent and replaced.  A request that fails after it went out is
+retried once, through a fresh connection, only when repeating it is
+harmless (``GET``s and ``/query``); an ``/append`` is never sent twice,
+since the server may have applied the first copy.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import socket
 import threading
 from typing import Any
 
@@ -63,23 +71,24 @@ class ReproClient:
         body: dict | None = None,
         check: bool = True,
     ) -> dict:
-        payload = (
-            dumps(body).encode("utf-8") if body is not None else None
-        )
+        payload = _encode_body(body) if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
+        idempotent = path != "/append"
         with self._lock:
-            # One retry through a fresh connection: the server may have
-            # dropped a kept-alive connection between requests.
+            if self._conn is not None and _peer_closed(self._conn.sock):
+                self._drop_connection()
             for attempt in (0, 1):
                 conn = self._connection()
+                sent = False
                 try:
                     conn.request(method, path, body=payload, headers=headers)
+                    sent = True
                     response = conn.getresponse()
                     raw = response.read()
                     break
                 except (OSError, http.client.HTTPException) as error:
                     self._drop_connection()
-                    if attempt:
+                    if attempt or (sent and not idempotent):
                         raise ServerError(
                             f"cannot reach server at "
                             f"{self.host}:{self.port}: {error}"
@@ -162,6 +171,37 @@ class ReproClient:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _encode_body(body: dict) -> bytes:
+    """``body`` as strict JSON, in one ``json.dumps`` pass when possible.
+
+    Plain JSON values (what every op sends) serialise as they stand.
+    Only a body ``json.dumps`` refuses — a non-finite float, a numpy
+    value, a set — takes the sanitising walk of
+    :func:`repro.obs.jsonsafe.dumps`.  For str-keyed bodies the bytes are
+    the same either way: ``json_safe`` leaves what the first pass accepts
+    unchanged.
+    """
+    try:
+        text = json.dumps(body, allow_nan=False)
+    except (TypeError, ValueError):
+        text = dumps(body)
+    return text.encode("utf-8")
+
+
+def _peer_closed(sock: socket.socket | None) -> bool:
+    """Whether an idle kept-alive connection can no longer carry a request.
+
+    A server sends nothing unasked, so an idle socket that polls readable
+    holds the peer's end-of-stream (it closed or restarted) or bytes no
+    request asked for; either way the connection must be replaced.
+    """
+    if sock is None:
+        return False
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 __all__ = ["ReproClient"]

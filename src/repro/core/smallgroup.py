@@ -893,7 +893,9 @@ class SmallGroupSampling(DynamicSampleSelection):
 
         # Encode once: the stored columns, coded against the sample tables'
         # dictionaries (every sample table took its dictionaries from the
-        # same view), so each extension below concatenates codes as-is.
+        # same view), so each extension below concatenates codes as-is;
+        # and the bitmask words packed once, so each extension takes its
+        # rows' words instead of packing them again.
         reference = self._overall_parts[0].table
         encoded = {}
         for c in stored_columns:
@@ -901,7 +903,11 @@ class SmallGroupSampling(DynamicSampleSelection):
             if column.kind is ColumnKind.STRING:
                 column = column.encoded_like(reference.column(c))
             encoded[c] = column
-        stored_batch = Table(batch.name, encoded)
+        stored_batch = Table(
+            batch.name,
+            encoded,
+            self._pack_bits(member_matrix, np.arange(n_new)),
+        )
 
         # 1. Extend the small group tables.
         for i, meta in enumerate(self._metas):
@@ -916,11 +922,7 @@ class SmallGroupSampling(DynamicSampleSelection):
                 stored = class_indices[keep]
             appended = 0
             if stored.size:
-                extension = (
-                    stored_batch.take(stored)
-                    .rename(meta.name)
-                    .with_bitmask(self._pack_bits(member_matrix, stored))
-                )
+                extension = stored_batch.take(stored).rename(meta.name)
                 replaced = self._tables[i]
                 self._tables[i] = replaced.concat(extension)
                 get_cache().invalidate_table(replaced)
@@ -943,11 +945,7 @@ class SmallGroupSampling(DynamicSampleSelection):
             keep_mask[list(replacements)] = False
             kept = overall.filter(keep_mask)
             incoming = np.asarray(sorted(set(replacements.values())))
-            addition = (
-                stored_batch.take(incoming)
-                .rename(overall.name)
-                .with_bitmask(self._pack_bits(member_matrix, incoming))
-            )
+            addition = stored_batch.take(incoming).rename(overall.name)
             overall = kept.concat(addition)
             get_cache().invalidate_table(part.table)
         self._view_rows = total

@@ -288,12 +288,20 @@ class Column:
     # Row operations
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "Column":
-        """Return a new column with the rows at ``indices`` (in order)."""
-        return Column(self.kind, self.data[indices], self.dictionary)
+        """Return a new column with the rows at ``indices`` (in order).
+
+        The rows are this column's, so the result shares its dictionary
+        and dictionary index and skips the constructor's checks.
+        """
+        return column_from_parts(
+            self.kind, self.data[indices], self.dictionary, self._dictionary_index
+        )
 
     def mask(self, keep: np.ndarray) -> "Column":
         """Return a new column with only the rows where ``keep`` is True."""
-        return Column(self.kind, self.data[keep], self.dictionary)
+        return column_from_parts(
+            self.kind, self.data[keep], self.dictionary, self._dictionary_index
+        )
 
     def concat(self, other: "Column") -> "Column":
         """Concatenate two columns of the same kind.
@@ -338,11 +346,13 @@ class Column:
         if self.kind is not ColumnKind.STRING or reference.kind is not self.kind:
             raise ColumnTypeError("encoded_like only applies to string columns")
         own = self.require_dictionary()
-        codes = self.data
-        _require_codes_in_range(codes, len(own))
         dictionary = reference.require_dictionary()
         if own is dictionary:
             return self
+        # A foreign dictionary: the codes are about to index a remap table
+        # (or be taken as they stand), so they are checked first.
+        codes = self.data
+        _require_codes_in_range(codes, len(own))
         if own[: len(dictionary)] == dictionary:
             # ``own`` already is the reference's dictionary, extended:
             # the codes agree as they stand.
@@ -499,13 +509,13 @@ def column_from_parts(
 ) -> Column:
     """Reassemble a column from already-validated parts, without copying.
 
-    Trusted fast path for :meth:`Column.concat` and
-    :meth:`Column.encoded_like`: the parts came out of real
-    :class:`Column` objects, so the constructor's dtype coercion and
-    string-code range scan (an O(n) min/max over the whole array) would
-    re-validate what is known-good — and ``astype`` would copy a view it
-    exists to avoid.  Without ``tail`` (every caller but ``concat``) the
-    column never extends in place.
+    Trusted fast path for :meth:`Column.take`, :meth:`Column.mask`,
+    :meth:`Column.concat` and :meth:`Column.encoded_like`: the parts came
+    out of real :class:`Column` objects, so the constructor's dtype
+    coercion and string-code range scan (an O(n) min/max over the whole
+    array) would re-validate what is known-good — and ``astype`` would
+    copy a view it exists to avoid.  Without ``tail`` (every caller but
+    ``concat``) the column never extends in place.
     """
     column = Column.__new__(Column)
     column.kind = kind

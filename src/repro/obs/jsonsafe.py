@@ -37,6 +37,8 @@ def json_safe(value: Any) -> Any:
             for k, v in value.items()
         }
     if isinstance(value, (list, tuple, set, frozenset)):
+        if len(value) >= _SCAN_MIN_ITEMS and _plain_scalars(value):
+            return list(value)
         return [json_safe(item) for item in value]
     item = getattr(value, "item", None)  # numpy scalars, zero-d arrays
     if callable(item):
@@ -48,6 +50,28 @@ def json_safe(value: Any) -> Any:
     if callable(tolist):
         return json_safe(tolist())
     return str(value)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: Containers shorter than this (an answer's key or its estimates) are
+#: walked: for them the type scan costs more than it saves.
+_SCAN_MIN_ITEMS = 16
+
+
+def _plain_scalars(items: Any) -> bool:
+    """Whether ``json_safe`` would return every item unchanged.
+
+    True when each item is exactly a ``str``, ``int``, ``bool``, ``None``
+    or finite ``float`` — what a column of values on the wire is — so a
+    container of them is copied whole instead of walked item by item.
+    """
+    types = set(map(type, items))
+    if not types <= _SCALARS:
+        return False
+    return float not in types or all(
+        math.isfinite(item) for item in items if type(item) is float
+    )
 
 
 def dumps(value: Any, **kwargs: Any) -> str:

@@ -150,6 +150,45 @@ class TestRowOps:
         assert a.concat(b).to_list() == ["a"]
 
 
+class TestTrustedRowSelection:
+    """``take``/``mask`` skip the constructor; boundaries still validate."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            Column.ints([5, -2, 7, 0]),
+            Column.floats([0.5, float("nan"), -1.0, 2.0]),
+            Column.strings(["b", "a", "c", "a"]),
+        ],
+        ids=["int", "float", "string"],
+    )
+    def test_take_and_mask_equal_the_validating_constructor(self, column):
+        if column.dictionary is not None:
+            column.code_for("a")  # build the index, so there is one to share
+        picks = np.array([3, 0, 0, 2])
+        keep = np.array([True, False, True, True])
+        for got, rows in (
+            (column.take(picks), column.data[picks]),
+            (column.mask(keep), column.data[keep]),
+        ):
+            want = Column(column.kind, rows, column.dictionary)
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.dictionary == want.dictionary
+            assert got.dictionary is column.dictionary
+            assert got._dictionary_index is column._dictionary_index
+
+    @pytest.mark.parametrize("codes", [[-1], [0, 2]])
+    def test_constructor_refuses_out_of_range_codes(self, codes):
+        data = np.array(codes, dtype=np.int32)
+        with pytest.raises(ColumnTypeError):
+            Column(ColumnKind.STRING, data, ("a", "b"))
+
+    def test_from_codes_refuses_negative_codes(self):
+        with pytest.raises(ColumnTypeError):
+            Column.from_codes(np.array([0, -1], dtype=np.int32), ["a", "b"])
+
+
 class TestStats:
     def test_value_counts_strings(self):
         col = Column.strings(["a", "b", "a"])

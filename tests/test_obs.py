@@ -259,6 +259,29 @@ class TestJsonSafe:
         safe = json_safe({(1, 2): {float("nan")}, "t": (float("inf"), 0)})
         assert safe == {"(1, 2)": [None], "t": [None, 0]}
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            ["a", 1, True, None, 2.5] * 4,
+            [1.0] * 20 + [float("nan"), 3],
+            [2**80, 1.5, "b"] * 6,
+            (0.5,) * 20 + (float("-inf"),),
+            {f"x{i}" for i in range(20)},
+            [[1.0, float("inf")], "z"] * 10,
+        ],
+    )
+    def test_scalar_containers_match_the_item_walk(self, items):
+        # Long containers of plain scalars are copied whole; the result
+        # must be what sanitising each item gives.
+        safe = json_safe(items)
+        assert type(safe) is list and safe is not items
+        assert safe == [json_safe(item) for item in items]
+
+    def test_float_subclasses_in_a_list_are_unwrapped_as_before(self):
+        np = pytest.importorskip("numpy")
+        safe = json_safe([np.float64("nan")] + [np.float64(1.5), 2.0] * 10)
+        assert safe == [None] + [1.5, 2.0] * 10
+
     def test_dumps_rejects_unsanitised_nan_by_default(self):
         strict_loads(dumps({"x": float("nan")}))  # sanitised to null
         with pytest.raises(ValueError):

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.client import ReproClient
+from repro.client import ReproClient, _encode_body
 from repro.core import confidence
 from repro.core.answer import ApproxAnswer, GroupEstimate
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
+from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import (
     DeadlineExceeded,
@@ -24,6 +28,7 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.middleware.session import AQPSession
+from repro.obs import jsonsafe
 from repro.server import AQPServer, ServerConfig, make_server
 from repro.server.app import _ReadWriteLock
 from repro.server.protocol import (
@@ -270,8 +275,6 @@ class TestDispatch:
         _strict_loads(json.dumps(body, allow_nan=False))
 
     def test_append_op(self):
-        from repro.engine.database import Database
-
         table = Table.from_dict(
             "sales",
             {
@@ -458,6 +461,177 @@ class TestHTTPTransport:
         client = ReproClient(port=1)  # nothing listens there
         with pytest.raises(ServerError):
             client.healthz()
+
+
+def _read_request(conn: socket.socket) -> str:
+    """Read one HTTP request off ``conn``; returns its request line."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return ""
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = 0
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    while len(body) < length:
+        body += conn.recv(65536)
+    return lines[0].rsplit(" ", 1)[0]
+
+
+class _ScriptedServer:
+    """A one-thread socket server that records every request it reads.
+
+    Without ``answer`` each request is read and the connection closed
+    unanswered, as by a server that applied it and then lost the
+    connection.  With ``answer`` the first request on a connection gets a
+    kept-alive ``200 {"ok": true}``; then the server half-closes (its FIN
+    is what a client sees of a server that exits) and records whatever
+    the client still sends on that connection before closing it.
+    """
+
+    def __init__(self, answer: bool, port: int = 0) -> None:
+        self.answer = answer
+        self.requests: list[str] = []
+        self.half_closed = threading.Event()
+        self.listener = socket.socket()
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.listener.bind(("127.0.0.1", port))
+        self.listener.listen(8)
+        self.listener.settimeout(0.05)
+        self.port = self.listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:  # the listener was closed: no more connections
+                return
+            with conn:
+                conn.settimeout(10)
+                self._record(conn)
+                if self.answer:
+                    body = b'{"ok": true, "total_rows": 1}'
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Type: application/json\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                        + body
+                    )
+                    conn.shutdown(socket.SHUT_WR)
+                    self.half_closed.set()
+                    self._record(conn)
+
+    def _record(self, conn: socket.socket) -> None:
+        line = _read_request(conn)
+        if line:
+            self.requests.append(line)
+
+    def close_listener(self) -> None:
+        """Stop accepting; a connection being served stays open."""
+        self.listener.close()
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self.listener.close()
+
+
+class TestClientConnection:
+    def test_append_is_not_resent_after_a_lost_response(self):
+        server = _ScriptedServer(answer=False)
+        client = ReproClient(port=server.port, timeout=10)
+        try:
+            with pytest.raises(ServerError):
+                client.append_rows("t", {"k": [1, 2]})
+        finally:
+            client.close()
+            server.stop()
+        assert server.requests == ["POST /append"]
+
+    def test_query_keeps_its_one_retry(self):
+        server = _ScriptedServer(answer=False)
+        client = ReproClient(port=server.port, timeout=10)
+        try:
+            with pytest.raises(ServerError):
+                client.query("SELECT COUNT(*) AS c FROM t")
+        finally:
+            client.close()
+            server.stop()
+        assert server.requests == ["POST /query"] * 2
+
+    @pytest.mark.parametrize("op", ["query", "append"])
+    def test_restarted_server_is_reconnected_to(self, op):
+        def send(client):
+            if op == "query":
+                return client.query("SELECT COUNT(*) AS c FROM t")
+            return client.append_rows("t", {"k": [1]})
+
+        first = _ScriptedServer(answer=True)
+        client = ReproClient(port=first.port, timeout=10)
+        second = None
+        try:
+            assert send(client)["ok"]
+            # The first server has sent its FIN on the kept-alive
+            # connection and stops listening; a new one takes the port.
+            assert first.half_closed.wait(10)
+            first.close_listener()
+            second = _ScriptedServer(answer=True, port=first.port)
+            assert send(client)["ok"]
+        finally:
+            client.close()
+            first.stop()
+            if second is not None:
+                second.stop()
+        # Nothing was sent on the closed connection.
+        assert len(first.requests) == 1
+        assert len(second.requests) == 1
+
+
+class TestClientWireBytes:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"sql": "SELECT 1", "mode": "approx", "timeout": 2.5},
+            {"table": "t", "rows": {"a": [1, 2.5, -3e300], "s": ["x", "é"]}},
+            {"rows": {"x": [1.0, float("nan"), float("inf"), -math.inf]}},
+            {"rows": {"x": [np.int64(3), np.float64(0.5), np.float32(0.25)]}},
+            {"rows": {"x": np.arange(4), "y": np.asarray([1.5, np.nan])}},
+            {"rows": {"x": (1, 2), "y": [(3, "a"), {"z": (None, True)}]}},
+            {"rows": {"b": [np.bool_(True), False], "n": [None]}},
+        ],
+    )
+    def test_body_bytes_equal_jsonsafe_dumps(self, body):
+        assert _encode_body(body) == jsonsafe.dumps(body).encode("utf-8")
+
+    def test_nan_appended_through_a_live_server_is_stored_as_nan(self):
+        db = Database([Table.from_dict("t", {"k": [1, 2], "x": [0.5, 1.5]})])
+        session = AQPSession(db)
+        server = make_server(session)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ReproClient(port=server.server_address[1])
+        try:
+            response = client.append_rows(
+                "t", {"k": [3, 4], "x": [float("nan"), 2.5]}
+            )
+            assert response["total_rows"] == 4
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            session.close()
+        stored = session.db.table("t").column("x").data
+        assert np.isnan(stored[2]) and stored[3] == 2.5
 
 
 class TestDrainingHealth:

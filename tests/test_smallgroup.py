@@ -17,6 +17,7 @@ from repro.engine.expressions import (
     InSet,
     Query,
 )
+from repro.engine.table import Table
 from repro.errors import RuntimePhaseError, SamplingError
 from repro.sql import parse
 
@@ -174,6 +175,17 @@ class TestPreprocessing:
         assert {m.columns[0] for m in technique.metadata()} <= {"city"}
 
 
+def _update_digest(digest, table):
+    """Feed one sample table's columns, dictionaries and bitmask words."""
+    for name in table.column_names:
+        col = table.column(name)
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(col.data).tobytes())
+        if col.dictionary is not None:
+            digest.update("\x00".join(col.dictionary).encode())
+    digest.update(np.ascontiguousarray(table.bitmask.words).tobytes())
+
+
 def _overall_digest(db, seed):
     """SHA-256 over the ``sg_overall`` rows and bitmask words."""
     technique = SmallGroupSampling(
@@ -182,14 +194,49 @@ def _overall_digest(db, seed):
     technique.preprocess(db)
     overall = technique.sample_catalog().table("sg_overall")
     digest = hashlib.sha256()
-    for name in overall.column_names:
-        col = overall.column(name)
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(col.data).tobytes())
-        if col.dictionary is not None:
-            digest.update("\x00".join(col.dictionary).encode())
-    digest.update(np.ascontiguousarray(overall.bitmask.words).tobytes())
+    _update_digest(digest, overall)
     return overall.n_rows, digest.hexdigest()
+
+
+def _append_batches(view):
+    """Three view-shaped batches covering every dictionary case.
+
+    The first shares the view's dictionaries, the second re-encodes the
+    same kind of rows from Python lists (a foreign dictionary, as the
+    wire delivers), and the third adds values no sample has seen.
+    """
+    rng = np.random.default_rng(2024)
+    shared = view.take(rng.integers(0, view.n_rows, 700))
+    listed = view.take(rng.integers(0, view.n_rows, 900))
+    rows = {name: listed.column(name).to_list() for name in view.column_names}
+    unseen = view.take(rng.integers(0, view.n_rows, 500))
+    fresh = {name: unseen.column(name).to_list() for name in view.column_names}
+    for name in ("l_shipmode", "p_brand"):
+        fresh[name] = [
+            f"{value}_new" if i % 3 == 0 else value
+            for i, value in enumerate(fresh[name])
+        ]
+    return [
+        shared,
+        Table.from_dict(view.name, rows),
+        Table.from_dict(view.name, fresh),
+    ]
+
+
+def _after_appends_digest(db, seed):
+    """SHA-256 over every sample table after :func:`_append_batches`."""
+    technique = SmallGroupSampling(
+        SmallGroupConfig(base_rate=0.05, use_reservoir=True, seed=seed)
+    )
+    technique.preprocess(db)
+    for batch in _append_batches(db.joined_view()):
+        technique.insert_rows(batch)
+    digest = hashlib.sha256()
+    catalog = technique.sample_catalog()
+    for name in sorted(catalog.table_names):
+        digest.update(name.encode())
+        _update_digest(digest, catalog.table(name))
+    return len(catalog.table_names), digest.hexdigest()
 
 
 class TestReservoirBuildIsPinned:
@@ -211,6 +258,22 @@ class TestReservoirBuildIsPinned:
         assert _overall_digest(tpch_20k, seed) == (
             1000,
             self.PARENT_DIGESTS[seed],
+        )
+
+    # Recorded at commit 1efea51, where every ``take`` re-validated its
+    # codes and each sample table packed its own bitmask words.
+    AFTER_APPENDS_DIGESTS = {
+        3: "36693fcbf1dbffe8737e608a4f46a3c26da0496d80b04e4a2c57380bbb7399e4",
+        11: "8c8fe9869cdb00f5aa0df0697013bac5c4f2444d94b647c9a162084aa80d80ec",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(AFTER_APPENDS_DIGESTS))
+    def test_samples_after_appends_match_parent_commit(self, seed):
+        # Its own database: the class fixture must stay un-appended.
+        db = generate_tpch(scale=1.0, z=1.5, rows_per_scale=20000, seed=3)
+        assert _after_appends_digest(db, seed) == (
+            19,  # 18 small group tables and sg_overall
+            self.AFTER_APPENDS_DIGESTS[seed],
         )
 
     def test_python_call_count_independent_of_row_count(self, tpch_20k):
