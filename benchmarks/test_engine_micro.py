@@ -136,8 +136,8 @@ def test_repeated_workload_cache_speedup(db, sg):
     the exact audit answer, the shape the experiments use to measure
     error — so the stream exercises every cache layer: parse/plan memos
     on the approximate side, join-position, gathered-column, and
-    group-id caches on the exact side.  The cold pass clears the
-    execution cache and the session memos before every query — the seed
+    group-id memos on the exact side.  The cold pass clears the
+    per-column memos and the session memos before every query — the seed
     executor's effective behaviour; the warm pass reuses them across the
     stream.  Both answers must match the cold pass on every query, and
     the warm stream must be at least 3x faster.  Emits

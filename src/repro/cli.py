@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help=(
             "run a small workload and print process-wide observability "
-            "stats (metrics registry + execution-cache counters)"
+            "stats (metrics registry + memo counters)"
         ),
     )
     stats.add_argument(
@@ -458,10 +458,10 @@ def _write_json(payload: dict, path: str) -> None:
 def _run_stats(args) -> int:
     """Run a small workload and report process-wide observability stats.
 
-    The registry counters and the execution-cache metrics are
-    process-wide, so the numbers cover exactly what this invocation ran:
-    ``--repeat`` passes over each ``--query`` (first pass cold, the rest
-    exercising the parse/plan memos and the execution cache).
+    The registry counters and the memo metrics are process-wide, so the
+    numbers cover exactly what this invocation ran: ``--repeat`` passes
+    over each ``--query`` (first pass cold, the rest exercising the
+    parse/plan memos and the per-column memos).
     """
     from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.engine.cache import get_cache

@@ -44,7 +44,6 @@ from repro.core.architecture import DynamicSampleSelection
 from repro.core.interfaces import SampleTableInfo
 from repro.core.rewriter import SamplePiece
 from repro.engine.bitmask import Bitmask, BitmaskVector
-from repro.engine.cache import get_cache
 from repro.engine.column import ColumnKind
 from repro.engine.database import Database
 from repro.engine.expressions import BitmaskDisjoint, Query
@@ -591,7 +590,7 @@ class SmallGroupSampling(DynamicSampleSelection):
             dim_key_col = dim.column(fk.dimension_key)
             for c in wanted:
                 columns[c] = gather_dimension_column(
-                    fact_key_col, dim_key_col, dim.column(c)
+                    fact_key_col, dim_key_col, dim.column(c), c
                 )
                 remaining.discard(c)
         if remaining:
@@ -923,9 +922,7 @@ class SmallGroupSampling(DynamicSampleSelection):
             appended = 0
             if stored.size:
                 extension = stored_batch.take(stored).rename(meta.name)
-                replaced = self._tables[i]
-                self._tables[i] = replaced.concat(extension)
-                get_cache().invalidate_table(replaced)
+                self._tables[i] = self._tables[i].concat(extension)
                 appended = int(stored.size)
             self._metas[i] = replace(
                 meta,
@@ -947,7 +944,6 @@ class SmallGroupSampling(DynamicSampleSelection):
             incoming = np.asarray(sorted(set(replacements.values())))
             addition = stored_batch.take(incoming).rename(overall.name)
             overall = kept.concat(addition)
-            get_cache().invalidate_table(part.table)
         self._view_rows = total
         if self.config.storage == "renormalized":
             self._extend_reduced_dimensions(batch)
@@ -984,7 +980,6 @@ class SmallGroupSampling(DynamicSampleSelection):
             )
             addition = source.filter(keep).rename(reduced.name)
             self._reduced_dims[fk.dimension_table] = reduced.concat(addition)
-            get_cache().invalidate_table(reduced)
 
     def _refresh_infos(self) -> None:
         """Rebuild the sample-table info list after maintenance."""

@@ -1,52 +1,29 @@
-"""Cross-query execution cache.
+"""Shared state of the engine's memos: counters, generation, single-flight.
 
-The engine's per-query cost model is "time proportional to rows
-*scanned*", yet the seed executor paid avoidable per-query overheads that
-are recomputable once and reusable forever: re-sorting grouping columns
-with ``numpy.unique``, re-deriving star-schema foreign-key join positions
-with ``argsort``, and re-evaluating WHERE predicates over the same stored
-tables.  :class:`ExecutionCache` amortises that work across a query
-stream, the way production AQP middleware (BlinkDB-style systems) must to
-serve repeated workloads.
+Derived execution state — dense grouping codes, star-join positions,
+gathered dimension columns, WHERE masks — is recomputable from a stored
+column and reused across a query stream, the way production AQP
+middleware (BlinkDB-style systems) must to serve repeated workloads.
+It lives on the column it describes (:meth:`Column.derived
+<repro.engine.column.Column.derived>`): a column is an immutable
+snapshot and an append publishes new columns, so a memo can never
+describe rows its column does not hold, and it dies with its column.
+No identity keys, weak references or invalidation calls are needed.
 
-Design
-------
-Entries are keyed by a *kind* string, the identities of one or more
-**anchor** objects (columns, tables), and an optional hashable extra key
-(e.g. the predicate).  Every anchor is held through a :mod:`weakref`, so
-
-* an entry is only served while each anchor is the *same live object* it
-  was stored against — stored tables are immutable-by-convention and are
-  replaced wholesale on append (``concat`` returns a new object), so
-  identity equality is a correct freshness check; and
-* entries die automatically with their anchors (the weakref callback
-  prunes them), so the cache cannot serve a recycled ``id()``.
-
-This is the one mechanism that keeps derived state fresh: join
-positions, joined dimension columns, grouping codes and predicate masks
-are all entries here.  On top of the automatic lifetime management, every path
-that replaces or removes a table
-(:meth:`repro.engine.database.Database.append_rows`,
-:meth:`repro.engine.database.Database.drop_table`,
-:meth:`repro.core.smallgroup.SmallGroupSampling.insert_rows`) calls
-:meth:`ExecutionCache.invalidate_table` explicitly so the replaced
-table's artifacts are released immediately rather than at garbage
-collection; the new table's are built on first read.
-
-Hit/miss counters are collected per kind in :class:`CacheMetrics` and
-re-exported through :mod:`repro.metrics`.
+This module keeps what the memos share: per-kind hit/miss counters
+(:class:`CacheMetrics`, re-exported through :mod:`repro.metrics`) and
+the generation :meth:`DerivedState.clear` bumps so cold measurements
+recompute.  :class:`SingleFlight` is the in-flight deduplication the
+session parse/plan memos and the server's request dedup use.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-import weakref
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
-
-#: Sentinel distinguishing "no cached value" from a cached ``None``.
-MISS = object()
 
 
 class _Flight:
@@ -72,11 +49,10 @@ class SingleFlight:
     key, and the leader's exception propagates only to the caller that
     computed.
 
-    This is the primitive behind the execution cache's cold-miss
-    coalescing, the session parse/plan memos, and the serving layer's
-    in-flight request dedup.  Keys must be hashable; ``fn`` must not
-    recursively call ``do`` with the same key on the same thread (the
-    second call would wait on itself).
+    This is the primitive behind the session parse/plan memos and the
+    serving layer's in-flight request dedup.  Keys must be hashable;
+    ``fn`` must not recursively call ``do`` with the same key on the
+    same thread (the second call would wait on itself).
 
     ``do`` returns ``(value, leader)`` — ``leader`` tells callers (and
     their metrics) whether this thread computed or coalesced.
@@ -141,9 +117,8 @@ class CacheMetrics:
     ``sql_parse``, ``plan`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
-    atomic under free-running threads, and the thread-safety contract of
-    :class:`ExecutionCache` promises that hits + misses equals the number
-    of lookups even under concurrent hammering.
+    atomic under free-running threads, and hits + misses must equal the
+    number of lookups even under concurrent hammering.
     """
 
     hits: dict[str, int] = field(default_factory=dict)
@@ -151,7 +126,6 @@ class CacheMetrics:
     #: Lookups that missed but were served by another thread's in-flight
     #: computation (single-flight coalescing) instead of recomputing.
     coalesced: dict[str, int] = field(default_factory=dict)
-    invalidations: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -170,11 +144,6 @@ class CacheMetrics:
         """Count one miss that was served by an in-flight leader."""
         with self._lock:
             self.coalesced[kind] = self.coalesced.get(kind, 0) + 1
-
-    def record_invalidations(self, count: int) -> None:
-        """Count ``count`` invalidated entries."""
-        with self._lock:
-            self.invalidations += count
 
     def hit_rate(self, kind: str) -> float | None:
         """Fraction of lookups served from cache.
@@ -213,6 +182,8 @@ class CacheMetrics:
 
         Strict-JSON-safe: per-kind hit rates are plain ratios (a kind
         only appears once looked up, so the denominator is never zero).
+        ``invalidations`` is always 0: memos die with their columns, so
+        nothing is ever invalidated (the key stays for report readers).
         """
         with self._lock:
             kinds = sorted(set(self.hits) | set(self.misses))
@@ -220,7 +191,7 @@ class CacheMetrics:
                 "hits": dict(self.hits),
                 "misses": dict(self.misses),
                 "coalesced": dict(self.coalesced),
-                "invalidations": self.invalidations,
+                "invalidations": 0,
                 "by_kind": {
                     k: {
                         "hits": self.hits.get(k, 0),
@@ -239,209 +210,46 @@ class CacheMetrics:
             self.hits.clear()
             self.misses.clear()
             self.coalesced.clear()
-            self.invalidations = 0
 
 
-class ExecutionCache:
-    """Identity-validated cache of derived execution artifacts.
+class DerivedState:
+    """Process-wide controls of the per-column memos (:meth:`Column.derived`).
 
-    The cache never copies what it stores; callers must treat cached
-    arrays as immutable (the engine's columns already are, by convention).
-
-    Thread safety
-    -------------
-    One re-entrant lock serialises every structural operation — lookup,
-    insert, invalidation, clear — and the metrics counters take their
-    own lock, so concurrent sessions (the server's handler threads) can
-    share the process-wide cache without lost updates or torn
-    entries.  The lock is *never* held while a value is computed:
-    :meth:`get_or_compute` releases it between the miss and the put, and
-    concurrent misses on the same key are **single-flighted** through a
-    per-key :class:`SingleFlight` — the first thread computes, every
-    concurrent caller for the same key waits for that result instead of
-    recomputing it (the pre-PR-10 behaviour was a documented "benign
-    stampede, last put wins"; N clients hitting one cold query now
-    compute once, not N times).  Distinct keys never wait on each other.
-    The lock is re-entrant because weakref death callbacks call
-    :meth:`_remove_key` and garbage collection can trigger them while
-    the owning thread already holds the lock.
+    The memos themselves live on the columns they describe; this object
+    only holds what they share: the hit/miss :attr:`metrics` and the
+    *generation* a memo must have been filled under to be served.
     """
 
     def __init__(self) -> None:
         self.metrics = CacheMetrics()
-        self._lock = threading.RLock()
-        self._flight = SingleFlight()
-        # key -> (anchor weakrefs, anchor ids, value)
-        self._entries: dict[tuple, tuple[tuple, tuple[int, ...], Any]] = {}
-        # id(anchor) -> keys anchored on it, for invalidation / GC pruning
-        self._anchor_keys: dict[int, set[tuple]] = {}
-
-    # ------------------------------------------------------------------
-    # Core protocol
-    # ------------------------------------------------------------------
-    def _key(
-        self, kind: str, anchors: Sequence[Any], extra: Hashable
-    ) -> tuple:
-        return (kind, tuple(id(a) for a in anchors), extra)
-
-    def _remove_key(self, key: tuple) -> None:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return
-            for anchor_id in entry[1]:
-                keys = self._anchor_keys.get(anchor_id)
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del self._anchor_keys[anchor_id]
-
-    def get(self, kind: str, anchors: Sequence[Any], extra: Hashable = None):
-        """Return the cached value or :data:`MISS`.
-
-        Raises ``TypeError`` if ``extra`` is unhashable — callers caching
-        user-supplied predicate values should catch it and skip caching.
-        """
-        key = self._key(kind, anchors, extra)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.metrics.record_miss(kind)
-                return MISS
-            refs, _, value = entry
-            for ref, anchor in zip(refs, anchors):
-                if ref() is not anchor:
-                    self._remove_key(key)
-                    self.metrics.record_miss(kind)
-                    return MISS
-            self.metrics.record_hit(kind)
-            return value
-
-    def put(
-        self,
-        kind: str,
-        anchors: Sequence[Any],
-        value: Any,
-        extra: Hashable = None,
-    ) -> None:
-        """Store ``value`` keyed on the anchors' identities.
-
-        Anchors that do not support weak references make the entry
-        unstorable; the put is silently skipped (the cache is an
-        optimisation, never a requirement).
-        """
-        key = self._key(kind, anchors, extra)
-
-        def _on_death(_ref, key=key, cache_ref=weakref.ref(self)):
-            cache = cache_ref()
-            if cache is not None:
-                cache._remove_key(key)
-
-        try:
-            refs = tuple(weakref.ref(a, _on_death) for a in anchors)
-        except TypeError:
-            return
-        anchor_ids = tuple(id(a) for a in anchors)
-        with self._lock:
-            self._remove_key(key)
-            self._entries[key] = (refs, anchor_ids, value)
-            for anchor_id in anchor_ids:
-                self._anchor_keys.setdefault(anchor_id, set()).add(key)
-
-    def get_or_compute(
-        self,
-        kind: str,
-        anchors: Sequence[Any],
-        compute: Callable[[], Any],
-        extra: Hashable = None,
-    ):
-        """Cached value for the key, computing and storing it on a miss.
-
-        The cache lock is not held across ``compute()``, and concurrent
-        misses on the same key are single-flighted: exactly one caller
-        computes (and puts), every concurrent caller for the same key
-        blocks on that computation and shares its value (counted under
-        ``metrics.coalesced``).  Distinct keys proceed independently, so
-        one expensive computation never serialises unrelated cache
-        users.  The caller's ``compute`` must not re-enter the cache
-        with the same key.
-        """
-        value = self.get(kind, anchors, extra)
-        if value is not MISS:
-            return value
-        key = self._key(kind, anchors, extra)
-
-        def _compute_and_put() -> Any:
-            computed = compute()
-            self.put(kind, anchors, computed, extra)
-            return computed
-
-        value, leader = self._flight.do(key, _compute_and_put)
-        if not leader:
-            self.metrics.record_coalesced(kind)
-        return value
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def invalidate_object(self, obj: Any) -> int:
-        """Drop every entry anchored on ``obj``; returns entries dropped."""
-        with self._lock:
-            keys = self._anchor_keys.get(id(obj))
-            dropped = 0
-            for key in list(keys or ()):
-                entry = self._entries.get(key)
-                # id() reuse guard: only drop entries whose weakref still
-                # resolves to this exact object.
-                if entry is not None and any(r() is obj for r in entry[0]):
-                    self._remove_key(key)
-                    dropped += 1
-        if dropped:
-            self.metrics.record_invalidations(dropped)
-        return dropped
-
-    def invalidate_table(self, table: Any) -> int:
-        """Drop entries anchored on a table or any of its columns."""
-        dropped = self.invalidate_object(table)
-        column = getattr(table, "column", None)
-        names = getattr(table, "column_names", None)
-        if callable(column) and names is not None:
-            for name in names:
-                dropped += self.invalidate_object(column(name))
-        return dropped
+        self._generations = itertools.count()
+        self.generation = next(self._generations)
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``metrics.reset()``)."""
-        with self._lock:
-            self._entries.clear()
-            self._anchor_keys.clear()
+        """Make every memo filled so far stale: the next read recomputes.
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        Counters are kept (use ``metrics.reset()``).  Cold-timing
+        harnesses and cold-vs-warm comparisons call this between runs.
+        """
+        self.generation = next(self._generations)
 
 
-#: Process-wide cache shared by the executor, expression evaluation, and
-#: join resolution.  Entries are keyed by object identity (validated with
-#: weak references), so unrelated databases sharing the cache can never
-#: read each other's artifacts.
-_GLOBAL_CACHE = ExecutionCache()
+_DERIVED_STATE = DerivedState()
 
 
-def get_cache() -> ExecutionCache:
-    """The process-wide execution cache."""
-    return _GLOBAL_CACHE
+def get_cache() -> DerivedState:
+    """The process-wide memo controls (metrics and :meth:`~DerivedState.clear`)."""
+    return _DERIVED_STATE
 
 
 def execution_cache_metrics() -> CacheMetrics:
-    """Hit/miss counters of the process-wide execution cache."""
-    return _GLOBAL_CACHE.metrics
+    """Hit/miss counters of the per-column memos and session memos."""
+    return _DERIVED_STATE.metrics
 
 
 __all__ = [
-    "MISS",
     "CacheMetrics",
-    "ExecutionCache",
+    "DerivedState",
     "SingleFlight",
     "execution_cache_metrics",
     "get_cache",

@@ -20,17 +20,22 @@ over-allocated buffer that the appended-to column already viewed the
 first ``n`` cells of.  Only the ``m`` new cells are written, and cells a
 column can see are never written again, so every column stays an
 immutable snapshot of its own rows while an append costs O(batch).
+
+Because a column never changes, state derived from it (grouping codes,
+join positions, WHERE masks) is memoised *on* it (:meth:`Column.derived`)
+and dies with it; an append publishes new columns with empty memos.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
 import numpy as np
 
+from repro.engine.cache import get_cache
 from repro.errors import ColumnTypeError, InternalError
 
 
@@ -61,12 +66,13 @@ class Column:
     -----
     **Prefix immutability.**  A column is a fixed-length, read-only
     snapshot: the ``len(self)`` cells ``data`` exposes never change once
-    the column exists, which is what lets caches anchor derived state on
-    a column's identity.  ``data`` may be a view over a longer private
-    buffer shared with the columns this one was extended from or into
-    (:meth:`concat`); cells past ``len(self)`` belong to later snapshots
-    and are invisible here.  Nothing outside :meth:`concat` may write
-    into ``data``.
+    the column exists, which is what lets :meth:`derived` memoise state
+    computed from them on the column itself.  ``data`` may be a view
+    over a longer private buffer shared with the columns this one was
+    extended from or into (:meth:`concat`); cells past ``len(self)``
+    belong to later snapshots and are invisible here.  Nothing outside
+    :meth:`concat` may write into ``data``.  Copies (:meth:`take`,
+    :meth:`mask`, :meth:`concat`, pickling) start with an empty memo.
     """
 
     __slots__ = (
@@ -75,6 +81,7 @@ class Column:
         "dictionary",
         "_dictionary_index",
         "_tail",
+        "_memo",
         "__weakref__",
     )
 
@@ -103,6 +110,7 @@ class Column:
         )
         self._dictionary_index: dict[str, int] | None = None
         self._tail: _TailBuffer | None = None
+        self._memo: tuple[int, dict] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -277,6 +285,44 @@ class Column:
             index = dict(zip(dictionary, range(len(dictionary))))
             self._dictionary_index = index
         return index
+
+    def derived(
+        self,
+        kind: str,
+        key: Hashable,
+        compute: Callable[[], Any],
+        also: tuple["Column", ...] = (),
+    ) -> Any:
+        """``compute()``, memoised on this column under ``(kind, key)``.
+
+        ``also`` lists the other columns the value depends on: the memo
+        holds them and serves the value only while the caller passes the
+        very same objects (a held object's ``id`` cannot be reused, so
+        ``is`` is a complete check); otherwise it recomputes and replaces
+        the entry.  Entries filled before the last
+        :meth:`~repro.engine.cache.DerivedState.clear` are discarded on
+        the next read.  Hits and misses are counted per ``kind``.
+
+        Lock-free: concurrent misses may each compute, and the last
+        store wins — values are pure functions of immutable columns.
+        ``key`` must be hashable.
+        """
+        state = get_cache()
+        memo = self._memo
+        if memo is None or memo[0] != state.generation:
+            memo = self._memo = (state.generation, {})
+        entries = memo[1]
+        slot = (kind, key)
+        entry = entries.get(slot)
+        if entry is not None and all(
+            held is wanted for held, wanted in zip(entry[0], also)
+        ):
+            state.metrics.record_hit(kind)
+            return entry[1]
+        state.metrics.record_miss(kind)
+        value = compute()
+        entries[slot] = (also, value)
+        return value
 
     def decode(self, code: int) -> str:
         """Return the string value for a dictionary ``code``."""
@@ -523,4 +569,5 @@ def column_from_parts(
     column.dictionary = dictionary
     column._dictionary_index = dictionary_index
     column._tail = tail
+    column._memo = None
     return column

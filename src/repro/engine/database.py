@@ -12,7 +12,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column
 from repro.engine.schema import StarSchema
 from repro.engine.table import Table
@@ -44,40 +43,41 @@ def cached_key_positions(
 ) -> np.ndarray:
     """Memoised :func:`_key_positions` for a (dimension key, FK) column pair.
 
-    Anchored on the two :class:`Column` objects' identities: a column
-    never changes and the append paths publish new ones, so identity
-    equality guarantees the cached positions still describe the stored
-    data.
+    Kept on the fact key column, valid while the dimension key column is
+    the same object: both are immutable snapshots, so the positions
+    always describe the stored data.
     """
-    cache = get_cache()
-    anchors = (fact_key_column, dim_key_column)
-    positions = cache.get("join_positions", anchors)
-    if positions is MISS:
-        positions = _key_positions(
+    return fact_key_column.derived(
+        "join_positions",
+        None,
+        lambda: _key_positions(
             dim_key_column.numeric_values(), fact_key_column.numeric_values()
-        )
-        cache.put("join_positions", anchors, positions)
-    return positions
+        ),
+        also=(dim_key_column,),
+    )
 
 
 def gather_dimension_column(
-    fact_key_column: Column, dim_key_column: Column, dim_column: Column
+    fact_key_column: Column,
+    dim_key_column: Column,
+    dim_column: Column,
+    name: str,
 ) -> Column:
-    """A dimension column gathered to fact-row order, memoised.
+    """Dimension column ``name`` gathered to fact-row order, memoised.
 
     This is the per-column payload of the star join: with the join
-    positions cached the gather itself is one fancy-indexing pass, and the
-    gathered column is cached too so repeated queries touching the same
-    dimension attribute pay nothing.
+    positions memoised the gather itself is one fancy-indexing pass, and
+    the gathered column is kept on the fact key column too, so repeated
+    queries touching the same dimension attribute pay nothing.
     """
-    cache = get_cache()
-    anchors = (fact_key_column, dim_key_column, dim_column)
-    gathered = cache.get("joined_column", anchors)
-    if gathered is MISS:
-        positions = cached_key_positions(dim_key_column, fact_key_column)
-        gathered = dim_column.take(positions)
-        cache.put("joined_column", anchors, gathered)
-    return gathered
+    return fact_key_column.derived(
+        "joined_column",
+        name,
+        lambda: dim_column.take(
+            cached_key_positions(dim_key_column, fact_key_column)
+        ),
+        also=(dim_key_column, dim_column),
+    )
 
 
 class Database:
@@ -91,7 +91,6 @@ class Database:
             if table.name in self._tables:
                 raise SchemaError(f"duplicate table name {table.name!r}")
             self._tables[table.name] = table
-        self.cache = get_cache()
         self.star_schema = star_schema
         if star_schema is not None:
             self._validate_star_schema(star_schema)
@@ -148,10 +147,14 @@ class Database:
         self._tables[table.name] = table
 
     def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog, releasing its cached artifacts."""
+        """Remove a table from the catalog.
+
+        State derived from its columns dies with them once no reader
+        holds the table.
+        """
         if name not in self._tables:
             raise SchemaError(f"no table {name!r} to drop")
-        self.cache.invalidate_table(self._tables.pop(name))
+        del self._tables[name]
 
     def append_rows(self, name: str, batch: Table) -> Table:
         """Append ``batch``'s rows to table ``name`` (incremental-load path).
@@ -159,15 +162,12 @@ class Database:
         The stored table is superseded by a new :class:`Table` whose
         columns hold the old rows followed by the batch — a tail write
         costing O(batch), see :meth:`Column.concat`; the old table stays
-        a valid snapshot of the rows it had.  Every artifact derived from
-        the old table (predicate masks, grouping codes, join positions)
-        is dropped with ``invalidate_table(old)`` before the swap; the new table's are built on first read, as
-        after :meth:`drop_table` or a small-group ``insert_rows``.
-        Returns the new table.
+        a valid snapshot of the rows it had.  State derived from the old
+        table (predicate masks, grouping codes, join positions) lives on
+        its columns and dies with them; the new columns start with empty
+        memos, filled on first read.  Returns the new table.
         """
-        old = self.table(name)
-        merged = old.concat(batch)
-        self.cache.invalidate_table(old)
+        merged = self.table(name).concat(batch)
         self._tables[name] = merged
         return merged
 
@@ -223,6 +223,6 @@ class Database:
                 if c == fk.dimension_key:
                     continue
                 columns[c] = gather_dimension_column(
-                    fact_key_col, dim_key_col, dim.column(c)
+                    fact_key_col, dim_key_col, dim.column(c), c
                 )
         return Table(name or f"{fact.name}_joined", columns)

@@ -15,9 +15,9 @@ aggregates are ``numpy.bincount`` sums over the same rows.  The cost of a
 query is therefore proportional to the rows it *selects* — the cost model
 the paper's speed-up experiments rely on — not to the size of the table
 it selects them from.  Per-column codes, WHERE masks and star-join
-positions are memoised in the cross-query
-:class:`~repro.engine.cache.ExecutionCache`, keyed on column identity;
-nothing is cached per GROUP BY list, so cache size does not grow with the
+positions are memoised on the columns they are derived from
+(:meth:`~repro.engine.column.Column.derived`) and die with them;
+nothing is kept per GROUP BY list, so memo size does not grow with the
 number of distinct queries' column combinations.
 """
 
@@ -29,7 +29,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.cache import MISS, get_cache
 from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database, gather_dimension_column
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
@@ -177,29 +176,25 @@ def _column_group_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
 
     String columns reuse the dictionary codes computed at construction —
     already dense in ``[0, len(dictionary))`` — so grouping skips the
-    ``np.unique`` sort entirely and caches no copy of the column (the
+    ``np.unique`` sort entirely and keeps no copy of the column (the
     kernel upcasts after taking the selected rows).  Other columns are
-    densified once and memoised against the column's identity.  The key
-    list may contain values absent from the data (dictionary entries with
-    zero rows); the kernel only decodes cells that hold rows.
+    densified once.  Either way the result is memoised on the column.
+    The key list may contain values absent from the data (dictionary
+    entries with zero rows); the kernel only decodes cells that hold
+    rows.
     """
-    cache = get_cache()
-    cached = cache.get("column_codes", (col,))
-    if cached is not MISS:
-        return cached
+    return col.derived("column_codes", None, lambda: _dense_codes(col))
+
+
+def _dense_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
     if col.kind is ColumnKind.STRING and col.dictionary is not None and len(
         col.dictionary
     ) <= max(_DICT_FAST_PATH_FLOOR, _DICT_FAST_PATH_SLACK * len(col)):
-        codes = col.data
-        keys: list[Any] = list(col.dictionary)
-    else:
-        _, first_rows, inverse = np.unique(
-            col.data, return_index=True, return_inverse=True
-        )
-        codes = inverse.reshape(-1)
-        keys = [col[int(r)] for r in first_rows]
-    cache.put("column_codes", (col,), (codes, keys))
-    return codes, keys
+        return col.data, list(col.dictionary)
+    _, first_rows, inverse = np.unique(
+        col.data, return_index=True, return_inverse=True
+    )
+    return inverse.reshape(-1), [col[int(r)] for r in first_rows]
 
 
 def _group_selected(
@@ -286,26 +281,28 @@ def _predicate_mask(table: Table, predicate) -> np.ndarray:
     """Evaluate a WHERE predicate, memoising the boolean mask.
 
     Only pure predicates (value-dependent only, per
-    :meth:`~repro.engine.expressions.Predicate.cache_safe`) are cached,
-    anchored on the referenced :class:`Column` objects so a stale mask can
-    never be served for replaced data.  Predicates with unhashable
-    literals simply skip the cache.
+    :meth:`~repro.engine.expressions.Predicate.cache_safe`) are memoised,
+    on the first referenced column by name and valid while the other
+    referenced columns are the same objects, so a stale mask can never
+    be served for replaced data.  Predicates with unhashable literals
+    are evaluated without a memo.
     """
     if not predicate.cache_safe():
         return predicate.evaluate(table)
     names = sorted(predicate.columns())
     if not names:
         return predicate.evaluate(table)
-    anchors = [table.column(name) for name in names]
-    cache = get_cache()
     try:
-        mask = cache.get("predicate_mask", anchors, extra=predicate)
+        hash(predicate)
     except TypeError:  # unhashable literal
         return predicate.evaluate(table)
-    if mask is MISS:
-        mask = predicate.evaluate(table)
-        cache.put("predicate_mask", anchors, mask, extra=predicate)
-    return mask
+    first, *others = (table.column(name) for name in names)
+    return first.derived(
+        "predicate_mask",
+        predicate,
+        lambda: predicate.evaluate(table),
+        also=tuple(others),
+    )
 
 
 def aggregate_table(
@@ -551,7 +548,7 @@ def resolve_columns(
             dim_key_col = dim.column(fk.dimension_key)
             for c in dim_needed:
                 columns[c] = gather_dimension_column(
-                    fact_key_col, dim_key_col, dim.column(c)
+                    fact_key_col, dim_key_col, dim.column(c), c
                 )
                 missing.discard(c)
                 gathers += 1

@@ -180,7 +180,7 @@ def run_experiment(
         rate = matched_rate(wq, base_rate, allocation_ratio)
         if measure_time:
             # Timed figures reproduce the paper's fresh-query cost model;
-            # a warm execution cache would make the wall clocks depend on
+            # warm memos would make the wall clocks depend on
             # query order (the warm path has its own benchmark).
             get_cache().clear()
         start = time.perf_counter()

@@ -1,13 +1,11 @@
 """repro.lint — AST-based checker for the engine's domain invariants.
 
-Eight per-file rules encode the correctness contracts the generic
+Six per-file rules encode the correctness contracts the generic
 linters cannot see (see ``docs/linting.md`` for the full rationale;
-RL007 and RL010–RL014 are retired and stay reserved):
+RL001, RL004, RL007 and RL010–RL014 are retired and stay reserved):
 
-* **RL001** mutation without cache/plan invalidation;
 * **RL002** rewrite-piece scale discipline (the §4.2.2 invariant);
 * **RL003** wall clocks / fresh entropy in deterministic layers;
-* **RL004** computed expressions as identity-cache anchors;
 * **RL005** bare ``assert`` guards (stripped under ``python -O``);
 * **RL006** ``print`` outside the presentation layer;
 * **RL008** in-place writes into published column/bitmask arrays;

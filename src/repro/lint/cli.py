@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based checker for the engine's domain invariants "
-            "(RL001-RL006, RL008, RL009); see docs/linting.md"
+            "(RL002, RL003, RL005, RL006, RL008, RL009); see docs/linting.md"
         ),
     )
     parser.add_argument(

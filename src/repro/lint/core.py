@@ -1,7 +1,7 @@
 """Core machinery of the :mod:`repro.lint` static invariant checker.
 
 The generic linters (flake8, pylint) cannot express the engine's
-domain contracts — "every mutation of cached state must invalidate",
+domain contracts — "published arrays are never written in place",
 "rewrite pieces must carry the right scale factor" — because those are
 facts about *this* system's semantics, not about Python.  This module
 provides the pieces the domain rules are built from:

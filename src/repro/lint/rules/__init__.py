@@ -9,10 +9,8 @@ proving it does not over-fire.  See ``docs/linting.md``.
 """
 
 from repro.lint.rules import (  # noqa: F401
-    rl001_invalidation,
     rl002_scale,
     rl003_nondeterminism,
-    rl004_cache_keys,
     rl005_asserts,
     rl006_io_purity,
     rl008_published_arrays,

@@ -1,17 +1,16 @@
 """RL008 — in-place writes into published column/bitmask arrays.
 
-The execution cache (:mod:`repro.engine.cache`) memoises artifacts
-derived from column ``data`` arrays — ``predicate_mask``,
-``column_codes`` and ``joined_column`` entries — anchored on the
-*identity* of the column.  That anchoring is only sound because the
+The engine memoises state derived from a column's ``data`` array —
+``predicate_mask``, ``column_codes``, ``join_positions`` and
+``joined_column`` — on the column itself (:meth:`Column.derived
+<repro.engine.column.Column.derived>`).  That is only sound because the
 engine treats a published array as immutable: every state change
-replaces the owning object wholesale, so the cache's identity check
-drops the stale entry automatically.  The same discipline holds for a
-bitmask vector's ``words``: a query that resolved a sample table before
-an append keeps reading it as a snapshot.  A write *into* a published
-array — ``col.data[i] = v``, ``vector.words[...] |= m``,
-``vector.set_bit(...)`` — changes values behind an unchanged identity,
-and a cached mask or grouping code then silently describes the old
+publishes a new column, whose memo starts empty.  The same discipline
+holds for a bitmask vector's ``words``: a query that resolved a sample
+table before an append keeps reading it as a snapshot.  A write *into*
+a published array — ``col.data[i] = v``, ``vector.words[...] |= m``,
+``vector.set_bit(...)`` — changes values under an unchanged column,
+and its memoised mask or grouping code then silently describes the old
 values: wrong answers, no crash.
 
 This rule makes the immutability structural: any function in the scope

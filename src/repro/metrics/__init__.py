@@ -1,4 +1,4 @@
-"""Accuracy metrics from Section 4.3 and execution-cache counters."""
+"""Accuracy metrics from Section 4.3 and memo hit/miss counters."""
 
 from repro.engine.cache import CacheMetrics, execution_cache_metrics
 from repro.metrics.error import (

@@ -158,7 +158,7 @@ class AQPSession:
 
     Safe for concurrent :meth:`sql` / :meth:`execute` callers: the query
     log and the parse/plan memos take the session lock, and the engine
-    layers underneath (execution cache, metrics registry) are thread-safe.
+    layers underneath (per-column memos, metrics registry) are thread-safe.
     The lock is never held across parsing, rewriting, or execution —
     concurrent misses on the same memo key are **single-flighted** (one
     caller parses/plans, the concurrent duplicates wait and share the
@@ -210,9 +210,8 @@ class AQPSession:
         """Release session-scoped derived state (idempotent).
 
         Clears the parse/plan memos.  Engine artifacts (predicate masks,
-        grouping codes, join positions) live in the process-wide
-        execution cache, anchored on the tables they describe, and are
-        released with those tables.
+        grouping codes, join positions) are memoised on the columns they
+        describe and are released with those columns.
 
         Safe to call more than once — including the implicit second call
         of ``with session: ... finally session.close()`` patterns: only
@@ -258,7 +257,7 @@ class AQPSession:
         """Append ``batch`` to table ``name``, maintaining derived state.
 
         Routes through :meth:`Database.append_rows`, which tail-writes the
-        batch and invalidates the old table's derived state (predicate
+        batch and publishes new columns with empty memos (predicate
         masks, grouping codes, join positions); the next read rebuilds
         what it needs.  When the appended table is the fact table and the
         installed technique advertises incremental maintenance
@@ -323,7 +322,7 @@ class AQPSession:
         With ``profile=True`` the result additionally carries a
         :class:`~repro.obs.QueryProfile` — the span tree of the query's
         lifecycle (parse → plan → per-piece execution → combine) and the
-        execution-cache hit/miss delta.
+        memo hit/miss delta.
         Profiling is answer-neutral: the estimates are byte-identical
         with it on or off (the engine treats spans as write-only — lint
         rule RL009 — and the determinism sweep test verifies it

@@ -4,7 +4,7 @@ The paper's premise is that an approximate answer costs what its small
 samples cost (§3, §4.2.2).  This package is how the engine shows it per
 query: :mod:`~repro.obs.trace` spans time every lifecycle phase,
 :mod:`~repro.obs.registry` aggregates counters across queries, and
-:mod:`~repro.obs.profile` assembles both — plus the execution-cache
+:mod:`~repro.obs.profile` assembles both — plus the memo counter
 delta — into one :class:`~repro.obs.profile.QueryProfile` per query.
 
 Observability is answer-neutral by construction: the compute layers

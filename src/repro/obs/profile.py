@@ -6,9 +6,10 @@ write-only channels the engine filled in along the way:
 
 * the span tree (:mod:`repro.obs.trace`) — parse → plan → §4.2.2
   rewrite → per-piece execution → combine;
-* the execution-cache counter delta
-  (:class:`~repro.engine.cache.CacheMetrics`) — hits/misses by kind
-  attributable to this query (process-wide counters, so concurrent
+* the memo counter delta (:class:`~repro.engine.cache.CacheMetrics`:
+  per-column memos such as ``predicate_mask`` and the session's
+  ``sql_parse``/``plan``) — hits/misses by kind attributable to this
+  query (process-wide counters, so concurrent
   sessions make the delta approximate; single-session use is exact).
 
 ``to_dict`` is strict-JSON-safe (non-finite floats become ``null`` via
@@ -66,7 +67,7 @@ class QueryProfile:
     rows_scanned:
         Sample rows charged by the §4.2.2 cost model (approx side).
     cache:
-        Per-kind execution-cache hit/miss delta for this query.
+        Per-kind memo hit/miss delta for this query.
         Computed lazily from the raw ``CacheMetrics.counts()`` views
         captured around the query, so profiled queries that never
         render their profile pay ~nothing (the <5% overhead budget).

@@ -3,7 +3,7 @@
 Where a :class:`~repro.obs.trace.Span` tree describes *one* query, the
 :class:`MetricsRegistry` aggregates *across* queries — total pieces
 executed, per-mode query counts, reservoir updates — the way
-:class:`~repro.engine.cache.CacheMetrics` already aggregates cache
+:class:`~repro.engine.cache.CacheMetrics` already aggregates memo
 lookups.  BlinkDB-style systems feed exactly this kind of per-query
 error/latency profile back into sample selection; the registry is the
 substrate such workload-adaptive tuning will read.
@@ -203,7 +203,7 @@ class MetricsRegistry:
 
 
 #: Process-wide registry shared by every session and engine layer, like
-#: the execution cache's ``CacheMetrics``.
+#: the memos' ``CacheMetrics``.
 _GLOBAL_REGISTRY = MetricsRegistry()
 
 

@@ -16,17 +16,18 @@ Concurrency discipline, in the order a request meets it:
    queueing unboundedly behind slow queries.
 3. **Single-flight dedup** — identical in-flight queries (same SQL,
    mode, explain) coalesce onto one execution via the same
-   :class:`~repro.engine.cache.SingleFlight` primitive the execution
-   cache uses; followers share the leader's encoded response and count
+   :class:`~repro.engine.cache.SingleFlight` primitive the session's
+   parse/plan memos use; followers share the leader's encoded response and count
    under ``server.coalesced``.  A follower whose own deadline expires
    while waiting stops waiting and fails with ``deadline_exceeded``.
 4. **Snapshot semantics** — queries take the read side and appends the
    write side of a writer-preferring read/write lock, so a query never
-   observes a half-applied ``append_rows`` (the catalog's tail write,
-   invalidation and table swap, and the technique's ``insert_rows``, all
-   complete atomically with respect to reads).  Readers pin the table objects they resolved for
-   the duration of the scan; the engine's identity-anchored cache makes
-   a superseded table's derived state simply unreachable, never torn.
+   observes a half-applied ``append_rows`` (the catalog's tail write and
+   table swap, and the technique's ``insert_rows``, all complete
+   atomically with respect to reads).  Readers pin the table objects
+   they resolved for the duration of the scan, and with them the state
+   memoised on their columns; a superseded table's memos die with it,
+   never torn.
 """
 
 from __future__ import annotations

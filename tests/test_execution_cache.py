@@ -1,12 +1,17 @@
-"""Execution cache behaviour: hits, identity invalidation, append refresh.
+"""Per-column memos: hits, lifetime, append refresh, thread safety.
 
-The cache contract under test: a cached artifact is served only while its
-anchor objects are the *same live objects* it was computed from, the
-append paths invalidate explicitly, and answers with a warm
-cache are identical to answers with a cold cache.
+The memo contract under test: derived state is served only from the
+column it was computed on and only while the ``also`` columns are the
+*same objects* it was computed with; an append publishes new columns
+whose memos start empty; a memo dies with its column; and answers with
+warm memos are identical to answers after ``get_cache().clear()``.
 """
 
+import copy
 import gc
+import pickle
+import threading
+import weakref
 
 import numpy as np
 
@@ -16,7 +21,7 @@ from repro.datagen.synthetic import (
     MeasureSpec,
     generate_flat_table,
 )
-from repro.engine.cache import MISS, ExecutionCache, get_cache
+from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import dense_ids, execute
@@ -68,6 +73,16 @@ def answer_values(answer):
     }
 
 
+def memo_entries(column: Column) -> dict:
+    """The (kind, key) -> (also, value) entries memoised on ``column``."""
+    memo = column._memo
+    return {} if memo is None else memo[1]
+
+
+class _Value:
+    """A weak-referenceable memo value."""
+
+
 class TestDenseIdsEmpty:
     def test_single_empty_array(self):
         ids, n = dense_ids([np.array([], dtype=np.int64)])
@@ -85,31 +100,51 @@ class TestDenseIdsEmpty:
 
 class TestExecutionCache:
     def test_hit_requires_same_object(self):
-        cache = ExecutionCache()
         col = Column.ints([1, 2, 3])
-        cache.put("k", (col,), "value")
-        assert cache.get("k", (col,)) == "value"
+        assert col.derived("k", None, lambda: "value") == "value"
+        assert col.derived("k", None, lambda: "recomputed") == "value"
         replacement = Column.ints([1, 2, 3])  # equal value, distinct object
-        assert cache.get("k", (replacement,)) is MISS
+        assert replacement.derived("k", None, lambda: "fresh") == "fresh"
+        # The same holds for the columns a memo depends on.
+        other = Column.ints([4])
+        col.derived("k2", None, lambda: "with other", also=(other,))
+        equal_other = Column.ints([4])
+        assert (
+            col.derived("k2", None, lambda: "fresh", also=(equal_other,))
+            == "fresh"
+        )
 
     def test_entry_dies_with_anchor(self):
-        cache = ExecutionCache()
         col = Column.ints([1])
-        cache.put("k", (col,), 123)
-        assert len(cache) == 1
+        value = _Value()
+        ref = weakref.ref(value)
+        col.derived("k", None, lambda: value)
+        del value
+        gc.collect()
+        assert ref() is not None  # held by the live column's memo
         del col
         gc.collect()
-        assert len(cache) == 0
+        assert ref() is None
 
-    def test_invalidate_table_drops_table_and_column_entries(self):
-        cache = ExecutionCache()
+    def test_appended_table_drops_table_and_column_entries(self):
         table = Table.from_dict("t", {"a": [1, 2]})
         col = table.column("a")
-        cache.put("group_ids", (col,), "ids")
-        cache.put("other", (table,), "x")
-        assert cache.invalidate_table(table) == 2
-        assert cache.get("group_ids", (col,)) is MISS
-        assert cache.get("other", (table,)) is MISS
+        col.derived("group_ids", None, lambda: "ids")
+        grown = table.concat(Table.from_dict("t", {"a": [3]}))
+        assert memo_entries(grown.column("a")) == {}
+        assert (
+            grown.column("a").derived("group_ids", None, lambda: "new ids")
+            == "new ids"
+        )
+        # The old snapshot keeps its own memo while a reader holds it.
+        assert col.derived("group_ids", None, lambda: "stale") == "ids"
+
+    def test_clear_makes_every_memo_recompute(self):
+        col = Column.ints([1, 2])
+        col.derived("k", None, lambda: "old")
+        get_cache().clear()
+        assert col.derived("k", None, lambda: "new") == "new"
+        assert col.derived("k", None, lambda: "newer") == "new"
 
 
 class TestAppendInvalidation:
@@ -143,8 +178,7 @@ class TestAppendInvalidation:
         cache = get_cache()
         cache.clear()
         before_append = execute(db, self.QUERY)
-        assert len(cache) > 0
-        invalidations_before = cache.metrics.invalidations
+        assert memo_entries(db.table("sales").column("channel"))
 
         batch = Table.from_dict(
             "sales",
@@ -155,7 +189,11 @@ class TestAppendInvalidation:
             },
         )
         db.append_rows("sales", batch)
-        assert cache.metrics.invalidations > invalidations_before
+        grown = db.table("sales")
+        assert all(
+            memo_entries(grown.column(name)) == {}
+            for name in grown.column_names
+        )
 
         warm = execute(db, self.QUERY)
         assert warm.rows != before_append.rows  # new rows are visible
@@ -165,8 +203,8 @@ class TestAppendInvalidation:
         assert warm.raw_counts == cold.raw_counts
 
 
-def held_bytes(cache: ExecutionCache) -> int:
-    """Bytes of every distinct ndarray reachable from the cached values."""
+def held_bytes(columns) -> int:
+    """Bytes of every distinct ndarray reachable from the memoised values."""
     arrays: dict[int, int] = {}
 
     def walk(value) -> None:
@@ -177,11 +215,14 @@ def held_bytes(cache: ExecutionCache) -> int:
                 walk(item)
         elif isinstance(value, dict):
             walk(list(value.values()))
+        elif isinstance(value, Column):
+            walk(value.data)
         elif hasattr(value, "__dict__"):
             walk(vars(value))
 
-    for _, _, value in list(cache._entries.values()):
-        walk(value)
+    for column in columns:
+        for _, value in list(memo_entries(column).values()):
+            walk(value)
     return sum(arrays.values())
 
 
@@ -222,27 +263,27 @@ class TestCacheGrowth:
         cache.clear()
         for query in queries:
             assert execute(db, query).n_groups > 0
-        assert held_bytes(cache) / len(queries) < 1_000_000
+        columns = [table.column(name) for name in table.column_names]
+        assert held_bytes(columns) / len(queries) < 1_000_000
         cache.clear()
 
 
 class TestInvalidationSweep:
-    """RL001 bug-sweep regressions: every path that replaces a table
-    releases the cached artifacts anchored on the replaced objects."""
+    """Every path that replaces a table publishes columns with empty
+    memos and lets the replaced objects' memos die with them."""
 
     def test_drop_table_releases_cached_artifacts(self):
         db = star_db()
-        cache = get_cache()
-        cache.clear()
-        dim = db.table("customers")
-        region = dim.column("region")
-        cache.put("group_ids", (region,), "ids")
-        cache.put("other", (dim,), "x")
-        invalidations_before = cache.metrics.invalidations
+        region = db.table("customers").column("region")
+        value = _Value()
+        ref = weakref.ref(value)
+        region.derived("group_ids", None, lambda: value)
+        del value
         db.drop_table("customers")
-        assert cache.metrics.invalidations >= invalidations_before + 2
-        assert cache.get("group_ids", (region,)) is MISS
-        assert cache.get("other", (dim,)) is MISS
+        assert ref() is not None  # still reachable through ``region``
+        del region
+        gc.collect()
+        assert ref() is None
 
     def test_insert_rows_invalidates_replaced_small_group_tables(self):
         db = Database([generate_flat_table("flat", 3000, seed=7, **SPEC)])
@@ -250,27 +291,30 @@ class TestInvalidationSweep:
             SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=7)
         )
         sg.preprocess(db)
-        cache = get_cache()
-        cache.clear()
-        # Warm entries anchored on the small-group tables' columns, the
-        # way a grouped query would.
+        get_cache().clear()
+        # Warm memos on the small-group tables' columns, the way a
+        # grouped query would.
         anchored = []
         for info in sg.sample_tables():
             col = info.table.column("color")
-            cache.put("group_ids", (col,), "ids")
-            anchored.append((info.table, col))
+            col.derived("group_ids", None, lambda: "ids")
+            anchored.append(info.table)
         sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
         catalog = set(sg.sample_catalog().table_names)
-        for table, col in anchored:
+        replaced = 0
+        for table in anchored:
             replacement = None
             for info in sg.sample_tables():
                 if info.table.name == table.name:
                     replacement = info.table
             assert replacement is not None and table.name in catalog
             if replacement is not table:
-                # The table was replaced by concat: its old columns'
-                # entries must be gone, not served stale.
-                assert cache.get("group_ids", (col,)) is MISS
+                # The table was replaced by concat: its new columns
+                # must start empty, never serve the old entry.
+                col = replacement.column("color")
+                assert col.derived("group_ids", None, lambda: "new") == "new"
+                replaced += 1
+        assert replaced > 0
 
     def test_insert_rows_refreshes_filtered_answers(self):
         db = Database([generate_flat_table("flat", 3000, seed=7, **SPEC)])
@@ -424,48 +468,6 @@ class TestSingleFlight:
         assert flight.do("a", lambda: 1) == (1, True)
         assert flight.do("b", lambda: 2) == (2, True)
 
-    def test_cache_get_or_compute_records_coalesced(self):
-        import threading
-
-        cache = ExecutionCache()
-        anchor = Table.from_dict("t", {"x": [1, 2, 3]})
-        entered = threading.Event()
-        release = threading.Event()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            entered.set()
-            release.wait(5)
-            return [1, 2, 3]
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_compute("slow", (anchor,), compute)
-                )
-            )
-            for _ in range(4)
-        ]
-        threads[0].start()
-        assert entered.wait(5)
-        for t in threads[1:]:
-            t.start()
-        release.set()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert all(r == [1, 2, 3] for r in results)
-        # Every lookup that found nothing counts as a miss; the three
-        # that then shared the leader's computation also count as
-        # coalesced, so computations == misses - coalesced == 1.
-        assert cache.metrics.misses.get("slow", 0) == 4
-        assert cache.metrics.coalesced.get("slow", 0) == 3
-        snapshot = cache.metrics.snapshot()
-        assert snapshot["coalesced"]["slow"] == 3
-        assert snapshot["by_kind"]["slow"]["coalesced"] == 3
-
     def test_session_parse_and_plan_coalesce(self):
         import threading
 
@@ -498,3 +500,161 @@ class TestSingleFlight:
         assert metrics.misses.get("plan", 0) == 1
         assert all(a == answers[0] for a in answers[1:])
         session.close()
+
+
+# ----------------------------------------------------------------------
+# Memo thread safety, copies and lifetime
+# ----------------------------------------------------------------------
+class TestMemoThreadSafety:
+    N_THREADS = 8
+    OPS_PER_THREAD = 400
+
+    def test_concurrent_hammering_loses_no_updates(self):
+        columns = [Column.ints(np.arange(i, i + 50)) for i in range(16)]
+        others = [Column.ints(np.arange(5)) for _ in range(2)]
+
+        def compute(column, key):
+            return int(column.data.sum()) * 7 + key
+
+        metrics = get_cache().metrics
+        kinds = [f"hammer{i}" for i in range(3)]
+        before = sum(
+            metrics.hits.get(k, 0) + metrics.misses.get(k, 0) for k in kinds
+        )
+        errors: list[BaseException] = []
+        wrong: list[tuple] = []
+        lookups = [0] * self.N_THREADS
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def worker(thread_index: int) -> None:
+            try:
+                barrier.wait()
+                for op in range(self.OPS_PER_THREAD):
+                    column = columns[(thread_index + op) % len(columns)]
+                    key = op % 5
+                    value = column.derived(
+                        kinds[op % 3],
+                        key,
+                        lambda: compute(column, key),
+                        also=(others[op % 2],),
+                    )
+                    lookups[thread_index] += 1
+                    if value != compute(column, key):
+                        wrong.append((thread_index, op, value))
+                    if op % 97 == 96:
+                        get_cache().clear()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert errors == []
+        assert wrong == []
+        after = sum(
+            metrics.hits.get(k, 0) + metrics.misses.get(k, 0) for k in kinds
+        )
+        # No lost counter updates: every lookup is either a hit or a miss.
+        assert after - before == sum(lookups)
+        assert sum(lookups) == self.N_THREADS * self.OPS_PER_THREAD
+
+    def test_concurrent_derived_stampede_is_benign(self):
+        column = Column.ints([1, 2, 3])
+        computed = []
+        barrier = threading.Barrier(self.N_THREADS)
+        results = [None] * self.N_THREADS
+
+        def worker(thread_index: int) -> None:
+            barrier.wait()
+            results[thread_index] = column.derived(
+                "stampede", None, lambda: computed.append(1) or 42
+            )
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        # Every caller sees the value; concurrent misses may each compute
+        # (last store wins) but at least once and never corrupt.
+        assert results == [42] * self.N_THREADS
+        assert 1 <= len(computed) <= self.N_THREADS
+        assert column.derived("stampede", None, lambda: 0) == 42
+
+
+class TestMemoCopies:
+    def test_copies_start_with_an_empty_memo(self):
+        col = Column.strings(["b", "a", "b", "c"])
+        col.derived("k", None, lambda: "value")
+        foreign = Column.strings(["c", "d"])
+        foreign.derived("k", None, lambda: "foreign value")
+        copies = {
+            "take": col.take(np.array([0, 2])),
+            "mask": col.mask(np.array([True, False, True, True])),
+            "concat": col.concat(foreign),
+            "encoded_like": foreign.encoded_like(col),
+            "pickle": pickle.loads(pickle.dumps(col)),
+            "deepcopy": copy.deepcopy(col),
+        }
+        for how, copied in copies.items():
+            assert copied is not col and copied is not foreign, how
+            assert memo_entries(copied) == {}, how
+            assert copied.derived("k", None, lambda: "fresh") == "fresh", how
+        assert col.derived("k", None, lambda: "stale") == "value"
+
+
+class TestMemoLifetime:
+    def test_replaced_columns_die_after_append_and_insert_rows(self):
+        db = star_db()
+        execute(db, TestAppendInvalidation.QUERY)  # fill the memos
+        old_channel = weakref.ref(db.table("sales").column("channel"))
+        db.append_rows(
+            "sales",
+            Table.from_dict(
+                "sales",
+                {"cust_id": [0], "amount": [1.0], "channel": ["web"]},
+            ),
+        )
+        execute(db, TestAppendInvalidation.QUERY)
+        gc.collect()
+        assert old_channel() is None
+
+        flat = Database([generate_flat_table("flat", 3000, seed=7, **SPEC)])
+        sg = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=7)
+        )
+        sg.preprocess(flat)
+        query = parse_query(
+            "SELECT color, COUNT(*) AS cnt FROM flat "
+            "WHERE status = 'status_0' GROUP BY color"
+        )
+        sg.answer(query)  # fill the sample tables' memos
+        before = {
+            info.table.name: info.table for info in sg.sample_tables()
+        }
+        refs = {
+            name: weakref.ref(table.column("color"))
+            for name, table in before.items()
+        }
+        sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
+        sg.answer(query)
+        replaced = [
+            info.table.name
+            for info in sg.sample_tables()
+            if info.table is not before[info.table.name]
+        ]
+        assert replaced
+        del before
+        gc.collect()
+        for name in replaced:
+            assert refs[name]() is None, name

@@ -1,11 +1,11 @@
-"""Incremental appends: a tail write plus invalidation.
+"""Incremental appends: a tail write and a table swap.
 
 Contracts under test:
 
-* ``Database.append_rows`` is concat, ``invalidate_table(old)``, swap:
-  it builds no derived state itself, a cached predicate mask of the old
-  table is never served for the new one, and the next read answers
-  exactly like a database built from the final rows;
+* ``Database.append_rows`` is concat plus swap: it builds no derived
+  state itself, a memoised predicate mask of the old table is never
+  served for the new one, and the next read answers exactly like a
+  database built from the final rows;
 * any interleaving of appends and queries yields answers byte-identical
   to a fresh session replaying the same appends.
 """
@@ -19,7 +19,7 @@ from repro.datagen.synthetic import (
     MeasureSpec,
     generate_flat_table,
 )
-from repro.engine.cache import MISS, get_cache
+from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.executor import execute
@@ -37,7 +37,7 @@ def _fresh_state():
 
 
 # ----------------------------------------------------------------------
-# append_rows: tail write + invalidation, derived state rebuilt on read
+# append_rows: tail write + swap, derived state rebuilt on read
 # ----------------------------------------------------------------------
 def clustered_table(x: np.ndarray, grp: list[str]) -> Table:
     return Table("t", {"x": Column.ints(x), "grp": Column.strings(grp)})
@@ -55,21 +55,21 @@ class TestAppendRows:
     def test_append_rebuilds_nothing_and_answers_fresh(self):
         db = Database([clustered_table(OLD_X, OLD_GRP)])
         query = parse_query(NARROW_SQL)
-        cache = get_cache()
         execute(db, query)
-        old_mask = ("predicate_mask", [db.table("t").column("x")])
-        assert cache.get(*old_mask, extra=query.where) is not MISS
+        old_x = db.table("t").column("x")
+        assert ("predicate_mask", query.where) in old_x._memo[1]
 
-        entries = len(cache)
         db.append_rows("t", clustered_table(BATCH_X, BATCH_GRP))
-        # The append only drops the old table's entries; it builds none.
-        assert len(cache) < entries
-        assert cache.get(*old_mask, extra=query.where) is MISS
+        # The append builds no derived state: the grown columns' memos
+        # start empty, so the old mask cannot be served for them.
+        new_x = db.table("t").column("x")
+        assert new_x is not old_x
+        assert new_x._memo is None
 
-        hits = cache.metrics.hits.get("predicate_mask", 0)
+        hits = get_cache().metrics.hits.get("predicate_mask", 0)
         answer = execute(db, query)
-        # The grown column's mask is evaluated, not served from the cache.
-        assert cache.metrics.hits.get("predicate_mask", 0) == hits
+        # The grown column's mask is evaluated, not served from a memo.
+        assert get_cache().metrics.hits.get("predicate_mask", 0) == hits
 
         fresh = Database(
             [

@@ -1,7 +1,7 @@
 """Determinism of execution: answers are identical cold, warm and concurrent.
 
-The engine's contract (docs/internals.md §8) is that the execution cache
-is a pure cost knob: partial results combine in piece order, so every
+The engine's contract (docs/internals.md §8) is that the per-column
+memos are a pure cost knob: partial results combine in piece order, so every
 estimate, variance, and confidence interval is byte-identical whether
 the cached masks, codes and join positions were built by this query or
 an earlier one.  These tests pin that contract for the small-group path,
@@ -31,7 +31,7 @@ CONGRESS_SQL = (
 
 
 def cold_and_warm(answer_fn):
-    """Answer once on a cleared execution cache, then twice warm."""
+    """Answer once on cleared memos, then twice warm."""
     get_cache().clear()
     return {index: answer_fn() for index in (1, 2, 3)}
 

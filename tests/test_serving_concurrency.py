@@ -182,9 +182,8 @@ class LockOrderRecorder:
 
     Each thread keeps a stack of the recorded locks it holds; acquiring
     a lock records an edge from every lock already on that stack to the
-    new one.  A cycle in the edge graph is a pair of code paths that can
-    deadlock.  The one tolerated cycle is a self-edge on a re-entrant
-    lock, which its owner may take again while holding it.
+    new one.  A cycle in the edge graph — a self-edge included — is a
+    pair of code paths that can deadlock.
     """
 
     def __init__(self) -> None:
@@ -217,12 +216,10 @@ class LockOrderRecorder:
         finally:
             self.released(name)
 
-    def find_cycle(self, reentrant: frozenset[str] = frozenset()):
+    def find_cycle(self):
         """One cycle of the observed graph as a lock-name path, or None."""
         graph: dict[str, set[str]] = {}
         for held, taken in self.edges:
-            if held == taken and held in reentrant:
-                continue
             graph.setdefault(held, set()).add(taken)
         finished: set[str] = set()
 
@@ -307,11 +304,8 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
     session = _new_session()
     app = AQPServer(session, ServerConfig(max_inflight=N_READERS + 4))
     recorder = LockOrderRecorder()
-    cache = get_cache()
     for owner, attr, name in (
-        (cache, "_lock", "cache"),
-        (cache.metrics, "_lock", "cache.metrics"),
-        (cache._flight, "_lock", "cache.flight"),
+        (get_cache().metrics, "_lock", "cache.metrics"),
         (get_registry(), "_lock", "registry"),
         (session, "_lock", "session"),
         (session._flight, "_lock", "session.flight"),
@@ -376,10 +370,9 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
         # The wrappers saw real nesting, so an empty graph cannot pass.
         assert {
             ("rw", "session"),
-            ("rw", "cache"),
-            ("cache", "cache.metrics"),
+            ("rw", "cache.metrics"),
         } <= recorder.edges
-        cycle = recorder.find_cycle(reentrant=frozenset({"cache"}))
+        cycle = recorder.find_cycle()
         assert cycle is None, (
             f"lock-order cycle {' -> '.join(cycle)}; observed edges "
             f"{sorted(recorder.edges)}"
