@@ -42,12 +42,7 @@ def _workload(db, queries_per_combo=8, seed=21, group_column_counts=(2, 3)):
 def _contender(db, name, config):
     technique = SmallGroupSampling(config)
     report = technique.preprocess(db)
-    return Contender(
-        name=name,
-        technique=technique,
-        answer=lambda wq, rate: technique.answer(wq.query),
-        report=report,
-    )
+    return Contender(name=name, technique=technique, report=report)
 
 
 def test_allocation_ratio_ablation(benchmark):
@@ -192,11 +187,7 @@ def test_workload_trimming_ablation(benchmark):
             workload,
             config=SmallGroupConfig(base_rate=BASE_RATE, use_reservoir=False),
         )
-        trimmed = Contender(
-            name="trimmed",
-            technique=trimmed_technique,
-            answer=lambda wq, rate: trimmed_technique.answer(wq.query),
-        )
+        trimmed = Contender(name="trimmed", technique=trimmed_technique)
         result = run_experiment(db, workload, [full, trimmed], BASE_RATE, 0.5)
         series = {}
         for name, technique in (

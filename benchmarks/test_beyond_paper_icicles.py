@@ -92,13 +92,7 @@ def test_workload_based_vs_dynamic_selection(benchmark):
             contenders = [
                 build_small_group_contender(db, BASE_RATE, 0.5),
                 build_uniform_contender(db, rates, seed=26),
-                Contender(
-                    name="icicles",
-                    technique=icicles,
-                    answer=lambda wq, rate, t=icicles: t.answer_at_rate(
-                        wq.query, rate
-                    ),
-                ),
+                Contender(name="icicles", technique=icicles),
             ]
             result = run_experiment(db, evaluate, contenders, BASE_RATE, 0.5)
             for name in ("small_group", "uniform", "icicles"):

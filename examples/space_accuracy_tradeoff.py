@@ -65,12 +65,8 @@ def main() -> None:
         )
         sg_report = sg.preprocess(db)
         contenders = [
-            Contender("small_group", sg, lambda wq, rate, t=sg: t.answer(wq.query)),
-            Contender(
-                "uniform",
-                uniform,
-                lambda wq, rate, t=uniform: t.answer(wq.query),
-            ),
+            Contender("small_group", sg),
+            Contender("uniform", uniform),
         ]
         result = run_experiment(db, workload, contenders, SG_BASE_RATE, gamma)
         for name, report in (

@@ -40,7 +40,6 @@ from repro.baselines import (
 from repro.core import (
     AQPTechnique,
     ApproxAnswer,
-    DynamicSampleSelection,
     GroupEstimate,
     PreprocessReport,
     SamplePiece,
@@ -96,7 +95,6 @@ __all__ = [
     "Column",
     "CongressConfig",
     "Database",
-    "DynamicSampleSelection",
     "ForeignKey",
     "GroupEstimate",
     "GroupedResult",

@@ -23,19 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.answer import ApproxAnswer
-from repro.core.combiner import execute_pieces
 from repro.core.interfaces import (
     AQPTechnique,
     PreprocessReport,
     SampleTableInfo,
+    closest_rate,
 )
 from repro.core.rewriter import SamplePiece
 from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.engine.reservoir import as_generator, weighted_sample_indices
 from repro.engine.table import Table
-from repro.errors import PreprocessingError, RuntimePhaseError, SamplingError
+from repro.errors import PreprocessingError, SamplingError
 from repro.workload.spec import Workload
 
 
@@ -160,23 +159,11 @@ class IciclesSampling(AQPTechnique):
             for rate, s in self._samples.items()
         ]
 
-    def _pick_rate(self, rate: float | None) -> float:
-        if rate is None:
-            rate = self.config.rates[0]
-        if rate in self._samples:
-            return rate
-        return min(self._samples, key=lambda r: abs(r - rate))
-
-    def answer(self, query: Query) -> ApproxAnswer:
-        """Answer from the first-budget sample."""
-        return self.answer_at_rate(query, None)
-
-    def answer_at_rate(self, query: Query, rate: float | None) -> ApproxAnswer:
-        """Answer with Horvitz–Thompson weights."""
-        self.require_preprocessed()
-        if not self._samples:
-            raise RuntimePhaseError("no samples built")
-        sample = self._samples[self._pick_rate(rate)]
+    def choose_samples(
+        self, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """One Horvitz–Thompson-weighted piece over the closest budget."""
+        sample = self._samples[closest_rate(list(self._samples), rate)]
         piece = SamplePiece(
             table=sample.table,
             query=query.with_table(sample.table.name),
@@ -185,9 +172,4 @@ class IciclesSampling(AQPTechnique):
             counts_as_exact=False,
             description=f"{sample.table.name} (workload-biased)",
         )
-        return execute_pieces([piece], technique=self.name)
-
-    def rows_for_query(self, query: Query) -> int:
-        """Rows scanned by the default-budget sample."""
-        self.require_preprocessed()
-        return self._samples[self._pick_rate(None)].table.n_rows
+        return [piece]

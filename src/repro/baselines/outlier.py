@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.answer import ApproxAnswer
-from repro.core.combiner import execute_pieces
 from repro.core.interfaces import (
     AQPTechnique,
     PreprocessReport,
     SampleTableInfo,
+    closest_rate,
 )
 from repro.core.rewriter import SamplePiece
 from repro.engine.database import Database
@@ -190,22 +189,15 @@ class OutlierIndexing(AQPTechnique):
         if measure is None:
             measure = self.config.measures[0]
         rates = sorted({r for r, m in self._partitions if m == measure})
-        if rate is None:
-            chosen_rate = rates[0]
-        else:
-            chosen_rate = min(rates, key=lambda r: abs(r - rate))
-        return self._partitions[(chosen_rate, measure)]
+        return self._partitions[(closest_rate(rates, rate), measure)]
 
-    def answer(self, query: Query) -> ApproxAnswer:
-        """Answer from the first-budget partition."""
-        return self.answer_at_rate(query, None)
-
-    def answer_at_rate(self, query: Query, rate: float | None) -> ApproxAnswer:
-        """Answer combining exact outliers with the scaled remainder."""
-        self.require_preprocessed()
+    def choose_samples(
+        self, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """Exact outlier piece plus the scaled remainder piece."""
         partition = self._pick(query, rate)
         scale = 1.0 / partition.remainder_rate
-        pieces = [
+        return [
             SamplePiece(
                 table=partition.outliers,
                 query=query.with_table(partition.outliers.name),
@@ -228,12 +220,3 @@ class OutlierIndexing(AQPTechnique):
                 ),
             ),
         ]
-        return execute_pieces(pieces, technique=self.name)
-
-    def rows_for_query(self, query: Query) -> int:
-        """Rows scanned by the default-budget partition."""
-        self.require_preprocessed()
-        partition = self._pick(
-            query, None
-        )
-        return partition.outliers.n_rows + partition.remainder.n_rows

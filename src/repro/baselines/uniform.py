@@ -7,7 +7,9 @@ with ``i`` grouping columns run by small group sampling at base rate ``r``
 and allocation ratio ``γ`` touches ``(1 + γ·i)·r·N`` rows, so its uniform
 competitor gets a sample of rate ``(1 + γ·i)·r`` — the technique can build
 a *family* of samples at several rates and select per query, itself a
-trivial instance of dynamic sample selection.
+trivial instance of dynamic sample selection: :meth:`choose_samples`
+returns one piece over the built sample whose rate is closest to the
+requested one (the first configured rate by default).
 """
 
 from __future__ import annotations
@@ -17,23 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.answer import ApproxAnswer
-from repro.core.combiner import execute_pieces
 from repro.core.interfaces import (
     AQPTechnique,
     PreprocessReport,
     SampleTableInfo,
+    closest_rate,
 )
 from repro.core.rewriter import SamplePiece
 from repro.engine.database import Database
 from repro.engine.expressions import Query
-from repro.engine.reservoir import (
-    ReservoirSampler,
-    as_generator,
-    uniform_sample_indices,
-)
+from repro.engine.reservoir import as_generator, uniform_sample_indices
 from repro.engine.table import Table
-from repro.errors import RuntimePhaseError, SamplingError
+from repro.errors import SamplingError
 
 
 @dataclass(frozen=True)
@@ -43,20 +40,14 @@ class UniformConfig:
     Attributes
     ----------
     rates:
-        Sampling rates to pre-build samples for.  :meth:`answer` uses
-        ``default_rate``; :meth:`answer_at_rate` picks the closest built
-        rate (the matched-space harness uses this).
-    default_rate:
-        Rate used when none is requested (defaults to the first rate).
-    use_reservoir:
-        Build samples with streaming reservoir sampling or a direct draw.
+        Sampling rates to pre-build samples for.  A query is answered
+        from the built rate closest to the requested one, the first rate
+        when none is requested.
     seed:
         RNG seed.
     """
 
     rates: tuple[float, ...] = (0.01,)
-    default_rate: float | None = None
-    use_reservoir: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -65,8 +56,6 @@ class UniformConfig:
         for rate in self.rates:
             if not 0.0 < rate <= 1.0:
                 raise SamplingError(f"rate must be in (0, 1], got {rate}")
-        if self.default_rate is not None and self.default_rate not in self.rates:
-            raise SamplingError("default_rate must be one of rates")
 
 
 class UniformSampling(AQPTechnique):
@@ -88,12 +77,7 @@ class UniformSampling(AQPTechnique):
         self._samples = {}
         for rate in self.config.rates:
             k = max(1, round(rate * n))
-            if self.config.use_reservoir:
-                sampler = ReservoirSampler(k, rng)
-                sampler.offer_many(range(n))
-                indices = sampler.sample()
-            else:
-                indices = uniform_sample_indices(n, k, rng)
+            indices = uniform_sample_indices(n, k, rng)
             name = f"uniform_{rate:.6f}".rstrip("0").rstrip(".")
             table = view.take(indices).rename(name)
             actual_rate = indices.size / n if n else rate
@@ -109,24 +93,11 @@ class UniformSampling(AQPTechnique):
             for table, actual in self._samples.values()
         ]
 
-    def _pick_rate(self, rate: float | None) -> float:
-        if rate is None:
-            rate = self.config.default_rate or self.config.rates[0]
-        if rate in self._samples:
-            return rate
-        return min(self._samples, key=lambda r: abs(r - rate))
-
-    def answer(self, query: Query) -> ApproxAnswer:
-        """Answer using the default-rate sample."""
-        return self.answer_at_rate(query, None)
-
-    def answer_at_rate(self, query: Query, rate: float | None) -> ApproxAnswer:
-        """Answer using the built sample whose rate is closest to ``rate``."""
-        self.require_preprocessed()
-        if not self._samples:
-            raise RuntimePhaseError("no samples built")
-        chosen = self._pick_rate(rate)
-        table, actual_rate = self._samples[chosen]
+    def choose_samples(
+        self, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """One piece over the built sample whose rate is closest to ``rate``."""
+        table, actual_rate = self._samples[closest_rate(list(self._samples), rate)]
         scale = 1.0 / actual_rate
         piece = SamplePiece(
             table=table,
@@ -138,10 +109,4 @@ class UniformSampling(AQPTechnique):
             counts_as_exact=False,
             description=f"{table.name} (rate {actual_rate:.4f})",
         )
-        return execute_pieces([piece], technique=self.name)
-
-    def rows_for_query(self, query: Query) -> int:
-        """Rows scanned by the default-rate sample."""
-        self.require_preprocessed()
-        table, _ = self._samples[self._pick_rate(None)]
-        return table.n_rows
+        return [piece]

@@ -1,7 +1,6 @@
 """Core contribution: dynamic sample selection + small group sampling."""
 
 from repro.core.answer import ApproxAnswer, GroupEstimate
-from repro.core.architecture import DynamicSampleSelection
 from repro.core.combiner import execute_pieces
 from repro.core.confidence import (
     bernoulli_count_variance,
@@ -31,7 +30,6 @@ from repro.core.workload_policy import (
 __all__ = [
     "AQPTechnique",
     "ApproxAnswer",
-    "DynamicSampleSelection",
     "GroupEstimate",
     "OverallPart",
     "PairSuggestion",

@@ -1,25 +1,35 @@
 """Common interfaces for AQP techniques.
 
 Every technique in this library — small group sampling and all baselines —
-follows the paper's two-phase contract:
+is one instance of the paper's Section 3 pipeline:
 
-* :meth:`AQPTechnique.preprocess` scans the database and builds sample
-  tables (possibly many, possibly biased), returning a
+* :meth:`AQPTechnique.preprocess` scans the database and builds a family
+  of sample tables (possibly many, possibly biased), returning a
   :class:`PreprocessReport` with the time/space accounting that Section
-  5.4.2 reports;
-* :meth:`AQPTechnique.answer` takes an aggregation query, selects the
-  appropriate sample table(s), rewrites the query against them, and
-  returns an :class:`~repro.core.answer.ApproxAnswer`.
+  5.4.2 reports; :meth:`AQPTechnique.sample_tables` lists them;
+* :meth:`AQPTechnique.choose_samples` compares a query against the stored
+  samples and returns the rewritten :class:`~repro.core.rewriter.SamplePiece`
+  list — the technique's whole runtime policy;
+* :meth:`AQPTechnique.answer` executes those pieces and combines them into
+  an :class:`~repro.core.answer.ApproxAnswer` — the same code for every
+  technique.
+
+The baselines are single-sample (or outlier + remainder) policies that
+pick the stored sample whose rate is closest to a requested one
+(:func:`closest_rate`); small group sampling picks per grouping column.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.answer import ApproxAnswer
+from repro.core.combiner import execute_pieces
+from repro.core.rewriter import SamplePiece
 from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.engine.table import Table
@@ -132,12 +142,35 @@ class AQPTechnique(abc.ABC):
         """Scan the database and build this technique's sample tables."""
 
     @abc.abstractmethod
-    def answer(self, query: Query) -> ApproxAnswer:
-        """Answer a query approximately from the built samples."""
-
-    @abc.abstractmethod
     def sample_tables(self) -> list[SampleTableInfo]:
         """All sample tables this technique stores."""
+
+    @abc.abstractmethod
+    def choose_samples(
+        self, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """Choose stored samples for ``query`` and rewrite it against them.
+
+        ``rate`` requests a per-query sample space (the matched-space
+        harness of Section 5.2.3 passes one); ``None`` means the
+        technique's default.  Techniques whose policy fixes the space
+        themselves may ignore it.
+        """
+
+    def answer(self, query: Query, rate: float | None = None) -> ApproxAnswer:
+        """Answer ``query`` approximately: choose samples, execute, combine."""
+        self.require_preprocessed()
+        return execute_pieces(
+            self.choose_samples(query, rate), technique=self.name
+        )
+
+    def supports_incremental_maintenance(self) -> bool:
+        """Whether ``check_insert_batch``/``insert_rows`` maintain the samples.
+
+        ``False`` here: appends to the base data leave the samples as
+        built until the next :meth:`preprocess`.
+        """
+        return False
 
     def require_preprocessed(self) -> None:
         """Raise unless :meth:`preprocess` has completed."""
@@ -145,15 +178,6 @@ class AQPTechnique(abc.ABC):
             raise RuntimePhaseError(
                 f"{self.name}: preprocess() must run before answering queries"
             )
-
-    def rows_for_query(self, query: Query) -> int:
-        """Sample rows this technique would scan for ``query``.
-
-        The experiment harness uses this to grant competing techniques the
-        same per-query sample space (Section 5.2.3).  Default: all stored
-        rows.
-        """
-        return sum(info.n_rows for info in self.sample_tables())
 
     def _report(
         self,
@@ -177,3 +201,15 @@ class AQPTechnique(abc.ABC):
             n_sample_tables=len(infos),
             details=details or {},
         )
+
+
+def closest_rate(rates: Sequence[float], rate: float | None) -> float:
+    """The built rate closest to ``rate``; the first one when ``None``.
+
+    Ties go to the earlier entry of ``rates``.
+    """
+    if not rates:
+        raise RuntimePhaseError("no samples built")
+    if rate is None:
+        return rates[0]
+    return min(rates, key=lambda r: abs(r - rate))

@@ -35,13 +35,17 @@ Variations from Section 4.2.3 are implemented as options:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from repro.core.architecture import DynamicSampleSelection
-from repro.core.interfaces import SampleTableInfo
+from repro.core.interfaces import (
+    AQPTechnique,
+    PreprocessReport,
+    SampleTableInfo,
+)
 from repro.core.rewriter import SamplePiece
 from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.column import ColumnKind
@@ -260,7 +264,7 @@ class OverallPart:
         )
 
 
-class SmallGroupSampling(DynamicSampleSelection):
+class SmallGroupSampling(AQPTechnique):
     """The paper's small group sampling technique."""
 
     name = "small_group"
@@ -270,7 +274,6 @@ class SmallGroupSampling(DynamicSampleSelection):
         self.config = config or SmallGroupConfig()
         self._metas: list[SampleTableMeta] = []
         self._tables: list[Table] = []
-        self._table_weights: list[np.ndarray | None] = []
         self._overall_parts: list[OverallPart] = []
         self._n_bits: int = 0
         self._view_rows: int = 0
@@ -283,6 +286,35 @@ class SmallGroupSampling(DynamicSampleSelection):
         self._foreign_keys: tuple = ()
         self._dimensions: dict[str, Table] = {}
         self._reduced_dims: dict[str, Table] = {}
+
+    def preprocess(self, db: Database) -> PreprocessReport:
+        """First scan (:meth:`select_strata`), then second (:meth:`build_samples`)."""
+        start = time.perf_counter()
+        view = db.joined_view()
+        self.build_samples(db, view, self.select_strata(db, view))
+        self._preprocessed = True
+        elapsed = time.perf_counter() - start
+        return self._report(db, elapsed, details=self.preprocess_details())
+
+    def sample_tables(self) -> list[SampleTableInfo]:
+        """Small group tables, overall parts, then reduced dimensions."""
+        infos = [
+            SampleTableInfo(table=table, kind="small_group", rate=meta.rate)
+            for table, meta in zip(self._tables, self._metas)
+        ]
+        infos += [
+            SampleTableInfo(
+                table=part.table,
+                kind="outlier" if part.zero_variance else "overall",
+                rate=part.rate,
+            )
+            for part in self._overall_parts
+        ]
+        infos += [
+            SampleTableInfo(table=dim, kind="dimension", rate=1.0)
+            for dim in self._reduced_dims.values()
+        ]
+        return infos
 
     # ------------------------------------------------------------------
     # Pre-processing: first scan
@@ -433,7 +465,7 @@ class SmallGroupSampling(DynamicSampleSelection):
     # ------------------------------------------------------------------
     def build_samples(
         self, db: Database, view: Table, strata: _Stratification
-    ) -> list[SampleTableInfo]:
+    ) -> None:
         """Second scan: materialise sample tables, reservoir, bitmasks.
 
         All RNG draws — which rows each sub-100% table stores, and the
@@ -466,8 +498,6 @@ class SmallGroupSampling(DynamicSampleSelection):
 
         metas: list[SampleTableMeta] = []
         tables: list[Table] = []
-        weights: list[np.ndarray | None] = []
-        infos: list[SampleTableInfo] = []
         for meta, member in zip(strata.metas, strata.class_members):
             class_indices = np.flatnonzero(member)
             if meta.rate >= 1.0:
@@ -489,32 +519,14 @@ class SmallGroupSampling(DynamicSampleSelection):
             )
             metas.append(stored_meta)
             tables.append(table)
-            weights.append(None)
-            infos.append(
-                SampleTableInfo(table=table, kind="small_group", rate=meta.rate)
-            )
 
         self._metas = metas
         self._tables = tables
-        self._table_weights = weights
         self._overall_parts = self.build_overall_parts(
             view, member_matrix, rng
         )
-        for part in self._overall_parts:
-            infos.append(
-                SampleTableInfo(
-                    table=part.table,
-                    kind="outlier" if part.zero_variance else "overall",
-                    rate=part.rate,
-                )
-            )
         if self.config.storage == "renormalized":
             self._build_reduced_dimensions()
-            for dim in self._reduced_dims.values():
-                infos.append(
-                    SampleTableInfo(table=dim, kind="dimension", rate=1.0)
-                )
-        return infos
 
     def _store_rows(
         self,
@@ -730,8 +742,15 @@ class SmallGroupSampling(DynamicSampleSelection):
         chosen.sort(key=lambda i: self._metas[i].bit_index)
         return chosen
 
-    def choose_samples(self, query: Query) -> list[SamplePiece]:
-        """Rewrite ``query`` into small-group pieces + the overall pieces."""
+    def choose_samples(
+        self, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """Rewrite ``query`` into small-group pieces + the overall pieces.
+
+        ``rate`` is ignored: the grouping columns decide which small group
+        tables join the overall sample, so the per-query space is fixed
+        by the sample layout (Section 5.2.3 matches the baselines to it).
+        """
         pieces: list[SamplePiece] = []
         used_bits: list[int] = []
         for i in self.applicable_tables(query):
@@ -794,14 +813,6 @@ class SmallGroupSampling(DynamicSampleSelection):
                 )
             )
         return pieces
-
-    def rows_for_query(self, query: Query) -> int:
-        """Rows scanned for ``query``: overall + applicable small tables."""
-        self.require_preprocessed()
-        rows = sum(p.table.n_rows for p in self._overall_parts)
-        for i in self.applicable_tables(query):
-            rows += self._metas[i].stored_rows
-        return rows
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -951,7 +962,6 @@ class SmallGroupSampling(DynamicSampleSelection):
         self._overall_parts[0] = OverallPart(
             table=overall, scale=1.0 / rate, rate=rate
         )
-        self._refresh_infos()
         # The overall scale factor moved with the new row count, so any
         # memoised rewrite plans are stale even when no table changed.
         self.invalidate_plans()
@@ -980,24 +990,6 @@ class SmallGroupSampling(DynamicSampleSelection):
             )
             addition = source.filter(keep).rename(reduced.name)
             self._reduced_dims[fk.dimension_table] = reduced.concat(addition)
-
-    def _refresh_infos(self) -> None:
-        """Rebuild the sample-table info list after maintenance."""
-        infos = [
-            SampleTableInfo(table=table, kind="small_group", rate=meta.rate)
-            for table, meta in zip(self._tables, self._metas)
-        ]
-        for part in self._overall_parts:
-            infos.append(
-                SampleTableInfo(
-                    table=part.table,
-                    kind="outlier" if part.zero_variance else "overall",
-                    rate=part.rate,
-                )
-            )
-        for dim in self._reduced_dims.values():
-            infos.append(SampleTableInfo(table=dim, kind="dimension", rate=1.0))
-        self._infos = infos
 
     def maintenance_report(self) -> dict:
         """Quantify drift accumulated through :meth:`insert_rows`.

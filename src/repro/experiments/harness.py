@@ -26,7 +26,6 @@ from repro.baselines.congress import BasicCongress, CongressConfig
 from repro.baselines.hybrid import HybridConfig, SmallGroupWithOutlier
 from repro.baselines.outlier import OutlierConfig, OutlierIndexing
 from repro.baselines.uniform import UniformConfig, UniformSampling
-from repro.core.answer import ApproxAnswer
 from repro.core.interfaces import AQPTechnique, PreprocessReport
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.cache import get_cache
@@ -36,17 +35,16 @@ from repro.errors import ExperimentError
 from repro.metrics.error import QueryAccuracy, score
 from repro.workload.spec import Workload, WorkloadQuery
 
-#: A contender answers one workload query; the matched rate is supplied.
-AnswerFn = Callable[[WorkloadQuery, float], ApproxAnswer]
-
-
 @dataclass
 class Contender:
-    """One technique entered into an experiment."""
+    """One technique entered into an experiment.
+
+    Each workload query is answered by ``technique.answer(query, rate)``
+    with the query's matched rate.
+    """
 
     name: str
     technique: AQPTechnique
-    answer: AnswerFn
     report: PreprocessReport | None = None
 
 
@@ -201,7 +199,7 @@ def run_experiment(
             if measure_time:
                 get_cache().clear()
             start = time.perf_counter()
-            answer = contender.answer(wq, rate)
+            answer = contender.technique.answer(wq.query, rate)
             elapsed = time.perf_counter() - start
             record.accuracies[contender.name] = score(
                 exact_values, answer.as_dict()
@@ -241,7 +239,6 @@ def build_small_group_contender(
     return Contender(
         name=name,
         technique=technique,
-        answer=lambda wq, rate: technique.answer(wq.query),
         report=report,
     )
 
@@ -262,7 +259,6 @@ def build_uniform_contender(
     return Contender(
         name=name,
         technique=technique,
-        answer=lambda wq, rate: technique.answer_at_rate(wq.query, rate),
         report=report,
     )
 
@@ -288,7 +284,6 @@ def build_congress_contender(
     return Contender(
         name=name,
         technique=technique,
-        answer=lambda wq, rate: technique.answer_at_rate(wq.query, rate),
         report=report,
     )
 
@@ -314,7 +309,6 @@ def build_outlier_contender(
     return Contender(
         name=name,
         technique=technique,
-        answer=lambda wq, rate: technique.answer_at_rate(wq.query, rate),
         report=report,
     )
 
@@ -343,6 +337,5 @@ def build_hybrid_contender(
     return Contender(
         name=name,
         technique=technique,
-        answer=lambda wq, rate: technique.answer(wq.query),
         report=report,
     )

@@ -260,7 +260,7 @@ class AQPSession:
         batch and publishes new columns with empty memos (predicate
         masks, grouping codes, join positions); the next read rebuilds
         what it needs.  When the appended table is the fact table and the
-        installed technique advertises incremental maintenance
+        installed technique supports incremental maintenance
         (``supports_incremental_maintenance()``), the batch is also fed
         to the technique's ``insert_rows`` so its samples keep tracking
         the base data without a rebuild.  Memoised rewrite plans
@@ -288,10 +288,7 @@ class AQPSession:
                 is_fact = name == self.db.fact_table.name
             except SchemaError:
                 is_fact = False
-            supports = getattr(
-                technique, "supports_incremental_maintenance", None
-            )
-            maintained = is_fact and callable(supports) and supports()
+            maintained = is_fact and technique.supports_incremental_maintenance()
         if maintained:
             # Reject a batch the technique cannot absorb *before* storing
             # it: a failed append must leave base data and samples in step.
@@ -450,8 +447,7 @@ class AQPSession:
     ) -> ApproxAnswer:
         """Answer approximately, memoising the technique's rewrite plan.
 
-        Techniques exposing ``choose_samples`` (the dynamic-selection
-        family) get a per-query plan memo keyed by the parsed
+        The pieces from ``choose_samples`` are memoised per parsed
         :class:`Query` — so structurally identical SQL skips sample
         selection and rewriting — validated against the technique's
         ``plan_version`` (bumped by preprocess and incremental inserts).
@@ -463,10 +459,7 @@ class AQPSession:
         selection/rewriting and a ``pieces`` child owning the per-piece
         execution spans.
         """
-        chooser = getattr(technique, "choose_samples", None)
-        version = getattr(technique, "plan_version", None)
-        if chooser is None or version is None:
-            return technique.answer(query)
+        version = technique.plan_version
         metrics = get_cache().metrics
 
         def _memo_lookup():
@@ -480,10 +473,7 @@ class AQPSession:
                 return entry[2]
             return None
 
-        try:
-            pieces = _memo_lookup()
-        except TypeError:  # unhashable literal somewhere in the query
-            return technique.answer(query)
+        pieces = _memo_lookup()
         plan_span = span.child("plan")
         with plan_span:
             if pieces is not None:
@@ -499,7 +489,7 @@ class AQPSession:
                         return memoised
                     metrics.record_miss("plan")
                     technique.require_preprocessed()
-                    chosen = chooser(query)
+                    chosen = technique.choose_samples(query)
                     with self._lock:
                         self._plan_memo[query] = (technique, version, chosen)
                     return chosen
@@ -527,15 +517,7 @@ class AQPSession:
         executing the aggregation.
         """
         technique = self.require_technique()
-        query = parse_query(text)
-        chooser = getattr(technique, "choose_samples", None)
-        if chooser is None:
-            return (
-                f"technique {technique.name!r} does not expose a rewrite "
-                "plan; it would scan "
-                f"{technique.rows_for_query(query)} sample rows"
-            )
-        pieces = chooser(query)
+        pieces = technique.choose_samples(parse_query(text))
         from repro.core.rewriter import pieces_to_sql
 
         lines = [f"technique: {technique.name}", "pieces:"]

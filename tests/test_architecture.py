@@ -1,10 +1,11 @@
-"""Tests for the generic dynamic sample selection pipeline."""
+"""Tests for the technique contract every AQP technique implements."""
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.architecture import DynamicSampleSelection
-from repro.core.interfaces import SampleTableInfo
+from repro.core.interfaces import AQPTechnique, SampleTableInfo, closest_rate
 from repro.core.rewriter import SamplePiece
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
 from repro.engine.reservoir import uniform_sample_indices
@@ -13,7 +14,7 @@ from repro.errors import RuntimePhaseError
 COUNT = AggregateSpec(AggFunc.COUNT, alias="cnt")
 
 
-class ToyPolicy(DynamicSampleSelection):
+class ToyPolicy(AQPTechnique):
     """Minimal concrete policy: one uniform sample, no metadata."""
 
     name = "toy"
@@ -22,20 +23,29 @@ class ToyPolicy(DynamicSampleSelection):
         super().__init__()
         self.rate = rate
         self.strata_seen = None
+        self._infos = []
 
-    def select_strata(self, db, view):
+    def preprocess(self, db):
+        start = time.perf_counter()
+        view = db.joined_view()
         self.strata_seen = view.n_rows
-        return {"n": view.n_rows}
+        k = max(1, round(self.rate * view.n_rows))
+        indices = uniform_sample_indices(view.n_rows, k, rng=0)
+        self._sample = view.take(indices).rename("toy_sample")
+        self._actual_rate = k / view.n_rows
+        self._infos = [
+            SampleTableInfo(
+                table=self._sample, kind="uniform", rate=self._actual_rate
+            )
+        ]
+        self._preprocessed = True
+        elapsed = time.perf_counter() - start
+        return self._report(db, elapsed, details={"note": "toy"})
 
-    def build_samples(self, db, view, strata):
-        k = max(1, round(self.rate * strata["n"]))
-        indices = uniform_sample_indices(strata["n"], k, rng=0)
-        table = view.take(indices).rename("toy_sample")
-        self._sample = table
-        self._actual_rate = k / strata["n"]
-        return [SampleTableInfo(table=table, kind="uniform", rate=self._actual_rate)]
+    def sample_tables(self):
+        return list(self._infos)
 
-    def choose_samples(self, query):
+    def choose_samples(self, query, rate=None):
         scale = 1.0 / self._actual_rate
         return [
             SamplePiece(
@@ -48,9 +58,6 @@ class ToyPolicy(DynamicSampleSelection):
                 counts_as_exact=False,
             )
         ]
-
-    def preprocess_details(self):
-        return {"note": "toy"}
 
 
 class TestPipeline:
@@ -82,8 +89,18 @@ class TestPipeline:
         assert len(infos) == 1
         assert infos[0].kind == "uniform"
 
-    def test_rows_for_query_default(self, flat_db):
-        policy = ToyPolicy()
-        policy.preprocess(flat_db)
-        rows = policy.rows_for_query(Query("flat", (COUNT,)))
-        assert rows == policy.sample_tables()[0].n_rows
+    def test_no_incremental_maintenance_by_default(self):
+        assert not ToyPolicy().supports_incremental_maintenance()
+
+
+class TestClosestRate:
+    def test_none_picks_first(self):
+        assert closest_rate([0.04, 0.01], None) == 0.04
+
+    def test_picks_nearest_and_earlier_on_ties(self):
+        assert closest_rate([0.01, 0.05], 0.045) == 0.05
+        assert closest_rate([0.25, 0.75], 0.5) == 0.25
+
+    def test_no_rates_rejected(self):
+        with pytest.raises(RuntimePhaseError):
+            closest_rate([], 0.01)

@@ -120,11 +120,12 @@ class TestAnswer:
     def test_rate_matching(self, flat_db):
         technique = BasicCongress(CongressConfig(rates=(0.02, 0.1), seed=0))
         technique.preprocess(flat_db)
-        low = technique.answer_at_rate(Query("flat", (COUNT,)), 0.02)
-        high = technique.answer_at_rate(Query("flat", (COUNT,)), 0.1)
+        low = technique.answer(Query("flat", (COUNT,)), 0.02)
+        high = technique.answer(Query("flat", (COUNT,)), 0.1)
         assert high.rows_scanned > low.rows_scanned
 
-    def test_rows_for_query(self, flat_db):
+    def test_piece_rows(self, flat_db):
         technique = BasicCongress(CongressConfig(rates=(0.05,)))
         technique.preprocess(flat_db)
-        assert technique.rows_for_query(Query("flat", (COUNT,))) > 0
+        pieces = technique.choose_samples(Query("flat", (COUNT,)))
+        assert sum(p.table.n_rows for p in pieces) > 0

@@ -109,11 +109,7 @@ class TestRunExperiment:
 
     def test_duplicate_names_rejected(self, tiny_tpch, small_workload):
         contender = build_small_group_contender(tiny_tpch, 0.05)
-        dup = Contender(
-            name=contender.name,
-            technique=contender.technique,
-            answer=contender.answer,
-        )
+        dup = Contender(name=contender.name, technique=contender.technique)
         with pytest.raises(ExperimentError):
             run_experiment(
                 tiny_tpch, small_workload, [contender, dup], 0.05, 0.5

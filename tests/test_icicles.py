@@ -204,6 +204,6 @@ class TestAccuracy:
             workload, IciclesConfig(rates=(0.02, 0.08), seed=0)
         )
         technique.preprocess(tiny_tpch)
-        low = technique.answer_at_rate(Query("lineitem", (COUNT,)), 0.02)
-        high = technique.answer_at_rate(Query("lineitem", (COUNT,)), 0.08)
+        low = technique.answer(Query("lineitem", (COUNT,)), 0.02)
+        high = technique.answer(Query("lineitem", (COUNT,)), 0.08)
         assert high.rows_scanned > low.rows_scanned

@@ -1,11 +1,24 @@
 """Tests for the AQP middleware session."""
 
+import time
+
 import pytest
 
+from repro.baselines.congress import BasicCongress, CongressConfig
+from repro.baselines.icicles import IciclesConfig, IciclesSampling
+from repro.baselines.outlier import OutlierConfig, OutlierIndexing
+from repro.baselines.uniform import UniformConfig, UniformSampling
+from repro.core import combiner
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.core.workload_policy import trim_columns
-from repro.errors import RuntimePhaseError
+from repro.engine.cache import get_cache
+from repro.engine.deadline import Deadline
+from repro.errors import DeadlineExceeded, RuntimePhaseError
 from repro.middleware import AQPSession
+from repro.server.protocol import answer_fingerprint, encode_approx
+from repro.sql.parser import parse_query
+from repro.workload.generator import generate_workload
+from repro.workload.spec import WorkloadConfig
 
 SQL_COUNT = (
     "SELECT l_shipmode, COUNT(*) AS cnt FROM lineitem GROUP BY l_shipmode"
@@ -197,3 +210,90 @@ class TestRejectedAppend:
             assert session.db.fact_table.n_rows == rows_before
             assert technique.plan_version == version_before
             assert session.sql(SQL_COUNT, mode="exact").exact.rows == exact_before
+
+
+SQL_SUM = (
+    "SELECT l_shipmode, SUM(l_extendedprice) AS s FROM lineitem "
+    "GROUP BY l_shipmode"
+)
+
+BASELINES = {
+    "uniform": lambda db: UniformSampling(
+        UniformConfig(rates=(0.05, 0.1), seed=3)
+    ),
+    "basic_congress": lambda db: BasicCongress(
+        CongressConfig(rates=(0.05, 0.1), seed=3)
+    ),
+    "outlier_index": lambda db: OutlierIndexing(
+        OutlierConfig(
+            rates=(0.05, 0.1), measures=("l_extendedprice",), seed=3
+        )
+    ),
+    "icicles": lambda db: IciclesSampling(
+        generate_workload(db, WorkloadConfig(queries_per_combo=2, seed=3)),
+        IciclesConfig(rates=(0.05, 0.1), seed=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+class TestEveryTechniquePlansThroughTheSession:
+    """Baselines get the same plan memo, spans and deadlines as small group."""
+
+    @pytest.fixture()
+    def technique(self, tiny_tpch, name):
+        technique = BASELINES[name](tiny_tpch)
+        technique.preprocess(tiny_tpch)
+        return technique
+
+    def test_session_answer_equals_technique_answer(
+        self, tiny_tpch, technique
+    ):
+        session = AQPSession(tiny_tpch, technique)
+        via_session = session.sql(SQL_SUM).approx
+        direct = technique.answer(parse_query(SQL_SUM))
+        assert via_session.technique == technique.name
+        assert answer_fingerprint(encode_approx(via_session)) == (
+            answer_fingerprint(encode_approx(direct))
+        )
+
+    def test_repeat_hits_plan_memo_with_spans(self, tiny_tpch, technique):
+        session = AQPSession(tiny_tpch, technique)
+        first = session.sql(SQL_SUM)
+        metrics = get_cache().metrics
+        hits = metrics.counts()["hits"].get("plan", 0)
+        again = session.sql(SQL_SUM, profile=True)
+        assert metrics.counts()["hits"].get("plan", 0) == hits + 1
+        trace = again.profile.trace
+        assert trace.find("plan").attrs.get("memo_hit") is True
+        pieces = trace.find("pieces")
+        assert pieces is not None
+        assert any(s.name.startswith("piece:") for s in pieces.iter_spans())
+        assert answer_fingerprint(encode_approx(again.approx)) == (
+            answer_fingerprint(encode_approx(first.approx))
+        )
+
+    def test_deadline_expiring_while_planning_runs_no_piece(
+        self, tiny_tpch, technique, monkeypatch
+    ):
+        deadline = Deadline(0.05)
+        choose = technique.choose_samples
+
+        def slow_choose(query, rate=None):
+            while not deadline.expired():
+                time.sleep(0.001)
+            return choose(query, rate)
+
+        aggregated = []
+
+        def counting(*args, **kwargs):
+            aggregated.append(args[0])
+            return aggregate_table(*args, **kwargs)
+
+        aggregate_table = combiner.aggregate_table
+        monkeypatch.setattr(technique, "choose_samples", slow_choose)
+        monkeypatch.setattr(combiner, "aggregate_table", counting)
+        session = AQPSession(tiny_tpch, technique)
+        with pytest.raises(DeadlineExceeded, match="piece"):
+            session.sql(SQL_SUM, deadline=deadline)
+        assert aggregated == []

@@ -380,10 +380,13 @@ class TestRuntime:
             assert answer.groups[group][0].value == pytest.approx(row[0])
             assert answer.groups[group][1].value == pytest.approx(row[1])
 
-    def test_rows_for_query(self, sg_flat):
+    def test_piece_rows_grow_with_grouping(self, sg_flat):
+        def piece_rows(query):
+            return sum(p.table.n_rows for p in sg_flat.choose_samples(query))
+
         narrow = Query("flat", (COUNT,), ("status",))
         wide = Query("flat", (COUNT,), ("city", "color"))
-        assert sg_flat.rows_for_query(wide) >= sg_flat.rows_for_query(narrow)
+        assert piece_rows(wide) >= piece_rows(narrow)
 
     def test_confidence_intervals_cover_for_sampled_groups(self, flat_db):
         query = Query("flat", (COUNT,), ("shape",))
@@ -501,13 +504,15 @@ class TestVariations:
         )
         technique.preprocess(flat_db)
         query = Query("flat", (COUNT,), ("city", "color", "shape"))
-        assert technique.rows_for_query(query) <= budget
+        pieces = technique.choose_samples(query)
+        assert sum(p.table.n_rows for p in pieces) <= budget
         # Uncapped configuration would exceed the budget on this query.
         uncapped = SmallGroupSampling(
             SmallGroupConfig(base_rate=0.05, use_reservoir=False)
         )
         uncapped.preprocess(flat_db)
-        assert uncapped.rows_for_query(query) > budget
+        pieces = uncapped.choose_samples(query)
+        assert sum(p.table.n_rows for p in pieces) > budget
 
     def test_max_rows_greedy_prefers_coverage(self, flat_db):
         """With room for exactly one table, the greedy pick maximises

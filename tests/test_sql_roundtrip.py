@@ -114,3 +114,5 @@ def test_query_roundtrips_through_sql(query):
     assert reparsed.aggregates == query.aggregates
     expected = normalise(query.where) if query.where is not None else None
     assert reparsed.where == expected
+    # The session memoises plans keyed by the parsed query.
+    assert isinstance(hash(reparsed), int)

@@ -20,10 +20,6 @@ class TestConfig:
         with pytest.raises(SamplingError):
             UniformConfig(rates=(1.5,))
 
-    def test_default_rate_must_be_built(self):
-        with pytest.raises(SamplingError):
-            UniformConfig(rates=(0.01,), default_rate=0.02)
-
 
 class TestPreprocess:
     def test_builds_one_table_per_rate(self, flat_db):
@@ -33,13 +29,6 @@ class TestPreprocess:
         sizes = sorted(info.n_rows for info in technique.sample_tables())
         n = flat_db.fact_table.n_rows
         assert sizes == [round(0.01 * n), round(0.05 * n)]
-
-    def test_reservoir_variant(self, flat_db):
-        technique = UniformSampling(
-            UniformConfig(rates=(0.02,), use_reservoir=True)
-        )
-        report = technique.preprocess(flat_db)
-        assert report.sample_rows == round(0.02 * flat_db.fact_table.n_rows)
 
     def test_requires_preprocess(self, flat_db):
         technique = UniformSampling()
@@ -51,7 +40,7 @@ class TestAnswer:
     def test_rate_matching_picks_closest(self, flat_db):
         technique = UniformSampling(UniformConfig(rates=(0.01, 0.05)))
         technique.preprocess(flat_db)
-        answer = technique.answer_at_rate(Query("flat", (COUNT,)), 0.045)
+        answer = technique.answer(Query("flat", (COUNT,)), 0.045)
         n = flat_db.fact_table.n_rows
         assert answer.rows_scanned == round(0.05 * n)
 
@@ -92,10 +81,9 @@ class TestAnswer:
         truth = execute(flat_db, query).rows[()][0]
         assert answer.value(()) == pytest.approx(truth, rel=0.5)
 
-    def test_rows_for_query_default(self, flat_db):
+    def test_default_rate_piece_rows(self, flat_db):
         technique = UniformSampling(UniformConfig(rates=(0.02, 0.04)))
         technique.preprocess(flat_db)
         n = flat_db.fact_table.n_rows
-        assert technique.rows_for_query(Query("flat", (COUNT,))) == round(
-            0.02 * n
-        )
+        pieces = technique.choose_samples(Query("flat", (COUNT,)))
+        assert sum(p.table.n_rows for p in pieces) == round(0.02 * n)
