@@ -20,6 +20,9 @@ over-allocated buffer that the appended-to column already viewed the
 first ``n`` cells of.  Only the ``m`` new cells are written, and cells a
 column can see are never written again, so every column stays an
 immutable snapshot of its own rows while an append costs O(batch).
+A column that will be appended to right away (a loaded one) starts at
+the head of such a buffer (:meth:`Column.with_room`), so even its first
+append is a tail write.
 
 Because a column never changes, state derived from it (grouping codes,
 join positions, WHERE masks) is memoised *on* it (:meth:`Column.derived`)
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
@@ -71,8 +75,9 @@ class Column:
     over a longer private buffer shared with the columns this one was
     extended from or into (:meth:`concat`); cells past ``len(self)``
     belong to later snapshots and are invisible here.  Nothing outside
-    :meth:`concat` may write into ``data``.  Copies (:meth:`take`,
-    :meth:`mask`, :meth:`concat`, pickling) start with an empty memo.
+    :meth:`concat` and :meth:`with_room` may write into ``data``.
+    Copies (:meth:`take`, :meth:`mask`, :meth:`concat`, pickling) start
+    with an empty memo.
     """
 
     __slots__ = (
@@ -91,12 +96,15 @@ class Column:
         data: np.ndarray,
         dictionary: Sequence[str] | None = None,
     ) -> None:
+        values: tuple[str, ...] | None = None
         if kind is ColumnKind.STRING:
             if dictionary is None:
                 raise ColumnTypeError("STRING columns require a dictionary")
             if data.dtype != np.int32:
                 data = data.astype(np.int32)
-            _require_codes_in_range(data, len(dictionary))
+            values = tuple(dictionary)
+            _require_valid_dictionary(values)
+            _require_codes_in_range(data, len(values))
         else:
             if dictionary is not None:
                 raise ColumnTypeError("numeric columns must not have a dictionary")
@@ -105,9 +113,7 @@ class Column:
                 data = data.astype(wanted)
         self.kind = kind
         self.data = data
-        self.dictionary: tuple[str, ...] | None = (
-            tuple(dictionary) if dictionary is not None else None
-        )
+        self.dictionary = values
         self._dictionary_index: dict[str, int] | None = None
         self._tail: _TailBuffer | None = None
         self._memo: tuple[int, dict] | None = None
@@ -194,6 +200,33 @@ class Column:
     def from_codes(codes: np.ndarray, dictionary: Sequence[str]) -> "Column":
         """Build a ``STRING`` column from pre-computed codes."""
         return Column(ColumnKind.STRING, np.asarray(codes, dtype=np.int32), dictionary)
+
+    @staticmethod
+    def with_room(
+        kind: ColumnKind,
+        data: np.ndarray,
+        dictionary: Sequence[str] | None = None,
+    ) -> "Column":
+        """A checked column whose first :meth:`concat` is a tail write.
+
+        Takes the constructor's arguments and checks them the same way,
+        then copies the rows once into the head of a buffer with the
+        spare capacity a re-allocating ``concat`` would leave
+        (:func:`_capacity`); ``data`` is a read-only view of the first
+        ``len(data)`` cells.  For columns that will be appended to, such
+        as the ones :func:`repro.storage.load_table` returns: without the
+        room, the first append would copy every stored row while the
+        loaded arrays are still alive.
+        """
+        checked = Column(kind, data, dictionary)
+        n = len(checked)
+        cells = np.empty(_capacity(n), dtype=checked.data.dtype)
+        cells[:n] = checked.data
+        head = cells[:n]
+        head.flags.writeable = False
+        return column_from_parts(
+            kind, head, checked.dictionary, None, _TailBuffer(cells, n)
+        )
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -360,9 +393,10 @@ class Column:
         lineage and its buffer has room: ``other``'s cells are written
         into the spare capacity past ``len(self)`` and the result views
         ``len(self) + len(other)`` cells of the same buffer.  Otherwise —
-        a second ``concat`` off one base, a column that was not built by
-        ``concat``, no room left — the rows are copied once into a new,
-        geometrically larger buffer.  Either way ``self`` is untouched.
+        a second ``concat`` off one base, a column built neither by
+        ``concat`` nor by :meth:`with_room`, no room left — the rows are
+        copied once into a new, geometrically larger buffer.  Either way
+        ``self`` is untouched.
         """
         if self.kind is not other.kind:
             raise ColumnTypeError(
@@ -433,8 +467,7 @@ class Column:
         n, m = len(self), int(tail.shape[0])
         buffer = self._tail
         if buffer is None or not buffer.reserve(n, m):
-            capacity = n + m + max((n + m) >> _GROWTH_SHIFT, _MIN_SPARE_CELLS)
-            cells = np.empty(capacity, dtype=self.data.dtype)
+            cells = np.empty(_capacity(n + m), dtype=self.data.dtype)
             cells[:n] = self.data
             buffer = _TailBuffer(cells, n + m)
         # Cells [n, n + m) are reserved for this call alone and no column
@@ -486,6 +519,26 @@ class Column:
         return value
 
 
+def _require_valid_dictionary(dictionary: tuple[str, ...]) -> None:
+    """Raise unless ``dictionary`` holds distinct ``str`` values.
+
+    A repeated value would split its rows between two codes, so
+    :meth:`Column.code_for` (and every predicate built on it) would miss
+    the rows coded with the other copy.
+    """
+    for value in dictionary:
+        if not isinstance(value, str):
+            raise ColumnTypeError(
+                f"string dictionary holds {value!r} of type "
+                f"{type(value).__name__}, not str"
+            )
+    if len(set(dictionary)) != len(dictionary):
+        repeated = next(v for v, n in Counter(dictionary).items() if n > 1)
+        raise ColumnTypeError(
+            f"string dictionary repeats the value {repeated!r}"
+        )
+
+
 def _require_codes_in_range(codes: np.ndarray, size: int) -> None:
     """Raise unless every dictionary code in ``codes`` is in ``[0, size)``."""
     if codes.size and (codes.min() < 0 or codes.max() >= size):
@@ -511,13 +564,18 @@ def count_raw_values(
     return present, histogram[present]
 
 
-#: Spare capacity a re-allocating :meth:`Column.concat` leaves behind the
-#: rows it copies: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least
-#: ``_MIN_SPARE_CELLS``.  That keeps re-allocations rare (about one per
-#: 120 appends of 2,048 rows onto 1M rows) for a few MiB of peak RSS
-#: (docs/internals.md §11).
+#: Spare capacity a re-allocating :meth:`Column.concat` (and
+#: :meth:`Column.with_room`) leaves behind the rows it copies:
+#: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least ``_MIN_SPARE_CELLS``.
+#: That keeps re-allocations rare (about one per 120 appends of 2,048
+#: rows onto 1M rows) for a few MiB of peak RSS (docs/internals.md §11).
 _GROWTH_SHIFT = 2
 _MIN_SPARE_CELLS = 64
+
+
+def _capacity(rows: int) -> int:
+    """Cells of a buffer that holds ``rows`` plus the standard spare room."""
+    return rows + max(rows >> _GROWTH_SHIFT, _MIN_SPARE_CELLS)
 
 
 class _TailBuffer:
@@ -556,12 +614,13 @@ def column_from_parts(
     """Reassemble a column from already-validated parts, without copying.
 
     Trusted fast path for :meth:`Column.take`, :meth:`Column.mask`,
-    :meth:`Column.concat` and :meth:`Column.encoded_like`: the parts came
-    out of real :class:`Column` objects, so the constructor's dtype
-    coercion and string-code range scan (an O(n) min/max over the whole
-    array) would re-validate what is known-good — and ``astype`` would
-    copy a view it exists to avoid.  Without ``tail`` (every caller but
-    ``concat``) the column never extends in place.
+    :meth:`Column.concat`, :meth:`Column.encoded_like` and
+    :meth:`Column.with_room`: the parts came out of real :class:`Column`
+    objects, so the constructor's dtype coercion and string-code range
+    scan (an O(n) min/max over the whole array) would re-validate what
+    is known-good — and ``astype`` would copy a view it exists to avoid.
+    Without ``tail`` (every caller but ``concat`` and ``with_room``) the
+    column never extends in place.
     """
     column = Column.__new__(Column)
     column.kind = kind

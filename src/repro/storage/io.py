@@ -27,7 +27,7 @@ from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database
 from repro.engine.schema import ForeignKey, StarSchema
 from repro.engine.table import Table
-from repro.errors import ReproError
+from repro.errors import ColumnTypeError, ReproError
 
 #: Format marker written into every file for forward compatibility.
 FORMAT_VERSION = 1
@@ -69,7 +69,13 @@ def save_table(table: Table, path: str | Path) -> Path:
 
 
 def load_table(path: str | Path) -> Table:
-    """Read a table previously written by :func:`save_table`."""
+    """Read a table previously written by :func:`save_table`.
+
+    Each column sits at the head of a buffer with spare capacity
+    (:meth:`Column.with_room`), so the table's first append is a tail
+    write.  A file whose codes or string dictionaries break the column
+    invariants raises :class:`StorageError`.
+    """
     path = Path(path)
     if not path.exists():
         raise StorageError(f"no such table file: {path}")
@@ -84,13 +90,22 @@ def load_table(path: str | Path) -> Table:
         columns: dict[str, Column] = {}
         for i, entry in enumerate(header["columns"]):
             kind = ColumnKind(entry["kind"])
-            array = data[f"col_{i}"]
+            dictionary = None
             if kind is ColumnKind.STRING:
-                columns[entry["name"]] = Column(
-                    kind, array, entry["dictionary"]
+                dictionary = entry.get("dictionary")
+                if not isinstance(dictionary, list):
+                    raise StorageError(
+                        f"{path}: column {entry['name']!r} has no "
+                        "dictionary list"
+                    )
+            try:
+                columns[entry["name"]] = Column.with_room(
+                    kind, data[f"col_{i}"], dictionary
                 )
-            else:
-                columns[entry["name"]] = Column(kind, array)
+            except ColumnTypeError as error:
+                raise StorageError(
+                    f"{path}: column {entry['name']!r}: {error}"
+                ) from error
         bitmask = None
         if "bitmask_words" in data:
             words = data["bitmask_words"]

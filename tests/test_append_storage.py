@@ -5,7 +5,8 @@ The append contract under test (``docs/internals.md`` §7/§11): a
 the column it extended, every column ever produced stays an immutable
 snapshot of its own rows (prefix immutability), two appends off one base
 never share tail cells, dictionaries only ever grow at the end — and an
-append costs work and memory proportional to the batch, not the table.
+append costs work and memory proportional to the batch, not the table,
+from the first append onto a loaded table on.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.engine.column import Column, ColumnKind, column_from_parts
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ColumnTypeError
-from repro.storage import load_database, save_database
+from repro.storage import load_database, load_table, save_database, save_table
 
 WORDS = ["ash", "birch", "cedar", "élan", "ärger", "日本", "zeta", ""]
 
@@ -410,9 +411,15 @@ def _flat(rows: int, seed: int) -> Table:
 class TestAppendCost:
     BATCH = 2048
 
-    def _append_bytes(self, rows: int) -> tuple[int, int]:
-        """Peak traced bytes of the first (re-allocating) and the next append."""
+    def _append_bytes(self, rows: int, directory=None) -> tuple[int, int]:
+        """Peak traced bytes of the first and the next append.
+
+        The first append onto an in-memory table re-allocates; with
+        ``directory`` the table is saved there and loaded back first.
+        """
         db = Database([_flat(rows, seed=1)])
+        if directory is not None:
+            db = load_database(save_database(db, directory))
         peaks = []
         tracemalloc.start()
         try:
@@ -434,6 +441,44 @@ class TestAppendCost:
         # ... and the one append that does copy them shows that it would be seen.
         assert copying > 800_000 * (8 + 4 + 4) > 8 * large
 
+    def test_a_loaded_tables_first_append_does_not_follow_table_size(self, tmp_path):
+        # Loaded columns start with spare capacity, so the first append
+        # after a load is a tail write like every later one.
+        small, _ = self._append_bytes(100_000, tmp_path / "small")
+        large, _ = self._append_bytes(800_000, tmp_path / "large")
+        assert large < 2 * small
+        assert 8 * large < 800_000 * (8 + 4 + 4)
+
+    def test_first_append_to_a_loaded_table_is_a_tail_write(self, tmp_path):
+        table = Table(
+            "t",
+            {
+                "i": Column.ints(range(1000)),
+                "f": Column.floats(np.linspace(0.0, 1.0, 1000)),
+                "s": Column.strings(["b", "a"] * 500),
+            },
+        )
+        db = load_database(save_database(Database([table]), tmp_path / "db"))
+        loaded = db.table("t")
+        # The batch brings a new dictionary value, so the codes are remapped.
+        batch = Table(
+            "t",
+            {
+                "i": Column.ints([7, 8]),
+                "f": Column.floats([0.5, 1.5]),
+                "s": Column.strings(["new", "a"]),
+            },
+        )
+        grown = db.append_rows("t", batch)
+        for name in table.column_names:
+            assert not loaded.column(name).data.flags.writeable
+            assert np.shares_memory(
+                grown.column(name).data, loaded.column(name).data
+            ), name
+        assert grown.column("s").dictionary == ("a", "b", "new")
+        assert grown.to_rows() == table.concat(batch).to_rows()
+        assert loaded.to_rows() == table.to_rows()
+
     def test_reallocations_are_geometric(self):
         db = Database([_flat(200_000, seed=1)])
         batch = _flat(self.BATCH, seed=2)
@@ -446,15 +491,18 @@ class TestAppendCost:
         assert 1 <= reallocations <= 4
         assert db.table("flat").n_rows == 200_000 + 64 * self.BATCH
 
-    def test_memory_bytes_reports_used_not_reserved(self):
-        db = Database([_flat(5000, seed=1)])
+    def test_memory_bytes_reports_used_not_reserved(self, tmp_path):
+        in_memory = Database([_flat(5000, seed=1)])
+        loaded = load_database(save_database(in_memory, tmp_path / "db"))
         batch = _flat(100, seed=2)
-        for _ in range(3):
-            db.append_rows("flat", batch)
-        grown = db.table("flat")
-        packed = grown.take(np.arange(grown.n_rows))  # exact-size copies
-        assert grown.memory_bytes() == packed.memory_bytes()
-        assert grown.column("amount").data.nbytes == 8 * grown.n_rows
+        for db in (in_memory, loaded):
+            for appends in range(4):
+                grown = db.table("flat")
+                packed = grown.take(np.arange(grown.n_rows))  # exact-size copies
+                assert grown.memory_bytes() == packed.memory_bytes()
+                assert grown.column("amount").data.nbytes == 8 * grown.n_rows
+                assert grown.n_rows == 5000 + 100 * appends
+                db.append_rows("flat", batch)
 
 
 # ----------------------------------------------------------------------
@@ -472,19 +520,36 @@ class TestRoundTrips:
             assert header["n_rows"] == 4000
             for i in range(len(header["columns"])):
                 assert stored[f"col_{i}"].shape == (4000,)
-        loaded = load_database(tmp_path / "db").table("flat")
-        assert loaded.to_rows() == table.to_rows()
+        reloaded = load_database(tmp_path / "db")
+        assert reloaded.table("flat").to_rows() == table.to_rows()
+        # A loaded table has spare capacity; saving it after an append
+        # still stores its used cells only.
+        reloaded.append_rows("flat", _flat(500, seed=4))
+        save_database(reloaded, tmp_path / "again")
+        with np.load(tmp_path / "again" / "flat.npz") as stored:
+            header = json.loads(bytes(stored["header"].tobytes()).decode("utf-8"))
+            assert header["n_rows"] == 4500
+            for i in range(len(header["columns"])):
+                assert stored[f"col_{i}"].shape == (4500,)
 
-    def test_copies_carry_their_rows_only_and_leave_the_lineage(self):
+    def test_copies_carry_their_rows_only_and_leave_the_lineage(self, tmp_path):
         grown = Column.strings(["a", "b"]).concat(Column.strings(["c"]))
-        for clone in (pickle.loads(pickle.dumps(grown)), copy.deepcopy(grown)):
-            assert clone == grown
-            assert clone.dictionary == grown.dictionary
-            assert clone.data.base is None or clone.data.base.shape == (3,)
-            longer = clone.concat(Column.strings(["a"]))
-            assert not np.shares_memory(longer.data, grown.data)
-        # The original is still the tip of its own lineage.
-        assert np.shares_memory(grown.concat(Column.strings(["b"])).data, grown.data)
+        stored = Table("t", {"s": Column.strings(["c", "a", "b"])})
+        loaded = load_table(save_table(stored, tmp_path / "t")).column("s")
+        assert not loaded.data.flags.writeable
+        for original in (grown, loaded):
+            for clone in (
+                pickle.loads(pickle.dumps(original)),
+                copy.deepcopy(original),
+            ):
+                assert clone == original
+                assert clone.dictionary == original.dictionary
+                assert clone.data.base is None or clone.data.base.shape == (3,)
+                longer = clone.concat(Column.strings(["a"]))
+                assert not np.shares_memory(longer.data, original.data)
+            # The original is still the tip of its own lineage.
+            longer = original.concat(Column.strings(["b"]))
+            assert np.shares_memory(longer.data, original.data)
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,14 @@ class TestTrustedRowSelection:
         with pytest.raises(ColumnTypeError):
             Column(ColumnKind.STRING, data, ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "dictionary", [("a", "b", "a"), ("a", None)], ids=["repeated", "non_str"]
+    )
+    def test_constructor_refuses_an_invalid_dictionary(self, dictionary):
+        # A repeated value would split its rows between two codes.
+        with pytest.raises(ColumnTypeError, match="string dictionary"):
+            Column.from_codes(np.array([0, 1], dtype=np.int32), dictionary)
+
     def test_from_codes_refuses_negative_codes(self):
         with pytest.raises(ColumnTypeError):
             Column.from_codes(np.array([0, -1], dtype=np.int32), ["a", "b"])

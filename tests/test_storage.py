@@ -1,5 +1,7 @@
 """Tests for the on-disk persistence layer."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -49,6 +51,31 @@ class TestTableRoundtrip:
         path = tmp_path / "junk.npz"
         np.savez(path, x=np.arange(3))
         with pytest.raises(StorageError):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "dictionary, problem",
+        [
+            (["a", "b", "a"], "repeats the value 'a'"),
+            (["a", 1, "c"], "holds 1 of type int"),
+            ("abc", "no dictionary list"),
+        ],
+        ids=["duplicate", "non_str", "not_a_list"],
+    )
+    def test_doctored_dictionary_is_rejected(self, tmp_path, dictionary, problem):
+        path = save_table(
+            Table("d", {"s": Column.strings(["a", "b", "c", "a"])}),
+            tmp_path / "d",
+        )
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+        header["columns"][0]["dictionary"] = dictionary
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(StorageError, match=problem):
             load_table(path)
 
     def test_empty_strings_column(self, tmp_path):
