@@ -3,10 +3,11 @@
 Demonstrates the production deployment shape the paper envisions:
 
 1. a one-off pre-processing job builds the sample tables (renormalized
-   join synopses, the §5.2.2 space optimisation) and persists them to
-   disk alongside the database;
-2. a serving process loads everything back and answers SQL through the
-   middleware session, logging what users ask;
+   join synopses, the §5.2.2 space optimisation) and stores them inside
+   the database directory;
+2. a serving process loads both back — the samples without re-scanning
+   the data — and answers SQL through the middleware session, logging
+   what users ask;
 3. the observed workload then drives a re-tuned, slimmer sample layout
    (§5.4.2's column trimming).
 
@@ -22,7 +23,9 @@ from repro import (
     SmallGroupSampling,
     generate_tpch,
     load_database,
+    load_samples,
     save_database,
+    save_samples,
 )
 from repro.core.workload_policy import small_group_for_workload, trim_columns
 from repro.experiments.reporting import format_table
@@ -40,42 +43,35 @@ DASHBOARD = [
 ]
 
 
+CONFIG = SmallGroupConfig(base_rate=0.04, storage="renormalized", seed=21)
+
+
 def preprocessing_job(workdir: Path) -> None:
     print("[preprocess job] generating TPCH1G2.0z and building samples...")
     db = generate_tpch(scale=1.0, z=2.0, rows_per_scale=60000, seed=21)
-    technique = SmallGroupSampling(
-        SmallGroupConfig(
-            base_rate=0.04, storage="renormalized", seed=21
-        )
-    )
+    save_database(db, workdir)
+    technique = SmallGroupSampling(CONFIG)
     report = technique.preprocess(db)
-    save_database(db, workdir / "base")
-    save_database(technique.sample_catalog(), workdir / "samples")
+    stored = save_samples(technique, workdir)
     print(
         f"[preprocess job] {report.n_sample_tables} sample tables, "
         f"{report.sample_rows} rows, {report.space_overhead:.1%} overhead; "
-        f"persisted to {workdir}"
+        f"stored in {stored.relative_to(workdir)}"
     )
 
 
 def serving_process(workdir: Path) -> None:
-    print("\n[service] loading the persisted database and samples...")
-    db = load_database(workdir / "base")
-    samples = load_database(workdir / "samples")
+    print("\n[service] loading the stored database and samples...")
+    db = load_database(workdir)
+    technique = load_samples(workdir, db, CONFIG)
     print(
         f"[service] base: {db.fact_table.n_rows} rows; "
-        f"samples: {len(samples.table_names)} tables "
-        f"(loaded from disk, no re-scan)"
+        f"samples: {technique.report.n_sample_tables} tables "
+        f"(loaded from disk in {technique.report.wall_time_seconds:.2f} s, "
+        "no re-scan)"
     )
-    # For this self-contained demo we re-install the technique (the
-    # persisted samples prove the storage path; rebuilding from the loaded
-    # base exercises the full loop).
     session = AQPSession(db)
-    session.install(
-        SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.04, storage="renormalized", seed=21)
-        )
-    )
+    session.install(technique)
     print("\n[service] answering the dashboard queries approximately:")
     rows = []
     for sql in DASHBOARD:

@@ -76,8 +76,10 @@ from repro.middleware import AQPSession, SessionResult
 from repro.sql import format_query, format_statement, parse, parse_query
 from repro.storage import (
     load_database,
+    load_samples,
     load_table,
     save_database,
+    save_samples,
     save_table,
 )
 from repro.workload import Workload, WorkloadConfig, generate_workload
@@ -134,6 +136,7 @@ __all__ = [
     "generate_tpch",
     "generate_workload",
     "load_database",
+    "load_samples",
     "load_table",
     "optimal_allocation_ratio",
     "parse",
@@ -141,6 +144,7 @@ __all__ = [
     "pct_groups",
     "rel_err",
     "save_database",
+    "save_samples",
     "save_table",
     "score",
     "select_outlier_indices",

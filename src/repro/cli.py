@@ -14,6 +14,7 @@ written to CSV with ``--out``.
 from __future__ import annotations
 
 import argparse
+import time
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
@@ -552,9 +553,53 @@ def _run_stats(args) -> int:
     return 0
 
 
+def _serving_samples(directory: Path, db, base_rate: float):
+    """The family to serve: the stored one when its key matches, else built.
+
+    A built family is stored for the next start; a failed write (read-only
+    directory, full disk) is reported in one line and the start goes on.
+    An unreadable stored family is reported and rebuilt, never served.
+    """
+    from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
+    from repro.storage import StorageError, load_samples, save_samples
+
+    config = SmallGroupConfig(base_rate=base_rate)
+    try:
+        technique = load_samples(directory, db, config)
+    except StorageError as error:
+        print(f"stored samples unusable, rebuilding: {error}")
+        technique = None
+    if technique is not None:
+        print(
+            f"loaded samples (base rate {base_rate:g}) in "
+            f"{technique.report.wall_time_seconds:.2f} s, "
+            f"{technique.report.sample_rows} sample rows"
+        )
+        return technique
+    print(
+        f"pre-processing samples (base rate {base_rate:g}) ...",
+        end=" ",
+        flush=True,
+    )
+    technique = SmallGroupSampling(config)
+    report = technique.preprocess(db)
+    print(
+        f"built in {report.wall_time_seconds:.2f} s, "
+        f"{report.sample_rows} sample rows"
+    )
+    start = time.perf_counter()
+    try:
+        stored = save_samples(technique, directory)
+    except StorageError as error:
+        print(f"samples not stored, serving anyway: {error}")
+    else:
+        elapsed = time.perf_counter() - start
+        print(f"stored samples in {stored} ({elapsed:.2f} s)")
+    return technique
+
+
 def _run_serve(args) -> int:
     """Serve a stored database to concurrent clients until interrupted."""
-    from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
     from repro.server import ServerConfig, make_server
@@ -568,18 +613,7 @@ def _run_serve(args) -> int:
     session = AQPSession(db)
     try:
         if not args.exact_only:
-            print(
-                f"pre-processing samples (base rate {args.base_rate:g}) ...",
-                end=" ",
-                flush=True,
-            )
-            report = session.install(
-                SmallGroupSampling(SmallGroupConfig(base_rate=args.base_rate))
-            )
-            print(
-                f"{report.wall_time_seconds:.2f} s, "
-                f"{report.sample_rows} sample rows"
-            )
+            session.install(_serving_samples(args.database, db, args.base_rate))
         server = make_server(
             session,
             host=args.host,

@@ -122,6 +122,10 @@ class AQPTechnique(abc.ABC):
     def __init__(self) -> None:
         self._preprocessed = False
         self._plan_version = 0
+        #: Cost report for the samples this technique holds: set when
+        #: :meth:`preprocess` builds them, or when stored samples are
+        #: adopted (:func:`repro.storage.load_samples`); ``None`` before.
+        self.report: PreprocessReport | None = None
 
     @property
     def plan_version(self) -> int:
@@ -185,13 +189,13 @@ class AQPTechnique(abc.ABC):
         wall_time_seconds: float,
         details: dict | None = None,
     ) -> PreprocessReport:
-        """Assemble a report from the technique's current sample tables."""
+        """Report on the current sample tables, kept as :attr:`report`."""
         # Every preprocess implementation ends here, so reporting doubles
         # as the plan-version bump for freshly (re)built samples.
         self.invalidate_plans()
         infos = self.sample_tables()
         view_rows = db.fact_table.n_rows
-        return PreprocessReport(
+        self.report = PreprocessReport(
             technique=self.name,
             wall_time_seconds=wall_time_seconds,
             sample_rows=sum(i.n_rows for i in infos),
@@ -201,6 +205,7 @@ class AQPTechnique(abc.ABC):
             n_sample_tables=len(infos),
             details=details or {},
         )
+        return self.report
 
 
 def closest_rate(rates: Sequence[float], rate: float | None) -> float:

@@ -36,7 +36,7 @@ Variations from Section 4.2.3 are implemented as options:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -186,58 +186,101 @@ class _Stratification:
     """Output of the first scan: per-table row-class membership.
 
     ``classifiers`` re-test class membership for *new* rows (incremental
-    maintenance): one callable per table mapping a batch table to a
-    boolean membership array.  Class membership is value-determined, so a
-    frozen classifier stays correct for already-seen values; unseen values
-    are uncommon by definition and classify into the first (100%) level.
+    maintenance): one callable plain-data object per table, mapping a
+    batch table to a boolean membership array.  Class membership is
+    value-determined, so a frozen classifier stays correct for seen
+    values; unseen values are uncommon by definition and classify into
+    the first (100%) level.
     """
 
     metas: list[SampleTableMeta]
     class_members: list[np.ndarray]  # boolean (N,) per table
     n_rows: int
-    classifiers: list = field(default_factory=list)
+    classifiers: list[_ColumnClass | _PairClass] = field(default_factory=list)
 
 
-def _single_column_classifier(
-    column: str, common: set, previous_common: set | None
-):
+@dataclass(frozen=True)
+class _ColumnClass:
     """Membership test for one (column, level) class on a batch of rows.
 
     A value belongs to the class when it is outside this level's common
     set but inside the next-stricter level's common set (always true for
-    level 0).  Unseen values land in level 0.
+    level 0).  Unseen values land in level 0.  Membership is decided once
+    per dictionary code, then gathered by the batch's codes.
     """
 
-    def classify(batch: Table) -> np.ndarray:
-        col = batch.column(column)
+    column: str
+    common: frozenset
+    previous_common: frozenset | None
+
+    def __call__(self, batch: Table) -> np.ndarray:
+        col = batch.column(self.column)
         dictionary = col.dictionary or ()
-        in_common = np.asarray([v in common for v in dictionary])
-        if previous_common is None:
+        if len(dictionary) == 0:
+            return np.zeros(batch.n_rows, dtype=bool)
+        in_common = np.asarray([v in self.common for v in dictionary])
+        if self.previous_common is None:
             in_previous = np.ones(len(dictionary), dtype=bool)
         else:
             in_previous = np.asarray(
-                [v in previous_common for v in dictionary]
+                [v in self.previous_common for v in dictionary]
             )
         member_by_code = ~in_common & in_previous
-        if len(dictionary) == 0:
-            return np.zeros(batch.n_rows, dtype=bool)
         return member_by_code[col.data]
 
-    return classify
+
+@dataclass(frozen=True)
+class _PairClass:
+    """Membership test for a pair class: the joint value is uncommon.
+
+    The common pairs are mapped onto the batch's dictionary codes once,
+    so rows are tested as joint codes, never decoded one by one.
+    """
+
+    columns: tuple[str, str]
+    common_pairs: frozenset
+
+    def __call__(self, batch: Table) -> np.ndarray:
+        col_a = batch.column(self.columns[0])
+        col_b = batch.column(self.columns[1])
+        radix = len(col_b.require_dictionary())
+        common_codes = []
+        for a, b in self.common_pairs:
+            code_a, code_b = col_a.code_for(a), col_b.code_for(b)
+            if code_a >= 0 and code_b >= 0:
+                common_codes.append(code_a * radix + code_b)
+        joint = col_a.data.astype(np.int64) * radix + col_b.data
+        return ~np.isin(joint, np.asarray(common_codes, dtype=np.int64))
 
 
-def _pair_classifier(pair: tuple[str, str], common_pairs: set):
-    """Membership test for a pair class: the joint value is uncommon."""
+def _class_to_json(value_class: _ColumnClass | _PairClass) -> dict:
+    """A class's value sets as JSON (sorted, so the bytes are stable)."""
+    if isinstance(value_class, _PairClass):
+        return {
+            "columns": list(value_class.columns),
+            "common_pairs": sorted(list(p) for p in value_class.common_pairs),
+        }
+    previous = value_class.previous_common
+    return {
+        "column": value_class.column,
+        "common": sorted(value_class.common),
+        "previous_common": None if previous is None else sorted(previous),
+    }
 
-    def classify(batch: Table) -> np.ndarray:
-        col_a = batch.column(pair[0])
-        col_b = batch.column(pair[1])
-        out = np.empty(batch.n_rows, dtype=bool)
-        for i in range(batch.n_rows):
-            out[i] = (col_a[i], col_b[i]) not in common_pairs
-        return out
 
-    return classify
+def _class_from_json(entry: dict) -> _ColumnClass | _PairClass:
+    """Inverse of :func:`_class_to_json`."""
+    if "common_pairs" in entry:
+        return _PairClass(
+            tuple(entry["columns"]),
+            frozenset(tuple(p) for p in entry["common_pairs"]),
+        )
+    previous = entry["previous_common"]
+    return _ColumnClass(
+        entry["column"],
+        frozenset(entry["common"]),
+        None if previous is None else frozenset(previous),
+    )
 
 
 @dataclass
@@ -277,7 +320,7 @@ class SmallGroupSampling(AQPTechnique):
         self._overall_parts: list[OverallPart] = []
         self._n_bits: int = 0
         self._view_rows: int = 0
-        self._classifiers: list = []
+        self._classifiers: list[_ColumnClass | _PairClass] = []
         #: Completed ``insert_rows`` batches since the last preprocess:
         #: seeds the deterministic per-append maintenance RNG stream.
         self._append_ordinal: int = 0
@@ -353,16 +396,16 @@ class SmallGroupSampling(AQPTechnique):
         n = view.n_rows
         metas: list[SampleTableMeta] = []
         members: list[np.ndarray] = []
-        classifiers: list = []
+        classifiers: list[_ColumnClass | _PairClass] = []
         for column in candidates:
             if column not in stats:
                 continue
             col_stats = stats[column]
             col = view.column(column)
             previous = np.zeros(n, dtype=bool)
-            previous_common: set | None = None
+            previous_common: frozenset | None = None
             for level_index, (fraction, rate) in enumerate(levels):
-                common = col_stats.common_values(fraction)
+                common = frozenset(col_stats.common_values(fraction))
                 uncommon_codes = [
                     col.code_for(v)
                     for v in col_stats.frequencies
@@ -392,7 +435,7 @@ class SmallGroupSampling(AQPTechnique):
                 )
                 members.append(level_class)
                 classifiers.append(
-                    _single_column_classifier(column, common, previous_common)
+                    _ColumnClass(column, common, previous_common)
                 )
                 previous_common = common
         for pair in self.config.pair_columns:
@@ -412,7 +455,7 @@ class SmallGroupSampling(AQPTechnique):
                 )
             )
             members.append(member)
-            classifiers.append(_pair_classifier(pair, common_pairs))
+            classifiers.append(_PairClass(tuple(pair), common_pairs))
         return _Stratification(
             metas=metas,
             class_members=members,
@@ -422,7 +465,7 @@ class SmallGroupSampling(AQPTechnique):
 
     def _pair_class(
         self, view: Table, pair: tuple[str, str]
-    ) -> tuple[np.ndarray, set]:
+    ) -> tuple[np.ndarray, frozenset]:
         """Joint small-group class for a column pair (Section 4.2.3).
 
         Returns the per-row membership array and the set of *common*
@@ -449,15 +492,14 @@ class SmallGroupSampling(AQPTechnique):
         target = n * (1.0 - t)
         # Minimal prefix of most-common joint values covering >= target.
         n_common = int(np.searchsorted(covered, target - 1e-9)) + 1
-        common_positions = set(order[:n_common].tolist())
-        is_common = np.asarray(
-            [pos in common_positions for pos in range(len(values))]
-        )
-        common_pairs = {
+        common_positions = order[:n_common]
+        is_common = np.zeros(len(values), dtype=bool)
+        is_common[common_positions] = True
+        common_pairs = frozenset(
             (col_a.decode(int(values[pos]) // radix),
              col_b.decode(int(values[pos]) % radix))
-            for pos in common_positions
-        }
+            for pos in common_positions.tolist()
+        )
         return ~is_common[inverse], common_pairs
 
     # ------------------------------------------------------------------
@@ -481,14 +523,7 @@ class SmallGroupSampling(AQPTechnique):
         self._classifiers = list(strata.classifiers)
         self._append_ordinal = 0
         self._view_columns = tuple(view.column_names)
-        self._fact_columns = tuple(db.fact_table.column_names)
-        self._foreign_keys = (
-            db.star_schema.foreign_keys if db.star_schema else ()
-        )
-        self._dimensions = {
-            fk.dimension_table: db.table(fk.dimension_table)
-            for fk in self._foreign_keys
-        }
+        self._adopt_schema(db)
         self._reduced_dims = {}
         member_matrix = (
             np.stack(strata.class_members, axis=1)
@@ -527,6 +562,17 @@ class SmallGroupSampling(AQPTechnique):
         )
         if self.config.storage == "renormalized":
             self._build_reduced_dimensions()
+
+    def _adopt_schema(self, db: Database) -> None:
+        """Take the fact columns, foreign keys and dimensions from ``db``."""
+        self._fact_columns = tuple(db.fact_table.column_names)
+        self._foreign_keys = (
+            db.star_schema.foreign_keys if db.star_schema else ()
+        )
+        self._dimensions = {
+            fk.dimension_table: db.table(fk.dimension_table)
+            for fk in self._foreign_keys
+        }
 
     def _store_rows(
         self,
@@ -1021,6 +1067,168 @@ class SmallGroupSampling(AQPTechnique):
             "worst_fill_ratio": worst,
             "rebuild_recommended": worst > 1.5,
         }
+
+    # ------------------------------------------------------------------
+    # Stored families (repro.storage.save_samples / load_samples)
+    # ------------------------------------------------------------------
+    def family(self) -> tuple[dict, list[Table]]:
+        """This family as plain data: a JSON-able manifest and its tables.
+
+        The manifest holds everything but the sample rows: the metadata
+        table, the bit width, the view's row count, the append ordinal,
+        the view and fact column lists, the overall part's rate, each
+        class's value sets (``L(C)`` per level, the common pairs) and the
+        reduced dimension tables' names.  Raises :class:`SamplingError`
+        for a family :meth:`from_family` could not give back as it is: a
+        variant's (the outlier hybrid restructures the overall sample),
+        or one that has absorbed appends the database files do not hold.
+        """
+        self.require_preprocessed()
+        if type(self) is not SmallGroupSampling:
+            raise SamplingError(
+                f"{type(self).__name__} samples cannot be stored; only the "
+                "basic small group family can"
+            )
+        if self._append_ordinal:
+            raise SamplingError(
+                f"the samples have absorbed {self._append_ordinal} appended "
+                "batches that the database files do not hold"
+            )
+        overall = self._overall_parts[0]
+        tables = [*self._tables, overall.table, *self._reduced_dims.values()]
+        manifest = {
+            "config": repr(self.config),
+            "metadata": [asdict(meta) for meta in self._metas],
+            "classes": [_class_to_json(c) for c in self._classifiers],
+            "n_bits": self._n_bits,
+            "view_rows": self._view_rows,
+            "append_ordinal": self._append_ordinal,
+            "view_columns": list(self._view_columns),
+            "fact_columns": list(self._fact_columns),
+            "overall": {"table": overall.table.name, "rate": overall.rate},
+            "reduced_dimensions": {
+                dim: table.name for dim, table in self._reduced_dims.items()
+            },
+        }
+        return manifest, tables
+
+    @classmethod
+    def from_family(
+        cls,
+        config: SmallGroupConfig,
+        db: Database,
+        manifest: dict,
+        tables: dict[str, Table],
+        wall_time_seconds: float = 0.0,
+    ) -> SmallGroupSampling:
+        """Adopt a family written by :meth:`family`, without scanning ``db``.
+
+        Reads only ``db``'s schema, row count and dimension tables: it
+        never materialises the joined view nor re-runs :meth:`preprocess`.
+        ``tables`` maps the manifest's table names to the stored tables.
+        Raises :class:`SamplingError` unless the manifest describes
+        ``config``, ``db`` and ``tables`` consistently.  The returned
+        technique is pre-processed and carries a :attr:`report` whose
+        wall time is ``wall_time_seconds``.
+        """
+        if manifest["config"] != repr(config):
+            raise SamplingError(
+                f"samples were built for {manifest['config']}, not {config!r}"
+            )
+        fact = db.fact_table
+        expected = {
+            "view_rows": fact.n_rows,
+            "append_ordinal": 0,
+            "view_columns": db.view_column_names(),
+            "fact_columns": fact.column_names,
+        }
+        for name, value in expected.items():
+            if manifest[name] != value:
+                raise SamplingError(
+                    f"stored {name} {manifest[name]!r} does not match the "
+                    f"database's {value!r}"
+                )
+        metas = [
+            SampleTableMeta(**{**entry, "columns": tuple(entry["columns"])})
+            for entry in manifest["metadata"]
+        ]
+        classes = [_class_from_json(entry) for entry in manifest["classes"]]
+        n_bits = manifest["n_bits"]
+        class_columns = [
+            c.columns if isinstance(c, _PairClass) else (c.column,)
+            for c in classes
+        ]
+        if (
+            class_columns != [meta.columns for meta in metas]
+            or [meta.bit_index for meta in metas] != list(range(len(metas)))
+            or n_bits != max(1, len(metas))
+        ):
+            raise SamplingError(
+                "metadata table, value classes and bit width disagree"
+            )
+        stored_columns = (
+            expected["fact_columns"]
+            if config.storage == "renormalized"
+            else expected["view_columns"]
+        )
+
+        def sample(name: str, rows: int | None) -> Table:
+            table = tables.get(name)
+            if (
+                table is None
+                or table.column_names != stored_columns
+                or table.bitmask is None
+                or table.bitmask.n_bits != n_bits
+                or rows not in (None, table.n_rows)
+            ):
+                raise SamplingError(
+                    f"sample table {name!r} does not match the manifest"
+                )
+            return table
+
+        technique = cls(config)
+        technique._adopt_schema(db)
+        technique._metas = metas
+        technique._tables = [sample(m.name, m.stored_rows) for m in metas]
+        overall = sample(manifest["overall"]["table"], None)
+        rate = manifest["overall"]["rate"]
+        view_rows = fact.n_rows
+        built_rate = overall.n_rows / view_rows if view_rows else None
+        if rate != (built_rate or config.base_rate):
+            raise SamplingError(
+                f"overall rate {rate!r} does not match its table"
+            )
+        technique._overall_parts = [
+            OverallPart(table=overall, scale=1.0 / rate, rate=rate)
+        ]
+        reduced = manifest["reduced_dimensions"]
+        wanted = (
+            set(technique._dimensions)
+            if config.storage == "renormalized"
+            else set()
+        )
+        if set(reduced) != wanted:
+            raise SamplingError(
+                "reduced dimension tables do not match the schema"
+            )
+        for dim, name in reduced.items():
+            table = tables.get(name)
+            if table is None or (
+                table.column_names != db.table(dim).column_names
+            ):
+                raise SamplingError(
+                    f"reduced dimension {name!r} does not match {dim!r}"
+                )
+            technique._reduced_dims[dim] = table
+        technique._n_bits = n_bits
+        technique._view_rows = view_rows
+        technique._classifiers = classes
+        technique._view_columns = tuple(expected["view_columns"])
+        technique._preprocessed = True
+        technique._report(
+            db, wall_time_seconds, details=technique.preprocess_details()
+        )
+        return technique
 
 
 def small_group_table_name(column: str) -> str:

@@ -204,6 +204,18 @@ class Database:
                     return fk.dimension_table
         raise SchemaError(f"no table owns column {column!r}")
 
+    def view_column_names(self) -> list[str]:
+        """The columns of :meth:`joined_view`, without materialising it."""
+        names = self.fact_table.column_names
+        if self.star_schema is not None:
+            for fk in self.star_schema.foreign_keys:
+                names += [
+                    c
+                    for c in self.table(fk.dimension_table).column_names
+                    if c != fk.dimension_key
+                ]
+        return names
+
     def joined_view(self, name: str | None = None) -> Table:
         """Materialise the fact ⋈ dimensions wide view.
 

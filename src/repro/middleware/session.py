@@ -236,9 +236,14 @@ class AQPSession:
     # Setup
     # ------------------------------------------------------------------
     def install(self, technique: AQPTechnique) -> PreprocessReport:
-        """Pre-process ``technique`` against the database and adopt it."""
+        """Adopt ``technique``, pre-processing it against the database first.
+
+        A technique that already holds its samples — a family read back
+        by :func:`repro.storage.load_samples` — is adopted as it is: only
+        one without a :attr:`~AQPTechnique.report` is pre-processed.
+        """
         self._require_open()
-        self.report = technique.preprocess(self.db)
+        self.report = technique.report or technique.preprocess(self.db)
         self.technique = technique
         return self.report
 

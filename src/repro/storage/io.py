@@ -1,4 +1,4 @@
-"""On-disk persistence for tables, databases, and sample sets.
+"""On-disk persistence for tables, databases, and sample families.
 
 The paper's pre-processing phase is explicitly allowed to be expensive
 because its output is *stored*: sample tables live on disk as ordinary
@@ -7,10 +7,13 @@ persistence for the in-package engine:
 
 * one ``.npz`` file per table — column arrays, dictionary-encoded string
   vocabularies, and the bitmask words, with a JSON header carrying names,
-  kinds, and bit width;
+  kinds, and bit width — written to a temporary file and renamed into
+  place, so a crash mid-write leaves the previous file intact;
 * a database directory — one file per table plus ``catalog.json``
   recording the star schema.
 
+Sample families (:mod:`repro.storage.samples`) are stored inside the
+database directory, under ``samples/``, with the same table files.
 Everything round-trips exactly (a property the tests enforce), including
 bitmasks and string dictionaries.
 """
@@ -18,6 +21,9 @@ bitmasks and string dictionaries.
 from __future__ import annotations
 
 import json
+import os
+import threading
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +33,7 @@ from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database
 from repro.engine.schema import ForeignKey, StarSchema
 from repro.engine.table import Table
-from repro.errors import ColumnTypeError, ReproError
+from repro.errors import ColumnTypeError, ReproError, SchemaError
 
 #: Format marker written into every file for forward compatibility.
 FORMAT_VERSION = 1
@@ -38,7 +44,13 @@ class StorageError(ReproError):
 
 
 def save_table(table: Table, path: str | Path) -> Path:
-    """Write ``table`` to one ``.npz`` file; returns the path written."""
+    """Write ``table`` to one ``.npz`` file; returns the path written.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a reader sees the old file or the
+    new one, never a partial write, and a failed write leaves no
+    temporary file behind.
+    """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
@@ -63,8 +75,16 @@ def save_table(table: Table, path: str | Path) -> Path:
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
     )
-    with path.open("wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    staging = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with staging.open("wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -74,11 +94,21 @@ def load_table(path: str | Path) -> Table:
     Each column sits at the head of a buffer with spare capacity
     (:meth:`Column.with_room`), so the table's first append is a tail
     write.  A file whose codes or string dictionaries break the column
-    invariants raises :class:`StorageError`.
+    invariants raises :class:`StorageError`, and so does a truncated or
+    otherwise unreadable one.
     """
     path = Path(path)
     if not path.exists():
         raise StorageError(f"no such table file: {path}")
+    try:
+        return _read_table(path)
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile, SchemaError) as error:
+        raise StorageError(f"{path}: unreadable table file: {error}") from error
+
+
+def _read_table(path: Path) -> Table:
+    """The body of :func:`load_table`, before its errors are classified."""
     with np.load(path, allow_pickle=False) as data:
         if "header" not in data:
             raise StorageError(f"{path} is not a repro table file")
