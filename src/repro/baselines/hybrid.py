@@ -98,12 +98,6 @@ class SmallGroupWithOutlier(SmallGroupSampling):
             view, sampled, "sg_overall", member_matrix
         )
         return [
-            OverallPart(
-                table=outliers, scale=1.0, rate=1.0, zero_variance=True
-            ),
-            OverallPart(
-                table=remainder,
-                scale=1.0 / remainder_rate,
-                rate=remainder_rate,
-            ),
+            OverallPart(table=outliers, rate=1.0, zero_variance=True),
+            OverallPart(table=remainder, rate=remainder_rate),
         ]

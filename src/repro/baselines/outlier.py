@@ -201,6 +201,7 @@ class OutlierIndexing(AQPTechnique):
             SamplePiece(
                 table=partition.outliers,
                 query=query.with_table(partition.outliers.name),
+                rate=1.0,
                 zero_variance=True,
                 counts_as_exact=False,
                 description=f"{partition.outliers.name} (exact outliers)",
@@ -208,7 +209,7 @@ class OutlierIndexing(AQPTechnique):
             SamplePiece(
                 table=partition.remainder,
                 query=query.with_table(partition.remainder.name),
-                scale=scale,
+                rate=partition.remainder_rate,
                 variance_weights=np.full(
                     partition.remainder.n_rows,
                     (1.0 - partition.remainder_rate) * scale * scale,

@@ -102,7 +102,7 @@ class UniformSampling(AQPTechnique):
         piece = SamplePiece(
             table=table,
             query=query.with_table(table.name),
-            scale=scale,
+            rate=actual_rate,
             variance_weights=np.full(
                 table.n_rows, (1.0 - actual_rate) * scale * scale
             ),

@@ -73,7 +73,7 @@ class ApproxAnswer:
         caller requested profiling (``session.sql(..., profile=True)``);
         ``None`` otherwise.  Pure diagnostics —
         the estimates are byte-identical with tracing on or off
-        (enforced by lint rule RL009 and the determinism sweep test).
+        (enforced by the determinism sweep in ``tests/test_obs.py``).
     """
 
     group_columns: tuple[str, ...]

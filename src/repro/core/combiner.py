@@ -23,7 +23,7 @@ statistics).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
 from repro.core.rewriter import SamplePiece, pieces_to_sql
@@ -149,8 +149,9 @@ def execute_pieces(
 
     ``span`` (when profiling) gains one ``piece:*`` child per piece plus
     a ``combine`` child; the span tree rides on the answer as
-    ``ApproxAnswer.trace``.  Spans are write-only in this layer (RL009),
-    so answers are byte-identical with profiling on or off.
+    ``ApproxAnswer.trace``.  Spans are write-only in this layer, so
+    answers are byte-identical with profiling on or off
+    (``tests/test_obs.py::TestProfileDeterminism``).
 
     ``deadline`` (if any) is enforced at piece granularity: checked
     before every piece and before the combine.  An expired deadline
@@ -303,12 +304,7 @@ def execute_pieces(
         rewritten_sql=(
             pieces_to_sql(
                 [
-                    SamplePiece(
-                        table=piece.table,
-                        query=exec_query,
-                        scale=piece.scale,
-                        description=piece.description,
-                    )
+                    replace(piece, query=exec_query)
                     for piece, exec_query in exec_pieces
                 ]
             )

@@ -46,7 +46,7 @@ from repro.core.interfaces import (
     PreprocessReport,
     SampleTableInfo,
 )
-from repro.core.rewriter import SamplePiece
+from repro.core.rewriter import SamplePiece, require_scale_discipline
 from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.column import ColumnKind
 from repro.engine.database import Database
@@ -294,9 +294,16 @@ class OverallPart:
     """
 
     table: Table
-    scale: float
     rate: float
     zero_variance: bool = False
+
+    def __post_init__(self) -> None:
+        require_scale_discipline(self.rate, None, self.zero_variance)
+
+    @property
+    def scale(self) -> float:
+        """Aggregate scale factor ``1/rate``."""
+        return 1.0 / self.rate
 
     def variance_weights(self) -> np.ndarray | None:
         """Per-row variance contributions for this part."""
@@ -591,7 +598,7 @@ class SmallGroupSampling(AQPTechnique):
         if self.config.storage == "renormalized":
             table = table.select(list(self._fact_columns))
         return table.rename(name).with_bitmask(
-            self._pack_bits(member_matrix, rows)
+            BitmaskVector.from_membership(member_matrix[rows], self._n_bits)
         )
 
     def _build_reduced_dimensions(self) -> None:
@@ -676,7 +683,7 @@ class SmallGroupSampling(AQPTechnique):
         )
         rate = overall_indices.size / n if n else self.config.base_rate
         return [
-            OverallPart(table=overall, scale=1.0 / rate, rate=rate)
+            OverallPart(table=overall, rate=rate)
         ]
 
     def _draw_overall(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -686,16 +693,6 @@ class SmallGroupSampling(AQPTechnique):
         sampler = ReservoirSampler(k, rng)
         sampler.offer_many(range(n))
         return sampler.sample()
-
-    def _pack_bits(
-        self, member_matrix: np.ndarray, rows: np.ndarray
-    ) -> BitmaskVector:
-        """Bitmask vector for the stored ``rows`` from class membership."""
-        vector = BitmaskVector(rows.size, self._n_bits)
-        selected = member_matrix[rows]
-        for bit in range(selected.shape[1]):
-            vector.set_bit(np.flatnonzero(selected[:, bit]), bit)
-        return vector
 
     def preprocess_details(self) -> dict:
         """Metadata-table contents for reports."""
@@ -813,7 +810,7 @@ class SmallGroupSampling(AQPTechnique):
                     SamplePiece(
                         table=table,
                         query=piece_query,
-                        scale=1.0,
+                        rate=1.0,
                         zero_variance=True,
                         description=f"{meta.name} (exact)",
                     )
@@ -832,7 +829,7 @@ class SmallGroupSampling(AQPTechnique):
                     SamplePiece(
                         table=table,
                         query=piece_query,
-                        scale=scale,
+                        rate=actual_rate,
                         variance_weights=variance_weights,
                         description=f"{meta.name} (rate {actual_rate:.3f})",
                     )
@@ -849,7 +846,7 @@ class SmallGroupSampling(AQPTechnique):
                 SamplePiece(
                     table=self._piece_table(part.table, query),
                     query=part_query,
-                    scale=part.scale,
+                    rate=part.rate,
                     variance_weights=part.variance_weights(),
                     zero_variance=part.zero_variance,
                     # An overall part never fully covers a group by itself,
@@ -962,7 +959,7 @@ class SmallGroupSampling(AQPTechnique):
         stored_batch = Table(
             batch.name,
             encoded,
-            self._pack_bits(member_matrix, np.arange(n_new)),
+            BitmaskVector.from_membership(member_matrix, self._n_bits),
         )
 
         # 1. Extend the small group tables.
@@ -1005,9 +1002,7 @@ class SmallGroupSampling(AQPTechnique):
         if self.config.storage == "renormalized":
             self._extend_reduced_dimensions(batch)
         rate = overall.n_rows / total
-        self._overall_parts[0] = OverallPart(
-            table=overall, scale=1.0 / rate, rate=rate
-        )
+        self._overall_parts[0] = OverallPart(table=overall, rate=rate)
         # The overall scale factor moved with the new row count, so any
         # memoised rewrite plans are stale even when no table changed.
         self.invalidate_plans()
@@ -1199,7 +1194,7 @@ class SmallGroupSampling(AQPTechnique):
                 f"overall rate {rate!r} does not match its table"
             )
         technique._overall_parts = [
-            OverallPart(table=overall, scale=1.0 / rate, rate=rate)
+            OverallPart(table=overall, rate=rate)
         ]
         reduced = manifest["reduced_dimensions"]
         wanted = (

@@ -26,21 +26,23 @@ def _n_words(n_bits: int) -> int:
 
 
 class Bitmask:
-    """A single bitmask over ``n_bits`` bit positions."""
+    """A single, read-only bitmask over ``n_bits`` bit positions.
+
+    Masks are hashed into plan-memo keys (through ``BitmaskDisjoint``),
+    so ``words`` is read-only: a mask is built whole, never edited.
+    """
 
     __slots__ = ("n_bits", "words")
 
     def __init__(self, n_bits: int, bits: Iterable[int] = ()) -> None:
-        self.n_bits = n_bits
-        self.words = np.zeros(_n_words(n_bits), dtype=np.uint64)
+        words = np.zeros(_n_words(n_bits), dtype=np.uint64)
         for bit in bits:
-            self.set(bit)
-
-    def set(self, bit: int) -> None:
-        """Set bit position ``bit``."""
-        if not 0 <= bit < self.n_bits:
-            raise ValueError(f"bit {bit} out of range [0, {self.n_bits})")
-        self.words[bit // WORD_BITS] |= np.uint64(1) << np.uint64(bit % WORD_BITS)
+            if not 0 <= bit < n_bits:
+                raise ValueError(f"bit {bit} out of range [0, {n_bits})")
+            words[bit // WORD_BITS] |= np.uint64(1) << np.uint64(bit % WORD_BITS)
+        words.flags.writeable = False
+        self.n_bits = n_bits
+        self.words = words
 
     def test(self, bit: int) -> bool:
         """Return whether bit position ``bit`` is set."""
@@ -70,9 +72,24 @@ class Bitmask:
     @staticmethod
     def from_int(n_bits: int, value: int) -> "Bitmask":
         """Build a mask from an arbitrary-precision integer."""
-        mask = Bitmask(n_bits)
-        for w in range(len(mask.words)):
-            mask.words[w] = np.uint64((value >> (w * WORD_BITS)) & (2**WORD_BITS - 1))
+        return Bitmask._of_words(
+            n_bits,
+            np.array(
+                [
+                    (value >> (w * WORD_BITS)) & (2**WORD_BITS - 1)
+                    for w in range(_n_words(n_bits))
+                ],
+                dtype=np.uint64,
+            ),
+        )
+
+    @staticmethod
+    def _of_words(n_bits: int, words: np.ndarray) -> "Bitmask":
+        """A mask owning ``words`` (a fresh array), flagged read-only."""
+        mask = Bitmask.__new__(Bitmask)
+        words.flags.writeable = False
+        mask.n_bits = n_bits
+        mask.words = words
         return mask
 
     def is_zero(self) -> bool:
@@ -96,35 +113,46 @@ class Bitmask:
 class BitmaskVector:
     """Per-row bitmasks for a sample table.
 
-    The vector is append-free: it is built once, with a fixed row count, and
-    rows are selected with :meth:`take`.
+    The vector is read-only and append-free: it is built once, with a
+    fixed row count (:meth:`from_membership` packs it from class
+    membership), and rows are selected with :meth:`take`.
     """
 
     __slots__ = ("n_bits", "words")
 
     def __init__(self, n_rows: int, n_bits: int, words: np.ndarray | None = None):
-        self.n_bits = n_bits
         if words is None:
             words = np.zeros((n_rows, _n_words(n_bits)), dtype=np.uint64)
         else:
-            words = np.asarray(words, dtype=np.uint64)
+            words = np.asarray(words, dtype=np.uint64).view()
             if words.shape != (n_rows, _n_words(n_bits)):
                 raise ValueError(
                     f"expected shape {(n_rows, _n_words(n_bits))}, "
                     f"got {words.shape}"
                 )
+        words.flags.writeable = False
+        self.n_bits = n_bits
         self.words = words
+
+    @staticmethod
+    def from_membership(membership: np.ndarray, n_bits: int) -> "BitmaskVector":
+        """Pack a boolean ``(n_rows, k)`` matrix, ``k <= n_bits``.
+
+        Row ``i`` has bit ``b`` set exactly when ``membership[i, b]``.
+        """
+        membership = np.asarray(membership, dtype=bool)
+        if membership.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got {membership.ndim}-D")
+        n_rows, width = membership.shape
+        if width > n_bits:
+            raise ValueError(f"bit {width - 1} out of range [0, {n_bits})")
+        packed = np.packbits(membership, axis=1, bitorder="little")
+        cells = np.zeros((n_rows, _n_words(n_bits) * 8), dtype=np.uint8)
+        cells[:, : packed.shape[1]] = packed
+        return BitmaskVector(n_rows, n_bits, cells.view("<u8"))
 
     def __len__(self) -> int:
         return int(self.words.shape[0])
-
-    def set_bit(self, rows: np.ndarray, bit: int) -> None:
-        """Set ``bit`` for every row index in ``rows``."""
-        if not 0 <= bit < self.n_bits:
-            raise ValueError(f"bit {bit} out of range [0, {self.n_bits})")
-        self.words[rows, bit // WORD_BITS] |= np.uint64(1) << np.uint64(
-            bit % WORD_BITS
-        )
 
     def isdisjoint(self, mask: Bitmask) -> np.ndarray:
         """Boolean array: rows whose mask shares no bit with ``mask``.
@@ -140,9 +168,7 @@ class BitmaskVector:
 
     def row_mask(self, row: int) -> Bitmask:
         """Return row ``row``'s mask as a :class:`Bitmask`."""
-        mask = Bitmask(self.n_bits)
-        mask.words[:] = self.words[row]
-        return mask
+        return Bitmask._of_words(self.n_bits, self.words[row].copy())
 
     def take(self, indices: np.ndarray) -> "BitmaskVector":
         """Return a new vector with the rows at ``indices``."""

@@ -74,10 +74,11 @@ class Column:
     computed from them on the column itself.  ``data`` may be a view
     over a longer private buffer shared with the columns this one was
     extended from or into (:meth:`concat`); cells past ``len(self)``
-    belong to later snapshots and are invisible here.  Nothing outside
-    :meth:`concat` and :meth:`with_room` may write into ``data``.
-    Copies (:meth:`take`, :meth:`mask`, :meth:`concat`, pickling) start
-    with an empty memo.
+    belong to later snapshots and are invisible here.  ``data`` is
+    flagged read-only at construction, so a write into it raises;
+    only :meth:`concat` and :meth:`with_room` write, into buffer cells
+    no column views yet.  Copies (:meth:`take`, :meth:`mask`,
+    :meth:`concat`, pickling) start with an empty memo.
     """
 
     __slots__ = (
@@ -111,6 +112,10 @@ class Column:
             wanted = np.int64 if kind is ColumnKind.INT else np.float64
             if data.dtype != wanted:
                 data = data.astype(wanted)
+        # A read-only view: a write into the column raises, while the
+        # caller's own array keeps its flag.
+        data = data.view()
+        data.flags.writeable = False
         self.kind = kind
         self.data = data
         self.dictionary = values
@@ -222,10 +227,8 @@ class Column:
         n = len(checked)
         cells = np.empty(_capacity(n), dtype=checked.data.dtype)
         cells[:n] = checked.data
-        head = cells[:n]
-        head.flags.writeable = False
         return column_from_parts(
-            kind, head, checked.dictionary, None, _TailBuffer(cells, n)
+            kind, cells[:n], checked.dictionary, None, _TailBuffer(cells, n)
         )
 
     # ------------------------------------------------------------------
@@ -473,9 +476,9 @@ class Column:
         # Cells [n, n + m) are reserved for this call alone and no column
         # views them yet.
         buffer.cells[n : n + m] = tail
-        data = buffer.cells[: n + m]
-        data.flags.writeable = False
-        return column_from_parts(self.kind, data, dictionary, index, buffer)
+        return column_from_parts(
+            self.kind, buffer.cells[: n + m], dictionary, index, buffer
+        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -620,8 +623,11 @@ def column_from_parts(
     scan (an O(n) min/max over the whole array) would re-validate what
     is known-good — and ``astype`` would copy a view it exists to avoid.
     Without ``tail`` (every caller but ``concat`` and ``with_room``) the
-    column never extends in place.
+    column never extends in place.  ``data`` (a fresh array or a view
+    of the lineage's buffer) is flagged read-only, so every published
+    column refuses writes.
     """
+    data.flags.writeable = False
     column = Column.__new__(Column)
     column.kind = kind
     column.data = data

@@ -16,9 +16,10 @@ Checks happen at piece/stage granularity: a piece already being
 aggregated is never interrupted mid-kernel (numpy calls are not
 preemptible anyway).
 
-``time.perf_counter`` is the clock: monotonic, and explicitly exempt
-from lint rule RL003 because elapsed time here is *control flow about
-how long to keep working*, never an input to any estimate.
+``time.perf_counter`` is the clock: monotonic, and the one clock
+``tests/test_source_invariants.py`` allows in the deterministic layers,
+because elapsed time here is *control flow about how long to keep
+working*, never an input to any estimate.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ class InternalError(ReproError):
     """An internal invariant of the library was violated (a bug in repro).
 
     Raised where older code used ``assert``: unlike an assert, the guard
-    survives ``python -O`` and carries a message (RL005 in
-    ``docs/linting.md``).
+    survives ``python -O`` and carries a message
+    (``tests/test_source_invariants.py`` keeps ``assert`` out of the
+    package).
     """
 
 

@@ -326,9 +326,9 @@ class AQPSession:
         lifecycle (parse → plan → per-piece execution → combine) and the
         memo hit/miss delta.
         Profiling is answer-neutral: the estimates are byte-identical
-        with it on or off (the engine treats spans as write-only — lint
-        rule RL009 — and the determinism sweep test verifies it
-        end to end).
+        with it on or off (the engine treats spans as write-only, and
+        the determinism sweep in ``tests/test_obs.py`` verifies it end
+        to end for every technique).
 
         ``deadline`` (a :class:`~repro.engine.deadline.Deadline`) bounds
         the request: checkpoints after parse, before planning, before

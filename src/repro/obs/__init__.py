@@ -8,9 +8,9 @@ query: :mod:`~repro.obs.trace` spans time every lifecycle phase,
 delta — into one :class:`~repro.obs.profile.QueryProfile` per query.
 
 Observability is answer-neutral by construction: the compute layers
-only ever *write* to spans and the registry (lint rule RL009 bans
-reads), and the profile-determinism sweep pins byte-identical answers
-with profiling on or off.  See
+only ever *write* to spans and the registry, and the
+profile-determinism sweep in ``tests/test_obs.py`` pins byte-identical
+answers with profiling on or off, for every technique.  See
 ``docs/internals.md`` §10.
 """
 

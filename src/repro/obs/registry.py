@@ -13,8 +13,9 @@ server's handler threads increment counters concurrently) and snapshot-able
 into a strict-JSON plain dict (non-finite observations are recorded
 under a ``non_finite`` count rather than poisoning sums with NaN).
 Like spans, the registry is a write-only channel for the compute
-layers: lint rule RL009 bans reading it back inside
-``repro/engine/``/``repro/core/``, so metrics can never change answers.
+layers: nothing in ``repro/engine/``/``repro/core/`` reads it back, so
+metrics can never change answers (the profile-determinism sweep in
+``tests/test_obs.py`` checks it).
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class MetricsRegistry:
             hist.observe(value)
 
     # ------------------------------------------------------------------
-    # Read API (presentation/profile layers only — RL009)
+    # Read API (presentation/profile layers only)
     # ------------------------------------------------------------------
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never written)."""

@@ -2,8 +2,8 @@
 
 A :class:`Span` is one timed segment of a query's lifecycle — parse,
 plan, the §4.2.2 rewrite, one piece's execution, the combine — carrying
-a monotonic duration (``time.perf_counter`` only, so the tracing layer
-is RL003-clean everywhere), a flat dict of numeric/str attributes, and
+a monotonic duration (``time.perf_counter`` only, never the wall
+clock), a flat dict of numeric/str attributes, and
 child spans.  The session creates one root span per profiled query and
 threads it down through the combiner and the executor; each layer
 attaches children and attributes as it works.
@@ -14,9 +14,9 @@ Spans are a **write-only** channel for the compute layers: code in
 ``repro/engine/``, ``repro/core/``, and ``repro/baselines/`` may create
 children, time itself, and record attributes, but must never *read* a
 span (durations, attributes, children) or branch on one — otherwise
-profiling could change answers.  Lint rule RL009 enforces this
-statically; the profile-determinism sweep in ``tests/test_obs.py``
-enforces it end to end (byte-identical answers with profiling on/off).
+profiling could change answers.  The profile-determinism sweep in
+``tests/test_obs.py`` enforces it end to end: byte-identical answers
+with profiling on/off, for every technique and execution mode.
 
 When profiling is off the plumbing carries :data:`NULL_SPAN`, a shared
 no-op singleton with the same write API, so instrumented code never
@@ -59,7 +59,7 @@ class Span:
         self._started = 0.0
 
     # ------------------------------------------------------------------
-    # Write API (the only part compute layers may touch — RL009)
+    # Write API (the only part compute layers may touch)
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
         self._started = time.perf_counter()

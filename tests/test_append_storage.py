@@ -241,11 +241,11 @@ N_BITS = 70  # two words
 
 
 def _bit_table(rows: list[tuple[int, str, int]]) -> Table:
-    vector = BitmaskVector(len(rows), N_BITS)
-    for i, (_, _, mask) in enumerate(rows):
-        for bit in range(N_BITS):
-            if mask >> bit & 1:
-                vector.set_bit(np.asarray([i]), bit)
+    member = np.array(
+        [[mask >> bit & 1 for bit in range(N_BITS)] for _, _, mask in rows],
+        dtype=bool,
+    ).reshape(len(rows), N_BITS)
+    vector = BitmaskVector.from_membership(member, N_BITS)
     return Table(
         "t",
         {

@@ -51,7 +51,7 @@ class ToyPolicy(AQPTechnique):
             SamplePiece(
                 table=self._sample,
                 query=query.with_table("toy_sample"),
-                scale=scale,
+                rate=self._actual_rate,
                 variance_weights=np.full(
                     self._sample.n_rows, (1 - self._actual_rate) * scale**2
                 ),

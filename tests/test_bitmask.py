@@ -9,8 +9,7 @@ from repro.engine.bitmask import Bitmask, BitmaskVector
 
 class TestBitmask:
     def test_set_and_test(self):
-        mask = Bitmask(10)
-        mask.set(3)
+        mask = Bitmask(10, [3])
         assert mask.test(3)
         assert not mask.test(4)
 
@@ -19,11 +18,16 @@ class TestBitmask:
         assert mask.bits() == [3, 70, 150]
 
     def test_out_of_range(self):
-        mask = Bitmask(8)
         with pytest.raises(ValueError):
-            mask.set(8)
+            Bitmask(8, [8])
         with pytest.raises(ValueError):
-            mask.test(-1)
+            Bitmask(8).test(-1)
+
+    def test_words_are_read_only(self):
+        for mask in (Bitmask(70, [3]), Bitmask.from_int(70, 1 << 65)):
+            assert mask.words.flags.writeable is False
+            with pytest.raises(ValueError):
+                mask.words[0] = 0
 
     def test_to_int_matches_python_int(self):
         mask = Bitmask(130, [0, 64, 129])
@@ -56,39 +60,41 @@ class TestBitmask:
 
 
 class TestBitmaskVector:
-    def test_set_bit_and_disjoint(self):
-        vec = BitmaskVector(4, 70)
-        vec.set_bit(np.array([0, 2]), 65)
+    def test_from_membership_and_disjoint(self):
+        member = np.zeros((4, 70), dtype=bool)
+        member[[0, 2], 65] = True
+        vec = BitmaskVector.from_membership(member, 70)
         keep = vec.isdisjoint(Bitmask(70, [65]))
         assert keep.tolist() == [False, True, False, True]
 
     def test_disjoint_zero_mask_keeps_all(self):
-        vec = BitmaskVector(3, 10)
-        vec.set_bit(np.array([1]), 2)
+        member = np.zeros((3, 10), dtype=bool)
+        member[1, 2] = True
+        vec = BitmaskVector.from_membership(member, 10)
         assert vec.isdisjoint(Bitmask(10)).all()
 
     def test_width_flexible_disjoint(self):
-        vec = BitmaskVector(2, 10)
-        vec.set_bit(np.array([0]), 3)
+        vec = BitmaskVector.from_membership([[0, 0, 0, 1], [0, 0, 0, 0]], 10)
         # Wider mask: bits beyond the vector's width can never overlap.
         wide = Bitmask(200, [3, 190])
         assert vec.isdisjoint(wide).tolist() == [False, True]
         only_high = Bitmask(200, [190])
         assert vec.isdisjoint(only_high).all()
         # Narrower mask: implicitly zero-padded.
-        vec128 = BitmaskVector(2, 128)
-        vec128.set_bit(np.array([1]), 2)
+        vec128 = BitmaskVector.from_membership([[0, 0, 0], [0, 0, 1]], 128)
         assert vec128.isdisjoint(Bitmask(10, [2])).tolist() == [True, False]
 
     def test_row_mask(self):
-        vec = BitmaskVector(2, 130)
-        vec.set_bit(np.array([1]), 128)
+        member = np.zeros((2, 130), dtype=bool)
+        member[1, 128] = True
+        vec = BitmaskVector.from_membership(member, 130)
         assert vec.row_mask(1).bits() == [128]
         assert vec.row_mask(0).is_zero()
 
     def test_take(self):
-        vec = BitmaskVector(3, 8)
-        vec.set_bit(np.array([2]), 7)
+        member = np.zeros((3, 8), dtype=bool)
+        member[2, 7] = True
+        vec = BitmaskVector.from_membership(member, 8)
         taken = vec.take(np.array([2, 0]))
         assert len(taken) == 2
         assert taken.row_mask(0).bits() == [7]
@@ -96,8 +102,7 @@ class TestBitmaskVector:
 
     def test_concat(self):
         a = BitmaskVector(1, 8)
-        b = BitmaskVector(2, 8)
-        b.set_bit(np.array([1]), 3)
+        b = BitmaskVector.from_membership([[0, 0, 0, 0], [0, 0, 0, 1]], 8)
         merged = a.concat(b)
         assert len(merged) == 3
         assert merged.row_mask(2).bits() == [3]
@@ -111,9 +116,38 @@ class TestBitmaskVector:
             BitmaskVector(2, 8, words=np.zeros((3, 1), dtype=np.uint64))
 
     def test_out_of_range_bit(self):
-        vec = BitmaskVector(1, 8)
         with pytest.raises(ValueError):
-            vec.set_bit(np.array([0]), 8)
+            BitmaskVector.from_membership(np.zeros((1, 9), dtype=bool), 8)
+        with pytest.raises(ValueError):
+            BitmaskVector.from_membership(np.zeros(8, dtype=bool), 8)
+
+    def test_words_are_read_only(self):
+        own = np.zeros((2, 1), dtype=np.uint64)
+        base = BitmaskVector(2, 8, own)
+        member = np.eye(2, 8, dtype=bool)
+        for vec in (
+            base,
+            BitmaskVector(2, 8),
+            BitmaskVector.from_membership(member, 8),
+            base.take(np.array([1])),
+            base.concat(base),
+        ):
+            assert vec.words.flags.writeable is False
+            with pytest.raises(ValueError):
+                vec.words[0, 0] = 1
+        assert own.flags.writeable  # the caller's array keeps its flag
+
+    @given(st.integers(0, 40), st.integers(1, 200), st.integers(0, 2**32))
+    def test_from_membership_matches_bit_by_bit_packing(self, rows, bits, seed):
+        member = np.random.default_rng(seed).random((rows, bits)) < 0.3
+        words = np.zeros((rows, (bits + 63) // 64), dtype=np.uint64)
+        for bit in range(bits):
+            words[member[:, bit], bit // 64] |= np.uint64(1) << np.uint64(
+                bit % 64
+            )
+        packed = BitmaskVector.from_membership(member, bits).words
+        assert packed.dtype == np.uint64
+        assert packed.tobytes() == words.tobytes()
 
     @given(
         st.lists(
@@ -124,10 +158,10 @@ class TestBitmaskVector:
         st.sets(st.integers(min_value=0, max_value=127), max_size=6),
     )
     def test_disjoint_matches_python_ints(self, row_bits, mask_bits):
-        vec = BitmaskVector(len(row_bits), 128)
+        member = np.zeros((len(row_bits), 128), dtype=bool)
         for row, bits in enumerate(row_bits):
-            for bit in bits:
-                vec.set_bit(np.array([row]), bit)
+            member[row, list(bits)] = True
+        vec = BitmaskVector.from_membership(member, 128)
         mask = Bitmask(128, mask_bits)
         expected = [not (bits & mask_bits) for bits in row_bits]
         assert vec.isdisjoint(mask).tolist() == expected

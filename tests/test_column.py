@@ -228,7 +228,8 @@ class TestRequireDictionary:
         assert tuple(col.require_dictionary()) == ("a", "b")
 
     def test_missing_dictionary_raises_internal_error(self):
-        # A guard, not an assert: it must survive python -O (RL005).
+        # A guard, not an assert: it must survive python -O
+        # (tests/test_source_invariants.py::no_assert).
         # The state is unreachable through constructors, so simulate the
         # corruption directly.
         col = Column.strings(["a"])

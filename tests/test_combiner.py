@@ -8,21 +8,22 @@ import pytest
 from repro.core import combiner
 from repro.core.combiner import execute_pieces
 from repro.core.rewriter import SamplePiece, pieces_to_sql
+from repro.core.smallgroup import OverallPart
 from repro.engine.deadline import Deadline
 from repro.engine.executor import aggregate_table
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
 from repro.engine.table import Table
-from repro.errors import DeadlineExceeded, RuntimePhaseError
+from repro.errors import DeadlineExceeded, InternalError, RuntimePhaseError
 
 COUNT = AggregateSpec(AggFunc.COUNT, alias="cnt")
 
 
-def make_piece(values, scale=1.0, zero_variance=False, counts_as_exact=None):
+def make_piece(values, rate=1.0, zero_variance=False, counts_as_exact=None):
     table = Table.from_dict("part", {"g": values})
     return SamplePiece(
         table=table,
         query=Query("part", (COUNT,), ("g",)),
-        scale=scale,
+        rate=rate,
         variance_weights=None if zero_variance else np.full(len(values), 2.0),
         zero_variance=zero_variance,
         counts_as_exact=counts_as_exact,
@@ -38,7 +39,7 @@ class TestExecutePieces:
         assert answer.value(("b",)) == 1.0
 
     def test_scaling(self):
-        answer = execute_pieces([make_piece(["a"], scale=100.0)], "t")
+        answer = execute_pieces([make_piece(["a"], rate=0.01)], "t")
         assert answer.value(("a",)) == 100.0
 
     def test_variances_add(self):
@@ -70,7 +71,7 @@ class TestExecutePieces:
         assert answer.rows_scanned == 3
 
     def test_rewritten_sql_emitted(self):
-        pieces = [make_piece(["a"]), make_piece(["b"], scale=10.0)]
+        pieces = [make_piece(["a"]), make_piece(["b"], rate=0.1)]
         answer = execute_pieces(pieces, "t")
         assert "UNION ALL" in answer.rewritten_sql
         assert answer.rewritten_sql == pieces_to_sql(pieces)
@@ -97,6 +98,7 @@ class TestExecutePieces:
             query=Query(
                 "p", (AggregateSpec(AggFunc.MIN, "v"),), ("g",)
             ),
+            rate=1.0,
         )
         with pytest.raises(RuntimePhaseError, match="COUNT, SUM, and AVG"):
             execute_pieces([piece], "t")
@@ -106,6 +108,7 @@ class TestExecutePieces:
         piece = SamplePiece(
             table=table,
             query=Query("p", (AggregateSpec(AggFunc.AVG, "v", alias="m"),), ("g",)),
+            rate=1.0,
             zero_variance=True,
         )
         answer = execute_pieces([piece], "t")
@@ -119,12 +122,13 @@ class TestExecutePieces:
         exact_piece = SamplePiece(
             table=Table.from_dict("p", {"g": ["a", "a"], "v": [10.0, 10.0]}),
             query=Query("p", (AggregateSpec(AggFunc.AVG, "v", alias="m"),), ("g",)),
+            rate=1.0,
             zero_variance=True,
         )
         sampled_piece = SamplePiece(
             table=Table.from_dict("p", {"g": ["a"], "v": [4.0]}),
             query=Query("p", (AggregateSpec(AggFunc.AVG, "v", alias="m"),), ("g",)),
-            scale=2.0,
+            rate=0.5,
             variance_weights=np.array([2.0]),
         )
         answer = execute_pieces([exact_piece, sampled_piece], "t")
@@ -138,7 +142,7 @@ class TestExecutePieces:
         piece = SamplePiece(
             table=table,
             query=Query("p", (AggregateSpec(AggFunc.AVG, "v", alias="m"),), ("g",)),
-            scale=4.0,
+            rate=0.25,
             variance_weights=np.array([1.0]),
         )
         answer = execute_pieces([piece], "t")
@@ -211,3 +215,77 @@ class TestPieceDeadlines:
                 [make_piece(["a"]), make_piece(["b"])], "t", deadline=deadline
             )
         assert len(calls) == 1
+
+
+class TestScaleDiscipline:
+    """§4.2.2: ``1/r`` on a sampled branch, exactly 1 on a 100%-sampled one.
+
+    A piece's scale is derived from its rate, so it cannot be stated
+    wrongly; inconsistent input raises at construction.
+    """
+
+    QUERY = Query("part", (COUNT,), ("g",))
+
+    def _table(self):
+        return Table.from_dict("part", {"g": ["a"]})
+
+    def test_scale_is_derived_from_rate(self):
+        assert make_piece(["a"], rate=0.25).scale == 4.0
+        assert make_piece(["a"], zero_variance=True).scale == 1.0
+        weighted = SamplePiece(
+            table=self._table(), query=self.QUERY, weights=np.array([2.0])
+        )
+        assert weighted.scale == 1.0
+
+    def test_a_sampled_piece_cannot_state_a_unit_scale(self):
+        with pytest.raises(TypeError):
+            SamplePiece(table=self._table(), query=self.QUERY, scale=1.0)
+        piece = make_piece(["a"], rate=0.5)
+        with pytest.raises(AttributeError):
+            piece.scale = 1.0
+
+    def test_exact_piece_must_be_fully_sampled(self):
+        with pytest.raises(InternalError, match="zero-variance"):
+            make_piece(["a"], rate=0.5, zero_variance=True)
+        with pytest.raises(InternalError, match="zero-variance"):
+            SamplePiece(
+                table=self._table(),
+                query=self.QUERY,
+                weights=np.array([2.0]),
+                zero_variance=True,
+            )
+
+    def test_exactly_one_of_rate_and_weights(self):
+        with pytest.raises(InternalError, match="exactly one"):
+            SamplePiece(table=self._table(), query=self.QUERY)
+        with pytest.raises(InternalError, match="exactly one"):
+            SamplePiece(
+                table=self._table(),
+                query=self.QUERY,
+                rate=0.5,
+                weights=np.array([2.0]),
+            )
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5, 2.0, 100.0, float("nan")])
+    def test_rate_outside_unit_interval(self, rate):
+        with pytest.raises(InternalError, match="outside"):
+            make_piece(["a"], rate=rate)
+
+    def test_overall_part_obeys_the_same_rule(self):
+        assert OverallPart(table=self._table(), rate=0.25).scale == 4.0
+        with pytest.raises(InternalError, match="zero-variance"):
+            OverallPart(table=self._table(), rate=0.5, zero_variance=True)
+        with pytest.raises(InternalError, match="outside"):
+            OverallPart(table=self._table(), rate=4.0)
+
+    def test_rewritten_sql_keeps_every_piece_field(self):
+        weighted = SamplePiece(
+            table=Table.from_dict("part", {"g": ["b"]}),
+            query=self.QUERY,
+            weights=np.array([3.0]),
+            variance_weights=np.array([6.0]),
+        )
+        pieces = [make_piece(["a"], zero_variance=True), weighted]
+        answer = execute_pieces(pieces, "t")
+        assert answer.rewritten_sql == pieces_to_sql(pieces)
+        assert answer.value(("b",)) == 3.0

@@ -104,8 +104,9 @@ class TestPredicates:
         assert isinstance(combined, And)
 
     def test_bitmask_disjoint(self, small_table):
-        vec = BitmaskVector(8, 4)
-        vec.set_bit(np.arange(4), 1)
+        member = np.zeros((8, 4), dtype=bool)
+        member[:4, 1] = True
+        vec = BitmaskVector.from_membership(member, 4)
         t = small_table.with_bitmask(vec)
         mask = BitmaskDisjoint(Bitmask(4, [1])).evaluate(t)
         assert mask.tolist() == [False] * 4 + [True] * 4

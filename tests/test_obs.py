@@ -4,8 +4,8 @@ answer-neutrality guarantee.
 Covers the three layers of :mod:`repro.obs` in isolation (trace,
 registry, jsonsafe), the assembled :class:`QueryProfile` end to end
 through ``session.sql(..., profile=True)``, the profile-determinism
-sweep (byte-identical answers with profiling on/off — the dynamic
-counterpart of lint rule RL009),
+sweep (byte-identical answers with profiling on/off, for every technique
+and execution mode),
 and the NaN-leak regressions in ``SessionResult``/``CacheMetrics``
 reports.
 """
@@ -18,6 +18,11 @@ import threading
 
 import pytest
 
+from repro.baselines.congress import BasicCongress, CongressConfig, FullCongress
+from repro.baselines.hybrid import HybridConfig, SmallGroupWithOutlier
+from repro.baselines.icicles import IciclesConfig, IciclesSampling
+from repro.baselines.outlier import OutlierConfig, OutlierIndexing
+from repro.baselines.uniform import UniformConfig, UniformSampling
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.cache import CacheMetrics, get_cache
 from repro.middleware.session import AQPSession, SessionResult
@@ -32,7 +37,10 @@ from repro.obs import (
     get_registry,
     json_safe,
 )
+from repro.server.protocol import encode_result
 from repro.sql.parser import parse_query
+from repro.workload.generator import generate_workload
+from repro.workload.spec import WorkloadConfig
 
 
 def _reject_constant(token):
@@ -376,33 +384,76 @@ class TestQueryProfile:
 # ----------------------------------------------------------------------
 # Answer neutrality: the determinism sweep
 # ----------------------------------------------------------------------
+def _training_workload(db):
+    return generate_workload(
+        db,
+        WorkloadConfig(
+            group_column_counts=(1,),
+            predicate_counts=(1,),
+            subset_fractions=(0.2,),
+            queries_per_combo=4,
+            seed=70,
+        ),
+    )
+
+
+def _techniques():
+    """One builder per technique the session can serve."""
+    return {
+        "small_group": lambda db: SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.05, use_reservoir=False)
+        ),
+        "uniform": lambda db: UniformSampling(UniformConfig(rates=(0.05,))),
+        "basic_congress": lambda db: BasicCongress(
+            CongressConfig(rates=(0.05,))
+        ),
+        "full_congress": lambda db: FullCongress(
+            CongressConfig(rates=(0.05,), columns=("l_shipmode", "p_brand"))
+        ),
+        "outlier": lambda db: OutlierIndexing(
+            OutlierConfig(rates=(0.05,), measures=("l_extendedprice",))
+        ),
+        "icicles": lambda db: IciclesSampling(
+            _training_workload(db), IciclesConfig(rates=(0.05,))
+        ),
+        "hybrid": lambda db: SmallGroupWithOutlier(
+            HybridConfig(
+                base_rate=0.05, measure="l_extendedprice", use_reservoir=False
+            )
+        ),
+    }
+
+
+SWEEP_SQL = (
+    SQL,
+    "SELECT p_brand, SUM(l_extendedprice) AS s FROM lineitem "
+    "WHERE l_quantity > 10 GROUP BY p_brand",
+)
+
+
 class TestProfileDeterminism:
     def test_profiling_never_changes_answers(self, tiny_tpch):
-        """Byte-identical estimates with profiling off and on.
+        """The same answer fingerprint with profiling off and on.
 
-        One technique is preprocessed once and shared; each run gets a
-        fresh session (fresh memos) so only profiling varies.  This is
-        the dynamic enforcement of RL009's static contract.
+        Every technique, preprocessed once and shared; each run gets a
+        fresh session (fresh memos) so only profiling varies, in every
+        execution mode.
         """
-        technique = SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.05, use_reservoir=False)
-        )
-        technique.preprocess(tiny_tpch)
-        baseline = None
-        for profile in (False, True):
-            session = AQPSession(tiny_tpch, technique=technique)
-            result = session.sql(SQL, mode="both", profile=profile)
-            fingerprint = (
-                repr(sorted(result.approx.groups.items())),
-                result.approx.rows_scanned,
-                repr(sorted(result.exact.rows.items())),
-            )
-            if baseline is None:
-                baseline = fingerprint
-            else:
-                assert fingerprint == baseline, (
-                    f"answer drifted at profile={profile}"
-                )
+        for name, build in _techniques().items():
+            technique = build(tiny_tpch)
+            technique.preprocess(tiny_tpch)
+            for sql in SWEEP_SQL:
+                for mode in ("approx", "exact", "both"):
+                    fingerprints = []
+                    for profile in (False, True):
+                        session = AQPSession(tiny_tpch, technique=technique)
+                        result = session.sql(sql, mode=mode, profile=profile)
+                        fingerprints.append(
+                            encode_result(result)["fingerprint"]
+                        )
+                    assert fingerprints[0] == fingerprints[1], (
+                        f"{name} answer drifted with profiling on: {mode} {sql}"
+                    )
 
 
 # ----------------------------------------------------------------------

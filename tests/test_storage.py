@@ -34,9 +34,10 @@ class TestTableRoundtrip:
         assert load_table(path).n_rows == small_table.n_rows
 
     def test_bitmask_preserved(self, tmp_path):
-        vec = BitmaskVector(3, 130)
-        vec.set_bit(np.array([1]), 128)
-        vec.set_bit(np.array([0, 2]), 3)
+        member = np.zeros((3, 130), dtype=bool)
+        member[1, 128] = True
+        member[[0, 2], 3] = True
+        vec = BitmaskVector.from_membership(member, 130)
         table = Table("s", {"a": Column.ints([1, 2, 3])}, vec)
         loaded = load_table(save_table(table, tmp_path / "s"))
         assert loaded.bitmask is not None

@@ -116,8 +116,9 @@ class TestOps:
         assert small_table.head(100).n_rows == 8
 
     def test_take_carries_bitmask(self):
-        vec = BitmaskVector(3, 4)
-        vec.set_bit(np.array([1]), 2)
+        vec = BitmaskVector.from_membership(
+            np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]]), 4
+        )
         t = Table("t", {"a": Column.ints([1, 2, 3])}, vec)
         taken = t.take(np.array([1]))
         assert taken.bitmask is not None
