@@ -255,6 +255,25 @@ class TestScaleDiscipline:
                 zero_variance=True,
             )
 
+    def test_zero_variance_read_from_a_part_is_checked(self):
+        """``zero_variance=part.zero_variance`` is only known at runtime."""
+
+        def piece_from(part):
+            return SamplePiece(
+                table=part.table,
+                query=self.QUERY,
+                rate=part.rate,
+                zero_variance=part.zero_variance,
+            )
+
+        outliers = OverallPart(table=self._table(), rate=1.0, zero_variance=True)
+        remainder = OverallPart(table=self._table(), rate=0.25)
+        assert piece_from(outliers).scale == 1.0
+        assert piece_from(remainder).scale == 4.0
+        outliers.rate = 0.5
+        with pytest.raises(InternalError, match="zero-variance"):
+            piece_from(outliers)
+
     def test_exactly_one_of_rate_and_weights(self):
         with pytest.raises(InternalError, match="exactly one"):
             SamplePiece(table=self._table(), query=self.QUERY)

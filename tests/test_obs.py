@@ -37,6 +37,7 @@ from repro.obs import (
     get_registry,
     json_safe,
 )
+from repro.obs import trace
 from repro.server.protocol import encode_result
 from repro.sql.parser import parse_query
 from repro.workload.generator import generate_workload
@@ -431,6 +432,51 @@ SWEEP_SQL = (
 )
 
 
+def _sweep_fingerprints(db, techniques, profile):
+    """Answer fingerprint per (technique, query, mode), fresh sessions."""
+    return {
+        (name, sql, mode): encode_result(
+            AQPSession(db, technique=technique).sql(
+                sql, mode=mode, profile=profile
+            )
+        )["fingerprint"]
+        for name, technique in techniques.items()
+        for sql in SWEEP_SQL
+        for mode in ("approx", "exact", "both")
+    }
+
+
+class _Clock:
+    """Stands in for ``time`` in the span module; ``step`` s per read."""
+
+    def __init__(self, step: float) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def perf_counter(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+#: One way per case to make an observability read report something else.
+OBS_PERTURBATIONS = {
+    "clock_races": lambda mp: mp.setattr(trace, "time", _Clock(86_400.0)),
+    "clock_frozen": lambda mp: mp.setattr(trace, "time", _Clock(0.0)),
+    "find_returns_none": lambda mp: mp.setattr(
+        Span, "find", lambda self, name: None
+    ),
+    "find_returns_a_span": lambda mp: mp.setattr(
+        Span, "find", lambda self, name: Span(name)
+    ),
+    "spans_are_falsy": lambda mp: mp.setattr(
+        Span, "__bool__", lambda self: False, raising=False
+    ),
+    "registry_counters_huge": lambda mp: mp.setattr(
+        MetricsRegistry, "counter", lambda self, name: 1e12
+    ),
+}
+
+
 class TestProfileDeterminism:
     def test_profiling_never_changes_answers(self, tiny_tpch):
         """The same answer fingerprint with profiling off and on.
@@ -454,6 +500,27 @@ class TestProfileDeterminism:
                     assert fingerprints[0] == fingerprints[1], (
                         f"{name} answer drifted with profiling on: {mode} {sql}"
                     )
+
+    @pytest.mark.parametrize("case", sorted(OBS_PERTURBATIONS))
+    def test_answers_ignore_what_observability_reports(
+        self, tiny_tpch, monkeypatch, case
+    ):
+        """Falsified observability reads leave every answer unchanged.
+
+        Profiling on vs off alone cannot expose code that reads a span's
+        duration, calls its read API, tests its truthiness (a live span
+        and ``NULL_SPAN`` are both truthy) or reads a registry counter:
+        each case makes one of those reads report something else.
+        """
+        techniques = {}
+        for name, build in _techniques().items():
+            techniques[name] = build(tiny_tpch)
+            techniques[name].preprocess(tiny_tpch)
+        expected = _sweep_fingerprints(tiny_tpch, techniques, profile=False)
+        OBS_PERTURBATIONS[case](monkeypatch)
+        assert _sweep_fingerprints(tiny_tpch, techniques, profile=True) == (
+            expected
+        )
 
 
 # ----------------------------------------------------------------------
