@@ -104,7 +104,6 @@ class BasicCongress(AQPTechnique):
     def __init__(self, config: CongressConfig | None = None) -> None:
         super().__init__()
         self.config = config or CongressConfig()
-        self._samples: dict[float, _StratifiedSample] = {}
         self._n_strata = 0
 
     def candidate_columns(self, view: Table) -> list[str]:
@@ -133,14 +132,14 @@ class BasicCongress(AQPTechnique):
         self._n_strata = n_strata
         rng = as_generator(self.config.seed)
         n = view.n_rows
-        self._samples = {}
+        samples = {}
         for rate in self.config.rates:
             budget = max(1.0, rate * n)
             targets = self._targets(
                 view, columns, strata, sizes, budget
             )
-            self._samples[rate] = self._draw(view, strata, sizes, targets, rng, rate)
-        self._preprocessed = True
+            samples[rate] = self._draw(view, strata, sizes, targets, rng, rate)
+        self.samples = samples
         elapsed = time.perf_counter() - start
         return self._report(
             db,
@@ -254,14 +253,14 @@ class BasicCongress(AQPTechnique):
                 rate=rate,
                 weights=s.weights_float,
             )
-            for rate, s in self._samples.items()
+            for rate, s in self.samples.items()
         ]
 
     def choose_samples(
         self, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One piece over the sample whose budget is closest to ``rate``."""
-        sample = self._samples[closest_rate(list(self._samples), rate)]
+        sample = self.samples[closest_rate(list(self.samples), rate)]
         piece = SamplePiece(
             table=sample.table,
             query=query.with_table(sample.table.name),

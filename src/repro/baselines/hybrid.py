@@ -26,6 +26,7 @@ from repro.core.smallgroup import (
     OverallPart,
     SmallGroupConfig,
     SmallGroupSampling,
+    Store,
 )
 from repro.engine.reservoir import uniform_sample_indices
 from repro.engine.table import Table
@@ -69,7 +70,7 @@ class SmallGroupWithOutlier(SmallGroupSampling):
     def build_overall_parts(
         self,
         view: Table,
-        member_matrix: np.ndarray,
+        store: Store,
         rng: np.random.Generator,
     ) -> list[OverallPart]:
         """Outlier stratum + uniform remainder within the overall budget."""
@@ -91,12 +92,8 @@ class SmallGroupWithOutlier(SmallGroupSampling):
         ]
         remainder_rate = sampled.size / rest_idx.size if rest_idx.size else 1.0
 
-        outliers = self._store_rows(
-            view, outlier_idx, "sg_outliers", member_matrix
-        )
-        remainder = self._store_rows(
-            view, sampled, "sg_overall", member_matrix
-        )
+        outliers = store(outlier_idx, "sg_outliers")
+        remainder = store(sampled, "sg_overall")
         return [
             OverallPart(table=outliers, rate=1.0, zero_variance=True),
             OverallPart(table=remainder, rate=remainder_rate),

@@ -93,7 +93,6 @@ class IciclesSampling(AQPTechnique):
             )
         self.workload = workload
         self.config = config or IciclesConfig()
-        self._samples: dict[float, _WeightedSample] = {}
         self._touch_fraction = 0.0
 
     def preprocess(self, db: Database) -> PreprocessReport:
@@ -111,7 +110,7 @@ class IciclesSampling(AQPTechnique):
         total_hits = float(hits.sum())
         self._touch_fraction = float((hits > 0).mean())
         rng = as_generator(self.config.seed)
-        self._samples = {}
+        samples = {}
         for rate in self.config.rates:
             budget = max(1.0, rate * n)
             expected = np.full(n, self.config.uniform_mix * budget / n)
@@ -134,12 +133,12 @@ class IciclesSampling(AQPTechnique):
                 1.0 - probabilities[chosen]
             ) * weights * weights
             name = f"icicles_{rate:.6f}".rstrip("0").rstrip(".")
-            self._samples[rate] = _WeightedSample(
+            samples[rate] = _WeightedSample(
                 table=view.take(chosen).rename(name),
                 weights=weights,
                 variance_weights=variance_weights,
             )
-        self._preprocessed = True
+        self.samples = samples
         elapsed = time.perf_counter() - start
         return self._report(
             db,
@@ -156,14 +155,14 @@ class IciclesSampling(AQPTechnique):
             SampleTableInfo(
                 table=s.table, kind="workload", rate=rate, weights=s.weights
             )
-            for rate, s in self._samples.items()
+            for rate, s in self.samples.items()
         ]
 
     def choose_samples(
         self, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One Horvitz–Thompson-weighted piece over the closest budget."""
-        sample = self._samples[closest_rate(list(self._samples), rate)]
+        sample = self.samples[closest_rate(list(self.samples), rate)]
         piece = SamplePiece(
             table=sample.table,
             query=query.with_table(sample.table.name),

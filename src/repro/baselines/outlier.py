@@ -125,7 +125,6 @@ class OutlierIndexing(AQPTechnique):
     def __init__(self, config: OutlierConfig) -> None:
         super().__init__()
         self.config = config
-        self._partitions: dict[tuple[float, str], _Partition] = {}
 
     def preprocess(self, db: Database) -> PreprocessReport:
         """Build per-(budget, measure) outlier partitions."""
@@ -133,7 +132,7 @@ class OutlierIndexing(AQPTechnique):
         view = db.joined_view()
         rng = as_generator(self.config.seed)
         n = view.n_rows
-        self._partitions = {}
+        samples = {}
         for measure in self.config.measures:
             if not view.has_column(measure):
                 raise PreprocessingError(f"no measure column {measure!r}")
@@ -153,12 +152,12 @@ class OutlierIndexing(AQPTechnique):
                     sampled.size / rest_idx.size if rest_idx.size else 1.0
                 )
                 suffix = f"{measure}_{rate:.6f}".rstrip("0").rstrip(".")
-                self._partitions[(rate, measure)] = _Partition(
+                samples[(rate, measure)] = _Partition(
                     outliers=view.take(outlier_idx).rename(f"outliers_{suffix}"),
                     remainder=view.take(sampled).rename(f"outrest_{suffix}"),
                     remainder_rate=remainder_rate,
                 )
-        self._preprocessed = True
+        self.samples = samples
         elapsed = time.perf_counter() - start
         return self._report(
             db, elapsed, details={"measures": list(self.config.measures)}
@@ -167,7 +166,7 @@ class OutlierIndexing(AQPTechnique):
     def sample_tables(self) -> list[SampleTableInfo]:
         """Outlier and remainder tables for every (budget, measure)."""
         infos = []
-        for partition in self._partitions.values():
+        for partition in self.samples.values():
             infos.append(
                 SampleTableInfo(table=partition.outliers, kind="outlier", rate=1.0)
             )
@@ -188,8 +187,8 @@ class OutlierIndexing(AQPTechnique):
                 break
         if measure is None:
             measure = self.config.measures[0]
-        rates = sorted({r for r, m in self._partitions if m == measure})
-        return self._partitions[(closest_rate(rates, rate), measure)]
+        rates = sorted({r for r, m in self.samples if m == measure})
+        return self.samples[(closest_rate(rates, rate), measure)]
 
     def choose_samples(
         self, query: Query, rate: float | None = None

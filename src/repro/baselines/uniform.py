@@ -29,7 +29,6 @@ from repro.core.rewriter import SamplePiece
 from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.engine.reservoir import as_generator, uniform_sample_indices
-from repro.engine.table import Table
 from repro.errors import SamplingError
 
 
@@ -66,7 +65,6 @@ class UniformSampling(AQPTechnique):
     def __init__(self, config: UniformConfig | None = None) -> None:
         super().__init__()
         self.config = config or UniformConfig()
-        self._samples: dict[float, tuple[Table, float]] = {}
 
     def preprocess(self, db: Database) -> PreprocessReport:
         """Draw one uniform sample of the joined view per configured rate."""
@@ -74,15 +72,15 @@ class UniformSampling(AQPTechnique):
         view = db.joined_view()
         rng = as_generator(self.config.seed)
         n = view.n_rows
-        self._samples = {}
+        samples = {}
         for rate in self.config.rates:
             k = max(1, round(rate * n))
             indices = uniform_sample_indices(n, k, rng)
             name = f"uniform_{rate:.6f}".rstrip("0").rstrip(".")
             table = view.take(indices).rename(name)
             actual_rate = indices.size / n if n else rate
-            self._samples[rate] = (table, actual_rate)
-        self._preprocessed = True
+            samples[rate] = (table, actual_rate)
+        self.samples = samples
         elapsed = time.perf_counter() - start
         return self._report(db, elapsed, details={"rates": list(self.config.rates)})
 
@@ -90,14 +88,14 @@ class UniformSampling(AQPTechnique):
         """One stored sample table per configured rate."""
         return [
             SampleTableInfo(table=table, kind="uniform", rate=actual)
-            for table, actual in self._samples.values()
+            for table, actual in self.samples.values()
         ]
 
     def choose_samples(
         self, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One piece over the built sample whose rate is closest to ``rate``."""
-        table, actual_rate = self._samples[closest_rate(list(self._samples), rate)]
+        table, actual_rate = self.samples[closest_rate(list(self.samples), rate)]
         scale = 1.0 / actual_rate
         piece = SamplePiece(
             table=table,

@@ -16,10 +16,10 @@ from repro.core.pair_selection import PairSuggestion, suggest_pair_columns
 from repro.core.rewriter import SamplePiece, pieces_to_sql
 from repro.core.smallgroup import (
     OverallPart,
+    SampleFamily,
     SampleTableMeta,
     SmallGroupConfig,
     SmallGroupSampling,
-    small_group_table_name,
 )
 from repro.core.workload_policy import (
     grouping_column_counts,
@@ -34,6 +34,7 @@ __all__ = [
     "OverallPart",
     "PairSuggestion",
     "PreprocessReport",
+    "SampleFamily",
     "SamplePiece",
     "SampleTableInfo",
     "SampleTableMeta",
@@ -45,7 +46,6 @@ __all__ = [
     "normal_interval",
     "pieces_to_sql",
     "small_group_for_workload",
-    "small_group_table_name",
     "suggest_pair_columns",
     "trim_columns",
     "z_value",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -120,26 +121,15 @@ class AQPTechnique(abc.ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self._preprocessed = False
-        self._plan_version = 0
+        #: The samples this technique answers from: ``None`` until
+        #: :meth:`preprocess` builds them (or stored ones are adopted).
+        #: Every rebuild or append assigns a new value, never edits one,
+        #: so session plan memos are keyed by its identity.
+        self.samples: Any = None
         #: Cost report for the samples this technique holds: set when
         #: :meth:`preprocess` builds them, or when stored samples are
         #: adopted (:func:`repro.storage.load_samples`); ``None`` before.
         self.report: PreprocessReport | None = None
-
-    @property
-    def plan_version(self) -> int:
-        """Monotonic counter identifying the current sample layout.
-
-        Session-level plan memos store the version they were computed
-        against and recompute when it moves — after :meth:`preprocess`
-        or incremental maintenance restructure the samples.
-        """
-        return self._plan_version
-
-    def invalidate_plans(self) -> None:
-        """Bump :attr:`plan_version`; call after the sample layout changes."""
-        self._plan_version += 1
 
     @abc.abstractmethod
     def preprocess(self, db: Database) -> PreprocessReport:
@@ -178,7 +168,7 @@ class AQPTechnique(abc.ABC):
 
     def require_preprocessed(self) -> None:
         """Raise unless :meth:`preprocess` has completed."""
-        if not self._preprocessed:
+        if self.samples is None:
             raise RuntimePhaseError(
                 f"{self.name}: preprocess() must run before answering queries"
             )
@@ -190,9 +180,6 @@ class AQPTechnique(abc.ABC):
         details: dict | None = None,
     ) -> PreprocessReport:
         """Report on the current sample tables, kept as :attr:`report`."""
-        # Every preprocess implementation ends here, so reporting doubles
-        # as the plan-version bump for freshly (re)built samples.
-        self.invalidate_plans()
         infos = self.sample_tables()
         view_rows = db.fact_table.n_rows
         self.report = PreprocessReport(

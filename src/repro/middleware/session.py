@@ -183,9 +183,9 @@ class AQPSession:
         self._log: list[_LogEntry] = []
         # SQL text -> parsed Query (parse is deterministic, text is frozen).
         self._parse_memo: dict[str, Query] = {}
-        # Query -> (technique, plan_version, pieces): the rewrite plan for
-        # structurally identical queries, revalidated per lookup.
-        self._plan_memo: dict[Query, tuple[AQPTechnique, int, list]] = {}
+        # Query -> (samples, pieces): the rewrite plan for structurally
+        # identical queries, served while the technique holds those samples.
+        self._plan_memo: dict[Query, tuple[object, list]] = {}
         # Cold parse/plan misses coalesce here instead of stampeding.
         self._flight = SingleFlight()
 
@@ -268,9 +268,9 @@ class AQPSession:
         installed technique supports incremental maintenance
         (``supports_incremental_maintenance()``), the batch is also fed
         to the technique's ``insert_rows`` so its samples keep tracking
-        the base data without a rebuild.  Memoised rewrite plans
-        revalidate against the technique's plan version on the next
-        lookup, so no memo clearing is needed here.
+        the base data without a rebuild.  Memoised rewrite plans are
+        keyed by the technique's ``samples``, which ``insert_rows``
+        replaces, so no memo clearing is needed here.
 
         Under a star schema the technique classifies against the joined
         view, so the batch may (must, for incremental maintenance) carry
@@ -454,8 +454,8 @@ class AQPSession:
 
         The pieces from ``choose_samples`` are memoised per parsed
         :class:`Query` — so structurally identical SQL skips sample
-        selection and rewriting — validated against the technique's
-        ``plan_version`` (bumped by preprocess and incremental inserts).
+        selection and rewriting — keyed by the technique's ``samples``,
+        which preprocess and incremental inserts replace.
         Cold plan misses on the same query are single-flighted: one
         thread runs sample selection, concurrent duplicates wait and
         share the memoised pieces.
@@ -464,18 +464,13 @@ class AQPSession:
         selection/rewriting and a ``pieces`` child owning the per-piece
         execution spans.
         """
-        version = technique.plan_version
         metrics = get_cache().metrics
 
         def _memo_lookup():
             with self._lock:
                 entry = self._plan_memo.get(query)
-            if (
-                entry is not None
-                and entry[0] is technique
-                and entry[1] == version
-            ):
-                return entry[2]
+            if entry is not None and entry[0] is technique.samples:
+                return entry[1]
             return None
 
         pieces = _memo_lookup()
@@ -494,14 +489,16 @@ class AQPSession:
                         return memoised
                     metrics.record_miss("plan")
                     technique.require_preprocessed()
+                    # Read before planning: a plan made while the samples
+                    # are replaced is keyed by the old ones, never served.
+                    samples = technique.samples
                     chosen = technique.choose_samples(query)
                     with self._lock:
-                        self._plan_memo[query] = (technique, version, chosen)
+                        self._plan_memo[query] = (samples, chosen)
                     return chosen
 
                 pieces, leader = self._flight.do(
-                    ("plan", query, id(technique), version),
-                    _plan_and_memoise,
+                    ("plan", query, id(technique)), _plan_and_memoise
                 )
                 plan_span.annotate(memo_hit=False)
                 if not leader:

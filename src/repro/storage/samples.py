@@ -25,13 +25,23 @@ import os
 import shutil
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 import repro
+from repro.core.family import (
+    ColumnClass,
+    OverallPart,
+    PairClass,
+    SampleFamily,
+    SampleTableMeta,
+    ValueClass,
+)
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.database import Database
+from repro.engine.table import Table
 from repro.errors import ReproError, SamplingError
 from repro.storage.io import FORMAT_VERSION, StorageError, load_table, save_table
 
@@ -83,12 +93,11 @@ def save_samples(technique: SmallGroupSampling, directory: str | Path) -> Path:
     place, then renamed to ``samples/<key>``, replacing any family stored
     there before.  Returns the family's directory.  Raises
     :class:`StorageError` when the files cannot be written, and when the
-    family cannot be stored at all (see
-    :meth:`SmallGroupSampling.family`).
+    family cannot be stored at all (see :func:`family_manifest`).
     """
     directory = Path(directory)
     try:
-        manifest, tables = technique.family()
+        manifest, tables = family_manifest(technique)
     except SamplingError as error:
         raise StorageError(f"cannot store these samples: {error}") from error
     key = samples_key(directory, technique.config)
@@ -155,7 +164,7 @@ def load_samples(
             name: load_table(family_dir / f"{name}.npz")
             for name in manifest["tables"]
         }
-        return SmallGroupSampling.from_family(
+        return from_family(
             config,
             db,
             manifest,
@@ -167,3 +176,184 @@ def load_samples(
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ReproError) as error:
         raise StorageError(f"{family_dir}: {error}") from error
+
+
+# ----------------------------------------------------------------------
+# The manifest codec
+# ----------------------------------------------------------------------
+def _class_to_json(value_class: ValueClass) -> dict:
+    """A class's value sets as JSON (sorted, so the bytes are stable)."""
+    if isinstance(value_class, PairClass):
+        return {
+            "columns": list(value_class.columns),
+            "common_pairs": sorted(list(p) for p in value_class.common_pairs),
+        }
+    previous = value_class.previous_common
+    return {
+        "column": value_class.column,
+        "common": sorted(value_class.common),
+        "previous_common": None if previous is None else sorted(previous),
+    }
+
+
+def _class_from_json(entry: dict) -> ValueClass:
+    """Inverse of :func:`_class_to_json`."""
+    if "common_pairs" in entry:
+        return PairClass(
+            tuple(entry["columns"]),
+            frozenset(tuple(p) for p in entry["common_pairs"]),
+        )
+    previous = entry["previous_common"]
+    return ColumnClass(
+        entry["column"],
+        frozenset(entry["common"]),
+        None if previous is None else frozenset(previous),
+    )
+
+
+def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
+    """``technique``'s family as plain data: a JSON-able manifest and its tables.
+
+    The manifest holds everything but the sample rows: the metadata
+    table, the bit width, the view's row count, the append ordinal, the
+    view and fact column lists, the overall part's rate, each class's
+    value sets (``L(C)`` per level, the common pairs) and the reduced
+    dimension tables' names.  Raises :class:`SamplingError` for a family
+    :func:`from_family` could not give back as it is: a variant's (the
+    outlier hybrid restructures the overall sample), or one that has
+    absorbed appends the database files do not hold.
+    """
+    technique.require_preprocessed()
+    if type(technique) is not SmallGroupSampling:
+        raise SamplingError(
+            f"{type(technique).__name__} samples cannot be stored; only the "
+            "basic small group family can"
+        )
+    family = technique.samples
+    if family.append_ordinal:
+        raise SamplingError(
+            f"the samples have absorbed {family.append_ordinal} appended "
+            "batches that the database files do not hold"
+        )
+    overall = family.overall_parts[0]
+    tables = [*family.tables, overall.table, *family.reduced_dims.values()]
+    manifest = {
+        "config": repr(technique.config),
+        "metadata": [asdict(meta) for meta in family.metas],
+        "classes": [_class_to_json(c) for c in family.classes],
+        "n_bits": family.n_bits,
+        "view_rows": family.view_rows,
+        "append_ordinal": family.append_ordinal,
+        "view_columns": list(family.view_columns),
+        "fact_columns": list(family.fact_columns),
+        "overall": {"table": overall.table.name, "rate": overall.rate},
+        "reduced_dimensions": {
+            dim: table.name for dim, table in family.reduced_dims.items()
+        },
+    }
+    return manifest, tables
+
+
+def from_family(
+    config: SmallGroupConfig,
+    db: Database,
+    manifest: dict,
+    tables: dict[str, Table],
+    wall_time_seconds: float = 0.0,
+) -> SmallGroupSampling:
+    """Adopt a family written by :func:`family_manifest`, without scanning ``db``.
+
+    Reads only ``db``'s schema, row count and dimension tables: it never
+    materialises the joined view nor re-runs ``preprocess``.  ``tables``
+    maps the manifest's table names to the stored tables.  Raises
+    :class:`SamplingError` unless the manifest describes ``config``,
+    ``db`` and ``tables`` consistently.  The returned technique holds
+    the family and a ``report`` whose wall time is ``wall_time_seconds``.
+    """
+    if manifest["config"] != repr(config):
+        raise SamplingError(
+            f"samples were built for {manifest['config']}, not {config!r}"
+        )
+    fact = db.fact_table
+    expected = {
+        "view_rows": fact.n_rows,
+        "append_ordinal": 0,
+        "view_columns": db.view_column_names(),
+        "fact_columns": fact.column_names,
+    }
+    for name, value in expected.items():
+        if manifest[name] != value:
+            raise SamplingError(
+                f"stored {name} {manifest[name]!r} does not match the "
+                f"database's {value!r}"
+            )
+    metas = [
+        SampleTableMeta(**{**entry, "columns": tuple(entry["columns"])})
+        for entry in manifest["metadata"]
+    ]
+    classes = [_class_from_json(entry) for entry in manifest["classes"]]
+    n_bits = manifest["n_bits"]
+    if (
+        [c.columns for c in classes] != [meta.columns for meta in metas]
+        or [meta.bit_index for meta in metas] != list(range(len(metas)))
+        or n_bits != max(1, len(metas))
+    ):
+        raise SamplingError(
+            "metadata table, value classes and bit width disagree"
+        )
+    stored_columns = (
+        expected["fact_columns"]
+        if config.storage == "renormalized"
+        else expected["view_columns"]
+    )
+
+    def sample(name: str, rows: int | None) -> Table:
+        table = tables.get(name)
+        if (
+            table is None
+            or table.column_names != stored_columns
+            or table.bitmask is None
+            or table.bitmask.n_bits != n_bits
+            or rows not in (None, table.n_rows)
+        ):
+            raise SamplingError(
+                f"sample table {name!r} does not match the manifest"
+            )
+        return table
+
+    overall = sample(manifest["overall"]["table"], None)
+    rate = manifest["overall"]["rate"]
+    built_rate = overall.n_rows / fact.n_rows if fact.n_rows else None
+    if rate != (built_rate or config.base_rate):
+        raise SamplingError(f"overall rate {rate!r} does not match its table")
+    schema = db.star_schema
+    reduced = manifest["reduced_dimensions"]
+    wanted = (
+        {fk.dimension_table for fk in schema.foreign_keys}
+        if schema and config.storage == "renormalized"
+        else set()
+    )
+    if set(reduced) != wanted:
+        raise SamplingError("reduced dimension tables do not match the schema")
+    reduced_dims = {}
+    for dim, name in reduced.items():
+        table = tables.get(name)
+        if table is None or table.column_names != db.table(dim).column_names:
+            raise SamplingError(
+                f"reduced dimension {name!r} does not match {dim!r}"
+            )
+        reduced_dims[dim] = table
+    technique = SmallGroupSampling(config)
+    technique.samples = SampleFamily.of_database(
+        db,
+        config,
+        metas,
+        [sample(m.name, m.stored_rows) for m in metas],
+        [OverallPart(table=overall, rate=rate)],
+        classes,
+        reduced_dims,
+    )
+    technique._report(
+        db, wall_time_seconds, details=technique.preprocess_details()
+    )
+    return technique

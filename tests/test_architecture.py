@@ -38,7 +38,7 @@ class ToyPolicy(AQPTechnique):
                 table=self._sample, kind="uniform", rate=self._actual_rate
             )
         ]
-        self._preprocessed = True
+        self.samples = self._sample
         elapsed = time.perf_counter() - start
         return self._report(db, elapsed, details={"note": "toy"})
 

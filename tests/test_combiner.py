@@ -270,7 +270,9 @@ class TestScaleDiscipline:
         remainder = OverallPart(table=self._table(), rate=0.25)
         assert piece_from(outliers).scale == 1.0
         assert piece_from(remainder).scale == 4.0
-        outliers.rate = 0.5
+        # A part is frozen; force its fields to disagree as a stand-in
+        # for a bad value arriving from elsewhere.
+        object.__setattr__(outliers, "rate", 0.5)
         with pytest.raises(InternalError, match="zero-variance"):
             piece_from(outliers)
 

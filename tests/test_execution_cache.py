@@ -359,26 +359,26 @@ class TestSessionMemos:
         assert metrics.hits.get("plan", 0) > plan_hits
         assert answer_values(second) == answer_values(first)
 
-    def test_insert_rows_bumps_plan_version_and_refreshes(self):
+    def test_insert_rows_replaces_samples_and_refreshes(self):
         _, sg, session = self.build()
         sql = "SELECT color, COUNT(*) AS cnt FROM flat GROUP BY color"
         session.sql(sql)
-        version = sg.plan_version
+        samples = sg.samples
         sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
-        assert sg.plan_version > version
+        assert sg.samples is not samples
 
         warm = session.sql(sql).approx
         get_cache().clear()
         cold = sg.answer(parse_query(sql))
         assert answer_values(warm) == answer_values(cold)
 
-    def test_preprocess_bumps_plan_version(self):
+    def test_preprocess_replaces_samples(self):
         _, sg, _ = self.build()
-        version = sg.plan_version
-        assert version >= 1  # install() ran preprocess once
+        samples = sg.samples
+        assert samples is not None  # install() ran preprocess once
         db = Database([generate_flat_table("flat", 1000, seed=9, **SPEC)])
         sg.preprocess(db)
-        assert sg.plan_version > version
+        assert sg.samples is not samples
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,7 @@ class TestInsertRows:
         # land in the small group table.
         batch = make_batch(500, seed=37)
         uncommon_in_batch = int(
-            np.count_nonzero(sg._classifiers[color_meta.bit_index](batch))
+            np.count_nonzero(sg.samples.classes[color_meta.bit_index](batch))
         )
         before = sg.metadata()[color_meta.bit_index].stored_rows
         sg.insert_rows(batch)

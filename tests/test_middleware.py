@@ -202,13 +202,13 @@ class TestRejectedAppend:
             session.install(technique)
             fact = db.fact_table
             rows_before = fact.n_rows
-            version_before = technique.plan_version
+            samples_before = technique.samples
             exact_before = session.sql(SQL_COUNT, mode="exact").exact.rows
             with pytest.raises(SamplingError, match="missing view columns"):
                 session.append_rows(fact.name, fact.head(8))
             assert session.db.fact_table is fact
             assert session.db.fact_table.n_rows == rows_before
-            assert technique.plan_version == version_before
+            assert technique.samples is samples_before
             assert session.sql(SQL_COUNT, mode="exact").exact.rows == exact_before
 
 

@@ -362,7 +362,7 @@ def test_truncated_table_file_is_a_storage_error(tmp_path, small_table):
 def test_pair_class_matches_decoded_membership(tiny_tpch):
     technique = SmallGroupSampling(CONFIGS["pairs"])
     technique.preprocess(tiny_tpch)
-    pair = technique._classifiers[-1]
+    pair = technique.samples.classes[-1]
     view = tiny_tpch.joined_view()
     batch = append_batches(tiny_tpch, n_batches=1, rows=300)[0]
     for table in (view, batch):

@@ -133,5 +133,5 @@ def test_pieces_partition_small_group_classes(data):
         return
     member = np.zeros(db.fact_table.n_rows, dtype=bool)
     for i in used:
-        member |= technique._classifiers[i](db.fact_table)
+        member |= technique.samples.classes[i](db.fact_table)
     assert counted == int(member.sum())
