@@ -256,11 +256,11 @@ class BasicCongress(AQPTechnique):
             for rate, s in self.samples.items()
         ]
 
-    def choose_samples(
-        self, query: Query, rate: float | None = None
+    def plan(
+        self, samples: dict, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One piece over the sample whose budget is closest to ``rate``."""
-        sample = self.samples[closest_rate(list(self.samples), rate)]
+        sample = samples[closest_rate(list(samples), rate)]
         piece = SamplePiece(
             table=sample.table,
             query=query.with_table(sample.table.name),

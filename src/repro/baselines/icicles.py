@@ -158,11 +158,11 @@ class IciclesSampling(AQPTechnique):
             for rate, s in self.samples.items()
         ]
 
-    def choose_samples(
-        self, query: Query, rate: float | None = None
+    def plan(
+        self, samples: dict, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One Horvitz–Thompson-weighted piece over the closest budget."""
-        sample = self.samples[closest_rate(list(self.samples), rate)]
+        sample = samples[closest_rate(list(samples), rate)]
         piece = SamplePiece(
             table=sample.table,
             query=query.with_table(sample.table.name),

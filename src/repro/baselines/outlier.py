@@ -179,7 +179,9 @@ class OutlierIndexing(AQPTechnique):
             )
         return infos
 
-    def _pick(self, query: Query, rate: float | None) -> _Partition:
+    def _pick(
+        self, samples: dict, query: Query, rate: float | None
+    ) -> _Partition:
         measure = None
         for agg in query.aggregates:
             if agg.func is AggFunc.SUM and agg.column in self.config.measures:
@@ -187,14 +189,14 @@ class OutlierIndexing(AQPTechnique):
                 break
         if measure is None:
             measure = self.config.measures[0]
-        rates = sorted({r for r, m in self.samples if m == measure})
-        return self.samples[(closest_rate(rates, rate), measure)]
+        rates = sorted({r for r, m in samples if m == measure})
+        return samples[(closest_rate(rates, rate), measure)]
 
-    def choose_samples(
-        self, query: Query, rate: float | None = None
+    def plan(
+        self, samples: dict, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """Exact outlier piece plus the scaled remainder piece."""
-        partition = self._pick(query, rate)
+        partition = self._pick(samples, query, rate)
         scale = 1.0 / partition.remainder_rate
         return [
             SamplePiece(

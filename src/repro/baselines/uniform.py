@@ -7,7 +7,7 @@ with ``i`` grouping columns run by small group sampling at base rate ``r``
 and allocation ratio ``γ`` touches ``(1 + γ·i)·r·N`` rows, so its uniform
 competitor gets a sample of rate ``(1 + γ·i)·r`` — the technique can build
 a *family* of samples at several rates and select per query, itself a
-trivial instance of dynamic sample selection: :meth:`choose_samples`
+trivial instance of dynamic sample selection: :meth:`plan`
 returns one piece over the built sample whose rate is closest to the
 requested one (the first configured rate by default).
 """
@@ -91,11 +91,11 @@ class UniformSampling(AQPTechnique):
             for table, actual in self.samples.values()
         ]
 
-    def choose_samples(
-        self, query: Query, rate: float | None = None
+    def plan(
+        self, samples: dict, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """One piece over the built sample whose rate is closest to ``rate``."""
-        table, actual_rate = self.samples[closest_rate(list(self.samples), rate)]
+        table, actual_rate = samples[closest_rate(list(samples), rate)]
         scale = 1.0 / actual_rate
         piece = SamplePiece(
             table=table,

@@ -7,9 +7,11 @@ is one instance of the paper's Section 3 pipeline:
   of sample tables (possibly many, possibly biased), returning a
   :class:`PreprocessReport` with the time/space accounting that Section
   5.4.2 reports; :meth:`AQPTechnique.sample_tables` lists them;
-* :meth:`AQPTechnique.choose_samples` compares a query against the stored
-  samples and returns the rewritten :class:`~repro.core.rewriter.SamplePiece`
-  list — the technique's whole runtime policy;
+* :meth:`AQPTechnique.plan` compares a query against a version of the
+  stored samples and returns the rewritten
+  :class:`~repro.core.rewriter.SamplePiece` list — the technique's whole
+  runtime policy (:meth:`AQPTechnique.choose_samples` plans against the
+  current version);
 * :meth:`AQPTechnique.answer` executes those pieces and combines them into
   an :class:`~repro.core.answer.ApproxAnswer` — the same code for every
   technique.
@@ -124,7 +126,8 @@ class AQPTechnique(abc.ABC):
         #: The samples this technique answers from: ``None`` until
         #: :meth:`preprocess` builds them (or stored ones are adopted).
         #: Every rebuild or append assigns a new value, never edits one,
-        #: so session plan memos are keyed by its identity.
+        #: so a session pins it per query and keys plan memos by its
+        #: identity.
         self.samples: Any = None
         #: Cost report for the samples this technique holds: set when
         #: :meth:`preprocess` builds them, or when stored samples are
@@ -140,16 +143,24 @@ class AQPTechnique(abc.ABC):
         """All sample tables this technique stores."""
 
     @abc.abstractmethod
+    def plan(
+        self, samples: Any, query: Query, rate: float | None = None
+    ) -> list[SamplePiece]:
+        """Choose among ``samples`` for ``query`` and rewrite it against them.
+
+        A pure function: ``samples`` is any version of :attr:`samples`,
+        so a caller that pinned one plans against it while an append
+        publishes the next.  ``rate`` requests a per-query
+        sample space (the matched-space harness of Section 5.2.3 passes
+        one); ``None`` means the technique's default.  Techniques whose
+        policy fixes the space themselves may ignore it.
+        """
+
     def choose_samples(
         self, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
-        """Choose stored samples for ``query`` and rewrite it against them.
-
-        ``rate`` requests a per-query sample space (the matched-space
-        harness of Section 5.2.3 passes one); ``None`` means the
-        technique's default.  Techniques whose policy fixes the space
-        themselves may ignore it.
-        """
+        """:meth:`plan` against the samples this technique holds now."""
+        return self.plan(self.samples, query, rate)
 
     def answer(self, query: Query, rate: float | None = None) -> ApproxAnswer:
         """Answer ``query`` approximately: choose samples, execute, combine."""
@@ -159,7 +170,7 @@ class AQPTechnique(abc.ABC):
         )
 
     def supports_incremental_maintenance(self) -> bool:
-        """Whether ``check_insert_batch``/``insert_rows`` maintain the samples.
+        """Whether ``insert_rows`` maintains the samples.
 
         ``False`` here: appends to the base data leave the samples as
         built until the next :meth:`preprocess`.

@@ -54,7 +54,7 @@ from repro.core.family import (
     applicable_tables,
     dimension_rows,
     key_set,
-    plan,
+    plan as plan_family,
 )
 from repro.core.interfaces import (
     AQPTechnique,
@@ -461,8 +461,8 @@ class SmallGroupSampling(AQPTechnique):
         """Indices into :meth:`metadata` usable for ``query`` (see :func:`applicable_tables`)."""
         return applicable_tables(self.samples, query)
 
-    def choose_samples(
-        self, query: Query, rate: float | None = None
+    def plan(
+        self, samples: SampleFamily, query: Query, rate: float | None = None
     ) -> list[SamplePiece]:
         """Rewrite ``query`` into small-group pieces + the overall pieces.
 
@@ -470,7 +470,7 @@ class SmallGroupSampling(AQPTechnique):
         tables join the overall sample, so the per-query space is fixed
         by the sample layout (Section 5.2.3 matches the baselines to it).
         """
-        return plan(self.samples, query)
+        return plan_family(samples, query)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -479,25 +479,15 @@ class SmallGroupSampling(AQPTechnique):
         """Whether :meth:`insert_rows` is available (see ``SampleFamily.appendable``)."""
         return self.samples is not None and self.samples.appendable
 
-    def check_insert_batch(self, new_rows: Table) -> tuple[str, ...]:
-        """Validate an :meth:`insert_rows` batch without changing anything.
-
-        Returns the joined-view columns the batch must (and does) carry;
-        raises :class:`SamplingError` otherwise.  Callers that also store
-        the batch elsewhere (``AQPSession.append_rows``) run this first,
-        so a rejected batch leaves base data and samples in step.
-        """
-        self.require_preprocessed()
-        return self.samples.check_batch(new_rows)
-
     def insert_rows(self, new_rows: Table) -> None:
         """Maintain the samples under appended rows.
 
         Publishes :meth:`SampleFamily.with_batch`'s family with one
-        assignment: a batch that fails part-way leaves :attr:`samples`
-        as it was.  Value-frequency drift can eventually invalidate the
-        common sets; :meth:`maintenance_report` quantifies the drift so
-        callers can decide when to re-run :meth:`preprocess`.
+        assignment: a batch it refuses (:meth:`SampleFamily.check_batch`)
+        or one that fails part-way leaves :attr:`samples` as it was.
+        Value-frequency drift can eventually invalidate the common sets;
+        :meth:`maintenance_report` quantifies the drift so callers can
+        decide when to re-run :meth:`preprocess`.
         """
         self.require_preprocessed()
         self.samples = self.samples.with_batch(new_rows)

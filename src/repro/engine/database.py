@@ -140,21 +140,9 @@ class Database:
         """Whether the catalog contains a table with this name."""
         return name in self._tables
 
-    def add_table(self, table: Table) -> None:
-        """Register a new table (e.g. a sample table built by an AQP method)."""
-        if table.name in self._tables:
-            raise SchemaError(f"duplicate table name {table.name!r}")
-        self._tables[table.name] = table
-
-    def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog.
-
-        State derived from its columns dies with them once no reader
-        holds the table.
-        """
-        if name not in self._tables:
-            raise SchemaError(f"no table {name!r} to drop")
-        del self._tables[name]
+    def snapshot(self) -> Database:
+        """A catalog over the same tables, which later appends leave as is."""
+        return Database(self._tables.values(), self.star_schema)
 
     def append_rows(self, name: str, batch: Table) -> Table:
         """Append ``batch``'s rows to table ``name`` (incremental-load path).

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from repro.core.answer import ApproxAnswer
 from repro.core.combiner import execute_pieces
@@ -24,7 +25,7 @@ from repro.engine.deadline import Deadline
 from repro.engine.executor import GroupedResult, execute
 from repro.engine.expressions import Query
 from repro.engine.table import Table
-from repro.errors import InternalError, RuntimePhaseError, SchemaError
+from repro.errors import InternalError, RuntimePhaseError
 from repro.experiments.reporting import format_table
 from repro.obs.profile import QueryProfile
 from repro.obs.registry import get_registry
@@ -145,6 +146,20 @@ class SessionResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """One published version: the catalog and the samples kept in step with it.
+
+    A query reads one snapshot from start to finish; an append publishes
+    the next one with a single assignment.  Compared and hashed by
+    identity (baseline samples are plain dicts), so it can key a
+    single-flight.
+    """
+
+    db: Database
+    samples: Any
+
+
 @dataclass
 class _LogEntry:
     sql: str
@@ -156,10 +171,12 @@ class _LogEntry:
 class AQPSession:
     """SQL-in / answers-out middleware over a database and an AQP technique.
 
-    Safe for concurrent :meth:`sql` / :meth:`execute` callers: the query
-    log and the parse/plan memos take the session lock, and the engine
-    layers underneath (per-column memos, metrics registry) are thread-safe.
-    The lock is never held across parsing, rewriting, or execution —
+    :meth:`sql` and :meth:`explain` read the published :class:`Snapshot`
+    once and answer from it; :meth:`append_rows` publishes the next one
+    with one assignment under ``_append_lock``, which no reader takes, so
+    queries never wait for appends nor see half of one.  The query log
+    and the parse/plan memos take the session lock, never held across
+    parsing, rewriting, or execution —
     concurrent misses on the same memo key are **single-flighted** (one
     caller parses/plans, the concurrent duplicates wait and share the
     result) rather than either serialising the session or stampeding N
@@ -175,9 +192,15 @@ class AQPSession:
     def __init__(
         self, db: Database, technique: AQPTechnique | None = None
     ) -> None:
-        self.db = db
+        # The live catalog: only :meth:`append_rows` changes it, and
+        # readers see it through published snapshots.
+        self._db = db
         self.technique = technique
         self.report: PreprocessReport | None = None
+        self._snapshot = Snapshot(
+            db.snapshot(), None if technique is None else technique.samples
+        )
+        self._append_lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
         self._log: list[_LogEntry] = []
@@ -192,6 +215,16 @@ class AQPSession:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def snapshot(self) -> Snapshot:
+        """The published version a query starting now would read."""
+        return self._snapshot
+
+    @property
+    def db(self) -> Database:
+        """The current snapshot's catalog."""
+        return self._snapshot.db
+
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run."""
@@ -245,6 +278,7 @@ class AQPSession:
         self._require_open()
         self.report = technique.report or technique.preprocess(self.db)
         self.technique = technique
+        self._snapshot = Snapshot(self.db, technique.samples)
         return self.report
 
     def require_technique(self) -> AQPTechnique:
@@ -259,48 +293,53 @@ class AQPSession:
     # Ingestion
     # ------------------------------------------------------------------
     def append_rows(self, name: str, batch: Table) -> Table:
-        """Append ``batch`` to table ``name``, maintaining derived state.
+        """Append ``batch`` to table ``name`` and publish the next snapshot.
 
-        Routes through :meth:`Database.append_rows`, which tail-writes the
-        batch and publishes new columns with empty memos (predicate
-        masks, grouping codes, join positions); the next read rebuilds
-        what it needs.  When the appended table is the fact table and the
-        installed technique supports incremental maintenance
-        (``supports_incremental_maintenance()``), the batch is also fed
-        to the technique's ``insert_rows`` so its samples keep tracking
-        the base data without a rebuild.  Memoised rewrite plans are
-        keyed by the technique's ``samples``, which ``insert_rows``
-        replaces, so no memo clearing is needed here.
+        When the appended table is the fact table and the installed
+        technique supports incremental maintenance
+        (``supports_incremental_maintenance()``), the batch first goes
+        to the technique's ``insert_rows``, which validates it and
+        replaces its samples; then :meth:`Database.append_rows`
+        tail-writes it into the live catalog.  Only then does one
+        assignment publish the new catalog and samples together.  A
+        step that raises publishes nothing: a refused batch changes
+        nothing, and a failed table append restores the technique's
+        previous samples, so the table and its samples never diverge.
+        Memoised rewrite plans are keyed by the samples, so no memo
+        clearing is needed.
 
         Under a star schema the technique classifies against the joined
         view, so the batch may (must, for incremental maintenance) carry
         the dimension attributes too; only the stored table's own
         columns are persisted, the full batch goes to ``insert_rows``.
-        The technique validates the batch (``check_insert_batch``)
-        before anything is stored, so a refused append changes nothing.
         """
         self._require_open()
-        stored_names = self.db.table(name).column_names
-        to_store = batch
-        if set(stored_names) <= set(batch.column_names) and len(
-            batch.column_names
-        ) > len(stored_names):
-            to_store = batch.select(stored_names)
-        technique = self.technique
-        maintained = False
-        if technique is not None:
+        with self._append_lock:
+            snapshot = self._snapshot
+            stored_names = snapshot.db.table(name).column_names
+            to_store = batch
+            if set(stored_names) <= set(batch.column_names) and len(
+                batch.column_names
+            ) > len(stored_names):
+                to_store = batch.select(stored_names)
+            technique = self.technique
+            # A maintained family was built from this catalog's fact table.
+            maintained = (
+                technique is not None
+                and technique.supports_incremental_maintenance()
+                and name == snapshot.db.fact_table.name
+            )
+            samples = snapshot.samples
+            if maintained:
+                technique.insert_rows(batch)
+                samples = technique.samples
             try:
-                is_fact = name == self.db.fact_table.name
-            except SchemaError:
-                is_fact = False
-            maintained = is_fact and technique.supports_incremental_maintenance()
-        if maintained:
-            # Reject a batch the technique cannot absorb *before* storing
-            # it: a failed append must leave base data and samples in step.
-            technique.check_insert_batch(batch)
-        merged = self.db.append_rows(name, to_store)
-        if maintained:
-            technique.insert_rows(batch)
+                merged = self._db.append_rows(name, to_store)
+            except BaseException:
+                if maintained:
+                    technique.samples = snapshot.samples
+                raise
+            self._snapshot = Snapshot(self._db.snapshot(), samples)
         return merged
 
     # ------------------------------------------------------------------
@@ -342,6 +381,7 @@ class AQPSession:
             raise RuntimePhaseError(
                 f"mode must be approx, exact, or both; got {mode!r}"
             )
+        snapshot = self._snapshot
         root = Span("query") if profile else NULL_SPAN
         cache_before = get_cache().metrics.counts() if profile else None
         registry = get_registry()
@@ -355,12 +395,16 @@ class AQPSession:
                 deadline.check("parse")
             result = SessionResult(sql=text, query=query, explained=explain)
             if mode in ("approx", "both"):
-                technique = self.require_technique()
+                technique = self._require_samples(snapshot)
                 approx_span = root.child("execute.approx")
                 start = time.perf_counter()
                 with approx_span:
                     result.approx = self._answer_approx(
-                        technique, query, span=approx_span, deadline=deadline
+                        technique,
+                        snapshot.samples,
+                        query,
+                        span=approx_span,
+                        deadline=deadline,
                     )
                 result.approx_seconds = time.perf_counter() - start
                 registry.observe(
@@ -372,7 +416,7 @@ class AQPSession:
                 exact_span = root.child("execute.exact")
                 start = time.perf_counter()
                 with exact_span:
-                    result.exact = execute(self.db, query, span=exact_span)
+                    result.exact = execute(snapshot.db, query, span=exact_span)
                 result.exact_seconds = time.perf_counter() - start
                 registry.observe(
                     "session.exact_seconds", result.exact_seconds
@@ -443,22 +487,33 @@ class AQPSession:
             metrics.record_coalesced("sql_parse")
         return query
 
+    def _require_samples(self, snapshot: Snapshot) -> AQPTechnique:
+        """The installed technique, if ``snapshot`` has samples to plan on."""
+        technique = self.require_technique()
+        if snapshot.samples is None:
+            raise RuntimePhaseError(
+                f"{technique.name}: preprocess() must run before answering "
+                "queries"
+            )
+        return technique
+
     def _answer_approx(
         self,
         technique: AQPTechnique,
+        samples: Any,
         query: Query,
         span: Span = NULL_SPAN,
         deadline: Deadline | None = None,
     ) -> ApproxAnswer:
-        """Answer approximately, memoising the technique's rewrite plan.
+        """Answer approximately from ``samples``, memoising the rewrite plan.
 
-        The pieces from ``choose_samples`` are memoised per parsed
+        The pieces from ``technique.plan`` are memoised per parsed
         :class:`Query` — so structurally identical SQL skips sample
-        selection and rewriting — keyed by the technique's ``samples``,
-        which preprocess and incremental inserts replace.
-        Cold plan misses on the same query are single-flighted: one
-        thread runs sample selection, concurrent duplicates wait and
-        share the memoised pieces.
+        selection and rewriting — and served only to a query pinned to
+        the same ``samples`` (an append publishes new ones).
+        Cold plan misses on the same query and samples are
+        single-flighted: one thread runs sample selection, concurrent
+        duplicates wait and share the memoised pieces.
 
         ``span`` (when profiling) gains a ``plan`` child timing sample
         selection/rewriting and a ``pieces`` child owning the per-piece
@@ -469,7 +524,7 @@ class AQPSession:
         def _memo_lookup():
             with self._lock:
                 entry = self._plan_memo.get(query)
-            if entry is not None and entry[0] is technique.samples:
+            if entry is not None and entry[0] is samples:
                 return entry[1]
             return None
 
@@ -488,17 +543,15 @@ class AQPSession:
                     if memoised is not None:
                         return memoised
                     metrics.record_miss("plan")
-                    technique.require_preprocessed()
-                    # Read before planning: a plan made while the samples
-                    # are replaced is keyed by the old ones, never served.
-                    samples = technique.samples
-                    chosen = technique.choose_samples(query)
+                    chosen = technique.plan(samples, query)
                     with self._lock:
                         self._plan_memo[query] = (samples, chosen)
                     return chosen
 
+                # ``id`` is unique here: every caller sharing the key
+                # holds its samples alive until the flight ends.
                 pieces, leader = self._flight.do(
-                    ("plan", query, id(technique)), _plan_and_memoise
+                    ("plan", query, id(samples)), _plan_and_memoise
                 )
                 plan_span.annotate(memo_hit=False)
                 if not leader:
@@ -518,8 +571,9 @@ class AQPSession:
         Shows the chosen sample tables and the rewritten SQL without
         executing the aggregation.
         """
-        technique = self.require_technique()
-        pieces = technique.choose_samples(parse_query(text))
+        snapshot = self._snapshot
+        technique = self._require_samples(snapshot)
+        pieces = technique.plan(snapshot.samples, parse_query(text))
         from repro.core.rewriter import pieces_to_sql
 
         lines = [f"technique: {technique.name}", "pieces:"]

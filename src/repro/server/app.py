@@ -15,19 +15,19 @@ Concurrency discipline, in the order a request meets it:
    rejected immediately with ``overloaded`` (HTTP 429) instead of
    queueing unboundedly behind slow queries.
 3. **Single-flight dedup** — identical in-flight queries (same SQL,
-   mode, explain) coalesce onto one execution via the same
+   mode, explain, and snapshot) coalesce onto one execution via the same
    :class:`~repro.engine.cache.SingleFlight` primitive the session's
    parse/plan memos use; followers share the leader's encoded response and count
    under ``server.coalesced``.  A follower whose own deadline expires
    while waiting stops waiting and fails with ``deadline_exceeded``.
-4. **Snapshot semantics** — queries take the read side and appends the
-   write side of a writer-preferring read/write lock, so a query never
-   observes a half-applied ``append_rows`` (the catalog's tail write and
-   table swap, and the technique's ``insert_rows``, all complete
-   atomically with respect to reads).  Readers pin the table objects
-   they resolved for the duration of the scan, and with them the state
-   memoised on their columns; a superseded table's memos die with it,
-   never torn.
+4. **Snapshot semantics** — no lock orders queries against appends.
+   Each query reads the session's published
+   :class:`~repro.middleware.session.Snapshot` (catalog plus samples)
+   once and answers from it; an append publishes the next snapshot with
+   one assignment, so a query never waits for an append nor observes
+   half of one.  Because the snapshot is part of the dedup key, a query
+   admitted after an append's ack never joins an execution pinned
+   before it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ServerConfig:
     max_inflight:
         Queries allowed to execute concurrently before the admission
         gate rejects with ``overloaded``.  Appends do not count against
-        the gate (they serialise on the write lock instead).
+        the gate (they serialise on the session's append lock instead).
     default_deadline:
         Per-request deadline (seconds) applied when the request does not
         carry its own ``timeout``; ``None`` means unbounded.
@@ -70,53 +70,6 @@ class ServerConfig:
 
     max_inflight: int = 16
     default_deadline: float | None = None
-
-
-class _ReadWriteLock:
-    """Writer-preferring read/write lock (stdlib Condition).
-
-    Queries share the read side; appends take the write side
-    exclusively.  Writer preference (readers queue behind a *waiting*
-    writer, not just an active one) keeps a steady query stream from
-    starving appends forever.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
 
 
 class AQPServer:
@@ -133,7 +86,6 @@ class AQPServer:
             raise QueryError(
                 f"max_inflight must be >= 1, got {self.config.max_inflight}"
             )
-        self._rw = _ReadWriteLock()
         self._flight = SingleFlight()
         self._admission_lock = threading.Lock()
         self._inflight = 0
@@ -233,14 +185,13 @@ class AQPServer:
             deadline = Deadline(seconds) if seconds is not None else None
 
             def _execute() -> dict:
-                with self._rw.read_locked():
-                    result = self.session.sql(
-                        sql, mode=mode, explain=explain, deadline=deadline
-                    )
+                result = self.session.sql(
+                    sql, mode=mode, explain=explain, deadline=deadline
+                )
                 return encode_result(result)
 
             payload, leader = self._flight.do(
-                (sql, mode, explain),
+                (sql, mode, explain, self.session.snapshot),
                 _execute,
                 deadline_check=(
                     deadline.check if deadline is not None else None
@@ -267,8 +218,7 @@ class AQPServer:
             raise
         except Exception as error:
             raise QueryError(f"cannot build append batch: {error}") from error
-        with self._rw.write_locked():
-            merged = self.session.append_rows(table_name, batch)
+        merged = self.session.append_rows(table_name, batch)
         get_registry().incr("server.rows_appended", batch.n_rows)
         return 200, {
             "ok": True,

@@ -45,15 +45,15 @@ class ToyPolicy(AQPTechnique):
     def sample_tables(self):
         return list(self._infos)
 
-    def choose_samples(self, query, rate=None):
+    def plan(self, samples, query, rate=None):
         scale = 1.0 / self._actual_rate
         return [
             SamplePiece(
-                table=self._sample,
+                table=samples,
                 query=query.with_table("toy_sample"),
                 rate=self._actual_rate,
                 variance_weights=np.full(
-                    self._sample.n_rows, (1 - self._actual_rate) * scale**2
+                    samples.n_rows, (1 - self._actual_rate) * scale**2
                 ),
                 counts_as_exact=False,
             )

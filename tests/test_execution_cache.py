@@ -272,19 +272,6 @@ class TestInvalidationSweep:
     """Every path that replaces a table publishes columns with empty
     memos and lets the replaced objects' memos die with them."""
 
-    def test_drop_table_releases_cached_artifacts(self):
-        db = star_db()
-        region = db.table("customers").column("region")
-        value = _Value()
-        ref = weakref.ref(value)
-        region.derived("group_ids", None, lambda: value)
-        del value
-        db.drop_table("customers")
-        assert ref() is not None  # still reachable through ``region``
-        del region
-        gc.collect()
-        assert ref() is None
-
     def test_insert_rows_invalidates_replaced_small_group_tables(self):
         db = Database([generate_flat_table("flat", 3000, seed=7, **SPEC)])
         sg = SmallGroupSampling(
@@ -328,7 +315,9 @@ class TestInvalidationSweep:
             "WHERE status = 'status_0' GROUP BY color"
         )
         session.sql(sql)  # warm the sample tables' predicate masks
-        sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
+        session.append_rows(
+            "flat", generate_flat_table("flat", 800, seed=8, **SPEC)
+        )
 
         warm = session.sql(sql).approx
         get_cache().clear()
@@ -364,7 +353,9 @@ class TestSessionMemos:
         sql = "SELECT color, COUNT(*) AS cnt FROM flat GROUP BY color"
         session.sql(sql)
         samples = sg.samples
-        sg.insert_rows(generate_flat_table("flat", 800, seed=8, **SPEC))
+        session.append_rows(
+            "flat", generate_flat_table("flat", 800, seed=8, **SPEC)
+        )
         assert sg.samples is not samples
 
         warm = session.sql(sql).approx

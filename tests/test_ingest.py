@@ -7,12 +7,14 @@ Contracts under test:
   served for the new one, and the next read answers exactly like a
   database built from the final rows;
 * any interleaving of appends and queries yields answers byte-identical
-  to a fresh session replaying the same appends.
+  to a fresh session replaying the same appends;
+* a session append that fails at any step changes nothing.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import family as family_module
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
     CategoricalSpec,
@@ -26,6 +28,7 @@ from repro.engine.executor import execute
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
 from repro.middleware.session import AQPSession
+from repro.server.protocol import encode_result
 from repro.sql.parser import parse_query
 
 
@@ -199,3 +202,89 @@ class TestInterleavedDeterminism:
         finally:
             session.close()
 
+
+
+class TestFailedAppendChangesNothing:
+    """A step of ``AQPSession.append_rows`` that raises publishes nothing:
+    the table, the samples and the snapshot stay as they were."""
+
+    def _session(self, db):
+        get_cache().clear()
+        session = AQPSession(db)
+        session.install(
+            SmallGroupSampling(SmallGroupConfig(base_rate=0.1, seed=7))
+        )
+        return session
+
+    @staticmethod
+    def _fingerprints(session):
+        return tuple(
+            encode_result(session.sql(sql, mode="both"))["fingerprint"]
+            for sql in (SWEEP_SQL, "SELECT COUNT(*) AS cnt FROM flat")
+        )
+
+    def _never_saw_the_failed_batch(self):
+        session = self._session(make_db(2048))
+        try:
+            session.append_rows("flat", make_batch(512, 82))
+            return self._fingerprints(session)
+        finally:
+            session.close()
+
+    def _assert_unchanged(self, session, samples, snapshot):
+        assert session.db.table("flat").n_rows == 2048
+        assert session.technique.samples is samples
+        assert session.snapshot is snapshot
+        result = session.sql("SELECT COUNT(*) AS cnt FROM flat", mode="exact")
+        assert result.exact.rows[()][0] == 2048
+
+    def test_failed_maintenance_keeps_table_and_samples(self, monkeypatch):
+        expected = self._never_saw_the_failed_batch()
+        session = self._session(make_db(2048))
+        try:
+            samples, snapshot = session.technique.samples, session.snapshot
+
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError("injected")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    family_module, "reservoir_replacements", out_of_memory
+                )
+                with pytest.raises(MemoryError):
+                    session.append_rows("flat", make_batch(512, 81))
+            self._assert_unchanged(session, samples, snapshot)
+            session.append_rows("flat", make_batch(512, 82))
+            assert self._fingerprints(session) == expected
+        finally:
+            session.close()
+
+    def test_failed_table_append_restores_the_samples(self, monkeypatch):
+        expected = self._never_saw_the_failed_batch()
+        db = make_db(2048)
+        session = self._session(db)
+        try:
+            technique = session.technique
+            samples, snapshot = technique.samples, session.snapshot
+            inserted = []
+            insert_rows = technique.insert_rows
+
+            def recorded_insert_rows(batch):
+                insert_rows(batch)
+                inserted.append(technique.samples)
+
+            def refused(*args, **kwargs):
+                raise MemoryError("injected")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(technique, "insert_rows", recorded_insert_rows)
+                patch.setattr(db, "append_rows", refused)
+                with pytest.raises(MemoryError):
+                    session.append_rows("flat", make_batch(512, 81))
+            # The samples had advanced before the table append failed.
+            assert len(inserted) == 1 and inserted[0] is not samples
+            self._assert_unchanged(session, samples, snapshot)
+            session.append_rows("flat", make_batch(512, 82))
+            assert self._fingerprints(session) == expected
+        finally:
+            session.close()

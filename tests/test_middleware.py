@@ -277,12 +277,12 @@ class TestEveryTechniquePlansThroughTheSession:
         self, tiny_tpch, technique, monkeypatch
     ):
         deadline = Deadline(0.05)
-        choose = technique.choose_samples
+        plan = technique.plan
 
-        def slow_choose(query, rate=None):
+        def slow_plan(samples, query, rate=None):
             while not deadline.expired():
                 time.sleep(0.001)
-            return choose(query, rate)
+            return plan(samples, query, rate)
 
         aggregated = []
 
@@ -291,7 +291,7 @@ class TestEveryTechniquePlansThroughTheSession:
             return aggregate_table(*args, **kwargs)
 
         aggregate_table = combiner.aggregate_table
-        monkeypatch.setattr(technique, "choose_samples", slow_choose)
+        monkeypatch.setattr(technique, "plan", slow_plan)
         monkeypatch.setattr(combiner, "aggregate_table", counting)
         session = AQPSession(tiny_tpch, technique)
         with pytest.raises(DeadlineExceeded, match="piece"):

@@ -50,17 +50,6 @@ class TestDatabase:
         with pytest.raises(SchemaError):
             Database([t, t])
 
-    def test_add_and_drop_table(self):
-        db = make_star()
-        db.add_table(Table.from_dict("extra", {"a": [1]}))
-        assert db.has_table("extra")
-        with pytest.raises(SchemaError):
-            db.add_table(Table.from_dict("extra", {"a": [1]}))
-        db.drop_table("extra")
-        assert not db.has_table("extra")
-        with pytest.raises(SchemaError):
-            db.drop_table("extra")
-
     def test_fact_table_star(self):
         assert make_star().fact_table.name == "fact"
 

@@ -14,7 +14,14 @@ import pytest
 from repro.client import ReproClient, _encode_body
 from repro.core import confidence
 from repro.core.answer import ApproxAnswer, GroupEstimate
+from repro.core.family import SampleFamily
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
+from repro.datagen.synthetic import (
+    CategoricalSpec,
+    MeasureSpec,
+    generate_flat_table,
+)
+from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import (
@@ -30,7 +37,6 @@ from repro.errors import (
 from repro.middleware.session import AQPSession
 from repro.obs import jsonsafe
 from repro.server import AQPServer, ServerConfig, make_server
-from repro.server.app import _ReadWriteLock
 from repro.server.protocol import (
     ERROR_CODES,
     answer_fingerprint,
@@ -186,41 +192,6 @@ class TestProtocol:
             for level in (0.0, 1.0, -0.5, 1.5):
                 with pytest.raises(RuntimePhaseError):
                     confidence.z_value(level)
-
-
-class TestReadWriteLock:
-    def test_readers_share_writers_exclude(self):
-        lock = _ReadWriteLock()
-        state = {"readers": 0, "max_readers": 0, "writer_saw_readers": -1}
-        gate = threading.Barrier(3)
-
-        def reader():
-            gate.wait()
-            with lock.read_locked():
-                state["readers"] += 1
-                state["max_readers"] = max(
-                    state["max_readers"], state["readers"]
-                )
-                time.sleep(0.05)
-                state["readers"] -= 1
-
-        def writer():
-            gate.wait()
-            time.sleep(0.01)  # let readers enter first
-            with lock.write_locked():
-                state["writer_saw_readers"] = state["readers"]
-
-        threads = [
-            threading.Thread(target=reader),
-            threading.Thread(target=reader),
-            threading.Thread(target=writer),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state["max_readers"] == 2  # readers overlapped
-        assert state["writer_saw_readers"] == 0  # writer waited them out
 
 
 class TestDispatch:
@@ -719,5 +690,162 @@ class TestStarSchemaAppend:
             )
             assert status == 200, body
             assert body["total_rows"] == n0 + 16
+        finally:
+            session.close()
+
+
+class TestPinnedSnapshots:
+    """A query reads one published (catalog, samples) version; an append
+    publishes the next one without ever making a reader wait."""
+
+    FLAT_SPEC = dict(
+        categoricals=[
+            CategoricalSpec("color", 20, 1.5),
+            CategoricalSpec("status", 4, 0.8),
+        ],
+        measures=[MeasureSpec("amount", distribution="lognormal")],
+    )
+    COUNT_SQL = "SELECT status, COUNT(*) AS cnt FROM flat GROUP BY status"
+    INITIAL_ROWS = 2048
+    BATCH_ROWS = 512
+
+    def _session(self) -> AQPSession:
+        get_cache().clear()
+        table = generate_flat_table(
+            "flat", self.INITIAL_ROWS, seed=71, **self.FLAT_SPEC
+        )
+        session = AQPSession(Database([table]))
+        session.install(
+            SmallGroupSampling(
+                SmallGroupConfig(base_rate=0.1, use_reservoir=False, seed=7)
+            )
+        )
+        return session
+
+    def _append_request(self) -> dict:
+        batch = generate_flat_table(
+            "flat", self.BATCH_ROWS, seed=91, **self.FLAT_SPEC
+        )
+        rows = {
+            name: batch.column(name).to_list() for name in batch.column_names
+        }
+        return {"op": "append", "table": "flat", "rows": rows}
+
+    @staticmethod
+    def _exact_total(body: dict) -> int:
+        return sum(
+            group["values"][0] for group in body["answer"]["exact"]["groups"]
+        )
+
+    def test_reader_never_waits_for_an_append(self, monkeypatch):
+        session = self._session()
+        app = AQPServer(session, ServerConfig(max_inflight=8))
+        queries = {
+            mode: {"op": "query", "sql": self.COUNT_SQL, "mode": mode}
+            for mode in ("exact", "approx", "both")
+        }
+        before = {
+            mode: app.handle(request)[1]["fingerprint"]
+            for mode, request in queries.items()
+        }
+        entered = threading.Event()
+        release = threading.Event()
+        with_batch = SampleFamily.with_batch
+
+        def blocked_with_batch(family, batch):
+            entered.set()
+            release.wait(30)
+            return with_batch(family, batch)
+
+        monkeypatch.setattr(SampleFamily, "with_batch", blocked_with_batch)
+        acked = []
+        writer = threading.Thread(
+            target=lambda: acked.append(app.handle(self._append_request()))
+        )
+        answers = {}
+        reader = threading.Thread(
+            target=lambda: answers.update(
+                (mode, app.handle(req)) for mode, req in queries.items()
+            )
+        )
+        try:
+            writer.start()
+            assert entered.wait(10)
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive(), "a query waited for the append"
+            for mode, (status, body) in answers.items():
+                assert status == 200, body
+                assert body["fingerprint"] == before[mode], mode
+        finally:
+            release.set()
+            writer.join(30)
+            reader.join(30)
+        try:
+            assert acked[0][0] == 200, acked
+            status, body = app.handle(queries["exact"])
+            assert status == 200, body
+            assert self._exact_total(body) == (
+                self.INITIAL_ROWS + self.BATCH_ROWS
+            )
+        finally:
+            session.close()
+
+    def test_query_after_an_acked_append_reads_it(self, monkeypatch):
+        control = self._session()
+        try:
+            version_n = encode_result(
+                control.sql(self.COUNT_SQL, mode="both")
+            )["fingerprint"]
+        finally:
+            control.close()
+        session = self._session()
+        app = AQPServer(session, ServerConfig(max_inflight=8))
+        query = {"op": "query", "sql": self.COUNT_SQL, "mode": "both"}
+        technique = session.technique
+        plan = technique.plan
+        entered = threading.Event()
+        release = threading.Event()
+        planned = []
+
+        def first_plan_blocks(samples, query, rate=None):
+            planned.append(samples)
+            if len(planned) == 1:
+                entered.set()
+                release.wait(30)
+            return plan(samples, query, rate)
+
+        monkeypatch.setattr(technique, "plan", first_plan_blocks)
+        led = []
+        leader = threading.Thread(target=lambda: led.append(app.handle(query)))
+        acked = []
+        appender = threading.Thread(
+            target=lambda: acked.append(app.handle(self._append_request()))
+        )
+        try:
+            leader.start()
+            assert entered.wait(10)
+            appender.start()
+            appender.join(10)
+            assert not appender.is_alive(), "the append waited for a query"
+            status, body = acked[0]
+            assert status == 200, body
+            grown = self.INITIAL_ROWS + self.BATCH_ROWS
+            assert body["total_rows"] == grown
+            # Sent after the ack: reads version n+1, never joins the
+            # leader pinned at version n.
+            status, body = app.handle(query)
+            assert status == 200, body
+            assert body["coalesced"] is False
+            assert self._exact_total(body) == grown
+        finally:
+            release.set()
+            leader.join(30)
+            appender.join(30)
+        try:
+            status, body = led[0]
+            assert status == 200, body
+            assert self._exact_total(body) == self.INITIAL_ROWS
+            assert body["fingerprint"] == version_n
         finally:
             session.close()

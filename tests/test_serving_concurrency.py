@@ -6,9 +6,10 @@ server.  The contracts:
 
 * **No torn table** — every COUNT(*) a reader observes corresponds to a
   complete append snapshot (initial rows plus a whole number of
-  batches), never a half-applied one.  This is the RW-lock snapshot
-  guarantee: appends (tail write and invalidation, technique
-  ``insert_rows``, catalog swap) are atomic with respect to queries.
+  batches), never a half-applied one.  This is the snapshot guarantee:
+  a query reads one published (catalog, samples) version, and an append
+  (technique ``insert_rows``, tail write) publishes the next with one
+  assignment.
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
@@ -27,7 +28,6 @@ only concurrency in the system.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
@@ -190,6 +190,7 @@ class LockOrderRecorder:
         self._held = threading.local()
         self._edges_lock = threading.Lock()
         self.edges: set[tuple[str, str]] = set()
+        self.taken: set[str] = set()
 
     def _stack(self) -> list[str]:
         if not hasattr(self._held, "stack"):
@@ -198,23 +199,15 @@ class LockOrderRecorder:
 
     def acquired(self, name: str) -> None:
         stack = self._stack()
-        if stack:
-            with self._edges_lock:
-                self.edges.update((held, name) for held in stack)
+        with self._edges_lock:
+            self.taken.add(name)
+            self.edges.update((held, name) for held in stack)
         stack.append(name)
 
     def released(self, name: str) -> None:
         stack = self._stack()
         # Remove the innermost hold: releases need not mirror acquires.
         del stack[len(stack) - 1 - stack[::-1].index(name)]
-
-    @contextmanager
-    def holding(self, name: str):
-        self.acquired(name)
-        try:
-            yield
-        finally:
-            self.released(name)
 
     def find_cycle(self):
         """One cycle of the observed graph as a lock-name path, or None."""
@@ -260,24 +253,6 @@ class _RecordedLock:
         return self._lock.__exit__(*exc_info)
 
 
-class _RecordedReadWriteLock:
-    """Both sides of the server's read/write lock as one logical lock."""
-
-    def __init__(self, rw, recorder: LockOrderRecorder) -> None:
-        self._rw = rw
-        self._recorder = recorder
-
-    @contextmanager
-    def read_locked(self):
-        with self._rw.read_locked(), self._recorder.holding("rw"):
-            yield
-
-    @contextmanager
-    def write_locked(self):
-        with self._rw.write_locked(), self._recorder.holding("rw"):
-            yield
-
-
 def test_lock_order_recorder_reports_seeded_abba():
     recorder = LockOrderRecorder()
     a = _RecordedLock(threading.Lock(), "a", recorder)
@@ -304,18 +279,19 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
     session = _new_session()
     app = AQPServer(session, ServerConfig(max_inflight=N_READERS + 4))
     recorder = LockOrderRecorder()
-    for owner, attr, name in (
+    locks = (
         (get_cache().metrics, "_lock", "cache.metrics"),
         (get_registry(), "_lock", "registry"),
         (session, "_lock", "session"),
         (session._flight, "_lock", "session.flight"),
+        (session, "_append_lock", "session.append"),
         (app, "_admission_lock", "server.admission"),
         (app._flight, "_lock", "server.flight"),
-    ):
+    )
+    for owner, attr, name in locks:
         monkeypatch.setattr(
             owner, attr, _RecordedLock(getattr(owner, attr), name, recorder)
         )
-    monkeypatch.setattr(app, "_rw", _RecordedReadWriteLock(app._rw, recorder))
 
     errors: list[tuple[int, dict]] = []
     done = threading.Event()
@@ -367,11 +343,9 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
             t.join(60)
         assert not any(t.is_alive() for t in threads)
         assert not errors, f"requests failed during the storm: {errors[:3]}"
-        # The wrappers saw real nesting, so an empty graph cannot pass.
-        assert {
-            ("rw", "session"),
-            ("rw", "cache.metrics"),
-        } <= recorder.edges
+        # Every wrapper was really taken, so an unexercised path
+        # cannot pass for an acyclic one.
+        assert recorder.taken == {name for _, _, name in locks}
         cycle = recorder.find_cycle()
         assert cycle is None, (
             f"lock-order cycle {' -> '.join(cycle)}; observed edges "
