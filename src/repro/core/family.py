@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.rewriter import SamplePiece, require_scale_discipline
 from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.column import ColumnKind
-from repro.engine.database import Database, gather_dimension_column
+from repro.engine.database import Database, cached_key_positions
 from repro.engine.expressions import BitmaskDisjoint, Query
 from repro.engine.reservoir import as_generator, reservoir_replacements
 from repro.engine.schema import ForeignKey
@@ -500,12 +500,11 @@ def _piece_table(family: SampleFamily, table: Table, query: Query) -> Table:
         wanted = [c for c in remaining if dim.has_column(c)]
         if not wanted:
             continue
-        fact_key_col = table.column(fk.fact_column)
-        dim_key_col = dim.column(fk.dimension_key)
+        positions = cached_key_positions(
+            dim.column(fk.dimension_key), table.column(fk.fact_column)
+        )
         for c in wanted:
-            columns[c] = gather_dimension_column(
-                fact_key_col, dim_key_col, dim.column(c), c
-            )
+            columns[c] = dim.column(c).take(positions)
             remaining.discard(c)
     if remaining:
         raise PreprocessingError(

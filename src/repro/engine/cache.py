@@ -1,8 +1,8 @@
 """Shared state of the engine's memos: counters, generation, single-flight.
 
-Derived execution state — dense grouping codes, star-join positions,
-gathered dimension columns, WHERE masks — is recomputable from a stored
-column and reused across a query stream, the way production AQP
+Derived execution state — dense grouping codes, star-join positions
+(``int32``), WHERE masks — is recomputable from a stored column and
+reused across a query stream, the way production AQP
 middleware (BlinkDB-style systems) must to serve repeated workloads.
 It lives on the column it describes (:meth:`Column.derived
 <repro.engine.column.Column.derived>`): a column is an immutable
@@ -113,8 +113,7 @@ class SingleFlight:
 @dataclass
 class CacheMetrics:
     """Hit/miss counters per cache kind (``join_positions``,
-    ``predicate_mask``, ``column_codes``, ``joined_column``,
-    ``sql_parse``, ``plan`` ...).
+    ``predicate_mask``, ``column_codes``, ``sql_parse``, ``plan`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
     atomic under free-running threads, and hits + misses must equal the

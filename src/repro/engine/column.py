@@ -350,8 +350,10 @@ class Column:
         entries = memo[1]
         slot = (kind, key)
         entry = entries.get(slot)
-        if entry is not None and all(
-            held is wanted for held, wanted in zip(entry[0], also)
+        if (
+            entry is not None
+            and len(entry[0]) == len(also)
+            and all(held is wanted for held, wanted in zip(entry[0], also))
         ):
             state.metrics.record_hit(kind)
             return entry[1]

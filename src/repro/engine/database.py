@@ -21,6 +21,9 @@ from repro.errors import SchemaError
 def _key_positions(dim_keys: np.ndarray, fact_keys: np.ndarray) -> np.ndarray:
     """Map each fact-table key to its row position in the dimension table.
 
+    The positions are read-only ``int32`` (``intp`` only for a dimension
+    of 2**31 rows or more): half the memory of ``intp`` at fact length.
+
     Raises
     ------
     SchemaError
@@ -35,7 +38,11 @@ def _key_positions(dim_keys: np.ndarray, fact_keys: np.ndarray) -> np.ndarray:
     pos = np.clip(pos, 0, sorted_keys.size - 1)
     if sorted_keys.size == 0 or not np.array_equal(sorted_keys[pos], fact_keys):
         raise SchemaError("fact table references missing dimension keys")
-    return order[pos]
+    if order.size <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
+    positions = order[pos]
+    positions.flags.writeable = False
+    return positions
 
 
 def cached_key_positions(
@@ -45,7 +52,9 @@ def cached_key_positions(
 
     Kept on the fact key column, valid while the dimension key column is
     the same object: both are immutable snapshots, so the positions
-    always describe the stored data.
+    always describe the stored data.  This is the only fact-length state
+    a star join keeps; dimension attributes are read through it (late
+    materialisation, see :func:`repro.engine.executor.resolve_columns`).
     """
     return fact_key_column.derived(
         "join_positions",
@@ -54,29 +63,6 @@ def cached_key_positions(
             dim_key_column.numeric_values(), fact_key_column.numeric_values()
         ),
         also=(dim_key_column,),
-    )
-
-
-def gather_dimension_column(
-    fact_key_column: Column,
-    dim_key_column: Column,
-    dim_column: Column,
-    name: str,
-) -> Column:
-    """Dimension column ``name`` gathered to fact-row order, memoised.
-
-    This is the per-column payload of the star join: with the join
-    positions memoised the gather itself is one fancy-indexing pass, and
-    the gathered column is kept on the fact key column too, so repeated
-    queries touching the same dimension attribute pay nothing.
-    """
-    return fact_key_column.derived(
-        "joined_column",
-        name,
-        lambda: dim_column.take(
-            cached_key_positions(dim_key_column, fact_key_column)
-        ),
-        also=(dim_key_column, dim_column),
     )
 
 
@@ -209,7 +195,8 @@ class Database:
 
         The result contains every fact column plus every non-key dimension
         column, one row per fact row.  For a single-table database this is
-        the fact table itself.
+        the fact table itself.  The gathered columns are not memoised:
+        the view is built for pre-processing, not per query.
         """
         fact = self.fact_table
         if self.star_schema is None or not self.star_schema.foreign_keys:
@@ -217,12 +204,10 @@ class Database:
         columns = {c: fact.column(c) for c in fact.column_names}
         for fk in self.star_schema.foreign_keys:
             dim = self.table(fk.dimension_table)
-            fact_key_col = fact.column(fk.fact_column)
-            dim_key_col = dim.column(fk.dimension_key)
+            positions = cached_key_positions(
+                dim.column(fk.dimension_key), fact.column(fk.fact_column)
+            )
             for c in dim.column_names:
-                if c == fk.dimension_key:
-                    continue
-                columns[c] = gather_dimension_column(
-                    fact_key_col, dim_key_col, dim.column(c), c
-                )
+                if c != fk.dimension_key:
+                    columns[c] = dim.column(c).take(positions)
         return Table(name or f"{fact.name}_joined", columns)

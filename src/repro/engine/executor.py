@@ -19,24 +19,36 @@ positions are memoised on the columns they are derived from
 (:meth:`~repro.engine.column.Column.derived`) and die with them;
 nothing is kept per GROUP BY list, so memo size does not grow with the
 number of distinct queries' column combinations.
+
+Star joins are late-materialised (:func:`resolve_columns`): a dimension
+attribute is never gathered to fact length.  Its predicates run on the
+dimension table, and its codes and values are gathered through the join
+positions for the selected rows only.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.engine.column import Column, ColumnKind
-from repro.engine.database import Database, gather_dimension_column
+from repro.engine.database import Database, cached_key_positions
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
 from repro.engine.table import Table
 from repro.errors import QueryError
 from repro.obs.trace import NULL_SPAN, Span
 
 GroupKey = tuple[Any, ...]
+
+#: The dimension attributes a star query reads, by name:
+#: ``(fact key column, join positions, dimension table)``, where
+#: ``positions[i]`` is the dimension row of fact row ``i``
+#: (see :func:`resolve_columns`).
+Joins = Mapping[str, tuple[Column, np.ndarray, Table]]
 
 # Mixed-radix group keys stay in int64 while the product of per-column
 # cardinalities is below this bound; beyond it we group on the code matrix.
@@ -198,31 +210,29 @@ def _dense_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
 
 
 def _group_selected(
-    table: Table, group_by: tuple[str, ...], selection: np.ndarray | None
+    sources: list[tuple[Column, np.ndarray | None]], n_selected: int
 ) -> tuple[np.ndarray, list[GroupKey], np.ndarray]:
     """Dense group ids of the selected rows, their groups' keys and sizes.
 
     Filter-first and sort-free: each grouping column's cached codes are
-    taken on ``selection`` only (``None`` selects every row), folded into
-    one mixed-radix key, and densified by counting.  Returns ``(ids,
-    keys, counts)`` with ``ids[i]`` in ``[0, len(keys))`` for the
-    ``i``-th selected row and ``counts[g]`` the selected rows of group
-    ``g``; ``keys`` lists only groups that hold a selected row, in
-    ascending mixed-radix order — the order ``np.unique`` would give.
+    taken on its selected rows only (``sources`` pairs a column with the
+    rows to read, ``None`` for all of them in order), folded into one
+    mixed-radix key, and densified by counting.  Returns ``(ids, keys,
+    counts)`` with ``ids[i]`` in ``[0, len(keys))`` for the ``i``-th
+    selected row and ``counts[g]`` the selected rows of group ``g``;
+    ``keys`` lists only groups that hold a selected row, in ascending
+    mixed-radix order — the order ``np.unique`` would give.
     """
-    n_selected = table.n_rows if selection is None else int(selection.size)
-    if not group_by:
+    if not sources:
         keys: list[GroupKey] = [()] if n_selected else []
         ids = np.zeros(n_selected, dtype=np.intp)
         return ids, keys, np.full(len(keys), n_selected)
-    per_column = [
-        _column_group_codes(table.column(name)) for name in group_by
-    ]
+    per_column = [_column_group_codes(column) for column, _ in sources]
     key_lists = [keys for _, keys in per_column]
     cards = [max(1, len(keys)) for keys in key_lists]
     taken = [
-        codes if selection is None else codes[selection]
-        for codes, _ in per_column
+        codes if rows is None else codes.take(rows)
+        for (codes, _), (_, rows) in zip(per_column, sources)
     ]
     product = math.prod(cards)
     if product >= _RADIX_LIMIT:
@@ -277,31 +287,63 @@ def _decode_keys(
     )
 
 
-def _predicate_mask(table: Table, predicate) -> np.ndarray:
+def _evaluate_where(table: Table, predicate, joins: Joins) -> np.ndarray:
+    """A predicate's mask over ``table``'s rows, star joins included.
+
+    A predicate whose columns all sit in one table is evaluated there: on
+    ``table`` for fact columns, on the dimension table for dimension
+    attributes, whose (dimension-length) mask is then mapped to fact rows
+    through the join positions.  A connective spanning several tables
+    combines its operands' masks (:meth:`Predicate.combine`).
+    """
+    names = predicate.columns()
+    if names.isdisjoint(joins):
+        return predicate.evaluate(table)
+    if names.issubset(joins):
+        _, positions, dimension = joins[min(names)]
+        if all(joins[name][2] is dimension for name in names):
+            return predicate.evaluate(dimension).take(positions)
+    return predicate.combine(
+        lambda operand: _evaluate_where(table, operand, joins)
+    )
+
+
+def _predicate_mask(table: Table, predicate, joins: Joins) -> np.ndarray:
     """Evaluate a WHERE predicate, memoising the boolean mask.
 
     Only pure predicates (value-dependent only, per
     :meth:`~repro.engine.expressions.Predicate.cache_safe`) are memoised,
-    on the first referenced column by name and valid while the other
-    referenced columns are the same objects, so a stale mask can never
-    be served for replaced data.  Predicates with unhashable literals
-    are evaluated without a memo.
+    one fact-length mask per predicate.  It is kept on the first
+    referenced fact column by name (or, for a predicate on dimension
+    attributes only, on the first one's fact key column) and is valid
+    while everything else it was computed from — the other fact
+    columns, and each dimension attribute's column and join positions —
+    is the same objects, so a stale mask can never be served for
+    replaced data.  Predicates with unhashable literals are evaluated
+    without a memo.
     """
     if not predicate.cache_safe():
-        return predicate.evaluate(table)
+        return _evaluate_where(table, predicate, joins)
     names = sorted(predicate.columns())
     if not names:
         return predicate.evaluate(table)
     try:
         hash(predicate)
     except TypeError:  # unhashable literal
-        return predicate.evaluate(table)
-    first, *others = (table.column(name) for name in names)
-    return first.derived(
+        return _evaluate_where(table, predicate, joins)
+    facts = [table.column(name) for name in names if name not in joins]
+    dimension_inputs = [
+        part
+        for name in names
+        if name in joins
+        for part in (joins[name][1], joins[name][2].column(name))
+    ]
+    anchor = facts.pop(0) if facts else joins[names[0]][0]
+    return anchor.derived(
         "predicate_mask",
         predicate,
-        lambda: predicate.evaluate(table),
-        also=tuple(others),
+        lambda: _evaluate_where(table, predicate, joins),
+        also=(*facts, *dimension_inputs),
     )
 
 
@@ -313,6 +355,7 @@ def aggregate_table(
     collect_variance_stats: bool = False,
     variance_weights: np.ndarray | None = None,
     span: Span = NULL_SPAN,
+    joins: Joins | None = None,
 ) -> GroupedResult:
     """Aggregate a flat table that already matches the query's FROM clause.
 
@@ -341,6 +384,10 @@ def aggregate_table(
     span:
         Write-only profiling span (:data:`~repro.obs.trace.NULL_SPAN`
         when profiling is off); gains row/group counts for this scan.
+    joins:
+        The dimension attributes the query reads through star joins, as
+        :func:`resolve_columns` returns them; every other column is
+        ``table``'s.
     """
     if weights is not None and len(weights) != table.n_rows:
         raise QueryError(
@@ -351,19 +398,36 @@ def aggregate_table(
             f"variance_weights length {len(variance_weights)} != table rows "
             f"{table.n_rows}"
         )
+    joins = joins or {}
     # WHERE is applied as a selection index: grouping codes and aggregated
     # values are taken on the selected rows only — never by materialising a
     # filtered copy of every column (the seed's ``table.take``).
     selection: np.ndarray | None = None
     if query.where is not None:
-        keep = _predicate_mask(table, query.where)
+        keep = _predicate_mask(table, query.where, joins)
         selection = np.flatnonzero(keep)
         if weights is not None:
             weights = weights[selection]
         if variance_weights is not None:
             variance_weights = variance_weights[selection]
-    ids, keys, raw_counts = _group_selected(table, query.group_by, selection)
-    n_selected = int(ids.size)
+    n_selected = table.n_rows if selection is None else int(selection.size)
+    # Dimension rows of the selected fact rows, one array per join.
+    joined_rows: dict[int, np.ndarray] = {}
+
+    def source(name: str) -> tuple[Column, np.ndarray | None]:
+        """The stored column holding ``name`` and the rows of it to read."""
+        if name not in joins:
+            return table.column(name), selection
+        _, positions, dimension = joins[name]
+        rows = joined_rows.get(id(positions))
+        if rows is None:
+            rows = positions if selection is None else positions.take(selection)
+            joined_rows[id(positions)] = rows
+        return dimension.column(name), rows
+
+    ids, keys, raw_counts = _group_selected(
+        [source(name) for name in query.group_by], n_selected
+    )
     n_groups = len(keys)
     if weights is None:
         weighted_counts = raw_counts.astype(np.float64)
@@ -392,9 +456,10 @@ def aggregate_table(
                 # squares is the sum of the variance weights.
                 sum_squares[agg.name] = per_group(variance_weights)
             continue
-        values = table.column(agg.column).numeric_values()
-        if selection is not None:
-            values = values[selection]
+        column, rows = source(agg.column)
+        values = column.numeric_values()
+        if rows is not None:
+            values = values.take(rows)
         values = values.astype(np.float64)
         if agg.func in (AggFunc.SUM, AggFunc.AVG):
             contrib = values if weights is None else values * weights
@@ -516,13 +581,18 @@ def resolve_columns(
     db: Database,
     query: Query,
     span: Span = NULL_SPAN,
-) -> Table:
-    """Build a flat table containing every column the query references.
+) -> tuple[Table, Joins]:
+    """The fact columns a query reads, and the joins of the rest.
 
-    Fact columns are used as stored; dimension columns are brought in by
-    resolving the star schema's foreign-key joins (hash-free positional
-    join via sorted search), touching only the dimensions actually
-    needed.  Dimension columns are gathered in foreign-key order.
+    Fact columns are used as stored.  A dimension attribute is joined,
+    not gathered: it maps to ``(fact key column, positions, dimension
+    table)``, where the positions (sorted search, memoised as ``int32``
+    on the fact key column) give each fact row's dimension row, and
+    only the dimensions the query needs are joined.
+    :func:`aggregate_table` evaluates the attribute's predicates on the
+    dimension table and gathers its codes and values for the selected
+    rows only: late materialisation, so no fact-length copy of a
+    dimension attribute is built or kept.
     """
     fact = db.fact_table
     needed = query.referenced_columns()
@@ -533,33 +603,32 @@ def resolve_columns(
             columns[name] = fact.column(name)
         else:
             missing.add(name)
+    joins: dict[str, tuple[Column, np.ndarray, Table]] = {}
     if missing:
         if db.star_schema is None:
             raise QueryError(
                 f"columns {sorted(missing)} not found in table {fact.name!r}"
             )
-        gathers = 0
         for fk in db.star_schema.foreign_keys:
             dim = db.table(fk.dimension_table)
             dim_needed = [c for c in missing if dim.has_column(c)]
             if not dim_needed:
                 continue
-            fact_key_col = fact.column(fk.fact_column)
-            dim_key_col = dim.column(fk.dimension_key)
+            fact_key = fact.column(fk.fact_column)
+            positions = cached_key_positions(
+                dim.column(fk.dimension_key), fact_key
+            )
             for c in dim_needed:
-                columns[c] = gather_dimension_column(
-                    fact_key_col, dim_key_col, dim.column(c), c
-                )
+                joins[c] = (fact_key, positions, dim)
                 missing.discard(c)
-                gathers += 1
         if missing:
             raise QueryError(f"columns {sorted(missing)} not found in any table")
-        span.add("dimension_gathers", gathers)
+        span.add("dimension_columns", len(joins))
     if not columns:
         # COUNT(*) with no predicates or grouping still needs row extent.
         first = fact.column_names[0]
         columns[first] = fact.column(first)
-    return Table(fact.name, columns)
+    return Table(fact.name, columns), joins
 
 
 def execute(
@@ -577,7 +646,7 @@ def execute(
         )
     resolve_span = span.child("resolve_columns")
     with resolve_span:
-        flat = resolve_columns(db, query, span=resolve_span)
+        facts, joins = resolve_columns(db, query, span=resolve_span)
     aggregate_span = span.child("aggregate")
     with aggregate_span:
-        return aggregate_table(flat, query, span=aggregate_span)
+        return aggregate_table(facts, query, span=aggregate_span, joins=joins)

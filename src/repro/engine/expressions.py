@@ -12,7 +12,7 @@ codes, never on the decoded strings.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,6 +30,20 @@ class Predicate:
     def evaluate(self, table: Table) -> np.ndarray:
         """Return a boolean mask of matching rows."""
         raise NotImplementedError
+
+    def combine(
+        self, mask_of: Callable[["Predicate"], np.ndarray]
+    ) -> np.ndarray:
+        """This predicate's mask from its operands' masks, ``mask_of(op)``.
+
+        Only the connectives (:class:`And`, :class:`Or`, :class:`Not`)
+        have operands; a star query evaluates each operand on the table
+        that holds its columns and combines the masks here, with the same
+        short-circuits as :meth:`evaluate`.
+        """
+        raise QueryError(
+            f"{type(self).__name__} reads columns of several tables"
+        )
 
     def evaluation_cost(self) -> int:
         """Relative cost rank used to order conjuncts cheapest-first.
@@ -216,16 +230,21 @@ class And(Predicate):
         )
 
     def evaluate(self, table: Table) -> np.ndarray:
+        return self.combine(lambda operand: operand.evaluate(table))
+
+    def combine(
+        self, mask_of: Callable[[Predicate], np.ndarray]
+    ) -> np.ndarray:
         # Short-circuit: once the running mask is all-false no further
         # conjunct can set a bit, so later operands are *not evaluated at
         # all* — including operands whose evaluation would raise (e.g. a
         # bitmask filter against a bitmask-less table).  Pinned by test.
         ordered = self.ordered_operands()
-        mask = ordered[0].evaluate(table)
+        mask = mask_of(ordered[0])
         for operand in ordered[1:]:
             if not mask.any():
                 break
-            mask = mask & operand.evaluate(table)
+            mask = mask & mask_of(operand)
         return mask
 
     def evaluation_cost(self) -> int:
@@ -268,14 +287,19 @@ class Or(Predicate):
         )
 
     def evaluate(self, table: Table) -> np.ndarray:
+        return self.combine(lambda operand: operand.evaluate(table))
+
+    def combine(
+        self, mask_of: Callable[[Predicate], np.ndarray]
+    ) -> np.ndarray:
         # Short-circuit: once the running mask is all-true no further arm
         # can clear a bit, so later arms are not evaluated at all.
         ordered = self.ordered_operands()
-        mask = ordered[0].evaluate(table)
+        mask = mask_of(ordered[0])
         for operand in ordered[1:]:
             if mask.all():
                 break
-            mask = mask | operand.evaluate(table)
+            mask = mask | mask_of(operand)
         return mask
 
     def evaluation_cost(self) -> int:
@@ -299,6 +323,11 @@ class Not(Predicate):
 
     def evaluate(self, table: Table) -> np.ndarray:
         return ~self.operand.evaluate(table)
+
+    def combine(
+        self, mask_of: Callable[[Predicate], np.ndarray]
+    ) -> np.ndarray:
+        return ~mask_of(self.operand)
 
     def evaluation_cost(self) -> int:
         return self.operand.evaluation_cost()

@@ -6,6 +6,7 @@ import pytest
 from repro.core.answer import GroupEstimate
 from repro.core.confidence import (
     bernoulli_count_variance,
+    ndtri,
     normal_interval,
     z_value,
 )
@@ -24,6 +25,22 @@ class TestZValue:
         from scipy.stats import norm
 
         assert z_value(level) == norm.ppf(0.5 + level / 2.0)
+
+    def test_bitwise_equal_to_scipy_special_ndtri(self):
+        # The port must reproduce scipy's Cephes ndtri to the last bit
+        # on every level (so no interval bound moves), and on the tails
+        # that use the two far-field rational approximations.
+        from scipy.special import ndtri as scipy_ndtri
+
+        levels = np.arange(1, 100_000) / 100_000
+        tails = np.concatenate(
+            [10.0 ** -np.linspace(0.5, 300, 5_000), [0.0, 1.0, 0.5]]
+        )
+        tails = np.concatenate([tails, 1.0 - tails])
+        for level in levels.tolist():
+            assert z_value(level) == float(scipy_ndtri(0.5 + level / 2.0)), level
+        for y in tails.tolist():
+            assert ndtri(y) == float(scipy_ndtri(y)), y
 
     def test_bounds(self):
         with pytest.raises(RuntimePhaseError):

@@ -114,6 +114,18 @@ class TestExecutionCache:
             == "fresh"
         )
 
+    def test_hit_requires_the_same_number_of_dependencies(self):
+        # A memo filled with fewer dependencies than a later lookup
+        # passes must not be served because the shared prefix matches.
+        col = Column.ints([1, 2, 3])
+        first, second = Column.ints([4]), Column.ints([5])
+        col.derived("k", None, lambda: "one input", also=(first,))
+        assert (
+            col.derived("k", None, lambda: "two", also=(first, second))
+            == "two"
+        )
+        assert col.derived("k", None, lambda: "one", also=(first,)) == "one"
+
     def test_entry_dies_with_anchor(self):
         col = Column.ints([1])
         value = _Value()
@@ -160,12 +172,11 @@ class TestAppendInvalidation:
         cache = get_cache()
         cache.clear()
         cold = execute(db, self.QUERY)
-        # The gathered dimension column is cached above the positions, so
-        # a warm star join hits "joined_column" without touching
-        # "join_positions" again.
+        # A warm star join reuses the join work: the memoised positions
+        # (no dimension attribute is gathered to fact length to be kept).
         hits_before = {
             kind: cache.metrics.hits.get(kind, 0)
-            for kind in ("column_codes", "joined_column", "predicate_mask")
+            for kind in ("column_codes", "join_positions", "predicate_mask")
         }
         warm = execute(db, self.QUERY)
         assert warm.rows == cold.rows
