@@ -135,8 +135,8 @@ def test_repeated_workload_cache_speedup(db, sg):
     Each query is served in ``mode="both"`` — the approximate answer plus
     the exact audit answer, the shape the experiments use to measure
     error — so the stream exercises every cache layer: parse/plan memos
-    on the approximate side, join-position, gathered-column, and
-    group-id memos on the exact side.  The cold pass clears the
+    on the approximate side, join-position, predicate-mask and
+    group-code memos on the exact side.  The cold pass clears the
     per-column memos and the session memos before every query — the seed
     executor's effective behaviour; the warm pass reuses them across the
     stream.  Both answers must match the cold pass on every query, and
@@ -150,8 +150,11 @@ def test_repeated_workload_cache_speedup(db, sg):
     acceptance criterion.  The two sides are timed in strict
     per-query alternation (unprofiled, then profiled, same query),
     which cancels the machine drift that whole-pass comparisons on a
-    shared box cannot.
+    shared box cannot.  The pairs start from a collected heap, so a
+    full garbage collection made due by the earlier passes (and by the
+    tests before this one) cannot land on one side of a single pair.
     """
+    import gc
     import json
     import time
     from pathlib import Path
@@ -200,6 +203,7 @@ def test_repeated_workload_cache_speedup(db, sg):
     session = AQPSession(db, sg)
     for sql in stream:  # warm this session's memos first
         session.sql(sql, mode="both")
+    gc.collect()
     paired_warm = paired_profiled = 0.0
     for _ in range(3):
         for sql in stream:
