@@ -322,7 +322,7 @@ class Not(Predicate):
     operand: Predicate
 
     def evaluate(self, table: Table) -> np.ndarray:
-        return ~self.operand.evaluate(table)
+        return self.combine(lambda operand: operand.evaluate(table))
 
     def combine(
         self, mask_of: Callable[[Predicate], np.ndarray]
