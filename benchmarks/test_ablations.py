@@ -215,55 +215,6 @@ def test_workload_trimming_ablation(benchmark):
     assert trimmed["rel_err"] <= full["rel_err"] * 1.15
 
 
-def test_renormalized_storage_ablation(benchmark):
-    """§5.2.2's join-synopsis renormalization: space saved, answers same."""
-
-    def run():
-        db = generate_tpch(scale=1.0, z=2.0, rows_per_scale=40000)
-        workload = _workload(db, queries_per_combo=6, seed=25)
-        inline = _contender(
-            db,
-            "inline",
-            SmallGroupConfig(
-                base_rate=BASE_RATE, use_reservoir=False, storage="inline"
-            ),
-        )
-        renorm = _contender(
-            db,
-            "renormalized",
-            SmallGroupConfig(
-                base_rate=BASE_RATE,
-                use_reservoir=False,
-                storage="renormalized",
-            ),
-        )
-        result = run_experiment(db, workload, [inline, renorm], BASE_RATE, 0.5)
-        series = {}
-        for name, contender in (("inline", inline), ("renormalized", renorm)):
-            series[f"{name}/overall"] = {
-                "rel_err": result.mean_metric(name, "rel_err"),
-                "pct_groups": result.mean_metric(name, "pct_groups"),
-                "sample_bytes": float(
-                    sum(
-                        i.table.memory_bytes()
-                        for i in contender.technique.sample_tables()
-                    )
-                ),
-            }
-        return FigureRun(figure="ablation-renormalized", series=series)
-
-    run_result = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(run_result, note="join synopses: inline vs renormalized")
-    inline = run_result.series["inline/overall"]
-    renorm = run_result.series["renormalized/overall"]
-    # Renormalization is a pure storage-layout change: identical draws
-    # give identical accuracy ...
-    assert renorm["rel_err"] == inline["rel_err"]
-    assert renorm["pct_groups"] == inline["pct_groups"]
-    # ... while storing substantially fewer bytes.
-    assert renorm["sample_bytes"] < 0.8 * inline["sample_bytes"]
-
-
 def test_max_tables_cap_ablation(benchmark):
     """Capping small group tables per query trades accuracy for time."""
 

@@ -2,9 +2,9 @@
 
 Demonstrates the production deployment shape the paper envisions:
 
-1. a one-off pre-processing job builds the sample tables (renormalized
-   join synopses, the §5.2.2 space optimisation) and stores them inside
-   the database directory;
+1. a one-off pre-processing job builds the sample tables (join
+   synopses, dimension attributes inline) and stores them inside the
+   database directory;
 2. a serving process loads both back — the samples without re-scanning
    the data — and answers SQL through the middleware session, logging
    what users ask;
@@ -43,7 +43,7 @@ DASHBOARD = [
 ]
 
 
-CONFIG = SmallGroupConfig(base_rate=0.04, storage="renormalized", seed=21)
+CONFIG = SmallGroupConfig(base_rate=0.04, seed=21)
 
 
 def preprocessing_job(workdir: Path) -> None:

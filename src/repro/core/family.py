@@ -11,9 +11,8 @@ a single assignment, so a failed append publishes nothing.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,12 +20,11 @@ import numpy as np
 from repro.core.rewriter import SamplePiece, require_scale_discipline
 from repro.engine.bitmask import Bitmask, BitmaskVector
 from repro.engine.column import ColumnKind
-from repro.engine.database import Database, cached_key_positions
+from repro.engine.database import Database
 from repro.engine.expressions import BitmaskDisjoint, Query
 from repro.engine.reservoir import as_generator, reservoir_replacements
-from repro.engine.schema import ForeignKey
 from repro.engine.table import Table
-from repro.errors import PreprocessingError, SamplingError
+from repro.errors import SamplingError
 from repro.obs.registry import get_registry
 
 if TYPE_CHECKING:
@@ -152,10 +150,10 @@ class SampleFamily:
     membership for new rows (membership is value-determined, so a frozen
     class stays correct for seen values, and unseen values land in the
     100% level); ``append_ordinal`` counts the batches absorbed since the
-    build and seeds each append's RNG stream; ``reduced_dims`` are
-    §5.2.2's reduced dimension tables (renormalized storage only).
-    Compared by identity: a memo keyed by a family is valid while its
-    holder still holds it.
+    build and seeds each append's RNG stream.  Every sample table is a
+    join synopsis: it carries all ``view_columns``, dimension attributes
+    inline.  Compared by identity: a memo keyed by a family is valid
+    while its holder still holds it.
     """
 
     config: SmallGroupConfig
@@ -167,15 +165,6 @@ class SampleFamily:
     view_rows: int
     append_ordinal: int
     view_columns: tuple[str, ...]
-    fact_columns: tuple[str, ...]
-    foreign_keys: tuple[ForeignKey, ...]
-    dimensions: Mapping[str, Table]
-    reduced_dims: Mapping[str, Table]
-
-    def __post_init__(self) -> None:
-        for name in ("dimensions", "reduced_dims"):
-            mapping = MappingProxyType(dict(getattr(self, name)))
-            object.__setattr__(self, name, mapping)
 
     @classmethod
     def of_database(
@@ -186,11 +175,8 @@ class SampleFamily:
         tables: Sequence[Table],
         overall_parts: Sequence[OverallPart],
         classes: Sequence[ValueClass],
-        reduced_dims: Mapping[str, Table],
     ) -> SampleFamily:
         """A fresh family (no appends) drawn from ``db``'s current rows."""
-        schema = db.star_schema
-        foreign_keys = schema.foreign_keys if schema else ()
         return cls(
             config=config,
             metas=tuple(metas),
@@ -201,13 +187,6 @@ class SampleFamily:
             view_rows=db.fact_table.n_rows,
             append_ordinal=0,
             view_columns=tuple(db.view_column_names()),
-            fact_columns=tuple(db.fact_table.column_names),
-            foreign_keys=foreign_keys,
-            dimensions={
-                fk.dimension_table: db.table(fk.dimension_table)
-                for fk in foreign_keys
-            },
-            reduced_dims=reduced_dims,
         )
 
     @property
@@ -284,10 +263,9 @@ class SampleFamily:
         # same view), so each extension below concatenates codes as-is;
         # and the bitmask words packed once, so each extension takes its
         # rows' words instead of packing them again.
-        renormalized = self.config.storage == "renormalized"
         reference = self.overall_parts[0].table
         encoded = {}
-        for c in self.fact_columns if renormalized else self.view_columns:
+        for c in self.view_columns:
             column = batch.column(c)
             if column.kind is ColumnKind.STRING:
                 column = column.encoded_like(reference.column(c))
@@ -338,42 +316,7 @@ class SampleFamily:
             overall_parts=(OverallPart(overall, overall.n_rows / total),),
             view_rows=total,
             append_ordinal=self.append_ordinal + 1,
-            reduced_dims=(
-                self._extended_reduced_dims(batch)
-                if renormalized
-                else self.reduced_dims
-            ),
         )
-
-    def _extended_reduced_dims(self, batch: Table) -> dict[str, Table]:
-        """The reduced dimensions plus the rows ``batch`` newly references."""
-        reduced_dims = dict(self.reduced_dims)
-        for fk in self.foreign_keys:
-            reduced = reduced_dims[fk.dimension_table]
-            new_keys = key_set(batch, fk.fact_column) - key_set(
-                reduced, fk.dimension_key
-            )
-            if new_keys:
-                addition = dimension_rows(
-                    self.dimensions[fk.dimension_table], fk, new_keys
-                )
-                reduced_dims[fk.dimension_table] = reduced.concat(
-                    addition.rename(reduced.name)
-                )
-        return reduced_dims
-
-
-def key_set(table: Table, column: str) -> set:
-    """The distinct values of numeric key ``column`` of ``table``."""
-    return set(np.unique(table.column(column).numeric_values()).tolist())
-
-
-def dimension_rows(dim: Table, fk: ForeignKey, keys: set) -> Table:
-    """The rows of dimension ``dim`` whose key is in ``keys``, in ``dim``'s order."""
-    values = dim.column(fk.dimension_key).numeric_values()
-    return dim.filter(
-        np.isin(values, np.asarray(sorted(keys), dtype=values.dtype))
-    )
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +377,7 @@ def plan(family: SampleFamily, query: Query) -> list[SamplePiece]:
     used_bits: list[int] = []
     for i in applicable_tables(family, query):
         meta = family.metas[i]
-        table = _piece_table(family, family.tables[i], query)
+        table = family.tables[i]
         piece_query = query.with_table(meta.name)
         if used_bits:
             piece_query = piece_query.and_where(
@@ -467,7 +410,7 @@ def plan(family: SampleFamily, query: Query) -> list[SamplePiece]:
             part_query = part_query.and_where(BitmaskDisjoint(overall_mask))
         pieces.append(
             SamplePiece(
-                table=_piece_table(family, part.table, query),
+                table=part.table,
                 query=part_query,
                 rate=part.rate,
                 variance_weights=part.variance_weights(),
@@ -480,35 +423,3 @@ def plan(family: SampleFamily, query: Query) -> list[SamplePiece]:
         )
     return pieces
 
-
-def _piece_table(family: SampleFamily, table: Table, query: Query) -> Table:
-    """Resolve a sample table for one query's referenced columns.
-
-    Inline samples already carry every column.  Renormalized samples
-    re-join the needed dimension attributes from the reduced dimension
-    tables, preserving the bitmask.
-    """
-    if family.config.storage != "renormalized":
-        return table
-    missing = [c for c in query.referenced_columns() if not table.has_column(c)]
-    if not missing:
-        return table
-    columns = {c: table.column(c) for c in table.column_names}
-    remaining = set(missing)
-    for fk in family.foreign_keys:
-        dim = family.reduced_dims[fk.dimension_table]
-        wanted = [c for c in remaining if dim.has_column(c)]
-        if not wanted:
-            continue
-        positions = cached_key_positions(
-            dim.column(fk.dimension_key), table.column(fk.fact_column)
-        )
-        for c in wanted:
-            columns[c] = dim.column(c).take(positions)
-            remaining.discard(c)
-    if remaining:
-        raise PreprocessingError(
-            f"columns {sorted(remaining)} not found in sample or "
-            "reduced dimensions"
-        )
-    return Table(table.name, columns, table.bitmask)

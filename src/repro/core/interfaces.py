@@ -49,8 +49,8 @@ class SampleTableInfo:
         The sample rows (a join synopsis for star schemas: dimension
         columns are materialised inline).
     kind:
-        Role of the table (``"overall"``, ``"small_group"``, ``"outlier"``,
-        ``"stratified"``, ``"uniform"``...).
+        Role of the table: ``"small_group"``, ``"overall"``,
+        ``"outlier"``, ``"stratified"``, ``"uniform"`` or ``"workload"``.
     rate:
         Nominal sampling rate used to build the table (1.0 for
         100%-sampled small group / outlier tables).

@@ -52,8 +52,6 @@ from repro.core.family import (
     SampleTableMeta,
     ValueClass,
     applicable_tables,
-    dimension_rows,
-    key_set,
     plan as plan_family,
 )
 from repro.core.interfaces import (
@@ -117,13 +115,6 @@ class SmallGroupConfig:
         Build the overall sample with streaming reservoir sampling
         (faithful to the paper) or with a direct uniform draw (faster,
         statistically equivalent).
-    storage:
-        How star-schema sample tables are materialised. ``"inline"``
-        stores full join synopses (every dimension attribute inline);
-        ``"renormalized"`` applies the paper's §5.2.2 space optimisation:
-        sample tables keep only fact columns, plus one *reduced*
-        dimension table per original dimension (the union of dimension
-        rows any sample references), re-joined at runtime.
     seed:
         RNG seed.
     """
@@ -138,18 +129,12 @@ class SmallGroupConfig:
     max_tables_per_query: int | None = None
     max_rows_per_query: int | None = None
     use_reservoir: bool = True
-    storage: str = "inline"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.base_rate <= 1.0:
             raise SamplingError(
                 f"base rate must be in (0, 1], got {self.base_rate}"
-            )
-        if self.storage not in ("inline", "renormalized"):
-            raise SamplingError(
-                f"storage must be 'inline' or 'renormalized', "
-                f"got {self.storage!r}"
             )
         if self.allocation_ratio < 0.0:
             raise SamplingError(
@@ -209,16 +194,10 @@ def build(
         if members
         else np.zeros((view.n_rows, 0), dtype=bool)
     )
-    renormalized = config.storage == "renormalized"
 
     def store(rows: np.ndarray, name: str) -> Table:
-        # Inline storage keeps the full join synopsis; renormalized
-        # storage keeps only the fact columns (dimension attributes are
-        # re-joined at runtime through the shared reduced dimensions).
-        table = view.take(rows)
-        if renormalized:
-            table = table.select(db.fact_table.column_names)
-        return table.rename(name).with_bitmask(
+        # A join synopsis: every view column, dimension attributes inline.
+        return view.take(rows).rename(name).with_bitmask(
             BitmaskVector.from_membership(member_matrix[rows], n_bits)
         )
 
@@ -236,11 +215,7 @@ def build(
         tables.append(store(stored, meta.name))
         metas[i] = replace(meta, stored_rows=int(stored.size))
     parts = overall_parts(view, store, rng)
-    samples = [*tables, *(part.table for part in parts)]
-    reduced = reduced_dimensions(db, samples) if renormalized else {}
-    return SampleFamily.of_database(
-        db, config, metas, tables, parts, classes, reduced
-    )
+    return SampleFamily.of_database(db, config, metas, tables, parts, classes)
 
 
 def candidate_columns(view: Table, config: SmallGroupConfig) -> list[str]:
@@ -342,24 +317,6 @@ def _pair_class(view: Table, pair: tuple[str, str], t: float) -> PairClass:
     return PairClass(tuple(pair), common_pairs)
 
 
-def reduced_dimensions(db: Database, samples: list[Table]) -> dict[str, Table]:
-    """One reduced dimension table per original dimension (§5.2.2).
-
-    The paper first renormalizes each join synopsis into per-sample small
-    dimension tables, then merges them into a single smaller dimension
-    table per original dimension; we build the merged form directly: the
-    union of dimension rows referenced by any sample.
-    """
-    return {
-        fk.dimension_table: dimension_rows(
-            db.table(fk.dimension_table),
-            fk,
-            set().union(*(key_set(s, fk.fact_column) for s in samples)),
-        ).rename(f"sg_dim_{fk.dimension_table}")
-        for fk in (db.star_schema.foreign_keys if db.star_schema else ())
-    }
-
-
 class SmallGroupSampling(AQPTechnique):
     """The paper's small group sampling technique."""
 
@@ -398,7 +355,7 @@ class SmallGroupSampling(AQPTechnique):
         return [OverallPart(table=store(indices, "sg_overall"), rate=rate)]
 
     def sample_tables(self) -> list[SampleTableInfo]:
-        """Small group tables, overall parts, then reduced dimensions."""
+        """Small group tables, then overall parts."""
         family = self.samples
         infos = [
             SampleTableInfo(table=table, kind="small_group", rate=meta.rate)
@@ -411,10 +368,6 @@ class SmallGroupSampling(AQPTechnique):
                 rate=part.rate,
             )
             for part in family.overall_parts
-        ]
-        infos += [
-            SampleTableInfo(table=dim, kind="dimension", rate=1.0)
-            for dim in family.reduced_dims.values()
         ]
         return infos
 

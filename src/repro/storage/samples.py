@@ -145,11 +145,11 @@ def load_samples(
     """The family stored in ``directory`` for ``config``, ready to install.
 
     ``db`` must be the database loaded from ``directory``; only its
-    schema, row count and dimension tables are read (the joined view is
-    never built).  Returns ``None`` when no family is stored under the
-    key, and raises :class:`StorageError` when one is but cannot be read
-    back whole and consistent: a missing manifest, a truncated table
-    file, tables that disagree with the manifest or with ``db``.
+    schema and row count are read (the joined view is never built).
+    Returns ``None`` when no family is stored under the key, and raises
+    :class:`StorageError` when one is but cannot be read back whole and
+    consistent: a missing manifest, a truncated table file, tables that
+    disagree with the manifest or with ``db``.
     """
     start = time.perf_counter()
     key = samples_key(directory, config)
@@ -216,12 +216,12 @@ def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
 
     The manifest holds everything but the sample rows: the metadata
     table, the bit width, the view's row count, the append ordinal, the
-    view and fact column lists, the overall part's rate, each class's
-    value sets (``L(C)`` per level, the common pairs) and the reduced
-    dimension tables' names.  Raises :class:`SamplingError` for a family
-    :func:`from_family` could not give back as it is: a variant's (the
-    outlier hybrid restructures the overall sample), or one that has
-    absorbed appends the database files do not hold.
+    view column list, the overall part's rate and each class's value
+    sets (``L(C)`` per level, the common pairs).  Raises
+    :class:`SamplingError` for a family :func:`from_family` could not
+    give back as it is: a variant's (the outlier hybrid restructures the
+    overall sample), or one that has absorbed appends the database files
+    do not hold.
     """
     technique.require_preprocessed()
     if type(technique) is not SmallGroupSampling:
@@ -236,7 +236,7 @@ def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
             "batches that the database files do not hold"
         )
     overall = family.overall_parts[0]
-    tables = [*family.tables, overall.table, *family.reduced_dims.values()]
+    tables = [*family.tables, overall.table]
     manifest = {
         "config": repr(technique.config),
         "metadata": [asdict(meta) for meta in family.metas],
@@ -245,11 +245,7 @@ def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
         "view_rows": family.view_rows,
         "append_ordinal": family.append_ordinal,
         "view_columns": list(family.view_columns),
-        "fact_columns": list(family.fact_columns),
         "overall": {"table": overall.table.name, "rate": overall.rate},
-        "reduced_dimensions": {
-            dim: table.name for dim, table in family.reduced_dims.items()
-        },
     }
     return manifest, tables
 
@@ -263,9 +259,9 @@ def from_family(
 ) -> SmallGroupSampling:
     """Adopt a family written by :func:`family_manifest`, without scanning ``db``.
 
-    Reads only ``db``'s schema, row count and dimension tables: it never
-    materialises the joined view nor re-runs ``preprocess``.  ``tables``
-    maps the manifest's table names to the stored tables.  Raises
+    Reads only ``db``'s schema and row count: it never materialises the
+    joined view nor re-runs ``preprocess``.  ``tables`` maps the
+    manifest's table names to the stored tables.  Raises
     :class:`SamplingError` unless the manifest describes ``config``,
     ``db`` and ``tables`` consistently.  The returned technique holds
     the family and a ``report`` whose wall time is ``wall_time_seconds``.
@@ -279,7 +275,6 @@ def from_family(
         "view_rows": fact.n_rows,
         "append_ordinal": 0,
         "view_columns": db.view_column_names(),
-        "fact_columns": fact.column_names,
     }
     for name, value in expected.items():
         if manifest[name] != value:
@@ -301,17 +296,12 @@ def from_family(
         raise SamplingError(
             "metadata table, value classes and bit width disagree"
         )
-    stored_columns = (
-        expected["fact_columns"]
-        if config.storage == "renormalized"
-        else expected["view_columns"]
-    )
 
     def sample(name: str, rows: int | None) -> Table:
         table = tables.get(name)
         if (
             table is None
-            or table.column_names != stored_columns
+            or table.column_names != expected["view_columns"]
             or table.bitmask is None
             or table.bitmask.n_bits != n_bits
             or rows not in (None, table.n_rows)
@@ -326,23 +316,6 @@ def from_family(
     built_rate = overall.n_rows / fact.n_rows if fact.n_rows else None
     if rate != (built_rate or config.base_rate):
         raise SamplingError(f"overall rate {rate!r} does not match its table")
-    schema = db.star_schema
-    reduced = manifest["reduced_dimensions"]
-    wanted = (
-        {fk.dimension_table for fk in schema.foreign_keys}
-        if schema and config.storage == "renormalized"
-        else set()
-    )
-    if set(reduced) != wanted:
-        raise SamplingError("reduced dimension tables do not match the schema")
-    reduced_dims = {}
-    for dim, name in reduced.items():
-        table = tables.get(name)
-        if table is None or table.column_names != db.table(dim).column_names:
-            raise SamplingError(
-                f"reduced dimension {name!r} does not match {dim!r}"
-            )
-        reduced_dims[dim] = table
     technique = SmallGroupSampling(config)
     technique.samples = SampleFamily.of_database(
         db,
@@ -351,7 +324,6 @@ def from_family(
         [sample(m.name, m.stored_rows) for m in metas],
         [OverallPart(table=overall, rate=rate)],
         classes,
-        reduced_dims,
     )
     technique._report(
         db, wall_time_seconds, details=technique.preprocess_details()

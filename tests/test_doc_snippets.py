@@ -5,12 +5,16 @@ one shared namespace (top to bottom), so the documented API never drifts
 from the implementation.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.core.smallgroup import SmallGroupConfig
+
 README = Path(__file__).parent.parent / "README.md"
+API = Path(__file__).parent.parent / "docs" / "api.md"
 
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -56,3 +60,13 @@ def test_docs_reference_real_modules(path):
             parent, _, attribute = match.rpartition(".")
             module = importlib.import_module(parent)
             assert hasattr(module, attribute), match
+
+
+def test_api_lists_exactly_the_small_group_knobs():
+    """The "`SmallGroupConfig` knobs:" paragraph names every field once."""
+    text = API.read_text()
+    start = text.index("`SmallGroupConfig` knobs:")
+    paragraph = text[start:text.index("\n\n", start)]
+    documented = re.findall(r"`([a-z_]+)`", paragraph)
+    fields = [field.name for field in dataclasses.fields(SmallGroupConfig)]
+    assert sorted(documented) == sorted(fields)

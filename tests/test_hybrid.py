@@ -74,13 +74,28 @@ class TestStructure:
         # group may be reported exact even though outliers are 100% stored.
         assert not answer.exact_groups()
 
-    def test_small_group_answers_still_exact(self, hybrid, flat_db):
-        query = Query("flat", (SUM_AMOUNT,), ("city",))
-        exact = execute(flat_db, query).as_dict()
-        answer = hybrid.answer(query)
-        assert answer.exact_groups()
-        for group in answer.exact_groups():
-            assert answer.value(group) == pytest.approx(exact[group])
+    def test_small_group_answers_still_exact(self, hybrid, flat_db, tiny_tpch):
+        # A star schema too: the outliers are ranked on a fact measure, the
+        # groups are dimension attributes.
+        star = SmallGroupWithOutlier(
+            HybridConfig(
+                base_rate=0.05,
+                measure="l_extendedprice",
+                use_reservoir=False,
+                seed=5,
+            )
+        )
+        star.preprocess(tiny_tpch)
+        star_sum = AggregateSpec(AggFunc.SUM, "l_extendedprice", alias="s")
+        for technique, db, query in (
+            (hybrid, flat_db, Query("flat", (SUM_AMOUNT,), ("city",))),
+            (star, tiny_tpch, Query("lineitem", (star_sum,), ("p_brand",))),
+        ):
+            exact = execute(db, query).as_dict()
+            answer = technique.answer(query)
+            assert answer.exact_groups()
+            for group in answer.exact_groups():
+                assert answer.value(group) == pytest.approx(exact[group])
 
 
 class TestAccuracy:

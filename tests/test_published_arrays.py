@@ -66,14 +66,6 @@ def test_a_built_family_and_its_database(tiny_tpch):
     assert_read_only(database_tables(tiny_tpch) + family_tables(technique))
 
 
-def test_a_renormalized_family(tiny_tpch):
-    technique = SmallGroupSampling(
-        SmallGroupConfig(base_rate=0.05, storage="renormalized")
-    )
-    technique.preprocess(tiny_tpch)
-    assert_read_only(family_tables(technique))
-
-
 def test_a_loaded_database_and_family(tmp_path, tiny_tpch):
     directory = save_database(tiny_tpch, tmp_path / "db")
     built = SmallGroupSampling(CONFIG)

@@ -25,6 +25,7 @@ from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.middleware import AQPSession
 from repro.server.protocol import encode_result
+from repro.errors import SamplingError
 from repro.storage import (
     StorageError,
     load_database,
@@ -35,6 +36,7 @@ from repro.storage import (
     save_samples,
     save_table,
 )
+from repro.storage.samples import family_manifest, from_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,7 +60,6 @@ CONFIGS = {
     "pairs": SmallGroupConfig(
         base_rate=0.05, pair_columns=(("l_shipmode", "s_region"),)
     ),
-    "renormalized": SmallGroupConfig(base_rate=0.05, storage="renormalized"),
 }
 
 
@@ -146,6 +147,69 @@ def test_manifest_holds_the_value_classes(db_dir):
     assert "common" in manifest["classes"][0]
 
 
+def _without_bitmask(table):
+    return Table(table.name, {c: table.column(c) for c in table.column_names})
+
+
+#: One inconsistency each, and the refusal it must meet: ``(manifest
+#: edit, table edit, message)``, the edits applied to the first small
+#: group table's entries.
+MANIFEST_DAMAGE = {
+    "config": (
+        lambda m: m.update(config=repr(CONFIGS["default"])), None,
+        "samples were built for",
+    ),
+    "view_rows": (
+        lambda m: m.update(view_rows=m["view_rows"] + 1), None,
+        "stored view_rows",
+    ),
+    "append_ordinal": (
+        lambda m: m.update(append_ordinal=1), None, "stored append_ordinal",
+    ),
+    "view_columns": (
+        lambda m: m.update(view_columns=m["view_columns"][:-1]), None,
+        "stored view_columns",
+    ),
+    "classes": (
+        lambda m: m.update(classes=m["classes"][::-1]), None, "disagree",
+    ),
+    "bit_index": (
+        lambda m: m["metadata"][0].update(bit_index=7), None, "disagree",
+    ),
+    "n_bits": (lambda m: m.update(n_bits=m["n_bits"] + 1), None, "disagree"),
+    "table_columns": (
+        None, lambda t: t.select(t.column_names[:-1]), "does not match",
+    ),
+    "bitmask": (None, _without_bitmask, "does not match"),
+    "row_count": (None, lambda t: t.head(t.n_rows - 1), "does not match"),
+    "overall_rate": (
+        lambda m: m["overall"].update(rate=m["overall"]["rate"] / 2), None,
+        "overall rate",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGE))
+def test_inconsistent_manifest_is_refused(tiny_tpch, damage):
+    config = CONFIGS["pairs"]
+    built = SmallGroupSampling(config)
+    built.preprocess(tiny_tpch)
+    manifest, tables = family_manifest(built)
+    manifest = json.loads(json.dumps(manifest))
+    by_name = {table.name: table for table in tables}
+    assert from_family(config, tiny_tpch, manifest, by_name).metadata() == (
+        built.metadata()
+    )
+    edit_manifest, edit_table, message = MANIFEST_DAMAGE[damage]
+    if edit_manifest is not None:
+        edit_manifest(manifest)
+    if edit_table is not None:
+        first = manifest["metadata"][0]["name"]
+        by_name[first] = edit_table(by_name[first])
+    with pytest.raises(SamplingError, match=message):
+        from_family(config, tiny_tpch, manifest, by_name)
+
+
 def test_unstorable_families_are_refused(db_dir, tiny_tpch):
     hybrid = SmallGroupWithOutlier(
         HybridConfig(base_rate=0.05, measure="l_extendedprice")
@@ -167,7 +231,7 @@ def test_unstorable_families_are_refused(db_dir, tiny_tpch):
 # The mechanism: loading scans nothing
 # ----------------------------------------------------------------------
 def test_loading_neither_joins_nor_preprocesses(db_dir, monkeypatch):
-    config = CONFIGS["renormalized"]
+    config = CONFIGS["pairs"]
     built = SmallGroupSampling(config)
     built.preprocess(load_database(db_dir))
     save_samples(built, db_dir)

@@ -291,13 +291,22 @@ class TestReservoirBuildIsPinned:
 
 
 class TestRuntime:
-    def test_exact_marked_groups_are_exact(self, sg_flat, flat_db):
-        query = Query("flat", (COUNT,), ("city", "shape"))
-        exact = execute(flat_db, query).as_dict()
-        answer = sg_flat.answer(query)
-        assert answer.exact_groups()  # skew guarantees some small groups
-        for group in answer.exact_groups():
-            assert answer.value(group) == pytest.approx(exact[group])
+    def test_exact_marked_groups_are_exact(self, sg_flat, flat_db, tiny_tpch):
+        # A star schema too: its grouping columns are dimension attributes.
+        sg_star = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=5)
+        )
+        sg_star.preprocess(tiny_tpch)
+        star_query = Query("lineitem", (COUNT,), ("p_type", "s_region"))
+        for technique, db, query in (
+            (sg_flat, flat_db, Query("flat", (COUNT,), ("city", "shape"))),
+            (sg_star, tiny_tpch, star_query),
+        ):
+            exact = execute(db, query).as_dict()
+            answer = technique.answer(query)
+            assert answer.exact_groups()  # skew guarantees some small groups
+            for group in answer.exact_groups():
+                assert answer.value(group) == pytest.approx(exact[group])
 
     def test_sum_exact_groups(self, sg_flat, flat_db):
         query = Query(
