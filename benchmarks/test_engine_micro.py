@@ -134,10 +134,10 @@ def test_repeated_workload_cache_speedup(db, sg):
 
     Each query is served in ``mode="both"`` — the approximate answer plus
     the exact audit answer, the shape the experiments use to measure
-    error — so the stream exercises every cache layer: parse/plan memos
+    error — so the stream exercises every cache layer: the parse memo
     on the approximate side, join-position, predicate-mask and
     group-code memos on the exact side.  The cold pass clears the
-    per-column memos and the session memos before every query — the seed
+    per-column memos and the session parse memo before every query — the seed
     executor's effective behaviour; the warm pass reuses them across the
     stream.  Both answers must match the cold pass on every query, and
     the warm stream must be at least 3x faster.  Emits
@@ -175,7 +175,6 @@ def test_repeated_workload_cache_speedup(db, sg):
             if cold:
                 cache.clear()
                 session._parse_memo.clear()
-                session._plan_memo.clear()
             result = session.sql(sql, mode="both", profile=profile)
             approx = result.approx
             answers.append(

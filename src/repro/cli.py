@@ -462,7 +462,7 @@ def _run_stats(args) -> int:
     The registry counters and the memo metrics are process-wide, so the
     numbers cover exactly what this invocation ran: ``--repeat`` passes
     over each ``--query`` (first pass cold, the rest exercising the
-    parse/plan memos and the per-column memos).
+    parse memo and the per-column memos).
     """
     from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.engine.cache import get_cache

@@ -121,7 +121,6 @@ class ReproClient:
         self,
         sql: str,
         mode: str = "approx",
-        explain: bool = False,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """Run one SQL aggregation query; returns the response object.
@@ -134,8 +133,6 @@ class ReproClient:
         ``code="deadline_exceeded"``.
         """
         body: dict[str, Any] = {"sql": sql, "mode": mode}
-        if explain:
-            body["explain"] = True
         if timeout is not None:
             body["timeout"] = timeout
         return self._request("POST", "/query", body)

@@ -8,10 +8,12 @@ groups are exact — Section 4.2.2), confidence intervals, and provenance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.confidence import normal_interval
+from repro.core.rewriter import SamplePiece, pieces_to_sql
+from repro.engine.expressions import Query
 from repro.errors import RuntimePhaseError
 
 GroupKey = tuple[Any, ...]
@@ -61,19 +63,15 @@ class ApproxAnswer:
         Total sample rows scanned to answer the query (the runtime cost).
     pieces:
         Human-readable description of each sample table queried.
-    rewritten_sql:
-        The rewritten UNION ALL statement, when the technique rewrites SQL.
+    executed:
+        The ``(piece, query)`` pairs that ran: each sample piece with
+        the additive-component query executed on it.  Empty when the
+        answer was not produced by piece execution.
     top_k_confident:
         For LIMIT queries ordered by an estimated aggregate: whether the
         confidence interval of the last kept group is disjoint from that
         of the best dropped group — i.e. whether the approximate top-k
         cut is statistically separated.  ``None`` when not applicable.
-    trace:
-        Root :class:`~repro.obs.trace.Span` of the execution, when the
-        caller requested profiling (``session.sql(..., profile=True)``);
-        ``None`` otherwise.  Pure diagnostics —
-        the estimates are byte-identical with tracing on or off
-        (enforced by the determinism sweep in ``tests/test_obs.py``).
     """
 
     group_columns: tuple[str, ...]
@@ -82,9 +80,22 @@ class ApproxAnswer:
     technique: str = ""
     rows_scanned: int = 0
     pieces: tuple[str, ...] = field(default_factory=tuple)
-    rewritten_sql: str | None = None
+    executed: tuple[tuple[SamplePiece, Query], ...] = field(
+        default=(), repr=False, compare=False
+    )
     top_k_confident: bool | None = None
-    trace: Any | None = None
+
+    @property
+    def rewritten_sql(self) -> str | None:
+        """The rewritten UNION ALL statement that ran (paper §4.2.2).
+
+        Rendered from :attr:`executed` when read; ``None`` without it.
+        """
+        if not self.executed:
+            return None
+        return pieces_to_sql(
+            [replace(piece, query=query) for piece, query in self.executed]
+        )
 
     @property
     def n_groups(self) -> int:

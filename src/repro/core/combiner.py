@@ -23,10 +23,10 @@ statistics).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
-from repro.core.rewriter import SamplePiece, pieces_to_sql
+from repro.core.rewriter import SamplePiece
 from repro.engine.executor import (
     GroupedResult,
     aggregate_table,
@@ -135,7 +135,6 @@ def _plan_components(
 def execute_pieces(
     pieces: list[SamplePiece],
     technique: str,
-    emit_sql: bool = True,
     span: Span = NULL_SPAN,
     deadline: Deadline | None = None,
 ) -> ApproxAnswer:
@@ -148,8 +147,7 @@ def execute_pieces(
     deterministic.
 
     ``span`` (when profiling) gains one ``piece:*`` child per piece plus
-    a ``combine`` child; the span tree rides on the answer as
-    ``ApproxAnswer.trace``.  Spans are write-only in this layer, so
+    a ``combine`` child.  Spans are write-only in this layer, so
     answers are byte-identical with profiling on or off
     (``tests/test_obs.py::TestProfileDeterminism``).
 
@@ -170,7 +168,7 @@ def execute_pieces(
     component_names = tuple(c.name for c in components)
 
     # The queries that actually run carry the additive components — this
-    # is also what the emitted rewritten SQL shows.
+    # is also what the answer's rewritten SQL shows.
     exec_pieces: list[tuple[SamplePiece, Query]] = []
     for piece in pieces:
         exec_query = Query(
@@ -299,16 +297,6 @@ def execute_pieces(
         technique=technique,
         top_k_confident=top_k_confident,
         rows_scanned=rows_scanned,
-        trace=None if span is NULL_SPAN else span,
         pieces=tuple(p.description or p.table.name for p in pieces),
-        rewritten_sql=(
-            pieces_to_sql(
-                [
-                    replace(piece, query=exec_query)
-                    for piece, exec_query in exec_pieces
-                ]
-            )
-            if emit_sql
-            else None
-        ),
+        executed=tuple(exec_pieces),
     )

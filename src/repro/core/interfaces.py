@@ -126,8 +126,7 @@ class AQPTechnique(abc.ABC):
         #: The samples this technique answers from: ``None`` until
         #: :meth:`preprocess` builds them (or stored ones are adopted).
         #: Every rebuild or append assigns a new value, never edits one,
-        #: so a session pins it per query and keys plan memos by its
-        #: identity.
+        #: so a session pins it per query and plans against it.
         self.samples: Any = None
         #: Cost report for the samples this technique holds: set when
         #: :meth:`preprocess` builds them, or when stored samples are

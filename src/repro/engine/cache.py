@@ -14,7 +14,7 @@ This module keeps what the memos share: per-kind hit/miss counters
 (:class:`CacheMetrics`, re-exported through :mod:`repro.metrics`) and
 the generation :meth:`DerivedState.clear` bumps so cold measurements
 recompute.  :class:`SingleFlight` is the in-flight deduplication the
-session parse/plan memos and the server's request dedup use.
+server's request dedup uses.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class SingleFlight:
     key, and the leader's exception propagates only to the caller that
     computed.
 
-    This is the primitive behind the session parse/plan memos and the
-    serving layer's in-flight request dedup.  Keys must be hashable;
+    This is the primitive behind the serving layer's in-flight request
+    dedup.  Keys must be hashable;
     ``fn`` must not recursively call ``do`` with the same key on the
     same thread (the second call would wait on itself).
 
@@ -113,7 +113,7 @@ class SingleFlight:
 @dataclass
 class CacheMetrics:
     """Hit/miss counters per cache kind (``join_positions``,
-    ``predicate_mask``, ``column_codes``, ``sql_parse``, ``plan`` ...).
+    ``predicate_mask``, ``column_codes``, ``sql_parse`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
     atomic under free-running threads, and hits + misses must equal the
@@ -122,9 +122,6 @@ class CacheMetrics:
 
     hits: dict[str, int] = field(default_factory=dict)
     misses: dict[str, int] = field(default_factory=dict)
-    #: Lookups that missed but were served by another thread's in-flight
-    #: computation (single-flight coalescing) instead of recomputing.
-    coalesced: dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -138,11 +135,6 @@ class CacheMetrics:
         """Count one cache miss for ``kind``."""
         with self._lock:
             self.misses[kind] = self.misses.get(kind, 0) + 1
-
-    def record_coalesced(self, kind: str) -> None:
-        """Count one miss that was served by an in-flight leader."""
-        with self._lock:
-            self.coalesced[kind] = self.coalesced.get(kind, 0) + 1
 
     def hit_rate(self, kind: str) -> float | None:
         """Fraction of lookups served from cache.
@@ -189,13 +181,11 @@ class CacheMetrics:
             return {
                 "hits": dict(self.hits),
                 "misses": dict(self.misses),
-                "coalesced": dict(self.coalesced),
                 "invalidations": 0,
                 "by_kind": {
                     k: {
                         "hits": self.hits.get(k, 0),
                         "misses": self.misses.get(k, 0),
-                        "coalesced": self.coalesced.get(k, 0),
                         "hit_rate": self.hits.get(k, 0)
                         / (self.hits.get(k, 0) + self.misses.get(k, 0)),
                     }
@@ -208,7 +198,6 @@ class CacheMetrics:
         with self._lock:
             self.hits.clear()
             self.misses.clear()
-            self.coalesced.clear()
 
 
 class DerivedState:
@@ -242,7 +231,7 @@ def get_cache() -> DerivedState:
 
 
 def execution_cache_metrics() -> CacheMetrics:
-    """Hit/miss counters of the per-column memos and session memos."""
+    """Hit/miss counters of the column memos and the session parse memo."""
     return _DERIVED_STATE.metrics
 
 

@@ -4,22 +4,23 @@ The paper frames sampling-based AQP systems as "a thin layer of
 middleware which re-writes queries to run against sample tables stored as
 ordinary relations in a standard, off-the-shelf database server".
 :class:`AQPSession` is that layer over this package's engine: SQL text
-goes in, approximate (and/or exact) answers come out, and every query is
-logged so the observed workload can drive workload-aware tuning
-(column trimming, §5.4.2).
+goes in, approximate (and/or exact) answers come out, and the latest
+queries are logged so the observed workload can drive workload-aware
+tuning (column trimming, §5.4.2).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.answer import ApproxAnswer
 from repro.core.combiner import execute_pieces
 from repro.core.interfaces import AQPTechnique, PreprocessReport
-from repro.engine.cache import SingleFlight, get_cache
+from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.engine.deadline import Deadline
 from repro.engine.executor import GroupedResult, execute
@@ -32,6 +33,11 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
 from repro.sql.parser import parse_query
 from repro.workload.spec import Workload, WorkloadConfig, WorkloadQuery
+
+#: Entries the parse memo and the query log keep.  Above the distinct
+#: texts a dashboard or a benchmark run asks, so a repeated text still
+#: hits; a full parse memo starts over, the log forgets its oldest query.
+SESSION_MEMO_CAP = 1024
 
 
 @dataclass
@@ -59,27 +65,15 @@ class SessionResult:
     profile: QueryProfile | None = None
 
     @property
-    def speedup(self) -> float:
+    def speedup(self) -> float | None:
         """Exact time over approximate time (requires mode="both").
 
-        NaN when either side did not run (kept NaN — not ``None`` — for
-        backward compatibility; presentation layers must render via
-        :attr:`speedup_or_none` so the NaN never leaks into text or,
-        worse, a strict-JSON report).
+        ``None`` when either side did not run, so it serialises as
+        ``null`` in strict JSON.
         """
         if self.approx_seconds <= 0 or self.exact_seconds <= 0:
-            return float("nan")
+            return None
         return self.exact_seconds / self.approx_seconds
-
-    @property
-    def speedup_or_none(self) -> float | None:
-        """:attr:`speedup` as a finite float, or ``None``.
-
-        This is the JSON-safe view: ``None`` serialises as ``null``
-        where NaN would produce invalid strict JSON.
-        """
-        value = self.speedup
-        return value if value == value else None
 
     def to_text(self, max_rows: int = 20, level: float = 0.95) -> str:
         """Human-readable rendering of the result."""
@@ -129,7 +123,7 @@ class SessionResult:
                     )
                 )
         if self.approx is not None and self.exact is not None:
-            speedup = self.speedup_or_none
+            speedup = self.speedup
             lines.append(
                 "speedup: "
                 + (f"{speedup:.1f}x" if speedup is not None else "n/a")
@@ -152,20 +146,12 @@ class Snapshot:
 
     A query reads one snapshot from start to finish; an append publishes
     the next one with a single assignment.  Compared and hashed by
-    identity (baseline samples are plain dicts), so it can key a
-    single-flight.
+    identity (baseline samples are plain dicts), so it can key the
+    server's request single-flight.
     """
 
     db: Database
     samples: Any
-
-
-@dataclass
-class _LogEntry:
-    sql: str
-    query: Query
-    mode: str
-    seconds: float
 
 
 class AQPSession:
@@ -174,14 +160,14 @@ class AQPSession:
     :meth:`sql` and :meth:`explain` read the published :class:`Snapshot`
     once and answer from it; :meth:`append_rows` publishes the next one
     with one assignment under ``_append_lock``, which no reader takes, so
-    queries never wait for appends nor see half of one.  The query log
-    and the parse/plan memos take the session lock, never held across
-    parsing, rewriting, or execution —
-    concurrent misses on the same memo key are **single-flighted** (one
-    caller parses/plans, the concurrent duplicates wait and share the
-    result) rather than either serialising the session or stampeding N
-    identical computations.  :meth:`install` is the exception:
-    installing a technique while queries are in flight is not supported.
+    queries never wait for appends nor see half of one.  Queries take no
+    lock at all: the parse memo is a dict whose misses may race (the
+    last store wins, like :meth:`Column.derived
+    <repro.engine.column.Column.derived>`), and the query log is a
+    bounded deque.  Both hold at most :data:`SESSION_MEMO_CAP` entries
+    (plus one per concurrently missing thread).  :meth:`install` is the
+    exception: installing a technique while queries are in flight is
+    not supported.
 
     :meth:`close` is idempotent and may race other callers; once closed,
     every query/ingest entry point raises a clean
@@ -201,16 +187,11 @@ class AQPSession:
             db.snapshot(), None if technique is None else technique.samples
         )
         self._append_lock = threading.Lock()
-        self._lock = threading.Lock()
         self._closed = False
-        self._log: list[_LogEntry] = []
+        # The parsed queries, newest last, for observed_workload().
+        self._log: deque[Query] = deque(maxlen=SESSION_MEMO_CAP)
         # SQL text -> parsed Query (parse is deterministic, text is frozen).
         self._parse_memo: dict[str, Query] = {}
-        # Query -> (samples, pieces): the rewrite plan for structurally
-        # identical queries, served while the technique holds those samples.
-        self._plan_memo: dict[Query, tuple[object, list]] = {}
-        # Cold parse/plan misses coalesce here instead of stampeding.
-        self._flight = SingleFlight()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -242,21 +223,15 @@ class AQPSession:
     def close(self) -> None:
         """Release session-scoped derived state (idempotent).
 
-        Clears the parse/plan memos.  Engine artifacts (predicate masks,
+        Clears the parse memo.  Engine artifacts (predicate masks,
         grouping codes, join positions) are memoised on the columns they
         describe and are released with those columns.
 
-        Safe to call more than once — including the implicit second call
-        of ``with session: ... finally session.close()`` patterns: only
-        the first caller releases anything, later calls (and concurrent
-        racers) return immediately.
+        Safe to call more than once, and from racing threads: a later
+        call only clears a memo that is already empty.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._parse_memo.clear()
-            self._plan_memo.clear()
+        self._closed = True
+        self._parse_memo.clear()
 
     def __enter__(self) -> "AQPSession":
         self._require_open()
@@ -305,8 +280,6 @@ class AQPSession:
         step that raises publishes nothing: a refused batch changes
         nothing, and a failed table append restores the technique's
         previous samples, so the table and its samples never diverge.
-        Memoised rewrite plans are keyed by the samples, so no memo
-        clearing is needed.
 
         Under a star schema the technique classifies against the joined
         view, so the batch may (must, for incremental maintenance) carry
@@ -441,7 +414,7 @@ class AQPSession:
                     if result.exact is not None
                     else None
                 ),
-                speedup=result.speedup_or_none,
+                speedup=result.speedup,
                 rows_scanned=(
                     result.approx.rows_scanned
                     if result.approx is not None
@@ -450,41 +423,25 @@ class AQPSession:
                 cache_before=cache_before,
                 cache_after=get_cache().metrics.counts(),
             )
-        with self._lock:
-            self._log.append(
-                _LogEntry(
-                    sql=text,
-                    query=query,
-                    mode=mode,
-                    seconds=result.approx_seconds or result.exact_seconds,
-                )
-            )
+        self._log.append(query)
         return result
 
     def _parse(self, text: str) -> Query:
         """Parse SQL, memoising by exact text (parsing is deterministic).
 
-        Cold misses on the same text are single-flighted: one thread
-        parses, concurrent duplicates wait and share the memo entry
-        (counted as ``coalesced``) instead of each re-parsing.
+        A full memo starts over with ``clear()``, which never iterates
+        the dict another thread may be storing into.
         """
         metrics = get_cache().metrics
-        with self._lock:
-            query = self._parse_memo.get(text)
+        query = self._parse_memo.get(text)
         if query is not None:
             metrics.record_hit("sql_parse")
             return query
-
-        def _parse_and_memoise() -> Query:
-            metrics.record_miss("sql_parse")
-            parsed = parse_query(text)
-            with self._lock:
-                self._parse_memo[text] = parsed
-            return parsed
-
-        query, leader = self._flight.do(("parse", text), _parse_and_memoise)
-        if not leader:
-            metrics.record_coalesced("sql_parse")
+        metrics.record_miss("sql_parse")
+        query = parse_query(text)
+        if len(self._parse_memo) >= SESSION_MEMO_CAP:
+            self._parse_memo.clear()
+        self._parse_memo[text] = query
         return query
 
     def _require_samples(self, snapshot: Snapshot) -> AQPTechnique:
@@ -505,57 +462,17 @@ class AQPSession:
         span: Span = NULL_SPAN,
         deadline: Deadline | None = None,
     ) -> ApproxAnswer:
-        """Answer approximately from ``samples``, memoising the rewrite plan.
+        """Answer approximately from ``samples``: plan, then run the pieces.
 
-        The pieces from ``technique.plan`` are memoised per parsed
-        :class:`Query` — so structurally identical SQL skips sample
-        selection and rewriting — and served only to a query pinned to
-        the same ``samples`` (an append publishes new ones).
-        Cold plan misses on the same query and samples are
-        single-flighted: one thread runs sample selection, concurrent
-        duplicates wait and share the memoised pieces.
+        Sample selection and rewriting run on every query; they cost a
+        fraction of the piece scans (``docs/internals.md`` §14).
 
         ``span`` (when profiling) gains a ``plan`` child timing sample
         selection/rewriting and a ``pieces`` child owning the per-piece
         execution spans.
         """
-        metrics = get_cache().metrics
-
-        def _memo_lookup():
-            with self._lock:
-                entry = self._plan_memo.get(query)
-            if entry is not None and entry[0] is samples:
-                return entry[1]
-            return None
-
-        pieces = _memo_lookup()
-        plan_span = span.child("plan")
-        with plan_span:
-            if pieces is not None:
-                metrics.record_hit("plan")
-                plan_span.annotate(memo_hit=True)
-            else:
-                def _plan_and_memoise():
-                    # Re-check inside the flight: a coalesced waiter that
-                    # lost the leadership race re-enters here after the
-                    # first leader already filled the memo.
-                    memoised = _memo_lookup()
-                    if memoised is not None:
-                        return memoised
-                    metrics.record_miss("plan")
-                    chosen = technique.plan(samples, query)
-                    with self._lock:
-                        self._plan_memo[query] = (samples, chosen)
-                    return chosen
-
-                # ``id`` is unique here: every caller sharing the key
-                # holds its samples alive until the flight ends.
-                pieces, leader = self._flight.do(
-                    ("plan", query, id(samples)), _plan_and_memoise
-                )
-                plan_span.annotate(memo_hit=False)
-                if not leader:
-                    metrics.record_coalesced("plan")
+        with span.child("plan"):
+            pieces = technique.plan(samples, query)
         pieces_span = span.child("pieces")
         with pieces_span:
             return execute_pieces(
@@ -590,20 +507,17 @@ class AQPSession:
     # ------------------------------------------------------------------
     # Workload feedback
     # ------------------------------------------------------------------
-    @property
-    def query_count(self) -> int:
-        """Number of queries issued through the session."""
-        return len(self._log)
-
     def observed_workload(self) -> Workload:
-        """The session's query log as a :class:`Workload`.
+        """The session's last :data:`SESSION_MEMO_CAP` queries as a
+        :class:`Workload`.
 
         Feed this to :func:`repro.core.workload_policy.trim_columns` to
         retune the sample layout to what users actually ask.
         """
         queries = []
-        for index, entry in enumerate(self._log):
-            query = entry.query
+        # tuple() copies the deque in one C call, so a query appended
+        # meanwhile cannot break the loop below.
+        for index, query in enumerate(tuple(self._log)):
             predicates = (
                 len(getattr(query.where, "operands", (query.where,)))
                 if query.where is not None

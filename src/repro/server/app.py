@@ -15,11 +15,12 @@ Concurrency discipline, in the order a request meets it:
    rejected immediately with ``overloaded`` (HTTP 429) instead of
    queueing unboundedly behind slow queries.
 3. **Single-flight dedup** — identical in-flight queries (same SQL,
-   mode, explain, and snapshot) coalesce onto one execution via the same
-   :class:`~repro.engine.cache.SingleFlight` primitive the session's
-   parse/plan memos use; followers share the leader's encoded response and count
-   under ``server.coalesced``.  A follower whose own deadline expires
-   while waiting stops waiting and fails with ``deadline_exceeded``.
+   mode and snapshot) coalesce onto one execution via
+   :class:`~repro.engine.cache.SingleFlight`; followers share the
+   leader's encoded response and count under ``server.coalesced``.  A
+   follower whose own deadline expires while waiting stops waiting and
+   fails with ``deadline_exceeded``.  The session below parses and
+   plans every request itself.
 4. **Snapshot semantics** — no lock orders queries against appends.
    Each query reads the session's published
    :class:`~repro.middleware.session.Snapshot` (catalog plus samples)
@@ -165,7 +166,7 @@ class AQPServer:
     # Ops
     # ------------------------------------------------------------------
     def _handle_query(self, request: dict) -> tuple[int, dict]:
-        sql, mode, explain, timeout = validate_query_request(request)
+        sql, mode, timeout = validate_query_request(request)
         registry = get_registry()
         with self._admitted() as admitted:
             if not admitted:
@@ -185,13 +186,11 @@ class AQPServer:
             deadline = Deadline(seconds) if seconds is not None else None
 
             def _execute() -> dict:
-                result = self.session.sql(
-                    sql, mode=mode, explain=explain, deadline=deadline
-                )
+                result = self.session.sql(sql, mode=mode, deadline=deadline)
                 return encode_result(result)
 
             payload, leader = self._flight.do(
-                (sql, mode, explain, self.session.snapshot),
+                (sql, mode, self.session.snapshot),
                 _execute,
                 deadline_check=(
                     deadline.check if deadline is not None else None
@@ -247,7 +246,6 @@ class AQPServer:
                 "inflight": self.inflight,
                 "max_inflight": self.config.max_inflight,
                 "inflight_queries_coalescing": self._flight.inflight_count(),
-                "queries_logged": self.session.query_count,
             },
         }
 

@@ -174,7 +174,7 @@ def encode_result(result: Any) -> dict:
                     if result.exact is not None
                     else None
                 ),
-                "speedup": result.speedup_or_none,
+                "speedup": result.speedup,
             }
         ),
     }
@@ -193,8 +193,8 @@ def answer_fingerprint(answer: dict) -> str:
     ).hexdigest()
 
 
-def validate_query_request(request: dict) -> tuple[str, str, bool, float | None]:
-    """Validate a ``query`` request; returns ``(sql, mode, explain, timeout)``.
+def validate_query_request(request: dict) -> tuple[str, str, float | None]:
+    """Validate a ``query`` request; returns ``(sql, mode, timeout)``.
 
     Raises :class:`QueryError` (wire code ``invalid_request``) on bad
     shape — *before* any admission/locking, so malformed requests are
@@ -208,9 +208,6 @@ def validate_query_request(request: dict) -> tuple[str, str, bool, float | None]
         raise QueryError(
             f"mode must be approx, exact, or both; got {mode!r}"
         )
-    explain = request.get("explain", False)
-    if not isinstance(explain, bool):
-        raise QueryError("'explain' must be a boolean")
     timeout = request.get("timeout")
     if timeout is not None:
         if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
@@ -218,7 +215,7 @@ def validate_query_request(request: dict) -> tuple[str, str, bool, float | None]
         if not timeout > 0:
             raise QueryError(f"'timeout' must be positive, got {timeout!r}")
         timeout = float(timeout)
-    return sql, mode, explain, timeout
+    return sql, mode, timeout
 
 
 def validate_append_request(request: dict) -> tuple[str, dict[str, list]]:

@@ -75,8 +75,6 @@ class TestExecutePieces:
         answer = execute_pieces(pieces, "t")
         assert "UNION ALL" in answer.rewritten_sql
         assert answer.rewritten_sql == pieces_to_sql(pieces)
-        silent = execute_pieces(pieces, "t", emit_sql=False)
-        assert silent.rewritten_sql is None
 
     def test_empty_pieces_rejected(self):
         with pytest.raises(RuntimePhaseError):

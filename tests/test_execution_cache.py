@@ -29,6 +29,7 @@ from repro.engine.expressions import AggFunc, AggregateSpec, InSet, Query
 from repro.engine.schema import ForeignKey, StarSchema
 from repro.engine.table import Table
 from repro.middleware import AQPSession
+from repro.middleware.session import SESSION_MEMO_CAP
 from repro.sql.parser import parse_query
 
 COUNT = AggregateSpec(AggFunc.COUNT, alias="cnt")
@@ -347,17 +348,103 @@ class TestSessionMemos:
         session.install(sg)
         return db, sg, session
 
-    def test_repeated_sql_hits_parse_and_plan_memos(self):
+    def test_repeated_sql_hits_parse_memo(self):
         _, _, session = self.build()
         metrics = get_cache().metrics
         sql = "SELECT color, COUNT(*) AS cnt FROM flat GROUP BY color"
         first = session.sql(sql).approx
         parse_hits = metrics.hits.get("sql_parse", 0)
-        plan_hits = metrics.hits.get("plan", 0)
         second = session.sql(sql).approx
         assert metrics.hits.get("sql_parse", 0) > parse_hits
-        assert metrics.hits.get("plan", 0) > plan_hits
         assert answer_values(second) == answer_values(first)
+
+    def test_parse_memo_and_log_stay_under_the_cap(self):
+        db, sg, session = self.build()
+        metrics = get_cache().metrics
+        texts = [
+            "SELECT status, COUNT(*) AS cnt FROM flat "
+            f"WHERE amount > {i / 100} GROUP BY status"
+            for i in range(SESSION_MEMO_CAP + 40)
+        ]
+        for i, text in enumerate(texts):
+            mode = ("approx", "exact")[i % 2]
+            result = session.sql(text, mode=mode)
+            fresh = AQPSession(db, sg).sql(text, mode=mode)
+            if mode == "approx":
+                assert answer_values(result.approx) == (
+                    answer_values(fresh.approx)
+                )
+            else:
+                assert result.exact.rows == fresh.exact.rows
+            assert len(session._parse_memo) <= SESSION_MEMO_CAP
+            if i % 256 == 0:
+                assert len(session.observed_workload()) <= SESSION_MEMO_CAP
+        observed = session.observed_workload()
+        assert len(observed) == SESSION_MEMO_CAP
+        assert observed.queries[-1].query == parse_query(texts[-1])
+
+        hits = metrics.hits.get("sql_parse", 0)
+        session.sql(texts[-1])
+        assert metrics.hits.get("sql_parse", 0) == hits + 1
+
+    def test_concurrent_distinct_texts_stay_under_the_cap(self, monkeypatch):
+        import sys
+
+        from repro.middleware import session as session_module
+
+        cap = 64  # the serial test above runs the real cap
+        monkeypatch.setattr(session_module, "SESSION_MEMO_CAP", cap)
+        _, _, session = self.build()
+        n_threads = 8
+        texts = [
+            "SELECT color, COUNT(*) AS cnt FROM flat "
+            f"WHERE amount > {i / 100} GROUP BY color"
+            for i in range(4 * cap)
+        ]
+        errors: list[BaseException] = []
+        sizes: list[int] = []
+        done = threading.Event()
+
+        def ask(offset):
+            try:
+                for text in texts[offset::n_threads]:
+                    session.sql(text)
+                    sizes.append(len(session._parse_memo))
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        def observe():
+            # Reads the log while the askers append to it.
+            while not done.wait(0.001):
+                try:
+                    session.observed_workload()
+                except BaseException as error:  # pragma: no cover
+                    errors.append(error)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            observer = threading.Thread(target=observe)
+            askers = [
+                threading.Thread(target=ask, args=(i,))
+                for i in range(n_threads)
+            ]
+            observer.start()
+            for thread in askers:
+                thread.start()
+            for thread in askers:
+                thread.join(60)
+            done.set()
+            observer.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in askers + [observer])
+        assert errors == []
+        # A miss checks the size, then stores: each racing thread can
+        # add one entry past the check.
+        assert max(sizes) < cap + n_threads
+        assert len(session.observed_workload()) == cap
 
     def test_insert_rows_replaces_samples_and_refreshes(self):
         _, sg, session = self.build()
@@ -469,39 +556,6 @@ class TestSingleFlight:
         flight = SingleFlight()
         assert flight.do("a", lambda: 1) == (1, True)
         assert flight.do("b", lambda: 2) == (2, True)
-
-    def test_session_parse_and_plan_coalesce(self):
-        import threading
-
-        db = Database([generate_flat_table("flat", 2000, seed=7, **SPEC)])
-        session = AQPSession(db)
-        session.install(
-            SmallGroupSampling(
-                SmallGroupConfig(base_rate=0.1, use_reservoir=False, seed=7)
-            )
-        )
-        metrics = get_cache().metrics
-        metrics.reset()
-        sql = "SELECT color, COUNT(*) AS cnt FROM flat GROUP BY color"
-        barrier = threading.Barrier(4)
-        answers = []
-
-        def run():
-            barrier.wait()
-            answers.append(answer_values(session.sql(sql).approx))
-
-        threads = [threading.Thread(target=run) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # One cold parse and one cold plan total; every concurrent
-        # duplicate either coalesced onto the in-flight computation or
-        # landed after it as a memo hit — never a second miss.
-        assert metrics.misses.get("sql_parse", 0) == 1
-        assert metrics.misses.get("plan", 0) == 1
-        assert all(a == answers[0] for a in answers[1:])
-        session.close()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.baselines.uniform import UniformConfig, UniformSampling
 from repro.core import combiner
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.core.workload_policy import trim_columns
-from repro.engine.cache import get_cache
 from repro.engine.deadline import Deadline
 from repro.errors import DeadlineExceeded, RuntimePhaseError
 from repro.middleware import AQPSession
@@ -105,10 +104,10 @@ class TestRendering:
 
 class TestWorkloadFeedback:
     def test_log_grows(self, session):
-        assert session.query_count == 0
+        assert len(session.observed_workload()) == 0
         session.sql(SQL_COUNT)
         session.sql(SQL_FILTERED)
-        assert session.query_count == 2
+        assert len(session.observed_workload()) == 2
 
     def test_observed_workload_feeds_trimming(self, session):
         session.sql(SQL_COUNT)
@@ -238,7 +237,7 @@ BASELINES = {
 
 @pytest.mark.parametrize("name", sorted(BASELINES))
 class TestEveryTechniquePlansThroughTheSession:
-    """Baselines get the same plan memo, spans and deadlines as small group."""
+    """Baselines get the same spans and deadlines as small group."""
 
     @pytest.fixture()
     def technique(self, tiny_tpch, name):
@@ -257,15 +256,12 @@ class TestEveryTechniquePlansThroughTheSession:
             answer_fingerprint(encode_approx(direct))
         )
 
-    def test_repeat_hits_plan_memo_with_spans(self, tiny_tpch, technique):
+    def test_repeat_answers_alike_with_spans(self, tiny_tpch, technique):
         session = AQPSession(tiny_tpch, technique)
         first = session.sql(SQL_SUM)
-        metrics = get_cache().metrics
-        hits = metrics.counts()["hits"].get("plan", 0)
         again = session.sql(SQL_SUM, profile=True)
-        assert metrics.counts()["hits"].get("plan", 0) == hits + 1
         trace = again.profile.trace
-        assert trace.find("plan").attrs.get("memo_hit") is True
+        assert trace.find("plan") is not None
         pieces = trace.find("pieces")
         assert pieces is not None
         assert any(s.name.startswith("piece:") for s in pieces.iter_spans())

@@ -13,7 +13,6 @@ reports.
 from __future__ import annotations
 
 import json
-import math
 import threading
 
 import pytest
@@ -305,7 +304,6 @@ class TestQueryProfile:
         session = make_session(tiny_tpch)
         result = session.sql(SQL)
         assert result.profile is None
-        assert result.approx.trace is None
 
     def test_profile_attached_with_full_lifecycle(self, tiny_tpch):
         session = make_session(tiny_tpch)
@@ -324,7 +322,11 @@ class TestQueryProfile:
             s for s in trace.iter_spans() if s.name.startswith("piece:")
         ]
         assert piece_spans, "per-piece spans missing"
-        assert result.approx.trace is trace.find("pieces")
+        # Every piece span hangs under the one ``pieces`` span.
+        assert piece_spans == [
+            s for s in trace.find("pieces").children
+            if s.name.startswith("piece:")
+        ]
 
     def test_profile_dict_is_strict_json(self, tiny_tpch):
         session = make_session(tiny_tpch)
@@ -352,14 +354,6 @@ class TestQueryProfile:
         assert profile.approx_seconds is None
         assert "speedup: n/a" in profile.to_text()
         strict_loads(dumps(profile.to_dict()))
-
-    def test_plan_memo_hit_recorded_on_second_run(self, tiny_tpch):
-        session = make_session(tiny_tpch)
-        session.sql(SQL, mode="approx")
-        result = session.sql(SQL, mode="approx", profile=True)
-        plan = result.profile.trace.find("plan")
-        assert plan is not None
-        assert plan.attrs.get("memo_hit") is True
 
     def test_cache_delta_between_snapshots(self):
         metrics = CacheMetrics()
@@ -555,8 +549,7 @@ class TestReportNaNRegressions:
 
     def test_speedup_nan_kept_but_never_rendered(self, flat_db):
         result = self._result_exact_only(flat_db)
-        assert math.isnan(result.speedup)  # legacy contract
-        assert result.speedup_or_none is None
+        assert result.speedup is None
         assert "nan" not in result.to_text().lower()
 
     def test_speedup_text_says_na_when_both_sides_present_but_zero(self):
@@ -573,11 +566,11 @@ class TestReportNaNRegressions:
             approx_seconds=0.0,
             exact_seconds=0.0,
         )
-        assert result.speedup_or_none is None
+        assert result.speedup is None
 
     def test_speedup_serialises_as_null(self, flat_db):
         result = self._result_exact_only(flat_db)
-        text = dumps({"speedup": result.speedup_or_none})
+        text = dumps({"speedup": result.speedup})
         assert strict_loads(text) == {"speedup": None}
 
     def test_hit_rate_none_for_unseen_kind(self):

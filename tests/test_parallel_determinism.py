@@ -135,4 +135,6 @@ class TestConcurrentSessions:
         for sql, answer in results.values():
             assert answer.groups == expected[sql].groups
         # The log recorded every query exactly once (no lost appends).
-        assert session.query_count == len(sqls) + n_threads * rounds
+        assert len(session.observed_workload()) == (
+            len(sqls) + n_threads * rounds
+        )

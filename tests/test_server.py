@@ -78,10 +78,10 @@ def app(session):
 
 class TestProtocol:
     def test_validate_query_request(self):
-        sql, mode, explain, timeout = validate_query_request(
-            {"sql": "SELECT 1", "mode": "exact", "timeout": 2}
-        )
-        assert (sql, mode, explain, timeout) == ("SELECT 1", "exact", False, 2.0)
+        # ``explain`` is ignored like any other unknown field.
+        assert validate_query_request(
+            {"sql": "SELECT 1", "mode": "exact", "timeout": 2, "explain": "x"}
+        ) == ("SELECT 1", "exact", 2.0)
 
     @pytest.mark.parametrize(
         "request_obj",
@@ -90,7 +90,6 @@ class TestProtocol:
             {"sql": ""},
             {"sql": 42},
             {"sql": "SELECT 1", "mode": "fast"},
-            {"sql": "SELECT 1", "explain": "yes"},
             {"sql": "SELECT 1", "timeout": 0},
             {"sql": "SELECT 1", "timeout": -1},
             {"sql": "SELECT 1", "timeout": True},

@@ -282,8 +282,6 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
     locks = (
         (get_cache().metrics, "_lock", "cache.metrics"),
         (get_registry(), "_lock", "registry"),
-        (session, "_lock", "session"),
-        (session._flight, "_lock", "session.flight"),
         (session, "_append_lock", "session.append"),
         (app, "_admission_lock", "server.admission"),
         (app._flight, "_lock", "server.flight"),
@@ -351,6 +349,9 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
             f"lock-order cycle {' -> '.join(cycle)}; observed edges "
             f"{sorted(recorder.edges)}"
         )
+        # Queries take no session lock, so the only nesting left is an
+        # append counting into the registry.
+        assert recorder.edges <= {("session.append", "registry")}
     finally:
         done.set()
         session.close()
