@@ -21,8 +21,9 @@ first ``n`` cells of.  Only the ``m`` new cells are written, and cells a
 column can see are never written again, so every column stays an
 immutable snapshot of its own rows while an append costs O(batch).
 A column that will be appended to right away (a loaded one) starts at
-the head of such a buffer (:meth:`Column.with_room`), so even its first
-append is a tail write.
+the head of such a buffer (:meth:`Column.with_room`, or
+:meth:`Column.in_buffer` over a mapped file), so even its first append
+is a tail write.
 
 Because a column never changes, state derived from it (grouping codes,
 join positions, WHERE masks) is memoised *on* it (:meth:`Column.derived`)
@@ -49,6 +50,14 @@ class ColumnKind(enum.Enum):
     INT = "int"
     FLOAT = "float"
     STRING = "string"
+
+
+#: The dtype of each kind's ``data`` (a ``STRING`` column's are its codes).
+_DTYPES = {
+    ColumnKind.INT: np.dtype(np.int64),
+    ColumnKind.FLOAT: np.dtype(np.float64),
+    ColumnKind.STRING: np.dtype(np.int32),
+}
 
 
 class Column:
@@ -109,7 +118,7 @@ class Column:
         else:
             if dictionary is not None:
                 raise ColumnTypeError("numeric columns must not have a dictionary")
-            wanted = np.int64 if kind is ColumnKind.INT else np.float64
+            wanted = _DTYPES[kind]
             if data.dtype != wanted:
                 data = data.astype(wanted)
         # A read-only view: a write into the column raises, while the
@@ -217,18 +226,54 @@ class Column:
         Takes the constructor's arguments and checks them the same way,
         then copies the rows once into the head of a buffer with the
         spare capacity a re-allocating ``concat`` would leave
-        (:func:`_capacity`); ``data`` is a read-only view of the first
+        (:func:`capacity`); ``data`` is a read-only view of the first
         ``len(data)`` cells.  For columns that will be appended to, such
-        as the ones :func:`repro.storage.load_table` returns: without the
-        room, the first append would copy every stored row while the
-        loaded arrays are still alive.
+        as the decoded ones :func:`repro.storage.load_table` serves where
+        it cannot write a table's image: without the room, the first
+        append would copy every stored row while the loaded arrays are
+        still alive.
         """
         checked = Column(kind, data, dictionary)
         n = len(checked)
-        cells = np.empty(_capacity(n), dtype=checked.data.dtype)
+        cells = np.empty(capacity(n), dtype=checked.data.dtype)
         cells[:n] = checked.data
+        return Column.in_buffer(kind, cells, n, checked.dictionary)
+
+    @staticmethod
+    def in_buffer(
+        kind: ColumnKind,
+        cells: np.ndarray,
+        n_rows: int,
+        dictionary: Sequence[str] | None = None,
+    ) -> "Column":
+        """A column viewing the first ``n_rows`` of ``cells``, without reading them.
+
+        The result's first :meth:`concat` writes into ``cells`` past
+        ``n_rows``, so ``cells`` must be writable and is the lineage's
+        from now on.  For buffers whose rows were checked elsewhere, such
+        as the mapped images :func:`repro.storage.load_table` serves:
+        the kind's dtype, the row count and the dictionary are checked
+        here, but the string codes are not, because a range scan would
+        read every cell (the caller vouches for them).
+        """
+        if cells.dtype != _DTYPES[kind] or cells.ndim != 1:
+            raise ColumnTypeError(
+                f"{kind.value} column over a buffer of {cells.dtype}"
+            )
+        if not 0 <= n_rows <= cells.shape[0]:
+            raise ColumnTypeError(
+                f"{n_rows} rows do not fit a buffer of {cells.shape[0]} cells"
+            )
+        values: tuple[str, ...] | None = None
+        if kind is ColumnKind.STRING:
+            if dictionary is None:
+                raise ColumnTypeError("STRING columns require a dictionary")
+            values = tuple(dictionary)
+            _require_valid_dictionary(values)
+        elif dictionary is not None:
+            raise ColumnTypeError("numeric columns must not have a dictionary")
         return column_from_parts(
-            kind, cells[:n], checked.dictionary, None, _TailBuffer(cells, n)
+            kind, cells[:n_rows], values, None, _TailBuffer(cells, n_rows)
         )
 
     # ------------------------------------------------------------------
@@ -472,7 +517,7 @@ class Column:
         n, m = len(self), int(tail.shape[0])
         buffer = self._tail
         if buffer is None or not buffer.reserve(n, m):
-            cells = np.empty(_capacity(n + m), dtype=self.data.dtype)
+            cells = np.empty(capacity(n + m), dtype=self.data.dtype)
             cells[:n] = self.data
             buffer = _TailBuffer(cells, n + m)
         # Cells [n, n + m) are reserved for this call alone and no column
@@ -570,7 +615,8 @@ def count_raw_values(
 
 
 #: Spare capacity a re-allocating :meth:`Column.concat` (and
-#: :meth:`Column.with_room`) leaves behind the rows it copies:
+#: :meth:`Column.with_room`, and each column segment of a stored table
+#: image) leaves behind the rows it copies:
 #: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least ``_MIN_SPARE_CELLS``.
 #: That keeps re-allocations rare (about one per 120 appends of 2,048
 #: rows onto 1M rows) for a few MiB of peak RSS (docs/internals.md §11).
@@ -578,7 +624,7 @@ _GROWTH_SHIFT = 2
 _MIN_SPARE_CELLS = 64
 
 
-def _capacity(rows: int) -> int:
+def capacity(rows: int) -> int:
     """Cells of a buffer that holds ``rows`` plus the standard spare room."""
     return rows + max(rows >> _GROWTH_SHIFT, _MIN_SPARE_CELLS)
 
@@ -620,14 +666,14 @@ def column_from_parts(
 
     Trusted fast path for :meth:`Column.take`, :meth:`Column.mask`,
     :meth:`Column.concat`, :meth:`Column.encoded_like` and
-    :meth:`Column.with_room`: the parts came out of real :class:`Column`
-    objects, so the constructor's dtype coercion and string-code range
-    scan (an O(n) min/max over the whole array) would re-validate what
-    is known-good — and ``astype`` would copy a view it exists to avoid.
-    Without ``tail`` (every caller but ``concat`` and ``with_room``) the
-    column never extends in place.  ``data`` (a fresh array or a view
-    of the lineage's buffer) is flagged read-only, so every published
-    column refuses writes.
+    :meth:`Column.in_buffer`: the parts came out of real :class:`Column`
+    objects or were checked by the caller, so the constructor's dtype
+    coercion and string-code range scan (an O(n) min/max over the whole
+    array) would re-validate what is known-good — and ``astype`` would
+    copy a view it exists to avoid.  Without ``tail`` (every caller but
+    ``concat`` and ``in_buffer``) the column never extends in place.
+    ``data`` (a fresh array or a view of the lineage's buffer) is
+    flagged read-only, so every published column refuses writes.
     """
     data.flags.writeable = False
     column = Column.__new__(Column)

@@ -6,13 +6,15 @@ later session (§3).  A family lives inside the database directory::
 
     DB/samples/<key>/manifest.json      metadata, bit width, value classes
     DB/samples/<key>/<table>.npz        one file per sample table
+    DB/samples/<key>/<table>.img        its mapped image (repro.storage.io)
 
 The ``<key>`` is a SHA-256 over everything that determines the family:
 the technique config, the bytes of ``catalog.json`` and of every table
 file it names, the ``repro`` package's ``.py`` sources, and
 ``numpy.__version__``.  A family found under the key is therefore exactly
 what this code would draw from these files; any change to one of them
-leads to another key, so the stale family is simply never read.
+leads to another key, so the stale family is simply never read, and
+:func:`save_samples` keeps only the newest :data:`KEPT_FAMILIES`.
 :func:`~repro.storage.load_database` ignores ``samples/``, and
 ``rm -r DB/samples`` clears every stored family.
 """
@@ -48,6 +50,10 @@ from repro.storage.io import FORMAT_VERSION, StorageError, load_table, save_tabl
 #: Sub-directory of a database directory holding its sample families.
 SAMPLES_DIR = "samples"
 MANIFEST = "manifest.json"
+#: Families :func:`save_samples` keeps, newest first by mtime: the one it
+#: wrote and one more, so two checkouts of different sources serving one
+#: directory do not delete each other's family at every start.
+KEPT_FAMILIES = 2
 
 
 def _file_digest(path: Path) -> bytes:
@@ -89,9 +95,11 @@ def save_samples(technique: SmallGroupSampling, directory: str | Path) -> Path:
     """Store ``technique``'s family in database directory ``directory``.
 
     ``technique`` must have been pre-processed from the database stored
-    there: the family is keyed by those files.  The family is written to a temporary directory beside its final
-    place, then renamed to ``samples/<key>``, replacing any family stored
-    there before.  Returns the family's directory.  Raises
+    there: the family is keyed by those files.  The family is written to
+    a temporary directory beside its final place, then renamed to
+    ``samples/<key>``, replacing any family stored there before; then
+    all but the newest :data:`KEPT_FAMILIES` families are deleted.
+    Returns the family's directory.  Raises
     :class:`StorageError` when the files cannot be written, and when the
     family cannot be stored at all (see :func:`family_manifest`).
     """
@@ -136,7 +144,34 @@ def save_samples(technique: SmallGroupSampling, directory: str | Path) -> Path:
                 f"cannot write samples to {target}: {error}"
             ) from error
         raise
+    _prune(root, target, suffix)
     return target
+
+
+def _prune(root: Path, kept: Path, suffix: str) -> None:
+    """Delete all but the newest :data:`KEPT_FAMILIES` families, ``kept`` first.
+
+    Each goes by a rename out of the key space first, so a reader finds
+    a family whole or not at all.  Failures are ignored: a family left
+    behind is pruned by the next store.
+    """
+    ages = []
+    try:
+        for family in root.iterdir():
+            if family.name.startswith(".") or family == kept:
+                continue
+            if family.is_dir():
+                ages.append((family.stat().st_mtime_ns, family))
+    except OSError:
+        return
+    ages.sort(reverse=True)
+    for _, family in ages[KEPT_FAMILIES - 1 :]:
+        stale = root / f".stale-{suffix}"
+        try:
+            os.replace(family, stale)
+        except OSError:
+            continue
+        shutil.rmtree(stale, ignore_errors=True)
 
 
 def load_samples(

@@ -260,6 +260,28 @@ def test_load_database_ignores_samples(db_dir, tiny_tpch):
     assert load_database(db_dir).table_names == tiny_tpch.table_names
 
 
+def test_only_the_newest_families_are_kept(db_dir):
+    db = load_database(db_dir)
+    names = ["default", "no_reservoir", "pairs"]
+    stored = []
+    for age, name in zip((20, 10, 0), names):
+        built = SmallGroupSampling(CONFIGS[name])
+        built.preprocess(db)
+        stored.append(save_samples(built, db_dir))
+        # Back-date each family, as if it had been stored ``age`` s ago.
+        mtime = stored[-1].stat().st_mtime_ns - age * 10**9
+        os.utime(stored[-1], ns=(mtime, mtime))
+    assert sorted((db_dir / "samples").iterdir()) == sorted(stored[1:])
+    assert samples_key(db_dir, CONFIGS["default"]) == stored[0].name
+    loaded = load_samples(db_dir, db, CONFIGS["pairs"])
+    session = AQPSession(db)
+    session.install(loaded)
+    assert fingerprints(session) == fingerprints(
+        fresh_session(db_dir, CONFIGS["pairs"])
+    )
+    assert load_samples(db_dir, db, CONFIGS["default"]) is None
+
+
 def test_key_follows_config_and_table_files(db_dir, tiny_tpch):
     key = samples_key(db_dir, CONFIGS["default"])
     assert samples_key(db_dir, CONFIGS["default"]) == key
@@ -395,6 +417,9 @@ def test_repro_serve_twice(db_dir):
     assert any(line.startswith("stored samples in ") for line in cold_lines)
     assert any(line.startswith("loaded samples") for line in warm_lines)
     assert cold == warm
+    for lines in (cold_lines, warm_lines):
+        assert lines[0].startswith("mapped 4 of 4 tables in "), lines
+        assert "decoded" not in lines[0]
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +438,8 @@ def test_failed_table_write_keeps_the_old_file(tmp_path, small_table, monkeypatc
         save_table(small_table.head(2), path)
     assert path.read_bytes() == before
     assert load_table(path).n_rows == small_table.n_rows
-    assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
+    # The table's image stays beside it; no staging file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.img", "t.npz"]
 
 
 def test_truncated_table_file_is_a_storage_error(tmp_path, small_table):

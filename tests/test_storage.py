@@ -1,11 +1,19 @@
 """Tests for the on-disk persistence layer."""
 
+import hashlib
 import json
+import mmap
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
+from repro.datagen.tpch import generate_tpch
 from repro.engine.bitmask import BitmaskVector
 from repro.engine.column import Column
 from repro.engine.database import Database
@@ -15,8 +23,30 @@ from repro.storage import (
     load_database,
     load_table,
     save_database,
+    save_samples,
     save_table,
 )
+from repro.storage.io import open_database
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def image_header(path):
+    """The JSON header of the image beside the ``.npz`` at ``path``."""
+    raw = path.with_suffix(".img").read_bytes()
+    size = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16 : 16 + size])
+
+
+def mapping_of(array):
+    """The object at the end of ``array``'s ``.base`` chain."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestTableRoundtrip:
@@ -79,6 +109,30 @@ class TestTableRoundtrip:
         with pytest.raises(StorageError, match=problem):
             load_table(path)
 
+    def test_codes_out_of_range_are_rejected(self, tmp_path):
+        path = save_table(
+            Table("d", {"s": Column.strings(["a", "b", "c", "a"])}),
+            tmp_path / "d",
+        )
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["col_0"] = np.array([0, 1, 7, 0], dtype=np.int32)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(StorageError, match="out of range"):
+            load_table(path)
+
+    def test_doctored_image_codes_are_rejected(self, tmp_path):
+        codes = ["a", "b", "c", "a"] * 300_000  # more than one check block
+        path = save_table(
+            Table("d", {"s": Column.strings(codes)}), tmp_path / "d"
+        )
+        (entry,) = image_header(path)["columns"]
+        with path.with_suffix(".img").open("r+b") as handle:
+            handle.seek(entry["offset"] + 4 * (len(codes) - 2))
+            handle.write(np.array([3], dtype="<i4").tobytes())
+        with pytest.raises(StorageError, match="out of range"):
+            load_table(path)
+
     def test_empty_strings_column(self, tmp_path):
         table = Table(
             "e",
@@ -120,6 +174,149 @@ class TestTableRoundtrip:
         )
         loaded = load_table(save_table(table, tmp_path / "p"))
         assert loaded.to_rows() == table.to_rows()
+
+
+class TestImage:
+    """Every stored table is served from a copy-on-write mapped image."""
+
+    def test_columns_view_one_mapping(self, tmp_path, small_table):
+        loaded = load_table(save_table(small_table, tmp_path / "t"))
+        bases = {
+            id(mapping_of(loaded.column(name).data))
+            for name in loaded.column_names
+        }
+        assert len(bases) == 1
+        assert isinstance(mapping_of(loaded.column("a").data), mmap.mmap)
+        assert loaded.to_rows() == small_table.to_rows()
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.column("b").data[0] = 9
+
+    def test_first_concat_writes_into_the_mapping(self, tmp_path, small_table):
+        loaded = load_table(save_table(small_table, tmp_path / "t"))
+        for name in loaded.column_names:
+            column = loaded.column(name)
+            grown = column.concat(column)  # 8 rows fit the 64 spare cells
+            assert mapping_of(grown.data) is mapping_of(column.data)
+            assert np.shares_memory(grown.data, column.data)
+            assert grown.to_list() == column.to_list() * 2
+
+    def test_appends_never_reach_the_files(self, tmp_path, tiny_tpch):
+        directory = save_database(tiny_tpch, tmp_path / "db")
+        files = sorted(directory.glob("*.npz")) + sorted(directory.glob("*.img"))
+        before = [digest(path) for path in files]
+        db = load_database(directory)
+        batch = tiny_tpch.fact_table.head(500)
+        for _ in range(3):
+            db.append_rows("lineitem", batch)
+        assert db.fact_table.n_rows == tiny_tpch.fact_table.n_rows + 1500
+        # The batches filled the mapped room: they were written into it.
+        grown = db.fact_table.column("l_quantity").data
+        assert isinstance(mapping_of(grown), mmap.mmap)
+        assert [digest(path) for path in files] == before
+        fresh = load_database(directory).fact_table
+        assert fresh.n_rows == tiny_tpch.fact_table.n_rows
+        assert fresh.to_rows() == tiny_tpch.fact_table.to_rows()
+
+    def test_bitmask_is_mapped(self, tmp_path):
+        member = np.eye(5, 70, dtype=bool)
+        vec = BitmaskVector.from_membership(member, 70)
+        table = Table("s", {"a": Column.ints(range(5))}, vec)
+        loaded = load_table(save_table(table, tmp_path / "s"))
+        assert isinstance(mapping_of(loaded.bitmask.words), mmap.mmap)
+        assert loaded.bitmask.to_ints() == vec.to_ints()
+
+    def test_truncated_image_is_a_storage_error(self, tmp_path, small_table):
+        path = save_table(small_table, tmp_path / "t")
+        image = path.with_suffix(".img")
+        image.write_bytes(image.read_bytes()[: os.path.getsize(image) // 2])
+        with pytest.raises(StorageError, match="damaged table image"):
+            load_table(path)
+
+    @pytest.mark.parametrize("how", ["stale", "deleted"])
+    def test_missing_or_stale_image_is_derived_again(
+        self, tmp_path, small_table, how
+    ):
+        path = save_table(small_table, tmp_path / "t")
+        image = path.with_suffix(".img")
+        old = image.read_bytes()
+        changed = small_table.take(np.array([7, 0, 3]))
+        save_table(changed, path)
+        if how == "stale":  # an image derived from the replaced .npz
+            image.write_bytes(old)
+        else:
+            image.unlink()
+        loaded = load_table(path)
+        assert loaded.to_rows() == changed.to_rows()
+        assert isinstance(mapping_of(loaded.column("v").data), mmap.mmap)
+        assert image_header(path)["n_rows"] == 3
+
+    def test_unwritable_image_serves_the_decoded_table(
+        self, tmp_path, tiny_tpch, monkeypatch
+    ):
+        directory = save_database(tiny_tpch, tmp_path / "db")
+        (directory / "part.img").unlink()
+
+        def read_only(*args):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("repro.storage.io._write_image", read_only)
+        db, decoded = open_database(directory)
+        assert list(decoded) == ["part"]
+        assert "Permission denied" in decoded["part"]
+        assert not (directory / "part.img").exists()
+        assert not list(directory.glob(".*.tmp"))
+        part = db.table("part")
+        assert not isinstance(mapping_of(part.column("p_brand").data), mmap.mmap)
+        assert part.to_rows() == tiny_tpch.table("part").to_rows()
+        grown = part.concat(part.head(10))
+        assert np.shares_memory(
+            grown.column("p_size").data, part.column("p_size").data
+        )
+
+
+#: Loads a stored database and its family, runs approximate queries, and
+#: prints how many KiB of anonymous memory that took.
+RSS_PROBE = """
+import re, sys
+from repro.core.smallgroup import SmallGroupConfig
+from repro.middleware import AQPSession
+from repro.storage import load_database, load_samples
+
+def anon_kib():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"RssAnon:\\s+(\\d+) kB", status.read()).group(1))
+
+before = anon_kib()
+db = load_database(sys.argv[1])
+session = AQPSession(db)
+session.install(load_samples(sys.argv[1], db, SmallGroupConfig(base_rate=0.01)))
+for k in range(20):
+    session.sql(
+        "SELECT l_shipmode, s_region, COUNT(*) AS c, SUM(l_extendedprice) AS s "
+        f"FROM lineitem WHERE l_quantity > {k} GROUP BY l_shipmode, s_region"
+    )
+print(anon_kib() - before)
+"""
+
+
+def test_approximate_queries_leave_the_fact_table_unread(tmp_path):
+    """Byte count, not timing: the fact table stays on disk."""
+    with open("/proc/self/status") as status:
+        if "RssAnon:" not in status.read():
+            pytest.skip("no RssAnon in /proc/self/status")
+    db = generate_tpch(scale=1.0, z=1.5, rows_per_scale=200_000, seed=3)
+    directory = save_database(db, tmp_path / "db")
+    technique = SmallGroupSampling(SmallGroupConfig(base_rate=0.01))
+    technique.preprocess(db)
+    save_samples(technique, directory)
+    fact_bytes = db.fact_table.memory_bytes()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, str(directory)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    grown = int(probe.stdout.strip()) * 1024
+    assert grown < fact_bytes / 4, (grown, fact_bytes)
 
 
 class TestDatabaseRoundtrip:
