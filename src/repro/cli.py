@@ -498,7 +498,7 @@ def _run_stats(args) -> int:
         print(f"workload failed: {error}")
         return 1
     registry_snapshot = get_registry().snapshot()
-    cache_snapshot = get_cache().metrics.snapshot()
+    cache_snapshot = get_cache().snapshot()
     print(
         f"workload: {len(queries)} quer{'y' if len(queries) == 1 else 'ies'}"
         f" x {max(1, args.repeat)} repeats, mode={args.mode}"
@@ -531,13 +531,23 @@ def _run_stats(args) -> int:
                 ["histogram", "count", "sum", "min", "max", "mean"], rows
             )
         )
-    kinds = cache_snapshot.get("by_kind", {})
+    kinds = cache_snapshot["by_kind"]
     if kinds:
+        held = cache_snapshot["bytes_held"]
+        budget = cache_snapshot["budget"]
         rows = [
-            [kind, c["hits"], c["misses"], f"{c['hit_rate']:.2f}"]
+            [
+                kind,
+                c["hits"],
+                c["misses"],
+                f"{c['hit_rate']:.2f}",
+                held.get(kind, "-"),
+                budget.get(kind, "-"),
+            ]
             for kind, c in sorted(kinds.items())
         ]
-        print(format_table(["cache kind", "hits", "misses", "rate"], rows))
+        headers = ["cache kind", "hits", "misses", "rate", "bytes held", "budget"]
+        print(format_table(headers, rows))
     # Incremental-ingestion summary: always printed (zeros included) so a
     # run can confirm whether reservoir maintenance engaged.
     counter = get_registry().counter

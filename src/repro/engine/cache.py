@@ -1,4 +1,4 @@
-"""Shared state of the engine's memos: counters, generation, single-flight.
+"""Shared state of the engine's memos: counters, bytes held, budget, generation.
 
 Derived execution state — dense grouping codes, star-join positions
 (``int32``), WHERE masks — is recomputable from a stored column and
@@ -8,10 +8,12 @@ It lives on the column it describes (:meth:`Column.derived
 <repro.engine.column.Column.derived>`): a column is an immutable
 snapshot and an append publishes new columns, so a memo can never
 describe rows its column does not hold, and it dies with its column.
-No identity keys, weak references or invalidation calls are needed.
+No identity keys or invalidation calls are needed.
 
 This module keeps what the memos share: per-kind hit/miss counters
-(:class:`CacheMetrics`, re-exported through :mod:`repro.metrics`) and
+(:class:`CacheMetrics`, re-exported through :mod:`repro.metrics`), the
+bytes each kind holds, the byte budget of the per-query kind
+(:data:`PREDICATE_MASK_BUDGET`, least recently used evicted first) and
 the generation :meth:`DerivedState.clear` bumps so cold measurements
 recompute.  :class:`SingleFlight` is the in-flight deduplication the
 server's request dedup uses.
@@ -21,9 +23,21 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
+from collections import OrderedDict, deque
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
+
+#: Bytes the ``predicate_mask`` memos of all columns may hold together.
+#: A WHERE mask is packed, one bit per row (125 kB at 1M rows), so this
+#: keeps the last ≈ 530 distinct WHERE clauses over a 1M-row table, or
+#: ≈ 90 at 6M rows.  Past it the least recently used mask is evicted.
+#: Per-column kinds (``column_codes``, ``join_positions``) are bounded
+#: by the schema and have no budget.
+PREDICATE_MASK_BUDGET = 64 * 2**20
 
 
 class _Flight:
@@ -204,22 +218,132 @@ class DerivedState:
     """Process-wide controls of the per-column memos (:meth:`Column.derived`).
 
     The memos themselves live on the columns they describe; this object
-    only holds what they share: the hit/miss :attr:`metrics` and the
-    *generation* a memo must have been filled under to be served.
+    holds what they share: the hit/miss :attr:`metrics`, the bytes each
+    kind holds (:meth:`bytes_held`), the ``predicate_mask`` budget with
+    its least-recently-used order, and the *generation* a memo must have
+    been filled under to be served.
+
+    Every store goes through :meth:`hold`, under one lock, so the byte
+    counts are exact.  A column is referenced only weakly: when it dies,
+    its memo dies with it and its bytes leave the counts on the next
+    call (a weak-reference callback queues it).
     """
 
     def __init__(self) -> None:
         self.metrics = CacheMetrics()
         self._generations = itertools.count()
         self.generation = next(self._generations)
+        self._lock = threading.Lock()
+        # kind -> {(id(column), slot): (weak column, bytes)}, oldest first.
+        self._held: dict[str, OrderedDict] = {}
+        self._bytes: dict[str, int] = {}
+        # (kind, record key, weak column) of columns that died.
+        self._dead: deque = deque()
+
+    @staticmethod
+    def budgets() -> dict[str, int]:
+        """The byte budget of each budgeted memo kind."""
+        return {"predicate_mask": PREDICATE_MASK_BUDGET}
+
+    def hold(
+        self, column: Any, memo: tuple[int, dict], slot: tuple, entry: tuple
+    ) -> None:
+        """Store ``entry`` under ``slot`` in ``column``'s ``memo`` and count it.
+
+        ``entry`` is ``(also, value)``; the value's array bytes (except
+        the column's own ``data``, which a code memo may reuse) count
+        towards its kind.  A budgeted kind then evicts its least recently
+        used entries, of any column, until it fits: an entry larger than
+        the whole budget is not kept at all.  A memo filled under an
+        older generation is left alone.
+        """
+        kind = slot[0]
+        size = _array_bytes(entry[1], column.data)
+        record = (id(column), slot)
+        dead = self._dead
+        with self._lock:
+            self._forget_dead()
+            if memo[0] != self.generation:
+                return
+            memo[1][slot] = entry
+            held = self._held.setdefault(kind, OrderedDict())
+            previous = held.pop(record, None)
+            total = self._bytes.get(kind, 0) + size
+            if previous is not None:
+                total -= previous[1]
+            held[record] = (
+                weakref.ref(column, lambda ref: dead.append((kind, record, ref))),
+                size,
+            )
+            budget = self.budgets().get(kind)
+            while budget is not None and total > budget:
+                (_, old_slot), (ref, old_size) = held.popitem(last=False)
+                total -= old_size
+                _drop(ref(), old_slot, self.generation)
+            self._bytes[kind] = total
+
+    def touch(self, column: Any, slot: tuple) -> None:
+        """Mark a budgeted entry as just used (it is evicted last)."""
+        if slot[0] not in self.budgets():
+            return
+        with self._lock:
+            held = self._held.get(slot[0], {})
+            if (id(column), slot) in held:
+                held.move_to_end((id(column), slot))
+
+    def bytes_held(self) -> dict[str, int]:
+        """Array bytes the memos of live columns hold, per kind."""
+        with self._lock:
+            self._forget_dead()
+            return dict(self._bytes)
+
+    def snapshot(self) -> dict:
+        """:meth:`CacheMetrics.snapshot` plus ``bytes_held`` and ``budget``."""
+        return {
+            **self.metrics.snapshot(),
+            "bytes_held": self.bytes_held(),
+            "budget": self.budgets(),
+        }
+
+    def _forget_dead(self) -> None:
+        """Drop the records of columns that died (caller holds the lock)."""
+        while self._dead:
+            kind, record, ref = self._dead.popleft()
+            held = self._held.get(kind)
+            if held is not None and held.get(record, (None,))[0] is ref:
+                self._bytes[kind] -= held.pop(record)[1]
 
     def clear(self) -> None:
-        """Make every memo filled so far stale: the next read recomputes.
+        """Free every memo filled so far: the next read recomputes.
 
         Counters are kept (use ``metrics.reset()``).  Cold-timing
         harnesses and cold-vs-warm comparisons call this between runs.
         """
-        self.generation = next(self._generations)
+        with self._lock:
+            for held in self._held.values():
+                for (_, slot), (ref, _) in held.items():
+                    _drop(ref(), slot, self.generation)
+            self._held.clear()
+            self._bytes.clear()
+            self._dead.clear()
+            self.generation = next(self._generations)
+
+
+def _drop(column: Any, slot: tuple, generation: int) -> None:
+    """Remove ``slot`` from a live column's current memo."""
+    memo = None if column is None else column._memo
+    if memo is not None and memo[0] == generation:
+        memo[1].pop(slot, None)
+
+
+def _array_bytes(value: Any, own: np.ndarray) -> int:
+    """Bytes of the arrays in ``value`` (or its tuple items), bar ``own``."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return sum(
+        part.nbytes
+        for part in parts
+        if isinstance(part, np.ndarray) and part is not own
+    )
 
 
 _DERIVED_STATE = DerivedState()

@@ -382,29 +382,32 @@ class Column:
         ``is`` is a complete check); otherwise it recomputes and replaces
         the entry.  Entries filled before the last
         :meth:`~repro.engine.cache.DerivedState.clear` are discarded on
-        the next read.  Hits and misses are counted per ``kind``.
+        the next read.  Hits, misses and the bytes held are counted per
+        ``kind``; a budgeted kind (``predicate_mask``) may be evicted
+        by later stores (:meth:`~repro.engine.cache.DerivedState.hold`).
 
-        Lock-free: concurrent misses may each compute, and the last
-        store wins — values are pure functions of immutable columns.
-        ``key`` must be hashable.
+        Lookups take no lock and ``compute`` runs outside any lock:
+        concurrent misses may each compute, and the last store wins —
+        values are pure functions of immutable columns.  ``key`` must
+        be hashable.
         """
         state = get_cache()
         memo = self._memo
         if memo is None or memo[0] != state.generation:
             memo = self._memo = (state.generation, {})
-        entries = memo[1]
         slot = (kind, key)
-        entry = entries.get(slot)
+        entry = memo[1].get(slot)
         if (
             entry is not None
             and len(entry[0]) == len(also)
             and all(held is wanted for held, wanted in zip(entry[0], also))
         ):
             state.metrics.record_hit(kind)
+            state.touch(self, slot)
             return entry[1]
         state.metrics.record_miss(kind)
         value = compute()
-        entries[slot] = (also, value)
+        state.hold(self, memo, slot, (also, value))
         return value
 
     def decode(self, code: int) -> str:

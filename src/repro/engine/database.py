@@ -23,6 +23,9 @@ def _key_positions(dim_keys: np.ndarray, fact_keys: np.ndarray) -> np.ndarray:
 
     The positions are read-only ``int32`` (``intp`` only for a dimension
     of 2**31 rows or more): half the memory of ``intp`` at fact length.
+    The search result is clipped in place and narrowed to ``int32``
+    before anything is gathered through it, so the scratch stays near
+    13 bytes per fact row.
 
     Raises
     ------
@@ -35,11 +38,12 @@ def _key_positions(dim_keys: np.ndarray, fact_keys: np.ndarray) -> np.ndarray:
     if sorted_keys.size > 1 and (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise SchemaError("dimension key column contains duplicates")
     pos = np.searchsorted(sorted_keys, fact_keys)
-    pos = np.clip(pos, 0, sorted_keys.size - 1)
+    np.clip(pos, 0, sorted_keys.size - 1, out=pos)
+    if order.size <= np.iinfo(np.int32).max:
+        pos = pos.astype(np.int32)
+        order = order.astype(np.int32)
     if sorted_keys.size == 0 or not np.array_equal(sorted_keys[pos], fact_keys):
         raise SchemaError("fact table references missing dimension keys")
-    if order.size <= np.iinfo(np.int32).max:
-        order = order.astype(np.int32)
     positions = order[pos]
     positions.flags.writeable = False
     return positions

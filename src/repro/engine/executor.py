@@ -9,8 +9,9 @@ which is how the AQP techniques evaluate their rewritten queries.
 Grouping is filter-first and sort-free: the WHERE mask becomes a
 selection index, each grouping column's cached dense codes (dictionary
 codes for strings, a once-per-column ``numpy.unique`` for numerics) are
-taken on the selected rows only, folded into a mixed-radix key and
-densified by counting (``numpy.bincount`` plus a look-up table);
+taken on the selected rows only, folded into a mixed-radix key (``int32``
+for key spaces below ``2**31``) and densified by counting (per-cell
+counts or presence, plus an ``int32`` look-up table);
 aggregates are ``numpy.bincount`` sums over the same rows.  The cost of a
 query is therefore proportional to the rows it *selects* — the cost model
 the paper's speed-up experiments rely on — not to the size of the table
@@ -18,7 +19,8 @@ it selects them from.  Per-column codes, WHERE masks and star-join
 positions are memoised on the columns they are derived from
 (:meth:`~repro.engine.column.Column.derived`) and die with them;
 nothing is kept per GROUP BY list, so memo size does not grow with the
-number of distinct queries' column combinations.
+number of distinct queries' column combinations, and the WHERE masks,
+packed to one bit per row, share one byte budget.
 
 Star joins are late-materialised (:func:`resolve_columns`): a dimension
 attribute is never gathered to fact length.  Its predicates run on the
@@ -50,8 +52,10 @@ GroupKey = tuple[Any, ...]
 #: (see :func:`resolve_columns`).
 Joins = Mapping[str, tuple[Column, np.ndarray, Table]]
 
-# Mixed-radix group keys stay in int64 while the product of per-column
-# cardinalities is below this bound; beyond it we group on the code matrix.
+# Mixed-radix group keys are int32 while the product of per-column
+# cardinalities is below the first bound and int64 below the second;
+# beyond it we group on the code matrix.
+_NARROW_KEY_LIMIT = 2**31
 _RADIX_LIMIT = 2**62
 
 
@@ -175,7 +179,7 @@ def dense_ids(code_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
 _DICT_FAST_PATH_SLACK = 4
 _DICT_FAST_PATH_FLOOR = 1024
 
-# Selected rows are densified by counting (bincount + look-up table, no
+# Selected rows are densified by counting (counts + look-up table, no
 # sort) while the mixed-radix key space is at most this multiple of the
 # selection size; sparser key spaces sort the selected keys instead, so
 # the work stays proportional to the rows selected either way.
@@ -206,6 +210,8 @@ def _dense_codes(col: Column) -> tuple[np.ndarray, list[Any]]:
     _, first_rows, inverse = np.unique(
         col.data, return_index=True, return_inverse=True
     )
+    if first_rows.size <= np.iinfo(np.int32).max:
+        inverse = inverse.astype(np.int32)
     return inverse.reshape(-1), [col[int(r)] for r in first_rows]
 
 
@@ -216,50 +222,75 @@ def _group_selected(
 
     Filter-first and sort-free: each grouping column's cached codes are
     taken on its selected rows only (``sources`` pairs a column with the
-    rows to read, ``None`` for all of them in order), folded into one
-    mixed-radix key, and densified by counting.  Returns ``(ids, keys,
-    counts)`` with ``ids[i]`` in ``[0, len(keys))`` for the ``i``-th
-    selected row and ``counts[g]`` the selected rows of group ``g``;
-    ``keys`` lists only groups that hold a selected row, in ascending
-    mixed-radix order — the order ``np.unique`` would give.
+    rows to read, ``None`` for all of them in order) and folded into one
+    mixed-radix key as they are taken, then densified by counting.  The
+    key and the ids are ``int32`` whenever the key space is below
+    ``2**31``: 4 bytes per selected row each, plus an ``intp`` copy of
+    the key while it is counted and looked up.
+    Returns ``(ids, keys, counts)`` with ``ids[i]`` in ``[0, len(keys))``
+    for the ``i``-th selected row and ``counts[g]`` the selected rows of
+    group ``g``; ``keys`` lists only groups that hold a selected row, in
+    ascending mixed-radix order — the order ``np.unique`` would give.
     """
     if not sources:
         keys: list[GroupKey] = [()] if n_selected else []
-        ids = np.zeros(n_selected, dtype=np.intp)
+        ids = np.zeros(n_selected, dtype=np.int32)
         return ids, keys, np.full(len(keys), n_selected)
     per_column = [_column_group_codes(column) for column, _ in sources]
     key_lists = [keys for _, keys in per_column]
     cards = [max(1, len(keys)) for keys in key_lists]
-    taken = [
-        codes if rows is None else codes.take(rows)
-        for (codes, _), (_, rows) in zip(per_column, sources)
-    ]
     product = math.prod(cards)
     if product >= _RADIX_LIMIT:
         digits, ids, counts = np.unique(
-            np.stack(taken, axis=1),
+            np.stack(
+                [
+                    codes if rows is None else codes.take(rows)
+                    for (codes, _), (_, rows) in zip(per_column, sources)
+                ],
+                axis=1,
+            ),
             axis=0,
             return_inverse=True,
             return_counts=True,
         )
         keys = _decode_keys(key_lists, list(digits.T))
         return ids.reshape(-1), keys, counts
-    key = taken[0]
-    if len(taken) > 1:
-        key = key.astype(np.int64)
-        for codes, card in zip(taken[1:], cards[1:]):
-            key *= card
-            key += codes
+    dtype = np.int32 if product < _NARROW_KEY_LIMIT else np.int64
+    (codes, _), (_, rows) = per_column[0], sources[0]
+    key = codes if rows is None else codes.take(rows)
+    if len(sources) > 1:
+        # A copy only where the key would otherwise be the memo's codes.
+        key = key.astype(dtype, copy=rows is None)
+    for (codes, _), (_, rows), card in zip(
+        per_column[1:], sources[1:], cards[1:]
+    ):
+        key *= card
+        key += codes if rows is None else codes.take(rows)
     if product <= max(_DENSE_KEY_FLOOR, _DENSE_KEY_SLACK * n_selected):
-        counts = np.bincount(key, minlength=product)
-        cells = np.flatnonzero(counts)
+        # numpy counts and indexes with an intp copy of the key much
+        # faster than with the key itself; the copy is dropped with it.
+        index = key.astype(np.intp, copy=False)
+        if product <= n_selected:
+            # One int64 count per cell is at most 8 bytes per row here.
+            counts = np.bincount(index, minlength=product)
+            cells = np.flatnonzero(counts)
+            counts = counts[cells]
+        else:
+            # A sparser key space is only marked; groups are counted below.
+            present = np.zeros(product, dtype=bool)
+            present[index] = True
+            cells = np.flatnonzero(present)
+            counts = None
+            del present
         if cells.size == product:
             ids = key
         else:
-            counts = counts[cells]
-            lookup = np.empty(product, dtype=np.intp)
-            lookup[cells] = np.arange(cells.size)
-            ids = lookup[key]
+            lookup = np.empty(product, dtype=dtype)
+            lookup[cells] = np.arange(cells.size, dtype=dtype)
+            ids = lookup[index]
+        del key, index
+        if counts is None:
+            counts = np.bincount(ids, minlength=cells.size)
     else:
         cells, ids, counts = np.unique(
             key, return_inverse=True, return_counts=True
@@ -309,14 +340,17 @@ def _evaluate_where(table: Table, predicate, joins: Joins) -> np.ndarray:
 
 
 def _predicate_mask(table: Table, predicate, joins: Joins) -> np.ndarray:
-    """Evaluate a WHERE predicate, memoising the boolean mask.
+    """Evaluate a WHERE predicate, memoising the boolean mask packed.
 
     Only pure predicates (value-dependent only, per
     :meth:`~repro.engine.expressions.Predicate.cache_safe`) are memoised,
-    one fact-length mask per predicate.  It is kept on the first
-    referenced fact column by name (or, for a predicate on dimension
-    attributes only, on the first one's fact key column) and is valid
-    while everything else it was computed from — the other fact
+    one fact-length mask per predicate, packed to one bit per row
+    (``np.packbits``, ``ceil(n / 8)`` bytes) and unpacked on a hit; all
+    masks together stay within
+    :data:`~repro.engine.cache.PREDICATE_MASK_BUDGET`.  A mask is kept
+    on the first referenced fact column by name (or, for a predicate on
+    dimension attributes only, on the first one's fact key column) and
+    is valid while everything else it was computed from — the other fact
     columns, and each dimension attribute's column and join positions —
     is the same objects, so a stale mask can never be served for
     replaced data.  Predicates with unhashable literals are evaluated
@@ -339,12 +373,22 @@ def _predicate_mask(table: Table, predicate, joins: Joins) -> np.ndarray:
         for part in (joins[name][1], joins[name][2].column(name))
     ]
     anchor = facts.pop(0) if facts else joins[names[0]][0]
-    return anchor.derived(
+    evaluated = None
+
+    def packed() -> np.ndarray:
+        nonlocal evaluated
+        evaluated = _evaluate_where(table, predicate, joins)
+        return np.packbits(evaluated)
+
+    bits = anchor.derived(
         "predicate_mask",
         predicate,
-        lambda: _evaluate_where(table, predicate, joins),
+        packed,
         also=(*facts, *dimension_inputs),
     )
+    if evaluated is not None:
+        return evaluated
+    return np.unpackbits(bits, count=table.n_rows).view(bool)
 
 
 def aggregate_table(

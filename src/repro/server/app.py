@@ -241,7 +241,7 @@ class AQPServer:
         return 200, {
             "ok": True,
             "registry": get_registry().snapshot(),
-            "cache": get_cache().metrics.snapshot(),
+            "cache": get_cache().snapshot(),
             "server": {
                 "inflight": self.inflight,
                 "max_inflight": self.config.max_inflight,

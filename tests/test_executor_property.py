@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import executor as executor_module
+from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.executor import aggregate_table, dense_ids
 from repro.engine.expressions import AggFunc, AggregateSpec, InSet, Query
@@ -335,3 +336,154 @@ class TestKernelPinnedCases:
             variance_weights=rng.uniform(0.0, 9.0, 500),
             scale=100.0,
         )
+
+
+# ----------------------------------------------------------------------
+# Key width: int32 keys below 2**31 cells, int64 keys up to 2**62
+# ----------------------------------------------------------------------
+@st.composite
+def int64_key_table(draw):
+    """Three to five 1,024-entry string columns and one of 2..1,024
+    entries: a key space of 2**31 to 2**60 cells.  Each column draws
+    from three codes, so rows share groups."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    widths = [1024] * draw(st.integers(min_value=3, max_value=5))
+    widths.append(draw(st.integers(min_value=2, max_value=1024)))
+    columns = {
+        f"c{j}": Column.from_codes(
+            draw(
+                st.lists(
+                    st.sampled_from([0, 1, width - 1]), min_size=n, max_size=n
+                )
+            ),
+            [f"{j}_{k:05d}" for k in range(width)],
+        )
+        for j, width in enumerate(widths)
+    }
+    columns["keep"] = Column.ints(
+        draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    )
+    columns["v"] = Column.floats(
+        draw(
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    return Table("t", columns), widths
+
+
+@given(
+    table_widths=int64_key_table(),
+    filtered=st.booleans(),
+    weighted=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_int64_key_space_matches_sorting_reference(
+    table_widths, filtered, weighted, seed
+):
+    table, widths = table_widths
+    product = int(np.prod(widths, dtype=np.int64))
+    assert executor_module._NARROW_KEY_LIMIT <= product < executor_module._RADIX_LIMIT
+    where = InSet("keep", [1]) if filtered else None
+    group_by = tuple(f"c{j}" for j in range(len(widths)))
+    query = Query("t", (COUNT, SUM_V, AVG_V), group_by, where)
+    kwargs = {}
+    if weighted:
+        rng = np.random.default_rng(seed)
+        kwargs = dict(
+            weights=rng.uniform(0.5, 20.0, table.n_rows),
+            variance_weights=rng.uniform(0.0, 5.0, table.n_rows),
+            scale=float(rng.uniform(0.5, 100.0)),
+        )
+    assert_same_as_reference(table, query, **kwargs)
+
+
+class TestKeyWidth:
+    def test_either_side_of_the_narrow_key_bound(self):
+        # 1024 * 1024 * 1023 * 2 cells fold into int32; 1024**3 * 2 = 2**31
+        # is the first key space folded into int64.
+        for sizes in ((1024, 1024, 1023, 2), (1024, 1024, 1024, 2)):
+            product = int(np.prod(sizes, dtype=np.int64))
+            narrow = product < executor_module._NARROW_KEY_LIMIT
+            assert narrow == (sizes[2] == 1023)
+            table = wide_table(150, sizes, seed=product % 97)
+            group_by = tuple(f"c{j}" for j in range(len(sizes)))
+            for where in (None, InSet("keep", [1])):
+                assert_same_as_reference(
+                    table, Query("t", (COUNT, SUM_V), group_by, where)
+                )
+
+    def test_int64_keys_in_both_branches(self, monkeypatch):
+        # Force every key space into int64: the counted and the sorted
+        # branch must still give the int32 answers, bit for bit.
+        where = InSet("keep", [1])
+        table = wide_table(300, (32, 32), seed=3)
+        query = Query("t", (COUNT, SUM_V, AVG_V), ("c0", "c1"), where)
+        natural = assert_same_as_reference(table, query)
+        for floor in (0, 10**9):  # the sorted, then the counted branch
+            with monkeypatch.context() as patch:
+                patch.setattr(executor_module, "_NARROW_KEY_LIMIT", 0)
+                patch.setattr(executor_module, "_DENSE_KEY_FLOOR", floor)
+                patch.setattr(executor_module, "_DENSE_KEY_SLACK", 0)
+                forced = assert_same_as_reference(table, query)
+            assert list(forced.rows.items()) == list(natural.rows.items())
+
+    def test_either_side_of_the_per_cell_count_bound(self):
+        # 10 x 10 cells: counted per cell for 100 selected rows or more,
+        # marked present (then counted per group) for fewer.
+        for n_rows in (100, 99, 150, 60):
+            table = wide_table(n_rows, (10, 10), seed=n_rows)
+            for where in (None, InSet("keep", [1])):
+                assert_same_as_reference(
+                    table, Query("t", (COUNT, SUM_V), ("c0", "c1"), where)
+                )
+
+    def test_counted_ids_are_int32(self):
+        table = wide_table(400, (6, 5, 4))
+        sources = [(table.column(f"c{j}"), None) for j in range(3)]
+        ids, keys, counts = executor_module._group_selected(sources, 400)
+        assert ids.dtype == np.int32
+        assert counts.sum() == 400 and len(keys) == counts.size
+        selection = np.flatnonzero(table.column("keep").data)
+        ids, _, _ = executor_module._group_selected(
+            [(column, selection) for column, _ in sources], selection.size
+        )
+        assert ids.dtype == np.int32 and ids.size == selection.size
+
+
+# ----------------------------------------------------------------------
+# Packed WHERE masks
+# ----------------------------------------------------------------------
+@given(
+    table=grouping_table(),
+    group_by=st.lists(
+        st.sampled_from(GROUP_COLUMNS), unique=True, max_size=3
+    ).map(tuple),
+    values=st.sets(st.sampled_from(["ash", "birch", "cedar", "elm"]), min_size=1),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_mask_hit_equals_the_miss_it_replays(table, group_by, values):
+    # Row counts from 0 to 60 cover every n % 8, so the packed mask's
+    # padding bits must never leak into the unpacked one.
+    where = InSet("s", sorted(values))
+    query = Query("t", (COUNT, SUM_V, AVG_V), group_by, where)
+    metrics = get_cache().metrics
+    get_cache().clear()
+    hits = metrics.hits.get("predicate_mask", 0)
+    missed_mask = executor_module._predicate_mask(table, where, {})
+    hit_mask = executor_module._predicate_mask(table, where, {})
+    assert metrics.hits.get("predicate_mask", 0) == hits + 1
+    assert hit_mask.dtype == missed_mask.dtype == bool
+    np.testing.assert_array_equal(hit_mask, missed_mask)
+    np.testing.assert_array_equal(hit_mask, where.evaluate(table))
+    _, stored = table.column("s")._memo[1][("predicate_mask", where)]
+    assert stored.dtype == np.uint8 and stored.size == -(-table.n_rows // 8)
+    get_cache().clear()
+    missed = assert_same_as_reference(table, query)
+    hit = assert_same_as_reference(table, query)
+    assert metrics.hits.get("predicate_mask", 0) == hits + 2
+    assert list(hit.rows.items()) == list(missed.rows.items())

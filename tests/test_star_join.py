@@ -243,10 +243,11 @@ class TestNoFactLengthDimensionCopy:
         for query in queries:
             execute(db, query)
         fact = db.fact_table
+        view = db.joined_view()
         kinds = set()
         for name in fact.column_names:
             column = fact.column(name)
-            for (kind, _), (_, value) in _memo(column).items():
+            for (kind, key), (_, value) in _memo(column).items():
                 kinds.add(kind)
                 if kind == "join_positions":
                     assert name in ("cust", "prod")
@@ -255,8 +256,14 @@ class TestNoFactLengthDimensionCopy:
                     codes, _ = value
                     assert len(codes) == len(column)
                 else:
+                    # One bit per fact row, packed.
                     assert kind == "predicate_mask", (name, kind)
-                    assert value.dtype == bool
+                    assert value.dtype == np.uint8
+                    assert value.nbytes == -(-len(column) // 8)
+                    np.testing.assert_array_equal(
+                        np.unpackbits(value, count=len(column)).view(bool),
+                        key.evaluate(view),
+                    )
         assert kinds == {"join_positions", "column_codes", "predicate_mask"}
         for fk in db.star_schema.foreign_keys:
             dimension = db.table(fk.dimension_table)
