@@ -1,4 +1,4 @@
-"""Shared state of the engine's memos: counters, bytes held, budget, generation.
+"""Shared state of the engine's memos: counters, bytes held and budget.
 
 Derived execution state — dense grouping codes, star-join positions
 (``int32``), WHERE masks — is recomputable from a stored column and
@@ -13,15 +13,14 @@ No identity keys or invalidation calls are needed.
 This module keeps what the memos share: per-kind hit/miss counters
 (:class:`CacheMetrics`, re-exported through :mod:`repro.metrics`), the
 bytes each kind holds, the byte budget of the per-query kind
-(:data:`PREDICATE_MASK_BUDGET`, least recently used evicted first) and
-the generation :meth:`DerivedState.clear` bumps so cold measurements
+(:data:`PREDICATE_MASK_BUDGET`, least recently used evicted first), and
+:meth:`DerivedState.clear`, which frees every memo so cold measurements
 recompute.  :class:`SingleFlight` is the in-flight deduplication the
 server's request dedup uses.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from collections import OrderedDict, deque
@@ -219,20 +218,17 @@ class DerivedState:
 
     The memos themselves live on the columns they describe; this object
     holds what they share: the hit/miss :attr:`metrics`, the bytes each
-    kind holds (:meth:`bytes_held`), the ``predicate_mask`` budget with
-    its least-recently-used order, and the *generation* a memo must have
-    been filled under to be served.
+    kind holds (:meth:`bytes_held`) and the ``predicate_mask`` budget
+    with its least-recently-used order.
 
     Every store goes through :meth:`hold`, under one lock, so the byte
-    counts are exact.  A column is referenced only weakly: when it dies,
+    counts are exact and :meth:`clear` reaches every entry.  A column is referenced only weakly: when it dies,
     its memo dies with it and its bytes leave the counts on the next
     call (a weak-reference callback queues it).
     """
 
     def __init__(self) -> None:
         self.metrics = CacheMetrics()
-        self._generations = itertools.count()
-        self.generation = next(self._generations)
         self._lock = threading.Lock()
         # kind -> {(id(column), slot): (weak column, bytes)}, oldest first.
         self._held: dict[str, OrderedDict] = {}
@@ -240,22 +236,15 @@ class DerivedState:
         # (kind, record key, weak column) of columns that died.
         self._dead: deque = deque()
 
-    @staticmethod
-    def budgets() -> dict[str, int]:
-        """The byte budget of each budgeted memo kind."""
-        return {"predicate_mask": PREDICATE_MASK_BUDGET}
-
-    def hold(
-        self, column: Any, memo: tuple[int, dict], slot: tuple, entry: tuple
-    ) -> None:
-        """Store ``entry`` under ``slot`` in ``column``'s ``memo`` and count it.
+    def hold(self, column: Any, slot: tuple, entry: tuple) -> None:
+        """Store ``entry`` under ``slot`` in ``column``'s memo and count it.
 
         ``entry`` is ``(also, value)``; the value's array bytes (except
         the column's own ``data``, which a code memo may reuse) count
-        towards its kind.  A budgeted kind then evicts its least recently
-        used entries, of any column, until it fits: an entry larger than
-        the whole budget is not kept at all.  A memo filled under an
-        older generation is left alone.
+        towards its kind.  ``predicate_mask`` then evicts its least
+        recently used entries, of any column, until the kind fits
+        :data:`PREDICATE_MASK_BUDGET`: a mask larger than the whole
+        budget is not kept at all.
         """
         kind = slot[0]
         size = _array_bytes(entry[1], column.data)
@@ -263,9 +252,9 @@ class DerivedState:
         dead = self._dead
         with self._lock:
             self._forget_dead()
-            if memo[0] != self.generation:
-                return
-            memo[1][slot] = entry
+            if column._memo is None:
+                column._memo = {}
+            column._memo[slot] = entry
             held = self._held.setdefault(kind, OrderedDict())
             previous = held.pop(record, None)
             total = self._bytes.get(kind, 0) + size
@@ -275,16 +264,15 @@ class DerivedState:
                 weakref.ref(column, lambda ref: dead.append((kind, record, ref))),
                 size,
             )
-            budget = self.budgets().get(kind)
-            while budget is not None and total > budget:
+            while kind == "predicate_mask" and total > PREDICATE_MASK_BUDGET:
                 (_, old_slot), (ref, old_size) = held.popitem(last=False)
                 total -= old_size
-                _drop(ref(), old_slot, self.generation)
+                _drop(ref(), old_slot)
             self._bytes[kind] = total
 
     def touch(self, column: Any, slot: tuple) -> None:
-        """Mark a budgeted entry as just used (it is evicted last)."""
-        if slot[0] not in self.budgets():
+        """Mark a ``predicate_mask`` entry as just used (evicted last)."""
+        if slot[0] != "predicate_mask":
             return
         with self._lock:
             held = self._held.get(slot[0], {})
@@ -302,7 +290,7 @@ class DerivedState:
         return {
             **self.metrics.snapshot(),
             "bytes_held": self.bytes_held(),
-            "budget": self.budgets(),
+            "budget": {"predicate_mask": PREDICATE_MASK_BUDGET},
         }
 
     def _forget_dead(self) -> None:
@@ -322,18 +310,17 @@ class DerivedState:
         with self._lock:
             for held in self._held.values():
                 for (_, slot), (ref, _) in held.items():
-                    _drop(ref(), slot, self.generation)
+                    _drop(ref(), slot)
             self._held.clear()
             self._bytes.clear()
             self._dead.clear()
-            self.generation = next(self._generations)
 
 
-def _drop(column: Any, slot: tuple, generation: int) -> None:
-    """Remove ``slot`` from a live column's current memo."""
+def _drop(column: Any, slot: tuple) -> None:
+    """Remove ``slot`` from a live column's memo."""
     memo = None if column is None else column._memo
-    if memo is not None and memo[0] == generation:
-        memo[1].pop(slot, None)
+    if memo is not None:
+        memo.pop(slot, None)
 
 
 def _array_bytes(value: Any, own: np.ndarray) -> int:

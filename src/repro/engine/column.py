@@ -130,7 +130,7 @@ class Column:
         self.dictionary = values
         self._dictionary_index: dict[str, int] | None = None
         self._tail: _TailBuffer | None = None
-        self._memo: tuple[int, dict] | None = None
+        self._memo: dict | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -380,9 +380,8 @@ class Column:
         holds them and serves the value only while the caller passes the
         very same objects (a held object's ``id`` cannot be reused, so
         ``is`` is a complete check); otherwise it recomputes and replaces
-        the entry.  Entries filled before the last
-        :meth:`~repro.engine.cache.DerivedState.clear` are discarded on
-        the next read.  Hits, misses and the bytes held are counted per
+        the entry.  :meth:`~repro.engine.cache.DerivedState.clear` frees
+        every entry.  Hits, misses and the bytes held are counted per
         ``kind``; a budgeted kind (``predicate_mask``) may be evicted
         by later stores (:meth:`~repro.engine.cache.DerivedState.hold`).
 
@@ -393,10 +392,8 @@ class Column:
         """
         state = get_cache()
         memo = self._memo
-        if memo is None or memo[0] != state.generation:
-            memo = self._memo = (state.generation, {})
         slot = (kind, key)
-        entry = memo[1].get(slot)
+        entry = None if memo is None else memo.get(slot)
         if (
             entry is not None
             and len(entry[0]) == len(also)
@@ -407,7 +404,7 @@ class Column:
             return entry[1]
         state.metrics.record_miss(kind)
         value = compute()
-        state.hold(self, memo, slot, (also, value))
+        state.hold(self, slot, (also, value))
         return value
 
     def decode(self, code: int) -> str:

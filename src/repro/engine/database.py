@@ -25,7 +25,7 @@ def _key_positions(dim_keys: np.ndarray, fact_keys: np.ndarray) -> np.ndarray:
     of 2**31 rows or more): half the memory of ``intp`` at fact length.
     The search result is clipped in place and narrowed to ``int32``
     before anything is gathered through it, so the scratch stays near
-    13 bytes per fact row.
+    15 bytes per fact row (``test_join_positions_scratch``).
 
     Raises
     ------

@@ -10,8 +10,8 @@ Grouping is filter-first and sort-free: the WHERE mask becomes a
 selection index, each grouping column's cached dense codes (dictionary
 codes for strings, a once-per-column ``numpy.unique`` for numerics) are
 taken on the selected rows only, folded into a mixed-radix key (``int32``
-for key spaces below ``2**31``) and densified by counting (per-cell
-counts or presence, plus an ``int32`` look-up table);
+for key spaces below ``2**31``) and densified by counting (a presence
+array over the key space plus an ``int32`` look-up table);
 aggregates are ``numpy.bincount`` sums over the same rows.  The cost of a
 query is therefore proportional to the rows it *selects* — the cost model
 the paper's speed-up experiments rely on — not to the size of the table
@@ -224,9 +224,10 @@ def _group_selected(
     taken on its selected rows only (``sources`` pairs a column with the
     rows to read, ``None`` for all of them in order) and folded into one
     mixed-radix key as they are taken, then densified by counting.  The
-    key and the ids are ``int32`` whenever the key space is below
-    ``2**31``: 4 bytes per selected row each, plus an ``intp`` copy of
-    the key while it is counted and looked up.
+    key is ``int32`` whenever the key space is below ``2**31`` and is
+    widened once into the ``intp`` ids, which numpy then counts and
+    gathers by without a copy of its own; besides the ids, the scratch
+    stays near 12 bytes per selected row.
     Returns ``(ids, keys, counts)`` with ``ids[i]`` in ``[0, len(keys))``
     for the ``i``-th selected row and ``counts[g]`` the selected rows of
     group ``g``; ``keys`` lists only groups that hold a selected row, in
@@ -234,7 +235,7 @@ def _group_selected(
     """
     if not sources:
         keys: list[GroupKey] = [()] if n_selected else []
-        ids = np.zeros(n_selected, dtype=np.int32)
+        ids = np.zeros(n_selected, dtype=np.intp)
         return ids, keys, np.full(len(keys), n_selected)
     per_column = [_column_group_codes(column) for column, _ in sources]
     key_lists = [keys for _, keys in per_column]
@@ -267,30 +268,23 @@ def _group_selected(
         key *= card
         key += codes if rows is None else codes.take(rows)
     if product <= max(_DENSE_KEY_FLOOR, _DENSE_KEY_SLACK * n_selected):
-        # numpy counts and indexes with an intp copy of the key much
-        # faster than with the key itself; the copy is dropped with it.
+        # The cells holding a row are marked, one byte per cell, and
+        # numbered in order through an int32 lookup.
         index = key.astype(np.intp, copy=False)
-        if product <= n_selected:
-            # One int64 count per cell is at most 8 bytes per row here.
-            counts = np.bincount(index, minlength=product)
-            cells = np.flatnonzero(counts)
-            counts = counts[cells]
-        else:
-            # A sparser key space is only marked; groups are counted below.
-            present = np.zeros(product, dtype=bool)
-            present[index] = True
-            cells = np.flatnonzero(present)
-            counts = None
-            del present
+        del key
+        present = np.zeros(product, dtype=bool)
+        present[index] = True
+        cells = np.flatnonzero(present)
+        del present
         if cells.size == product:
-            ids = key
+            ids = index
         else:
             lookup = np.empty(product, dtype=dtype)
             lookup[cells] = np.arange(cells.size, dtype=dtype)
             ids = lookup[index]
-        del key, index
-        if counts is None:
-            counts = np.bincount(ids, minlength=cells.size)
+            del lookup, index
+            ids = ids.astype(np.intp)
+        counts = np.bincount(ids, minlength=cells.size)
     else:
         cells, ids, counts = np.unique(
             key, return_inverse=True, return_counts=True
@@ -448,8 +442,7 @@ def aggregate_table(
     # filtered copy of every column (the seed's ``table.take``).
     selection: np.ndarray | None = None
     if query.where is not None:
-        keep = _predicate_mask(table, query.where, joins)
-        selection = np.flatnonzero(keep)
+        selection = np.flatnonzero(_predicate_mask(table, query.where, joins))
         if weights is not None:
             weights = weights[selection]
         if variance_weights is not None:
@@ -504,7 +497,7 @@ def aggregate_table(
         values = column.numeric_values()
         if rows is not None:
             values = values.take(rows)
-        values = values.astype(np.float64)
+        values = values.astype(np.float64, copy=False)
         if agg.func in (AggFunc.SUM, AggFunc.AVG):
             contrib = values if weights is None else values * weights
             sums = np.bincount(ids, weights=contrib, minlength=n_groups)
@@ -516,9 +509,10 @@ def aggregate_table(
                         np.where(weighted_counts > 0, sums / weighted_counts, np.nan)
                     )
             if collect_variance_stats:
-                sum_squares[agg.name] = per_group(
-                    values * values * variance_weights
-                )
+                squares = values * values
+                squares *= variance_weights
+                sum_squares[agg.name] = per_group(squares)
+                del squares
                 sum_cross[agg.name] = per_group(values * variance_weights)
         elif agg.func is AggFunc.MIN or agg.func is AggFunc.MAX:
             fill = np.inf if agg.func is AggFunc.MIN else -np.inf

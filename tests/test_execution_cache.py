@@ -77,7 +77,7 @@ def answer_values(answer):
 def memo_entries(column: Column) -> dict:
     """The (kind, key) -> (also, value) entries memoised on ``column``."""
     memo = column._memo
-    return {} if memo is None else memo[1]
+    return {} if memo is None else memo
 
 
 class _Value:

@@ -60,7 +60,7 @@ class TestAppendRows:
         query = parse_query(NARROW_SQL)
         execute(db, query)
         old_x = db.table("t").column("x")
-        assert ("predicate_mask", query.where) in old_x._memo[1]
+        assert ("predicate_mask", query.where) in old_x._memo
 
         db.append_rows("t", clustered_table(BATCH_X, BATCH_GRP))
         # The append builds no derived state: the grown columns' memos

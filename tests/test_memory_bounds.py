@@ -4,9 +4,10 @@
   together stay within ``PREDICATE_MASK_BUDGET``, least recently used
   evicted first, whatever the number of distinct WHERE clauses — in
   process and as ``/stats`` reports them for a served stream.
-* The grouping kernel's fact-length scratch is 4 bytes per selected row
-  (``int32`` keys and ids), and building star-join positions does not
-  hold three 8-byte copies per fact row.
+* The grouping kernel folds its key in ``int32`` and widens it once
+  into ``intp`` ids, so neither it nor the aggregates reading the ids
+  hold 8-byte copies per selected row beside them; building star-join
+  positions does not hold three 8-byte copies per fact row.
 
 Every number here is a byte count, so these tests are deterministic.
 """
@@ -32,6 +33,7 @@ from repro.engine.column import Column
 from repro.engine.database import Database, _key_positions
 from repro.engine.executor import execute
 from repro.engine.expressions import AggFunc, AggregateSpec, Between, Query
+from repro.engine.table import Table
 from repro.middleware import AQPSession
 from repro.server import AQPServer, ServerConfig
 from repro.server.protocol import encode_result
@@ -77,8 +79,7 @@ def _held_masks(db: Database) -> list[np.ndarray]:
     for name in db.table_names:
         table = db.table(name)
         for column in (table.column(c) for c in table.column_names):
-            memo = column._memo
-            for (kind, _), (_, value) in ({} if memo is None else memo[1]).items():
+            for (kind, _), (_, value) in (column._memo or {}).items():
                 if kind == "predicate_mask":
                     masks.append(value)
     return masks
@@ -146,10 +147,11 @@ class TestPredicateMaskBudget:
 
 
 class TestScratchPerRow:
-    def test_grouping_kernel_scratch_is_four_bytes_per_selected_row(self):
+    def test_grouping_kernel_scratch_per_selected_row(self):
         # 25 x 40 x 50 = 50,000 cells, half of 1M rows selected: the
-        # counted branch.  8-byte keys, ids and taken codes read ~42-54
-        # bytes per selected row; int32 ones, folded as taken, ~17.
+        # counted branch.  8-byte keys and taken codes read ~42-54 bytes
+        # per selected row; an int32 key folded as taken, ~21, of which
+        # 8 are the returned ids and ~9 the 50,000 decoded group keys.
         rng = np.random.default_rng(0)
         n = 1_000_000
         sources_columns = [
@@ -165,8 +167,59 @@ class TestScratchPerRow:
         finally:
             tracemalloc.stop()
         assert len(keys) == counts.size and counts.sum() == selection.size
-        assert ids.dtype == np.int32
+        assert ids.dtype == np.intp
         assert peak / selection.size <= 24, peak / selection.size
+
+    @pytest.mark.parametrize(
+        ("cards", "gate"),
+        [
+            # 7 groups: the per-row arrays set the peak.  int32 ids,
+            # which every bincount copies to intp, and a product of
+            # three arrays for the sums of squares read 46-48 bytes per
+            # selected row; ~40 now.
+            ((7,), 44),
+            # 50,000 groups: ~60 bytes per selected row are the result's
+            # per-group dicts; the rest is the same per-row scratch.
+            ((25, 40, 50), 116),
+        ],
+    )
+    def test_aggregate_scratch_per_selected_row(self, cards, gate):
+        # SUM and AVG with variance stats over half of 1M rows, selected
+        # by a WHERE whose packed mask is already memoised.
+        rng = np.random.default_rng(2)
+        n = 1_000_000
+        columns = {
+            f"g{j}": Column.ints(rng.integers(0, card, n) * 7)
+            for j, card in enumerate(cards)
+        }
+        columns["u"] = Column.floats(rng.random(n))
+        columns["v"] = Column.floats(rng.random(n))
+        table = Table("t", columns)
+        query = Query(
+            "t",
+            (
+                AggregateSpec(AggFunc.SUM, "v", alias="s"),
+                AggregateSpec(AggFunc.AVG, "v", alias="a"),
+            ),
+            tuple(columns)[: len(cards)],
+            where=Between("u", 0.0, 0.5),
+        )
+        get_cache().clear()
+        first = executor.aggregate_table(table, query, collect_variance_stats=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = executor.aggregate_table(
+                table, query, collect_variance_stats=True
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            get_cache().clear()
+        assert result.rows == first.rows
+        n_selected = sum(result.raw_counts.values())
+        assert abs(n_selected - n / 2) < n / 100
+        assert peak / n_selected <= gate, peak / n_selected
 
     def test_join_positions_scratch(self):
         # The int64 search result, a clipped copy of it and an int64

@@ -228,7 +228,7 @@ class TestSameAnswerAsTheView:
 
 def _memo(column: Column) -> dict:
     memo = column._memo
-    return {} if memo is None else memo[1]
+    return {} if memo is None else memo
 
 
 class TestNoFactLengthDimensionCopy:
