@@ -613,19 +613,17 @@ def _run_serve(args) -> int:
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
     from repro.server import ServerConfig, make_server
-    from repro.storage.io import open_database
+    from repro.storage.io import load_database
 
     start = time.perf_counter()
     try:
-        db, decoded = open_database(args.database)
+        db = load_database(args.database)
     except ReproError as error:
         print(f"cannot load database from {args.database}: {error}")
         return 1
-    names = db.table_names
     print(
-        f"mapped {len(names) - len(decoded)} of {len(names)} tables in "
+        f"mapped {len(db.table_names)} tables in "
         f"{time.perf_counter() - start:.2f} s"
-        + "".join(f"; decoded {name}: {why}" for name, why in decoded.items())
     )
     session = AQPSession(db)
     try:

@@ -20,10 +20,9 @@ over-allocated buffer that the appended-to column already viewed the
 first ``n`` cells of.  Only the ``m`` new cells are written, and cells a
 column can see are never written again, so every column stays an
 immutable snapshot of its own rows while an append costs O(batch).
-A column that will be appended to right away (a loaded one) starts at
-the head of such a buffer (:meth:`Column.with_room`, or
-:meth:`Column.in_buffer` over a mapped file), so even its first append
-is a tail write.
+A loaded column starts at the head of such a buffer
+(:meth:`Column.in_buffer` over a mapped table image), so even its first
+append is a tail write.
 
 Because a column never changes, state derived from it (grouping codes,
 join positions, WHERE masks) is memoised *on* it (:meth:`Column.derived`)
@@ -85,9 +84,9 @@ class Column:
     extended from or into (:meth:`concat`); cells past ``len(self)``
     belong to later snapshots and are invisible here.  ``data`` is
     flagged read-only at construction, so a write into it raises;
-    only :meth:`concat` and :meth:`with_room` write, into buffer cells
-    no column views yet.  Copies (:meth:`take`, :meth:`mask`,
-    :meth:`concat`, pickling) start with an empty memo.
+    only :meth:`concat` writes, into buffer cells no column views yet.
+    Copies (:meth:`take`, :meth:`mask`, :meth:`concat`, pickling) start
+    with an empty memo.
     """
 
     __slots__ = (
@@ -214,30 +213,6 @@ class Column:
     def from_codes(codes: np.ndarray, dictionary: Sequence[str]) -> "Column":
         """Build a ``STRING`` column from pre-computed codes."""
         return Column(ColumnKind.STRING, np.asarray(codes, dtype=np.int32), dictionary)
-
-    @staticmethod
-    def with_room(
-        kind: ColumnKind,
-        data: np.ndarray,
-        dictionary: Sequence[str] | None = None,
-    ) -> "Column":
-        """A checked column whose first :meth:`concat` is a tail write.
-
-        Takes the constructor's arguments and checks them the same way,
-        then copies the rows once into the head of a buffer with the
-        spare capacity a re-allocating ``concat`` would leave
-        (:func:`capacity`); ``data`` is a read-only view of the first
-        ``len(data)`` cells.  For columns that will be appended to, such
-        as the decoded ones :func:`repro.storage.load_table` serves where
-        it cannot write a table's image: without the room, the first
-        append would copy every stored row while the loaded arrays are
-        still alive.
-        """
-        checked = Column(kind, data, dictionary)
-        n = len(checked)
-        cells = np.empty(capacity(n), dtype=checked.data.dtype)
-        cells[:n] = checked.data
-        return Column.in_buffer(kind, cells, n, checked.dictionary)
 
     @staticmethod
     def in_buffer(
@@ -444,7 +419,7 @@ class Column:
         into the spare capacity past ``len(self)`` and the result views
         ``len(self) + len(other)`` cells of the same buffer.  Otherwise —
         a second ``concat`` off one base, a column built neither by
-        ``concat`` nor by :meth:`with_room`, no room left — the rows are
+        ``concat`` nor by :meth:`in_buffer`, no room left — the rows are
         copied once into a new, geometrically larger buffer.  Either way
         ``self`` is untouched.
         """
@@ -614,9 +589,8 @@ def count_raw_values(
     return present, histogram[present]
 
 
-#: Spare capacity a re-allocating :meth:`Column.concat` (and
-#: :meth:`Column.with_room`, and each column segment of a stored table
-#: image) leaves behind the rows it copies:
+#: Spare capacity a re-allocating :meth:`Column.concat` (and each column
+#: segment of a stored table image) leaves behind the rows it copies:
 #: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least ``_MIN_SPARE_CELLS``.
 #: That keeps re-allocations rare (about one per 120 appends of 2,048
 #: rows onto 1M rows) for a few MiB of peak RSS (docs/internals.md §11).

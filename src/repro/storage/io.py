@@ -5,26 +5,28 @@ because its output is *stored*: sample tables live on disk as ordinary
 relations and are reused across sessions.  This module provides that
 persistence for the in-package engine:
 
-* one ``.npz`` file per table — column arrays, dictionary-encoded string
-  vocabularies, and the bitmask words, with a JSON header carrying names,
-  kinds, and bit width — written to a temporary file and renamed into
-  place, so a crash mid-write leaves the previous file intact;
-* beside it, one ``.img`` file per table — the same table uncompressed,
-  each column at a page-aligned offset in a segment with the spare room
-  of :func:`~repro.engine.column.capacity`, the room left as a file hole.
-  :func:`load_table` maps the image copy-on-write instead of decoding the
-  ``.npz``, so a start reads no rows and a column's pages come in only
-  when a query reads them; appends dirty private pages of the room and
-  never reach the file.  The image is derived data: its header records
-  the ``(st_size, st_mtime_ns)`` of the ``.npz`` it was written from, and
-  a missing or stale image is derived again at load;
-* a database directory — one file per table plus ``catalog.json``
+* one ``.img`` file per table, its *image*: a JSON header (names,
+  kinds, dictionaries, bitmask width, layout) followed by each column,
+  uncompressed, at a page-aligned offset in a segment with the spare
+  room of :func:`~repro.engine.column.capacity`, the room left as a
+  file hole.  The header records a CRC-32 of every segment's written
+  cells, and a CRC-32 of its own follows it.  :func:`save_table` writes
+  the image to a temporary file and renames it into place, so a crash
+  mid-write leaves the previous file intact; :func:`load_table` checks
+  every CRC, then maps the image copy-on-write, so a start decodes no
+  rows, a column's pages come in only when a query reads them, and
+  appends dirty private pages of the room and never reach the file;
+* a database directory: one image per table plus ``catalog.json``
   recording the star schema.
 
 Sample families (:mod:`repro.storage.samples`) are stored inside the
 database directory, under ``samples/``, with the same table files.
 Everything round-trips exactly (a property the tests enforce), including
 bitmasks and string dictionaries.
+
+A database directory written before images were the only format holds
+one ``<name>.npz`` per table; :func:`load_database` writes each such
+table's image once from it (:func:`_convert_npz`, kept for one release).
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import json
 import mmap
 import os
 import threading
-import zipfile
+import zlib
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -44,21 +45,22 @@ from repro.engine.column import Column, ColumnKind, capacity
 from repro.engine.database import Database
 from repro.engine.schema import ForeignKey, StarSchema
 from repro.engine.table import Table
-from repro.errors import ColumnTypeError, ReproError, SchemaError
+from repro.errors import ReproError, SchemaError
 
-#: Format marker written into every file for forward compatibility.
+#: Format marker of ``catalog.json`` and of a family's manifest.
 FORMAT_VERSION = 1
 
-#: Suffix of a table's mapped image, beside its ``.npz``.
+#: Suffix of a table's image, the one file a table is stored in.
 IMAGE_SUFFIX = ".img"
-#: An image starts with this magic and its header's length (8 bytes, LE).
+#: An image starts with this magic and its header's length (8 bytes, LE);
+#: the JSON header follows at offset 16, then its CRC-32 (4 bytes, LE).
 _IMAGE_MAGIC = b"REPROIMG"
-#: Version of the image layout; an image of another version is stale.
-_IMAGE_VERSION = 1
+#: Version of the image layout, recorded inside the JSON header.
+_IMAGE_VERSION = 2
 #: Every segment of an image starts on a multiple of this: a page on
 #: the usual hosts, fixed so that an image reads the same everywhere.
 _ALIGN = 4096
-#: The code check reads an image in blocks of at most this many bytes.
+#: The load-time check reads an image in blocks of at most this many bytes.
 _CHECK_BLOCK = 1 << 20
 #: The dtype of each kind's segment (a ``STRING`` column's codes).
 _SEGMENT_DTYPES = {
@@ -80,172 +82,104 @@ def _staging(path: Path) -> Path:
 
 
 def save_table(table: Table, path: str | Path) -> Path:
-    """Write ``table`` to one ``.npz`` file and its image; returns the ``.npz`` path.
+    """Write ``table``'s image to ``path`` with its suffix made ``.img``.
 
-    Both files are written to temporary files in the same directory,
-    which then replace ``path`` and its ``.img`` in one rename each: a
-    reader sees the old file or the new one, never a partial write, and
-    a failed write leaves no temporary file behind and both old files
-    as they were.
+    Returns the image's path.  The image is written to a temporary file
+    in the same directory, which then replaces the image in one rename:
+    a reader sees the old file or the new one, never a partial write,
+    and a failed write leaves no temporary file behind and the old file
+    as it was.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    header: dict = {
-        "version": FORMAT_VERSION,
-        "name": table.name,
-        "n_rows": table.n_rows,
-        "columns": [],
-    }
-    for i, name in enumerate(table.column_names):
-        col = table.column(name)
-        arrays[f"col_{i}"] = col.data
-        entry = {"name": name, "kind": col.kind.value}
-        if col.dictionary is not None:
-            entry["dictionary"] = list(col.dictionary)
-        header["columns"].append(entry)
-    if table.bitmask is not None:
-        arrays["bitmask_words"] = table.bitmask.words
-        header["bitmask_bits"] = table.bitmask.n_bits
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    image = path.with_suffix(IMAGE_SUFFIX)
-    staging, image_staging = _staging(path), _staging(image)
+    image = Path(path).with_suffix(IMAGE_SUFFIX)
+    image.parent.mkdir(parents=True, exist_ok=True)
+    staging = _staging(image)
     try:
-        with staging.open("wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        # A rename keeps size and mtime, so this stamps the final file.
-        with staging.open("rb") as handle:
-            _write_image(table, image_staging, _stamp(handle))
-        os.replace(staging, path)
-        os.replace(image_staging, image)
+        _write_image(table, staging)
+        os.replace(staging, image)
     except BaseException:
         staging.unlink(missing_ok=True)
-        image_staging.unlink(missing_ok=True)
         raise
-    return path
+    return image
 
 
 def load_table(path: str | Path) -> Table:
-    """Read a table previously written by :func:`save_table`.
+    """Read a table written by :func:`save_table` (``path``'s suffix made ``.img``).
 
-    The table is served from its image, mapped copy-on-write: each
-    column is a read-only view of the mapped segment, whose room takes
-    the table's appends as tail writes (:meth:`Column.in_buffer`).  A
-    missing or stale image is derived from the ``.npz`` first; where it
-    cannot be written, the decoded table is served instead, each column
-    at the head of a buffer with spare capacity (:meth:`Column.with_room`).
-    A file whose codes or string dictionaries break the column
-    invariants raises :class:`StorageError`, and so does a truncated or
-    otherwise unreadable one, ``.npz`` or image.
+    Every check reads the file (``os.pread``, ``os.preadv``), never the
+    mapping, so loading touches no mapped page: the header against its CRC-32 and
+    its layout against the file's length (a short file is a
+    :class:`StorageError`, never a SIGBUS on first read), each segment's
+    dtype against its kind, each segment's written cells against their
+    CRC-32, and the string codes against their dictionaries, in blocks
+    of at most ``_CHECK_BLOCK`` bytes.  Dictionaries are checked by
+    :meth:`Column.in_buffer`.  Then the image is mapped copy-on-write:
+    each column is a read-only view of its segment, whose room takes the
+    table's appends as tail writes.  A missing, truncated or damaged
+    image raises :class:`StorageError`, naming the file and the part
+    that failed.
     """
-    return _open_table(Path(path))[0]
+    image = Path(path).with_suffix(IMAGE_SUFFIX)
+    try:
+        fd = os.open(image, os.O_RDONLY)
+    except FileNotFoundError:
+        raise StorageError(f"no such table file: {image}") from None
+    except OSError as error:
+        raise StorageError(f"{image}: cannot open: {error}") from error
+    try:
+        header = json.loads(_header_bytes(fd))
+        if not isinstance(header, dict):
+            raise TypeError("header is not an object")
+        if header.get("version") != _IMAGE_VERSION:
+            raise ValueError(f"unsupported image version {header.get('version')!r}")
+        _check_image(fd, header)
+        mapped = mmap.mmap(fd, header["length"], access=mmap.ACCESS_COPY)
+        return _table_over(mapped, header)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            SchemaError) as error:
+        raise StorageError(
+            f"{image}: damaged table image ({error})"
+        ) from error
+    except OSError as error:
+        raise StorageError(f"{image}: cannot read: {error}") from error
+    finally:
+        os.close(fd)
 
 
-def _open_table(path: Path) -> tuple[Table, str | None]:
-    """The table stored at ``path`` and, when it is not mapped, why."""
-    if not path.exists():
-        raise StorageError(f"no such table file: {path}")
-    image = path.with_suffix(IMAGE_SUFFIX)
+def image_header(path: str | Path) -> bytes:
+    """The JSON header of the image at ``path``, checked against its CRC-32.
+
+    It records a CRC-32 of every segment, so it identifies the table's
+    contents without reading them.
+    """
+    image = Path(path).with_suffix(IMAGE_SUFFIX)
     try:
-        with path.open("rb") as handle:
-            source = _stamp(handle)
-            table = _map_image(image, source)
-            if table is not None:
-                return table, None
-            decoded = _read_table(handle, path)
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile, SchemaError) as error:
-        raise StorageError(f"{path}: unreadable table file: {error}") from error
-    staging = _staging(image)
-    try:
+        fd = os.open(image, os.O_RDONLY)
         try:
-            _write_image(decoded, staging, source)
-            os.replace(staging, image)
+            return _header_bytes(fd)
         finally:
-            staging.unlink(missing_ok=True)
-    except OSError as error:
-        return decoded, f"cannot write {image.name}: {error.strerror or error}"
-    try:
-        table = _map_image(image, source)
-    except OSError as error:
-        raise StorageError(f"{image}: cannot map: {error}") from error
-    if table is None:  # another writer replaced the image meanwhile
-        return decoded, f"{image.name} changed while it was written"
-    return table, None
-
-
-def _read_table(npz: BinaryIO, path: Path) -> Table:
-    """Decode the ``.npz`` open as ``npz``, before its errors are classified."""
-    with np.load(npz, allow_pickle=False) as data:
-        if "header" not in data:
-            raise StorageError(f"{path} is not a repro table file")
-        header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-        if header.get("version") != FORMAT_VERSION:
-            raise StorageError(
-                f"{path}: unsupported format version {header.get('version')}"
-            )
-        columns: dict[str, Column] = {}
-        for i, entry in enumerate(header["columns"]):
-            kind = ColumnKind(entry["kind"])
-            dictionary = None
-            if kind is ColumnKind.STRING:
-                dictionary = entry.get("dictionary")
-                if not isinstance(dictionary, list):
-                    raise StorageError(
-                        f"{path}: column {entry['name']!r} has no "
-                        "dictionary list"
-                    )
-            try:
-                columns[entry["name"]] = Column.with_room(
-                    kind, data[f"col_{i}"], dictionary
-                )
-            except ColumnTypeError as error:
-                raise StorageError(
-                    f"{path}: column {entry['name']!r}: {error}"
-                ) from error
-        bitmask = None
-        if "bitmask_words" in data:
-            words = data["bitmask_words"]
-            bitmask = BitmaskVector(
-                words.shape[0], header["bitmask_bits"], words
-            )
-    return Table(header["name"], columns, bitmask)
+            os.close(fd)
+    except (OSError, ValueError) as error:
+        raise StorageError(f"{image}: {error}") from error
 
 
 # ----------------------------------------------------------------------
-# The mapped image
+# The image
 # ----------------------------------------------------------------------
 def _align(offset: int) -> int:
     """``offset`` rounded up to the next segment boundary."""
     return -(-offset // _ALIGN) * _ALIGN
 
 
-def _stamp(npz: BinaryIO) -> list[int]:
-    """What identifies the ``.npz`` open as ``npz``, for its image's header.
+def _write_image(table: Table, target: Path) -> None:
+    """Write ``table``'s image to ``target``.
 
-    Its ``st_size`` and ``st_mtime_ns``, and the CRC-32 of each member
-    as its zip directory records them: a file rewritten within one tick
-    of the file system's clock, at the same size, still gets a new
-    stamp.  Reads only the directory at the end of the file.
-    """
-    status = os.fstat(npz.fileno())
-    with zipfile.ZipFile(npz) as archive:
-        crcs = [info.CRC for info in archive.infolist()]
-    npz.seek(0)
-    return [status.st_size, status.st_mtime_ns, *crcs]
-
-
-def _write_image(table: Table, target: Path, source: list[int]) -> None:
-    """Write ``table``'s image to ``target``, stamped with ``source``.
-
-    A header (the magic, its length, then JSON) padded to a page, then
-    one page-aligned segment per column of :func:`capacity` cells of
-    which only the first ``n_rows`` are written, then the bitmask words.
-    The unwritten room is a hole: it costs no disk and reads as zeros.
+    The preamble (the magic, the header's length), the JSON header and
+    its CRC-32, padded to a page, then one page-aligned segment per
+    column of :func:`capacity` cells of which only the first ``n_rows``
+    are written, then the bitmask words.  The unwritten room is a hole:
+    it costs no disk and reads as zeros.  The header holds nothing but
+    the table and its layout (no time, no file stamp), so equal tables
+    give equal headers.
     """
     n = table.n_rows
     cells = capacity(n)
@@ -269,6 +203,8 @@ def _write_image(table: Table, target: Path, source: list[int]) -> None:
         words = np.ascontiguousarray(table.bitmask.words, np.dtype("<u8"))
         bitmask = {"n_bits": table.bitmask.n_bits, "n_words": words.shape[1]}
         segments.append((bitmask, words, words.nbytes))
+    for entry, array, _ in segments:
+        entry["crc"] = zlib.crc32(array.data)
     # The header holds the offsets, which follow the header: lay out
     # from one page on, and again past a header that outgrew its pages.
     start = _ALIGN
@@ -281,72 +217,36 @@ def _write_image(table: Table, target: Path, source: list[int]) -> None:
             "version": _IMAGE_VERSION,
             "name": table.name,
             "n_rows": n,
-            "source": source,
             "length": length,
             "columns": [entry for entry, _, _ in segments if entry is not bitmask],
             "bitmask": bitmask,
         }
         encoded = json.dumps(header).encode("utf-8")
-        if 16 + len(encoded) <= start:
+        if 16 + len(encoded) + 4 <= start:
             break
-        start = _align(16 + len(encoded))
+        start = _align(16 + len(encoded) + 4)
     with target.open("wb") as handle:
         handle.write(_IMAGE_MAGIC + len(encoded).to_bytes(8, "little"))
         handle.write(encoded)
+        handle.write(zlib.crc32(encoded).to_bytes(4, "little"))
         for entry, array, _ in segments:
             handle.seek(entry["offset"])
             handle.write(array.data)
         handle.truncate(length)
 
 
-def _map_image(image: Path, source: list[int]) -> Table | None:
-    """The table in ``image``, mapped; ``None`` if missing or not ``source``'s.
-
-    Every check reads the file, never the mapping, so loading touches no
-    mapped page: the header's layout against the file's length (a short
-    file is a :class:`StorageError`, never a SIGBUS on first read), each
-    segment's dtype against its kind, and the string codes against
-    their dictionaries, in blocks of at most ``_CHECK_BLOCK`` bytes.
-    Dictionaries are checked by :meth:`Column.in_buffer`.
-    """
-    try:
-        fd = os.open(image, os.O_RDONLY)
-    except FileNotFoundError:
-        return None
-    try:
-        try:
-            header = _image_header(fd)
-            if (
-                header.get("version") != _IMAGE_VERSION
-                or header.get("source") != source
-            ):
-                return None
-            _check_image(fd, header)
-            mapped = mmap.mmap(fd, header["length"], access=mmap.ACCESS_COPY)
-            return _table_over(mapped, header)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                SchemaError) as error:
-            raise StorageError(
-                f"{image}: damaged table image ({error}); delete it to "
-                "derive it again from the .npz"
-            ) from error
-    finally:
-        os.close(fd)
-
-
-def _image_header(fd: int) -> dict:
-    """The JSON header of the image open as ``fd``."""
+def _header_bytes(fd: int) -> bytes:
+    """The JSON header of the image open as ``fd``, checked against its CRC-32."""
     preamble = os.pread(fd, 16, 0)
     if len(preamble) < 16 or preamble[:8] != _IMAGE_MAGIC:
         raise ValueError("not a table image")
     size = int.from_bytes(preamble[8:], "little")
-    encoded = os.pread(fd, size, 16)
-    if len(encoded) < size:
+    if 16 + size + 4 > os.fstat(fd).st_size:
         raise ValueError("header cut short")
-    header = json.loads(encoded.decode("utf-8"))
-    if not isinstance(header, dict):
-        raise TypeError("header is not an object")
-    return header
+    raw = os.pread(fd, size + 4, 16)
+    if zlib.crc32(raw[:size]) != int.from_bytes(raw[size:], "little"):
+        raise ValueError("header fails its CRC-32")
+    return raw[:size]
 
 
 def _check_image(fd: int, header: dict) -> None:
@@ -356,44 +256,56 @@ def _check_image(fd: int, header: dict) -> None:
     if size < length:
         raise ValueError(f"file is {size} bytes, its header needs {length}")
     n = header["n_rows"]
-    segments = list(header["columns"])
+    segments = [(entry, n, entry["capacity"]) for entry in header["columns"]]
     if header["bitmask"] is not None:
         bitmask = header["bitmask"]
-        segments.append(
-            {**bitmask, "dtype": "<u8", "capacity": n * bitmask["n_words"]}
-        )
-    for entry in segments:
+        words = n * bitmask["n_words"]
+        segments.append(({**bitmask, "name": "bitmask", "dtype": "<u8"}, words, words))
+    for entry, written, cells in segments:
         dtype = np.dtype(entry["dtype"])
         if "kind" in entry and dtype != _SEGMENT_DTYPES[ColumnKind(entry["kind"])]:
             raise ValueError(f"{entry['kind']} column stored as {dtype}")
-        offset, cells = entry["offset"], entry["capacity"]
+        offset = entry["offset"]
         if (
             offset % _ALIGN
             or offset < _ALIGN
-            or cells < n
+            or cells < written
             or offset + cells * dtype.itemsize > length
         ):
-            raise ValueError(f"segment of {entry.get('name', 'bitmask')!r} "
-                             "lies outside the file")
-        if entry.get("kind") == ColumnKind.STRING.value:
-            _check_codes(fd, offset, n, entry)
+            raise ValueError(f"segment {entry['name']!r} lies outside the file")
+        _check_segment(fd, entry, offset, written * dtype.itemsize)
 
 
-def _check_codes(fd: int, offset: int, n_rows: int, entry: dict) -> None:
-    """Raise unless the ``n_rows`` codes at ``offset`` index the dictionary."""
-    dictionary = entry.get("dictionary")
-    if not isinstance(dictionary, list):
-        raise ValueError(f"column {entry['name']!r} has no dictionary list")
-    end = offset + 4 * n_rows
-    step = _CHECK_BLOCK
-    for at in range(offset, end, step):
-        block = os.pread(fd, min(step, end - at), at)
-        codes = np.frombuffer(block, dtype="<i4")
-        if codes.min() < 0 or codes.max() >= len(dictionary):
-            raise ValueError(
-                f"column {entry['name']!r}: string codes out of range for "
-                f"dictionary of size {len(dictionary)}"
-            )
+def _check_segment(fd: int, entry: dict, offset: int, size: int) -> None:
+    """Raise unless the ``size`` bytes at ``offset`` match ``entry``'s CRC-32.
+
+    One pass in blocks of at most ``_CHECK_BLOCK`` bytes, which also
+    checks a string column's codes against its dictionary.
+    """
+    dictionary = None
+    if entry.get("kind") == ColumnKind.STRING.value:
+        dictionary = entry.get("dictionary")
+        if not isinstance(dictionary, list):
+            raise ValueError(f"column {entry['name']!r} has no dictionary list")
+    crc = 0
+    codes_in_range = True
+    # One buffer, read into again and again: a fresh block per read
+    # would cost an allocation and its page faults each time.
+    buffer = memoryview(bytearray(min(size, _CHECK_BLOCK)))
+    end = offset + size
+    for at in range(offset, end, _CHECK_BLOCK):
+        block = buffer[: os.preadv(fd, [buffer[: end - at]], at)]
+        crc = zlib.crc32(block, crc)
+        if dictionary is not None and codes_in_range:
+            codes = np.frombuffer(block, dtype="<i4")
+            codes_in_range = 0 <= codes.min() and codes.max() < len(dictionary)
+    if crc != entry["crc"]:
+        raise ValueError(f"segment {entry['name']!r} fails its CRC-32")
+    if not codes_in_range:
+        raise ValueError(
+            f"column {entry['name']!r}: string codes out of range for "
+            f"dictionary of size {len(dictionary)}"
+        )
 
 
 def _table_over(mapped: mmap.mmap, header: dict) -> Table:
@@ -431,7 +343,7 @@ def save_database(db: Database, directory: str | Path) -> Path:
         "star_schema": None,
     }
     for name in db.table_names:
-        save_table(db.table(name), directory / f"{name}.npz")
+        save_table(db.table(name), directory / f"{name}{IMAGE_SUFFIX}")
         catalog["tables"].append(name)
     if db.star_schema is not None:
         catalog["star_schema"] = {
@@ -450,12 +362,11 @@ def save_database(db: Database, directory: str | Path) -> Path:
 
 
 def load_database(directory: str | Path) -> Database:
-    """Read a database previously written by :func:`save_database`."""
-    return open_database(directory)[0]
+    """Read a database previously written by :func:`save_database`.
 
-
-def open_database(directory: str | Path) -> tuple[Database, dict[str, str]]:
-    """:func:`load_database`, and each table served decoded, not mapped, with why."""
+    A table stored only as an ``.npz`` (a directory written before
+    images were the only format) gets its image first (:func:`_convert_npz`).
+    """
     directory = Path(directory)
     catalog_path = directory / "catalog.json"
     if not catalog_path.exists():
@@ -466,12 +377,10 @@ def open_database(directory: str | Path) -> tuple[Database, dict[str, str]]:
             f"{directory}: unsupported catalog version {catalog.get('version')}"
         )
     tables = []
-    decoded = {}
     for name in catalog["tables"]:
-        table, why = _open_table(directory / f"{name}.npz")
-        tables.append(table)
-        if why is not None:
-            decoded[name] = why
+        image = directory / f"{name}{IMAGE_SUFFIX}"
+        _convert_npz(image)
+        tables.append(load_table(image))
     star_schema = None
     if catalog["star_schema"] is not None:
         raw = catalog["star_schema"]
@@ -486,4 +395,70 @@ def open_database(directory: str | Path) -> tuple[Database, dict[str, str]]:
                 for fk in raw["foreign_keys"]
             ),
         )
-    return Database(tables, star_schema), decoded
+    return Database(tables, star_schema)
+
+
+# ----------------------------------------------------------------------
+# The bridge from the ``.npz`` format (kept for one release)
+# ----------------------------------------------------------------------
+def _convert_npz(image: Path) -> None:
+    """Write ``image`` from the ``.npz`` beside it, unless it is current.
+
+    Does nothing without an ``.npz``, or when ``image`` states this
+    layout's version (a damaged one is :func:`load_table`'s to report).
+    Otherwise (no image, or one of the earlier layout) the ``.npz`` is
+    decoded once into plain columns and the image is written by
+    :func:`save_table`; the ``.npz`` is left as it is.  The ``.npz`` holds
+    ``header`` (JSON bytes: ``name``, ``columns`` of ``name``/``kind``/
+    ``dictionary``, ``bitmask_bits``), ``col_<i>`` per column and
+    ``bitmask_words``.
+    """
+    npz = image.with_suffix(".npz")
+    if not npz.exists() or _stated_version(image) == _IMAGE_VERSION:
+        return
+    try:
+        with np.load(npz, allow_pickle=False) as data:
+            header = json.loads(data["header"].tobytes().decode("utf-8"))
+            columns = {
+                entry["name"]: Column(
+                    ColumnKind(entry["kind"]),
+                    data[f"col_{i}"],
+                    entry.get("dictionary"),
+                )
+                for i, entry in enumerate(header["columns"])
+            }
+            bitmask = None
+            if "bitmask_words" in data:
+                words = data["bitmask_words"]
+                bitmask = BitmaskVector(
+                    words.shape[0], header["bitmask_bits"], words
+                )
+        table = Table(header["name"], columns, bitmask)
+    except Exception as error:  # any failure to decode the old file
+        raise StorageError(f"{npz}: unreadable table file: {error}") from error
+    try:
+        save_table(table, image)
+    except OSError as error:
+        raise StorageError(
+            f"{npz} is in the old .npz format and its image {image.name} "
+            f"cannot be written ({error.strerror or error}); re-save the "
+            "directory: copy it somewhere writable and load the copy once, "
+            "which writes every image"
+        ) from error
+
+
+def _stated_version(image: Path) -> object:
+    """The version ``image``'s header states, unchecked; ``None`` if no image.
+
+    An image whose header does not parse states this layout's version:
+    it is not converted over, but reported by :func:`load_table`.
+    """
+    if not image.exists():
+        return None
+    try:
+        with image.open("rb") as handle:
+            size = int.from_bytes(handle.read(16)[8:], "little")
+            header = handle.read(min(size, image.stat().st_size))
+        return json.loads(header).get("version")
+    except (OSError, ValueError, AttributeError):
+        return _IMAGE_VERSION

@@ -5,12 +5,13 @@ is a family of ordinary tables, so it is stored once and reused by every
 later session (§3).  A family lives inside the database directory::
 
     DB/samples/<key>/manifest.json      metadata, bit width, value classes
-    DB/samples/<key>/<table>.npz        one file per sample table
-    DB/samples/<key>/<table>.img        its mapped image (repro.storage.io)
+    DB/samples/<key>/<table>.img        one image per sample table (repro.storage.io)
 
 The ``<key>`` is a SHA-256 over everything that determines the family:
-the technique config, the bytes of ``catalog.json`` and of every table
-file it names, the ``repro`` package's ``.py`` sources, and
+the technique config, the bytes of ``catalog.json``, the header of every
+table image it names (which records a CRC-32 of each of the table's
+segments, so it stands for the table's contents and holds no time or
+file stamp), the ``repro`` package's ``.py`` sources, and
 ``numpy.__version__``.  A family found under the key is therefore exactly
 what this code would draw from these files; any change to one of them
 leads to another key, so the stale family is simply never read, and
@@ -45,7 +46,14 @@ from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ReproError, SamplingError
-from repro.storage.io import FORMAT_VERSION, StorageError, load_table, save_table
+from repro.storage.io import (
+    FORMAT_VERSION,
+    IMAGE_SUFFIX,
+    StorageError,
+    image_header,
+    load_table,
+    save_table,
+)
 
 #: Sub-directory of a database directory holding its sample families.
 SAMPLES_DIR = "samples"
@@ -78,7 +86,7 @@ def samples_key(directory: str | Path, config: SmallGroupConfig) -> str:
         catalog = (directory / "catalog.json").read_bytes()
         feed("catalog", catalog)
         for name in json.loads(catalog)["tables"]:
-            feed(f"table {name}", _file_digest(directory / f"{name}.npz"))
+            feed(f"table {name}", image_header(directory / f"{name}{IMAGE_SUFFIX}"))
     except (OSError, ValueError, KeyError, TypeError) as error:
         raise StorageError(
             f"cannot read database {directory}: {error}"
@@ -125,7 +133,7 @@ def save_samples(technique: SmallGroupSampling, directory: str | Path) -> Path:
         ) from error
     try:
         for table in tables:
-            save_table(table, staging / f"{table.name}.npz")
+            save_table(table, staging / f"{table.name}{IMAGE_SUFFIX}")
         header = {
             "version": FORMAT_VERSION,
             "key": key,
@@ -183,8 +191,9 @@ def load_samples(
     schema and row count are read (the joined view is never built).
     Returns ``None`` when no family is stored under the key, and raises
     :class:`StorageError` when one is but cannot be read back whole and
-    consistent: a missing manifest, a truncated table file, tables that
-    disagree with the manifest or with ``db``.
+    consistent: a missing manifest, a truncated or damaged table image
+    (any segment or header that fails its CRC-32), tables that disagree
+    with the manifest or with ``db``.
     """
     start = time.perf_counter()
     key = samples_key(directory, config)
@@ -196,7 +205,7 @@ def load_samples(
         if manifest["version"] != FORMAT_VERSION or manifest["key"] != key:
             raise StorageError(f"{family_dir}: manifest is for another family")
         tables = {
-            name: load_table(family_dir / f"{name}.npz")
+            name: load_table(family_dir / f"{name}{IMAGE_SUFFIX}")
             for name in manifest["tables"]
         }
         return from_family(

@@ -508,6 +508,21 @@ class TestAppendCost:
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
+def stored_rows(image):
+    """The rows ``image`` records, checking that no segment holds more.
+
+    Reads the file: each column segment's cells past the recorded rows
+    are its room, a hole that reads as zeros.
+    """
+    raw = image.read_bytes()
+    header = json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
+    n = header["n_rows"]
+    for entry in header["columns"]:
+        cells = np.frombuffer(raw, entry["dtype"], entry["capacity"], entry["offset"])
+        assert not cells[n:].any(), entry["name"]
+    return n
+
+
 class TestRoundTrips:
     def test_saved_database_stores_exactly_n_rows_cells(self, tmp_path):
         db = Database([_flat(3000, seed=1)])
@@ -515,22 +530,14 @@ class TestRoundTrips:
             db.append_rows("flat", _flat(500, seed=seed))
         table = db.table("flat")
         save_database(db, tmp_path / "db")
-        with np.load(tmp_path / "db" / "flat.npz") as stored:
-            header = json.loads(bytes(stored["header"].tobytes()).decode("utf-8"))
-            assert header["n_rows"] == 4000
-            for i in range(len(header["columns"])):
-                assert stored[f"col_{i}"].shape == (4000,)
+        assert stored_rows(tmp_path / "db" / "flat.img") == 4000
         reloaded = load_database(tmp_path / "db")
         assert reloaded.table("flat").to_rows() == table.to_rows()
         # A loaded table has spare capacity; saving it after an append
         # still stores its used cells only.
         reloaded.append_rows("flat", _flat(500, seed=4))
         save_database(reloaded, tmp_path / "again")
-        with np.load(tmp_path / "again" / "flat.npz") as stored:
-            header = json.loads(bytes(stored["header"].tobytes()).decode("utf-8"))
-            assert header["n_rows"] == 4500
-            for i in range(len(header["columns"])):
-                assert stored[f"col_{i}"].shape == (4500,)
+        assert stored_rows(tmp_path / "again" / "flat.img") == 4500
 
     def test_copies_carry_their_rows_only_and_leave_the_lineage(self, tmp_path):
         grown = Column.strings(["a", "b"]).concat(Column.strings(["c"]))

@@ -102,7 +102,7 @@ def test_row_operations_and_copies():
         ints.concat(Column.ints([5])).concat(Column.ints([6])),
         strings.concat(other),
         other.encoded_like(strings),
-        Column.with_room(ColumnKind.FLOAT, np.array([1.5, 2.5])),
+        Column.in_buffer(ColumnKind.FLOAT, np.array([1.5, 2.5, 0.0]), 2),
         pickle.loads(pickle.dumps(strings)),
         copy.deepcopy(ints),
         copy.copy(ints),

@@ -37,6 +37,7 @@ from repro.storage import (
     save_table,
 )
 from repro.storage.samples import family_manifest, from_family
+from tests.test_storage import flip_byte
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -286,7 +287,10 @@ def test_key_follows_config_and_table_files(db_dir, tiny_tpch):
     key = samples_key(db_dir, CONFIGS["default"])
     assert samples_key(db_dir, CONFIGS["default"]) == key
     assert samples_key(db_dir, CONFIGS["no_reservoir"]) != key
-    save_table(tiny_tpch.table("part").head(10), db_dir / "part.npz")
+    # The key follows the tables' contents, not their files' times.
+    save_database(tiny_tpch, db_dir)
+    assert samples_key(db_dir, CONFIGS["default"]) == key
+    save_table(tiny_tpch.table("part").head(10), db_dir / "part.img")
     assert samples_key(db_dir, CONFIGS["default"]) != key
 
 
@@ -347,18 +351,32 @@ def test_changed_base_rate_rebuilds(db_dir, capsys):
     assert len(list((db_dir / "samples").iterdir())) == 2
 
 
-@pytest.mark.parametrize("damage", ["missing_manifest", "truncated_table", "wrong_rows"])
+#: Where a flipped bit lands in the overall sample's image: a cell of
+#: each kind of segment, or a dictionary string in the header.
+FLIPS = {
+    "flipped_int": "l_quantity",
+    "flipped_float": "l_extendedprice",
+    "flipped_string_codes": "l_shipmode",
+    "flipped_bitmask_words": "bitmask",
+    "flipped_dictionary": "dictionary l_shipmode",
+}
+
+
+@pytest.mark.parametrize(
+    "damage", ["missing_manifest", "truncated_table", "wrong_rows", *FLIPS]
+)
 def test_damaged_family_is_rebuilt(db_dir, capsys, damage):
     serve_once(db_dir, 0.05, capsys)
     stored = family_dir(db_dir, 0.05)
+    path = stored / "sg_overall.img"
     if damage == "missing_manifest":
         (stored / "manifest.json").unlink()
     elif damage == "truncated_table":
-        path = stored / "sg_overall.npz"
         path.write_bytes(path.read_bytes()[:200])
-    else:
-        path = stored / "sg_overall.npz"
+    elif damage == "wrong_rows":
         save_table(load_table(path).head(3), path)
+    else:
+        flip_byte(path, FLIPS[damage])
     lines, answers = serve_once(db_dir, 0.05, capsys)
     assert lines[0].startswith("stored samples unusable, rebuilding: ")
     assert lines[1].startswith("pre-processing samples")
@@ -418,34 +436,33 @@ def test_repro_serve_twice(db_dir):
     assert any(line.startswith("loaded samples") for line in warm_lines)
     assert cold == warm
     for lines in (cold_lines, warm_lines):
-        assert lines[0].startswith("mapped 4 of 4 tables in "), lines
-        assert "decoded" not in lines[0]
+        assert lines[0].startswith("mapped 4 tables in "), lines
 
 
 # ----------------------------------------------------------------------
 # Satellites: atomic table writes, unreadable files, pair classes by code
 # ----------------------------------------------------------------------
 def test_failed_table_write_keeps_the_old_file(tmp_path, small_table, monkeypatch):
-    path = save_table(small_table, tmp_path / "t.npz")
+    path = save_table(small_table, tmp_path / "t.img")
     before = path.read_bytes()
 
-    def crash(handle, **arrays):
-        handle.write(b"PK\x03\x04 partial")
+    def crash(table, target):
+        target.write_bytes(b"REPROIMG partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", crash)
+    monkeypatch.setattr("repro.storage.io._write_image", crash)
     with pytest.raises(OSError, match="disk full"):
         save_table(small_table.head(2), path)
     assert path.read_bytes() == before
     assert load_table(path).n_rows == small_table.n_rows
-    # The table's image stays beside it; no staging file is left behind.
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.img", "t.npz"]
+    # No staging file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.img"]
 
 
 def test_truncated_table_file_is_a_storage_error(tmp_path, small_table):
-    path = save_table(small_table, tmp_path / "t.npz")
+    path = save_table(small_table, tmp_path / "t.img")
     path.write_bytes(path.read_bytes()[:100])
-    with pytest.raises(StorageError, match="unreadable table file"):
+    with pytest.raises(StorageError, match="damaged table image"):
         load_table(path)
 
 

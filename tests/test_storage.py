@@ -6,6 +6,7 @@ import mmap
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +27,65 @@ from repro.storage import (
     save_samples,
     save_table,
 )
-from repro.storage.io import open_database
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def image_header(path):
-    """The JSON header of the image beside the ``.npz`` at ``path``."""
-    raw = path.with_suffix(".img").read_bytes()
+def image_header(image):
+    """The JSON header of the table image at ``image``."""
+    raw = image.read_bytes()
     size = int.from_bytes(raw[8:16], "little")
     return json.loads(raw[16 : 16 + size])
+
+
+def rewrite_image(image, header, cells=None):
+    """Store ``header`` in ``image``, with a valid CRC-32, as a writer would.
+
+    ``cells`` maps a column name to the values to write over its first
+    cells; that segment's CRC-32 is recomputed, so only the checks that
+    follow the checksums can refuse what was written.
+    """
+    with image.open("r+b") as handle:
+        for entry in header["columns"]:
+            if entry["name"] in (cells or {}):
+                data = np.asarray(cells[entry["name"]], dtype=entry["dtype"])
+                handle.seek(entry["offset"])
+                handle.write(data.tobytes())
+                handle.seek(entry["offset"])
+                written = handle.read(header["n_rows"] * data.itemsize)
+                entry["crc"] = zlib.crc32(written)
+        encoded = json.dumps(header).encode("utf-8")
+        handle.seek(0)
+        handle.write(b"REPROIMG" + len(encoded).to_bytes(8, "little"))
+        handle.write(encoded + zlib.crc32(encoded).to_bytes(4, "little"))
+
+
+def flip_byte(image, part):
+    """Flip one bit of ``image`` inside ``part``, as a faulty disk would.
+
+    ``part`` is a column name (a cell of its segment), ``"bitmask"`` (a
+    bitmask word) or ``"dictionary <column>"`` (a character of the
+    column's first dictionary string, inside the header).  String codes
+    are flipped to another code in range, so only a checksum sees it.
+    """
+    raw = bytearray(image.read_bytes())
+    header = image_header(image)
+    n = header["n_rows"]
+    if part == "bitmask":
+        at = header["bitmask"]["offset"]
+    elif part.startswith("dictionary "):
+        (entry,) = [c for c in header["columns"] if c["name"] == part[11:]]
+        at = raw.index(json.dumps(entry["dictionary"][0]).encode(), 16) + 1
+    else:
+        (entry,) = [c for c in header["columns"] if c["name"] == part]
+        dtype = np.dtype(entry["dtype"])
+        cells = np.frombuffer(raw, dtype, n, entry["offset"])
+        row = n // 2
+        if "dictionary" in entry:
+            row = int(np.flatnonzero((cells ^ 1) < len(entry["dictionary"]))[0])
+        at = entry["offset"] + row * dtype.itemsize
+    raw[at] ^= 1
+    image.write_bytes(bytes(raw))
 
 
 def mapping_of(array):
@@ -60,7 +110,7 @@ class TestTableRoundtrip:
 
     def test_suffix_added(self, tmp_path, small_table):
         path = save_table(small_table, tmp_path / "noext")
-        assert path.suffix == ".npz"
+        assert path.suffix == ".img"
         assert load_table(path).n_rows == small_table.n_rows
 
     def test_bitmask_preserved(self, tmp_path):
@@ -76,12 +126,12 @@ class TestTableRoundtrip:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
-            load_table(tmp_path / "nope.npz")
+            load_table(tmp_path / "nope.img")
 
     def test_not_a_table_file(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, x=np.arange(3))
-        with pytest.raises(StorageError):
+        path = tmp_path / "junk.img"
+        path.write_bytes(b"PK\x03\x04" + bytes(100))
+        with pytest.raises(StorageError, match="not a table image"):
             load_table(path)
 
     @pytest.mark.parametrize(
@@ -98,14 +148,9 @@ class TestTableRoundtrip:
             Table("d", {"s": Column.strings(["a", "b", "c", "a"])}),
             tmp_path / "d",
         )
-        with np.load(path) as data:
-            arrays = dict(data)
-        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+        header = image_header(path)
         header["columns"][0]["dictionary"] = dictionary
-        arrays["header"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez_compressed(path, **arrays)
+        rewrite_image(path, header)
         with pytest.raises(StorageError, match=problem):
             load_table(path)
 
@@ -114,10 +159,7 @@ class TestTableRoundtrip:
             Table("d", {"s": Column.strings(["a", "b", "c", "a"])}),
             tmp_path / "d",
         )
-        with np.load(path) as data:
-            arrays = dict(data)
-        arrays["col_0"] = np.array([0, 1, 7, 0], dtype=np.int32)
-        np.savez_compressed(path, **arrays)
+        rewrite_image(path, image_header(path), {"s": [0, 1, 7, 0]})
         with pytest.raises(StorageError, match="out of range"):
             load_table(path)
 
@@ -126,10 +168,9 @@ class TestTableRoundtrip:
         path = save_table(
             Table("d", {"s": Column.strings(codes)}), tmp_path / "d"
         )
-        (entry,) = image_header(path)["columns"]
-        with path.with_suffix(".img").open("r+b") as handle:
-            handle.seek(entry["offset"] + 4 * (len(codes) - 2))
-            handle.write(np.array([3], dtype="<i4").tobytes())
+        doctored = [0, 1, 2, 0] * 300_000
+        doctored[-2] = 3
+        rewrite_image(path, image_header(path), {"s": doctored})
         with pytest.raises(StorageError, match="out of range"):
             load_table(path)
 
@@ -202,7 +243,7 @@ class TestImage:
 
     def test_appends_never_reach_the_files(self, tmp_path, tiny_tpch):
         directory = save_database(tiny_tpch, tmp_path / "db")
-        files = sorted(directory.glob("*.npz")) + sorted(directory.glob("*.img"))
+        files = sorted(directory.glob("*.img"))
         before = [digest(path) for path in files]
         db = load_database(directory)
         batch = tiny_tpch.fact_table.head(500)
@@ -226,52 +267,171 @@ class TestImage:
         assert loaded.bitmask.to_ints() == vec.to_ints()
 
     def test_truncated_image_is_a_storage_error(self, tmp_path, small_table):
-        path = save_table(small_table, tmp_path / "t")
-        image = path.with_suffix(".img")
+        image = save_table(small_table, tmp_path / "t")
         image.write_bytes(image.read_bytes()[: os.path.getsize(image) // 2])
         with pytest.raises(StorageError, match="damaged table image"):
-            load_table(path)
+            load_table(image)
 
-    @pytest.mark.parametrize("how", ["stale", "deleted"])
-    def test_missing_or_stale_image_is_derived_again(
-        self, tmp_path, small_table, how
-    ):
-        path = save_table(small_table, tmp_path / "t")
-        image = path.with_suffix(".img")
-        old = image.read_bytes()
-        changed = small_table.take(np.array([7, 0, 3]))
-        save_table(changed, path)
-        if how == "stale":  # an image derived from the replaced .npz
-            image.write_bytes(old)
-        else:
-            image.unlink()
-        loaded = load_table(path)
-        assert loaded.to_rows() == changed.to_rows()
-        assert isinstance(mapping_of(loaded.column("v").data), mmap.mmap)
-        assert image_header(path)["n_rows"] == 3
-
-    def test_unwritable_image_serves_the_decoded_table(
-        self, tmp_path, tiny_tpch, monkeypatch
-    ):
+    def test_missing_image_is_a_storage_error(self, tmp_path, tiny_tpch):
         directory = save_database(tiny_tpch, tmp_path / "db")
         (directory / "part.img").unlink()
+        with pytest.raises(StorageError, match="no such table file: .*part.img"):
+            load_database(directory)
+
+
+class TestChecksums:
+    """Every byte a table is served from is checked against a CRC-32 at load."""
+
+    @staticmethod
+    def stored(directory):
+        member = np.zeros((300, 70), dtype=bool)
+        member[::7, 3] = member[::11, 66] = True
+        table = Table(
+            "lineitem",
+            {
+                "l_quantity": Column.ints(np.arange(300) % 50),
+                "l_extendedprice": Column.floats(np.arange(300) * 1.25),
+                "l_shipmode": Column.strings(["AIR", "RAIL", "SHIP"] * 100),
+            },
+            BitmaskVector.from_membership(member, 70),
+        )
+        return save_database(Database([table]), directory), table
+
+    @pytest.mark.parametrize(
+        "part, named",
+        [
+            ("l_quantity", "segment 'l_quantity'"),
+            ("l_extendedprice", "segment 'l_extendedprice'"),
+            ("l_shipmode", "segment 'l_shipmode'"),
+            ("bitmask", "segment 'bitmask'"),
+            ("dictionary l_shipmode", "header"),
+        ],
+        ids=["int", "float", "string_codes", "bitmask_words", "dictionary"],
+    )
+    def test_flipped_byte_is_a_storage_error(self, tmp_path, part, named):
+        directory, table = self.stored(tmp_path / "db")
+        assert load_database(directory).table("lineitem").to_rows() == table.to_rows()
+        flip_byte(directory / "lineitem.img", part)
+        with pytest.raises(StorageError) as raised:
+            load_database(directory)
+        message = str(raised.value)
+        assert "lineitem.img" in message and named in message, message
+        assert "CRC-32" in message
+
+    def test_header_holds_no_time_and_the_room_is_not_checked(self, tmp_path):
+        directory, _ = self.stored(tmp_path / "a")
+        again, _ = self.stored(tmp_path / "b")
+        first = (directory / "lineitem.img").read_bytes()
+        assert first == (again / "lineitem.img").read_bytes()
+        # A byte in the room past ``n_rows`` is never read before it is
+        # written, so it is outside every checksum.
+        (entry, *_) = image_header(directory / "lineitem.img")["columns"]
+        raw = bytearray(first)
+        raw[entry["offset"] + 8 * 300] ^= 1
+        (directory / "lineitem.img").write_bytes(bytes(raw))
+        assert load_database(directory).table("lineitem").n_rows == 300
+
+
+def save_old_format(db, directory):
+    """Store ``db`` as a directory written before images were the only format.
+
+    One ``<name>.npz`` per table, written with ``np.savez_compressed``:
+    member ``header`` (the JSON ``version``, ``name``, ``n_rows``,
+    ``columns`` of ``name``/``kind``/``dictionary`` and ``bitmask_bits``
+    as bytes), ``col_<i>`` per column and ``bitmask_words``; then
+    ``catalog.json``, unchanged since.
+    """
+    save_database(db, directory)
+    for name in db.table_names:
+        table = db.table(name)
+        arrays = {}
+        header = {"version": 1, "name": name, "n_rows": table.n_rows, "columns": []}
+        for i, column_name in enumerate(table.column_names):
+            column = table.column(column_name)
+            arrays[f"col_{i}"] = column.data
+            entry = {"name": column_name, "kind": column.kind.value}
+            if column.dictionary is not None:
+                entry["dictionary"] = list(column.dictionary)
+            header["columns"].append(entry)
+        if table.bitmask is not None:
+            arrays["bitmask_words"] = table.bitmask.words
+            header["bitmask_bits"] = table.bitmask.n_bits
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        np.savez_compressed(directory / f"{name}.npz", **arrays)
+        (directory / f"{name}.img").unlink()
+    return directory
+
+
+class TestOldFormatBridge:
+    """A directory of ``.npz`` tables gets its images on its first load."""
+
+    def test_old_directory_converts_on_first_load(self, tmp_path, tiny_tpch):
+        from repro.engine.executor import execute
+        from repro.engine.expressions import AggFunc, AggregateSpec, Query
+
+        directory = save_old_format(tiny_tpch, tmp_path / "db")
+        # An image of the earlier layout (version 1) is converted over too.
+        stale = json.dumps({"version": 1, "name": "part"}).encode()
+        (directory / "part.img").write_bytes(
+            b"REPROIMG" + len(stale).to_bytes(8, "little") + stale
+        )
+        npz = {path.name: digest(path) for path in directory.glob("*.npz")}
+        loaded = load_database(directory)
+        query = Query(
+            "lineitem",
+            (
+                AggregateSpec(AggFunc.COUNT, alias="c"),
+                AggregateSpec(AggFunc.SUM, "l_extendedprice", alias="s"),
+            ),
+            ("l_shipmode", "p_brand"),
+        )
+        assert execute(loaded, query).rows == execute(tiny_tpch, query).rows
+        for name in tiny_tpch.table_names:
+            assert loaded.table(name).to_rows() == tiny_tpch.table(name).to_rows()
+            image = directory / f"{name}.img"
+            assert image_header(image)["version"] == 2
+            first = loaded.table(name).column_names[0]
+            assert isinstance(
+                mapping_of(loaded.table(name).column(first).data), mmap.mmap
+            )
+        assert {path.name: digest(path) for path in directory.glob("*.npz")} == npz
+        images = {path.name: digest(path) for path in directory.glob("*.img")}
+        # A version-2 image always wins: a later .npz is not read again.
+        save_old_format(
+            Database([tiny_tpch.table("part").head(3)]), tmp_path / "other"
+        )
+        os.replace(tmp_path / "other" / "part.npz", directory / "part.npz")
+        assert load_database(directory).table("part").n_rows == (
+            tiny_tpch.table("part").n_rows
+        )
+        assert {path.name: digest(path) for path in directory.glob("*.img")} == images
+
+    def test_old_bitmasked_table_converts(self, tmp_path):
+        member = np.eye(5, 70, dtype=bool)
+        table = Table(
+            "s",
+            {"a": Column.ints(range(5)), "b": Column.strings(list("vwxyz"))},
+            BitmaskVector.from_membership(member, 70),
+        )
+        directory = save_old_format(Database([table]), tmp_path / "db")
+        loaded = load_database(directory).table("s")
+        assert loaded.to_rows() == table.to_rows()
+        assert loaded.bitmask.to_ints() == table.bitmask.to_ints()
+
+    def test_unwritable_old_directory_is_a_storage_error(
+        self, tmp_path, tiny_tpch, monkeypatch
+    ):
+        directory = save_old_format(tiny_tpch, tmp_path / "db")
 
         def read_only(*args):
             raise PermissionError(13, "Permission denied")
 
+        # Root ignores ``chmod a-w``, so the write is refused here instead.
         monkeypatch.setattr("repro.storage.io._write_image", read_only)
-        db, decoded = open_database(directory)
-        assert list(decoded) == ["part"]
-        assert "Permission denied" in decoded["part"]
-        assert not (directory / "part.img").exists()
+        with pytest.raises(StorageError, match="Permission denied.*re-save"):
+            load_database(directory)
+        assert not list(directory.glob("*.img"))
         assert not list(directory.glob(".*.tmp"))
-        part = db.table("part")
-        assert not isinstance(mapping_of(part.column("p_brand").data), mmap.mmap)
-        assert part.to_rows() == tiny_tpch.table("part").to_rows()
-        grown = part.concat(part.head(10))
-        assert np.shares_memory(
-            grown.column("p_size").data, part.column("p_size").data
-        )
 
 
 #: Loads a stored database and its family, runs approximate queries, and
