@@ -22,8 +22,8 @@ Two different assertions:
 
 The >=3x bar on a 2-core box is intentionally more than core count:
 warm-cache requests are dominated by lock-free cache reads and JSON
-encoding, and identical in-flight queries coalesce through the server's
-single-flight layer, so concurrency must buy real wall-clock overlap.
+encoding, and every request executes on its own, identical ones
+included, so concurrency must buy real wall-clock overlap.
 
 Sizes honour ``REPRO_BENCH_ROWS`` (fact rows; default 20000) so the CI
 smoke step can run the same code path in seconds.
@@ -114,7 +114,7 @@ def _storm(address, n_clients: int):
 
     Returns (elapsed_seconds, latencies, fingerprints_by_sql, errors).
     Each client starts the mix at a different offset so at any instant
-    the server sees both identical (coalescable) and distinct queries.
+    the server sees both identical and distinct queries.
     """
     host, port = address
     latencies: list[float] = []

@@ -126,9 +126,8 @@ class ReproClient:
         """Run one SQL aggregation query; returns the response object.
 
         The response carries ``answer`` (canonically-ordered groups),
-        ``fingerprint`` (SHA-256 of the canonical answer), ``timings``,
-        and ``coalesced`` (whether this request shared an identical
-        in-flight execution).  ``timeout`` becomes the server-side
+        ``fingerprint`` (SHA-256 of the canonical answer) and
+        ``timings``.  ``timeout`` becomes the server-side
         per-request deadline; expiry raises ``ServerError`` with
         ``code="deadline_exceeded"``.
         """

@@ -28,7 +28,6 @@ from repro.engine.expressions import (
 )
 from repro.engine.reservoir import (
     ReservoirSampler,
-    bernoulli_sample_indices,
     uniform_sample_indices,
     weighted_sample_indices,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "StarSchema",
     "Table",
     "aggregate_table",
-    "bernoulli_sample_indices",
     "collect_column_stats",
     "column_stats",
     "conjoin",

@@ -15,8 +15,7 @@ This module keeps what the memos share: per-kind hit/miss counters
 bytes each kind holds, the byte budget of the per-query kind
 (:data:`PREDICATE_MASK_BUDGET`, least recently used evicted first), and
 :meth:`DerivedState.clear`, which frees every memo so cold measurements
-recompute.  :class:`SingleFlight` is the in-flight deduplication the
-server's request dedup uses.
+recompute.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,90 +35,6 @@ import numpy as np
 #: Per-column kinds (``column_codes``, ``join_positions``) are bounded
 #: by the schema and have no budget.
 PREDICATE_MASK_BUDGET = 64 * 2**20
-
-
-class _Flight:
-    """One in-progress computation shared by a leader and its followers."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = None
-        self.error: BaseException | None = None
-
-
-class SingleFlight:
-    """Per-key in-flight deduplication: N concurrent callers, one compute.
-
-    ``do(key, fn)`` guarantees that while one call for ``key`` is in
-    progress, every concurrent call for the same key *waits for that
-    result* instead of recomputing it.  The first caller (the leader)
-    runs ``fn`` outside any lock; followers block on the leader's event
-    and share its value.  If the leader raises, its followers retry —
-    one of them becomes the new leader — so an error never poisons the
-    key, and the leader's exception propagates only to the caller that
-    computed.
-
-    This is the primitive behind the serving layer's in-flight request
-    dedup.  Keys must be hashable;
-    ``fn`` must not recursively call ``do`` with the same key on the
-    same thread (the second call would wait on itself).
-
-    ``do`` returns ``(value, leader)`` — ``leader`` tells callers (and
-    their metrics) whether this thread computed or coalesced.
-
-    ``wait_timeout`` bounds how long a follower waits before retrying
-    leadership; callers with deadlines pass the remaining budget and
-    check it between rounds via ``deadline_check``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._inflight: dict[Hashable, _Flight] = {}
-
-    def do(
-        self,
-        key: Hashable,
-        fn: Callable[[], Any],
-        deadline_check: Callable[[], None] | None = None,
-    ) -> tuple[Any, bool]:
-        """Compute ``fn()`` for ``key``, coalescing concurrent callers."""
-        while True:
-            if deadline_check is not None:
-                deadline_check()
-            with self._lock:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    is_leader = True
-                else:
-                    is_leader = False
-            if is_leader:
-                try:
-                    flight.value = fn()
-                except BaseException as error:
-                    flight.error = error
-                    raise
-                finally:
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    flight.event.set()
-                return flight.value, True
-            # Follower: wait out the leader, bounded so a deadline-bearing
-            # caller can re-check between rounds.
-            flight.event.wait(timeout=0.05 if deadline_check else None)
-            if not flight.event.is_set():
-                continue
-            if flight.error is None:
-                return flight.value, False
-            # The leader failed; loop and race to become the new leader.
-
-    def inflight_count(self) -> int:
-        """Number of keys currently being computed (tests, stats)."""
-        with self._lock:
-            return len(self._inflight)
 
 
 @dataclass
@@ -349,7 +263,6 @@ def execution_cache_metrics() -> CacheMetrics:
 __all__ = [
     "CacheMetrics",
     "DerivedState",
-    "SingleFlight",
     "execution_cache_metrics",
     "get_cache",
 ]

@@ -18,9 +18,7 @@ rows — and leaves the generator in the same state — as the per-item loop,
 which survives as the reference in ``tests/test_reservoir.py``.
 
 For non-streaming callers, :func:`uniform_sample_indices` draws a fixed-size
-uniform sample of row indices directly, and :func:`bernoulli_sample_indices`
-draws a Bernoulli (per-row coin flip) sample — the variant assumed by the
-paper's analytical model.
+uniform sample of row indices directly.
 """
 
 from __future__ import annotations
@@ -167,17 +165,6 @@ def uniform_sample_indices(
     if k == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(gen.choice(n, size=k, replace=False)).astype(np.int64)
-
-
-def bernoulli_sample_indices(
-    n: int, rate: float, rng: int | np.random.Generator | None = None
-) -> np.ndarray:
-    """Include each of ``n`` rows independently with probability ``rate``."""
-    if not 0.0 <= rate <= 1.0:
-        raise SamplingError(f"sampling rate must be in [0, 1], got {rate}")
-    gen = as_generator(rng)
-    keep = gen.random(n) < rate
-    return np.flatnonzero(keep).astype(np.int64)
 
 
 def weighted_sample_indices(

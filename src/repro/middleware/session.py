@@ -146,8 +146,9 @@ class Snapshot:
 
     A query reads one snapshot from start to finish; an append publishes
     the next one with a single assignment.  Compared and hashed by
-    identity (baseline samples are plain dicts), so it can key the
-    server's request single-flight.
+    identity: each publication is its own version, and a field-wise
+    comparison would walk whole sample families (baseline samples are
+    plain dicts, which do not hash).
     """
 
     db: Database

@@ -6,8 +6,7 @@ long-lived process owns one :class:`~repro.middleware.session.AQPSession`
 (samples pre-processed once, caches warm) and serves concurrent clients
 over a small JSON-over-HTTP protocol — see ``docs/serving.md`` for the
 wire format and :mod:`repro.server.app` for the concurrency discipline
-(admission control, single-flight dedup, append-vs-read snapshots,
-per-request deadlines).
+(admission control, append-vs-read snapshots, per-request deadlines).
 """
 
 from repro.server.app import AQPServer, ServerConfig

@@ -1,4 +1,4 @@
-"""Transport-independent serving core: admission, dedup, snapshots.
+"""Transport-independent serving core: admission and snapshots.
 
 :class:`AQPServer` wraps one shared
 :class:`~repro.middleware.session.AQPSession` and turns decoded protocol
@@ -13,22 +13,15 @@ Concurrency discipline, in the order a request meets it:
 2. **Admission gate** — a bounded in-flight counter; when
    ``max_inflight`` requests are already executing, new queries are
    rejected immediately with ``overloaded`` (HTTP 429) instead of
-   queueing unboundedly behind slow queries.
-3. **Single-flight dedup** — identical in-flight queries (same SQL,
-   mode and snapshot) coalesce onto one execution via
-   :class:`~repro.engine.cache.SingleFlight`; followers share the
-   leader's encoded response and count under ``server.coalesced``.  A
-   follower whose own deadline expires while waiting stops waiting and
-   fails with ``deadline_exceeded``.  The session below parses and
-   plans every request itself.
-4. **Snapshot semantics** — no lock orders queries against appends.
+   queueing unboundedly behind slow queries.  An admitted query is
+   answered by its own ``session.sql`` call, identical concurrent
+   queries included; its deadline is checked inside that call.
+3. **Snapshot semantics** — no lock orders queries against appends.
    Each query reads the session's published
    :class:`~repro.middleware.session.Snapshot` (catalog plus samples)
    once and answers from it; an append publishes the next snapshot with
    one assignment, so a query never waits for an append nor observes
-   half of one.  Because the snapshot is part of the dedup key, a query
-   admitted after an append's ack never joins an execution pinned
-   before it.
+   half of one, and a query admitted after an append's ack reads it.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.engine.cache import SingleFlight, get_cache
+from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.deadline import Deadline
 from repro.engine.table import Table
@@ -87,7 +80,6 @@ class AQPServer:
             raise QueryError(
                 f"max_inflight must be >= 1, got {self.config.max_inflight}"
             )
-        self._flight = SingleFlight()
         self._admission_lock = threading.Lock()
         self._inflight = 0
 
@@ -184,23 +176,9 @@ class AQPServer:
                 else self.config.default_deadline
             )
             deadline = Deadline(seconds) if seconds is not None else None
-
-            def _execute() -> dict:
-                result = self.session.sql(sql, mode=mode, deadline=deadline)
-                return encode_result(result)
-
-            payload, leader = self._flight.do(
-                (sql, mode, self.session.snapshot),
-                _execute,
-                deadline_check=(
-                    deadline.check if deadline is not None else None
-                ),
-            )
-            if not leader:
-                registry.incr("server.coalesced")
-            body = dict(payload)
+            result = self.session.sql(sql, mode=mode, deadline=deadline)
+            body = encode_result(result)
             body["ok"] = True
-            body["coalesced"] = not leader
             return 200, body
 
     def _handle_append(self, request: dict) -> tuple[int, dict]:
@@ -245,7 +223,6 @@ class AQPServer:
             "server": {
                 "inflight": self.inflight,
                 "max_inflight": self.config.max_inflight,
-                "inflight_queries_coalescing": self._flight.inflight_count(),
             },
         }
 

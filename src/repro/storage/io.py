@@ -81,8 +81,20 @@ def _staging(path: Path) -> Path:
     )
 
 
+def _image_path(path: str | Path) -> Path:
+    """``path`` if it ends in ``.img``, else ``path`` with ``.img`` appended.
+
+    Appended to the whole name, never replacing a suffix: tables named
+    ``v1.2`` and ``v1.3`` are stored in two files, not both in ``v1.img``.
+    """
+    path = Path(path)
+    if path.suffix == IMAGE_SUFFIX:
+        return path
+    return path.with_name(path.name + IMAGE_SUFFIX)
+
+
 def save_table(table: Table, path: str | Path) -> Path:
-    """Write ``table``'s image to ``path`` with its suffix made ``.img``.
+    """Write ``table``'s image to ``path``, ``.img`` appended unless present.
 
     Returns the image's path.  The image is written to a temporary file
     in the same directory, which then replaces the image in one rename:
@@ -90,7 +102,7 @@ def save_table(table: Table, path: str | Path) -> Path:
     and a failed write leaves no temporary file behind and the old file
     as it was.
     """
-    image = Path(path).with_suffix(IMAGE_SUFFIX)
+    image = _image_path(path)
     image.parent.mkdir(parents=True, exist_ok=True)
     staging = _staging(image)
     try:
@@ -103,7 +115,7 @@ def save_table(table: Table, path: str | Path) -> Path:
 
 
 def load_table(path: str | Path) -> Table:
-    """Read a table written by :func:`save_table` (``path``'s suffix made ``.img``).
+    """Read a table written by :func:`save_table` (the same ``path``).
 
     Every check reads the file (``os.pread``, ``os.preadv``), never the
     mapping, so loading touches no mapped page: the header against its CRC-32 and
@@ -118,7 +130,7 @@ def load_table(path: str | Path) -> Table:
     image raises :class:`StorageError`, naming the file and the part
     that failed.
     """
-    image = Path(path).with_suffix(IMAGE_SUFFIX)
+    image = _image_path(path)
     try:
         fd = os.open(image, os.O_RDONLY)
     except FileNotFoundError:
@@ -151,7 +163,7 @@ def image_header(path: str | Path) -> bytes:
     It records a CRC-32 of every segment, so it identifies the table's
     contents without reading them.
     """
-    image = Path(path).with_suffix(IMAGE_SUFFIX)
+    image = _image_path(path)
     try:
         fd = os.open(image, os.O_RDONLY)
         try:

@@ -471,94 +471,6 @@ class TestSessionMemos:
 
 
 # ----------------------------------------------------------------------
-# Single-flight stampede control
-# ----------------------------------------------------------------------
-class TestSingleFlight:
-    def test_concurrent_misses_coalesce_to_one_computation(self):
-        import threading
-
-        from repro.engine.cache import SingleFlight
-
-        flight = SingleFlight()
-        entered = threading.Event()
-        release = threading.Event()
-        computations = []
-
-        def compute():
-            computations.append(1)
-            entered.set()
-            release.wait(5)
-            return "value"
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(flight.do("k", compute))
-            )
-            for _ in range(6)
-        ]
-        threads[0].start()
-        assert entered.wait(5)
-        for t in threads[1:]:
-            t.start()
-        release.set()
-        for t in threads:
-            t.join()
-        assert len(computations) == 1  # everyone shared one execution
-        assert {value for value, _ in results} == {"value"}
-        leaders = [leader for _, leader in results]
-        assert leaders.count(True) == 1 and leaders.count(False) == 5
-        assert flight.inflight_count() == 0  # nothing left registered
-
-    def test_leader_failure_lets_a_follower_retry(self):
-        import threading
-
-        from repro.engine.cache import SingleFlight
-
-        flight = SingleFlight()
-        entered = threading.Event()
-        release = threading.Event()
-        attempts = []
-
-        def compute():
-            attempts.append(1)
-            if len(attempts) == 1:
-                entered.set()
-                release.wait(5)
-                raise ValueError("leader died")
-            return "recovered"
-
-        outcomes = []
-
-        def run():
-            try:
-                outcomes.append(flight.do("k", compute))
-            except ValueError:
-                outcomes.append("failed")
-
-        leader = threading.Thread(target=run)
-        follower = threading.Thread(target=run)
-        leader.start()
-        assert entered.wait(5)
-        follower.start()
-        release.set()
-        leader.join()
-        follower.join()
-        # The leader's error propagated to the leader only; the waiting
-        # follower took over leadership and computed fresh.
-        assert "failed" in outcomes
-        assert ("recovered", True) in outcomes
-        assert len(attempts) == 2
-
-    def test_distinct_keys_do_not_serialise(self):
-        from repro.engine.cache import SingleFlight
-
-        flight = SingleFlight()
-        assert flight.do("a", lambda: 1) == (1, True)
-        assert flight.do("b", lambda: 2) == (2, True)
-
-
-# ----------------------------------------------------------------------
 # Memo thread safety, copies and lifetime
 # ----------------------------------------------------------------------
 class TestMemoThreadSafety:

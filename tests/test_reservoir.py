@@ -8,7 +8,6 @@ import repro.engine.reservoir as reservoir_module
 from repro.engine.reservoir import (
     ReservoirSampler,
     as_generator,
-    bernoulli_sample_indices,
     uniform_sample_indices,
     weighted_sample_indices,
 )
@@ -196,23 +195,6 @@ class TestUniformSample:
             uniform_sample_indices(-1, 3)
         with pytest.raises(SamplingError):
             uniform_sample_indices(3, -1)
-
-
-class TestBernoulli:
-    def test_rate_zero_and_one(self):
-        assert len(bernoulli_sample_indices(50, 0.0, rng=0)) == 0
-        assert len(bernoulli_sample_indices(50, 1.0, rng=0)) == 50
-
-    def test_rate_bounds(self):
-        with pytest.raises(SamplingError):
-            bernoulli_sample_indices(10, 1.5)
-
-    def test_expected_size(self):
-        rng = np.random.default_rng(1)
-        sizes = [
-            len(bernoulli_sample_indices(1000, 0.1, rng)) for _ in range(50)
-        ]
-        assert 80 < np.mean(sizes) < 120
 
 
 class TestWeighted:

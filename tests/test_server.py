@@ -1,4 +1,4 @@
-"""Tests for the serving layer: protocol, admission, dedup, transport."""
+"""Tests for the serving layer: protocol, admission, snapshots, transport."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 import math
 import socket
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -199,7 +198,6 @@ class TestDispatch:
         assert status == 200 and body["ok"]
         assert body["answer"]["approx"]["n_groups"] > 0
         assert body["fingerprint"]
-        assert body["coalesced"] is False
 
     def test_unknown_op(self, app):
         status, body = app.handle({"op": "explode"})
@@ -304,10 +302,8 @@ class TestAdmissionAndDedup:
             )
             worker.start()
             assert entered.wait(5)
-            # Gate is full: a *different* query is rejected immediately.
-            status, body = app.handle(
-                {"op": "query", "sql": SQL_COUNT + " "}
-            )
+            # Gate is full: the next query is rejected immediately.
+            status, body = app.handle({"op": "query", "sql": SQL_COUNT})
             assert status == 429
             assert body["error"]["code"] == "overloaded"
         finally:
@@ -320,20 +316,20 @@ class TestAdmissionAndDedup:
         status, _ = app.handle({"op": "query", "sql": SQL_COUNT})
         assert status == 200
 
-    def test_identical_inflight_queries_coalesce(self, session):
+    def test_identical_concurrent_queries_each_execute(self, session):
         app = AQPServer(session, ServerConfig(max_inflight=8))
-        release = threading.Event()
-        entered = threading.Event()
+        # Each call waits until all four are inside ``session.sql``: the
+        # requests are in flight together and none is answered by another.
+        together = threading.Barrier(4, timeout=5)
         calls = []
         original_sql = session.sql
 
-        def slow_sql(text, **kwargs):
+        def concurrent_sql(text, **kwargs):
             calls.append(text)
-            entered.set()
-            release.wait(5)
+            together.wait()
             return original_sql(text, **kwargs)
 
-        session.sql = slow_sql
+        session.sql = concurrent_sql
         try:
             results = []
             threads = [
@@ -344,22 +340,19 @@ class TestAdmissionAndDedup:
                 )
                 for _ in range(4)
             ]
-            threads[0].start()
-            assert entered.wait(5)
-            for t in threads[1:]:
+            for t in threads:
                 t.start()
-            # Followers are queued on the leader's flight, not executing.
-            time.sleep(0.1)
-            release.set()
             for t in threads:
                 t.join()
         finally:
             session.sql = original_sql
-        assert len(calls) == 1  # one execution served all four requests
-        assert len(results) == 4
-        fingerprints = {body["fingerprint"] for status, body in results}
+        assert calls == [SQL_COUNT] * 4
+        assert [status for status, _ in results] == [200] * 4
+        fingerprints = {body["fingerprint"] for _, body in results}
         assert len(fingerprints) == 1
-        assert sum(body["coalesced"] for _, body in results) == 3
+        # Each body is the encoded answer plus ``ok``, nothing else.
+        for _, body in results:
+            assert set(body) == {"ok", "sql", "answer", "fingerprint", "timings"}
 
     def test_max_inflight_must_be_positive(self, session):
         with pytest.raises(QueryError):
@@ -815,14 +808,16 @@ class TestPinnedSnapshots:
             return plan(samples, query, rate)
 
         monkeypatch.setattr(technique, "plan", first_plan_blocks)
-        led = []
-        leader = threading.Thread(target=lambda: led.append(app.handle(query)))
+        pinned = []
+        reader = threading.Thread(
+            target=lambda: pinned.append(app.handle(query))
+        )
         acked = []
         appender = threading.Thread(
             target=lambda: acked.append(app.handle(self._append_request()))
         )
         try:
-            leader.start()
+            reader.start()
             assert entered.wait(10)
             appender.start()
             appender.join(10)
@@ -831,18 +826,17 @@ class TestPinnedSnapshots:
             assert status == 200, body
             grown = self.INITIAL_ROWS + self.BATCH_ROWS
             assert body["total_rows"] == grown
-            # Sent after the ack: reads version n+1, never joins the
-            # leader pinned at version n.
+            # Sent after the ack: reads version n+1 while the query
+            # pinned at version n is still running.
             status, body = app.handle(query)
             assert status == 200, body
-            assert body["coalesced"] is False
             assert self._exact_total(body) == grown
         finally:
             release.set()
-            leader.join(30)
+            reader.join(30)
             appender.join(30)
         try:
-            status, body = led[0]
+            status, body = pinned[0]
             assert status == 200, body
             assert self._exact_total(body) == self.INITIAL_ROWS
             assert body["fingerprint"] == version_n

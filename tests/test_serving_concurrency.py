@@ -109,14 +109,10 @@ def test_append_vs_read_storm():
     errors: list[tuple[int, dict]] = []
     done = threading.Event()
 
-    def reader(index: int) -> None:
-        # Distinct SQL text per reader (trailing spaces) so the request
-        # single-flight never collapses the readers into one execution —
-        # this test wants genuine concurrent reads against the writer.
-        sql = COUNT_SQL + " " * index
+    def reader() -> None:
         while not done.is_set():
             status, body = app.handle(
-                {"op": "query", "sql": sql, "mode": "exact"}
+                {"op": "query", "sql": COUNT_SQL, "mode": "exact"}
             )
             if status != 200:
                 errors.append((status, body))
@@ -146,9 +142,7 @@ def test_append_vs_read_storm():
         finally:
             done.set()
 
-    threads = [
-        threading.Thread(target=reader, args=(i,)) for i in range(N_READERS)
-    ]
+    threads = [threading.Thread(target=reader) for _ in range(N_READERS)]
     writer_thread = threading.Thread(target=writer)
     try:
         for t in threads:
@@ -284,7 +278,6 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
         (get_registry(), "_lock", "registry"),
         (session, "_append_lock", "session.append"),
         (app, "_admission_lock", "server.admission"),
-        (app._flight, "_lock", "server.flight"),
     )
     for owner, attr, name in locks:
         monkeypatch.setattr(
@@ -293,15 +286,10 @@ def test_lock_order_is_acyclic_under_storm(monkeypatch):
 
     errors: list[tuple[int, dict]] = []
     done = threading.Event()
-    # Distinct SQL text per client (trailing spaces) so the request
-    # single-flight never collapses concurrent queries into one.
     requests = [
-        {"op": "query", "sql": SWEEP_SQL + " " * i, "mode": "approx"}
-        for i in range(N_READERS // 2)
-    ] + [
-        {"op": "query", "sql": COUNT_SQL + " " * i, "mode": "exact"}
-        for i in range(N_READERS // 2)
-    ] + [{"op": "stats"}]
+        {"op": "query", "sql": SWEEP_SQL, "mode": "approx"},
+        {"op": "query", "sql": COUNT_SQL, "mode": "exact"},
+    ] * (N_READERS // 2) + [{"op": "stats"}]
 
     def client(request: dict) -> None:
         while not done.is_set():

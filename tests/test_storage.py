@@ -113,6 +113,15 @@ class TestTableRoundtrip:
         assert path.suffix == ".img"
         assert load_table(path).n_rows == small_table.n_rows
 
+    def test_dotted_names_keep_their_own_files(self, tmp_path):
+        first = Table("v1.2", {"a": Column.ints([1, 2])})
+        second = Table("v1.3", {"a": Column.ints([3, 4, 5])})
+        assert save_table(first, tmp_path / "v1.2").name == "v1.2.img"
+        assert save_table(second, tmp_path / "v1.3").name == "v1.3.img"
+        assert save_table(first, tmp_path / "t.npz").name == "t.npz.img"
+        assert load_table(tmp_path / "v1.2").name == "v1.2"
+        assert load_table(tmp_path / "v1.3.img").name == "v1.3"
+
     def test_bitmask_preserved(self, tmp_path):
         member = np.zeros((3, 130), dtype=bool)
         member[1, 128] = True
