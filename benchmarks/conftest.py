@@ -13,40 +13,17 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.figures import FigureRun
-from repro.experiments.reporting import format_table, write_csv
+from repro.experiments.reporting import render_run, write_figure_csv
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def record_figure(run: FigureRun, note: str = "") -> str:
     """Print and persist a figure run's series; return the text report."""
-    lines = [f"=== Paper figure/table {run.figure} ==="]
-    if note:
-        lines.append(note)
-    for name, data in sorted(run.series.items()):
-        rows = [[x, y] for x, y in data.items()]
-        lines.append(f"-- {name}")
-        lines.append(format_table(["x", "value"], rows))
-    if run.extras:
-        lines.append("-- extras")
-        lines.append(
-            format_table(
-                ["key", "value"], [[k, v] for k, v in sorted(run.extras.items())]
-            )
-        )
-    text = "\n".join(lines)
+    text = render_run(run, note)
     print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    safe = run.figure.replace(".", "_")
-    (RESULTS_DIR / f"figure_{safe}.txt").write_text(text + "\n")
-    csv_rows = [
-        [series, x, y]
-        for series, data in sorted(run.series.items())
-        for x, y in data.items()
-    ]
-    write_csv(
-        RESULTS_DIR / f"figure_{safe}.csv", ["series", "x", "value"], csv_rows
-    )
+    csv_path = write_figure_csv(run, RESULTS_DIR)
+    csv_path.with_suffix(".txt").write_text(text + "\n")
     return text
 
 

@@ -148,9 +148,12 @@ def test_repeated_workload_cache_speedup(db, sg):
     ``profile=True`` must stay within 5% of the unprofiled warm
     wall-clock and byte-identical in its answers — the observability
     acceptance criterion.  The two sides are timed in strict
-    per-query alternation (unprofiled, then profiled, same query),
+    per-query alternation (the same query twice, once each way),
     which cancels the machine drift that whole-pass comparisons on a
-    shared box cannot.  The pairs start from a collected heap, so a
+    shared box cannot; which twin runs first alternates from pair to
+    pair and from round to round, so the second run's head start (the
+    first one warmed the CPU caches for it) falls on both sides
+    equally.  The pairs start from a collected heap, so a
     full garbage collection made due by the earlier passes (and by the
     tests before this one) cannot land on one side of a single pair.
     """
@@ -203,16 +206,14 @@ def test_repeated_workload_cache_speedup(db, sg):
     for sql in stream:  # warm this session's memos first
         session.sql(sql, mode="both")
     gc.collect()
-    paired_warm = paired_profiled = 0.0
-    for _ in range(3):
-        for sql in stream:
-            t0 = time.perf_counter()
-            session.sql(sql, mode="both")
-            t1 = time.perf_counter()
-            session.sql(sql, mode="both", profile=True)
-            t2 = time.perf_counter()
-            paired_warm += t1 - t0
-            paired_profiled += t2 - t1
+    paired = {False: 0.0, True: 0.0}  # profile → seconds
+    for round_ in range(4):
+        for i, sql in enumerate(stream):
+            for profile in (False, True) if (i + round_) % 2 else (True, False):
+                start = time.perf_counter()
+                session.sql(sql, mode="both", profile=profile)
+                paired[profile] += time.perf_counter() - start
+    paired_warm, paired_profiled = paired[False], paired[True]
     profiling_overhead = paired_profiled / paired_warm - 1.0
 
     payload = {

@@ -8,130 +8,20 @@ Usage::
     python -m repro figure 4 --quick     # tiny/fast parameterisation
 
 Each figure prints the same series the paper plots and can also be
-written to CSV with ``--out``.
+written to CSV with ``--out``.  The product's subcommands (``sql``,
+``stats``, ``serve``, ``query``) and the paper's (``list``, ``figure``,
+``plan``) each import their modules when they run, so a served process
+loads none of the paper reproduction.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
-from repro.experiments.figures import (
-    FigureRun,
-    run_figure3a,
-    run_figure3b,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_table_outlier,
-    run_table_preprocessing,
-)
-from repro.experiments.reporting import format_table, write_csv
-
-#: Figure id → (description, full runner, quick runner).
-FIGURES: dict[str, tuple[str, Callable[[], FigureRun], Callable[[], FigureRun]]] = {
-    "3a": (
-        "Analytical SqRelErr vs sampling allocation ratio",
-        run_figure3a,
-        run_figure3a,
-    ),
-    "3b": (
-        "Analytical SqRelErr vs skew",
-        run_figure3b,
-        run_figure3b,
-    ),
-    "4": (
-        "SmGroup vs Uniform on TPCH1G2.0z by #grouping columns",
-        lambda: run_figure4(queries_per_combo=10),
-        lambda: run_figure4(rows_per_scale=8000, queries_per_combo=2),
-    ),
-    "5": (
-        "Error vs per-group selectivity on SALES",
-        lambda: run_figure5(queries_per_combo=10),
-        lambda: run_figure5(sales_scale=0.2, queries_per_combo=2),
-    ),
-    "5-tpch": (
-        "Error vs per-group selectivity on TPCH (§5.3.1)",
-        lambda: run_figure5(database="tpch", queries_per_combo=8),
-        lambda: run_figure5(
-            database="tpch", rows_per_scale=8000, queries_per_combo=2
-        ),
-    ),
-    "6": (
-        "RelErr vs skew on the TPCH1Gyz family",
-        lambda: run_figure6(queries_per_combo=8),
-        lambda: run_figure6(
-            skews=(1.0, 2.0), rows_per_scale=8000, queries_per_combo=2
-        ),
-    ),
-    "7": (
-        "Error vs base sampling rate on TPCH1G2.0z",
-        lambda: run_figure7(queries_per_combo=8),
-        lambda: run_figure7(
-            rates=(0.02, 0.08), rows_per_scale=8000, queries_per_combo=2
-        ),
-    ),
-    "8": (
-        "SmGroup vs Basic Congress vs Uniform on SALES",
-        lambda: run_figure8(queries_per_combo=10),
-        lambda: run_figure8(sales_scale=0.2, queries_per_combo=2),
-    ),
-    "5.3.3": (
-        "SUM queries: SG+outlier vs outlier indexing vs uniform",
-        lambda: run_table_outlier(queries_per_combo=10),
-        lambda: run_table_outlier(sales_scale=0.2, queries_per_combo=2),
-    ),
-    "9": (
-        "Query-processing speedups (TPCH5G1.5z)",
-        lambda: run_figure9(queries_per_combo=5),
-        lambda: run_figure9(
-            rows_per_scale=8000, scale=1.0, queries_per_combo=2
-        ),
-    ),
-    "5.4.2": (
-        "Pre-processing time and space for all techniques",
-        run_table_preprocessing,
-        lambda: run_table_preprocessing(
-            rows_per_scale=8000, sales_scale=0.2, base_rates=(0.04,)
-        ),
-    ),
-}
-
-
-def render_run(run: FigureRun) -> str:
-    """Render one figure run as text."""
-    lines = [f"=== Paper figure/table {run.figure} ==="]
-    for name, data in sorted(run.series.items()):
-        lines.append(f"-- {name}")
-        lines.append(
-            format_table(["x", "value"], [[x, y] for x, y in data.items()])
-        )
-    if run.extras:
-        lines.append("-- extras")
-        lines.append(
-            format_table(
-                ["key", "value"],
-                [[k, v] for k, v in sorted(run.extras.items())],
-            )
-        )
-    return "\n".join(lines)
-
-
-def _save(run: FigureRun, out_dir: Path) -> Path:
-    safe = run.figure.replace(".", "_")
-    path = out_dir / f"figure_{safe}.csv"
-    rows = [
-        [series, x, y]
-        for series, data in sorted(run.series.items())
-        for x, y in data.items()
-    ]
-    write_csv(path, ["series", "x", "value"], rows)
-    return path
+from repro.sql.formatter import format_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "ids",
         nargs="+",
-        help=f"figure ids ({', '.join(FIGURES)}) or 'all'",
+        help="figure ids (see 'repro list') or 'all'",
     )
     figure.add_argument(
         "--quick",
@@ -389,14 +279,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_serve(args)
     if args.command == "query":
         return _run_query(args)
-    if args.command == "list":
-        rows = [[fid, desc] for fid, (desc, _, _) in FIGURES.items()]
-        print(format_table(["id", "description"], rows))
-        return 0
     if args.command == "plan":
         return _run_plan(args)
     if args.command == "report":
         return _run_report(args.results)
+    from repro.experiments.figures import FIGURES
+    from repro.experiments.reporting import render_run, write_figure_csv
+
+    if args.command == "list":
+        rows = [[fid, desc] for fid, (desc, _, _) in FIGURES.items()]
+        print(format_table(["id", "description"], rows))
+        return 0
     ids = list(FIGURES) if "all" in args.ids else args.ids
     unknown = [i for i in ids if i not in FIGURES]
     if unknown:
@@ -408,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         run = (quick if args.quick else full)()
         print(render_run(run))
         if args.out is not None:
-            path = _save(run, args.out)
+            path = write_figure_csv(run, args.out)
             print(f"wrote {path}")
     return 0
 

@@ -10,15 +10,12 @@ parameters so tests can run tiny versions.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.model import (
-    AnalysisScenario,
-    figure_3a_series,
-    figure_3b_series,
-)
+from repro.analysis.model import figure_3a_series, figure_3b_series
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.baselines.congress import BasicCongress, CongressConfig
 from repro.baselines.outlier import OutlierConfig, OutlierIndexing
@@ -27,7 +24,6 @@ from repro.datagen.sales import SALES_MEASURE_COLUMNS, generate_sales
 from repro.datagen.tpch import TPCH_MEASURE_COLUMNS, generate_tpch
 from repro.engine.database import Database
 from repro.experiments.harness import (
-    Contender,
     ExperimentResult,
     build_congress_contender,
     build_hybrid_contender,
@@ -433,3 +429,76 @@ def run_table_preprocessing(
                     report.row_overhead
                 )
     return FigureRun(figure="5.4.2", series=rows)
+
+
+# ----------------------------------------------------------------------
+# The registry ``python -m repro list`` and ``figure`` read
+# ----------------------------------------------------------------------
+#: Figure id → (description, full runner, quick runner).
+FIGURES: dict[str, tuple[str, Callable[[], FigureRun], Callable[[], FigureRun]]] = {
+    "3a": (
+        "Analytical SqRelErr vs sampling allocation ratio",
+        run_figure3a,
+        run_figure3a,
+    ),
+    "3b": (
+        "Analytical SqRelErr vs skew",
+        run_figure3b,
+        run_figure3b,
+    ),
+    "4": (
+        "SmGroup vs Uniform on TPCH1G2.0z by #grouping columns",
+        lambda: run_figure4(queries_per_combo=10),
+        lambda: run_figure4(rows_per_scale=8000, queries_per_combo=2),
+    ),
+    "5": (
+        "Error vs per-group selectivity on SALES",
+        lambda: run_figure5(queries_per_combo=10),
+        lambda: run_figure5(sales_scale=0.2, queries_per_combo=2),
+    ),
+    "5-tpch": (
+        "Error vs per-group selectivity on TPCH (§5.3.1)",
+        lambda: run_figure5(database="tpch", queries_per_combo=8),
+        lambda: run_figure5(
+            database="tpch", rows_per_scale=8000, queries_per_combo=2
+        ),
+    ),
+    "6": (
+        "RelErr vs skew on the TPCH1Gyz family",
+        lambda: run_figure6(queries_per_combo=8),
+        lambda: run_figure6(
+            skews=(1.0, 2.0), rows_per_scale=8000, queries_per_combo=2
+        ),
+    ),
+    "7": (
+        "Error vs base sampling rate on TPCH1G2.0z",
+        lambda: run_figure7(queries_per_combo=8),
+        lambda: run_figure7(
+            rates=(0.02, 0.08), rows_per_scale=8000, queries_per_combo=2
+        ),
+    ),
+    "8": (
+        "SmGroup vs Basic Congress vs Uniform on SALES",
+        lambda: run_figure8(queries_per_combo=10),
+        lambda: run_figure8(sales_scale=0.2, queries_per_combo=2),
+    ),
+    "5.3.3": (
+        "SUM queries: SG+outlier vs outlier indexing vs uniform",
+        lambda: run_table_outlier(queries_per_combo=10),
+        lambda: run_table_outlier(sales_scale=0.2, queries_per_combo=2),
+    ),
+    "9": (
+        "Query-processing speedups (TPCH5G1.5z)",
+        lambda: run_figure9(queries_per_combo=5),
+        lambda: run_figure9(
+            rows_per_scale=8000, scale=1.0, queries_per_combo=2
+        ),
+    ),
+    "5.4.2": (
+        "Pre-processing time and space for all techniques",
+        run_table_preprocessing,
+        lambda: run_table_preprocessing(
+            rows_per_scale=8000, sales_scale=0.2, base_rates=(0.04,)
+        ),
+    ),
+}

@@ -1,8 +1,10 @@
-"""Plain-text reporting: aligned tables, ASCII charts, CSV export.
+"""Plain-text reporting: figure runs, ASCII charts, CSV export.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers keep that output readable in a terminal and easy to
-diff across runs.
+The benchmark harness and ``python -m repro figure`` print the same
+rows/series the paper's figures plot (:func:`render_run`) and write them
+to CSV (:func:`write_figure_csv`); these helpers keep that output
+readable in a terminal and easy to diff across runs.  The aligned text
+table itself is the product's (:func:`repro.sql.formatter.format_table`).
 """
 
 from __future__ import annotations
@@ -11,37 +13,45 @@ import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+from repro.sql.formatter import _cell, format_table
+
+if TYPE_CHECKING:
+    from repro.experiments.figures import FigureRun
 
 
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render rows as an aligned text table."""
-    rendered = [[_cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rendered:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
+def render_run(run: FigureRun, note: str = "") -> str:
+    """Render one figure run as text: each series, then its extras."""
+    lines = [f"=== Paper figure/table {run.figure} ==="]
+    if note:
+        lines.append(note)
+    for name, data in sorted(run.series.items()):
+        lines.append(f"-- {name}")
+        lines.append(
+            format_table(["x", "value"], [[x, y] for x, y in data.items()])
+        )
+    if run.extras:
+        lines.append("-- extras")
+        lines.append(
+            format_table(
+                ["key", "value"],
+                [[k, v] for k, v in sorted(run.extras.items())],
+            )
+        )
     return "\n".join(lines)
 
 
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
-        if value == 0:
-            return "0"
-        magnitude = abs(value)
-        if magnitude >= 1000 or magnitude < 0.001:
-            return f"{value:.3g}"
-        return f"{value:.3f}".rstrip("0").rstrip(".")
-    return str(value)
+def write_figure_csv(run: FigureRun, out_dir: str | Path) -> Path:
+    """Write ``run``'s series to ``out_dir/figure_<id>.csv``; return the path."""
+    path = Path(out_dir) / f"figure_{run.figure.replace('.', '_')}.csv"
+    rows = [
+        [series, x, y]
+        for series, data in sorted(run.series.items())
+        for x, y in data.items()
+    ]
+    write_csv(path, ["series", "x", "value"], rows)
+    return path
 
 
 def ascii_chart(

@@ -27,10 +27,10 @@ from repro.engine.executor import GroupedResult, execute
 from repro.engine.expressions import Query
 from repro.engine.table import Table
 from repro.errors import InternalError, RuntimePhaseError
-from repro.experiments.reporting import format_table
 from repro.obs.profile import QueryProfile
 from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
+from repro.sql.formatter import format_table
 from repro.sql.parser import parse_query
 from repro.workload.spec import Workload, WorkloadConfig, WorkloadQuery
 

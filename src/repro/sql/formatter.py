@@ -1,12 +1,16 @@
-"""Render query ASTs back to SQL text.
+"""Render query ASTs back to SQL text, and rows as aligned text tables.
 
 The middleware uses this to show users exactly what rewritten SQL runs
 against the sample tables — the UNION ALL with bitmask filters and scaled
 aggregates from the paper's Section 4.2.2 example.  ``parse(format(x))``
 round-trips for every supported construct (a property test enforces it).
+:func:`format_table` renders a result's rows for a terminal
+(``SessionResult.to_text``, the CLI, the paper's figure reports).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
 
 from repro.engine.expressions import (
     AggFunc,
@@ -131,3 +135,34 @@ def format_statement(statement: Statement) -> str:
     return "\nUNION ALL\n".join(
         format_select(select) for select in statement.selects
     )
+
+
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]]
+) -> str:
+    """Render rows as an aligned text table."""
+    rendered = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rendered:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rendered:
+        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
+    return "\n".join(lines)
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        if value != value:  # NaN
+            return "nan"
+        if value == 0:
+            return "0"
+        magnitude = abs(value)
+        if magnitude >= 1000 or magnitude < 0.001:
+            return f"{value:.3g}"
+        return f"{value:.3f}".rstrip("0").rstrip(".")
+    return str(value)

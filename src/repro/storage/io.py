@@ -23,10 +23,6 @@ Sample families (:mod:`repro.storage.samples`) are stored inside the
 database directory, under ``samples/``, with the same table files.
 Everything round-trips exactly (a property the tests enforce), including
 bitmasks and string dictionaries.
-
-A database directory written before images were the only format holds
-one ``<name>.npz`` per table; :func:`load_database` writes each such
-table's image once from it (:func:`_convert_npz`, kept for one release).
 """
 
 from __future__ import annotations
@@ -377,7 +373,8 @@ def load_database(directory: str | Path) -> Database:
     """Read a database previously written by :func:`save_database`.
 
     A table stored only as an ``.npz`` (a directory written before
-    images were the only format) gets its image first (:func:`_convert_npz`).
+    images were the only format) is refused with a :class:`StorageError`
+    saying how to re-save it.
     """
     directory = Path(directory)
     catalog_path = directory / "catalog.json"
@@ -391,7 +388,13 @@ def load_database(directory: str | Path) -> Database:
     tables = []
     for name in catalog["tables"]:
         image = directory / f"{name}{IMAGE_SUFFIX}"
-        _convert_npz(image)
+        npz = image.with_suffix(".npz")
+        if npz.exists() and not image.exists():
+            raise StorageError(
+                f"{npz} is in the old .npz format, which is no longer read; "
+                "load the directory once with a checkout of this project at "
+                "or before commit ee2f8df, which writes every table's image"
+            )
         tables.append(load_table(image))
     star_schema = None
     if catalog["star_schema"] is not None:
@@ -408,69 +411,3 @@ def load_database(directory: str | Path) -> Database:
             ),
         )
     return Database(tables, star_schema)
-
-
-# ----------------------------------------------------------------------
-# The bridge from the ``.npz`` format (kept for one release)
-# ----------------------------------------------------------------------
-def _convert_npz(image: Path) -> None:
-    """Write ``image`` from the ``.npz`` beside it, unless it is current.
-
-    Does nothing without an ``.npz``, or when ``image`` states this
-    layout's version (a damaged one is :func:`load_table`'s to report).
-    Otherwise (no image, or one of the earlier layout) the ``.npz`` is
-    decoded once into plain columns and the image is written by
-    :func:`save_table`; the ``.npz`` is left as it is.  The ``.npz`` holds
-    ``header`` (JSON bytes: ``name``, ``columns`` of ``name``/``kind``/
-    ``dictionary``, ``bitmask_bits``), ``col_<i>`` per column and
-    ``bitmask_words``.
-    """
-    npz = image.with_suffix(".npz")
-    if not npz.exists() or _stated_version(image) == _IMAGE_VERSION:
-        return
-    try:
-        with np.load(npz, allow_pickle=False) as data:
-            header = json.loads(data["header"].tobytes().decode("utf-8"))
-            columns = {
-                entry["name"]: Column(
-                    ColumnKind(entry["kind"]),
-                    data[f"col_{i}"],
-                    entry.get("dictionary"),
-                )
-                for i, entry in enumerate(header["columns"])
-            }
-            bitmask = None
-            if "bitmask_words" in data:
-                words = data["bitmask_words"]
-                bitmask = BitmaskVector(
-                    words.shape[0], header["bitmask_bits"], words
-                )
-        table = Table(header["name"], columns, bitmask)
-    except Exception as error:  # any failure to decode the old file
-        raise StorageError(f"{npz}: unreadable table file: {error}") from error
-    try:
-        save_table(table, image)
-    except OSError as error:
-        raise StorageError(
-            f"{npz} is in the old .npz format and its image {image.name} "
-            f"cannot be written ({error.strerror or error}); re-save the "
-            "directory: copy it somewhere writable and load the copy once, "
-            "which writes every image"
-        ) from error
-
-
-def _stated_version(image: Path) -> object:
-    """The version ``image``'s header states, unchecked; ``None`` if no image.
-
-    An image whose header does not parse states this layout's version:
-    it is not converted over, but reported by :func:`load_table`.
-    """
-    if not image.exists():
-        return None
-    try:
-        with image.open("rb") as handle:
-            size = int.from_bytes(handle.read(16)[8:], "little")
-            header = handle.read(min(size, image.stat().st_size))
-        return json.loads(header).get("version")
-    except (OSError, ValueError, AttributeError):
-        return _IMAGE_VERSION

@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-import repro
 from repro.core.family import (
     ColumnClass,
     OverallPart,
@@ -91,7 +90,7 @@ def samples_key(directory: str | Path, config: SmallGroupConfig) -> str:
         raise StorageError(
             f"cannot read database {directory}: {error}"
         ) from error
-    package = Path(repro.__file__).parent
+    package = Path(__file__).resolve().parents[1]
     for source in sorted(package.rglob("*.py")):
         name = source.relative_to(package).as_posix()
         feed(f"source {name}", _file_digest(source))

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main, render_run
+from repro.cli import build_parser, main
+from repro.experiments.figures import FIGURES
+from repro.experiments.reporting import render_run
 
 
 class TestParser:

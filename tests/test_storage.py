@@ -341,106 +341,16 @@ class TestChecksums:
         assert load_database(directory).table("lineitem").n_rows == 300
 
 
-def save_old_format(db, directory):
-    """Store ``db`` as a directory written before images were the only format.
-
-    One ``<name>.npz`` per table, written with ``np.savez_compressed``:
-    member ``header`` (the JSON ``version``, ``name``, ``n_rows``,
-    ``columns`` of ``name``/``kind``/``dictionary`` and ``bitmask_bits``
-    as bytes), ``col_<i>`` per column and ``bitmask_words``; then
-    ``catalog.json``, unchanged since.
-    """
-    save_database(db, directory)
-    for name in db.table_names:
-        table = db.table(name)
-        arrays = {}
-        header = {"version": 1, "name": name, "n_rows": table.n_rows, "columns": []}
-        for i, column_name in enumerate(table.column_names):
-            column = table.column(column_name)
-            arrays[f"col_{i}"] = column.data
-            entry = {"name": column_name, "kind": column.kind.value}
-            if column.dictionary is not None:
-                entry["dictionary"] = list(column.dictionary)
-            header["columns"].append(entry)
-        if table.bitmask is not None:
-            arrays["bitmask_words"] = table.bitmask.words
-            header["bitmask_bits"] = table.bitmask.n_bits
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-        np.savez_compressed(directory / f"{name}.npz", **arrays)
+def test_a_directory_of_npz_tables_is_refused(tmp_path, tiny_tpch):
+    """A directory written before images were the only format holds one
+    ``<name>.npz`` per table and no image; it is refused, not converted."""
+    directory = save_database(tiny_tpch, tmp_path / "db")
+    for name in tiny_tpch.table_names:
         (directory / f"{name}.img").unlink()
-    return directory
-
-
-class TestOldFormatBridge:
-    """A directory of ``.npz`` tables gets its images on its first load."""
-
-    def test_old_directory_converts_on_first_load(self, tmp_path, tiny_tpch):
-        from repro.engine.executor import execute
-        from repro.engine.expressions import AggFunc, AggregateSpec, Query
-
-        directory = save_old_format(tiny_tpch, tmp_path / "db")
-        # An image of the earlier layout (version 1) is converted over too.
-        stale = json.dumps({"version": 1, "name": "part"}).encode()
-        (directory / "part.img").write_bytes(
-            b"REPROIMG" + len(stale).to_bytes(8, "little") + stale
-        )
-        npz = {path.name: digest(path) for path in directory.glob("*.npz")}
-        loaded = load_database(directory)
-        query = Query(
-            "lineitem",
-            (
-                AggregateSpec(AggFunc.COUNT, alias="c"),
-                AggregateSpec(AggFunc.SUM, "l_extendedprice", alias="s"),
-            ),
-            ("l_shipmode", "p_brand"),
-        )
-        assert execute(loaded, query).rows == execute(tiny_tpch, query).rows
-        for name in tiny_tpch.table_names:
-            assert loaded.table(name).to_rows() == tiny_tpch.table(name).to_rows()
-            image = directory / f"{name}.img"
-            assert image_header(image)["version"] == 2
-            first = loaded.table(name).column_names[0]
-            assert isinstance(
-                mapping_of(loaded.table(name).column(first).data), mmap.mmap
-            )
-        assert {path.name: digest(path) for path in directory.glob("*.npz")} == npz
-        images = {path.name: digest(path) for path in directory.glob("*.img")}
-        # A version-2 image always wins: a later .npz is not read again.
-        save_old_format(
-            Database([tiny_tpch.table("part").head(3)]), tmp_path / "other"
-        )
-        os.replace(tmp_path / "other" / "part.npz", directory / "part.npz")
-        assert load_database(directory).table("part").n_rows == (
-            tiny_tpch.table("part").n_rows
-        )
-        assert {path.name: digest(path) for path in directory.glob("*.img")} == images
-
-    def test_old_bitmasked_table_converts(self, tmp_path):
-        member = np.eye(5, 70, dtype=bool)
-        table = Table(
-            "s",
-            {"a": Column.ints(range(5)), "b": Column.strings(list("vwxyz"))},
-            BitmaskVector.from_membership(member, 70),
-        )
-        directory = save_old_format(Database([table]), tmp_path / "db")
-        loaded = load_database(directory).table("s")
-        assert loaded.to_rows() == table.to_rows()
-        assert loaded.bitmask.to_ints() == table.bitmask.to_ints()
-
-    def test_unwritable_old_directory_is_a_storage_error(
-        self, tmp_path, tiny_tpch, monkeypatch
-    ):
-        directory = save_old_format(tiny_tpch, tmp_path / "db")
-
-        def read_only(*args):
-            raise PermissionError(13, "Permission denied")
-
-        # Root ignores ``chmod a-w``, so the write is refused here instead.
-        monkeypatch.setattr("repro.storage.io._write_image", read_only)
-        with pytest.raises(StorageError, match="Permission denied.*re-save"):
-            load_database(directory)
-        assert not list(directory.glob("*.img"))
-        assert not list(directory.glob(".*.tmp"))
+        np.savez_compressed(directory / f"{name}.npz", col_0=np.arange(3))
+    with pytest.raises(StorageError, match=r"lineitem\.npz.*old .*ee2f8df"):
+        load_database(directory)
+    assert not list(directory.glob("*.img"))
 
 
 #: Loads a stored database and its family, runs approximate queries, and
