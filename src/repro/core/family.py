@@ -259,10 +259,11 @@ class SampleFamily:
         )
 
         # Encode once: the stored columns, coded against the sample tables'
-        # dictionaries (every sample table took its dictionaries from the
-        # same view), so each extension below concatenates codes as-is;
-        # and the bitmask words packed once, so each extension takes its
-        # rows' words instead of packing them again.
+        # dictionaries (every sample table holds the catalog's, and a
+        # served batch arrives coded against them, so this maps nothing),
+        # so each extension below concatenates codes as-is; and the
+        # bitmask words packed once, so each extension takes its rows'
+        # words instead of packing them again.
         reference = self.overall_parts[0].table
         encoded = {}
         for c in self.view_columns:
@@ -276,7 +277,8 @@ class SampleFamily:
             BitmaskVector.from_membership(member_matrix, self.n_bits),
         )
 
-        # 1. Extend the small group tables.
+        # 1. Extend the small group tables: each stored row is gathered
+        # straight into the tail of the table's buffers.
         metas, tables = list(self.metas), list(self.tables)
         for i, meta in enumerate(self.metas):
             class_indices = np.flatnonzero(member_matrix[:, i])
@@ -288,15 +290,15 @@ class SampleFamily:
                 keep = rng.random(class_indices.size) < meta.rate
                 stored = class_indices[keep]
             if stored.size:
-                extension = stored_batch.take(stored).rename(meta.name)
-                tables[i] = tables[i].concat(extension)
+                tables[i] = tables[i].concat(stored_batch, rows=stored)
             metas[i] = replace(
                 meta,
                 class_rows=meta.class_rows + int(class_indices.size),
                 stored_rows=meta.stored_rows + int(stored.size),
             )
 
-        # 2. Maintain the overall reservoir at its fixed capacity.
+        # 2. Maintain the overall reservoir at its fixed capacity: the
+        # kept rows, then the incoming ones, into one new buffer per column.
         overall = reference
         k = overall.n_rows
         replacements = reservoir_replacements(k, self.view_rows, n_new, rng)
@@ -305,10 +307,10 @@ class SampleFamily:
             get_registry().incr("ingest.reservoir_updates", len(replacements))
             keep_mask = np.ones(k, dtype=bool)
             keep_mask[list(replacements)] = False
-            kept = overall.filter(keep_mask)
             incoming = np.asarray(sorted(set(replacements.values())))
-            addition = stored_batch.take(incoming).rename(overall.name)
-            overall = kept.concat(addition)
+            overall = overall.concat(
+                stored_batch, rows=incoming, keep=np.flatnonzero(keep_mask)
+            )
         return replace(
             self,
             metas=tuple(metas),

@@ -35,6 +35,7 @@ import enum
 import threading
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -135,11 +136,20 @@ class Column:
     # Constructors
     # ------------------------------------------------------------------
     @staticmethod
-    def from_values(values: Iterable[Any]) -> "Column":
+    def from_values(
+        values: Iterable[Any], like: "Column | None" = None
+    ) -> "Column":
         """Build a column from Python values, inferring the kind.
 
         Strings become a dictionary-encoded ``STRING`` column; bools and ints
         become ``INT``; anything float-like becomes ``FLOAT``.
+
+        With ``like`` a string column, all-``str`` values are coded against
+        its dictionary: its very tuple and index when it holds every value,
+        else extended append-only by the values it lacks, in sorted order
+        (what ``Column.strings(values).encoded_like(like)`` gives, in one
+        look-up pass).  Every other input is built, or refused, as without
+        ``like``.
         """
         if not isinstance(values, (list, tuple)):
             values = list(values)
@@ -147,6 +157,10 @@ class Column:
             return Column.ints([])
         first = values[0]
         if isinstance(first, str):
+            if like is not None and like.kind is ColumnKind.STRING:
+                coded = like._coded(values)
+                if coded is not None:
+                    return coded
             return Column.strings(values)
         # For a list led by a plain Python number (what JSON and the loaders
         # deliver) numpy's own dtype inference is the one pass: an integer
@@ -342,6 +356,54 @@ class Column:
             self._dictionary_index = index
         return index
 
+    def _coded(self, values: Sequence[Any]) -> "Column | None":
+        """``values`` coded against this string column's dictionary.
+
+        See :meth:`from_values`; the codes are made here, so no range
+        scan follows.  ``None`` unless every value is a ``str``, so the
+        caller builds (or refuses) the values as :meth:`strings` would.
+        """
+        index = self._index()
+        try:
+            codes = np.fromiter(
+                map(index.get, values, repeat(-1)),
+                dtype=np.int32,
+                count=len(values),
+            )
+        except TypeError:  # an unhashable value, so not a str
+            return None
+        dictionary = self.require_dictionary()
+        missing = np.flatnonzero(codes < 0).tolist()
+        if missing:
+            unseen = {values[i] for i in missing}
+            if not all(isinstance(v, str) for v in unseen):
+                return None
+            added = sorted(unseen)
+            first = len(dictionary)
+            index = {**index, **dict(zip(added, range(first, first + len(added))))}
+            dictionary = dictionary + tuple(str(v) for v in added)
+            codes[missing] = [index[values[i]] for i in missing]
+        return column_from_parts(ColumnKind.STRING, codes, dictionary, index)
+
+    def with_dictionary_of(self, other: "Column") -> "Column":
+        """This column holding ``other``'s dictionary tuple and index.
+
+        Only when both are string columns with equal dictionaries (else
+        ``self``): the rows, the codes and the tail buffer stay this
+        column's, and a later :meth:`concat` of columns coded against
+        ``other`` finds the same tuple and maps nothing.
+        """
+        if (
+            self.kind is not ColumnKind.STRING
+            or other.kind is not ColumnKind.STRING
+            or self.dictionary is other.dictionary
+            or self.dictionary != other.dictionary
+        ):
+            return self
+        return column_from_parts(
+            self.kind, self.data, other.dictionary, other._index(), self._tail
+        )
+
     def derived(
         self,
         kind: str,
@@ -407,35 +469,53 @@ class Column:
             self.kind, self.data[keep], self.dictionary, self._dictionary_index
         )
 
-    def concat(self, other: "Column") -> "Column":
-        """Concatenate two columns of the same kind.
+    def concat(
+        self,
+        other: "Column",
+        rows: np.ndarray | None = None,
+        keep: np.ndarray | None = None,
+    ) -> "Column":
+        """This column's rows followed by ``other``'s, as a new column.
 
-        For string columns the dictionaries are merged (the result uses this
-        column's dictionary extended with any new values from ``other``;
-        the very same tuple when ``other`` brings none).
+        ``keep`` selects (in order) this column's rows to keep and
+        ``rows`` ``other``'s rows to append; each defaults to all of
+        them.  For string columns the dictionaries are merged (the result
+        uses this column's dictionary extended with any new values from
+        ``other``; the very same tuple when ``other`` brings none).
 
-        Costs O(``len(other)``) when this column is the newest of its
-        lineage and its buffer has room: ``other``'s cells are written
-        into the spare capacity past ``len(self)`` and the result views
-        ``len(self) + len(other)`` cells of the same buffer.  Otherwise —
-        a second ``concat`` off one base, a column built neither by
-        ``concat`` nor by :meth:`in_buffer`, no room left — the rows are
-        copied once into a new, geometrically larger buffer.  Either way
-        ``self`` is untouched.
+        Costs O(appended rows) when ``keep`` is not given, this column is
+        the newest of its lineage and its buffer has room: the appended
+        cells are gathered straight into the spare capacity past
+        ``len(self)`` and the result views ``len(self)`` more cells of the
+        same buffer.  Otherwise — ``keep`` given, a second ``concat`` off
+        one base, a column built neither by ``concat`` nor by
+        :meth:`in_buffer`, no room left — the kept rows and the appended
+        ones are written once into a new buffer with room to grow.
+        Either way ``self`` is untouched.
         """
         if self.kind is not other.kind:
             raise ColumnTypeError(
                 f"cannot concat {self.kind.value} with {other.kind.value}"
             )
-        if self.kind is not ColumnKind.STRING:
-            return self._extended(other.data, None, None)
-        coded = other.encoded_like(self)
-        index = (
-            self._dictionary_index
-            if coded.dictionary is self.dictionary
-            else coded._dictionary_index
+        dictionary, index = self.dictionary, self._dictionary_index
+        if other.dictionary is not dictionary:
+            other = other.encoded_like(self)
+            if other.dictionary is not dictionary:
+                dictionary, index = other.dictionary, other._dictionary_index
+        tail = other.data if rows is None else other.data[rows]
+        n = self.data.shape[0] if keep is None else keep.shape[0]
+        m = tail.shape[0]
+        buffer = self._tail if keep is None else None
+        if buffer is None or not buffer.reserve(n, m):
+            cells = np.empty(capacity(n + m), dtype=self.data.dtype)
+            cells[:n] = self.data if keep is None else self.data[keep]
+            buffer = _TailBuffer(cells, n + m)
+        # Cells [n, n + m) are reserved for this call alone and no column
+        # views them yet.
+        buffer.cells[n : n + m] = tail
+        return column_from_parts(
+            self.kind, buffer.cells[: n + m], dictionary, index, buffer
         )
-        return self._extended(coded.data, coded.dictionary, index)
 
     def encoded_like(self, reference: "Column") -> "Column":
         """This string column's values, coded against ``reference``'s dictionary.
@@ -481,26 +561,6 @@ class Column:
         if codes.size:
             codes = remap[codes]
         return column_from_parts(self.kind, codes, dictionary, index)
-
-    def _extended(
-        self,
-        tail: np.ndarray,
-        dictionary: tuple[str, ...] | None,
-        index: dict[str, int] | None,
-    ) -> "Column":
-        """A new column holding this column's cells followed by ``tail``."""
-        n, m = len(self), int(tail.shape[0])
-        buffer = self._tail
-        if buffer is None or not buffer.reserve(n, m):
-            cells = np.empty(capacity(n + m), dtype=self.data.dtype)
-            cells[:n] = self.data
-            buffer = _TailBuffer(cells, n + m)
-        # Cells [n, n + m) are reserved for this call alone and no column
-        # views them yet.
-        buffer.cells[n : n + m] = tail
-        return column_from_parts(
-            self.kind, buffer.cells[: n + m], dictionary, index, buffer
-        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -639,13 +699,15 @@ def column_from_parts(
     """Reassemble a column from already-validated parts, without copying.
 
     Trusted fast path for :meth:`Column.take`, :meth:`Column.mask`,
-    :meth:`Column.concat`, :meth:`Column.encoded_like` and
-    :meth:`Column.in_buffer`: the parts came out of real :class:`Column`
-    objects or were checked by the caller, so the constructor's dtype
-    coercion and string-code range scan (an O(n) min/max over the whole
-    array) would re-validate what is known-good — and ``astype`` would
-    copy a view it exists to avoid.  Without ``tail`` (every caller but
-    ``concat`` and ``in_buffer``) the column never extends in place.
+    :meth:`Column.concat`, :meth:`Column.encoded_like`,
+    :meth:`Column.with_dictionary_of`, :meth:`Column.in_buffer` and the
+    coding of :meth:`Column.from_values` against a dictionary: the parts
+    came out of real :class:`Column` objects or were checked by the
+    caller, so the constructor's dtype coercion and string-code range
+    scan (an O(n) min/max over the whole array) would re-validate what
+    is known-good — and ``astype`` would copy a view it exists to avoid.
+    Without ``tail`` (every caller but ``concat``, ``in_buffer`` and
+    ``with_dictionary_of``) the column never extends in place.
     ``data`` (a fresh array or a view of the lineage's buffer) is
     flagged read-only, so every published column refuses writes.
     """

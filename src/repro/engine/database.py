@@ -184,15 +184,25 @@ class Database:
 
     def view_column_names(self) -> list[str]:
         """The columns of :meth:`joined_view`, without materialising it."""
-        names = self.fact_table.column_names
+        return list(self.view_sources())
+
+    def view_sources(self) -> dict[str, Column]:
+        """Each :meth:`joined_view` column's catalog column, without a gather.
+
+        A dimension attribute maps to the dimension table's column (the
+        view's column is its rows taken by the join positions, so it holds
+        the same dictionary), every other view column to the fact table's;
+        the star schema keeps the names unique.
+        """
+        fact = self.fact_table
+        columns = {c: fact.column(c) for c in fact.column_names}
         if self.star_schema is not None:
             for fk in self.star_schema.foreign_keys:
-                names += [
-                    c
-                    for c in self.table(fk.dimension_table).column_names
-                    if c != fk.dimension_key
-                ]
-        return names
+                dim = self.table(fk.dimension_table)
+                for c in dim.column_names:
+                    if c != fk.dimension_key:
+                        columns[c] = dim.column(c)
+        return columns
 
     def joined_view(self, name: str | None = None) -> Table:
         """Materialise the fact ⋈ dimensions wide view.

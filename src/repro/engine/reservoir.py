@@ -139,6 +139,14 @@ def reservoir_replacements(
     function of ``(capacity, total_before, n_new)``, which is what lets
     the incremental-append path derive a deterministic per-append stream
     and stay byte-identical to a fresh build replaying the same appends.
+
+    The acceptance tests are drawn in bulk, on the same stream: a window
+    of ``gen.random(m)`` is compared against the window's thresholds;
+    without an acceptance the window's draws are exactly the per-item
+    draws, and at the first one the generator is rewound to the window's
+    start and advanced by that many draws before the slot's
+    ``integers`` draw.  So the draws, their order and the generator's
+    final state are those of one ``random()`` per item.
     """
     if capacity < 0:
         raise SamplingError(
@@ -146,11 +154,23 @@ def reservoir_replacements(
         )
     gen = as_generator(rng)
     replacements: dict[int, int] = {}
-    total = total_before
-    for offset in range(n_new):
-        total += 1
-        if gen.random() < capacity / total:
-            replacements[int(gen.integers(0, capacity))] = offset
+    offset = 0
+    while offset < n_new:
+        seen = total_before + offset
+        # About four expected gaps between acceptances per window.
+        window = min(n_new - offset, 16 + 4 * seen // max(capacity, 1))
+        state = gen.bit_generator.state
+        accepted = gen.random(window) < capacity / np.arange(
+            seen + 1, seen + window + 1
+        )
+        step = int(accepted.argmax()) + 1
+        if not accepted[step - 1]:
+            offset += window
+            continue
+        gen.bit_generator.state = state
+        gen.random(step)
+        offset += step
+        replacements[int(gen.integers(0, capacity))] = offset - 1
     return replacements
 
 

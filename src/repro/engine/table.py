@@ -193,11 +193,19 @@ class Table:
         columns = {c: col for c, col in self._columns.items() if c != name}
         return Table(self.name, columns, self.bitmask)
 
-    def concat(self, other: "Table") -> "Table":
-        """Concatenate two tables with identical column sets.
+    def concat(
+        self,
+        other: "Table",
+        rows: np.ndarray | None = None,
+        keep: np.ndarray | None = None,
+    ) -> "Table":
+        """This table's rows followed by ``other``'s (identical column sets).
 
-        Bitmask vectors are concatenated when both sides have one, dropped
-        otherwise.
+        ``keep`` and ``rows`` select this table's and ``other``'s rows
+        (all by default), as in :meth:`Column.concat`: each column is
+        written once, straight into its buffer's tail or into one new
+        buffer.  Bitmask vectors are concatenated when both sides have
+        one, dropped otherwise.
         """
         if self.column_names != other.column_names:
             raise SchemaError(
@@ -205,11 +213,14 @@ class Table:
                 f"{self.column_names} vs {other.column_names}"
             )
         columns = {
-            c: self._columns[c].concat(other._columns[c]) for c in self._columns
+            c: col.concat(other._columns[c], rows, keep)
+            for c, col in self._columns.items()
         }
         bitmask = None
         if self.bitmask is not None and other.bitmask is not None:
-            bitmask = self.bitmask.concat(other.bitmask)
+            head = self.bitmask if keep is None else self.bitmask.take(keep)
+            tail = other.bitmask if rows is None else other.bitmask.take(rows)
+            bitmask = head.concat(tail)
         return Table(self.name, columns, bitmask)
 
     # ------------------------------------------------------------------

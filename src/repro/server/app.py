@@ -33,6 +33,7 @@ from typing import Iterator
 
 from repro.engine.cache import get_cache
 from repro.engine.column import Column
+from repro.engine.database import Database
 from repro.engine.deadline import Deadline
 from repro.engine.table import Table
 from repro.errors import QueryError, ReproError
@@ -183,11 +184,16 @@ class AQPServer:
 
     def _handle_append(self, request: dict) -> tuple[int, dict]:
         table_name, columns = validate_append_request(request)
+        # Each string column is coded once, against the live catalog
+        # column it will be stored with (the table's own, or the
+        # dimension attribute of the fact table's joined view), so the
+        # table and the samples take its codes as they stand.
+        live = _live_columns(self.session.db, table_name)
         try:
             batch = Table(
                 table_name,
                 {
-                    name: Column.from_values(values)
+                    name: Column.from_values(values, like=live.get(name))
                     for name, values in columns.items()
                 },
             )
@@ -225,6 +231,21 @@ class AQPServer:
                 "max_inflight": self.config.max_inflight,
             },
         }
+
+
+def _live_columns(db: Database, name: str) -> dict[str, Column]:
+    """The catalog columns a batch for table ``name`` is coded against.
+
+    The fact table's batches are view-shaped, so for the fact table of a
+    star schema these are the joined view's columns; an unknown table
+    has none (the append itself reports it).
+    """
+    if not db.has_table(name):
+        return {}
+    if db.star_schema is not None and name == db.star_schema.fact_table:
+        return db.view_sources()
+    table = db.table(name)
+    return {c: table.column(c) for c in table.column_names}
 
 
 __all__ = ["AQPServer", "ServerConfig"]

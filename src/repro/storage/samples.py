@@ -11,11 +11,13 @@ The ``<key>`` is a SHA-256 over everything that determines the family:
 the technique config, the bytes of ``catalog.json``, the header of every
 table image it names (which records a CRC-32 of each of the table's
 segments, so it stands for the table's contents and holds no time or
-file stamp), the ``repro`` package's ``.py`` sources, and
-``numpy.__version__``.  A family found under the key is therefore exactly
-what this code would draw from these files; any change to one of them
-leads to another key, so the stale family is simply never read, and
-:func:`save_samples` keeps only the newest :data:`KEPT_FAMILIES`.
+file stamp), the ``.py`` sources of the product (every ``repro`` module
+outside the paper reproduction's :data:`PAPER_PACKAGES`, which no build
+or served request runs), and ``numpy.__version__``.  A family found under
+the key is therefore exactly what this code would draw from these files;
+any change to one of them leads to another key, so the stale family is
+simply never read, and :func:`save_samples` keeps only the newest
+:data:`KEPT_FAMILIES`.
 :func:`~repro.storage.load_database` ignores ``samples/``, and
 ``rm -r DB/samples`` clears every stored family.
 """
@@ -61,6 +63,12 @@ MANIFEST = "manifest.json"
 #: wrote and one more, so two checkouts of different sources serving one
 #: directory do not delete each other's family at every start.
 KEPT_FAMILIES = 2
+#: The paper reproduction's packages: figures, baselines, data generators
+#: and analysis.  Neither a build nor a served request runs them, so an
+#: edit to one keeps every stored family's key.
+PAPER_PACKAGES = frozenset(
+    {"analysis", "baselines", "datagen", "experiments", "metrics"}
+)
 
 
 def _file_digest(path: Path) -> bytes:
@@ -93,7 +101,8 @@ def samples_key(directory: str | Path, config: SmallGroupConfig) -> str:
     package = Path(__file__).resolve().parents[1]
     for source in sorted(package.rglob("*.py")):
         name = source.relative_to(package).as_posix()
-        feed(f"source {name}", _file_digest(source))
+        if name.split("/")[0] not in PAPER_PACKAGES:
+            feed(f"source {name}", _file_digest(source))
     feed("numpy", np.__version__.encode())
     return digest.hexdigest()
 
@@ -340,6 +349,8 @@ def from_family(
             "metadata table, value classes and bit width disagree"
         )
 
+    catalog = db.view_sources()
+
     def sample(name: str, rows: int | None) -> Table:
         table = tables.get(name)
         if (
@@ -352,7 +363,14 @@ def from_family(
             raise SamplingError(
                 f"sample table {name!r} does not match the manifest"
             )
-        return table
+        # Each string column takes the catalog's dictionary when it holds
+        # the same values, as a family built from ``db`` does, so an
+        # append coded against the catalog maps no codes.
+        columns = {
+            c: table.column(c).with_dictionary_of(catalog[c])
+            for c in table.column_names
+        }
+        return Table(table.name, columns, table.bitmask)
 
     overall = sample(manifest["overall"]["table"], None)
     rate = manifest["overall"]["rate"]

@@ -179,6 +179,35 @@ class TestColumnPrograms:
         assert merged.to_list() == other + own
 
 
+    @given(
+        st.sampled_from(sorted(KINDS)),
+        st.data(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gathered_concat_equals_take_then_concat(
+        self, kind, data, gather, select
+    ):
+        build, element = KINDS[kind]
+        base = build(data.draw(st.lists(element, max_size=12)))
+        base = base.concat(build([]))  # a tip with spare capacity
+        other = build(data.draw(st.lists(element, min_size=1, max_size=12)))
+        indices = st.lists(st.integers(0, len(other) - 1), max_size=8)
+        rows = np.asarray(data.draw(indices), dtype=np.intp) if gather else None
+        keep = None
+        if select and len(base):
+            picks = st.lists(st.integers(0, len(base) - 1), max_size=8, unique=True)
+            keep = np.sort(np.asarray(data.draw(picks), dtype=np.intp))
+        result = base.concat(other, rows, keep)
+        head = base if keep is None else base.take(keep)
+        want = head.concat(other if rows is None else other.take(rows))
+        assert result.to_list() == want.to_list()
+        assert result.dictionary == want.dictionary
+        # Without ``keep`` the tip's tail is written in place.
+        assert np.shares_memory(result.data, base.data) == (keep is None and len(base) > 0)
+
+
 class TestTailValidation:
     @pytest.mark.parametrize("bad", [[0, 5], [-1], [1]])
     def test_out_of_range_tail_codes_still_raise(self, bad):
@@ -393,6 +422,37 @@ class TestHashEncoding:
         assert got.data.dtype == want.data.dtype
         assert got.dictionary == want.dictionary
         assert np.array_equal(got.data, want.data, equal_nan=got.kind is ColumnKind.FLOAT)
+
+
+    @given(
+        st.lists(st.sampled_from(WORDS), max_size=20),
+        st.lists(
+            st.sampled_from([*WORDS, "new", "ärgste", 3, 2.5, None, ["x"], True]),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coding_against_a_dictionary_equals_encoded_like(self, seen, values):
+        like = Column.strings(seen)
+        try:
+            plain = Column.from_values(values)
+        except Exception as error:  # noqa: BLE001 - compared by type below
+            with pytest.raises(type(error)) as raised:
+                Column.from_values(values, like=like)
+            assert str(raised.value) == str(error)
+            return
+        coded = Column.from_values(values, like=like)
+        if plain.kind is not ColumnKind.STRING:
+            assert coded.kind is plain.kind
+            assert np.array_equal(coded.data, plain.data, equal_nan=True)
+            return
+        want = plain.encoded_like(like)
+        assert coded.dictionary == want.dictionary
+        assert np.array_equal(coded.data, want.data)
+        if set(values) <= set(seen):
+            assert coded.dictionary is like.dictionary
+            assert coded._dictionary_index is like._dictionary_index
 
 
 # ----------------------------------------------------------------------

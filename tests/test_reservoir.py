@@ -176,6 +176,65 @@ class TestBatchKernelMatchesReference:
         assert_batch_matches_loop(3, 1, items)
 
 
+def reference_replacements(capacity, total_before, n_new, gen):
+    """Per-offset Algorithm R for appends: one ``random()`` per new item."""
+    replacements = {}
+    total = total_before
+    for offset in range(n_new):
+        total += 1
+        if gen.random() < capacity / total:
+            replacements[int(gen.integers(0, capacity))] = offset
+    return replacements
+
+
+class TestBulkReplacementsMatchReference:
+    """``reservoir_replacements`` draws in bulk, on the per-offset stream."""
+
+    CASES = [
+        (0, 100, 50),  # capacity 0: every draw refused
+        (0, 0, 5),
+        (10, 3, 40),  # total_before < capacity: the first items always in
+        (10, 0, 25),
+        (7, 500, 0),  # n_new 0 draws nothing
+        (7, 500, 1),
+        (1, 1, 200),
+        (50, 1000, 300),
+        (100, 10_000, 5_000),
+        (10_000, 1_000_000, 2_048),  # the served shape: r = 1 %, one batch
+        (400, 400, 3_000),
+    ]
+
+    @pytest.mark.parametrize("capacity,total_before,n_new", CASES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_draws_and_same_next_draw(
+        self, capacity, total_before, n_new, seed
+    ):
+        gen = np.random.default_rng([seed, 0x5EED])
+        twin = np.random.default_rng([seed, 0x5EED])
+        bulk = reservoir_module.reservoir_replacements(
+            capacity, total_before, n_new, gen
+        )
+        assert bulk == reference_replacements(capacity, total_before, n_new, twin)
+        assert gen.random() == twin.random()
+        # The 32-bit half an ``integers`` draw leaves buffered is restored too.
+        assert gen.integers(0, 1000) == twin.integers(0, 1000)
+
+    @given(
+        capacity=st.integers(min_value=0, max_value=60),
+        total_before=st.integers(min_value=0, max_value=5_000),
+        n_new=st.integers(min_value=0, max_value=700),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_stream(self, capacity, total_before, n_new, seed):
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        bulk = reservoir_module.reservoir_replacements(
+            capacity, total_before, n_new, gen
+        )
+        assert bulk == reference_replacements(capacity, total_before, n_new, twin)
+        assert gen.random() == twin.random()
+
+
 class TestUniformSample:
     def test_size_and_bounds(self):
         idx = uniform_sample_indices(100, 10, rng=0)

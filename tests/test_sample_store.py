@@ -8,6 +8,7 @@ damaged family) must lead to a rebuild, never to a wrong answer.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -292,6 +293,44 @@ def test_key_follows_config_and_table_files(db_dir, tiny_tpch):
     assert samples_key(db_dir, CONFIGS["default"]) == key
     save_table(tiny_tpch.table("part").head(10), db_dir / "part.img")
     assert samples_key(db_dir, CONFIGS["default"]) != key
+
+
+KEY_IN_A_CHILD = """
+import sys
+from repro.core.smallgroup import SmallGroupConfig
+from repro.storage import samples_key
+print(samples_key(sys.argv[1], SmallGroupConfig(base_rate=0.05)))
+"""
+
+
+def test_key_follows_product_sources_only(db_dir, tmp_path):
+    """An edit to a figure runner keeps the key; one to served code does not."""
+    package = tmp_path / "src" / "repro"
+    shutil.copytree(
+        SRC / "repro", package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+
+    def key():
+        done = subprocess.run(
+            [sys.executable, "-c", KEY_IN_A_CHILD, str(db_dir)],
+            env=dict(os.environ, PYTHONPATH=str(package.parent)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def add_comment(module):
+        with (package / module).open("a") as handle:
+            handle.write("# a comment\n")
+
+    original = key()
+    assert original == samples_key(db_dir, CONFIGS["default"])
+    add_comment("experiments/figures.py")
+    assert key() == original
+    add_comment("core/family.py")
+    assert key() != original
 
 
 # ----------------------------------------------------------------------
