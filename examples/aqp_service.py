@@ -6,10 +6,9 @@ Demonstrates the production deployment shape the paper envisions:
    synopses, dimension attributes inline) and stores them inside the
    database directory;
 2. a serving process loads both back — the samples without re-scanning
-   the data — and answers SQL through the middleware session, logging
-   what users ask;
-3. the observed workload then drives a re-tuned, slimmer sample layout
-   (§5.4.2's column trimming).
+   the data — and answers SQL through the middleware session;
+3. a training workload that groups on a few columns then drives a
+   re-tuned, slimmer sample layout (§5.4.2's column trimming).
 
 Run:  python examples/aqp_service.py
 """
@@ -21,7 +20,9 @@ from repro import (
     AQPSession,
     SmallGroupConfig,
     SmallGroupSampling,
+    WorkloadConfig,
     generate_tpch,
+    generate_workload,
     load_database,
     load_samples,
     save_database,
@@ -29,6 +30,7 @@ from repro import (
 )
 from repro.core.workload_policy import small_group_for_workload, trim_columns
 from repro.experiments.reporting import format_table
+from repro.workload.generator import eligible_grouping_columns
 
 DASHBOARD = [
     "SELECT l_shipmode, COUNT(*) AS cnt FROM lineitem GROUP BY l_shipmode",
@@ -89,13 +91,22 @@ def serving_process(workdir: Path) -> None:
     print("\n[service] EXPLAIN for the last query:")
     print(session.explain(DASHBOARD[-1]))
 
-    print("\n[tuning] re-fitting the sample layout to the observed workload:")
-    observed = session.observed_workload()
-    columns = trim_columns(observed)
-    print(f"  columns actually grouped on: {list(columns)}")
+    print("\n[tuning] re-fitting the sample layout to a training workload:")
+    eligible = eligible_grouping_columns(db.joined_view(), WorkloadConfig())
+    workload = generate_workload(
+        db,
+        WorkloadConfig(
+            group_column_counts=(1, 2),
+            queries_per_combo=4,
+            seed=21,
+            exclude_columns=tuple(eligible[8:]),
+        ),
+    )
+    columns = trim_columns(workload)
+    print(f"  columns the workload groups on: {list(columns)}")
     tuned = small_group_for_workload(
         db,
-        observed,
+        workload,
         config=SmallGroupConfig(base_rate=0.04, use_reservoir=False, seed=21),
     )
     before = session.report.sample_rows

@@ -12,7 +12,6 @@ from repro.core.interfaces import (
     PreprocessReport,
     SampleTableInfo,
 )
-from repro.core.pair_selection import PairSuggestion, suggest_pair_columns
 from repro.core.rewriter import SamplePiece, pieces_to_sql
 from repro.core.smallgroup import (
     OverallPart,
@@ -21,18 +20,12 @@ from repro.core.smallgroup import (
     SmallGroupConfig,
     SmallGroupSampling,
 )
-from repro.core.workload_policy import (
-    grouping_column_counts,
-    small_group_for_workload,
-    trim_columns,
-)
 
 __all__ = [
     "AQPTechnique",
     "ApproxAnswer",
     "GroupEstimate",
     "OverallPart",
-    "PairSuggestion",
     "PreprocessReport",
     "SampleFamily",
     "SamplePiece",
@@ -42,11 +35,7 @@ __all__ = [
     "SmallGroupSampling",
     "bernoulli_count_variance",
     "execute_pieces",
-    "grouping_column_counts",
     "normal_interval",
     "pieces_to_sql",
-    "small_group_for_workload",
-    "suggest_pair_columns",
-    "trim_columns",
     "z_value",
 ]

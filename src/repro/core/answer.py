@@ -140,34 +140,3 @@ class ApproxAnswer:
         return {
             g for g, ests in self.groups.items() if all(e.exact for e in ests)
         }
-
-    def to_table(
-        self, name: str = "answer", level: float = 0.95
-    ) -> "Table":
-        """Materialise the answer as an engine table.
-
-        Columns: the group columns, then per aggregate its estimate plus
-        ``<name>_lo`` / ``<name>_hi`` confidence bounds, and finally an
-        ``exact`` indicator (1 for small-group-served groups) — ready to
-        persist with :mod:`repro.storage` or re-query with the engine.
-        """
-        from repro.engine.column import Column
-        from repro.engine.table import Table
-
-        if not self.groups:
-            raise RuntimePhaseError("cannot materialise an empty answer")
-        data: dict[str, list] = {}
-        for i, column in enumerate(self.group_columns):
-            data[column] = [g[i] for g in self.groups]
-        for j, agg in enumerate(self.aggregate_names):
-            estimates = [ests[j] for ests in self.groups.values()]
-            data[agg] = [e.value for e in estimates]
-            intervals = [e.confidence_interval(level) for e in estimates]
-            data[f"{agg}_lo"] = [lo for lo, _ in intervals]
-            data[f"{agg}_hi"] = [hi for _, hi in intervals]
-        data["exact"] = [
-            int(all(e.exact for e in ests)) for ests in self.groups.values()
-        ]
-        return Table(
-            name, {c: Column.from_values(v) for c, v in data.items()}
-        )

@@ -328,39 +328,13 @@ def applicable_tables(family: SampleFamily, query: Query) -> list[int]:
     """Indices (into the metadata table) of tables usable for ``query``.
 
     A single-column table applies when its column is in the query's
-    GROUP BY list; a pair table applies when both its columns are.  Two
-    runtime caps (Section 4.2.3's "heuristic for picking a subset") may
-    then trim the list:
-
-    * ``max_rows_per_query`` — keep tables greedily by class coverage per
-      stored row while the total scan (overall sample included) fits the
-      row budget;
-    * ``max_tables_per_query`` — keep the smallest tables.
+    GROUP BY list; a pair table applies when both its columns are.
+    ``max_tables_per_query`` (Section 4.2.3's "heuristic for picking a
+    subset") may then keep only the smallest tables.
     """
     metas = family.metas
     grouping = set(query.group_by)
     chosen = [i for i, meta in enumerate(metas) if set(meta.columns) <= grouping]
-    row_budget = family.config.max_rows_per_query
-    if row_budget is not None:
-        remaining = row_budget - sum(
-            p.table.n_rows for p in family.overall_parts
-        )
-        # Greedy knapsack: prefer high class coverage per stored row,
-        # then larger coverage outright.
-        order = sorted(
-            chosen,
-            key=lambda i: (
-                -(metas[i].class_rows / max(1, metas[i].stored_rows)),
-                -metas[i].class_rows,
-            ),
-        )
-        kept = []
-        for i in order:
-            cost = metas[i].stored_rows
-            if cost <= remaining:
-                kept.append(i)
-                remaining -= cost
-        chosen = kept
     cap = family.config.max_tables_per_query
     if cap is not None and len(chosen) > cap:
         chosen = sorted(chosen, key=lambda i: metas[i].stored_rows)[:cap]

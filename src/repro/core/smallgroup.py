@@ -104,13 +104,6 @@ class SmallGroupConfig:
     max_tables_per_query:
         Runtime cap on the number of small group tables used per query
         (``None`` = use all applicable).
-    max_rows_per_query:
-        Runtime cap on the total sample rows scanned per query (the
-        overall sample plus chosen small group tables).  When the
-        applicable tables exceed the remaining budget, they are chosen
-        greedily by class coverage per stored row — Section 4.2.3's
-        "heuristic for picking a subset of the relevant small group
-        tables" driven by an explicit time budget.
     use_reservoir:
         Build the overall sample with streaming reservoir sampling
         (faithful to the paper) or with a direct uniform draw (faster,
@@ -127,7 +120,6 @@ class SmallGroupConfig:
     levels: tuple[tuple[float, float], ...] | None = None
     pair_columns: tuple[tuple[str, str], ...] = ()
     max_tables_per_query: int | None = None
-    max_rows_per_query: int | None = None
     use_reservoir: bool = True
     seed: int = 0
 

@@ -80,11 +80,6 @@ class CacheMetrics:
         with self._lock:
             return sum(self.hits.values())
 
-    def total_misses(self) -> int:
-        """Misses summed across every kind."""
-        with self._lock:
-            return sum(self.misses.values())
-
     def counts(self) -> dict:
         """Bare hits/misses copies — the cheap per-query-delta view.
 

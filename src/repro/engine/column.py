@@ -653,7 +653,7 @@ def count_raw_values(
 #: segment of a stored table image) leaves behind the rows it copies:
 #: ``rows >> _GROWTH_SHIFT`` cells (25 %), at least ``_MIN_SPARE_CELLS``.
 #: That keeps re-allocations rare (about one per 120 appends of 2,048
-#: rows onto 1M rows) for a few MiB of peak RSS (docs/internals.md §11).
+#: rows onto 1M rows) for a few MiB of peak RSS (docs/internals.md §10).
 _GROWTH_SHIFT = 2
 _MIN_SPARE_CELLS = 64
 

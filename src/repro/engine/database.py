@@ -168,20 +168,6 @@ class Database:
             return next(iter(self._tables.values()))
         return self.table(self.star_schema.fact_table)
 
-    def column_owner(self, column: str) -> str:
-        """Return the name of the table owning ``column``.
-
-        Searches the fact table first, then each dimension table.
-        """
-        fact = self.fact_table
-        if fact.has_column(column):
-            return fact.name
-        if self.star_schema is not None:
-            for fk in self.star_schema.foreign_keys:
-                if self.table(fk.dimension_table).has_column(column):
-                    return fk.dimension_table
-        raise SchemaError(f"no table owns column {column!r}")
-
     def view_column_names(self) -> list[str]:
         """The columns of :meth:`joined_view`, without materialising it."""
         return list(self.view_sources())

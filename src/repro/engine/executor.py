@@ -121,25 +121,6 @@ class GroupedResult:
         """Sum of one aggregate across all groups."""
         return float(sum(self.as_dict(aggregate).values()))
 
-    def to_table(self, name: str = "result") -> Table:
-        """Materialise the result as an engine table.
-
-        Group columns come first, then one column per aggregate, in result
-        order — so exact answers can be stored, re-queried, or persisted
-        like any other relation.
-        """
-        from repro.engine.column import Column
-
-        if not self.rows:
-            raise QueryError("cannot materialise an empty result")
-        data: dict[str, list] = {}
-        for i, column in enumerate(self.group_columns):
-            data[column] = [g[i] for g in self.rows]
-        for j, agg in enumerate(self.aggregate_names):
-            data[agg] = [row[j] for row in self.rows.values()]
-        return Table(
-            name, {c: Column.from_values(v) for c, v in data.items()}
-        )
 
 
 def dense_ids(code_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:

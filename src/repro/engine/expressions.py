@@ -524,16 +524,6 @@ class Query:
             self.having,
         )
 
-    def without_order(self) -> "Query":
-        """Return the query with HAVING/ordering/limit stripped.
-
-        Rewritten sample pieces must compute *all* groups — these clauses
-        apply only after the strata are combined.
-        """
-        if not self.order_by and self.limit is None and not self.having:
-            return self
-        return Query(self.table, self.aggregates, self.group_by, self.where)
-
     def evaluate_having(self, values: tuple[float, ...]) -> bool:
         """Whether one group's aggregate values pass the HAVING clauses."""
         names = [a.name for a in self.aggregates]

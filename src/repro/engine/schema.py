@@ -58,23 +58,3 @@ class StarSchema:
             raise SchemaError("duplicate dimension table in star schema")
         if self.fact_table in dims:
             raise SchemaError("fact table cannot also be a dimension table")
-
-    @property
-    def dimension_tables(self) -> list[str]:
-        """Names of all dimension tables."""
-        return [fk.dimension_table for fk in self.foreign_keys]
-
-    def foreign_key_for(self, dimension_table: str) -> ForeignKey:
-        """Return the FK edge for ``dimension_table``.
-
-        Raises
-        ------
-        SchemaError
-            If the table is not a dimension of this schema.
-        """
-        for fk in self.foreign_keys:
-            if fk.dimension_table == dimension_table:
-                return fk
-        raise SchemaError(
-            f"{dimension_table!r} is not a dimension table of {self.fact_table!r}"
-        )

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.bitmask import BitmaskVector
-from repro.engine.column import Column, ColumnKind
+from repro.engine.column import Column
 from repro.errors import SchemaError
 
 
@@ -66,22 +66,6 @@ class Table:
         """Build a table from per-column Python value lists, inferring kinds."""
         columns = {col: Column.from_values(values) for col, values in data.items()}
         return Table(name, columns)
-
-    @staticmethod
-    def from_rows(
-        name: str, column_names: Sequence[str], rows: Iterable[Sequence[Any]]
-    ) -> "Table":
-        """Build a table from row tuples."""
-        rows = list(rows)
-        data: dict[str, list[Any]] = {c: [] for c in column_names}
-        for row in rows:
-            if len(row) != len(column_names):
-                raise SchemaError(
-                    f"row has {len(row)} values, expected {len(column_names)}"
-                )
-            for c, v in zip(column_names, row):
-                data[c].append(v)
-        return Table.from_dict(name, data)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -186,13 +170,6 @@ class Table:
         """Return a new table with the given bitmask vector attached."""
         return Table(self.name, self._columns, bitmask)
 
-    def drop_column(self, name: str) -> "Table":
-        """Return a new table without the given column."""
-        if name not in self._columns:
-            raise SchemaError(f"table {self.name!r} has no column {name!r}")
-        columns = {c: col for c, col in self._columns.items() if c != name}
-        return Table(self.name, columns, self.bitmask)
-
     def concat(
         self,
         other: "Table",
@@ -229,7 +206,3 @@ class Table:
     def head(self, n: int = 5) -> "Table":
         """Return the first ``n`` rows."""
         return self.take(np.arange(min(n, self.n_rows)))
-
-    def column_kind(self, name: str) -> ColumnKind:
-        """Return the kind of the named column."""
-        return self.column(name).kind

@@ -4,16 +4,13 @@ The paper frames sampling-based AQP systems as "a thin layer of
 middleware which re-writes queries to run against sample tables stored as
 ordinary relations in a standard, off-the-shelf database server".
 :class:`AQPSession` is that layer over this package's engine: SQL text
-goes in, approximate (and/or exact) answers come out, and the latest
-queries are logged so the observed workload can drive workload-aware
-tuning (column trimming, §5.4.2).
+goes in, approximate (and/or exact) answers come out.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -32,11 +29,10 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
 from repro.sql.formatter import format_table
 from repro.sql.parser import parse_query
-from repro.workload.spec import Workload, WorkloadConfig, WorkloadQuery
 
-#: Entries the parse memo and the query log keep.  Above the distinct
-#: texts a dashboard or a benchmark run asks, so a repeated text still
-#: hits; a full parse memo starts over, the log forgets its oldest query.
+#: Texts the parse memo keeps.  Above the distinct texts a dashboard or
+#: a benchmark run asks, so a repeated text still hits; a full memo
+#: starts over.
 SESSION_MEMO_CAP = 1024
 
 
@@ -164,11 +160,10 @@ class AQPSession:
     queries never wait for appends nor see half of one.  Queries take no
     lock at all: the parse memo is a dict whose misses may race (the
     last store wins, like :meth:`Column.derived
-    <repro.engine.column.Column.derived>`), and the query log is a
-    bounded deque.  Both hold at most :data:`SESSION_MEMO_CAP` entries
-    (plus one per concurrently missing thread).  :meth:`install` is the
-    exception: installing a technique while queries are in flight is
-    not supported.
+    <repro.engine.column.Column.derived>`), and it holds at most
+    :data:`SESSION_MEMO_CAP` entries (plus one per concurrently missing
+    thread).  :meth:`install` is the exception: installing a technique
+    while queries are in flight is not supported.
 
     :meth:`close` is idempotent and may race other callers; once closed,
     every query/ingest entry point raises a clean
@@ -189,8 +184,6 @@ class AQPSession:
         )
         self._append_lock = threading.Lock()
         self._closed = False
-        # The parsed queries, newest last, for observed_workload().
-        self._log: deque[Query] = deque(maxlen=SESSION_MEMO_CAP)
         # SQL text -> parsed Query (parse is deterministic, text is frozen).
         self._parse_memo: dict[str, Query] = {}
 
@@ -424,7 +417,6 @@ class AQPSession:
                 cache_before=cache_before,
                 cache_after=get_cache().metrics.counts(),
             )
-        self._log.append(query)
         return result
 
     def _parse(self, text: str) -> Query:
@@ -466,7 +458,7 @@ class AQPSession:
         """Answer approximately from ``samples``: plan, then run the pieces.
 
         Sample selection and rewriting run on every query; they cost a
-        fraction of the piece scans (``docs/internals.md`` §14).
+        fraction of the piece scans (``docs/internals.md`` §13).
 
         ``span`` (when profiling) gains a ``plan`` child timing sample
         selection/rewriting and a ``pieces`` child owning the per-piece
@@ -489,6 +481,7 @@ class AQPSession:
         Shows the chosen sample tables and the rewritten SQL without
         executing the aggregation.
         """
+        self._require_open()
         snapshot = self._snapshot
         technique = self._require_samples(snapshot)
         pieces = technique.plan(snapshot.samples, parse_query(text))
@@ -504,35 +497,3 @@ class AQPSession:
         lines.append("rewritten SQL:")
         lines.append(pieces_to_sql(pieces))
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Workload feedback
-    # ------------------------------------------------------------------
-    def observed_workload(self) -> Workload:
-        """The session's last :data:`SESSION_MEMO_CAP` queries as a
-        :class:`Workload`.
-
-        Feed this to :func:`repro.core.workload_policy.trim_columns` to
-        retune the sample layout to what users actually ask.
-        """
-        queries = []
-        # tuple() copies the deque in one C call, so a query appended
-        # meanwhile cannot break the loop below.
-        for index, query in enumerate(tuple(self._log)):
-            predicates = (
-                len(getattr(query.where, "operands", (query.where,)))
-                if query.where is not None
-                else 0
-            )
-            queries.append(
-                WorkloadQuery(
-                    query=query,
-                    n_group_columns=len(query.group_by),
-                    n_predicates=predicates,
-                    subset_fraction=0.0,
-                    aggregate=query.aggregates[0].func.value,
-                    index=index,
-                )
-            )
-        config = WorkloadConfig(queries_per_combo=max(1, len(queries)))
-        return Workload(config=config, queries=tuple(queries))

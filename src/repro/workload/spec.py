@@ -92,7 +92,3 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.queries)
-
-    def by_group_columns(self, g: int) -> list[WorkloadQuery]:
-        """Queries with exactly ``g`` grouping columns."""
-        return [q for q in self.queries if q.n_group_columns == g]

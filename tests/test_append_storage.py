@@ -1,6 +1,6 @@
 """Tail-write column storage and hash dictionary encoding.
 
-The append contract under test (``docs/internals.md`` §7/§11): a
+The append contract under test (``docs/internals.md`` §7/§10): a
 ``concat`` returns a *new* column that may share a private buffer with
 the column it extended, every column ever produced stays an immutable
 snapshot of its own rows (prefix immutability), two appends off one base

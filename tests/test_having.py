@@ -25,12 +25,6 @@ class TestValidation:
         with pytest.raises(QueryError):
             Query("t", (COUNT,), ("a",), having=(("cnt", ">", 1.0),))
 
-    def test_without_order_strips_having(self):
-        query = Query(
-            "t", (COUNT,), ("a",), having=(("cnt", CompareOp.GT, 1.0),)
-        )
-        assert query.without_order().having == ()
-
     def test_with_table_preserves_having(self):
         query = Query(
             "t", (COUNT,), ("a",), having=(("cnt", CompareOp.GT, 1.0),)

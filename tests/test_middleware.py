@@ -10,7 +10,6 @@ from repro.baselines.outlier import OutlierConfig, OutlierIndexing
 from repro.baselines.uniform import UniformConfig, UniformSampling
 from repro.core import combiner
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
-from repro.core.workload_policy import trim_columns
 from repro.engine.deadline import Deadline
 from repro.errors import DeadlineExceeded, RuntimePhaseError
 from repro.middleware import AQPSession
@@ -102,31 +101,6 @@ class TestRendering:
         assert result.skip_report is None
 
 
-class TestWorkloadFeedback:
-    def test_log_grows(self, session):
-        assert len(session.observed_workload()) == 0
-        session.sql(SQL_COUNT)
-        session.sql(SQL_FILTERED)
-        assert len(session.observed_workload()) == 2
-
-    def test_observed_workload_feeds_trimming(self, session):
-        session.sql(SQL_COUNT)
-        session.sql(SQL_COUNT)
-        session.sql(SQL_FILTERED)
-        workload = session.observed_workload()
-        assert len(workload) == 3
-        columns = trim_columns(workload)
-        assert columns[0] == "l_shipmode"  # referenced twice
-        assert "p_brand" in columns
-
-    def test_workload_query_parameters(self, session):
-        session.sql(SQL_FILTERED)
-        wq = session.observed_workload().queries[0]
-        assert wq.n_group_columns == 1
-        assert wq.n_predicates == 1
-        assert wq.aggregate == "COUNT"
-
-
 class TestLifecycle:
     def test_close_is_idempotent(self, tiny_tpch):
         session = AQPSession(tiny_tpch)
@@ -163,6 +137,8 @@ class TestLifecycle:
             session.install(
                 SmallGroupSampling(SmallGroupConfig(base_rate=0.05))
             )
+        with pytest.raises(InternalError, match="session closed"):
+            session.explain(SQL_COUNT)
         with pytest.raises(InternalError, match="session closed"):
             with session:
                 pass

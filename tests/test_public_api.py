@@ -58,14 +58,16 @@ def test_no_accidental_pandas_or_duckdb_dependency():
 
 
 #: The serve path's imports and the CLI's parser, then every module they
-#: loaded that is scipy or one of the paper reproduction's packages.
+#: loaded that is scipy or one of the paper reproduction's packages
+#: (the workload generator's among them).
 SERVE_PATH_IMPORTS = """
 import sys
 import repro, repro.cli, repro.server, repro.storage, repro.core.smallgroup
 
 repro.cli.build_parser()
 paper = [["repro", name] for name in
-         ("analysis", "baselines", "datagen", "experiments", "metrics")]
+         ("analysis", "baselines", "datagen", "experiments", "metrics",
+          "workload")]
 loaded = [m for m in sys.modules
           if m.split(".")[0] == "scipy" or m.split(".")[:2] in paper]
 assert not loaded, loaded

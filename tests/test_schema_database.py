@@ -19,10 +19,6 @@ def make_star():
 
 
 class TestStarSchema:
-    def test_dimension_tables(self):
-        schema = StarSchema("f", (ForeignKey("a", "d1", "k"), ForeignKey("b", "d2", "k")))
-        assert schema.dimension_tables == ["d1", "d2"]
-
     def test_duplicate_dimension_rejected(self):
         with pytest.raises(SchemaError):
             StarSchema("f", (ForeignKey("a", "d", "k"), ForeignKey("b", "d", "k")))
@@ -30,12 +26,6 @@ class TestStarSchema:
     def test_fact_as_dimension_rejected(self):
         with pytest.raises(SchemaError):
             StarSchema("f", (ForeignKey("a", "f", "k"),))
-
-    def test_foreign_key_for(self):
-        schema = StarSchema("f", (ForeignKey("a", "d", "k"),))
-        assert schema.foreign_key_for("d").fact_column == "a"
-        with pytest.raises(SchemaError):
-            schema.foreign_key_for("x")
 
 
 class TestDatabase:
@@ -63,13 +53,6 @@ class TestDatabase:
         )
         with pytest.raises(SchemaError):
             db.fact_table
-
-    def test_column_owner(self):
-        db = make_star()
-        assert db.column_owner("m") == "fact"
-        assert db.column_owner("color") == "dim"
-        with pytest.raises(SchemaError):
-            db.column_owner("nope")
 
     def test_validation_missing_fk_column(self):
         fact = Table.from_dict("fact", {"m": [1.0]})

@@ -491,6 +491,27 @@ class TestVariations:
         for group in answer.exact_groups():
             assert answer.value(group) == pytest.approx(exact[group])
 
+    def test_pair_coverage_beats_singles_on_joint_query(self, flat_db):
+        """A pair table misses fewer groups of the pair's joint GROUP BY
+        than the single-column tables alone."""
+        query = Query("flat", (COUNT,), ("color", "shape"))
+        exact = execute(flat_db, query)
+
+        def missed(pair_columns):
+            technique = SmallGroupSampling(
+                SmallGroupConfig(
+                    base_rate=0.05,
+                    use_reservoir=False,
+                    seed=3,
+                    pair_columns=pair_columns,
+                )
+            )
+            technique.preprocess(flat_db)
+            found = set(technique.answer(query).as_dict()) & exact.groups()
+            return exact.n_groups - len(found)
+
+        assert missed((("color", "shape"),)) < missed(())
+
     def test_max_tables_per_query(self, flat_db):
         config = SmallGroupConfig(
             base_rate=0.05, max_tables_per_query=1, use_reservoir=False
@@ -501,74 +522,6 @@ class TestVariations:
         assert len(technique.applicable_tables(query)) <= 1
         pieces = technique.choose_samples(query)
         assert len(pieces) <= 2  # one table + overall
-
-    def test_max_rows_per_query_budget_respected(self, flat_db):
-        budget = 450
-        technique = SmallGroupSampling(
-            SmallGroupConfig(
-                base_rate=0.05,
-                max_rows_per_query=budget,
-                use_reservoir=False,
-            )
-        )
-        technique.preprocess(flat_db)
-        query = Query("flat", (COUNT,), ("city", "color", "shape"))
-        pieces = technique.choose_samples(query)
-        assert sum(p.table.n_rows for p in pieces) <= budget
-        # Uncapped configuration would exceed the budget on this query.
-        uncapped = SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.05, use_reservoir=False)
-        )
-        uncapped.preprocess(flat_db)
-        pieces = uncapped.choose_samples(query)
-        assert sum(p.table.n_rows for p in pieces) > budget
-
-    def test_max_rows_greedy_prefers_coverage(self, flat_db):
-        """With room for exactly one table, the greedy pick maximises
-        class coverage per stored row (all rate-1 tables tie on the
-        ratio, so the largest class wins)."""
-        uncapped = SmallGroupSampling(
-            SmallGroupConfig(base_rate=0.05, use_reservoir=False)
-        )
-        uncapped.preprocess(flat_db)
-        query = Query("flat", (COUNT,), ("city", "color", "shape"))
-        applicable = [
-            uncapped.metadata()[i] for i in uncapped.applicable_tables(query)
-        ]
-        overall_rows = sum(
-            p["rows"]
-            for p in uncapped.preprocess_details()["overall_parts"]
-        )
-        biggest = max(applicable, key=lambda m: m.class_rows)
-        budget = overall_rows + biggest.stored_rows
-        capped = SmallGroupSampling(
-            SmallGroupConfig(
-                base_rate=0.05,
-                max_rows_per_query=budget,
-                use_reservoir=False,
-            )
-        )
-        capped.preprocess(flat_db)
-        chosen = [
-            capped.metadata()[i] for i in capped.applicable_tables(query)
-        ]
-        assert chosen
-        assert chosen[0].columns == biggest.columns
-
-    def test_max_rows_answers_remain_valid(self, flat_db):
-        technique = SmallGroupSampling(
-            SmallGroupConfig(
-                base_rate=0.05,
-                max_rows_per_query=450,
-                use_reservoir=False,
-            )
-        )
-        technique.preprocess(flat_db)
-        query = Query("flat", (COUNT,), ("city", "color"))
-        exact = execute(flat_db, query).as_dict()
-        answer = technique.answer(query)
-        for group in answer.exact_groups():
-            assert answer.value(group) == pytest.approx(exact[group])
 
     def test_max_tables_prefers_smallest(self, flat_db):
         technique = SmallGroupSampling(

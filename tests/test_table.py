@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.bitmask import BitmaskVector
-from repro.engine.column import Column, ColumnKind
+from repro.engine.column import Column
 from repro.engine.table import Table
 from repro.errors import SchemaError
 
@@ -13,15 +13,6 @@ class TestConstruction:
     def test_from_dict(self, small_table):
         assert small_table.n_rows == 8
         assert small_table.column_names == ["a", "b", "v"]
-
-    def test_from_rows(self):
-        t = Table.from_rows("r", ["x", "y"], [(1, "a"), (2, "b")])
-        assert t.column("x").to_list() == [1, 2]
-        assert t.column("y").to_list() == ["a", "b"]
-
-    def test_from_rows_width_mismatch(self):
-        with pytest.raises(SchemaError):
-            Table.from_rows("r", ["x", "y"], [(1,)])
 
     def test_empty_columns_rejected(self):
         with pytest.raises(SchemaError):
@@ -52,10 +43,6 @@ class TestAccess:
         rows = small_table.to_rows()
         assert rows[0] == ("x", 1, 10.0)
         assert len(rows) == 8
-
-    def test_column_kind(self, small_table):
-        assert small_table.column_kind("a") is ColumnKind.STRING
-        assert small_table.column_kind("b") is ColumnKind.INT
 
     def test_memory_bytes_positive(self, small_table):
         assert small_table.memory_bytes() > 0
@@ -97,19 +84,13 @@ class TestOps:
         with pytest.raises(SchemaError):
             small_table.with_column("w", Column.ints([1]))
 
-    def test_drop_column(self, small_table):
-        t = small_table.drop_column("b")
-        assert t.column_names == ["a", "v"]
-        with pytest.raises(SchemaError):
-            small_table.drop_column("zz")
-
     def test_concat(self, small_table):
         merged = small_table.concat(small_table)
         assert merged.n_rows == 16
 
     def test_concat_column_mismatch(self, small_table):
         with pytest.raises(SchemaError):
-            small_table.concat(small_table.drop_column("v"))
+            small_table.concat(small_table.select(["a", "b"]))
 
     def test_head(self, small_table):
         assert small_table.head(3).n_rows == 3

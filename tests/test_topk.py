@@ -29,16 +29,6 @@ class TestQueryValidation:
         with pytest.raises(QueryError):
             Query("t", (COUNT,), ("a",), limit=0)
 
-    def test_without_order(self):
-        query = Query(
-            "t", (COUNT,), ("a",), order_by=(("cnt", True),), limit=3
-        )
-        stripped = query.without_order()
-        assert stripped.order_by == ()
-        assert stripped.limit is None
-        plain = Query("t", (COUNT,), ("a",))
-        assert plain.without_order() is plain
-
     def test_with_table_preserves_order(self):
         query = Query(
             "t", (COUNT,), ("a",), order_by=(("cnt", True),), limit=3

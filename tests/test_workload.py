@@ -128,9 +128,3 @@ class TestGeneration:
         config = small_config(group_column_counts=(4,), predicate_counts=(2,))
         with pytest.raises(WorkloadError):
             generate_workload(flat_db, config)
-
-    def test_by_group_columns(self, tiny_tpch):
-        workload = generate_workload(tiny_tpch, small_config())
-        ones = workload.by_group_columns(1)
-        assert all(q.n_group_columns == 1 for q in ones)
-        assert len(ones) == 6
