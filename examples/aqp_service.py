@@ -54,7 +54,7 @@ def preprocessing_job(workdir: Path) -> None:
     save_database(db, workdir)
     technique = SmallGroupSampling(CONFIG)
     report = technique.preprocess(db)
-    stored = save_samples(technique, workdir)
+    stored = save_samples(technique.samples, workdir)
     print(
         f"[preprocess job] {report.n_sample_tables} sample tables, "
         f"{report.sample_rows} rows, {report.space_overhead:.1%} overhead; "

@@ -60,7 +60,7 @@ def main() -> None:
         exact = execute(current_db, QUERY)
         answer = technique.answer(QUERY)
         accuracy = score(exact.as_dict("cnt"), answer.as_dict("cnt"))
-        report = technique.maintenance_report()
+        report = technique.samples.maintenance_report()
         rows.append(
             [
                 night,
@@ -96,7 +96,7 @@ def main() -> None:
         "product", type(flood.column("product")).strings([rare] * 6000)
     )
     technique.insert_rows(flood)
-    report = technique.maintenance_report()
+    report = technique.samples.maintenance_report()
     print(
         f"worst fill ratio after flood: {report['worst_fill_ratio']:.2f} "
         f"-> rebuild recommended: {report['rebuild_recommended']}"

@@ -308,22 +308,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_sql(args) -> int:
     """Answer one SQL query against a database stored on disk."""
-    from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
-    from repro.storage.io import load_database
 
-    try:
-        db = load_database(args.database)
-    except ReproError as error:
-        print(f"cannot load database from {args.database}: {error}")
+    db = _open_database(args.database)
+    if db is None:
         return 1
     session = AQPSession(db)
     profile = args.profile or args.profile_json is not None
     try:
         if args.mode in ("approx", "both"):
             session.install(
-                SmallGroupSampling(SmallGroupConfig(base_rate=args.base_rate))
+                _serving_samples(args.database, db, args.base_rate)
             )
         result = session.sql(
             args.query, mode=args.mode, explain=args.explain, profile=profile
@@ -352,22 +348,19 @@ def _write_json(payload: dict, path: str) -> None:
 def _run_stats(args) -> int:
     """Run a small workload and report process-wide observability stats.
 
-    The registry counters and the memo metrics are process-wide, so the
-    numbers cover exactly what this invocation ran: ``--repeat`` passes
-    over each ``--query`` (first pass cold, the rest exercising the
-    parse memo and the per-column memos).
+    The registry counters and the memo metrics are process-wide; they
+    are reset once the samples are installed, so the numbers cover
+    exactly the ``--repeat`` passes over each ``--query`` (first pass
+    cold, the rest exercising the parse memo and the per-column memos),
+    whether the samples were loaded or built.
     """
-    from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.engine.cache import get_cache
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
     from repro.obs import get_registry
-    from repro.storage.io import load_database
 
-    try:
-        db = load_database(args.database)
-    except ReproError as error:
-        print(f"cannot load database from {args.database}: {error}")
+    db = _open_database(args.database)
+    if db is None:
         return 1
     queries = args.query
     if not queries:
@@ -376,14 +369,14 @@ def _run_stats(args) -> int:
             key=lambda t: t.n_rows,
         )
         queries = [f"SELECT COUNT(*) AS n FROM {largest.name}"]
-    get_registry().reset()
-    get_cache().metrics.reset()
     session = AQPSession(db)
     try:
         if args.mode in ("approx", "both"):
             session.install(
-                SmallGroupSampling(SmallGroupConfig(base_rate=args.base_rate))
+                _serving_samples(args.database, db, args.base_rate)
             )
+        get_registry().reset()
+        get_cache().metrics.reset()
         for _ in range(max(1, args.repeat)):
             for query in queries:
                 session.sql(query, mode=args.mode)
@@ -403,9 +396,6 @@ def _run_stats(args) -> int:
                 ["counter", "value"], sorted(counters.items())
             )
         )
-    gauges = registry_snapshot.get("gauges", {})
-    if gauges:
-        print(format_table(["gauge", "value"], sorted(gauges.items())))
     histograms = registry_snapshot.get("histograms", {})
     if histograms:
         rows = [
@@ -456,12 +446,31 @@ def _run_stats(args) -> int:
     return 0
 
 
-def _serving_samples(directory: Path, db, base_rate: float):
-    """The family to serve: the stored one when its key matches, else built.
+def _open_database(directory: Path):
+    """The database stored in ``directory``, or ``None`` after saying why not."""
+    from repro.errors import ReproError
+    from repro.storage.io import load_database
 
-    A built family is stored for the next start; a failed write (read-only
-    directory, full disk) is reported in one line and the start goes on.
-    An unreadable stored family is reported and rebuilt, never served.
+    start = time.perf_counter()
+    try:
+        db = load_database(directory)
+    except ReproError as error:
+        print(f"cannot load database from {directory}: {error}")
+        return None
+    print(
+        f"mapped {len(db.table_names)} tables in "
+        f"{time.perf_counter() - start:.2f} s"
+    )
+    return db
+
+
+def _serving_samples(directory: Path, db, base_rate: float):
+    """The samples ``serve``, ``sql`` and ``stats`` answer from.
+
+    The stored family when its key matches, else one built and stored
+    for the next command; a failed write (read-only directory, full
+    disk) is reported in one line and the command goes on.  An
+    unreadable stored family is reported and rebuilt, never served.
     """
     from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
     from repro.storage import StorageError, load_samples, save_samples
@@ -492,7 +501,7 @@ def _serving_samples(directory: Path, db, base_rate: float):
     )
     start = time.perf_counter()
     try:
-        stored = save_samples(technique, directory)
+        stored = save_samples(technique.samples, directory)
     except StorageError as error:
         print(f"samples not stored, serving anyway: {error}")
     else:
@@ -506,18 +515,10 @@ def _run_serve(args) -> int:
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
     from repro.server import ServerConfig, make_server
-    from repro.storage.io import load_database
 
-    start = time.perf_counter()
-    try:
-        db = load_database(args.database)
-    except ReproError as error:
-        print(f"cannot load database from {args.database}: {error}")
+    db = _open_database(args.database)
+    if db is None:
         return 1
-    print(
-        f"mapped {len(db.table_names)} tables in "
-        f"{time.perf_counter() - start:.2f} s"
-    )
     session = AQPSession(db)
     try:
         if not args.exact_only:

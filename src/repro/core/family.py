@@ -5,8 +5,8 @@ Pre-processing (:func:`repro.core.smallgroup.build`) produces one
 (family, query) (:func:`plan`); an append produces the *next* family
 (:meth:`SampleFamily.with_batch`).  Nothing edits a family in place: a
 reader holding one keeps a consistent snapshot however many appends
-follow, and the holder of the current family publishes the next one with
-a single assignment, so a failed append publishes nothing.
+follow, and the session serving the current family publishes the next
+one with a single assignment, so a failed append publishes nothing.
 """
 
 from __future__ import annotations
@@ -189,6 +189,20 @@ class SampleFamily:
             view_columns=tuple(db.view_column_names()),
         )
 
+    def check_catalog(self, db: Database) -> None:
+        """Raise :class:`SamplingError` unless the family describes ``db``'s fact table.
+
+        A family answers for the rows it was drawn from: served over a
+        catalog with other rows or columns, its scale-ups would be wrong.
+        """
+        rows, columns = db.fact_table.n_rows, tuple(db.view_column_names())
+        if (self.view_rows, self.view_columns) != (rows, columns):
+            raise SamplingError(
+                f"the samples describe {self.view_rows} rows of columns "
+                f"{list(self.view_columns)}, but the catalog's fact table "
+                f"has {rows} rows of columns {list(columns)}"
+            )
+
     @property
     def appendable(self) -> bool:
         """Whether :meth:`with_batch` applies: one uniform overall part.
@@ -319,6 +333,36 @@ class SampleFamily:
             view_rows=total,
             append_ordinal=self.append_ordinal + 1,
         )
+
+    def maintenance_report(self) -> dict:
+        """Quantify the drift this family absorbed through :meth:`with_batch`.
+
+        Returns per-table class fractions against the configured caps.
+        A ``fill_ratio`` well above 1 means value-frequency drift has
+        outgrown a small group table and a rebuild is warranted.
+        """
+        levels = self.config.effective_levels()
+        tables = []
+        worst = 0.0
+        for meta in self.metas:
+            cap_fraction = levels[min(meta.level, len(levels) - 1)][0]
+            fraction = meta.class_rows / max(1, self.view_rows)
+            fill = fraction / cap_fraction if cap_fraction > 0 else 0.0
+            worst = max(worst, fill)
+            tables.append(
+                {
+                    "name": meta.name,
+                    "class_fraction": fraction,
+                    "cap_fraction": cap_fraction,
+                    "fill_ratio": fill,
+                }
+            )
+        return {
+            "view_rows": self.view_rows,
+            "tables": tables,
+            "worst_fill_ratio": worst,
+            "rebuild_recommended": worst > 1.5,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ is one instance of the paper's Section 3 pipeline:
   stored samples and returns the rewritten
   :class:`~repro.core.rewriter.SamplePiece` list — the technique's whole
   runtime policy (:meth:`AQPTechnique.choose_samples` plans against the
-  current version);
+  version the technique built; a session plans against the version it
+  published);
 * :meth:`AQPTechnique.answer` executes those pieces and combines them into
   an :class:`~repro.core.answer.ApproxAnswer` — the same code for every
   technique.
@@ -123,10 +124,11 @@ class AQPTechnique(abc.ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        #: The samples this technique answers from: ``None`` until
+        #: The samples this technique built: ``None`` until
         #: :meth:`preprocess` builds them (or stored ones are adopted).
-        #: Every rebuild or append assigns a new value, never edits one,
-        #: so a session pins it per query and plans against it.
+        #: A rebuild assigns a new value, never edits one.  A session
+        #: publishes these on install and then holds the live version
+        #: itself: its appends never touch this attribute.
         self.samples: Any = None
         #: Cost report for the samples this technique holds: set when
         #: :meth:`preprocess` builds them, or when stored samples are
@@ -167,14 +169,6 @@ class AQPTechnique(abc.ABC):
         return execute_pieces(
             self.choose_samples(query, rate), technique=self.name
         )
-
-    def supports_incremental_maintenance(self) -> bool:
-        """Whether ``insert_rows`` maintains the samples.
-
-        ``False`` here: appends to the base data leave the samples as
-        built until the next :meth:`preprocess`.
-        """
-        return False
 
     def require_preprocessed(self) -> None:
         """Raise unless :meth:`preprocess` has completed."""

@@ -24,7 +24,8 @@ against the previously used tables, plus a ``1/r``-scaled branch against
 the overall sample filtered against all used tables (Section 4.2.2).
 Answers for groups coming from small group tables are exact.  An append
 yields the next family (:meth:`~repro.core.family.SampleFamily.with_batch`);
-:class:`SmallGroupSampling` holds the current one as ``samples``.
+:class:`SmallGroupSampling` holds the one it built as ``samples``, and a
+session publishes the versions its appends derive from it.
 
 Variations from Section 4.2.3 are implemented as options:
 
@@ -92,8 +93,6 @@ class SmallGroupConfig:
     columns:
         Optional explicit candidate column list (e.g. workload-trimmed);
         ``None`` means every categorical column of the joined view.
-    exclude_columns:
-        Columns never considered (keys, free text).
     levels:
         Extra sampling levels as ``(fraction, rate)`` pairs beyond the
         default ``((t, 1.0),)``.  Fractions are cumulative coverage
@@ -116,7 +115,6 @@ class SmallGroupConfig:
     allocation_ratio: float = 0.5
     distinct_threshold: int = DEFAULT_DISTINCT_THRESHOLD
     columns: tuple[str, ...] | None = None
-    exclude_columns: tuple[str, ...] = ()
     levels: tuple[tuple[float, float], ...] | None = None
     pair_columns: tuple[tuple[str, str], ...] = ()
     max_tables_per_query: int | None = None
@@ -213,16 +211,14 @@ def build(
 def candidate_columns(view: Table, config: SmallGroupConfig) -> list[str]:
     """Columns considered for small group tables.
 
-    Categorical (string) columns only — numeric measures and key columns
-    are not meaningful grouping targets — minus exclusions.
+    The explicit ``columns`` present in the view, else every categorical
+    (string) column — numeric measures and key columns are not meaningful
+    grouping targets.
     """
     if config.columns is not None:
         return [c for c in config.columns if view.has_column(c)]
-    excluded = set(config.exclude_columns)
     return [
-        c
-        for c in view.column_names
-        if c not in excluded and view.column(c).kind is ColumnKind.STRING
+        c for c in view.column_names if view.column(c).kind is ColumnKind.STRING
     ]
 
 
@@ -420,54 +416,20 @@ class SmallGroupSampling(AQPTechnique):
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def supports_incremental_maintenance(self) -> bool:
-        """Whether :meth:`insert_rows` is available (see ``SampleFamily.appendable``)."""
-        return self.samples is not None and self.samples.appendable
-
     def insert_rows(self, new_rows: Table) -> None:
-        """Maintain the samples under appended rows.
+        """Maintain the samples this technique holds under appended rows.
 
-        Publishes :meth:`SampleFamily.with_batch`'s family with one
+        Holds :meth:`SampleFamily.with_batch`'s family with one
         assignment: a batch it refuses (:meth:`SampleFamily.check_batch`)
         or one that fails part-way leaves :attr:`samples` as it was.
+        A session never calls this: it appends to the family it
+        publishes, and leaves the technique's as installed.
         Value-frequency drift can eventually invalidate the common sets;
-        :meth:`maintenance_report` quantifies the drift so callers can
-        decide when to re-run :meth:`preprocess`.
+        :meth:`SampleFamily.maintenance_report` quantifies it so callers
+        can decide when to re-run :meth:`preprocess`.
         """
         self.require_preprocessed()
         self.samples = self.samples.with_batch(new_rows)
-
-    def maintenance_report(self) -> dict:
-        """Quantify drift accumulated through :meth:`insert_rows`.
-
-        Returns per-table class fractions against the configured caps.
-        A ``fill_ratio`` well above 1 means value-frequency drift has
-        outgrown a small group table and a rebuild is warranted.
-        """
-        self.require_preprocessed()
-        family = self.samples
-        levels = self.config.effective_levels()
-        tables = []
-        worst = 0.0
-        for meta in family.metas:
-            cap_fraction = levels[meta.level][0] if meta.level < len(levels) else levels[-1][0]
-            fraction = meta.class_rows / max(1, family.view_rows)
-            fill = fraction / cap_fraction if cap_fraction > 0 else 0.0
-            worst = max(worst, fill)
-            tables.append(
-                {
-                    "name": meta.name,
-                    "class_fraction": fraction,
-                    "cap_fraction": cap_fraction,
-                    "fill_ratio": fill,
-                }
-            )
-        return {
-            "view_rows": family.view_rows,
-            "tables": tables,
-            "worst_fill_ratio": worst,
-            "rebuild_recommended": worst > 1.5,
-        }
 
 
 # Re-exported so middleware users can build the paper's filters directly.

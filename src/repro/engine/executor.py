@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.engine.column import Column, ColumnKind
 from repro.engine.database import Database, cached_key_positions
-from repro.engine.expressions import AggFunc, AggregateSpec, Query
+from repro.engine.expressions import AggFunc, Query
 from repro.engine.table import Table
 from repro.errors import QueryError
 from repro.obs.trace import NULL_SPAN, Span

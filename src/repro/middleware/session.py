@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.core.answer import ApproxAnswer
 from repro.core.combiner import execute_pieces
+from repro.core.family import SampleFamily
 from repro.core.interfaces import AQPTechnique, PreprocessReport
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
@@ -140,8 +141,10 @@ class SessionResult:
 class Snapshot:
     """One published version: the catalog and the samples kept in step with it.
 
-    A query reads one snapshot from start to finish; an append publishes
-    the next one with a single assignment.  Compared and hashed by
+    The session's snapshot is the only holder of the live samples: the
+    installed technique keeps the version it built or loaded.  A query
+    reads one snapshot from start to finish; an append publishes the
+    next one with a single assignment.  Compared and hashed by
     identity: each publication is its own version, and a field-wise
     comparison would walk whole sample families (baseline samples are
     plain dicts, which do not hash).
@@ -179,9 +182,7 @@ class AQPSession:
         self._db = db
         self.technique = technique
         self.report: PreprocessReport | None = None
-        self._snapshot = Snapshot(
-            db.snapshot(), None if technique is None else technique.samples
-        )
+        self._snapshot = _publish(db.snapshot(), technique)
         self._append_lock = threading.Lock()
         self._closed = False
         # SQL text -> parsed Query (parse is deterministic, text is frozen).
@@ -243,12 +244,17 @@ class AQPSession:
         A technique that already holds its samples — a family read back
         by :func:`repro.storage.load_samples` — is adopted as it is: only
         one without a :attr:`~AQPTechnique.report` is pre-processed.
+        Like the constructor, raises :class:`~repro.errors.SamplingError`,
+        adopting nothing, for a family drawn from other rows than the
+        catalog's (:meth:`SampleFamily.check_catalog
+        <repro.core.family.SampleFamily.check_catalog>`).
         """
         self._require_open()
-        self.report = technique.report or technique.preprocess(self.db)
+        report = technique.report or technique.preprocess(self.db)
+        self._snapshot = _publish(self.db, technique)
+        self.report = report
         self.technique = technique
-        self._snapshot = Snapshot(self.db, technique.samples)
-        return self.report
+        return report
 
     def require_technique(self) -> AQPTechnique:
         """The installed technique, or an explanatory error."""
@@ -264,21 +270,21 @@ class AQPSession:
     def append_rows(self, name: str, batch: Table) -> Table:
         """Append ``batch`` to table ``name`` and publish the next snapshot.
 
-        When the appended table is the fact table and the installed
-        technique supports incremental maintenance
-        (``supports_incremental_maintenance()``), the batch first goes
-        to the technique's ``insert_rows``, which validates it and
-        replaces its samples; then :meth:`Database.append_rows`
+        When the appended table is the fact table and the published
+        samples are an appendable :class:`~repro.core.family.SampleFamily`,
+        the next family is :meth:`SampleFamily.with_batch
+        <repro.core.family.SampleFamily.with_batch>` of the pinned one,
+        which validates the batch; then :meth:`Database.append_rows`
         tail-writes it into the live catalog.  Only then does one
-        assignment publish the new catalog and samples together.  A
-        step that raises publishes nothing: a refused batch changes
-        nothing, and a failed table append restores the technique's
-        previous samples, so the table and its samples never diverge.
+        assignment publish the new catalog and samples together.  A step
+        that raises publishes nothing, so the table and its samples never
+        diverge.  Other samples (the baselines', the outlier hybrid's)
+        stay as built.  The installed technique is never touched.
 
-        Under a star schema the technique classifies against the joined
-        view, so the batch may (must, for incremental maintenance) carry
-        the dimension attributes too; only the stored table's own
-        columns are persisted, the full batch goes to ``insert_rows``.
+        Under a star schema the family classifies against the joined
+        view, so the batch may (must, for a maintained family) carry the
+        dimension attributes too; only the stored table's own columns
+        are persisted, the full batch goes to ``with_batch``.
         """
         self._require_open()
         with self._append_lock:
@@ -289,23 +295,15 @@ class AQPSession:
                 batch.column_names
             ) > len(stored_names):
                 to_store = batch.select(stored_names)
-            technique = self.technique
-            # A maintained family was built from this catalog's fact table.
-            maintained = (
-                technique is not None
-                and technique.supports_incremental_maintenance()
-                and name == snapshot.db.fact_table.name
-            )
             samples = snapshot.samples
-            if maintained:
-                technique.insert_rows(batch)
-                samples = technique.samples
-            try:
-                merged = self._db.append_rows(name, to_store)
-            except BaseException:
-                if maintained:
-                    technique.samples = snapshot.samples
-                raise
+            # A served family describes this catalog's fact table.
+            if (
+                isinstance(samples, SampleFamily)
+                and samples.appendable
+                and name == snapshot.db.fact_table.name
+            ):
+                samples = samples.with_batch(batch)
+            merged = self._db.append_rows(name, to_store)
             self._snapshot = Snapshot(self._db.snapshot(), samples)
         return merged
 
@@ -497,3 +495,15 @@ class AQPSession:
         lines.append("rewritten SQL:")
         lines.append(pieces_to_sql(pieces))
         return "\n".join(lines)
+
+
+def _publish(db: Database, technique: AQPTechnique | None) -> Snapshot:
+    """The snapshot serving ``technique``'s samples over ``db``.
+
+    Raises :class:`~repro.errors.SamplingError` for a small group family
+    drawn from other rows or columns than ``db``'s fact table.
+    """
+    samples = None if technique is None else technique.samples
+    if isinstance(samples, SampleFamily):
+        samples.check_catalog(db)
+    return Snapshot(db, samples)

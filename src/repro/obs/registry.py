@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 Where a :class:`~repro.obs.trace.Span` tree describes *one* query, the
 :class:`MetricsRegistry` aggregates *across* queries — total pieces
@@ -8,7 +8,7 @@ lookups.  BlinkDB-style systems feed exactly this kind of per-query
 error/latency profile back into sample selection; the registry is the
 substrate such workload-adaptive tuning will read.
 
-All three instrument kinds are thread-safe (one registry lock; the
+Both instrument kinds are thread-safe (one registry lock; the
 server's handler threads increment counters concurrently) and snapshot-able
 into a strict-JSON plain dict (non-finite observations are recorded
 under a ``non_finite`` count rather than poisoning sums with NaN).
@@ -114,7 +114,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters, gauges, and histograms.
+    """Thread-safe named counters and histograms.
 
     Names are dotted strings (``"session.exact_seconds"``,
     ``"combiner.pieces_executed"``); instruments are created lazily on
@@ -126,7 +126,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -147,21 +146,6 @@ class MetricsRegistry:
                 )
                 return
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins).
-
-        Non-finite values are dropped (counted under
-        ``obs.non_finite_writes``) — same strict-JSON-at-the-source
-        discipline as :meth:`incr`.
-        """
-        with self._lock:
-            if not math.isfinite(value):
-                self._counters["obs.non_finite_writes"] = (
-                    self._counters.get("obs.non_finite_writes", 0) + 1
-                )
-                return
-            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation in histogram ``name``."""
@@ -187,7 +171,6 @@ class MetricsRegistry:
             return json_safe(
                 {
                     "counters": dict(sorted(self._counters.items())),
-                    "gauges": dict(sorted(self._gauges.items())),
                     "histograms": {
                         name: hist.snapshot()
                         for name, hist in sorted(self._histograms.items())
@@ -196,10 +179,9 @@ class MetricsRegistry:
             )
 
     def reset(self) -> None:
-        """Drop every instrument (counters, gauges, histograms)."""
+        """Drop every instrument (counters and histograms)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 

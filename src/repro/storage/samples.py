@@ -107,24 +107,24 @@ def samples_key(directory: str | Path, config: SmallGroupConfig) -> str:
     return digest.hexdigest()
 
 
-def save_samples(technique: SmallGroupSampling, directory: str | Path) -> Path:
-    """Store ``technique``'s family in database directory ``directory``.
+def save_samples(family: SampleFamily, directory: str | Path) -> Path:
+    """Store ``family`` in database directory ``directory``.
 
-    ``technique`` must have been pre-processed from the database stored
-    there: the family is keyed by those files.  The family is written to
-    a temporary directory beside its final place, then renamed to
-    ``samples/<key>``, replacing any family stored there before; then
-    all but the newest :data:`KEPT_FAMILIES` families are deleted.
-    Returns the family's directory.  Raises
-    :class:`StorageError` when the files cannot be written, and when the
-    family cannot be stored at all (see :func:`family_manifest`).
+    ``family`` must have been drawn from the database stored there: it is
+    keyed by those files.  It is written to a temporary directory beside
+    its final place, then renamed to ``samples/<key>``, replacing any
+    family stored there before; then all but the newest
+    :data:`KEPT_FAMILIES` families are deleted.  Returns the family's
+    directory.  Raises :class:`StorageError` when the files cannot be
+    written, and when the family cannot be stored at all (see
+    :func:`family_manifest`).
     """
     directory = Path(directory)
     try:
-        manifest, tables = family_manifest(technique)
+        manifest, tables = family_manifest(family)
     except SamplingError as error:
         raise StorageError(f"cannot store these samples: {error}") from error
-    key = samples_key(directory, technique.config)
+    key = samples_key(directory, family.config)
     root = directory / SAMPLES_DIR
     target = root / key
     # Private to this process and thread; a crashed writer's leftover
@@ -195,8 +195,11 @@ def load_samples(
 ) -> SmallGroupSampling | None:
     """The family stored in ``directory`` for ``config``, ready to install.
 
-    ``db`` must be the database loaded from ``directory``; only its
-    schema and row count are read (the joined view is never built).
+    Returned inside a technique, not as the bare family, because
+    :meth:`~repro.middleware.AQPSession.install` adopts the technique's
+    ``report``.  ``db`` must be the database loaded from ``directory``;
+    only its schema and row count are read (the joined view is never
+    built).
     Returns ``None`` when no family is stored under the key, and raises
     :class:`StorageError` when one is but cannot be read back whole and
     consistent: a missing manifest, a truncated or damaged table image
@@ -263,8 +266,8 @@ def _class_from_json(entry: dict) -> ValueClass:
     )
 
 
-def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
-    """``technique``'s family as plain data: a JSON-able manifest and its tables.
+def family_manifest(family: SampleFamily) -> tuple[dict, list[Table]]:
+    """``family`` as plain data: a JSON-able manifest and its tables.
 
     The manifest holds everything but the sample rows: the metadata
     table, the bit width, the view's row count, the append ordinal, the
@@ -275,13 +278,11 @@ def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
     overall sample), or one that has absorbed appends the database files
     do not hold.
     """
-    technique.require_preprocessed()
-    if type(technique) is not SmallGroupSampling:
+    if type(family.config) is not SmallGroupConfig:
         raise SamplingError(
-            f"{type(technique).__name__} samples cannot be stored; only the "
-            "basic small group family can"
+            f"{type(family.config).__name__} samples cannot be stored; only "
+            "the basic small group family can"
         )
-    family = technique.samples
     if family.append_ordinal:
         raise SamplingError(
             f"the samples have absorbed {family.append_ordinal} appended "
@@ -290,7 +291,7 @@ def family_manifest(technique: SmallGroupSampling) -> tuple[dict, list[Table]]:
     overall = family.overall_parts[0]
     tables = [*family.tables, overall.table]
     manifest = {
-        "config": repr(technique.config),
+        "config": repr(family.config),
         "metadata": [asdict(meta) for meta in family.metas],
         "classes": [_class_to_json(c) for c in family.classes],
         "n_bits": family.n_bits,

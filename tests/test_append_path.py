@@ -184,7 +184,7 @@ def stored_20k(tmp_path_factory):
     save_database(db, directory)
     built = SmallGroupSampling(CONFIG)
     built.preprocess(load_database(directory))
-    save_samples(built, directory)
+    save_samples(built.samples, directory)
     return directory
 
 

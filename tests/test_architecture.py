@@ -89,9 +89,6 @@ class TestPipeline:
         assert len(infos) == 1
         assert infos[0].kind == "uniform"
 
-    def test_no_incremental_maintenance_by_default(self):
-        assert not ToyPolicy().supports_incremental_maintenance()
-
 
 class TestClosestRate:
     def test_none_picks_first(self):

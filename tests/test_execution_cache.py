@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 
+from repro.core.combiner import execute_pieces
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
     CategoricalSpec,
@@ -430,15 +431,18 @@ class TestSessionMemos:
         _, sg, session = self.build()
         sql = "SELECT color, COUNT(*) AS cnt FROM flat GROUP BY color"
         session.sql(sql)
-        samples = sg.samples
+        samples = session.snapshot.samples
         session.append_rows(
             "flat", generate_flat_table("flat", 800, seed=8, **SPEC)
         )
-        assert sg.samples is not samples
+        assert session.snapshot.samples is not samples
 
         warm = session.sql(sql).approx
         get_cache().clear()
-        cold = sg.answer(parse_query(sql))
+        cold = execute_pieces(
+            sg.plan(session.snapshot.samples, parse_query(sql)),
+            technique=sg.name,
+        )
         assert answer_values(warm) == answer_values(cold)
 
     def test_preprocess_replaces_samples(self):

@@ -47,7 +47,7 @@ def technique():
 class TestInsertRows:
     def test_supported_for_basic_algorithm(self, technique):
         _, sg = technique
-        assert sg.supports_incremental_maintenance()
+        assert sg.samples.appendable
 
     def test_hybrid_rejects_insert(self):
         db = make_db(2000, seed=32)
@@ -57,7 +57,7 @@ class TestInsertRows:
             )
         )
         hybrid.preprocess(db)
-        assert not hybrid.supports_incremental_maintenance()
+        assert not hybrid.samples.appendable
         with pytest.raises(SamplingError):
             hybrid.insert_rows(make_batch(10, seed=33))
 
@@ -153,14 +153,14 @@ class TestInsertRows:
             batch = make_batch(700, seed=seed)
             sg.insert_rows(batch)
             total += 700
-        report = sg.maintenance_report()
+        report = sg.samples.maintenance_report()
         assert report["view_rows"] == total
 
 
 class TestMaintenanceReport:
     def test_fresh_build_not_stale(self, technique):
         _, sg = technique
-        report = sg.maintenance_report()
+        report = sg.samples.maintenance_report()
         assert not report["rebuild_recommended"]
         for table in report["tables"]:
             assert table["fill_ratio"] <= 1.05
@@ -184,6 +184,6 @@ class TestMaintenanceReport:
             "color", type(batch.column("color")).strings([rare_value] * 2000)
         )
         sg.insert_rows(flooded)
-        report = sg.maintenance_report()
+        report = sg.samples.maintenance_report()
         assert report["rebuild_recommended"]
         assert report["worst_fill_ratio"] > 1.5

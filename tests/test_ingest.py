@@ -27,6 +27,7 @@ from repro.engine.database import Database
 from repro.engine.executor import execute
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
+from repro.errors import SamplingError
 from repro.middleware.session import AQPSession
 from repro.server.protocol import encode_result
 from repro.sql.parser import parse_query
@@ -194,11 +195,22 @@ class TestInterleavedDeterminism:
     def test_session_append_routes_to_the_technique(self):
         session = _new_session()
         try:
-            technique = session.technique
-            before = technique.maintenance_report()["view_rows"]
+            before = session.snapshot.samples.maintenance_report()["view_rows"]
             session.append_rows("flat", make_batch(400, 91))
             assert session.db.table("flat").n_rows == 3400
-            assert technique.maintenance_report()["view_rows"] == before + 400
+            report = session.snapshot.samples.maintenance_report()
+            assert report["view_rows"] == before + 400
+        finally:
+            session.close()
+
+    def test_session_append_leaves_the_technique_as_installed(self):
+        session = _new_session()
+        try:
+            installed = session.technique.samples
+            session.append_rows("flat", make_batch(400, 91))
+            assert session.technique.samples is installed
+            assert installed.append_ordinal == 0
+            assert session.snapshot.samples.append_ordinal == 1
         finally:
             session.close()
 
@@ -260,31 +272,69 @@ class TestFailedAppendChangesNothing:
             session.close()
 
     def test_failed_table_append_restores_the_samples(self, monkeypatch):
+        """The next family is built before the table append fails; it is
+        never published, so the session still serves the old one."""
         expected = self._never_saw_the_failed_batch()
         db = make_db(2048)
         session = self._session(db)
         try:
-            technique = session.technique
-            samples, snapshot = technique.samples, session.snapshot
-            inserted = []
-            insert_rows = technique.insert_rows
-
-            def recorded_insert_rows(batch):
-                insert_rows(batch)
-                inserted.append(technique.samples)
+            samples, snapshot = session.snapshot.samples, session.snapshot
 
             def refused(*args, **kwargs):
                 raise MemoryError("injected")
 
             with monkeypatch.context() as patch:
-                patch.setattr(technique, "insert_rows", recorded_insert_rows)
                 patch.setattr(db, "append_rows", refused)
                 with pytest.raises(MemoryError):
                     session.append_rows("flat", make_batch(512, 81))
-            # The samples had advanced before the table append failed.
-            assert len(inserted) == 1 and inserted[0] is not samples
+            assert session.snapshot.samples is samples
             self._assert_unchanged(session, samples, snapshot)
             session.append_rows("flat", make_batch(512, 82))
             assert self._fingerprints(session) == expected
+        finally:
+            session.close()
+
+
+class TestSamplesDescribeTheCatalog:
+    """A family answers for the rows it was drawn from: a session refuses
+    one that does not describe its catalog's fact table."""
+
+    @staticmethod
+    def _built_on(db):
+        technique = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.1, use_reservoir=False, seed=7)
+        )
+        technique.preprocess(db)
+        return technique
+
+    def test_samples_from_fewer_rows_are_refused(self):
+        technique = self._built_on(make_db(2000))
+        larger = make_db(4000)
+        with pytest.raises(SamplingError, match="2000 rows"):
+            AQPSession(larger, technique)
+        session = AQPSession(larger)
+        try:
+            with pytest.raises(SamplingError, match="has 4000 rows"):
+                session.install(technique)
+            assert session.technique is None and session.report is None
+            assert session.snapshot.samples is None
+        finally:
+            session.close()
+
+    def test_samples_over_other_columns_are_refused(self):
+        db = make_db(2000)
+        technique = self._built_on(db)
+        narrower = Database([db.fact_table.select(["color", "amount"])])
+        with pytest.raises(SamplingError, match="columns"):
+            AQPSession(narrower, technique)
+
+    def test_reinstall_after_appends_is_refused(self):
+        session = _new_session()
+        try:
+            session.append_rows("flat", make_batch(400, 91))
+            snapshot = session.snapshot
+            with pytest.raises(SamplingError, match="3000 rows"):
+                session.install(session.technique)
+            assert session.snapshot is snapshot
         finally:
             session.close()

@@ -117,19 +117,16 @@ class TestSpan:
 # Registry
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         reg = MetricsRegistry()
         reg.incr("pieces")
         reg.incr("pieces", 4)
-        reg.set_gauge("pool.size", 2)
-        reg.set_gauge("pool.size", 8)
         reg.observe("wait", 0.005)
         reg.observe("wait", 0.5)
         assert reg.counter("pieces") == 5
         assert reg.counter("never") == 0
         snap = reg.snapshot()
         assert snap["counters"] == {"pieces": 5}
-        assert snap["gauges"] == {"pool.size": 8}
         hist = snap["histograms"]["wait"]
         assert hist["count"] == 2
         assert hist["min"] == 0.005 and hist["max"] == 0.5
@@ -151,17 +148,16 @@ class TestMetricsRegistry:
     def test_snapshot_is_strict_json(self):
         reg = MetricsRegistry()
         reg.observe("t", float("nan"))
-        reg.set_gauge("g", float("inf"))
+        reg.incr("n", float("inf"))
         strict_loads(dumps(reg.snapshot()))
 
     def test_reset(self):
         reg = MetricsRegistry()
         reg.incr("a")
         reg.observe("b", 1.0)
-        reg.set_gauge("c", 2.0)
         reg.reset()
         snap = reg.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snap == {"counters": {}, "histograms": {}}
 
     def test_thread_hammer_loses_no_updates(self):
         reg = MetricsRegistry()
@@ -196,14 +192,6 @@ class TestStrictJsonAtTheSource:
         assert reg.counter("n") == 3  # never poisoned
         assert reg.counter("obs.non_finite_writes") == 2
 
-    def test_non_finite_gauge_is_dropped_not_stored(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("g", 1.5)
-        reg.set_gauge("g", float("-inf"))
-        snap = reg.snapshot()
-        assert snap["gauges"]["g"] == 1.5  # last *finite* write wins
-        assert snap["counters"]["obs.non_finite_writes"] == 1
-
     def test_histogram_rejects_non_finite_bounds(self):
         from repro.errors import InternalError
 
@@ -226,7 +214,7 @@ class TestStrictJsonAtTheSource:
         the fix lives at the source, not in the scrubber."""
         reg = MetricsRegistry()
         reg.incr("a", float("nan"))
-        reg.set_gauge("b", float("inf"))
+        reg.incr("b", float("inf"))
         reg.observe("c", float("-inf"))
         reg.observe("c", 0.25)
         snap = reg.snapshot()

@@ -43,8 +43,8 @@ def assert_read_only(tables):
             array[:1] = 0
 
 
-def family_tables(technique):
-    return [info.table for info in technique.sample_tables()]
+def family_tables(family):
+    return [*family.tables, *(part.table for part in family.overall_parts)]
 
 
 def database_tables(db):
@@ -63,18 +63,20 @@ def small_appends(db, rows=24):
 def test_a_built_family_and_its_database(tiny_tpch):
     technique = SmallGroupSampling(CONFIG)
     technique.preprocess(tiny_tpch)
-    assert_read_only(database_tables(tiny_tpch) + family_tables(technique))
+    assert_read_only(
+        database_tables(tiny_tpch) + family_tables(technique.samples)
+    )
 
 
 def test_a_loaded_database_and_family(tmp_path, tiny_tpch):
     directory = save_database(tiny_tpch, tmp_path / "db")
     built = SmallGroupSampling(CONFIG)
     built.preprocess(load_database(directory))
-    save_samples(built, directory)
+    save_samples(built.samples, directory)
     db = load_database(directory)
     loaded = load_samples(directory, db, CONFIG)
     assert loaded is not None
-    assert_read_only(database_tables(db) + family_tables(loaded))
+    assert_read_only(database_tables(db) + family_tables(loaded.samples))
 
 
 def test_appended_tables(tmp_path, tiny_tpch):
@@ -86,7 +88,9 @@ def test_appended_tables(tmp_path, tiny_tpch):
             "lineitem", small_appends(session.db)
         )
     assert_read_only(
-        [grown] + database_tables(session.db) + family_tables(session.technique)
+        [grown]
+        + database_tables(session.db)
+        + family_tables(session.snapshot.samples)
     )
 
 

@@ -82,7 +82,8 @@ def test_failed_append_publishes_nothing(monkeypatch):
         technique.insert_rows(failed)
     assert technique.samples is before
     assert technique.metadata() == metadata
-    assert technique.maintenance_report()["view_rows"] == db.fact_table.n_rows
+    report = technique.samples.maintenance_report()
+    assert report["view_rows"] == db.fact_table.n_rows
 
     monkeypatch.undo()
     technique.insert_rows(batch)

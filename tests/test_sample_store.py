@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.hybrid import HybridConfig, SmallGroupWithOutlier
-from repro.cli import _serving_samples
+from repro.cli import _serving_samples, main
 from repro.client import ReproClient
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.column import Column
@@ -115,7 +115,7 @@ def test_loaded_family_answers_like_a_fresh_build(db_dir, name):
     config = CONFIGS[name]
     built = SmallGroupSampling(config)
     built.preprocess(load_database(db_dir))
-    save_samples(built, db_dir)
+    save_samples(built.samples, db_dir)
 
     db = load_database(db_dir)
     loaded = load_samples(db_dir, db, config)
@@ -139,7 +139,7 @@ def test_manifest_holds_the_value_classes(db_dir):
     config = CONFIGS["pairs"]
     built = SmallGroupSampling(config)
     built.preprocess(load_database(db_dir))
-    manifest = json.loads((save_samples(built, db_dir) / "manifest.json").read_text())
+    manifest = json.loads((save_samples(built.samples, db_dir) / "manifest.json").read_text())
     assert manifest["n_bits"] == len(manifest["metadata"]) == len(manifest["classes"])
     assert manifest["append_ordinal"] == 0
     assert manifest["view_rows"] == load_database(db_dir).fact_table.n_rows
@@ -196,7 +196,7 @@ def test_inconsistent_manifest_is_refused(tiny_tpch, damage):
     config = CONFIGS["pairs"]
     built = SmallGroupSampling(config)
     built.preprocess(tiny_tpch)
-    manifest, tables = family_manifest(built)
+    manifest, tables = family_manifest(built.samples)
     manifest = json.loads(json.dumps(manifest))
     by_name = {table.name: table for table in tables}
     assert from_family(config, tiny_tpch, manifest, by_name).metadata() == (
@@ -217,15 +217,15 @@ def test_unstorable_families_are_refused(db_dir, tiny_tpch):
         HybridConfig(base_rate=0.05, measure="l_extendedprice")
     )
     hybrid.preprocess(tiny_tpch)
-    with pytest.raises(StorageError, match="SmallGroupWithOutlier samples cannot be stored"):
-        save_samples(hybrid, db_dir)
+    with pytest.raises(StorageError, match="HybridConfig samples cannot be stored"):
+        save_samples(hybrid.samples, db_dir)
 
     db = load_database(db_dir)
     session = AQPSession(db)
     session.install(SmallGroupSampling(CONFIGS["default"]))
     session.append_rows("lineitem", append_batches(db, n_batches=1)[0])
     with pytest.raises(StorageError, match="absorbed 1 appended"):
-        save_samples(session.technique, db_dir)
+        save_samples(session.snapshot.samples, db_dir)
     assert not (db_dir / "samples").exists()
 
 
@@ -236,7 +236,7 @@ def test_loading_neither_joins_nor_preprocesses(db_dir, monkeypatch):
     config = CONFIGS["pairs"]
     built = SmallGroupSampling(config)
     built.preprocess(load_database(db_dir))
-    save_samples(built, db_dir)
+    save_samples(built.samples, db_dir)
     expected = fingerprints(fresh_session(db_dir, config))
 
     def refuse(*args, **kwargs):
@@ -251,6 +251,42 @@ def test_loading_neither_joins_nor_preprocesses(db_dir, monkeypatch):
     assert fingerprints(session) == expected
 
 
+CLI_RUNS = {
+    "sql": ["sql", "{db}", QUERIES[2], "--mode", "both", "--base-rate", "0.05"],
+    "stats": ["stats", "{db}", "--query", QUERIES[2], "--repeat", "2",
+              "--base-rate", "0.05"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_RUNS))
+def test_sql_and_stats_load_the_stored_family(db_dir, monkeypatch, capsys, command):
+    """``repro sql`` and ``repro stats`` answer from the family ``serve`` stored."""
+    serve_once(db_dir, 0.05, capsys)
+    fresh = fresh_session(db_dir, SmallGroupConfig(base_rate=0.05))
+    expected = encode_result(fresh.sql(QUERIES[2], mode="both"))["fingerprint"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stored family must not be rebuilt")
+
+    answered = []
+    sql = AQPSession.sql
+
+    def recorded(self, *args, **kwargs):
+        result = sql(self, *args, **kwargs)
+        answered.append(encode_result(result)["fingerprint"])
+        return result
+
+    monkeypatch.setattr(Database, "joined_view", refuse)
+    monkeypatch.setattr(SmallGroupSampling, "preprocess", refuse)
+    monkeypatch.setattr(AQPSession, "sql", recorded)
+    argv = [arg.format(db=db_dir) for arg in CLI_RUNS[command]]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mapped 4 tables in ")
+    assert lines[1].startswith("loaded samples (base rate 0.05)")
+    assert answered and set(answered) == {expected}
+
+
 def test_no_family_stored_means_none(db_dir, tiny_tpch):
     assert load_samples(db_dir, tiny_tpch, CONFIGS["default"]) is None
 
@@ -258,7 +294,7 @@ def test_no_family_stored_means_none(db_dir, tiny_tpch):
 def test_load_database_ignores_samples(db_dir, tiny_tpch):
     built = SmallGroupSampling(CONFIGS["default"])
     built.preprocess(tiny_tpch)
-    save_samples(built, db_dir)
+    save_samples(built.samples, db_dir)
     assert load_database(db_dir).table_names == tiny_tpch.table_names
 
 
@@ -269,7 +305,7 @@ def test_only_the_newest_families_are_kept(db_dir):
     for age, name in zip((20, 10, 0), names):
         built = SmallGroupSampling(CONFIGS[name])
         built.preprocess(db)
-        stored.append(save_samples(built, db_dir))
+        stored.append(save_samples(built.samples, db_dir))
         # Back-date each family, as if it had been stored ``age`` s ago.
         mtime = stored[-1].stat().st_mtime_ns - age * 10**9
         os.utime(stored[-1], ns=(mtime, mtime))

@@ -8,8 +8,8 @@ server.  The contracts:
   complete append snapshot (initial rows plus a whole number of
   batches), never a half-applied one.  This is the snapshot guarantee:
   a query reads one published (catalog, samples) version, and an append
-  (technique ``insert_rows``, tail write) publishes the next with one
-  assignment.
+  (``with_batch`` on the published family, tail write) publishes the
+  next with one assignment.
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.

@@ -156,15 +156,6 @@ class TestPreprocessing:
         rb = b.preprocess(flat_db)
         assert ra.sample_rows == rb.sample_rows
 
-    def test_excluded_columns_not_covered(self, flat_db):
-        technique = SmallGroupSampling(
-            SmallGroupConfig(
-                base_rate=0.05, exclude_columns=("city",), use_reservoir=False
-            )
-        )
-        technique.preprocess(flat_db)
-        assert all(m.columns != ("city",) for m in technique.metadata())
-
     def test_explicit_column_list(self, flat_db):
         technique = SmallGroupSampling(
             SmallGroupConfig(

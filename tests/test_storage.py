@@ -387,7 +387,7 @@ def test_approximate_queries_leave_the_fact_table_unread(tmp_path):
     directory = save_database(db, tmp_path / "db")
     technique = SmallGroupSampling(SmallGroupConfig(base_rate=0.01))
     technique.preprocess(db)
-    save_samples(technique, directory)
+    save_samples(technique.samples, directory)
     fact_bytes = db.fact_table.memory_bytes()
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = subprocess.run(
