@@ -17,6 +17,8 @@ loads none of the paper reproduction.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import sys
 import time
 from collections.abc import Sequence
 from pathlib import Path
@@ -311,23 +313,27 @@ def _run_sql(args) -> int:
     from repro.errors import ReproError
     from repro.middleware.session import AQPSession
 
-    db = _open_database(args.database)
-    if db is None:
-        return 1
-    session = AQPSession(db)
-    profile = args.profile or args.profile_json is not None
-    try:
-        if args.mode in ("approx", "both"):
-            session.install(
-                _serving_samples(args.database, db, args.base_rate)
+    # With ``--profile-json -`` stdout holds the JSON document alone.
+    out = sys.stderr if args.profile_json == "-" else sys.stdout
+    with contextlib.redirect_stdout(out):
+        db = _open_database(args.database)
+        if db is None:
+            return 1
+        session = AQPSession(db)
+        profile = args.profile or args.profile_json is not None
+        try:
+            if args.mode in ("approx", "both"):
+                session.install(
+                    _serving_samples(args.database, db, args.base_rate)
+                )
+            result = session.sql(
+                args.query, mode=args.mode, explain=args.explain,
+                profile=profile,
             )
-        result = session.sql(
-            args.query, mode=args.mode, explain=args.explain, profile=profile
-        )
-    except ReproError as error:
-        print(f"query failed: {error}")
-        return 1
-    print(result.to_text())
+        except ReproError as error:
+            print(f"query failed: {error}")
+            return 1
+        print(result.to_text())
     if args.profile_json is not None and result.profile is not None:
         _write_json(result.profile.to_dict(), args.profile_json)
     return 0

@@ -1,19 +1,18 @@
-"""Strict-JSON sanitising for every artifact the repo emits.
+"""Strict JSON: the rule for non-finite floats, and a sanitiser.
 
 Python's ``json.dumps`` happily writes ``NaN`` / ``Infinity`` tokens —
 which are *not* JSON: ``json.loads(..., parse_constant=reject)`` and
-every non-Python consumer refuses them.  The engine has several places
-where a ratio over a zero denominator produces a non-finite float
-(speedups with a zero timing, hit rates with zero lookups, AVG over an
-empty group), so any dict that reaches a ``.json`` artifact must be
-scrubbed first.
+every non-Python consumer refuses them.  :func:`finite_or_none` is the
+one rule: a non-finite float is written as ``null``.  Payloads built
+slot by slot (served answers, profiles) apply it where each float is
+written, then one plain ``json.dumps(..., allow_nan=False)`` fails
+loudly on a leak instead of scrubbing it.
 
-:func:`json_safe` maps non-finite floats to ``None`` (→ ``null``),
+For values of unknown shape, :func:`json_safe` applies the same rule,
 flattens tuples/sets to lists, unwraps numpy scalars without importing
 numpy, and stringifies non-primitive dict keys (group-key tuples).
 :func:`dumps` is the drop-in serialiser: sanitise, then
-``json.dumps(..., allow_nan=False)`` so a regression fails loudly at
-the write site instead of corrupting the artifact.
+``json.dumps(..., allow_nan=False)``.
 """
 
 from __future__ import annotations
@@ -23,12 +22,19 @@ import math
 from typing import Any
 
 
+def finite_or_none(value: Any) -> Any:
+    """``value``, or ``None`` when it is a non-finite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def json_safe(value: Any) -> Any:
     """A copy of ``value`` that serialises to strict (finite) JSON."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, float):  # covers numpy.float64 (a float subclass)
-        return value if math.isfinite(value) else None
+        return finite_or_none(value)
     if isinstance(value, int):
         return value
     if isinstance(value, dict):
@@ -80,4 +86,4 @@ def dumps(value: Any, **kwargs: Any) -> str:
     return json.dumps(json_safe(value), **kwargs)
 
 
-__all__ = ["dumps", "json_safe"]
+__all__ = ["dumps", "finite_or_none", "json_safe"]

@@ -12,24 +12,16 @@ write-only channels the engine filled in along the way:
   query (process-wide counters, so concurrent
   sessions make the delta approximate; single-session use is exact).
 
-``to_dict`` is strict-JSON-safe (non-finite floats become ``null`` via
-:mod:`repro.obs.jsonsafe`), which is what ``--profile-json`` writes and
-CI uploads next to the ``BENCH_*.json`` artifacts.
+``to_dict`` is strict JSON as built (non-finite timings become ``null``
+via :func:`repro.obs.jsonsafe.finite_or_none`), which is what
+``--profile-json`` writes and CI uploads next to the ``BENCH_*.json``
+artifacts.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.obs.jsonsafe import json_safe
+from repro.obs.jsonsafe import finite_or_none
 from repro.obs.trace import Span
-
-
-def _finite_or_none(value: float | None) -> float | None:
-    """``value`` when it is a finite number, else ``None``."""
-    if value is None or not math.isfinite(value):
-        return None
-    return value
 
 
 def cache_delta(before: dict, after: dict) -> dict:
@@ -117,21 +109,19 @@ class QueryProfile:
         return {span.name: span.seconds for span in self.trace.children}
 
     def to_dict(self) -> dict:
-        """Strict-JSON-safe plain dict (the ``--profile-json`` payload)."""
-        return json_safe(
-            {
-                "sql": self.sql,
-                "mode": self.mode,
-                "technique": self.technique,
-                "approx_seconds": _finite_or_none(self.approx_seconds),
-                "exact_seconds": _finite_or_none(self.exact_seconds),
-                "speedup": _finite_or_none(self.speedup),
-                "rows_scanned": self.rows_scanned,
-                "phases": self.phase_seconds(),
-                "cache": self.cache,
-                "trace": None if self.trace is None else self.trace.to_dict(),
-            }
-        )
+        """Strict-JSON plain dict (the ``--profile-json`` payload)."""
+        return {
+            "sql": self.sql,
+            "mode": self.mode,
+            "technique": self.technique,
+            "approx_seconds": finite_or_none(self.approx_seconds),
+            "exact_seconds": finite_or_none(self.exact_seconds),
+            "speedup": finite_or_none(self.speedup),
+            "rows_scanned": self.rows_scanned,
+            "phases": self.phase_seconds(),
+            "cache": self.cache,
+            "trace": None if self.trace is None else self.trace.to_dict(),
+        }
 
     def to_text(self) -> str:
         """Human-readable rendering (the CLI ``--profile`` body)."""
@@ -156,7 +146,7 @@ class QueryProfile:
                 for kind, c in sorted(self.cache.items())
             ]
             lines.append("  cache hits/lookups: " + ", ".join(parts))
-        speedup = _finite_or_none(self.speedup)
+        speedup = finite_or_none(self.speedup)
         lines.append(
             "  speedup: "
             + (f"{speedup:.1f}x" if speedup is not None else "n/a")

@@ -164,19 +164,15 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        """Plain-dict view of every instrument (strict-JSON-safe)."""
-        from repro.obs.jsonsafe import json_safe
-
+        """Plain-dict view of every instrument: strict JSON as built."""
         with self._lock:
-            return json_safe(
-                {
-                    "counters": dict(sorted(self._counters.items())),
-                    "histograms": {
-                        name: hist.snapshot()
-                        for name, hist in sorted(self._histograms.items())
-                    },
-                }
-            )
+            return {
+                "counters": dict(sorted(self._counters.items())),
+                "histograms": {
+                    name: hist.snapshot()
+                    for name, hist in sorted(self._histograms.items())
+                },
+            }
 
     def reset(self) -> None:
         """Drop every instrument (counters and histograms)."""

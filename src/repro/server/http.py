@@ -13,11 +13,12 @@ GET       /healthz   ``health``
 GET       /stats     ``stats``
 ========  =========  =======================================
 
-The handler does transport only — reading the body, decoding JSON,
-serialising the response with the repo's strict-JSON ``dumps`` — every
-decision (admission, dedup, locking, error mapping) lives in the
-transport-independent :class:`~repro.server.app.AQPServer` so tests can
-drive it without sockets.
+The handler does transport only — reading the body, decoding strict
+JSON (``NaN``/``Infinity`` tokens are refused), serialising the response
+with one ``json.dumps(..., allow_nan=False)`` — every decision
+(admission, locking, error mapping) lives in the transport-independent
+:class:`~repro.server.app.AQPServer` so tests can drive it without
+sockets.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import QueryError
+from repro.errors import InternalError, QueryError
 from repro.middleware.session import AQPSession
-from repro.obs.jsonsafe import dumps
+from repro.obs.registry import get_registry
 from repro.server.app import AQPServer, ServerConfig
 from repro.server.protocol import error_response
 
@@ -102,12 +103,20 @@ class _Handler(BaseHTTPRequestHandler):
             )
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"), parse_constant=_refuse)
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise QueryError(f"request body is not JSON: {error}") from None
 
     def _respond(self, status: int, body: dict) -> None:
-        payload = dumps(body, sort_keys=True).encode("utf-8")
+        try:
+            text = json.dumps(body, sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError) as error:  # a bug: answer 500
+            get_registry().incr("server.errors")
+            status, body = error_response(
+                InternalError(f"response is not strict JSON: {error}")
+            )
+            text = json.dumps(body, sort_keys=True)
+        payload = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -116,6 +125,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence per-request stderr chatter; /stats carries the counts."""
+
+
+def _refuse(token: str) -> object:
+    """``parse_constant`` hook: ``NaN``/``Infinity`` are not JSON."""
+    raise QueryError(f"request body is not strict JSON: {token}")
 
 
 def make_server(

@@ -14,14 +14,17 @@ Two properties are load-bearing:
   :func:`answer_fingerprint` hashes the canonical serialisation.  The
   serving determinism gate compares fingerprints of concurrent answers
   against a serial replay byte for byte.
-* **Strict JSON** — everything goes through
-  :func:`repro.obs.jsonsafe.json_safe` / ``dumps(allow_nan=False)``, the
-  same discipline as every other ``.json`` artifact in the repo.
+* **Strict JSON** — the encoders build JSON-native dicts and lists and
+  write every float slot through
+  :func:`repro.obs.jsonsafe.finite_or_none` (non-finite → ``null``), so
+  one plain ``json.dumps(..., allow_nan=False)`` serialises them and a
+  leaked NaN fails loudly instead of being scrubbed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Any
 
 from repro.core.answer import ApproxAnswer
@@ -34,7 +37,7 @@ from repro.errors import (
     SQLSyntaxError,
     UnsupportedQueryError,
 )
-from repro.obs.jsonsafe import dumps, json_safe
+from repro.obs.jsonsafe import finite_or_none
 
 #: Machine-readable error code -> HTTP status it travels with.
 ERROR_CODES: dict[str, int] = {
@@ -110,40 +113,42 @@ def encode_approx(answer: ApproxAnswer, level: float = 0.95) -> dict:
         intervals = [e.confidence_interval(level) for e in estimates]
         groups.append(
             {
-                "key": list(key),
-                "estimates": [e.value for e in estimates],
-                "variances": [e.variance for e in estimates],
-                "intervals": [[lo, hi] for lo, hi in intervals],
+                "key": [finite_or_none(value) for value in key],
+                "estimates": [finite_or_none(e.value) for e in estimates],
+                "variances": [finite_or_none(e.variance) for e in estimates],
+                "intervals": [
+                    [finite_or_none(lo), finite_or_none(hi)]
+                    for lo, hi in intervals
+                ],
                 "exact": [e.exact for e in estimates],
             }
         )
-    return json_safe(
-        {
-            "technique": answer.technique,
-            "group_columns": list(answer.group_columns),
-            "aggregate_names": list(answer.aggregate_names),
-            "n_groups": answer.n_groups,
-            "rows_scanned": answer.rows_scanned,
-            "confidence_level": level,
-            "groups": groups,
-        }
-    )
+    return {
+        "technique": answer.technique,
+        "group_columns": list(answer.group_columns),
+        "aggregate_names": list(answer.aggregate_names),
+        "n_groups": answer.n_groups,
+        "rows_scanned": answer.rows_scanned,
+        "confidence_level": level,
+        "groups": groups,
+    }
 
 
 def encode_exact(result: GroupedResult) -> dict:
     """Canonical strict-JSON rendering of an exact answer."""
     groups = [
-        {"key": list(key), "values": list(result.rows[key])}
+        {
+            "key": [finite_or_none(value) for value in key],
+            "values": [finite_or_none(value) for value in result.rows[key]],
+        }
         for key in sorted(result.rows, key=_canonical_key)
     ]
-    return json_safe(
-        {
-            "group_columns": list(result.group_columns),
-            "aggregate_names": list(result.aggregate_names),
-            "n_groups": result.n_groups,
-            "groups": groups,
-        }
-    )
+    return {
+        "group_columns": list(result.group_columns),
+        "aggregate_names": list(result.aggregate_names),
+        "n_groups": result.n_groups,
+        "groups": groups,
+    }
 
 
 def encode_result(result: Any) -> dict:
@@ -158,39 +163,35 @@ def encode_result(result: Any) -> dict:
         answer["approx"] = encode_approx(result.approx)
     if result.exact is not None:
         answer["exact"] = encode_exact(result.exact)
-    payload = {
+    return {
         "sql": result.sql,
         "answer": answer,
         "fingerprint": answer_fingerprint(answer),
-        "timings": json_safe(
-            {
-                "approx_seconds": (
-                    result.approx_seconds
-                    if result.approx is not None
-                    else None
-                ),
-                "exact_seconds": (
-                    result.exact_seconds
-                    if result.exact is not None
-                    else None
-                ),
-                "speedup": result.speedup,
-            }
-        ),
+        "timings": {
+            "approx_seconds": (
+                finite_or_none(result.approx_seconds)
+                if result.approx is not None
+                else None
+            ),
+            "exact_seconds": (
+                finite_or_none(result.exact_seconds)
+                if result.exact is not None
+                else None
+            ),
+            "speedup": finite_or_none(result.speedup),
+        },
     }
-    return payload
 
 
 def answer_fingerprint(answer: dict) -> str:
     """SHA-256 of the canonical serialisation of an ``answer`` object.
 
-    Canonical = ``sort_keys=True`` strict-JSON over the already
+    Canonical = ``sort_keys=True`` strict JSON over the already
     canonically-ordered group lists, so two byte-identical answers hash
     identically regardless of which thread/process produced them.
     """
-    return hashlib.sha256(
-        dumps(answer, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    text = json.dumps(answer, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def validate_query_request(request: dict) -> tuple[str, str, float | None]:

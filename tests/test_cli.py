@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.figures import FIGURES
 from repro.experiments.reporting import render_run
+from repro.storage import save_database
 
 
 class TestParser:
@@ -101,3 +104,39 @@ class TestPlan:
     def test_plan_unreachable_target(self, capsys):
         assert main(["plan", "--target", "1e-15"]) == 1
         assert "cannot reach target" in capsys.readouterr().out
+
+
+class TestSqlProfileJson:
+    QUERY = (
+        "SELECT l_shipmode, COUNT(*) AS cnt, AVG(l_extendedprice) AS p "
+        "FROM lineitem GROUP BY l_shipmode"
+    )
+
+    @staticmethod
+    def _strict(text: str):
+        def reject(token):
+            raise AssertionError(f"non-strict JSON token {token!r}")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_dash_leaves_stdout_one_strict_json_document(
+        self, tiny_tpch, tmp_path, capsys
+    ):
+        db = save_database(tiny_tpch, tmp_path / "db")
+        argv = ["sql", str(db), self.QUERY, "--mode", "both"]
+        assert main(argv + ["--profile-json", "-"]) == 0
+        captured = capsys.readouterr()
+        profile = self._strict(captured.out)
+        assert profile["mode"] == "both" and profile["sql"] == self.QUERY
+        assert captured.err.startswith("mapped 4 tables in ")
+        assert "stored samples in" in captured.err
+        assert "approximate answer" in captured.err
+        # Any other destination leaves stdout as it was.
+        path = tmp_path / "profile.json"
+        assert main(argv + ["--profile-json", str(path)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("mapped 4 tables in ")
+        assert lines[1].startswith("loaded samples")
+        assert lines[-1] == f"wrote {path}" and captured.err == ""
+        assert self._strict(path.read_text())["mode"] == "both"

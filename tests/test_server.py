@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import http.client
 import json
 import math
 import socket
@@ -34,10 +37,12 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.middleware.session import AQPSession
-from repro.obs import jsonsafe
+from repro.obs import get_registry, jsonsafe
 from repro.server import AQPServer, ServerConfig, make_server
+from repro.server.http import ReproHTTPServer
 from repro.server.protocol import (
     ERROR_CODES,
+    _canonical_key,
     answer_fingerprint,
     classify_error,
     encode_approx,
@@ -595,6 +600,230 @@ class TestClientWireBytes:
             session.close()
         stored = session.db.table("t").column("x").data
         assert np.isnan(stored[2]) and stored[3] == 2.5
+
+
+def _nan_database() -> Database:
+    """Table ``t``: categorical ``g``, float key ``f``, measures ``x``, ``y``."""
+    n = 2000
+    values = np.random.default_rng(0).normal(10.0, 2.0, n)
+    return Database([Table.from_dict("t", {
+        "g": [f"g{i % 5}" for i in range(n)],
+        "f": [float(i % 4) for i in range(n)],
+        "x": values.tolist(),
+        "y": (values * 1e300).tolist(),  # squares overflow to inf
+    })])
+
+
+def _nan_batch(m: int = 400) -> dict[str, list]:
+    """A batch with a NaN float key on every row and NaN in half of ``x``."""
+    return {
+        "g": [f"g{i % 5}" for i in range(m)],
+        "f": [math.nan] * m,
+        "x": [math.nan if i % 2 else 1.0 for i in range(m)],
+        "y": [1e300] * m,
+    }
+
+
+def _raw_answer(result) -> dict:
+    """``result``'s answer laid out as the encoders lay it out, unscrubbed."""
+    answer: dict = {}
+    if result.approx is not None:
+        a = result.approx
+        answer["approx"] = {
+            "technique": a.technique,
+            "group_columns": a.group_columns,
+            "aggregate_names": a.aggregate_names,
+            "n_groups": a.n_groups,
+            "rows_scanned": a.rows_scanned,
+            "confidence_level": 0.95,
+            "groups": [
+                {
+                    "key": key,
+                    "estimates": [e.value for e in a.groups[key]],
+                    "variances": [e.variance for e in a.groups[key]],
+                    "intervals": [
+                        e.confidence_interval(0.95) for e in a.groups[key]
+                    ],
+                    "exact": [e.exact for e in a.groups[key]],
+                }
+                for key in sorted(a.groups, key=_canonical_key)
+            ],
+        }
+    if result.exact is not None:
+        e = result.exact
+        answer["exact"] = {
+            "group_columns": e.group_columns,
+            "aggregate_names": e.aggregate_names,
+            "n_groups": e.n_groups,
+            "groups": [
+                {"key": key, "values": e.rows[key]}
+                for key in sorted(e.rows, key=_canonical_key)
+            ],
+        }
+    return answer
+
+
+class _FixedApp:
+    """An app that answers every request with ``body``."""
+
+    def __init__(self, body: dict) -> None:
+        self.body = body
+
+    def handle(self, request: object) -> tuple[int, dict]:
+        return 200, self.body
+
+
+@contextlib.contextmanager
+def _served(app):
+    """``app`` behind a live HTTP server; yields a raw keep-alive connection."""
+    server = ReproHTTPServer(("127.0.0.1", 0), app)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+    try:
+        yield conn
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+
+
+def _exchange(conn, method: str, path: str, body: bytes | None = None):
+    """``(status, raw response bytes)`` of one request on ``conn``."""
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestStrictJSON:
+    """Responses are strict as built: one ``json.dumps`` writes each."""
+
+    @pytest.fixture(scope="class")
+    def nan_session(self):
+        session = AQPSession(_nan_database())
+        session.install(
+            SmallGroupSampling(
+                SmallGroupConfig(base_rate=0.2, use_reservoir=False, seed=1)
+            )
+        )
+        session.append_rows("t", Table.from_dict("t", _nan_batch()))
+        yield session
+        session.close()
+
+    @pytest.mark.parametrize(
+        "sql, mode",
+        [
+            # A NaN group key on a float GROUP BY column.
+            ("SELECT f, COUNT(*) AS n FROM t GROUP BY f", "approx"),
+            ("SELECT f, COUNT(*) AS n FROM t GROUP BY f", "exact"),
+            ("SELECT f, COUNT(*) AS n FROM t GROUP BY f", "both"),
+            # Exact SUM/MIN/MAX over a NaN.
+            (
+                "SELECT g, SUM(x) AS s, MIN(x) AS lo, MAX(x) AS hi "
+                "FROM t GROUP BY g",
+                "exact",
+            ),
+            # NaN estimates, variances and intervals.
+            ("SELECT g, SUM(x) AS s, AVG(x) AS a FROM t GROUP BY g", "approx"),
+            ("SELECT g, SUM(x) AS s, AVG(x) AS a FROM t GROUP BY g", "both"),
+            # Finite estimates with an infinite variance and interval.
+            ("SELECT g, SUM(y) AS s FROM t GROUP BY g", "approx"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_slots_match_the_json_safe_reference(
+        self, nan_session, sql, mode
+    ):
+        result = nan_session.sql(sql, mode=mode)
+        raw = _raw_answer(result)
+        assert "NaN" in json.dumps(raw) or "Infinity" in json.dumps(raw)
+        reference = jsonsafe.dumps(raw, sort_keys=True)
+        body = encode_result(result)
+        assert (
+            json.dumps(body["answer"], sort_keys=True, allow_nan=False)
+            == reference
+        )
+        assert body["fingerprint"] == hashlib.sha256(
+            reference.encode("utf-8")
+        ).hexdigest()
+        body["ok"] = True
+        with _served(_FixedApp(body)) as conn:
+            status, wire = _exchange(conn, "GET", "/healthz")
+        assert status == 200
+        assert wire == jsonsafe.dumps(body, sort_keys=True).encode("utf-8")
+
+    def test_a_leaked_nan_is_a_500_and_the_connection_survives(self):
+        app = _FixedApp({"ok": True, "x": float("nan")})
+        errors = get_registry().counter("server.errors")
+        with _served(app) as conn:
+            status, wire = _exchange(conn, "GET", "/healthz")
+            sock = conn.sock
+            assert status == 500
+            assert _strict_loads(wire.decode())["error"]["code"] == "internal"
+            app.body = {"ok": True}
+            status, wire = _exchange(conn, "GET", "/healthz")
+            assert conn.sock is sock  # the same kept-alive connection
+        assert status == 200 and json.loads(wire) == {"ok": True}
+        assert get_registry().counter("server.errors") == errors + 1
+
+    def test_served_responses_never_scrub(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("a served response was scrubbed")
+
+        monkeypatch.setattr(jsonsafe, "json_safe", refuse)
+        session = AQPSession(_nan_database())
+        session.install(
+            SmallGroupSampling(
+                SmallGroupConfig(base_rate=0.2, use_reservoir=False, seed=1)
+            )
+        )
+        sql = "SELECT f, SUM(x) AS s FROM t GROUP BY f"
+        rows = {**_nan_batch(8), "f": [0.5] * 8, "x": [2.0] * 8}
+        requests = [
+            ("POST", "/query", {"sql": sql, "mode": "approx"}),
+            ("POST", "/query", {"sql": sql, "mode": "exact"}),
+            ("POST", "/append", {"table": "t", "rows": rows}),
+            ("POST", "/query", {"sql": sql, "mode": "both"}),
+            ("GET", "/healthz", None),
+            ("GET", "/stats", None),
+            ("GET", "/nope", None),
+        ]
+        statuses = []
+        try:
+            with _served(AQPServer(session)) as conn:
+                for method, path, body in requests:
+                    data = None if body is None else json.dumps(body).encode()
+                    status, wire = _exchange(conn, method, path, data)
+                    _strict_loads(wire.decode("utf-8"))
+                    statuses.append(status)
+        finally:
+            session.close()
+        assert statuses == [200] * 6 + [400]
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/append", b'{"table": "t", "rows": {"x": [NaN]}}'),
+            ("/query", b'{"sql": "SELECT COUNT(*) FROM t", "mode": "exact", '
+                       b'"timeout": Infinity}'),
+            ("/query", b'{"sql": "SELECT COUNT(*) FROM t", "mode": "exact", '
+                       b'"timeout": -Infinity}'),
+        ],
+    )
+    def test_non_finite_request_tokens_are_refused(self, path, body):
+        session = AQPSession(_nan_database())
+        try:
+            with _served(AQPServer(session)) as conn:
+                status, wire = _exchange(conn, "POST", path, body)
+        finally:
+            session.close()
+        assert status == 400
+        error = _strict_loads(wire.decode("utf-8"))["error"]
+        assert error["code"] == "invalid_request"
+        assert "not strict JSON" in error["message"]
+        assert session.db.table("t").n_rows == 2000
 
 
 class TestDrainingHealth:
