@@ -365,85 +365,77 @@ def _run_stats(args) -> int:
     from repro.middleware.session import AQPSession
     from repro.obs import get_registry
 
-    db = _open_database(args.database)
-    if db is None:
-        return 1
-    queries = args.query
-    if not queries:
-        largest = max(
-            (db.table(name) for name in db.table_names),
-            key=lambda t: t.n_rows,
-        )
-        queries = [f"SELECT COUNT(*) AS n FROM {largest.name}"]
-    session = AQPSession(db)
-    try:
-        if args.mode in ("approx", "both"):
-            session.install(
-                _serving_samples(args.database, db, args.base_rate)
+    # With ``--json -`` stdout holds the JSON document alone.
+    out = sys.stderr if args.json == "-" else sys.stdout
+    with contextlib.redirect_stdout(out):
+        db = _open_database(args.database)
+        if db is None:
+            return 1
+        queries = args.query
+        if not queries:
+            largest = max(
+                (db.table(name) for name in db.table_names),
+                key=lambda t: t.n_rows,
             )
-        get_registry().reset()
-        get_cache().metrics.reset()
-        for _ in range(max(1, args.repeat)):
-            for query in queries:
-                session.sql(query, mode=args.mode)
-    except ReproError as error:
-        print(f"workload failed: {error}")
-        return 1
-    registry_snapshot = get_registry().snapshot()
-    cache_snapshot = get_cache().snapshot()
-    print(
-        f"workload: {len(queries)} quer{'y' if len(queries) == 1 else 'ies'}"
-        f" x {max(1, args.repeat)} repeats, mode={args.mode}"
-    )
-    counters = registry_snapshot.get("counters", {})
-    if counters:
+            queries = [f"SELECT COUNT(*) AS n FROM {largest.name}"]
+        session = AQPSession(db)
+        try:
+            if args.mode in ("approx", "both"):
+                session.install(
+                    _serving_samples(args.database, db, args.base_rate)
+                )
+            get_registry().reset()
+            get_cache().metrics.reset()
+            for _ in range(max(1, args.repeat)):
+                for query in queries:
+                    session.sql(query, mode=args.mode)
+        except ReproError as error:
+            print(f"workload failed: {error}")
+            return 1
+        registry_snapshot = get_registry().snapshot()
+        cache_snapshot = get_cache().snapshot()
+        plural = "y" if len(queries) == 1 else "ies"
         print(
-            format_table(
-                ["counter", "value"], sorted(counters.items())
-            )
+            f"workload: {len(queries)} quer{plural}"
+            f" x {max(1, args.repeat)} repeats, mode={args.mode}"
         )
-    histograms = registry_snapshot.get("histograms", {})
-    if histograms:
-        rows = [
-            [
-                name,
-                h["count"],
-                h["sum"],
-                h["min"],
-                h["max"],
-                h["mean"],
+        counters = registry_snapshot.get("counters", {})
+        if counters:
+            print(format_table(["counter", "value"], sorted(counters.items())))
+        histograms = registry_snapshot.get("histograms", {})
+        if histograms:
+            rows = [
+                [name, h["count"], h["sum"], h["min"], h["max"], h["mean"]]
+                for name, h in sorted(histograms.items())
             ]
-            for name, h in sorted(histograms.items())
-        ]
+            headers = ["histogram", "count", "sum", "min", "max", "mean"]
+            print(format_table(headers, rows))
+        kinds = cache_snapshot["by_kind"]
+        if kinds:
+            held = cache_snapshot["bytes_held"]
+            budget = cache_snapshot["budget"]
+            rows = [
+                [
+                    kind,
+                    c["hits"],
+                    c["misses"],
+                    f"{c['hit_rate']:.2f}",
+                    held.get(kind, "-"),
+                    budget.get(kind, "-"),
+                ]
+                for kind, c in sorted(kinds.items())
+            ]
+            headers = [
+                "cache kind", "hits", "misses", "rate", "bytes held", "budget"
+            ]
+            print(format_table(headers, rows))
+        # Incremental-ingestion summary: always printed (zeros included) so a
+        # run can confirm whether reservoir maintenance engaged.
+        counter = get_registry().counter
         print(
-            format_table(
-                ["histogram", "count", "sum", "min", "max", "mean"], rows
-            )
+            "ingest: "
+            f"reservoir_updates={counter('ingest.reservoir_updates'):g}"
         )
-    kinds = cache_snapshot["by_kind"]
-    if kinds:
-        held = cache_snapshot["bytes_held"]
-        budget = cache_snapshot["budget"]
-        rows = [
-            [
-                kind,
-                c["hits"],
-                c["misses"],
-                f"{c['hit_rate']:.2f}",
-                held.get(kind, "-"),
-                budget.get(kind, "-"),
-            ]
-            for kind, c in sorted(kinds.items())
-        ]
-        headers = ["cache kind", "hits", "misses", "rate", "bytes held", "budget"]
-        print(format_table(headers, rows))
-    # Incremental-ingestion summary: always printed (zeros included) so a
-    # run can confirm whether reservoir maintenance engaged.
-    counter = get_registry().counter
-    print(
-        "ingest: "
-        f"reservoir_updates={counter('ingest.reservoir_updates'):g}"
-    )
     if args.json is not None:
         _write_json(
             {"registry": registry_snapshot, "cache": cache_snapshot},

@@ -3,35 +3,31 @@
 An :class:`ApproxAnswer` is what an AQP technique returns for one query:
 per-group estimates with variances, exactness flags (small-group-derived
 groups are exact — Section 4.2.2), confidence intervals, and provenance
-(which sample tables were used, the rewritten SQL, rows scanned).
+(which sample tables were used, the rewritten SQL, rows scanned).  It
+holds one array per aggregate for each of these, aligned with its group
+keys; :class:`GroupEstimate` is the one-cell view :meth:`ApproxAnswer.estimate`
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import ClassVar
 
-from repro.core.confidence import normal_interval
+import numpy as np
+
+from repro.core.confidence import normal_interval, z_value
 from repro.core.rewriter import SamplePiece, pieces_to_sql
+from repro.engine.executor import GroupColumns, GroupKey
 from repro.engine.expressions import Query
 from repro.errors import RuntimePhaseError
-
-GroupKey = tuple[Any, ...]
 
 
 @dataclass
 class GroupEstimate:
-    """Estimate of one aggregate value for one group.
+    """One cell of an :class:`ApproxAnswer`: a group's estimate of one aggregate.
 
-    Attributes
-    ----------
-    value:
-        The (scaled) estimate.
-    variance:
-        Estimated variance of the estimator; 0 for exact values.
-    exact:
-        Whether every contribution to this group came from a zero-variance
-        (100%-sampled) stratum, in which case the value is exact.
+    ``value``, ``variance`` and ``exact`` are as in the answer's arrays.
     """
 
     value: float
@@ -45,18 +41,20 @@ class GroupEstimate:
         return normal_interval(self.value, self.variance, level)
 
 
-@dataclass
-class ApproxAnswer:
+@dataclass(eq=False)
+class ApproxAnswer(GroupColumns):
     """Approximate answer to one aggregation query.
 
-    Attributes
+    Attributes (besides :class:`~repro.engine.executor.GroupColumns`'
+    keys and per-aggregate value arrays, the estimates)
     ----------
-    group_columns:
-        Grouping columns of the query.
-    aggregate_names:
-        Output names of the query's aggregates.
-    groups:
-        Group key → one :class:`GroupEstimate` per aggregate.
+    variances:
+        One ``float64`` array of estimator variances per aggregate; 0
+        for exact values.
+    exact:
+        One ``bool`` array per aggregate: whether every contribution to
+        the group came from a zero-variance (100%-sampled) stratum, in
+        which case the value is exact.
     technique:
         Name of the AQP technique that produced the answer.
     rows_scanned:
@@ -74,16 +72,18 @@ class ApproxAnswer:
         cut is statistically separated.  ``None`` when not applicable.
     """
 
-    group_columns: tuple[str, ...]
-    aggregate_names: tuple[str, ...]
-    groups: dict[GroupKey, tuple[GroupEstimate, ...]]
+    variances: tuple[np.ndarray, ...]
+    exact: tuple[np.ndarray, ...]
     technique: str = ""
     rows_scanned: int = 0
     pieces: tuple[str, ...] = field(default_factory=tuple)
     executed: tuple[tuple[SamplePiece, Query], ...] = field(
-        default=(), repr=False, compare=False
+        default=(), repr=False
     )
     top_k_confident: bool | None = None
+
+    group_arrays: ClassVar[tuple[str, ...]] = ("values", "variances", "exact")
+    name_error: ClassVar[type[Exception]] = RuntimePhaseError
 
     @property
     def rewritten_sql(self) -> str | None:
@@ -97,37 +97,54 @@ class ApproxAnswer:
             [replace(piece, query=query) for piece, query in self.executed]
         )
 
-    @property
-    def n_groups(self) -> int:
-        """Number of groups present in the answer."""
-        return len(self.groups)
+    def intervals(
+        self, level: float = 0.95
+    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per aggregate, the ``(low, high)`` arrays of every group's interval.
 
-    def _agg_index(self, aggregate: str | None) -> int:
-        if aggregate is None:
-            return 0
-        try:
-            return self.aggregate_names.index(aggregate)
-        except ValueError:
-            raise RuntimePhaseError(
-                f"no aggregate {aggregate!r}; have {self.aggregate_names}"
-            ) from None
+        :meth:`GroupEstimate.confidence_interval` for all groups at once:
+        ``value ± z·sqrt(variance)``, or ``(value, value)`` where the
+        group is exact or its variance is not positive.
+        """
+        z = z_value(level)
+        bounds = []
+        for values, variances, exact in zip(
+            self.values, self.variances, self.exact
+        ):
+            degenerate = exact | (variances <= 0.0)
+            with np.errstate(invalid="ignore"):
+                half = z * np.sqrt(variances)
+            low = np.where(degenerate, values, values - half)
+            bounds.append((low, np.where(degenerate, values, values + half)))
+        return tuple(bounds)
+
+    @property
+    def groups(self) -> dict[GroupKey, tuple[GroupEstimate, ...]]:
+        """Group key → one :class:`GroupEstimate` per aggregate (a view)."""
+        per_aggregate = [
+            map(GroupEstimate, values.tolist(), variances.tolist(), flags.tolist())
+            for values, variances, flags in zip(
+                self.values, self.variances, self.exact
+            )
+        ]
+        return dict(zip(self.keys, zip(*per_aggregate)))
 
     def estimate(self, group: GroupKey, aggregate: str | None = None) -> GroupEstimate:
-        """The estimate object for one group and aggregate."""
+        """The estimate of one group and aggregate."""
         idx = self._agg_index(aggregate)
         try:
-            return self.groups[group][idx]
-        except KeyError:
+            i = self.keys.index(group)
+        except ValueError:
             raise RuntimePhaseError(f"group {group!r} not in answer") from None
+        return GroupEstimate(
+            self.values[idx][i].item(),
+            self.variances[idx][i].item(),
+            self.exact[idx][i].item(),
+        )
 
     def value(self, group: GroupKey, aggregate: str | None = None) -> float:
         """The estimated value for one group."""
         return self.estimate(group, aggregate).value
-
-    def as_dict(self, aggregate: str | None = None) -> dict[GroupKey, float]:
-        """Group → estimated value for one aggregate."""
-        idx = self._agg_index(aggregate)
-        return {g: ests[idx].value for g, ests in self.groups.items()}
 
     def confidence_interval(
         self, group: GroupKey, aggregate: str | None = None, level: float = 0.95
@@ -137,6 +154,5 @@ class ApproxAnswer:
 
     def exact_groups(self) -> set[GroupKey]:
         """Groups whose values are exact (from small group tables)."""
-        return {
-            g for g, ests in self.groups.items() if all(e.exact for e in ests)
-        }
+        every = np.logical_and.reduce(self.exact, initial=True)
+        return {key for key, exact in zip(self.keys, every.tolist()) if exact}

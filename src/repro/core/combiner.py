@@ -23,90 +23,44 @@ statistics).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
+import numpy as np
+
+from repro.core.answer import ApproxAnswer, GroupKey
 from repro.core.rewriter import SamplePiece
-from repro.engine.executor import (
-    GroupedResult,
-    aggregate_table,
-    order_limit_groups,
-)
+from repro.engine.executor import GroupedResult, aggregate_table
 from repro.engine.deadline import Deadline
 from repro.engine.expressions import AggFunc, AggregateSpec, Query
 from repro.errors import RuntimePhaseError
 from repro.obs.registry import get_registry
 from repro.obs.trace import NULL_SPAN, Span
 
-def _order_and_limit(
-    groups: dict[GroupKey, tuple[GroupEstimate, ...]],
-    query: Query,
-    agg_names: tuple[str, ...],
-) -> tuple[dict[GroupKey, tuple[GroupEstimate, ...]], bool | None]:
-    """Apply the query's ORDER BY/LIMIT to the combined estimates.
-
-    When the query orders by an estimated aggregate and a LIMIT actually
-    drops groups, also report whether the cut is statistically separated:
-    the last kept group's confidence interval must not overlap the best
-    dropped group's.
-    """
-    values = {g: tuple(e.value for e in ests) for g, ests in groups.items()}
-    ordered_all = order_limit_groups(
-        values, query.group_by, agg_names, query.order_by, None
-    )
-    kept = (
-        ordered_all[: query.limit] if query.limit is not None else ordered_all
-    )
-    confident: bool | None = None
-    if (
-        query.limit is not None
-        and len(ordered_all) > len(kept)
-        and query.order_by
-        and query.order_by[0][0] in agg_names
-    ):
-        agg_index = agg_names.index(query.order_by[0][0])
-        descending = query.order_by[0][1]
-        last_kept = groups[kept[-1]][agg_index]
-        first_dropped = groups[ordered_all[len(kept)]][agg_index]
-        kept_lo, kept_hi = last_kept.confidence_interval()
-        drop_lo, drop_hi = first_dropped.confidence_interval()
-        confident = kept_lo > drop_hi if descending else kept_hi < drop_lo
-    return {g: groups[g] for g in kept}, confident
+#: One per-group array per output aggregate.
+Arrays = tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class _DirectOutput:
-    """Output aggregate computed by summing one component across strata."""
-
-    name: str
-    component: int
-
-
-@dataclass(frozen=True)
-class _RatioOutput:
-    """AVG output: ratio of a SUM component to the shared COUNT component."""
-
-    name: str
-    sum_component: int
-    count_component: int
+#: Per output aggregate, ``(component, count component)``: a COUNT or
+#: SUM output is its component summed across strata (count ``None``); an
+#: AVG output divides its SUM component by the shared COUNT component.
+Outputs = list[tuple[int, int | None]]
 
 
 def _plan_components(
     aggregates: tuple[AggregateSpec, ...],
-) -> tuple[list[AggregateSpec], list[_DirectOutput | _RatioOutput]]:
+) -> tuple[list[AggregateSpec], Outputs]:
     """Decompose the query's aggregates into additive components.
 
     COUNT/SUM pass through; each AVG contributes a SUM component and (one
     shared) COUNT component.
     """
     components: list[AggregateSpec] = []
-    outputs: list[_DirectOutput | _RatioOutput] = []
+    outputs: Outputs = []
     shared_count: int | None = None
     for agg in aggregates:
         if agg.func in (AggFunc.COUNT, AggFunc.SUM):
             if agg.func is AggFunc.COUNT and shared_count is None:
                 shared_count = len(components)
-            outputs.append(_DirectOutput(agg.name, len(components)))
+            outputs.append((len(components), None))
             components.append(agg)
             continue
         if agg.func is AggFunc.AVG:
@@ -121,9 +75,7 @@ def _plan_components(
                 components.append(
                     AggregateSpec(AggFunc.COUNT, alias="avg_count")
                 )
-            outputs.append(
-                _RatioOutput(agg.name, sum_component, shared_count)
-            )
+            outputs.append((sum_component, shared_count))
             continue
         raise RuntimePhaseError(
             f"approximate answering supports COUNT, SUM, and AVG, not "
@@ -165,7 +117,6 @@ def execute_pieces(
         ):
             raise RuntimePhaseError("pieces compute different aggregates")
     components, outputs = _plan_components(aggregates)
-    component_names = tuple(c.name for c in components)
 
     # The queries that actually run carry the additive components — this
     # is also what the answer's rewritten SQL shows.
@@ -178,16 +129,6 @@ def execute_pieces(
             piece.query.where,
         )
         exec_pieces.append((piece, exec_query))
-
-    values: dict[GroupKey, list[float]] = {}
-    variances: dict[GroupKey, list[float]] = {}
-    crosses: dict[GroupKey, dict[int, float]] = {}
-    all_exact: dict[GroupKey, bool] = {}
-    rows_scanned = 0
-    n_components = len(components)
-    ratio_sum_components = [
-        o.sum_component for o in outputs if isinstance(o, _RatioOutput)
-    ]
 
     span.annotate(pieces=len(exec_pieces))
     piece_results: list[GroupedResult] = []
@@ -211,92 +152,104 @@ def execute_pieces(
     if deadline is not None:
         deadline.check("combine")
     combine_started = time.perf_counter()
-
-    # Deterministic combine: fold partials in piece-index order.
-    for (piece, exec_query), result in zip(exec_pieces, piece_results):
-        rows_scanned += piece.table.n_rows
-        for group, row in result.rows.items():
-            if group not in values:
-                values[group] = [0.0] * n_components
-                variances[group] = [0.0] * n_components
-                crosses[group] = {c: 0.0 for c in ratio_sum_components}
-                all_exact[group] = True
-            for i, value in enumerate(row):
-                values[group][i] += value
-            if not piece.marks_exact:
-                all_exact[group] = False
-            if piece.zero_variance:
-                continue
-            for i, name in enumerate(component_names):
-                per_group = result.sum_squares.get(name)
-                if per_group is not None:
-                    variances[group][i] += per_group.get(group, 0.0)
-            for c in ratio_sum_components:
-                per_group = result.sum_cross.get(component_names[c])
-                if per_group is not None:
-                    crosses[group][c] += per_group.get(group, 0.0)
-
-    groups: dict[GroupKey, tuple[GroupEstimate, ...]] = {}
-    for group in values:  # noqa: B007 - populated below
-        estimates = []
-        for output in outputs:
-            if isinstance(output, _DirectOutput):
-                estimates.append(
-                    GroupEstimate(
-                        value=values[group][output.component],
-                        variance=variances[group][output.component],
-                        exact=all_exact[group],
-                    )
-                )
-                continue
-            total = values[group][output.sum_component]
-            count = values[group][output.count_component]
-            if count <= 0:
-                estimates.append(
-                    GroupEstimate(value=float("nan"), variance=0.0)
-                )
-                continue
-            ratio = total / count
-            var_sum = variances[group][output.sum_component]
-            var_count = variances[group][output.count_component]
-            cov = crosses[group][output.sum_component]
-            variance = max(
-                0.0,
-                (var_sum - 2.0 * ratio * cov + ratio * ratio * var_count)
-                / (count * count),
-            )
-            estimates.append(
-                GroupEstimate(
-                    value=ratio, variance=variance, exact=all_exact[group]
-                )
-            )
-        groups[group] = tuple(estimates)
-
+    keys, values, variances, exact = _merge(pieces, piece_results, outputs)
     combine_span = span.child("combine")
     combine_span.seconds = time.perf_counter() - combine_started
-    combine_span.annotate(groups=len(groups))
+    combine_span.annotate(groups=len(keys))
 
-    agg_names = tuple(a.name for a in aggregates)
     base_query = pieces[0].query
-    if base_query.having:
-        groups = {
-            g: ests
-            for g, ests in groups.items()
-            if base_query.evaluate_having(tuple(e.value for e in ests))
-        }
-    top_k_confident: bool | None = None
-    if base_query.order_by or base_query.limit is not None:
-        groups, top_k_confident = _order_and_limit(
-            groups, base_query, agg_names
-        )
-
-    return ApproxAnswer(
-        group_columns=pieces[0].query.group_by,
-        aggregate_names=agg_names,
-        groups=groups,
+    answer = ApproxAnswer(
+        group_columns=base_query.group_by,
+        aggregate_names=tuple(a.name for a in aggregates),
+        keys=keys,
+        values=values,
+        variances=variances,
+        exact=exact,
         technique=technique,
-        top_k_confident=top_k_confident,
-        rows_scanned=rows_scanned,
+        rows_scanned=sum(piece.table.n_rows for piece in pieces),
         pieces=tuple(p.description or p.table.name for p in pieces),
         executed=tuple(exec_pieces),
     )
+    # One position past the LIMIT: the best dropped group, if any.
+    limit = base_query.limit
+    positions = answer.clause_positions(
+        base_query, None if limit is None else limit + 1
+    )
+    if positions is None:
+        return answer
+    first = base_query.order_by[:1]
+    if limit is not None and len(positions) > limit and first:
+        # Ordered by an estimate, the top-k cut is statistically separated
+        # when the last kept group's interval misses the best dropped one's.
+        name, descending = first[0]
+        if name in answer.aggregate_names:
+            lows, highs = answer.intervals()[answer.aggregate_names.index(name)]
+            kept, dropped = positions[limit - 1], positions[limit]
+            answer.top_k_confident = bool(
+                lows[kept] > highs[dropped]
+                if descending
+                else highs[kept] < lows[dropped]
+            )
+    return answer.take(positions[:limit])
+
+
+def _merge(
+    pieces: list[SamplePiece],
+    results: list[GroupedResult],
+    outputs: Outputs,
+) -> tuple[list[GroupKey], Arrays, Arrays, Arrays]:
+    """Sum the pieces' partials per group: §4.2.2's UNION ALL, taken literally.
+
+    The partials are concatenated in piece order and a first-seen key
+    index gives every group its id, so ``numpy.bincount`` adds each
+    component in the order a per-group fold over the pieces would.  A
+    piece without variance statistics adds ``+0.0``, which leaves every
+    sum's bits alone.  Returns the keys (first-seen order) and, per
+    output aggregate, the value, variance and exact-flag arrays.
+    """
+    names = results[0].aggregate_names
+    index: dict[GroupKey, int] = {}
+    ids: list[int] = []
+    partials = []
+    for piece, result in zip(pieces, results):
+        ids.extend(index.setdefault(key, len(index)) for key in result.keys)
+        zeros = np.zeros(result.n_groups)
+        partials.append(
+            np.column_stack(
+                [
+                    *result.values,
+                    *(result.sum_squares.get(name, zeros) for name in names),
+                    *(result.sum_cross.get(name, zeros) for name in names),
+                    zeros if piece.marks_exact else np.ones(result.n_groups),
+                ]
+            )
+        )
+    group_ids = np.array(ids, dtype=np.intp)
+    totals = [
+        np.bincount(group_ids, weights=column, minlength=len(index))
+        for column in np.concatenate(partials).T
+    ]
+    n = len(names)
+    value, square, cross = totals[:n], totals[n : 2 * n], totals[2 * n : 3 * n]
+    all_exact = totals[-1] == 0.0  # no inexact contribution
+    values, variances, exact = [], [], []
+    for component, count_component in outputs:
+        if count_component is None:
+            values.append(value[component])
+            variances.append(square[component])
+            exact.append(all_exact)
+            continue
+        sums, counts = value[component], value[count_component]
+        var_sum, var_count = square[component], square[count_component]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = sums / counts
+            cov = cross[component]
+            delta = (
+                var_sum - 2.0 * ratio * cov + ratio * ratio * var_count
+            ) / (counts * counts)
+        counted = counts > 0
+        values.append(np.where(counted, ratio, np.nan))
+        # ``max(0.0, v)``: NaN and negative round-off read 0.
+        variances.append(np.where(counted & (delta > 0.0), delta, 0.0))
+        exact.append(all_exact & counted)
+    return list(index), tuple(values), tuple(variances), tuple(exact)

@@ -31,9 +31,9 @@ positions for the selected rows only.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar, TypeVar
 
 import numpy as np
 
@@ -59,68 +59,147 @@ _NARROW_KEY_LIMIT = 2**31
 _RADIX_LIMIT = 2**62
 
 
-@dataclass
-class GroupedResult:
+_Groups = TypeVar("_Groups", bound="GroupColumns")
+
+
+@dataclass(eq=False)
+class GroupColumns:
+    """Groups held as columns: a key list and per-group arrays aligned with it.
+
+    The layout shared by exact results and approximate answers.  The
+    keys come in the grouping kernel's order (ascending codes; first
+    seen across pieces for an approximate answer), or in the query's
+    order once HAVING, ORDER BY and LIMIT have been applied.
+    """
+
+    group_columns: tuple[str, ...]
+    aggregate_names: tuple[str, ...]
+    keys: list[GroupKey]
+    #: One ``float64`` array of per-group values per aggregate.
+    values: tuple[np.ndarray, ...]
+
+    #: The per-group fields :meth:`take` gathers: an array, or a tuple
+    #: or dict of them.
+    group_arrays: ClassVar[tuple[str, ...]] = ("values",)
+    #: Raised for an aggregate name the result does not have.
+    name_error: ClassVar[type[Exception]] = QueryError
+
+    @property
+    def n_groups(self) -> int:
+        """Number of groups."""
+        return len(self.keys)
+
+    def _agg_index(self, aggregate: str | None) -> int:
+        if aggregate is None:
+            return 0
+        if aggregate not in self.aggregate_names:
+            raise self.name_error(
+                f"no aggregate {aggregate!r}; have {self.aggregate_names}"
+            )
+        return self.aggregate_names.index(aggregate)
+
+    @property
+    def rows(self) -> dict[GroupKey, tuple[float, ...]]:
+        """Group key → aggregate value tuple (a view built on each read)."""
+        return dict(zip(self.keys, zip(*(v.tolist() for v in self.values))))
+
+    def as_dict(self, aggregate: str | None = None) -> dict[GroupKey, float]:
+        """Mapping group → value for one aggregate (default: the first)."""
+        idx = self._agg_index(aggregate)
+        return dict(zip(self.keys, self.values[idx].tolist()))
+
+    def clause_positions(self, query: Query, limit: int | None) -> list[int] | None:
+        """Positions of the groups HAVING keeps, in ORDER BY order, first ``limit``.
+
+        The one post-aggregation step, for exact and approximate answers
+        alike; ``None`` when the query has no HAVING or ORDER BY and
+        ``limit`` is ``None`` (every group, in order).
+        """
+        if not (query.having or query.order_by or limit is not None):
+            return None
+        positions = range(self.n_groups)
+        if query.having:
+            positions = np.flatnonzero(query.having_mask(self.values)).tolist()
+        return self.order_limit_groups(positions, query.order_by, limit)
+
+    def order_limit_groups(
+        self,
+        positions: Iterable[int],
+        order_by: tuple[tuple[str, bool], ...],
+        limit: int | None,
+    ) -> list[int]:
+        """``positions`` in ORDER BY order, trimmed to ``limit``.
+
+        Each ORDER BY item names a grouping column or an aggregate output;
+        descending items are applied via stable sorting from the last key
+        to the first, so ties keep the order of ``positions``.
+        """
+        ordered = list(positions)
+        for name, descending in reversed(order_by):
+            if name in self.group_columns:
+                column = self.group_columns.index(name)
+                ordered.sort(key=lambda i: self.keys[i][column], reverse=descending)
+            else:
+                values = self.values[self.aggregate_names.index(name)].tolist()
+                ordered.sort(key=values.__getitem__, reverse=descending)
+        return ordered[:limit]
+
+    def take(self: _Groups, positions: Sequence[int]) -> _Groups:
+        """The groups at ``positions``, in that order (the one gather)."""
+        index = np.asarray(positions, dtype=np.intp)
+
+        def gather(value):
+            if isinstance(value, dict):
+                return {name: array[index] for name, array in value.items()}
+            if isinstance(value, tuple):
+                return tuple(array[index] for array in value)
+            return value[index]
+
+        return replace(
+            self,
+            keys=[self.keys[i] for i in positions],
+            **{name: gather(getattr(self, name)) for name in self.group_arrays},
+        )
+
+
+@dataclass(eq=False)
+class GroupedResult(GroupColumns):
     """Result of an aggregation query.
 
-    Attributes
+    Attributes (besides :class:`GroupColumns`' keys and values)
     ----------
-    group_columns:
-        Names of the grouping columns (empty for a plain aggregation, in
-        which case there is a single group with key ``()``).
-    aggregate_names:
-        Output name of each aggregate, in SELECT order.
-    rows:
-        Mapping from group key tuple to aggregate value tuple.
     raw_counts:
         Unweighted number of source rows contributing to each group; used
         by the confidence-interval machinery.
     sum_squares:
-        For each SUM/AVG aggregate name, per-group sum of squared values
-        (weighted by the squared row weights), used for variance estimates.
+        For each COUNT/SUM/AVG aggregate name (when variance statistics
+        were collected), the per-group sum of squared values weighted by
+        the variance weights, used for variance estimates.
     sum_cross:
         For each SUM/AVG aggregate name, per-group ``Σ vw_i · x_i`` — the
         covariance of the SUM and COUNT estimators under Poisson sampling,
         needed for AVG's ratio-estimator (delta method) variance.
     """
 
-    group_columns: tuple[str, ...]
-    aggregate_names: tuple[str, ...]
-    rows: dict[GroupKey, tuple[float, ...]]
-    raw_counts: dict[GroupKey, int] = field(default_factory=dict)
-    sum_squares: dict[str, dict[GroupKey, float]] = field(default_factory=dict)
-    sum_cross: dict[str, dict[GroupKey, float]] = field(default_factory=dict)
+    raw_counts: np.ndarray
+    sum_squares: dict[str, np.ndarray] = field(default_factory=dict)
+    sum_cross: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def n_groups(self) -> int:
-        """Number of groups in the result."""
-        return len(self.rows)
+    group_arrays: ClassVar[tuple[str, ...]] = (
+        "values", "raw_counts", "sum_squares", "sum_cross"
+    )
 
     def groups(self) -> set[GroupKey]:
         """The set of group keys."""
-        return set(self.rows)
+        return set(self.keys)
 
     def value(self, group: GroupKey, aggregate: str) -> float:
         """Aggregate value for one group."""
-        try:
-            idx = self.aggregate_names.index(aggregate)
-        except ValueError:
-            raise QueryError(
-                f"no aggregate {aggregate!r}; have {self.aggregate_names}"
-            ) from None
-        return self.rows[group][idx]
-
-    def as_dict(self, aggregate: str | None = None) -> dict[GroupKey, float]:
-        """Mapping group → value for one aggregate (default: the first)."""
-        if aggregate is None:
-            aggregate = self.aggregate_names[0]
-        idx = self.aggregate_names.index(aggregate)
-        return {g: vals[idx] for g, vals in self.rows.items()}
+        return self.as_dict(aggregate)[group]
 
     def total(self, aggregate: str | None = None) -> float:
         """Sum of one aggregate across all groups."""
-        return float(sum(self.as_dict(aggregate).values()))
-
+        return float(sum(self.values[self._agg_index(aggregate)].tolist()))
 
 
 def dense_ids(code_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -459,13 +538,12 @@ def aggregate_table(
         else:
             variance_weights = (weights * scale) ** 2
 
-    def per_group(row_values: np.ndarray) -> dict[GroupKey, float]:
-        sums = np.bincount(ids, weights=row_values, minlength=n_groups)
-        return dict(zip(keys, sums.tolist()))
+    def per_group(row_values: np.ndarray) -> np.ndarray:
+        return np.bincount(ids, weights=row_values, minlength=n_groups)
 
     agg_values: list[np.ndarray] = []
-    sum_squares: dict[str, dict[GroupKey, float]] = {}
-    sum_cross: dict[str, dict[GroupKey, float]] = {}
+    sum_squares: dict[str, np.ndarray] = {}
+    sum_cross: dict[str, np.ndarray] = {}
     for agg in query.aggregates:
         if agg.func is AggFunc.COUNT:
             agg_values.append(weighted_counts * scale)
@@ -510,90 +588,21 @@ def aggregate_table(
     result = GroupedResult(
         group_columns=query.group_by,
         aggregate_names=tuple(a.name for a in query.aggregates),
-        rows=dict(zip(keys, zip(*(col.tolist() for col in agg_values)))),
-        raw_counts=dict(zip(keys, raw_counts.tolist())),
+        keys=keys,
+        values=tuple(agg_values),
+        raw_counts=raw_counts,
         sum_squares=sum_squares,
         sum_cross=sum_cross,
     )
-    if query.having:
-        kept_groups = {
-            g for g, row in result.rows.items() if query.evaluate_having(row)
-        }
-        result.rows = {g: result.rows[g] for g in result.rows if g in kept_groups}
-        result.raw_counts = {
-            g: c for g, c in result.raw_counts.items() if g in kept_groups
-        }
-        for name in list(result.sum_squares):
-            result.sum_squares[name] = {
-                g: v
-                for g, v in result.sum_squares[name].items()
-                if g in kept_groups
-            }
-        for name in list(result.sum_cross):
-            result.sum_cross[name] = {
-                g: v
-                for g, v in result.sum_cross[name].items()
-                if g in kept_groups
-            }
-    if query.order_by or query.limit is not None:
-        _apply_order_limit(result, query)
+    positions = result.clause_positions(query, query.limit)
+    if positions is not None:
+        result = result.take(positions)
     span.annotate(
         rows=table.n_rows,
         rows_selected=n_selected,
-        groups=len(result.rows),
+        groups=result.n_groups,
     )
     return result
-
-
-def order_limit_groups(
-    values: dict[GroupKey, tuple[float, ...]],
-    group_columns: tuple[str, ...],
-    aggregate_names: tuple[str, ...],
-    order_by: tuple[tuple[str, bool], ...],
-    limit: int | None,
-) -> list[GroupKey]:
-    """Group keys in query order, trimmed to ``limit``.
-
-    Each ORDER BY item names a grouping column or an aggregate output;
-    descending items are applied via stable sorting from the last key to
-    the first.
-    """
-    keys = list(values)
-    for name, descending in reversed(order_by):
-        if name in group_columns:
-            position = group_columns.index(name)
-            keys.sort(key=lambda g: g[position], reverse=descending)
-        else:
-            position = aggregate_names.index(name)
-            keys.sort(key=lambda g: values[g][position], reverse=descending)
-    if limit is not None:
-        keys = keys[:limit]
-    return keys
-
-
-def _apply_order_limit(result: GroupedResult, query: Query) -> None:
-    """Reorder and trim a result in place per the query's ORDER BY/LIMIT."""
-    kept = order_limit_groups(
-        result.rows,
-        query.group_by,
-        result.aggregate_names,
-        query.order_by,
-        query.limit,
-    )
-    result.rows = {g: result.rows[g] for g in kept}
-    result.raw_counts = {
-        g: result.raw_counts[g] for g in kept if g in result.raw_counts
-    }
-    for name in list(result.sum_squares):
-        per_group = result.sum_squares[name]
-        result.sum_squares[name] = {
-            g: per_group[g] for g in kept if g in per_group
-        }
-    for name in list(result.sum_cross):
-        per_group = result.sum_cross[name]
-        result.sum_cross[name] = {
-            g: per_group[g] for g in kept if g in per_group
-        }
 
 
 def resolve_columns(

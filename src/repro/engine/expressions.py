@@ -524,14 +524,17 @@ class Query:
             self.having,
         )
 
-    def evaluate_having(self, values: tuple[float, ...]) -> bool:
-        """Whether one group's aggregate values pass the HAVING clauses."""
+    def having_mask(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        """Which groups pass the HAVING clauses.
+
+        ``values`` holds one per-group array per aggregate, in SELECT
+        order; the mask is aligned with them.
+        """
         names = [a.name for a in self.aggregates]
+        keep = np.ones(len(values[0]), dtype=bool)
         for name, op, threshold in self.having:
-            value = values[names.index(name)]
-            if not bool(_COMPARE_FUNCS[op](value, threshold)):
-                return False
-        return True
+            keep &= _COMPARE_FUNCS[op](values[names.index(name)], threshold)
+        return keep
 
     def and_where(self, extra: Predicate | None) -> "Query":
         """Return the query with ``extra`` conjoined onto its predicate."""

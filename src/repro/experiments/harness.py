@@ -146,15 +146,14 @@ def matched_rates(
     )
 
 
-def per_group_selectivity_of(answer_counts: dict, total_rows: int) -> float:
+def per_group_selectivity_of(group_counts: np.ndarray, total_rows: int) -> float:
     """Average result-group size as a fraction of the database (§5.3.1).
 
-    For COUNT queries the group sizes are the aggregate values themselves;
-    for SUM queries the harness passes the separately computed counts.
+    ``group_counts`` holds the rows of each group of the exact answer.
     """
-    if not answer_counts or total_rows <= 0:
+    if not len(group_counts) or total_rows <= 0:
         return 0.0
-    return float(np.mean(list(answer_counts.values()))) / total_rows
+    return float(np.mean(group_counts)) / total_rows
 
 
 def run_experiment(
@@ -185,12 +184,11 @@ def run_experiment(
         exact = execute(db, wq.query)
         exact_time = time.perf_counter() - start
         exact_values = exact.as_dict()
-        group_counts = exact.raw_counts
         record = QueryRecord(
             workload_query=wq,
             matched_rate=rate,
             per_group_selectivity=per_group_selectivity_of(
-                group_counts, total_rows
+                exact.raw_counts, total_rows
             ),
             n_exact_groups=exact.n_groups,
             exact_time=exact_time,

@@ -76,47 +76,38 @@ class SessionResult:
         """Human-readable rendering of the result."""
         lines = []
         if self.approx is not None:
+            approx = self.approx
             lines.append(
-                f"approximate answer ({self.approx.technique}, "
-                f"{self.approx.n_groups} groups, "
+                f"approximate answer ({approx.technique}, "
+                f"{approx.n_groups} groups, "
                 f"{self.approx_seconds * 1000:.1f} ms)"
             )
-            headers = list(self.approx.group_columns) + [
-                f"{name} (est.)" for name in self.approx.aggregate_names
+            headers = list(approx.group_columns) + [
+                f"{name} (est.)" for name in approx.aggregate_names
             ] + [f"{level:.0%} CI", "exact?"]
-            rows = []
-            ordered = sorted(
-                self.approx.groups.items(),
-                key=lambda item: -item[1][0].value,
-            )
-            for group, estimates in ordered[:max_rows]:
-                first = estimates[0]
-                lo, hi = first.confidence_interval(level)
-                rows.append(
-                    list(group)
-                    + [e.value for e in estimates]
-                    + [f"[{lo:.1f}, {hi:.1f}]", "yes" if first.exact else ""]
+            shown = approx.take(_largest_first(approx.values[0].tolist())[:max_rows])
+            lows, highs = (bound.tolist() for bound in shown.intervals(level)[0])
+            rows = [
+                list(key)
+                + list(values)
+                + [f"[{low:.1f}, {high:.1f}]", "yes" if exact else ""]
+                for (key, values), low, high, exact in zip(
+                    shown.rows.items(), lows, highs, shown.exact[0].tolist()
                 )
+            ]
             lines.append(format_table(headers, rows))
         if self.exact is not None:
+            exact = self.exact
             lines.append(
-                f"exact answer ({self.exact.n_groups} groups, "
+                f"exact answer ({exact.n_groups} groups, "
                 f"{self.exact_seconds * 1000:.1f} ms)"
             )
-            if self.exact.rows:
-                headers = list(self.exact.group_columns) + list(
-                    self.exact.aggregate_names
-                )
-                ordered = sorted(
-                    self.exact.rows.items(), key=lambda item: -item[1][0]
-                )
+            if exact.n_groups:
+                shown = exact.take(_largest_first(exact.values[0].tolist())[:max_rows])
                 lines.append(
                     format_table(
-                        headers,
-                        [
-                            list(group) + list(row)
-                            for group, row in ordered[:max_rows]
-                        ],
+                        list(exact.group_columns) + list(exact.aggregate_names),
+                        [list(key) + list(row) for key, row in shown.rows.items()],
                     )
                 )
         if self.approx is not None and self.exact is not None:
@@ -135,6 +126,11 @@ class SessionResult:
         if self.profile is not None:
             lines.append(self.profile.to_text())
         return "\n".join(lines)
+
+
+def _largest_first(values: list[float]) -> list[int]:
+    """Positions of ``values``, largest first (a stable sort on the negation)."""
+    return sorted(range(len(values)), key=lambda i: -values[i])
 
 
 @dataclass(frozen=True, eq=False)

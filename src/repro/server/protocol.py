@@ -27,6 +27,8 @@ import hashlib
 import json
 from typing import Any
 
+import numpy as np
+
 from repro.core.answer import ApproxAnswer
 from repro.engine.executor import GroupedResult
 from repro.errors import (
@@ -105,24 +107,41 @@ def _canonical_key(group: tuple) -> tuple:
     )
 
 
+def _canonical_order(keys: list[tuple]) -> list[int]:
+    """Positions of ``keys`` sorted by :func:`_canonical_key`."""
+    return sorted(range(len(keys)), key=lambda i: _canonical_key(keys[i]))
+
+
+def _json_rows(arrays):
+    """Per group, its cell of every array; :func:`finite_or_none` per array."""
+    columns = [array.tolist() for array in arrays]
+    for array, column in zip(arrays, columns):
+        for i in np.flatnonzero(~np.isfinite(array)).tolist():
+            column[i] = None
+    return zip(*columns)
+
+
 def encode_approx(answer: ApproxAnswer, level: float = 0.95) -> dict:
     """Canonical strict-JSON rendering of an approximate answer."""
-    groups = []
-    for key in sorted(answer.groups, key=_canonical_key):
-        estimates = answer.groups[key]
-        intervals = [e.confidence_interval(level) for e in estimates]
-        groups.append(
-            {
-                "key": [finite_or_none(value) for value in key],
-                "estimates": [finite_or_none(e.value) for e in estimates],
-                "variances": [finite_or_none(e.variance) for e in estimates],
-                "intervals": [
-                    [finite_or_none(lo), finite_or_none(hi)]
-                    for lo, hi in intervals
-                ],
-                "exact": [e.exact for e in estimates],
-            }
+    answer = answer.take(_canonical_order(answer.keys))
+    lows, highs = zip(*answer.intervals(level))
+    groups = [
+        {
+            "key": [finite_or_none(value) for value in key],
+            "estimates": list(estimates),
+            "variances": list(variances),
+            "intervals": [list(bounds) for bounds in zip(low, high)],
+            "exact": list(exact),
+        }
+        for key, estimates, variances, low, high, exact in zip(
+            answer.keys,
+            _json_rows(answer.values),
+            _json_rows(answer.variances),
+            _json_rows(lows),
+            _json_rows(highs),
+            zip(*(flags.tolist() for flags in answer.exact)),
         )
+    ]
     return {
         "technique": answer.technique,
         "group_columns": list(answer.group_columns),
@@ -136,12 +155,13 @@ def encode_approx(answer: ApproxAnswer, level: float = 0.95) -> dict:
 
 def encode_exact(result: GroupedResult) -> dict:
     """Canonical strict-JSON rendering of an exact answer."""
+    result = result.take(_canonical_order(result.keys))
     groups = [
         {
             "key": [finite_or_none(value) for value in key],
-            "values": [finite_or_none(value) for value in result.rows[key]],
+            "values": list(values),
         }
-        for key in sorted(result.rows, key=_canonical_key)
+        for key, values in zip(result.keys, _json_rows(result.values))
     ]
     return {
         "group_columns": list(result.group_columns),

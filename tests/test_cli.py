@@ -140,3 +140,31 @@ class TestSqlProfileJson:
         assert lines[1].startswith("loaded samples")
         assert lines[-1] == f"wrote {path}" and captured.err == ""
         assert self._strict(path.read_text())["mode"] == "both"
+
+
+class TestStatsJson:
+    QUERY = "SELECT l_shipmode, COUNT(*) AS cnt FROM lineitem GROUP BY l_shipmode"
+
+    def test_dash_leaves_stdout_one_strict_json_document(
+        self, tiny_tpch, tmp_path, capsys
+    ):
+        db = save_database(tiny_tpch, tmp_path / "db")
+        argv = ["stats", str(db), "--query", self.QUERY, "--mode", "both"]
+        assert main(argv + ["--json", "-"]) == 0
+        captured = capsys.readouterr()
+        stats = TestSqlProfileJson._strict(captured.out)
+        assert set(stats) == {"registry", "cache"}
+        assert captured.err.startswith("mapped 4 tables in ")
+        assert "workload: 1 query x 3 repeats, mode=both" in captured.err
+        assert "ingest: reservoir_updates=" in captured.err
+        # Any other destination leaves stdout as it was.
+        path = tmp_path / "stats.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("mapped 4 tables in ")
+        assert lines[-2].startswith("ingest: reservoir_updates=")
+        assert lines[-1] == f"wrote {path}" and captured.err == ""
+        assert set(TestSqlProfileJson._strict(path.read_text())) == {
+            "registry", "cache"
+        }

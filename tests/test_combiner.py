@@ -4,14 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import combiner
+from repro.core.answer import GroupEstimate
 from repro.core.combiner import execute_pieces
 from repro.core.rewriter import SamplePiece, pieces_to_sql
 from repro.core.smallgroup import OverallPart
 from repro.engine.deadline import Deadline
 from repro.engine.executor import aggregate_table
-from repro.engine.expressions import AggFunc, AggregateSpec, Query
+from repro.engine.expressions import AggFunc, AggregateSpec, CompareOp, Query
 from repro.engine.table import Table
 from repro.errors import DeadlineExceeded, InternalError, RuntimePhaseError
 
@@ -308,3 +310,182 @@ class TestScaleDiscipline:
         answer = execute_pieces(pieces, "t")
         assert answer.rewritten_sql == pieces_to_sql(pieces)
         assert answer.value(("b",)) == 3.0
+
+
+
+def reference_combine(answer, query):
+    """The per-group dict combine that the columnar merge replaced.
+
+    Re-runs the pieces ``answer`` executed, folds their partials group by
+    group in piece order, applies HAVING, then ORDER BY and LIMIT to the
+    estimates.  Returns ``(groups, top_k_confident)``: ``groups`` maps each
+    kept key, in order, to one ``(value, variance, exact)`` per aggregate.
+    """
+    components = answer.executed[0][1].aggregates
+    n = len(components)
+    values, variances, crosses, all_exact = {}, {}, {}, {}
+    for piece, exec_query in answer.executed:
+        result = aggregate_table(
+            piece.table,
+            exec_query,
+            weights=piece.weights,
+            scale=piece.scale,
+            collect_variance_stats=not piece.zero_variance,
+            variance_weights=piece.variance_weights,
+        )
+        squares, cross = (
+            {name: dict(zip(result.keys, array.tolist())) for name, array in stats.items()}
+            for stats in (result.sum_squares, result.sum_cross)
+        )
+        for group, row in result.rows.items():
+            if group not in values:
+                values[group], variances[group] = [0.0] * n, [0.0] * n
+                crosses[group], all_exact[group] = [0.0] * n, True
+            for i, value in enumerate(row):
+                values[group][i] += value
+            if not piece.marks_exact:
+                all_exact[group] = False
+            if piece.zero_variance:
+                continue
+            for i, spec in enumerate(components):
+                variances[group][i] += squares.get(spec.name, {}).get(group, 0.0)
+                crosses[group][i] += cross.get(spec.name, {}).get(group, 0.0)
+    component_names = [c.name for c in components]
+    counts = [i for i, c in enumerate(components) if c.func is AggFunc.COUNT]
+    names = [agg.name for agg in query.aggregates]
+    groups = {}
+    for group in values:
+        cells = []
+        for agg in query.aggregates:
+            if agg.func is not AggFunc.AVG:
+                i = component_names.index(agg.name)
+                cells.append((values[group][i], variances[group][i], all_exact[group]))
+                continue
+            s = component_names.index(f"avg_sum_{agg.name}")
+            count = counts[0]
+            total, rows = values[group][s], values[group][count]
+            if rows <= 0:
+                cells.append((float("nan"), 0.0, False))
+                continue
+            ratio = total / rows
+            delta = (
+                variances[group][s]
+                - 2.0 * ratio * crosses[group][s]
+                + ratio * ratio * variances[group][count]
+            ) / (rows * rows)
+            cells.append((ratio, max(0.0, delta), all_exact[group]))
+        groups[group] = tuple(cells)
+    passes = {CompareOp.GT: float.__gt__, CompareOp.GE: float.__ge__}
+    groups = {
+        group: cells
+        for group, cells in groups.items()
+        if all(
+            passes[op](cells[names.index(name)][0], float(threshold))
+            for name, op, threshold in query.having
+        )
+    }
+    ordered = list(groups)
+    for name, descending in reversed(query.order_by):
+        if name in query.group_by:
+            column = query.group_by.index(name)
+            ordered.sort(key=lambda g: g[column], reverse=descending)
+        else:
+            agg = names.index(name)
+            ordered.sort(key=lambda g: groups[g][agg][0], reverse=descending)
+    kept = ordered[: query.limit]
+    confident = None
+    if len(ordered) > len(kept) and query.order_by and query.order_by[0][0] in names:
+        agg = names.index(query.order_by[0][0])
+        last = GroupEstimate(*groups[kept[-1]][agg]).confidence_interval()
+        best = GroupEstimate(*groups[ordered[len(kept)]][agg]).confidence_interval()
+        confident = last[0] > best[1] if query.order_by[0][1] else last[1] < best[0]
+    return {group: groups[group] for group in kept}, confident
+
+
+AGGREGATES = {
+    "cnt": COUNT,
+    "s": AggregateSpec(AggFunc.SUM, "v", alias="s"),
+    "m": AggregateSpec(AggFunc.AVG, "v", alias="m"),
+}
+
+
+@st.composite
+def pieces_and_query(draw):
+    """1-4 pieces (exact, outlier-like or sampled) and a COUNT/SUM/AVG query
+    over a string and a NaN-holding float grouping column; the measure
+    holds NaN too, so AVG variances can be NaN before the clamp."""
+    names = draw(st.permutations(sorted(AGGREGATES)))[: draw(st.integers(1, 3))]
+    group_by = draw(st.sampled_from([("g",), ("g", "h"), ()]))
+    having = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(names),
+                st.sampled_from([CompareOp.GT, CompareOp.GE]),
+                st.sampled_from([0.0, 2.0, 25.0]),
+            ),
+            max_size=2,
+        )
+    )
+    order_by = draw(
+        st.dictionaries(st.sampled_from(names + list(group_by)), st.booleans(), max_size=2)
+    )
+    query = Query(
+        "part",
+        tuple(AGGREGATES[name] for name in names),
+        group_by,
+        order_by=tuple(order_by.items()),
+        limit=draw(st.sampled_from([None, 1, 2, 4])),
+        having=tuple(having),
+    )
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 12))
+        column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+        table = Table.from_dict(
+            "part",
+            {
+                "g": column(st.sampled_from("abcdef")),
+                "h": column(st.sampled_from([0.5, 1.5, float("nan")])),
+                "v": column(st.floats(-50, 50, width=32) | st.just(float("nan"))),
+            },
+        )
+        if draw(st.booleans()):
+            piece = SamplePiece(
+                table=table,
+                query=query,
+                rate=1.0,
+                zero_variance=True,
+                counts_as_exact=draw(st.sampled_from([None, False])),
+            )
+        else:
+            piece = SamplePiece(
+                table=table,
+                query=query,
+                rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+                variance_weights=np.array(column(st.floats(0.0, 3.0, width=32))),
+            )
+        pieces.append(piece)
+    return pieces, query
+
+
+@given(case=pieces_and_query())
+@settings(max_examples=200, deadline=None)
+def test_columnar_merge_equals_the_per_group_reference(case):
+    """Keys in order, every value, variance and exact flag, and the top-k
+    verdict equal the per-group fold bit for bit (``repr`` puts NaN equal
+    to NaN and tells ``-0.0`` from ``0.0``)."""
+    pieces, query = case
+    answer = execute_pieces(pieces, "t")
+    expected, confident = reference_combine(answer, query)
+    per_aggregate = [
+        list(zip(values.tolist(), variances.tolist(), exact.tolist()))
+        for values, variances, exact in zip(
+            answer.values, answer.variances, answer.exact
+        )
+    ]
+    got = {
+        key: tuple(cells[i] for cells in per_aggregate)
+        for i, key in enumerate(answer.keys)
+    }
+    assert repr(got) == repr(expected)
+    assert answer.top_k_confident == confident

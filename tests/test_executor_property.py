@@ -190,14 +190,17 @@ def assert_same_as_reference(table, query, **kwargs):
     rows, raw_counts, sum_squares, sum_cross = reference_grouped(
         table, query, **kwargs
     )
+    # The arrays are aligned with the keys, so the reference's
+    # insertion-ordered values must equal them cell for cell.
     assert list(result.rows.items()) == list(rows.items())
-    assert list(result.raw_counts.items()) == list(raw_counts.items())
+    assert result.keys == list(raw_counts)
+    assert result.raw_counts.tolist() == list(raw_counts.values())
     assert set(result.sum_squares) == set(sum_squares)
     for name, expected in sum_squares.items():
-        assert list(result.sum_squares[name].items()) == list(expected.items())
+        assert result.sum_squares[name].tolist() == list(expected.values())
     assert set(result.sum_cross) == set(sum_cross)
     for name, expected in sum_cross.items():
-        assert list(result.sum_cross[name].items()) == list(expected.items())
+        assert result.sum_cross[name].tolist() == list(expected.values())
     return result
 
 
@@ -281,7 +284,8 @@ class TestKernelPinnedCases:
     def test_no_where_no_group_by(self):
         table = wide_table(50, (3,))
         result = assert_same_as_reference(table, Query("t", (COUNT, SUM_V)))
-        assert result.raw_counts == {(): 50}
+        assert result.keys == [()]
+        assert result.raw_counts.tolist() == [50]
 
     def test_one_to_four_columns(self):
         table = wide_table(400, (3, 4, 5, 6))

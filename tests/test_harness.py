@@ -1,5 +1,6 @@
 """Tests for the matched-space experiment harness."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.harness import (
@@ -53,11 +54,11 @@ class TestMatchedRates:
 
 class TestSelectivity:
     def test_average_group_fraction(self):
-        counts = {("a",): 10, ("b",): 30}
+        counts = np.array([10, 30])
         assert per_group_selectivity_of(counts, 1000) == pytest.approx(0.02)
 
     def test_empty(self):
-        assert per_group_selectivity_of({}, 1000) == 0.0
+        assert per_group_selectivity_of(np.array([]), 1000) == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -217,7 +217,7 @@ class TestScratchPerRow:
             tracemalloc.stop()
             get_cache().clear()
         assert result.rows == first.rows
-        n_selected = sum(result.raw_counts.values())
+        n_selected = int(result.raw_counts.sum())
         assert abs(n_selected - n / 2) < n / 100
         assert peak / n_selected <= gate, peak / n_selected
 

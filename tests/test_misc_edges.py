@@ -1,10 +1,11 @@
 """Edge-case coverage across smaller surfaces."""
 
 
+import numpy as np
 import pytest
 
 from repro.core.interfaces import PreprocessReport
-from repro.engine.executor import order_limit_groups
+from repro.engine.executor import GroupColumns
 from repro.engine.expressions import AggFunc, AggregateSpec
 from repro.errors import (
     ColumnTypeError,
@@ -72,16 +73,15 @@ class TestFormatterEdges:
 
 class TestOrderLimitGroups:
     def test_order_by_group_column_then_limit(self):
-        values = {("b",): (2.0,), ("a",): (9.0,), ("c",): (1.0,)}
-        kept = order_limit_groups(
-            values, ("g",), ("cnt",), (("g", False),), 2
-        )
-        assert kept == [("a",), ("b",)]
+        keys = [("b",), ("a",), ("c",)]
+        groups = GroupColumns(("g",), ("cnt",), keys, (np.array([2.0, 9.0, 1.0]),))
+        kept = groups.order_limit_groups(range(3), (("g", False),), 2)
+        assert [keys[i] for i in kept] == [("a",), ("b",)]
 
     def test_no_order_just_limit(self):
-        values = {("a",): (1.0,), ("b",): (2.0,)}
-        kept = order_limit_groups(values, ("g",), ("cnt",), (), 1)
-        assert len(kept) == 1
+        keys = [("a",), ("b",)]
+        groups = GroupColumns(("g",), ("cnt",), keys, (np.array([1.0, 2.0]),))
+        assert groups.order_limit_groups(range(2), (), 1) == [0]
 
 
 class TestPreprocessReport:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.baselines.congress import BasicCongress, CongressConfig, FullCongress
@@ -548,7 +549,12 @@ class TestReportNaNRegressions:
             sql="...",
             query=query,
             approx=ApproxAnswer(
-                group_columns=(), aggregate_names=("n",), groups={}
+                group_columns=(),
+                aggregate_names=("n",),
+                keys=[],
+                values=(np.zeros(0),),
+                variances=(np.zeros(0),),
+                exact=(np.zeros(0, dtype=bool),),
             ),
             exact=None,
             approx_seconds=0.0,

@@ -15,7 +15,7 @@ import pytest
 
 from repro.client import ReproClient, _encode_body
 from repro.core import confidence
-from repro.core.answer import ApproxAnswer, GroupEstimate
+from repro.core.answer import ApproxAnswer
 from repro.core.family import SampleFamily
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.datagen.synthetic import (
@@ -155,18 +155,22 @@ class TestProtocol:
     def test_memoised_z_value_leaves_encodings_byte_equal(
         self, session, monkeypatch
     ):
-        # 100 groups x 2 aggregates = 200 intervals per encode, one
-        # norm.ppf each before the memo.  The memo may not move a digit.
+        # 100 groups x 2 aggregates = 200 intervals per encode, from one
+        # z_value call per encode.  The memo may not move a digit.
+        groups = range(100)
         answer = ApproxAnswer(
             group_columns=("g",),
             aggregate_names=("cnt", "s"),
-            groups={
-                (f"g{i:03d}",): (
-                    GroupEstimate(100.0 + i, variance=1.0 + i / 7.0),
-                    GroupEstimate(3.5 * i, variance=(i % 9) / 3.0),
-                )
-                for i in range(100)
-            },
+            keys=[(f"g{i:03d}",) for i in groups],
+            values=(
+                np.array([100.0 + i for i in groups]),
+                np.array([3.5 * i for i in groups]),
+            ),
+            variances=(
+                np.array([1.0 + i / 7.0 for i in groups]),
+                np.array([(i % 9) / 3.0 for i in groups]),
+            ),
+            exact=(np.zeros(100, dtype=bool), np.zeros(100, dtype=bool)),
             technique="small_group",
         )
         result = session.sql(SQL_COUNT, mode="approx")
@@ -184,7 +188,8 @@ class TestProtocol:
         memoised = encodings()
         assert memoised == encodings()  # warm memo
         info = confidence.z_value.cache_info()
-        assert info.misses == 3 and info.hits > 300
+        # Levels 0.95 (encode_result), 0.9, 0.95, 0.99, twice over.
+        assert info.misses == 3 and info.hits == 5
         monkeypatch.setattr(
             confidence, "z_value", confidence.z_value.__wrapped__
         )

@@ -3,14 +3,22 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.uniform import UniformConfig, UniformSampling
 from repro.core.smallgroup import SmallGroupConfig, SmallGroupSampling
 from repro.engine.database import Database
-from repro.engine.executor import aggregate_table
-from repro.engine.expressions import AggFunc, AggregateSpec, InSet, Query
+from repro.engine.executor import aggregate_table, execute
+from repro.engine.expressions import (
+    AggFunc,
+    AggregateSpec,
+    CompareOp,
+    InSet,
+    Query,
+)
 from repro.engine.table import Table
 
 COUNT = AggregateSpec(AggFunc.COUNT, alias="cnt")
 SUM_V = AggregateSpec(AggFunc.SUM, "v", alias="s")
+AVG_V = AggregateSpec(AggFunc.AVG, "v", alias="avg")
 
 VALUES_A = [f"a{i}" for i in range(8)]
 VALUES_B = [f"b{i}" for i in range(4)]
@@ -75,30 +83,68 @@ def test_invariants(data, group_by, rate, gamma, predicate):
                 assert estimate.variance == 0.0
 
 
-@given(data=random_database(), group_by=st.sampled_from([("a",), ("a", "b")]))
-@settings(max_examples=25, deadline=None)
-def test_full_rate_recovers_exact_answer(data, group_by):
-    """base_rate=1 means the overall sample is the database: answers are
-    exact for every query, regardless of the small-group layout."""
-    db, seed = data
-    technique = SmallGroupSampling(
-        SmallGroupConfig(
-            base_rate=1.0,
-            allocation_ratio=0.2,
-            use_reservoir=False,
-            seed=seed,
-        )
+def full_rate_techniques(seed):
+    """Small group and uniform sampling with the whole database as sample."""
+    return (
+        SmallGroupSampling(
+            SmallGroupConfig(
+                base_rate=1.0,
+                allocation_ratio=0.2,
+                use_reservoir=False,
+                seed=seed,
+            )
+        ),
+        UniformSampling(UniformConfig(rates=(1.0,), seed=seed)),
     )
-    technique.preprocess(db)
-    query = Query("t", (COUNT, SUM_V), group_by)
-    exact = aggregate_table(db.fact_table, query)
-    answer = technique.answer(query)
-    assert set(answer.as_dict()) == set(exact.rows)
-    for group, row in exact.rows.items():
-        assert answer.value(group, "cnt") == row[0]
-        assert abs(answer.value(group, "s") - row[1]) <= 1e-6 * max(
-            1.0, abs(row[1])
-        )
+
+
+@given(
+    data=random_database(),
+    group_by=st.sampled_from([("a",), ("a", "b")]),
+    min_count=st.sampled_from([None, 2, 5]),
+    order=st.sampled_from([None, "cnt", "group"]),
+    descending=st.booleans(),
+    limit=st.sampled_from([None, 1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_full_rate_recovers_exact_answer(
+    data, group_by, min_count, order, descending, limit
+):
+    """base_rate=1 means the sample is the database: answers equal
+    ``execute`` for every query, regardless of the small-group layout,
+    after HAVING, ORDER BY and LIMIT too.  Counts are exact at rate 1,
+    so HAVING on them keeps the same groups, and ordering by them, with
+    the grouping columns breaking ties, keeps the same groups in the
+    same order.  Without ORDER BY the group order is the technique's own,
+    so a LIMIT there would keep an arbitrary subset: only ordered queries
+    get one."""
+    db, seed = data
+    limit = None if order is None else limit
+    by_columns = tuple((column, descending) for column in group_by)
+    order_by = {
+        None: (),
+        "cnt": (("cnt", descending),) + by_columns,
+        "group": by_columns,
+    }[order]
+    having = () if min_count is None else (("cnt", CompareOp.GE, min_count),)
+    query = Query(
+        "t", (COUNT, SUM_V, AVG_V), group_by,
+        order_by=order_by, limit=limit, having=having,
+    )
+    exact = execute(db, query)
+    for technique in full_rate_techniques(seed):
+        technique.preprocess(db)
+        answer = technique.answer(query)
+        groups = list(answer.as_dict())
+        if order is None:
+            groups.sort(key=list(exact.rows).index)
+        assert groups == list(exact.rows)
+        for group, row in exact.rows.items():
+            assert answer.value(group, "cnt") == row[0]
+            for name, expected in zip(("s", "avg"), row[1:]):
+                assert abs(answer.value(group, name) - expected) <= 1e-6 * max(
+                    1.0, abs(expected)
+                )
 
 
 @given(data=random_database())
@@ -125,7 +171,7 @@ def test_pieces_partition_small_group_classes(data):
         result = aggregate_table(
             piece.table, piece.query, scale=1.0
         )
-        counted += sum(result.raw_counts.values())
+        counted += int(result.raw_counts.sum())
     # Union of classes: rows belonging to at least one used table's class.
     used = technique.applicable_tables(query)
     if not used:

@@ -92,8 +92,8 @@ class TestExactExecution:
         result = aggregate_table(
             small_table, query, collect_variance_stats=True
         )
-        assert set(result.sum_squares["cnt"]) == set(result.rows)
-        assert set(result.raw_counts) == set(result.rows)
+        assert len(result.sum_squares["cnt"]) == result.n_groups == 1
+        assert len(result.raw_counts) == result.n_groups
 
     def test_secondary_sort_breaks_ties(self, small_table):
         query = Query(
