@@ -112,35 +112,31 @@ def _canonical_order(keys: list[tuple]) -> list[int]:
     return sorted(range(len(keys)), key=lambda i: _canonical_key(keys[i]))
 
 
-def _json_rows(arrays):
+def _json_rows(arrays) -> list[tuple]:
     """Per group, its cell of every array; :func:`finite_or_none` per array."""
     columns = [array.tolist() for array in arrays]
     for array, column in zip(arrays, columns):
         for i in np.flatnonzero(~np.isfinite(array)).tolist():
             column[i] = None
-    return zip(*columns)
+    return list(zip(*columns))
 
 
 def encode_approx(answer: ApproxAnswer, level: float = 0.95) -> dict:
     """Canonical strict-JSON rendering of an approximate answer."""
-    answer = answer.take(_canonical_order(answer.keys))
     lows, highs = zip(*answer.intervals(level))
+    estimates = _json_rows(answer.values)
+    variances = _json_rows(answer.variances)
+    intervals = list(zip(_json_rows(lows), _json_rows(highs)))
+    exact = list(zip(*(flags.tolist() for flags in answer.exact)))
     groups = [
         {
-            "key": [finite_or_none(value) for value in key],
-            "estimates": list(estimates),
-            "variances": list(variances),
-            "intervals": [list(bounds) for bounds in zip(low, high)],
-            "exact": list(exact),
+            "key": [finite_or_none(value) for value in answer.keys[i]],
+            "estimates": list(estimates[i]),
+            "variances": list(variances[i]),
+            "intervals": [list(bounds) for bounds in zip(*intervals[i])],
+            "exact": list(exact[i]),
         }
-        for key, estimates, variances, low, high, exact in zip(
-            answer.keys,
-            _json_rows(answer.values),
-            _json_rows(answer.variances),
-            _json_rows(lows),
-            _json_rows(highs),
-            zip(*(flags.tolist() for flags in answer.exact)),
-        )
+        for i in _canonical_order(answer.keys)
     ]
     return {
         "technique": answer.technique,
@@ -155,13 +151,13 @@ def encode_approx(answer: ApproxAnswer, level: float = 0.95) -> dict:
 
 def encode_exact(result: GroupedResult) -> dict:
     """Canonical strict-JSON rendering of an exact answer."""
-    result = result.take(_canonical_order(result.keys))
+    values = _json_rows(result.values)
     groups = [
         {
-            "key": [finite_or_none(value) for value in key],
-            "values": list(values),
+            "key": [finite_or_none(value) for value in result.keys[i]],
+            "values": list(values[i]),
         }
-        for key, values in zip(result.keys, _json_rows(result.values))
+        for i in _canonical_order(result.keys)
     ]
     return {
         "group_columns": list(result.group_columns),
