@@ -20,7 +20,7 @@ from repro.core.confidence import normal_interval, z_value
 from repro.core.rewriter import SamplePiece, pieces_to_sql
 from repro.engine.executor import GroupColumns, GroupKey
 from repro.engine.expressions import Query
-from repro.errors import RuntimePhaseError
+from repro.errors import QueryError, RuntimePhaseError
 
 
 @dataclass
@@ -83,7 +83,6 @@ class ApproxAnswer(GroupColumns):
     top_k_confident: bool | None = None
 
     group_arrays: ClassVar[tuple[str, ...]] = ("values", "variances", "exact")
-    name_error: ClassVar[type[Exception]] = RuntimePhaseError
 
     @property
     def rewritten_sql(self) -> str | None:
@@ -129,12 +128,18 @@ class ApproxAnswer(GroupColumns):
         ]
         return dict(zip(self.keys, zip(*per_aggregate)))
 
+    def _agg_index(self, aggregate: str | None) -> int:
+        try:
+            return super()._agg_index(aggregate)
+        except QueryError as error:
+            raise RuntimePhaseError(str(error)) from None
+
     def estimate(self, group: GroupKey, aggregate: str | None = None) -> GroupEstimate:
         """The estimate of one group and aggregate."""
         idx = self._agg_index(aggregate)
         try:
-            i = self.keys.index(group)
-        except ValueError:
+            i = self.key_positions[group]
+        except KeyError:
             raise RuntimePhaseError(f"group {group!r} not in answer") from None
         return GroupEstimate(
             self.values[idx][i].item(),

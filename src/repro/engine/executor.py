@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, ClassVar, TypeVar
 
 import numpy as np
@@ -81,19 +82,22 @@ class GroupColumns:
     #: The per-group fields :meth:`take` gathers: an array, or a tuple
     #: or dict of them.
     group_arrays: ClassVar[tuple[str, ...]] = ("values",)
-    #: Raised for an aggregate name the result does not have.
-    name_error: ClassVar[type[Exception]] = QueryError
 
     @property
     def n_groups(self) -> int:
         """Number of groups."""
         return len(self.keys)
 
+    @cached_property
+    def key_positions(self) -> dict[GroupKey, int]:
+        """Group key → its position in :attr:`keys` (built on first use)."""
+        return {key: i for i, key in enumerate(self.keys)}
+
     def _agg_index(self, aggregate: str | None) -> int:
         if aggregate is None:
             return 0
         if aggregate not in self.aggregate_names:
-            raise self.name_error(
+            raise QueryError(
                 f"no aggregate {aggregate!r}; have {self.aggregate_names}"
             )
         return self.aggregate_names.index(aggregate)
@@ -195,7 +199,8 @@ class GroupedResult(GroupColumns):
 
     def value(self, group: GroupKey, aggregate: str) -> float:
         """Aggregate value for one group."""
-        return self.as_dict(aggregate)[group]
+        values = self.values[self._agg_index(aggregate)]
+        return values[self.key_positions[group]].item()
 
     def total(self, aggregate: str | None = None) -> float:
         """Sum of one aggregate across all groups."""

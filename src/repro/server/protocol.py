@@ -27,8 +27,6 @@ import hashlib
 import json
 from typing import Any
 
-import numpy as np
-
 from repro.core.answer import ApproxAnswer
 from repro.engine.executor import GroupedResult
 from repro.errors import (
@@ -113,11 +111,10 @@ def _canonical_order(keys: list[tuple]) -> list[int]:
 
 
 def _json_rows(arrays) -> list[tuple]:
-    """Per group, its cell of every array; :func:`finite_or_none` per array."""
-    columns = [array.tolist() for array in arrays]
-    for array, column in zip(arrays, columns):
-        for i in np.flatnonzero(~np.isfinite(array)).tolist():
-            column[i] = None
+    """Per group, its cell of every array, each through :func:`finite_or_none`."""
+    columns = (
+        [finite_or_none(value) for value in array.tolist()] for array in arrays
+    )
     return list(zip(*columns))
 
 

@@ -179,6 +179,23 @@ class TestGroupedResult:
         result = aggregate_table(small_table, Query("t", (COUNT,), ("a", "b")))
         assert result.n_groups == 6
 
+    def test_value_reads_every_group_by_position(self, small_table):
+        result = aggregate_table(small_table, Query("t", (COUNT,), ("a", "b")))
+        assert result.key_positions == {k: i for i, k in enumerate(result.keys)}
+        assert {k: result.value(k, "cnt") for k in result.keys} == result.as_dict()
+        with pytest.raises(KeyError):
+            result.value(("nope", 0), "cnt")
+
+    def test_take_indexes_its_own_keys(self, small_table):
+        result = aggregate_table(small_table, Query("t", (COUNT,), ("a",)))
+        assert result.value(("x",), "cnt") == 3.0  # builds the index
+        taken = result.take([2, 0])
+        assert taken.keys == [("z",), ("x",)]
+        assert taken.value(("x",), "cnt") == 3.0
+        assert taken.value(("z",), "cnt") == 2.0
+        with pytest.raises(KeyError):
+            taken.value(("y",), "cnt")
+
 
 class TestExecute:
     def test_star_query(self):
